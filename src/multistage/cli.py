@@ -338,44 +338,53 @@ def cmd_sddp_solve(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with EXIT_INPUT.
+
+    argparse exits 2 on a bad command line, which the exit-code contract
+    reserves for an inconclusive finding.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multistage",
         description="Multistage stochastic optimization on finite scenario trees",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, policy=False, method=False, iters=False, horizon=False, demo=False):
-        if not demo:
-            p.add_argument("--input", required=True, help="input JSON file")
-        p.add_argument("--tolerance", type=float, default=1e-9)
-        p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0)
-        if policy:
-            p.add_argument("--policy", help="policy JSON file")
-        if method:
-            p.add_argument(
-                "--method", choices=["backward", "brute", "auto"], default="auto"
-            )
-        if iters:
-            p.add_argument("--max-iters", type=int, default=100_000)
-        if horizon:
-            p.add_argument("--horizon", type=int, required=True)
+    def flag(*args, **kwargs) -> argparse.ArgumentParser:
+        holder = argparse.ArgumentParser(add_help=False)
+        holder.add_argument(*args, **kwargs)
+        return holder
 
-    common(sub.add_parser("validate", help="check tree or bundle invariants"))
-    common(sub.add_parser("solve", help="optimal value and policy"), method=True)
-    common(sub.add_parser("verify", help="martingale test of a policy"), policy=True)
-    common(
-        sub.add_parser("dynamic-check", help="one-step dynamic relations"), policy=True
-    )
-    demo = sub.add_parser("demo-interchange", help="interchangeability demo")
-    common(demo, demo=True)
+    input_ = flag("--input", required=True, help="input JSON file")
+    policy = flag("--policy", help="policy JSON file")
+    tolerance = flag("--tolerance", type=float, default=1e-9)
+    cap = flag("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    json_ = flag("--json", action="store_true", help="machine-readable output")
+
+    def command(name, help, *parents):
+        return sub.add_parser(name, help=help, parents=[*parents, json_])
+
+    command("validate", "check tree or bundle invariants", input_)
+    solve = command("solve", "optimal value and policy", input_, tolerance, cap)
+    solve.add_argument("--method", choices=["backward", "brute", "auto"], default="auto")
+    command("verify", "martingale test of a policy", input_, policy, tolerance, cap)
+    command("dynamic-check", "one-step dynamic relations", input_, policy, tolerance, cap)
+    demo = command("demo-interchange", "interchangeability demo", tolerance)
     demo.add_argument("--trials", type=int, default=0)
-    common(sub.add_parser("mdp-solve", help="finite-horizon backward induction"), horizon=True)
-    common(sub.add_parser("value-iterate", help="stationary fixed point"), iters=True)
-    common(sub.add_parser("sddp-solve", help="stagewise independent recursion"))
+    demo.add_argument("--seed", type=int, default=0)
+    mdp = command("mdp-solve", "finite-horizon backward induction", input_)
+    mdp.add_argument("--horizon", type=int, required=True)
+    vi = command("value-iterate", "stationary fixed point", input_, tolerance)
+    vi.add_argument("--max-iters", type=int, default=100_000)
+    command("sddp-solve", "stagewise independent recursion", input_)
     return parser
 
 

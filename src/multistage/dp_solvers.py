@@ -5,8 +5,9 @@ and a discounted cost-to-go,
 
     V_t(x_{:t}, u_{:t-1}) = sum_{i<=t} gamma^(i-1) c_i(...) + gamma^t Vtilde_t,
 
-and Vtilde satisfies one-step recursions that simplify with the structure
-of the driving process:
+and Vtilde satisfies a one-step dynamic equation, which every solver below
+applies through one operator, ``_bellman_min``, fed according to the
+structure of the driving process:
 
 * lag-l processes: Vtilde_t depends only on the last l observations and
   the last l-1 decisions (``lag_recursion_check`` verifies both the window
@@ -17,8 +18,8 @@ of the driving process:
   contraction; ``value_iteration`` solves the fixed-point equation with an
   a-priori stopping rule.
 * stagewise independent noise: the conditional expectation degenerates to
-  an unconditional one (``sddp_recursion``), matching the recursion solved
-  by cut-based methods; here it is solved exactly on grids.
+  an unconditional one (``sddp_recursion``, every kernel row is the noise
+  law), matching the recursion of cut-based methods, here solved on grids.
 """
 
 from __future__ import annotations
@@ -87,10 +88,13 @@ class MDPSpec:
             return tuple(range(self.n_actions))
         return self.actions_by_state[state_index]
 
-    def kernel_row(self, state_index: int, action_index: int) -> np.ndarray:
-        if self.kernel.ndim == 2:
-            return self.kernel[state_index]
-        return self.kernel[action_index, state_index]
+    @property
+    def action_mask(self) -> np.ndarray | None:
+        """(n, a) mask of the allowed actions; None when every action is."""
+        if self.actions_by_state is None:
+            return None
+        actions = range(self.n_actions)
+        return np.array([[k in row for k in actions] for row in self.actions_by_state])
 
     def validate(self) -> list[str]:
         problems: list[str] = []
@@ -128,12 +132,33 @@ class MDPSpec:
                 problems.append(
                     f"cost magnitude {np.abs(c).max()} exceeds the bound {self.bound_K}"
                 )
+        by_state = self.actions_by_state
+        if by_state is not None and len(by_state) != n:
+            problems.append(f"actions_by_state has {len(by_state)} rows, expected {n}")
+        for i, allowed in enumerate(by_state or ()):
+            bad = [k for k in allowed if not 0 <= k < a]
+            if not allowed or bad:
+                problems.append(
+                    f"actions_by_state row {i} must list actions in 0..{a - 1}, "
+                    f"got {list(allowed)}"
+                )
         return problems
 
 
-def _q_value(mdp: MDPSpec, cost: np.ndarray, i: int, a: int, v_next: np.ndarray) -> float:
-    row = mdp.kernel_row(i, a)
-    return float(np.dot(row, cost[i, :, a] + mdp.gamma * v_next))
+def _bellman_min(kernel, cost, gamma, v, mask=None) -> tuple[np.ndarray, np.ndarray]:
+    """Min and first argmin over a of Q[i, a] = sum_j K_a[i, j] (c[i, j, a] + gamma v[j]).
+
+    ``kernel`` is (n, m) or (a, n, m), ``cost`` (n, m, a), ``v`` (m,); actions
+    with a false ``mask[i, a]`` count as +inf. Runs in the inputs' dtype. Each
+    Q entry is one dot product of two contiguous rows, which keeps float64
+    results bit-identical to ``np.dot``; einsum or a strided target is not.
+    """
+    target = np.ascontiguousarray(np.moveaxis(cost + gamma * v[:, None], 2, 1))
+    rows = kernel[:, None, :] if kernel.ndim == 2 else np.moveaxis(kernel, 0, 1)
+    q = np.matmul(rows[..., None, :], target[..., :, None])[..., 0, 0]
+    if mask is not None:
+        q = np.where(mask, q, np.inf)
+    return q.min(axis=1), q.argmin(axis=1)
 
 
 def mdp_backward_induction(
@@ -151,16 +176,15 @@ def mdp_backward_induction(
     problems = mdp.validate()
     if problems:
         raise InputFormatError("; ".join(problems))
+    if horizon < 0:
+        raise InputFormatError(f"horizon {horizon} is negative")
     if mdp.stage_costs is not None and len(mdp.stage_costs) < horizon:
         raise InputFormatError(
             f"{len(mdp.stage_costs)} stage costs cannot cover horizon {horizon}"
         )
-    n = mdp.n_states
-    values = [np.zeros(n) for _ in range(horizon + 1)]
-    greedy = [np.zeros(n, dtype=int) for _ in range(horizon)]
-    values[horizon] = (
-        np.zeros(n) if terminal is None else np.asarray(terminal, dtype=float).copy()
-    )
+    mask = mdp.action_mask
+    v_end = np.zeros(mdp.n_states) if terminal is None else np.array(terminal, dtype=float)
+    values, greedy = [v_end], []
     for t in range(horizon - 1, -1, -1):
         if mdp.stage_costs is not None:
             cost = mdp.stage_costs[t]
@@ -168,27 +192,17 @@ def mdp_backward_induction(
             cost = mdp.cost
         else:
             raise InputFormatError("the MDP defines neither cost nor stage_costs")
-        for i in range(n):
-            best_a, best_q = None, None
-            for a in mdp.action_indices(i):
-                q = _q_value(mdp, cost, i, a, values[t + 1])
-                if best_q is None or q < best_q:
-                    best_q, best_a = q, a
-            values[t][i] = best_q
-            greedy[t][i] = best_a
-    return values, greedy
+        v, g = _bellman_min(mdp.kernel, cost, mdp.gamma, values[-1], mask)
+        values.append(v)
+        greedy.append(g)
+    return values[::-1], greedy[::-1]
 
 
 def bellman_apply(mdp: MDPSpec, v: np.ndarray) -> np.ndarray:
     """One sweep of the stationary Bellman operator."""
     if mdp.cost is None:
         raise InputFormatError("the Bellman operator needs a stationary cost")
-    out = np.empty(mdp.n_states)
-    for i in range(mdp.n_states):
-        out[i] = min(
-            _q_value(mdp, mdp.cost, i, a, v) for a in mdp.action_indices(i)
-        )
-    return out
+    return _bellman_min(mdp.kernel, mdp.cost, mdp.gamma, v, mdp.action_mask)[0]
 
 
 @dataclass
@@ -227,39 +241,17 @@ def value_iteration(
     kernel = mdp.kernel.astype(np.longdouble)
     cost = mdp.cost.astype(np.longdouble)
     gamma = np.longdouble(mdp.gamma)
-    n = mdp.n_states
-
-    def sweep(current: np.ndarray) -> np.ndarray:
-        out = np.empty(n, dtype=np.longdouble)
-        for i in range(n):
-            best = None
-            for a in mdp.action_indices(i):
-                row = kernel[i] if kernel.ndim == 2 else kernel[a, i]
-                q = np.dot(row, cost[i, :, a] + gamma * current)
-                if best is None or q < best:
-                    best = q
-            out[i] = best
-        return out
-
-    v = np.zeros(n, dtype=np.longdouble)
+    mask = mdp.action_mask
+    v = np.zeros(mdp.n_states, dtype=np.longdouble)
     residuals: list[float] = []
     for iteration in range(1, max_iters + 1):
-        nxt = sweep(v)
+        nxt, _ = _bellman_min(kernel, cost, gamma, v, mask)
         residual = float(np.max(np.abs(nxt - v)))
         residuals.append(residual)
         v = nxt
         if residual <= threshold:
             values = v.astype(float)
-            greedy = np.array(
-                [
-                    min(
-                        mdp.action_indices(i),
-                        key=lambda a: (_q_value(mdp, mdp.cost, i, a, values), a),
-                    )
-                    for i in range(n)
-                ],
-                dtype=int,
-            )
+            _, greedy = _bellman_min(mdp.kernel, mdp.cost, mdp.gamma, values, mask)
             return ValueIterationResult(
                 values=values, iterations=iteration, residuals=residuals, greedy=greedy
             )
@@ -444,37 +436,27 @@ def lag_recursion_check(
                     level[key] = value
         window_values[t] = level
 
+    def one_step(t: int, head: tuple, c: int, u: Decision) -> float:
+        """Step cost into child c after u, plus the child's discounted Vtilde."""
+        decisions = list(head) + [u, None]
+        step = cost.stage_costs[t](
+            x_window(path(tree, c), t + 1, lag), u_window(decisions, t + 1, lag)
+        )
+        if gamma == 0.0:
+            return step
+        return step + gamma * shifted_table_value(tree, tables, cost, c, head + (u,))
+
     violation = -float("inf")
     equality = True
     for t in range(tree.horizon):
         if gamma == 0.0 and t >= 1:
             continue
         for nid in tree.stage_nodes(t):
-            kids = tree.children(nid)
-            probs = [tree.nodes[c].cond_prob for c in kids]
+            kids, grid = tree.children(nid), cls.feasible[nid]
+            probs = np.array([[tree.nodes[c].cond_prob for c in kids]])
             for head, lhs in shifted[nid].items():
-                rhs = None
-                for u in cls.feasible[nid]:
-                    total = 0.0
-                    for p, c in zip(probs, kids):
-                        paths_c = path(tree, c)
-                        decisions = list(head) + [u, None]
-                        step = cost.stage_costs[t](
-                            x_window(paths_c, t + 1, lag),
-                            u_window(decisions, t + 1, lag),
-                        )
-                        if gamma == 0.0:
-                            total += p * step
-                        else:
-                            total += p * (
-                                step
-                                + gamma
-                                * shifted_table_value(
-                                    tree, tables, cost, c, head + (u,)
-                                )
-                            )
-                    if rhs is None or total < rhs:
-                        rhs = total
+                q = np.array([[one_step(t, head, c, u) for c in kids] for u in grid])
+                rhs = float(_bellman_min(probs, q.T[None], 0.0, np.zeros(len(kids)))[0][0])
                 violation = max(violation, rhs - lhs)
                 if abs(lhs - rhs) > tol:
                     equality = False
@@ -571,20 +553,22 @@ def sddp_recursion(spec: SddpSpec) -> SddpResult:
     for t in range(T - 1, -1, -1):
         cost = spec.cost_at(t)
         atoms = spec.stage_noise[t]
-        for x in spec.support(t):
-            best_u, best = None, None
-            for u in spec.stage_decisions[t]:
-                total = 0.0
-                for p, xi in atoms:
-                    total += p * (
-                        float(cost(x, xi, u)) + spec.gamma * values[t + 1][xi]
-                    )
-                if best is None or total < best:
-                    best, best_u = total, u
-            if best is None:
-                raise MultistageError(f"no decisions at stage {t}")
-            values[t][x] = best
-            greedy[t][x] = best_u
+        decisions = spec.stage_decisions[t]
+        if not decisions:
+            raise MultistageError(f"no decisions at stage {t}")
+        states = spec.support(t)
+        step = np.array([  # step[x, u, j] = c(x, xi_j, u)
+            [[float(cost(x, xi, u)) for _, xi in atoms] for u in decisions] for x in states
+        ])
+        best, arg = _bellman_min(
+            np.broadcast_to([p for p, _ in atoms], (len(states), len(atoms))),
+            np.moveaxis(step, 1, 2),
+            spec.gamma,
+            np.array([values[t + 1][xi] for _, xi in atoms]),
+        )
+        for k, x in enumerate(states):
+            values[t][x] = float(best[k])
+            greedy[t][x] = decisions[arg[k]]
     return SddpResult(values=values, greedy=greedy)
 
 
@@ -766,7 +750,7 @@ def mdp_from_json(data: dict) -> MDPSpec:
             ),
             actions_by_state=(
                 tuple(tuple(int(a) for a in row) for row in data["actions_by_state"])
-                if data.get("actions_by_state")
+                if data.get("actions_by_state") is not None
                 else None
             ),
         )
@@ -791,12 +775,19 @@ def mdp_to_json(mdp: MDPSpec) -> dict:
     return out
 
 
-def _step_cost_from_json(spec: dict) -> Callable:
+def _step_cost_from_json(spec: dict, dims: dict[str, int]) -> Callable:
+    """Step cost c(x, w, u) from JSON; ``dims`` bounds each role's poly components."""
     if "poly" in spec:
         terms = [
             (float(term["coef"]), [(str(r), int(c), int(p)) for r, c, p in term["vars"]])
             for term in spec["poly"]["terms"]
         ]
+        for k, (_, variables) in enumerate(terms):
+            for role, comp, _ in variables:
+                if not 0 <= comp < dims.get(role, 0):
+                    raise InputFormatError(
+                        f"step-cost term {k}: no component {comp} of role {role!r} {dims}"
+                    )
 
         def poly(x, w, u):
             total = 0.0
@@ -844,16 +835,23 @@ def sddp_from_json(data: dict) -> SddpSpec:
             tuple(tuple(float(x) for x in u) for u in grid)
             for grid in data["stage_decisions"]
         )
+        initial_state = tuple(float(x) for x in data["initial_state"])
+        noise_dims = [len(value) for atoms in stage_noise for _, value in atoms]
+        dims = {
+            "x": min([len(initial_state)] + noise_dims),
+            "w": min(noise_dims, default=0),
+            "u": min((len(u) for grid in stage_decisions for u in grid), default=0),
+        }
         step_cost = None
         stage_step_costs = None
         if "cost" in data:
-            step_cost = _step_cost_from_json(data["cost"])
+            step_cost = _step_cost_from_json(data["cost"], dims)
         if "stage_costs" in data:
             stage_step_costs = tuple(
-                _step_cost_from_json(spec) for spec in data["stage_costs"]
+                _step_cost_from_json(spec, dims) for spec in data["stage_costs"]
             )
         return SddpSpec(
-            initial_state=tuple(float(x) for x in data["initial_state"]),
+            initial_state=initial_state,
             horizon=int(data["horizon"]),
             stage_noise=stage_noise,
             stage_decisions=stage_decisions,

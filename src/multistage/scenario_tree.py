@@ -12,7 +12,6 @@ reads, safe to run concurrently on a shared instance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -257,11 +256,3 @@ def tree_from_json(data: dict) -> ScenarioTree:
         raise InputFormatError(f"malformed tree JSON: {exc}") from exc
     return ScenarioTree(nodes, horizon=horizon, obs_dim=obs_dim)
 
-
-def load_tree(path_: str) -> ScenarioTree:
-    with open(path_, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path_}: {exc}") from exc
-    return tree_from_json(data)

@@ -310,6 +310,31 @@ class TestMdpCommands:
         assert report["converged"] is False
         assert len(report["residuals"]) == 2
 
+    def test_negative_horizon_exits_three(self, tmp_path, capsys):
+        path = write_json(tmp_path / "mdp.json", mdp_to_json(constant_cost_mdp(gamma=0.5)))
+        assert main(["mdp-solve", "--input", path, "--horizon", "-1"]) == 3
+        assert "horizon -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "actions_by_state",
+        [[[0]], [[0], []], [[0], [1]], [[0], [-1]]],
+        ids=["missing-row", "empty-row", "index-too-large", "index-negative"],
+    )
+    @pytest.mark.parametrize("command", ["mdp-solve", "value-iterate"])
+    def test_malformed_actions_by_state_exits_three(
+        self, tmp_path, capsys, command, actions_by_state
+    ):
+        data = mdp_to_json(constant_cost_mdp(gamma=0.5))
+        data["actions_by_state"] = actions_by_state
+        path = write_json(tmp_path / "mdp.json", data)
+        args = [command, "--input", path, "--json"]
+        if command == "mdp-solve":
+            args += ["--horizon", "2"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "actions_by_state" in captured.err
+
     def test_kernel_violation_exits_three(self, tmp_path):
         data = mdp_to_json(constant_cost_mdp(gamma=0.5))
         data["kernel"][0][0] = 0.9
@@ -328,6 +353,55 @@ class TestSddpCommand:
         report = json.loads(capsys.readouterr().out)
         expected = sddp_recursion(spec).values[0][spec.initial_state]
         assert report["root_value"] == pytest.approx(expected, abs=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "variable, message",
+        [
+            (["z", 0, 1], "component 0 of role 'z'"),
+            (["u", 3, 1], "component 3 of role 'u'"),
+        ],
+        ids=["unknown-role", "component-out-of-range"],
+    )
+    def test_malformed_step_cost_term_exits_three(
+        self, tmp_path, capsys, variable, message
+    ):
+        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        payload["cost"]["poly"]["terms"].append({"coef": 1.0, "vars": [variable]})
+        path = write_json(tmp_path / "sddp.json", payload)
+        assert main(["sddp-solve", "--input", path, "--json"]) == 3
+        assert message in capsys.readouterr().err
+
+
+class TestArguments:
+    def run_cli(self, args):
+        return subprocess.run(
+            [sys.executable, "-m", "multistage", *args],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["validate", "--input", "bundle.json", "--cap", "5"],
+            ["mdp-solve", "--input", "mdp.json", "--horizon", "1", "--seed", "3"],
+            ["sddp-solve", "--input", "sddp.json", "--tolerance", "1e-6"],
+            ["solve", "--input", "bundle.json", "--no-such-flag"],
+            ["mdp-solve", "--input", "mdp.json"],
+        ],
+        ids=["cap", "seed", "tolerance", "unknown", "missing-required"],
+    )
+    def test_usage_errors_exit_three(self, args):
+        result = self.run_cli(args)
+        assert result.returncode == 3
+        assert "usage:" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("args", [["--version"], ["mdp-solve", "--help"]])
+    def test_help_and_version_exit_zero(self, args):
+        assert self.run_cli(args).returncode == 0
 
 
 class TestDeterminism:
