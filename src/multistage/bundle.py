@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .costs import CostSpec, cost_from_json, cost_to_json
+from .costs import CostSpec, cost_from_json, cost_problems, cost_to_json, verify_holder
 from .exceptions import InputFormatError
 from .policy import (
     Policy,
@@ -26,7 +26,7 @@ class ProblemBundle:
     policies: dict[str, Policy] = field(default_factory=dict)
 
     def validate(self) -> list[str]:
-        """Tree invariants plus cross-references between the pieces."""
+        """Tree invariants, cross-references between the pieces and cost payload faults."""
         problems = validate(self.tree)
         node_ids = {n.id for n in self.tree.nodes}
         feasible_ids = set(self.cls.feasible)
@@ -40,9 +40,8 @@ class ProblemBundle:
                     f"additive cost has {len(self.cost.stage_costs)} stage costs, "
                     f"expected {self.tree.horizon}"
                 )
+        problems += cost_problems(self.cost, self.tree, self.cls)
         if self.cost.holder is not None and not problems:
-            from .costs import verify_holder
-
             C, alpha, delta = self.cost.holder
             check = verify_holder(self.tree, self.cls, self.cost, C, alpha, delta)
             if not check.ok:

@@ -14,7 +14,10 @@ real number. Two forms exist:
 
 Objectives can be plain Python callables or built from a JSON payload
 (named builtin, polynomial, or lookup table), in which case they round-trip
-through serialization.
+through serialization. Polynomial and builtin payloads are compiled once,
+when loaded, into functions that can also evaluate a whole grid of
+decision histories at once (:meth:`CostSpec.evaluate_grid`); tables and
+raw callables are evaluated history by history.
 """
 
 from __future__ import annotations
@@ -43,6 +46,28 @@ def x_window(paths: Sequence[Vector], t: int, lag: int) -> Window:
 def u_window(decisions: Sequence[Vector], t: int, lag: int) -> Window:
     """Decisions u_{t-lag..t-1}, truncated at stage 0."""
     return tuple(decisions[max(0, t - lag): t])
+
+
+class GridWindow:
+    """A decision window over a grid product.
+
+    Window position j holds the candidate decisions of output axis
+    ``axes[j]`` of an array with ``ndim`` axes, one per stage of the path.
+    """
+
+    def __init__(self, grids: Sequence[Sequence[Vector]], axes: Sequence[int], ndim: int):
+        self.grids = grids
+        self.axes = axes
+        self.ndim = ndim
+
+    def __len__(self) -> int:
+        return len(self.grids)
+
+    def factor(self, j: int, f: Callable[[Vector], float]) -> np.ndarray:
+        """f(u) for every candidate u at position j, shaped to broadcast along its axis."""
+        shape = [1] * self.ndim
+        shape[self.axes[j]] = len(self.grids[j])
+        return np.array([f(u) for u in self.grids[j]], dtype=float).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -99,10 +124,56 @@ class CostSpec:
         else:
             value = self._additive_sum(paths, decisions, len(paths) - 1)
         if not math.isfinite(value):
-            raise UnboundedObjectiveError(
-                f"objective evaluated to {value!r}; it must be finite on the grid"
-            )
+            raise _unbounded(value)
         return value
+
+    def evaluate_grid(
+        self, paths: Sequence[Vector], grids: Sequence[Sequence[Vector]]
+    ) -> np.ndarray:
+        """Objective on one trajectory for every decision history of a grid product.
+
+        ``grids[t]`` lists the stage-t candidates. The result has shape
+        (|grids[0]|, ..., |grids[T]|), and its entry (k_0, ..., k_T) equals,
+        bit for bit, ``evaluate(paths, (grids[0][k_0], ..., grids[T][k_T]))``:
+        compiled payloads combine per-stage factors by broadcasting, with the
+        same operations in the same order; anything else is evaluated
+        history by history.
+        """
+        if len(paths) != len(grids):
+            raise MultistageError(f"{len(paths)} observations but {len(grids)} grids")
+        shape = tuple(len(g) for g in grids)
+        ndim = len(shape)
+        paths = tuple(paths)
+        if self.form == "general":
+            compiled = hasattr(self.objective, "grid")
+        else:
+            T = ndim - 1
+            if len(self.stage_costs) < T:
+                raise MultistageError(
+                    f"additive cost has {len(self.stage_costs)} stage costs but the "
+                    f"trajectory needs {T}"
+                )
+            compiled = all(hasattr(c, "grid") for c in self.stage_costs[:T])
+        if not compiled:
+            values = [self.evaluate(paths, h) for h in itertools.product(*grids)]
+            return np.array(values, dtype=float).reshape(shape)
+
+        with np.errstate(all="ignore"):
+            if self.form == "general":
+                value = self.objective.grid(paths, GridWindow(grids, range(ndim), ndim))
+            else:
+                value = 0.0
+                for t in range(1, ndim):
+                    a = max(0, t - self.lag)
+                    c = self.stage_costs[t - 1].grid(
+                        paths[a: t + 1], GridWindow(grids[a:t], range(a, t), ndim)
+                    )
+                    value = value + self.gamma ** (t - 1) * c
+        values = np.array(np.broadcast_to(value, shape), dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise _unbounded(float(values[~finite][0]))
+        return values
 
     def _additive_sum(self, paths, decisions, through: int) -> float:
         if len(self.stage_costs) < through:
@@ -129,59 +200,170 @@ class CostSpec:
         return self._additive_sum(paths, decisions, through)
 
 
-# -- objective builders ------------------------------------------------------
+def _unbounded(value: float) -> UnboundedObjectiveError:
+    return UnboundedObjectiveError(
+        f"objective evaluated to {value!r}; it must be finite on the grid"
+    )
 
 
-def poly_objective(terms: Sequence[tuple[float, Sequence[tuple[str, int, int, int]]]]):
-    """Polynomial in path and decision entries.
+# -- compiled payloads ----------------------------------------------------------
+#
+# A compiled cost is a plain function (xs, us) -> float of one pair of
+# windows (observations, decisions), so that calling it costs no more than
+# any raw callable. It carries two attributes: ``grid(xs, us)``, the same
+# evaluation with ``us`` a :class:`GridWindow` (every decision position
+# ranging over its grid), returning an array that broadcasts to the grid
+# product with the same float operations in the same order; and
+# ``problems(T, window, dims, holds_zero)``, the payload's faults on a tree
+# (see :func:`cost_problems`).
 
-    Each term is ``(coef, vars)`` with vars ``(role, stage, comp, power)``;
-    role ``"x"`` indexes the observation path, ``"u"`` the decisions. For
-    stage-cost use the stage index counts backwards from the window end
-    (0 = latest entry); indices falling off a truncated window contribute 0.
+
+def _no_problems(T, window, dims, holds_zero) -> list[str]:
+    return []
+
+
+def _compiled(evaluate, grid, problems=_no_problems):
+    evaluate.grid = grid
+    evaluate.problems = problems
+    return evaluate
+
+
+Term = tuple[float, tuple[tuple[str, int, int, int], ...]]
+
+
+def poly_cost(terms: Sequence[Term], window_relative: bool):
+    """Polynomial in observation and decision entries.
+
+    Each term is ``(coef, vars)`` with vars ``(role, index, comp, power)``;
+    role ``"x"`` reads the observations, ``"u"`` the decisions. The index is
+    an absolute stage, or, when ``window_relative``, an offset from the
+    window end (0 = latest entry: x_t, respectively u_{t-1}). A variable
+    whose index falls outside the window makes its term vanish; the
+    variables after it are not evaluated.
     """
+    terms = tuple(terms)
+
+    def evaluate(xs: Window, us: Window) -> float:
+        if window_relative:
+            xs, us = xs[::-1], us[::-1]
+        total = 0.0
+        for coef, variables in terms:
+            prod = coef
+            for role, index, comp, power in variables:
+                seq = xs if role == "x" else us
+                if 0 <= index < len(seq):
+                    prod *= seq[index][comp] ** power
+                else:
+                    prod = 0.0
+                    break
+            total += prod
+        return total
+
+    def grid(xs: Window, us: GridWindow):
+        u_factors: dict[tuple[int, int, int], np.ndarray] = {}
+        total = 0.0
+        for coef, variables in terms:
+            prod = coef
+            for role, index, comp, power in variables:
+                n = len(xs) if role == "x" else len(us)
+                pos = n - 1 - index if window_relative else index
+                if not 0 <= pos < n:
+                    prod = 0.0
+                    break
+                if role == "x":
+                    prod = prod * xs[pos][comp] ** power
+                    continue
+                key = (pos, comp, power)
+                if key not in u_factors:
+                    u_factors[key] = us.factor(pos, lambda u, c=comp, p=power: u[c] ** p)
+                prod = prod * u_factors[key]
+            total = total + prod
+        return total
+
+    def problems(T, window, dims, holds_zero):
+        out = []
+        for k, (_, variables) in enumerate(terms):
+            for role, index, comp, power in variables:
+                where = f"term {k}, {role}[{index}][{comp}]"
+                if not 0 <= comp < dims[role]:
+                    out.append(f"{where}: component {comp} outside 0..{dims[role] - 1}")
+                    continue
+                if window is None:
+                    if not 0 <= index <= T:
+                        out.append(f"{where}: stage {index} outside 0..{T}")
+                        continue
+                    stage = index
+                else:
+                    if index < 0:
+                        out.append(f"{where}: window offset {index} is negative")
+                        continue
+                    t, lag = window
+                    stage = t - index if role == "x" else t - 1 - index
+                    if stage < max(0, t - lag):
+                        break  # off the window: the term vanishes here
+                if power < 0 and holds_zero(role, stage, comp):
+                    out.append(f"{where}: a value 0 at stage {stage} has power {power}")
+        return out
+
+    return _compiled(evaluate, grid, problems)
+
+
+def quadratic_tracking(params: dict):
+    """sum_t w_t * ||u_t - x_t||^2 over the window, x repeated cyclically over u."""
+    weights = params.get("weights")
+    weights = None if weights is None else tuple(float(w) for w in weights)
+
+    def stage(t: int, x: Vector, u: Vector) -> float:
+        w = 1.0 if weights is None else weights[t]
+        return w * sum((ui - x[i % len(x)]) ** 2 for i, ui in enumerate(u))
 
     def evaluate(xs: Window, us: Window) -> float:
         total = 0.0
-        for coef, variables in terms:
-            prod = coef
-            for role, stage, comp, power in variables:
-                seq = xs if role == "x" else us
-                if 0 <= stage < len(seq):
-                    prod *= seq[stage][comp] ** power
-                else:
-                    prod = 0.0
-                    break
-            total += prod
+        for t, u in enumerate(us):
+            total += stage(t, xs[t], u)
         return total
 
-    return evaluate
-
-
-def poly_window_cost(terms: Sequence[tuple[float, Sequence[tuple[str, int, int, int]]]]):
-    """Stage cost polynomial with window-relative offsets.
-
-    Offset 0 is the latest window entry (x_t, respectively u_{t-1}), offset
-    1 the one before, and so on; offsets beyond a truncated window make the
-    term vanish.
-    """
-
-    def evaluate(xw: Window, uw: Window) -> float:
+    def grid(xs: Window, us: GridWindow):
         total = 0.0
-        for coef, variables in terms:
-            prod = coef
-            for role, offset, comp, power in variables:
-                seq = xw if role == "x" else uw
-                pos = len(seq) - 1 - offset
-                if pos >= 0:
-                    prod *= seq[pos][comp] ** power
-                else:
-                    prod = 0.0
-                    break
-            total += prod
+        for t in range(len(us)):
+            total = total + us.factor(t, lambda u, t=t: stage(t, xs[t], u))
         return total
 
-    return evaluate
+    def problems(T, window, dims, holds_zero):
+        if weights is None:
+            return []
+        n = len(weights)
+        if window is None:
+            if n != T + 1:
+                return [f"quadratic_tracking weights has {n} entries, expected T+1 = {T + 1}"]
+            return []
+        t, lag = window
+        if n < min(t, lag):
+            return [f"quadratic_tracking weights has {n} entries, the window needs {min(t, lag)}"]
+        return []
+
+    return _compiled(evaluate, grid, problems)
+
+
+def sum_decisions(params: dict):
+    """Sum of every decision entry in the window."""
+
+    def evaluate(xs: Window, us: Window) -> float:
+        return float(sum(sum(u) for u in us))
+
+    def grid(xs: Window, us: GridWindow):
+        total = 0
+        for t in range(len(us)):
+            total = total + us.factor(t, sum)
+        return total
+
+    return _compiled(evaluate, grid)
+
+
+BUILTIN_OBJECTIVES = {
+    "quadratic_tracking": quadratic_tracking,
+    "sum_decisions": sum_decisions,
+}
 
 
 def table_objective(entries: Sequence[dict], atol: float = 1e-9):
@@ -212,37 +394,42 @@ def table_objective(entries: Sequence[dict], atol: float = 1e-9):
     return evaluate
 
 
-def _builtin_quadratic_tracking(params: dict):
-    weights = params.get("weights")
+def cost_problems(cost: CostSpec, tree, cls) -> list[str]:
+    """Faults of a compiled cost payload against the tree and class it is solved on.
 
-    def evaluate(xs: Window, us: Window) -> float:
-        total = 0.0
-        for t, u in enumerate(us):
-            w = 1.0 if weights is None else float(weights[t])
-            x = xs[t]
-            total += w * sum((ui - x[i % len(x)]) ** 2 for i, ui in enumerate(u))
-        return total
+    A polynomial component must exist in its role's dimension, a general
+    stage must lie in 0..T and a window offset must be >= 0, and no
+    variable may take a negative power where an observation or a feasible
+    decision at its stage is 0. ``quadratic_tracking`` weights must cover
+    the stages they are read at. Tables and raw callables are not checked.
+    """
+    T = tree.horizon
+    dims = {"x": tree.obs_dim, "u": cls.decision_dim}
 
-    return evaluate
+    def holds_zero(role: str, stage: int, comp: int) -> bool:
+        ids = tree.stage_nodes(stage)
+        if role == "x":
+            vectors = [tree.nodes[i].obs for i in ids]
+        else:
+            vectors = [u for i in ids for u in cls.feasible.get(i, ())]
+        return any(len(vec) > comp and vec[comp] == 0.0 for vec in vectors)
 
-
-def _builtin_sum_decisions(params: dict):
-    def evaluate(xs: Window, us: Window) -> float:
-        return float(sum(sum(u) for u in us))
-
-    return evaluate
-
-
-BUILTIN_OBJECTIVES = {
-    "quadratic_tracking": _builtin_quadratic_tracking,
-    "sum_decisions": _builtin_sum_decisions,
-}
+    if cost.form == "general":
+        if not hasattr(cost.objective, "problems"):
+            return []
+        return [f"cost {p}" for p in cost.objective.problems(T, None, dims, holds_zero)]
+    out = []
+    for k, c in enumerate(cost.stage_costs[:T]):
+        if hasattr(c, "problems"):
+            found = c.problems(T, (k + 1, cost.lag), dims, holds_zero)
+            out += [f"stage cost {k} {p}" for p in found]
+    return out
 
 
 # -- JSON ---------------------------------------------------------------------
 
 
-def _term_from_json(raw: dict) -> tuple[float, tuple[tuple[str, int, int, int], ...]]:
+def _term_from_json(raw: dict) -> Term:
     variables = tuple(
         (str(role), int(stage), int(comp), int(power))
         for role, stage, comp, power in raw["vars"]
@@ -256,7 +443,7 @@ def _term_from_json(raw: dict) -> tuple[float, tuple[tuple[str, int, int, int], 
 def _callable_from_json(spec: dict, window_relative: bool):
     if "poly" in spec:
         terms = [_term_from_json(term) for term in spec["poly"]["terms"]]
-        return poly_window_cost(terms) if window_relative else poly_objective(terms)
+        return poly_cost(terms, window_relative)
     if "table" in spec:
         return table_objective(
             spec["table"]["entries"], atol=float(spec["table"].get("atol", 1e-9))
@@ -268,7 +455,10 @@ def _callable_from_json(spec: dict, window_relative: bool):
                 f"unknown builtin objective {name!r}; "
                 f"available: {sorted(BUILTIN_OBJECTIVES)}"
             )
-        return BUILTIN_OBJECTIVES[name](spec.get("params", {}))
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise InputFormatError(f"builtin {name!r} params must be an object")
+        return BUILTIN_OBJECTIVES[name](params)
     raise InputFormatError("objective spec needs one of: poly, table, builtin")
 
 
@@ -326,8 +516,21 @@ class HolderCheck:
     ok: bool
 
 
-def _history_matrix(histories: Sequence[Window]) -> np.ndarray:
-    return np.asarray([[v for dec in h for v in dec] for h in histories], dtype=float)
+def holder_pairs(
+    histories: Sequence[Window], values: Sequence[float], delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distances ||h1 - h2|| and gaps |v1 - v2| of the pairs with 0 < distance <= delta."""
+    if len(histories) < 2:
+        return np.empty(0), np.empty(0)
+    mat = np.asarray([[v for dec in h for v in dec] for h in histories], dtype=float)
+    vals = np.asarray(values, dtype=float)
+    diff = mat[:, None, :] - mat[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    dv = np.abs(vals[:, None] - vals[None, :])
+    iu = np.triu_indices(len(histories), k=1)
+    dist, dv = dist[iu], dv[iu]
+    mask = (dist > 0.0) & (dist <= delta)
+    return dist[mask], dv[mask]
 
 
 def holder_check_values(
@@ -338,21 +541,12 @@ def holder_check_values(
     delta: float,
 ) -> tuple[float, int, bool]:
     """Max |dv| / ||du||^alpha over pairs within delta, plus a pass flag."""
-    if len(histories) < 2:
+    dist, dv = holder_pairs(histories, values, delta)
+    if not len(dist):
         return 0.0, 0, True
-    mat = _history_matrix(histories)
-    vals = np.asarray(values, dtype=float)
-    diff = mat[:, None, :] - mat[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    dv = np.abs(vals[:, None] - vals[None, :])
-    iu = np.triu_indices(len(histories), k=1)
-    dist, dv = dist[iu], dv[iu]
-    mask = (dist > 0.0) & (dist <= delta)
-    if not mask.any():
-        return 0.0, 0, True
-    ratios = dv[mask] / dist[mask] ** alpha
+    ratios = dv / dist ** alpha
     max_ratio = float(ratios.max())
-    return max_ratio, int(mask.sum()), bool(max_ratio <= C + HOLDER_SLACK)
+    return max_ratio, len(dist), bool(max_ratio <= C + HOLDER_SLACK)
 
 
 def verify_holder(tree, cls, cost: CostSpec, C: float, alpha: float, delta: float) -> HolderCheck:
@@ -368,7 +562,7 @@ def verify_holder(tree, cls, cost: CostSpec, C: float, alpha: float, delta: floa
     for leaf in tree.leaves():
         grids = [cls.feasible[i] for i in tree.path_nodes(leaf)]
         histories = list(itertools.product(*grids))
-        values = [cost.evaluate(tree_path(tree, leaf), h) for h in histories]
+        values = cost.evaluate_grid(tree_path(tree, leaf), grids).ravel()
         ratio, n, _ = holder_check_values(histories, values, C, alpha, delta)
         worst = max(worst, ratio)
         pairs += n

@@ -24,6 +24,7 @@ structure of the driving process:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -288,7 +289,7 @@ def shifted_table_value(
         raise MultistageError("the discount shift requires an additive cost")
     if cost.gamma == 0.0 and t >= 1:
         raise MultistageError("gamma = 0 leaves the shift undefined for t >= 1")
-    raw = tables.V[node_id][head]
+    raw = float(tables.V[node_id][tables.index(node_id, head)])
     acc = cost.additive_prefix(path(tree, node_id), list(head) + [None], t)
     return (raw - acc) / cost.gamma**t if t else raw - acc
 
@@ -423,7 +424,7 @@ def lag_recursion_check(
         level: dict[tuple, float] = {}
         for nid in tree.stage_nodes(t):
             obs_key = _obs_window_key(tree, nid, lag)
-            for head in {h[:-1] for h in tables.v[nid]}:
+            for head in itertools.product(*tables.axes[nid][:-1]):
                 value = shifted_table_value(tree, tables, cost, nid, head)
                 shifted[nid][head] = value
                 u_key = tuple(
@@ -734,6 +735,15 @@ def unroll_mdp_to_tree(
 # -- JSON -------------------------------------------------------------------------
 
 
+def _action_index(entry) -> int:
+    """An ``actions_by_state`` entry: an integer, possibly written as 2.0."""
+    if isinstance(entry, bool) or not (
+        isinstance(entry, int) or (isinstance(entry, float) and entry.is_integer())
+    ):
+        raise InputFormatError(f"actions_by_state entry {entry!r} is not an action index")
+    return int(entry)
+
+
 def mdp_from_json(data: dict) -> MDPSpec:
     try:
         return MDPSpec(
@@ -749,7 +759,7 @@ def mdp_from_json(data: dict) -> MDPSpec:
                 else None
             ),
             actions_by_state=(
-                tuple(tuple(int(a) for a in row) for row in data["actions_by_state"])
+                tuple(tuple(_action_index(a) for a in row) for row in data["actions_by_state"])
                 if data.get("actions_by_state") is not None
                 else None
             ),
@@ -775,28 +785,54 @@ def mdp_to_json(mdp: MDPSpec) -> dict:
     return out
 
 
-def _step_cost_from_json(spec: dict, dims: dict[str, int]) -> Callable:
-    """Step cost c(x, w, u) from JSON; ``dims`` bounds each role's poly components."""
+def _step_cost_from_json(
+    spec: dict, dims: dict[str, int], values: dict[str, list[tuple[float, ...]]]
+) -> Callable:
+    """Step cost c(x, w, u) from JSON.
+
+    ``dims`` bounds each role's poly components. ``values`` lists the noise
+    values (w) and decisions (u) the cost is evaluated at: a poly term that
+    would raise a 0 among them to a negative power is rejected here. States
+    (x) are only known along the solve, so a 0 state under a negative power
+    raises :class:`MultistageError` when it is reached.
+    """
     if "poly" in spec:
         terms = [
             (float(term["coef"]), [(str(r), int(c), int(p)) for r, c, p in term["vars"]])
             for term in spec["poly"]["terms"]
         ]
         for k, (_, variables) in enumerate(terms):
-            for role, comp, _ in variables:
+            for role, comp, power in variables:
                 if not 0 <= comp < dims.get(role, 0):
                     raise InputFormatError(
                         f"step-cost term {k}: no component {comp} of role {role!r} {dims}"
+                    )
+                if power < 0 and any(vec[comp] == 0.0 for vec in values.get(role, ())):
+                    raise InputFormatError(
+                        f"step-cost term {k}: component {comp} of role {role!r} takes "
+                        f"the value 0 under the negative power {power}"
                     )
 
         def poly(x, w, u):
             total = 0.0
             seqs = {"x": x, "w": w, "u": u}
-            for coef, variables in terms:
-                prod = coef
-                for role, comp, power in variables:
-                    prod *= seqs[role][comp] ** power
-                total += prod
+            try:
+                for coef, variables in terms:
+                    prod = coef
+                    for role, comp, power in variables:
+                        prod *= seqs[role][comp] ** power
+                    total += prod
+            except ZeroDivisionError:
+                k, role, comp, power = next(
+                    (k, role, comp, power)
+                    for k, (_, variables) in enumerate(terms)
+                    for role, comp, power in variables
+                    if power < 0 and seqs[role][comp] == 0.0
+                )
+                raise MultistageError(
+                    f"step-cost term {k}: component {comp} of role {role!r} is 0 under "
+                    f"the negative power {power} at x={x}, w={w}, u={u}"
+                ) from None
             return total
 
         return poly
@@ -842,13 +878,23 @@ def sddp_from_json(data: dict) -> SddpSpec:
             "w": min(noise_dims, default=0),
             "u": min((len(u) for grid in stage_decisions for u in grid), default=0),
         }
+
+        def stage_values(stages):
+            """Noise values and decisions of the given stages."""
+            return {
+                "w": [v for t in stages if t < len(stage_noise) for _, v in stage_noise[t]],
+                "u": [u for t in stages if t < len(stage_decisions) for u in stage_decisions[t]],
+            }
+
+        every_stage = range(max(len(stage_noise), len(stage_decisions)))
         step_cost = None
         stage_step_costs = None
         if "cost" in data:
-            step_cost = _step_cost_from_json(data["cost"], dims)
+            step_cost = _step_cost_from_json(data["cost"], dims, stage_values(every_stage))
         if "stage_costs" in data:
             stage_step_costs = tuple(
-                _step_cost_from_json(spec, dims) for spec in data["stage_costs"]
+                _step_cost_from_json(spec, dims, stage_values([t]))
+                for t, spec in enumerate(data["stage_costs"])
             )
         return SddpSpec(
             initial_state=initial_state,

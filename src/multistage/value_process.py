@@ -19,7 +19,8 @@ for the recursion.
 
 Decision histories are free parameters of the value functions: they need
 not be feasible for the class, only the tail being optimized is
-constrained. Tables, however, materialize grid histories only.
+constrained. Tables, however, materialize grid histories only: one array
+per node, with one axis per node on its root path.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .costs import CostSpec
+from .costs import CostSpec, holder_pairs
 from .exceptions import (
     DecomposableClassRequiredError,
     EnumerationCapError,
@@ -209,25 +210,56 @@ def compute_V(
 
 @dataclass
 class ValueTables:
-    """v and V on every node, indexed by grid decision histories.
+    """v and V on every node as dense arrays over the grids along its root path.
 
-    ``v[node][h]`` holds v_t(node, h) with h of length t+1 and ``V[node][h]``
-    holds V_t(node, h) with h of length t, histories drawn from the feasible
-    grids along the node's root path.
+    ``axes[node]`` lists the feasible grids of the nodes on the root path
+    (root first). ``v[node]`` has one axis per grid: its entry
+    (k_0, ..., k_t) is v_t(node, h) for the history h that picks entry k_s
+    of grid s. ``V[node]`` drops the node's own axis and holds V_t(node, h)
+    for the stage 0..t-1 part of such a history. :meth:`index` maps a
+    decision history to its grid positions.
     """
 
-    v: dict[int, dict[History, float]]
-    V: dict[int, dict[History, float]]
+    v: dict[int, np.ndarray]
+    V: dict[int, np.ndarray]
+    axes: dict[int, tuple[tuple[Decision, ...], ...]]
+
+    def index(self, node_id: int, hist: History) -> tuple[int, ...]:
+        """Grid positions of a decision history along the node's root path.
+
+        A history of the full path length indexes ``v[node_id]``, one entry
+        shorter ``V[node_id]``; a decision listed twice in a grid maps to its
+        first position.
+        """
+        axes = self.axes[node_id]
+        if len(hist) > len(axes):
+            raise MultistageError(
+                f"history of length {len(hist)} is longer than the path to node {node_id}"
+            )
+        try:
+            return tuple(grid.index(u) for grid, u in zip(axes, hist))
+        except ValueError:
+            raise MultistageError(
+                f"decision history {hist!r} leaves the grids on the path to node {node_id}"
+            ) from None
 
     @property
     def root_value(self) -> float:
         """Optimal value of the problem: V_0 at the root with empty history."""
-        return self.V[0][()]
+        return float(self.V[0][()])
 
 
-def _path_histories(tree: ScenarioTree, cls: PolicyClass, node_id: int):
-    grids = [cls.feasible[i] for i in tree.path_nodes(node_id)]
-    return itertools.product(*grids)
+def _first_min(values: np.ndarray) -> np.ndarray:
+    """Minimum over the last axis, as Python's ``min`` picks it.
+
+    Equal nonzero floats are identical, so only a zero minimum can differ
+    (+0.0 against -0.0); then the entry at the first ``argmin`` is read.
+    """
+    low = values.min(axis=-1)
+    if low.all():
+        return low
+    best = values.argmin(axis=-1)[..., None]
+    return np.take_along_axis(values, best, axis=-1)[..., 0]
 
 
 def backward_tables(
@@ -238,12 +270,12 @@ def backward_tables(
 ) -> ValueTables:
     """Backward recursion for nodewise classes.
 
-    Stage T seeds v with the raw objective; then, walking backwards,
-    V_t(node, h) is the stage minimum of v_t and v_t(node, h) the
-    conditional expectation of V_{t+1} over the children. For nodewise
-    (decomposable) classes this reproduces the definitional values exactly;
-    other classes are refused because only the one-sided inequality holds
-    for them.
+    Stage T seeds v with the raw objective on each leaf's grid product; then,
+    walking backwards, V_t(node, .) is the stage minimum of v_t over the
+    node's own axis and v_t(node, .) the conditional expectation of V_{t+1}
+    over the children. For nodewise (decomposable) classes this reproduces
+    the definitional values exactly; other classes are refused because only
+    the one-sided inequality holds for them.
     """
     if cls.kind != "nodewise":
         raise DecomposableClassRequiredError(cls.kind)
@@ -257,31 +289,22 @@ def backward_tables(
         if total_entries > cap:
             raise EnumerationCapError(total_entries, cap)
 
-    v: dict[int, dict[History, float]] = {n.id: {} for n in tree.nodes}
-    V: dict[int, dict[History, float]] = {n.id: {} for n in tree.nodes}
-
+    axes = {
+        n.id: tuple(cls.feasible[i] for i in tree.path_nodes(n.id)) for n in tree.nodes
+    }
+    v: dict[int, np.ndarray] = {}
+    V: dict[int, np.ndarray] = {}
     for t in range(tree.horizon, -1, -1):
         for nid in tree.stage_nodes(t):
-            node_grid = cls.feasible[nid]
             if t == tree.horizon:
-                leaf_path = path(tree, nid)
-                for hist in _path_histories(tree, cls, nid):
-                    v[nid][hist] = cost.evaluate(leaf_path, hist)
+                v[nid] = cost.evaluate_grid(path(tree, nid), axes[nid])
             else:
-                kids = tree.children(nid)
-                probs = [tree.nodes[c].cond_prob for c in kids]
-                for hist in _path_histories(tree, cls, nid):
-                    v[nid][hist] = sum(
-                        p * V[c][hist] for p, c in zip(probs, kids)
-                    )
-            seen: set[History] = set()
-            for hist in _path_histories(tree, cls, nid):
-                head = hist[:-1]
-                if head in seen:
-                    continue
-                seen.add(head)
-                V[nid][head] = min(v[nid][head + (u,)] for u in node_grid)
-    return ValueTables(v=v, V=V)
+                acc = np.zeros(tuple(len(g) for g in axes[nid]))
+                for c in tree.children(nid):
+                    acc = acc + tree.nodes[c].cond_prob * V[c]
+                v[nid] = acc
+            V[nid] = _first_min(v[nid])
+    return ValueTables(v=v, V=V, axes=axes)
 
 
 def greedy_policy_from_tables(
@@ -290,13 +313,11 @@ def greedy_policy_from_tables(
     """First-argmin policy read off the v tables, walking the tree downward."""
     decisions: dict[int, Decision] = {}
 
-    def descend(node_id: int, hist: History):
-        grid = cls.feasible[node_id]
-        values = [tables.v[node_id][hist + (u,)] for u in grid]
-        best = min(range(len(grid)), key=lambda i: (values[i], i))
-        decisions[node_id] = grid[best]
+    def descend(node_id: int, idx: tuple[int, ...]):
+        best = int(tables.v[node_id][idx].argmin())
+        decisions[node_id] = cls.feasible[node_id][best]
         for c in tree.children(node_id):
-            descend(c, hist + (grid[best],))
+            descend(c, idx + (best,))
 
     descend(0, ())
     return Policy(decisions=decisions, decision_dim=cls.decision_dim)
@@ -316,7 +337,11 @@ def expected_value(tree: ScenarioTree, cost: CostSpec, policy: Policy) -> float:
 
 
 def _leaf_codes(tree: ScenarioTree, cls: PolicyClass):
-    """Per-leaf dense value tables indexed by a mixed-radix slot code."""
+    """Per leaf: probability, slot positions along the path and mixed-radix strides.
+
+    The code sum(index * stride) of a decision history is its position in
+    the C-order ravel of the leaf's grid-product array.
+    """
     slots, grids = enumeration_slots(tree, cls)
     slot_pos = {s: i for i, s in enumerate(slots)}
     sizes = [len(g) for g in grids]
@@ -333,8 +358,8 @@ def _leaf_codes(tree: ScenarioTree, cls: PolicyClass):
             strides.append(acc)
             acc *= sizes[p]
         strides.reverse()
-        leaf_data.append((leaf, prob, positions, strides, acc))
-    return slots, grids, sizes, leaf_data
+        leaf_data.append((leaf, prob, positions, strides))
+    return slots, grids, leaf_data
 
 
 def brute_force_optimum(
@@ -346,24 +371,20 @@ def brute_force_optimum(
     """Exhaustive minimum of E v(X, U) over every policy of the class.
 
     Ties go to the first minimizer in enumeration order. The objective is
-    evaluated once per (leaf, decision history along the leaf) pair and the
-    policy sweep only recombines those cached values, so the scan stays
-    independent of the backward recursion it serves as an oracle for.
+    evaluated once per (leaf, decision history along the leaf) pair, on the
+    leaf's whole grid product at once, and the policy sweep only recombines
+    those cached values, so the scan stays independent of the backward
+    recursion it serves as an oracle for.
     """
     count = cls.count(tree)
     if count > cap:
         raise EnumerationCapError(count, cap)
-    slots, grids, sizes, leaf_data = _leaf_codes(tree, cls)
+    slots, grids, leaf_data = _leaf_codes(tree, cls)
 
     caches = []
-    for leaf, prob, positions, strides, span in leaf_data:
-        values = np.empty(span, dtype=float)
-        leaf_path = path(tree, leaf)
-        for combo in itertools.product(*(range(sizes[p]) for p in positions)):
-            code = sum(i * s for i, s in zip(combo, strides))
-            decisions = [grids[p][i] for p, i in zip(positions, combo)]
-            values[code] = cost.evaluate(leaf_path, decisions)
-        caches.append((prob, positions, strides, values))
+    for leaf, prob, positions, strides in leaf_data:
+        values = cost.evaluate_grid(path(tree, leaf), [grids[p] for p in positions])
+        caches.append((prob, positions, strides, values.ravel()))
 
     best_value = None
     best_indices = None
@@ -407,9 +428,9 @@ def value_process_for_policy(
         if tables is None:
             tables = backward_tables(tree, cost, cls, cap=cap)
         for n in tree.nodes:
-            hist = policy.decision_path(tree, n.id)
-            v_proc[n.id] = tables.v[n.id][hist]
-            V_proc[n.id] = tables.V[n.id][hist[:-1]]
+            idx = tables.index(n.id, policy.decision_path(tree, n.id))
+            v_proc[n.id] = float(tables.v[n.id][idx])
+            V_proc[n.id] = float(tables.V[n.id][idx[:-1]])
     else:
         for n in tree.nodes:
             hist = policy.decision_path(tree, n.id)
@@ -436,18 +457,9 @@ def holder_table_violation(
     """
     worst = -float("inf")
     for nid, table in tables.v.items():
-        hists = list(table)
-        if len(hists) < 2:
-            continue
-        mat = np.asarray([[x for dec in h for x in dec] for h in hists])
-        vals = np.asarray([table[h] for h in hists])
-        diff = mat[:, None, :] - mat[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        dv = np.abs(vals[:, None] - vals[None, :])
-        iu = np.triu_indices(len(hists), k=1)
-        dist, dv = dist[iu], dv[iu]
-        mask = (dist > 0.0) & (dist <= delta)
-        if mask.any():
-            excess = (dv[mask] - C * dist[mask] ** alpha).max()
+        hists = list(itertools.product(*tables.axes[nid]))
+        dist, dv = holder_pairs(hists, table.ravel(), delta)
+        if len(dist):
+            excess = (dv - C * dist ** alpha).max()
             worst = max(worst, float(excess))
     return worst if worst > -float("inf") else 0.0

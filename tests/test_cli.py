@@ -79,6 +79,79 @@ class TestValidate:
         assert any("Hoelder" in v for v in report["violations"])
 
 
+def malformed_cost_bundle(cost):
+    """Horizon-1 binary tree with the grid {0, 1} at every node and the given cost."""
+    grid = [[0.0], [1.0]]
+    return {
+        "tree": {"horizon": 1, "obs_dim": 1, "nodes": [
+            {"id": 0, "stage": 0, "cond_prob": 1.0, "obs": [0.5]},
+            {"id": 1, "stage": 1, "parent": 0, "cond_prob": 0.5, "obs": [1.0]},
+            {"id": 2, "stage": 1, "parent": 0, "cond_prob": 0.5, "obs": [2.0]},
+        ]},
+        "cost": cost,
+        "policy_class": {"kind": "nodewise", "decision_dim": 1,
+                         "feasible": {"0": grid, "1": grid, "2": grid}},
+    }
+
+
+def poly_cost_with(bad_vars):
+    return {"form": "general", "poly": {"terms": [
+        {"coef": 1.0, "vars": [["u", 1, 0, 2]]},
+        {"coef": 1.0, "vars": bad_vars},
+    ]}}
+
+
+class TestMalformedCost:
+    CASES = {
+        "neg_power": (poly_cost_with([["u", 0, 0, -1]]), "term 1"),
+        "bad_component": (poly_cost_with([["x", 1, 1, 1]]), "term 1"),
+        "short_weights": (
+            {"form": "general", "builtin": "quadratic_tracking",
+             "params": {"weights": [1.0]}},
+            "weights",
+        ),
+        "neg_stage": (poly_cost_with([["u", -1, 0, 1]]), "term 1"),
+        "neg_window_offset": (
+            {"form": "additive", "gamma": 0.5, "lag": 1, "stage_costs": [
+                {"poly": {"terms": [{"coef": 1.0, "vars": [["u", -1, 0, 1]]}]}}]},
+            "term 0",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_validate_names_the_fault(self, tmp_path, capsys, name):
+        cost, word = self.CASES[name]
+        path = write_json(tmp_path / "bad.json", malformed_cost_bundle(cost))
+        assert main(["validate", "--input", path, "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["valid"] is False
+        assert any(word in v for v in report["violations"])
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_solve_exits_three(self, tmp_path, capsys, name):
+        cost, word = self.CASES[name]
+        path = write_json(tmp_path / "bad.json", malformed_cost_bundle(cost))
+        assert main(["solve", "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert word in captured.err
+
+    def test_negative_power_away_from_zero_is_valid(self, tmp_path):
+        # the grid holds 0 at stage 0 but the observation x_1 never is 0
+        cost = poly_cost_with([["x", 1, 0, -2]])
+        path = write_json(tmp_path / "ok.json", malformed_cost_bundle(cost))
+        assert main(["validate", "--input", path]) == 0
+
+    def test_window_variable_off_the_window_is_not_evaluated(self, tmp_path):
+        # u offset 1 lies off the lag-1 window at stage 1, so its term vanishes
+        # and the negative power on the zero grid value never applies
+        cost = {"form": "additive", "gamma": 0.5, "lag": 1, "stage_costs": [
+            {"poly": {"terms": [{"coef": 1.0, "vars": [["u", 1, 0, -1]]}]}}]}
+        path = write_json(tmp_path / "ok.json", malformed_cost_bundle(cost))
+        assert main(["validate", "--input", path]) == 0
+        assert main(["solve", "--input", path]) == 0
+
+
 class TestSolve:
     def test_recorded_fixture_value(self, recourse_bundle, capsys):
         code = main(
@@ -317,8 +390,11 @@ class TestMdpCommands:
 
     @pytest.mark.parametrize(
         "actions_by_state",
-        [[[0]], [[0], []], [[0], [1]], [[0], [-1]]],
-        ids=["missing-row", "empty-row", "index-too-large", "index-negative"],
+        [[[0]], [[0], []], [[0], [1]], [[0], [-1]], [[0.7], [0]], [["0"], [0]]],
+        ids=[
+            "missing-row", "empty-row", "index-too-large", "index-negative",
+            "index-fractional", "index-string",
+        ],
     )
     @pytest.mark.parametrize("command", ["mdp-solve", "value-iterate"])
     def test_malformed_actions_by_state_exits_three(
@@ -371,6 +447,36 @@ class TestSddpCommand:
         path = write_json(tmp_path / "sddp.json", payload)
         assert main(["sddp-solve", "--input", path, "--json"]) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "role, where", [("u", "stage_decisions"), ("w", "stage_noise")]
+    )
+    def test_negative_power_of_a_zero_value_is_rejected_at_load(
+        self, tmp_path, capsys, role, where
+    ):
+        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        if where == "stage_decisions":
+            payload[where][1][0] = [0.0]
+        else:
+            payload[where][1][0]["value"] = [0.0]
+        term = {"coef": 1.0, "vars": [[role, 0, -1]]}
+        payload["cost"]["poly"]["terms"].append(term)
+        path = write_json(tmp_path / "sddp.json", payload)
+        assert main(["sddp-solve", "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "step-cost term 4" in captured.err
+
+    def test_negative_power_of_a_zero_state_exits_three(self, tmp_path, capsys):
+        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        payload["initial_state"] = [0.0]
+        payload["cost"]["poly"]["terms"].append({"coef": 1, "vars": [["x", 0, -1]]})
+        path = write_json(tmp_path / "sddp.json", payload)
+        assert main(["sddp-solve", "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "step-cost term 4" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestArguments:

@@ -79,7 +79,7 @@ class TestTildeShift:
         nid = tree.stage_nodes(1)[0]
         head = policy.decision_path(tree, nid)[:-1]
         assert shifted.stages[1][nid] == pytest.approx(
-            tables.V[nid][head] / 0.5, abs=1e-12
+            tables.V[nid][tables.index(nid, head)] / 0.5, abs=1e-12
         )
 
     def test_all_zero_costs_shift_to_zero(self):
@@ -95,7 +95,9 @@ class TestTildeShift:
         shifted = tilde_shift(tree, tables, cost, policy)
         for t, level in shifted.stages.items():
             for nid, value in level.items():
-                assert value == pytest.approx(tables.V[nid][policy.decision_path(tree, nid)[:-1]] / 0.5**t, abs=1e-12)
+                head = policy.decision_path(tree, nid)[:-1]
+                raw = tables.V[nid][tables.index(nid, head)]
+                assert value == pytest.approx(raw / 0.5**t, abs=1e-12)
 
     def test_one_step_recursion_holds_at_the_optimal_policy(self):
         tree, cost, cls = additive_fixture(gamma=0.5, horizon=2)

@@ -1,5 +1,7 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,12 +21,15 @@ from multistage import (
     tail_conditional_value,
     value_process_for_policy,
 )
+from multistage.costs import cost_from_json
 from multistage.generate import (
     branching_gap_fixture,
     chain_tree,
+    random_additive_cost,
     random_general_cost,
     random_instance,
     random_nodewise_class,
+    random_tree,
     rng_from_seed,
 )
 from multistage.scenario_tree import Node, ScenarioTree, path
@@ -249,7 +254,8 @@ class TestBackwardTables:
         cost = random_general_cost(rng_from_seed(42), binary2)
         tables = backward_tables(binary2, cost, binary2_class)
         for leaf in binary2.leaves():
-            for hist, value in tables.v[leaf].items():
+            for hist in itertools.product(*tables.axes[leaf]):
+                value = tables.v[leaf][tables.index(leaf, hist)]
                 assert value == pytest.approx(
                     cost.evaluate(path(binary2, leaf), hist), abs=1e-12
                 )
@@ -259,8 +265,95 @@ class TestBackwardTables:
         tables = backward_tables(binary2, cost, binary2_class)
         for n in binary2.nodes:
             grid = binary2_class.feasible[n.id]
-            for head, value in tables.V[n.id].items():
-                assert value == min(tables.v[n.id][head + (u,)] for u in grid)
+            for head in itertools.product(*tables.axes[n.id][:-1]):
+                value = tables.V[n.id][tables.index(n.id, head)]
+                assert value == min(
+                    tables.v[n.id][tables.index(n.id, head + (u,))] for u in grid
+                )
+
+
+def dict_backward_tables(tree, cost, cls):
+    """Reference recursion on dict tables keyed by grid decision histories.
+
+    Python floats throughout: v at the leaves by one ``evaluate`` call per
+    history, parent v as ``sum`` over the children, V by ``min`` over the
+    node's grid, and the greedy policy by first argmin.
+    """
+    v = {n.id: {} for n in tree.nodes}
+    V = {n.id: {} for n in tree.nodes}
+    for t in range(tree.horizon, -1, -1):
+        for nid in tree.stage_nodes(t):
+            grids = [cls.feasible[i] for i in tree.path_nodes(nid)]
+            for hist in itertools.product(*grids):
+                if t == tree.horizon:
+                    v[nid][hist] = cost.evaluate(path(tree, nid), hist)
+                else:
+                    v[nid][hist] = sum(
+                        tree.nodes[c].cond_prob * V[c][hist] for c in tree.children(nid)
+                    )
+            for head in itertools.product(*grids[:-1]):
+                V[nid][head] = min(v[nid][head + (u,)] for u in grids[-1])
+    decisions = {}
+
+    def descend(nid, hist):
+        grid = cls.feasible[nid]
+        values = [v[nid][hist + (u,)] for u in grid]
+        best = min(range(len(grid)), key=lambda i: (values[i], i))
+        decisions[nid] = grid[best]
+        for c in tree.children(nid):
+            descend(c, hist + (grid[best],))
+
+    descend(0, ())
+    return v, V, decisions
+
+
+def dict_instance(seed):
+    rng = rng_from_seed(seed)
+    tree = random_tree(rng, horizon=int(rng.integers(1, 5)))
+    cls = random_nodewise_class(rng, tree, decision_dim=2, max_policies=10**9)
+    kind = seed % 5
+    if kind == 0:
+        cost = random_general_cost(rng, tree, decision_dim=2)
+    elif kind in (1, 2, 3):
+        cost = random_additive_cost(rng, tree.horizon, lag=kind - 1, decision_dim=2)
+    else:
+        cost = cost_from_json({"form": "general", "builtin": "quadratic_tracking"})
+    return tree, cost, cls
+
+
+class TestArrayTablesMatchDictRecursion:
+    @pytest.mark.parametrize("seed", range(15))
+    def test_bitwise_equal_tables_and_greedy_policy(self, seed):
+        tree, cost, cls = dict_instance(seed)
+        tables = backward_tables(tree, cost, cls)
+        v_ref, V_ref, greedy_ref = dict_backward_tables(tree, cost, cls)
+        for n in tree.nodes:
+            v_dict = np.array(list(v_ref[n.id].values()))
+            V_dict = np.array(list(V_ref[n.id].values()))
+            assert tables.v[n.id].ravel().tobytes() == v_dict.tobytes()
+            assert tables.V[n.id].ravel().tobytes() == V_dict.tobytes()
+            for hist, value in v_ref[n.id].items():
+                assert tables.v[n.id][tables.index(n.id, hist)] == value
+        assert greedy_policy_from_tables(tree, cls, tables).decisions == greedy_ref
+
+    def test_signed_zero_minimum_keeps_the_first_entry(self):
+        tree = chain_tree([0.0])
+        grid = ((0.0,), (1.0,))
+        cls = PolicyClass(feasible={0: grid}, kind="nodewise", decision_dim=1)
+        # v = +0.0 at u = 0 and -0.0 at u = 1: min() keeps the first
+        cost = CostSpec.general(lambda xs, us: -0.0 if us[0][0] else 0.0)
+        tables = backward_tables(tree, cost, cls)
+        assert math.copysign(1.0, tables.root_value) == 1.0
+        assert greedy_policy_from_tables(tree, cls, tables).decisions == {0: (0.0,)}
+
+    def test_index_rejects_histories_off_the_grid(self, binary2, binary2_class):
+        cost = random_general_cost(rng_from_seed(42), binary2)
+        tables = backward_tables(binary2, cost, binary2_class)
+        assert tables.index(3, ((1.0,), (0.0,), (1.0,))) == (1, 0, 1)
+        with pytest.raises(MultistageError):
+            tables.index(3, ((0.5,), (0.0,), (1.0,)))
+        with pytest.raises(MultistageError):
+            tables.index(1, ((0.0,), (0.0,), (0.0,)))
 
 
 class TestBruteForce:
@@ -301,6 +394,20 @@ class TestBruteForce:
         values = [expected_value(binary2, cost, p) for p in enumerate_policies(binary2, cls)]
         value, _ = brute_force_optimum(binary2, cost, cls)
         assert value == pytest.approx(min(values), abs=1e-12)
+
+    def test_never_reads_the_backward_recursion(self, monkeypatch):
+        import multistage.value_process as vp
+
+        tree, cost, cls = random_instance(3, max_policies=800)
+        expected = brute_force_optimum(tree, cost, cls)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("brute force must not call backward_tables")
+
+        monkeypatch.setattr(vp, "backward_tables", refuse)
+        value, policy = vp.brute_force_optimum(tree, cost, cls)
+        assert value == expected[0]
+        assert policy.decisions == expected[1].decisions
 
 
 class TestValueProcess:
