@@ -32,6 +32,7 @@ from .exceptions import (
 from .generate import interchange_fixture, rng_from_seed
 from .policy import DEFAULT_ENUMERATION_CAP, load_policy
 from .scenario_tree import validate
+from .tolerances import DEFAULT_TOL, INEQUALITY_SLACK
 from .value_process import (
     backward_tables,
     brute_force_optimum,
@@ -254,7 +255,7 @@ def cmd_demo_interchange(args) -> int:
         report["trials"] = {"count": args.trials, "min_gap": min_gap}
         lines.append(f"{args.trials} random trials, min gap {min_gap!r}")
     _emit(report, args.json, lines)
-    return EXIT_OK if min_gap >= -1e-12 else EXIT_NEGATIVE
+    return EXIT_OK if min_gap >= -INEQUALITY_SLACK else EXIT_NEGATIVE
 
 
 def cmd_mdp_solve(args) -> int:
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     input_ = flag("--input", required=True, help="input JSON file")
     policy = flag("--policy", help="policy JSON file")
-    tolerance = flag("--tolerance", type=float, default=1e-9)
+    tolerance = flag("--tolerance", type=float, default=DEFAULT_TOL)
     cap = flag("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     json_ = flag("--json", action="store_true", help="machine-readable output")
 

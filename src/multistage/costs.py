@@ -30,12 +30,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import InputFormatError, MultistageError, UnboundedObjectiveError
+from .tolerances import EQUALITY_TOL, HOLDER_SLACK
 
 Vector = tuple[float, ...]
 Window = tuple[Vector, ...]
-
-#: slack added on top of a declared Hoelder bound when checking it
-HOLDER_SLACK = 1e-12
 
 
 def x_window(paths: Sequence[Vector], t: int, lag: int) -> Window:
@@ -214,11 +212,11 @@ def _unbounded(value: float) -> UnboundedObjectiveError:
 # evaluation with ``us`` a :class:`GridWindow` (every decision position
 # ranging over its grid), returning an array that broadcasts to the grid
 # product with the same float operations in the same order; and
-# ``problems(T, window, dims, holds_zero)``, the payload's faults on a tree
+# ``problems(T, window, dims, magnitudes)``, the payload's faults on a tree
 # (see :func:`cost_problems`).
 
 
-def _no_problems(T, window, dims, holds_zero) -> list[str]:
+def _no_problems(T, window, dims, magnitudes) -> list[str]:
     return []
 
 
@@ -280,7 +278,7 @@ def poly_cost(terms: Sequence[Term], window_relative: bool):
             total = total + prod
         return total
 
-    def problems(T, window, dims, holds_zero):
+    def problems(T, window, dims, magnitudes):
         out = []
         for k, (_, variables) in enumerate(terms):
             for role, index, comp, power in variables:
@@ -301,8 +299,20 @@ def poly_cost(terms: Sequence[Term], window_relative: bool):
                     stage = t - index if role == "x" else t - 1 - index
                     if stage < max(0, t - lag):
                         break  # off the window: the term vanishes here
-                if power < 0 and holds_zero(role, stage, comp):
+                if 0 <= power <= 1:
+                    continue  # neither divides by 0 nor overflows
+                sizes = magnitudes(role, stage, comp)
+                if sizes is None:
+                    continue
+                if power < 0 and sizes[0] == 0.0:
                     out.append(f"{where}: a value 0 at stage {stage} has power {power}")
+                    continue
+                # |value| ** power is largest at the smallest or largest size
+                size = sizes[0] if power < 0 else sizes[1]
+                try:
+                    size ** power
+                except OverflowError:
+                    out.append(f"{where}: {size!r} ** {power} at stage {stage} overflows a float")
         return out
 
     return _compiled(evaluate, grid, problems)
@@ -329,7 +339,7 @@ def quadratic_tracking(params: dict):
             total = total + us.factor(t, lambda u, t=t: stage(t, xs[t], u))
         return total
 
-    def problems(T, window, dims, holds_zero):
+    def problems(T, window, dims, magnitudes):
         if weights is None:
             return []
         n = len(weights)
@@ -366,7 +376,7 @@ BUILTIN_OBJECTIVES = {
 }
 
 
-def table_objective(entries: Sequence[dict], atol: float = 1e-9):
+def table_objective(entries: Sequence[dict], atol: float = EQUALITY_TOL):
     """Lookup objective matching (x windows, u windows) within ``atol``."""
     parsed = [
         (
@@ -400,28 +410,36 @@ def cost_problems(cost: CostSpec, tree, cls) -> list[str]:
     A polynomial component must exist in its role's dimension, a general
     stage must lie in 0..T and a window offset must be >= 0, and no
     variable may take a negative power where an observation or a feasible
-    decision at its stage is 0. ``quadratic_tracking`` weights must cover
-    the stages they are read at. Tables and raw callables are not checked.
+    decision at its stage is 0, nor a power that overflows a float there.
+    ``quadratic_tracking`` weights must cover the stages they are read at.
+    Tables and raw callables are not checked.
     """
     T = tree.horizon
     dims = {"x": tree.obs_dim, "u": cls.decision_dim}
 
-    def holds_zero(role: str, stage: int, comp: int) -> bool:
-        ids = tree.stage_nodes(stage)
-        if role == "x":
-            vectors = [tree.nodes[i].obs for i in ids]
-        else:
-            vectors = [u for i in ids for u in cls.feasible.get(i, ())]
-        return any(len(vec) > comp and vec[comp] == 0.0 for vec in vectors)
+    sizes: dict[tuple[str, int, int], tuple[float, float] | None] = {}
+
+    def magnitudes(role: str, stage: int, comp: int) -> tuple[float, float] | None:
+        """Smallest and largest |entry comp| of a stage's observations or decisions."""
+        key = (role, stage, comp)
+        if key not in sizes:
+            ids = tree.stage_nodes(stage)
+            if role == "x":
+                vectors = [tree.nodes[i].obs for i in ids]
+            else:
+                vectors = [u for i in ids for u in cls.feasible.get(i, ())]
+            found = [abs(vec[comp]) for vec in vectors if len(vec) > comp]
+            sizes[key] = (min(found), max(found)) if found else None
+        return sizes[key]
 
     if cost.form == "general":
         if not hasattr(cost.objective, "problems"):
             return []
-        return [f"cost {p}" for p in cost.objective.problems(T, None, dims, holds_zero)]
+        return [f"cost {p}" for p in cost.objective.problems(T, None, dims, magnitudes)]
     out = []
     for k, c in enumerate(cost.stage_costs[:T]):
         if hasattr(c, "problems"):
-            found = c.problems(T, (k + 1, cost.lag), dims, holds_zero)
+            found = c.problems(T, (k + 1, cost.lag), dims, magnitudes)
             out += [f"stage cost {k} {p}" for p in found]
     return out
 
@@ -446,7 +464,7 @@ def _callable_from_json(spec: dict, window_relative: bool):
         return poly_cost(terms, window_relative)
     if "table" in spec:
         return table_objective(
-            spec["table"]["entries"], atol=float(spec["table"].get("atol", 1e-9))
+            spec["table"]["entries"], atol=float(spec["table"].get("atol", EQUALITY_TOL))
         )
     if "builtin" in spec:
         name = spec["builtin"]

@@ -38,9 +38,8 @@ from .exceptions import (
 )
 from .policy import Decision, Policy, PolicyClass
 from .scenario_tree import Node, ScenarioTree, path
+from .tolerances import EQUALITY_TOL, KERNEL_TOL
 from .value_process import ValueTables
-
-KERNEL_TOL = 1e-12
 
 
 # -- Markov decision processes -------------------------------------------------
@@ -367,7 +366,7 @@ def lag_recursion_check(
     tree: ScenarioTree,
     cost: CostSpec,
     cls: PolicyClass,
-    tol: float = 1e-9,
+    tol: float = EQUALITY_TOL,
     cap: int = 10_000_000,
 ) -> LagRecursionReport:
     """Verify the lag-l structure and the windowed recursion on a tree.
@@ -837,7 +836,7 @@ def _step_cost_from_json(
 
         return poly
     if "table" in spec:
-        atol = float(spec["table"].get("atol", 1e-9))
+        atol = float(spec["table"].get("atol", EQUALITY_TOL))
         entries = [
             (
                 tuple(float(v) for v in e["x"]),

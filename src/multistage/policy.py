@@ -35,12 +35,10 @@ from .exceptions import (
     UnknownNodeError,
 )
 from .scenario_tree import ScenarioTree
+from .tolerances import ADAPTED_TOL
 
 #: default bound on the number of policies an enumeration may produce
 DEFAULT_ENUMERATION_CAP = 10_000_000
-
-#: componentwise tolerance for adaptedness checks
-ADAPTED_TOL = 1e-12
 
 Decision = tuple[float, ...]
 

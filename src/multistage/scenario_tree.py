@@ -20,9 +20,7 @@ from .exceptions import (
     InputFormatError,
     UnknownNodeError,
 )
-
-#: absolute tolerance for probability normalization checks
-PROB_TOL = 1e-12
+from .tolerances import PROB_TOL
 
 
 @dataclass(frozen=True)

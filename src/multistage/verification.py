@@ -28,15 +28,8 @@ from .exceptions import (
 )
 from .policy import DEFAULT_ENUMERATION_CAP, Decision, Policy, PolicyClass
 from .scenario_tree import ScenarioTree, path, unconditional_probability
-from .value_process import (
-    ValueTables,
-    compute_V,
-    compute_v,
-    value_process_for_policy,
-)
-
-#: default tolerance for martingale classification
-DEFAULT_TOL = 1e-9
+from .tolerances import DEFAULT_TOL
+from .value_process import ValueTables, _Definitional, value_process_for_policy
 
 MARTINGALE = "martingale"
 SUBMARTINGALE = "submartingale"
@@ -272,11 +265,13 @@ def check_dynamic_relations(
     stage-t deviation of E(V_{t+1} | node) and v_t(X, U) against the
     expectation of the best stage-(t+1) deviation of v_{t+1}. Both
     inequalities hold with >= for every class and with equality for
-    nodewise classes. Values are computed definitionally, so history-blind
-    classes are supported.
+    nodewise classes. Values are computed definitionally, on one cache
+    shared by every node, so history-blind classes are supported and the
+    equalities are an independent check of the backward recursion.
     """
     if not cls.contains(tree, policy):
         raise InfeasiblePolicyError("policy is not feasible in the class")
+    route = _Definitional(tree, cost, cls, cap)
     records: list[RelationRecord] = []
     for n in tree.nodes:
         kids = tree.children(n.id)
@@ -286,25 +281,19 @@ def check_dynamic_relations(
         head = head_full[:-1]
         probs = [tree.nodes[c].cond_prob for c in kids]
 
-        lhs_V = compute_V(tree, cost, cls, n.id, head, cap=cap)
+        lhs_V = route.V(n.id, head)
         rhs_V = min(
-            sum(
-                p * compute_V(tree, cost, cls, c, head + (u,), cap=cap)
-                for p, c in zip(probs, kids)
-            )
+            sum(p * route.V(c, head + (u,)) for p, c in zip(probs, kids))
             for u in cls.feasible_at(tree, n.id)
         )
         records.append(
             RelationRecord(t=n.stage, node=n.id, relation="V", lhs=lhs_V, rhs=rhs_V)
         )
 
-        lhs_v = compute_v(tree, cost, cls, n.id, head_full, cap=cap)
+        lhs_v = route.v(n.id, head_full)
         rhs_v = 0.0
         for p, c in zip(probs, kids):
-            best = min(
-                compute_v(tree, cost, cls, c, head_full + (u,), cap=cap)
-                for u in cls.feasible_at(tree, c)
-            )
+            best = min(route.v(c, head_full + (u,)) for u in cls.feasible_at(tree, c))
             rhs_v += p * best
         records.append(
             RelationRecord(t=n.stage, node=n.id, relation="v", lhs=lhs_v, rhs=rhs_v)

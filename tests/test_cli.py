@@ -111,6 +111,8 @@ class TestMalformedCost:
             "weights",
         ),
         "neg_stage": (poly_cost_with([["u", -1, 0, 1]]), "term 1"),
+        # 2.0 ** 1100 raises OverflowError in Python
+        "overflow": (poly_cost_with([["x", 1, 0, 1100]]), "term 1"),
         "neg_window_offset": (
             {"form": "additive", "gamma": 0.5, "lag": 1, "stage_costs": [
                 {"poly": {"terms": [{"coef": 1.0, "vars": [["u", -1, 0, 1]]}]}}]},
@@ -132,6 +134,20 @@ class TestMalformedCost:
         cost, word = self.CASES[name]
         path = write_json(tmp_path / "bad.json", malformed_cost_bundle(cost))
         assert main(["solve", "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert word in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "dynamic-check"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_policy_commands_exit_three(self, tmp_path, capsys, name, command):
+        cost, word = self.CASES[name]
+        path = write_json(tmp_path / "bad.json", malformed_cost_bundle(cost))
+        policy = write_json(
+            tmp_path / "policy.json",
+            {"decision_dim": 1, "decisions": {"0": [1.0], "1": [1.0], "2": [1.0]}},
+        )
+        assert main([command, "--input", path, "--policy", policy, "--json"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert word in captured.err

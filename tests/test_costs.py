@@ -350,6 +350,13 @@ class TestCostProblems:
         assert found == ["cost term 1, x[1][0]: a value 0 at stage 1 has power -3"]
         assert self.problems(self.poly(("x", 1, 0, 3)), obs=(0.5, 1.0, 0.0)) == []
 
+    def test_power_overflowing_a_float(self):
+        found = self.problems(self.poly(("x", 1, 0, 400)), obs=(0.5, 10.0, 2.0))
+        assert found == ["cost term 1, x[1][0]: 10.0 ** 400 at stage 1 overflows a float"]
+        assert self.problems(self.poly(("x", 1, 0, 300)), obs=(0.5, 10.0, 2.0)) == []
+        found = self.problems(self.poly(("u", 1, 0, -2)), grid=((1e-200,), (1.0,)))
+        assert found == ["cost term 1, u[1][0]: 1e-200 ** -2 at stage 1 overflows a float"]
+
     def test_window_offsets(self):
         def additive(*variables):
             return {"form": "additive", "gamma": 0.5, "lag": 1, "stage_costs": [

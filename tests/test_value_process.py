@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from multistage import (
     CostSpec,
     DecomposableClassRequiredError,
+    EnumerationCapError,
     MultistageError,
     PolicyClass,
     backward_tables,
@@ -32,6 +33,7 @@ from multistage.generate import (
     random_tree,
     rng_from_seed,
 )
+from multistage.policy import enumeration_slots, policy_from_indices
 from multistage.scenario_tree import Node, ScenarioTree, path
 from multistage.value_process import holder_table_violation
 
@@ -499,3 +501,187 @@ class TestHolderPreservation:
         tables = backward_tables(binary2, cost, cls)
         excess = holder_table_violation(binary2, tables, C=C, alpha=1.0, delta=delta)
         assert excess <= 1e-12
+
+
+# -- definitional route --------------------------------------------------------
+
+
+def reference_tails(tree, cls, node_id):
+    """Every feasible tail below a node, enumerated one dict at a time."""
+    stage = tree.node(node_id).stage
+    below = sorted({i for leaf in tree.leaves_below(node_id)
+                    for i in tree.path_nodes(leaf)[stage + 1:]})
+    if cls.kind == "nodewise":
+        for combo in itertools.product(*(cls.feasible[i] for i in below)):
+            yield dict(zip(below, combo))
+    else:
+        stages = range(stage + 1, tree.horizon + 1)
+        for combo in itertools.product(*(cls.stage_grid(tree, t) for t in stages)):
+            yield {i: combo[tree.node(i).stage - stage - 1] for i in below}
+
+
+class ScalarDefinitional:
+    """v and V as the minimum of tail_conditional_value over every tail.
+
+    The scalar reference for the cached route: one objective evaluation per
+    (tail, leaf), tails in itertools.product order, first minimum kept.
+    """
+
+    def __init__(self, tree, cost, cls):
+        self.tree, self.cost, self.cls = tree, cost, cls
+        self.memo = {}
+
+    def v(self, node_id, head):
+        key = (node_id, head)
+        if key not in self.memo:
+            best = None
+            for tail in reference_tails(self.tree, self.cls, node_id):
+                value = tail_conditional_value(self.tree, self.cost, node_id, head, tail)
+                if best is None or value < best:
+                    best = value
+            self.memo[key] = best
+        return self.memo[key]
+
+    def V(self, node_id, head):
+        return min(self.v(node_id, head + (u,))
+                   for u in self.cls.feasible_at(self.tree, node_id))
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def definitional_instance(seed):
+    """Seeded instance of either class kind, general, additive or raw-callable cost."""
+    kind = "nodewise" if seed % 2 == 0 else "history_blind"
+    tree, cost, cls = random_instance(
+        3000 + seed, max_policies=1500, kind=kind, additive=seed % 3 == 1
+    )
+    if seed % 3 == 2:
+        compiled = cost
+        cost = CostSpec.general(lambda xs, us: compiled.evaluate(xs, us))
+    slots, grids = enumeration_slots(tree, cls)
+    policy = policy_from_indices(
+        tree, cls, [(seed + 3 * k) % len(g) for k, g in enumerate(grids)]
+    )
+    return tree, cost, cls, policy
+
+
+def off_grid(head, k):
+    """The head with entry k moved off every grid."""
+    return head[:k] + (tuple(x + 0.375 for x in head[k]),) + head[k + 1:]
+
+
+class TestDefinitionalRoute:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_bitwise_equal_to_the_scalar_reference(self, seed):
+        tree, cost, cls, policy = definitional_instance(seed)
+        ref = ScalarDefinitional(tree, cost, cls)
+        for n in tree.nodes:
+            hist = policy.decision_path(tree, n.id)
+            heads = [hist] + [off_grid(hist, k) for k in range(len(hist))]
+            for head in heads:
+                assert same_float(compute_v(tree, cost, cls, n.id, head), ref.v(n.id, head))
+                assert same_float(
+                    compute_V(tree, cost, cls, n.id, head[:-1]), ref.V(n.id, head[:-1])
+                )
+        v_proc, V_proc = value_process_for_policy(tree, cost, cls, policy)
+        for n in tree.nodes:
+            hist = policy.decision_path(tree, n.id)
+            if cls.kind == "history_blind":
+                assert same_float(v_proc[n.id], ref.v(n.id, hist))
+                assert same_float(V_proc[n.id], ref.V(n.id, hist[:-1]))
+        # a cap the root's tails just fit: the leaf grid arrays no longer all do
+        _, grids = enumeration_slots(tree, cls)
+        tails = math.prod(len(g) for g in grids[1:])
+        assert same_float(compute_V(tree, cost, cls, 0, (), cap=tails), ref.V(0, ()))
+
+    def test_leaf_arrays_past_the_cap_give_the_same_values(self):
+        tree = chain_tree([0.5, -1.0, 2.0])
+        grid = ((-1.0,), (0.0,), (1.0,))
+        cls = PolicyClass(feasible={i: grid for i in range(3)}, kind="nodewise", decision_dim=1)
+        cost = random_general_cost(rng_from_seed(8), tree)
+        ref = ScalarDefinitional(tree, cost, cls)
+        # the root has 9 tails; the leaf's grid product has 27 entries
+        for u in grid:
+            assert same_float(compute_v(tree, cost, cls, 0, (u,), cap=9), ref.v(0, (u,)))
+        assert same_float(compute_V(tree, cost, cls, 0, (), cap=9), ref.V(0, ()))
+
+    def test_large_leaf_products_are_evaluated_only_when_worth_it(self, monkeypatch):
+        T = 7
+        tree = chain_tree([0.25 * t - 1.0 for t in range(T + 1)])
+        grid = ((-1.0,), (0.0,), (1.0,))
+        cls = PolicyClass(
+            feasible={i: grid for i in range(T + 1)}, kind="nodewise", decision_dim=1
+        )
+        cost = random_general_cost(rng_from_seed(4), tree)
+        ref = ScalarDefinitional(tree, cost, cls)
+        sizes = []
+        evaluate_grid = CostSpec.evaluate_grid
+
+        def counted(self, paths, grids):
+            sizes.append(math.prod(len(g) for g in grids))
+            return evaluate_grid(self, paths, grids)
+
+        monkeypatch.setattr(CostSpec, "evaluate_grid", counted)
+        head = tuple((0.0,) for _ in range(T + 1))
+        assert same_float(compute_v(tree, cost, cls, T, head), ref.v(T, head))
+        assert sizes == [1]
+        # the leaf's 3^8 entries: the first candidate alone, then all of them
+        sizes.clear()
+        assert same_float(compute_V(tree, cost, cls, 0, ()), ref.V(0, ()))
+        assert sizes == [3 ** T, 3 ** (T + 1)]
+
+    def test_never_reads_the_backward_recursion(self, monkeypatch):
+        import multistage.value_process as vp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the definitional route must not call backward_tables")
+
+        for kind in ("nodewise", "history_blind"):
+            tree, cost, cls = random_instance(5, max_policies=300, kind=kind)
+            policy = next(iter_policies(tree, cls, skip=7))
+            head = policy.decision_path(tree, 0)
+            v, V = compute_v(tree, cost, cls, 0, head), compute_V(tree, cost, cls, 0, ())
+            processes = value_process_for_policy(tree, cost, cls, policy)
+            with monkeypatch.context() as m:
+                m.setattr(vp, "backward_tables", refuse)
+                assert vp.compute_v(tree, cost, cls, 0, head) == v
+                assert vp.compute_V(tree, cost, cls, 0, ()) == V
+                if kind == "history_blind":  # nodewise processes read the tables
+                    assert vp.value_process_for_policy(tree, cost, cls, policy) == processes
+
+    @pytest.mark.parametrize("kind", ["nodewise", "history_blind"])
+    def test_cap_is_checked_before_any_evaluation(self, monkeypatch, kind):
+        tree, cost, cls = random_instance(11, max_policies=5000, horizon=3, kind=kind)
+        _, grids = enumeration_slots(tree, cls)
+        tails = math.prod(len(g) for g in grids[1:])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluated before the cap check")
+
+        monkeypatch.setattr(CostSpec, "evaluate_grid", refuse)
+        monkeypatch.setattr(CostSpec, "evaluate", refuse)
+        for call in (compute_v, compute_V):
+            head = ((0.0,),) if call is compute_v else ()
+            with pytest.raises(EnumerationCapError) as err:
+                call(tree, cost, cls, 0, head, cap=tails - 1)
+            assert (err.value.count, err.value.cap) == (tails, tails - 1)
+
+    def test_wrong_head_length(self, binary2, binary2_class):
+        cost = sum_cost()
+        with pytest.raises(MultistageError, match="head history has length 1, expected 2"):
+            compute_v(binary2, cost, binary2_class, 1, ((0.0,),))
+        with pytest.raises(MultistageError, match="head history has length 0, expected 1"):
+            compute_V(binary2, cost, binary2_class, 1, ())
+
+    def test_empty_stage_grids(self, binary2):
+        # the two stage-1 nodes share no decision, so stage 1 has no common value
+        feasible = {0: ((0.0,),), 1: ((0.0,),), 2: ((1.0,),)}
+        feasible.update({i: ((0.0,), (1.0,)) for i in (3, 4, 5, 6)})
+        cls = PolicyClass(feasible=feasible, kind="history_blind", decision_dim=1)
+        cost = sum_cost()
+        with pytest.raises(MultistageError, match="empty feasible set at node 1"):
+            compute_V(binary2, cost, cls, 1, ((0.0,),))
+        with pytest.raises(MultistageError, match="no feasible tails below node 0"):
+            compute_v(binary2, cost, cls, 0, ((0.0,),))

@@ -25,6 +25,7 @@ from multistage.generate import (
     rng_from_seed,
 )
 from multistage.verification import MARTINGALE, NEITHER, SUBMARTINGALE
+from test_value_process import ScalarDefinitional, definitional_instance, same_float
 
 
 class TestCheckSubmartingale:
@@ -313,3 +314,51 @@ class TestSubmartingaleSweep:
         assert v_proc[2] == pytest.approx(0.0, abs=1e-12)
         report = check_submartingale(tree, v_proc)
         assert report.classification == NEITHER
+
+
+class TestDynamicRelationsDefinitional:
+    """The report's values against the scalar tail enumeration, bit for bit."""
+
+    @staticmethod
+    def reference_records(tree, cls, ref, policy):
+        out = []
+        for n in tree.nodes:
+            kids = tree.children(n.id)
+            if not kids:
+                continue
+            head_full = policy.decision_path(tree, n.id)
+            head = head_full[:-1]
+            probs = [tree.nodes[c].cond_prob for c in kids]
+            rhs_V = min(
+                sum(p * ref.V(c, head + (u,)) for p, c in zip(probs, kids))
+                for u in cls.feasible_at(tree, n.id)
+            )
+            out.append((ref.V(n.id, head), rhs_V))
+            rhs_v = 0.0
+            for p, c in zip(probs, kids):
+                rhs_v += p * min(ref.v(c, head_full + (u,)) for u in cls.feasible_at(tree, c))
+            out.append((ref.v(n.id, head_full), rhs_v))
+        return out
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_records_equal_the_scalar_reference(self, seed):
+        tree, cost, cls, policy = definitional_instance(seed)
+        report = check_dynamic_relations(tree, cost, cls, policy)
+        expected = self.reference_records(tree, cls, ScalarDefinitional(tree, cost, cls), policy)
+        assert len(report.records) == len(expected)
+        for record, (lhs, rhs) in zip(report.records, expected):
+            assert same_float(record.lhs, lhs) and same_float(record.rhs, rhs)
+
+    @pytest.mark.parametrize("kind", ["nodewise", "history_blind"])
+    def test_never_reads_the_backward_recursion(self, monkeypatch, kind):
+        import multistage.value_process as vp
+
+        tree, cost, cls = random_instance(6, max_policies=400, kind=kind)
+        policy = next(iter(enumerate_policies(tree, cls)))
+        expected = check_dynamic_relations(tree, cost, cls, policy).to_json()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dynamic relations must not call backward_tables")
+
+        monkeypatch.setattr(vp, "backward_tables", refuse)
+        assert check_dynamic_relations(tree, cost, cls, policy).to_json() == expected
