@@ -415,6 +415,10 @@ def main(argv: list[str] | None = None) -> int:
     except MultistageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("out of memory: a lower --cap bounds the memory of the enumeration",
+              file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -27,12 +27,17 @@ array below the node at the head, adds rel_prob * slice into one
 accumulator over the node's whole tail product (leaves in order, from
 0.0, as ``tail_conditional_value`` adds them) and takes the joint minimum
 over that product. It never nests minima and expectations, which would
-be the recursion. A leaf's array is built once the one-head evaluations
-at that leaf would cost as much; until then, and for heads off the grids,
-the leaf is evaluated for the one head asked (so a single ``compute_v``
-deep in a tree evaluates little more than its tails). Memory: the leaf arrays, at
-most ``cap`` float64 entries in all, and one accumulator of at most
-``cap`` entries: 80 MB each at the default cap of 10^7.
+be the recursion. A leaf's array is built at the first head on the grids
+asked of it, as long as the leaf arrays stay within ``cap`` entries in all;
+past that budget, and for heads off the grids (or holding a -0.0 where the
+grid has 0.0, or the reverse), the leaf is evaluated for the one head asked,
+with the head given as one-point grids. Memory: the leaf arrays hold at
+most ``cap`` float64 entries in all, the accumulator at most ``cap``, and
+one weighted leaf slice at most the accumulator's size, plus the working
+arrays of the ``evaluate_grid`` call that builds a leaf array. So ``cap``
+bounds memory as well as work: about three times ``cap`` float64 entries,
+240 MB at the default cap of 10^7 (measured peaks: 1.0 to 2.3 times
+``cap`` entries, on chain and binary trees).
 
 Decision histories are free parameters of the value functions: they need
 not be feasible for the class, only the tail being optimized is
@@ -134,10 +139,11 @@ def tail_conditional_value(
     return total
 
 
-#: entries whose evaluation costs about as much as one ``evaluate_grid`` call
-#: itself: a compiled 8-stage poly takes about 190 us per call plus 26 ns
-#: per entry (2.1 GHz Xeon, numpy 2.4), so 4096 is on the safe side
-_CALL_ENTRIES = 4096
+def _exact(u: Decision):
+    """A dict key for a decision that tells -0.0 from 0.0 (they compare equal)."""
+    if 0.0 in u:
+        return u, tuple(math.copysign(1.0, x) for x in u)
+    return u
 
 
 class _Definitional:
@@ -146,9 +152,9 @@ class _Definitional:
     A tail assigns a decision to every strict descendant of a node: for a
     nodewise class one axis per descendant (ordered by id), for a
     history-blind class one axis per later stage, shared by the stage's
-    nodes. The cache is the one the module docstring describes. A head off
-    the grids, or one at a leaf whose whole grid product is not (yet) worth
-    evaluating, is evaluated with the head given as one-point grids.
+    nodes. The cache is the one the module docstring describes. Heads are
+    matched to grid positions and memo keys by ``_exact``, so a signed zero
+    reads the entry of the same sign, as ``tail_conditional_value`` would.
     """
 
     def __init__(self, tree: ScenarioTree, cost: CostSpec, cls: PolicyClass, cap: int):
@@ -156,14 +162,13 @@ class _Definitional:
         self.cost = cost
         self.cls = cls
         self.cap = cap
-        self._grids: dict[int, tuple[tuple[Decision, ...], dict[Decision, int]]] = {}
+        self._grids: dict[int, tuple[tuple[Decision, ...], dict]] = {}
         self._tails: dict[int, tuple] = {}
         self._leaf_values: dict[int, np.ndarray] = {}
-        self._leaf_wanted: dict[int, int] = {}
         self._leaf_entries = 0
-        self._v: dict[tuple[int, History], float] = {}
+        self._v: dict[tuple, float] = {}
 
-    def _grid(self, node_id: int) -> tuple[tuple[Decision, ...], dict[Decision, int]]:
+    def _grid(self, node_id: int) -> tuple[tuple[Decision, ...], dict]:
         """Candidates of a node's tail axis and the first position of each."""
         if self.cls.kind == "nodewise":
             slot = node_id
@@ -174,9 +179,9 @@ class _Definitional:
                 grid = self.cls.feasible[node_id]
             else:
                 grid = self.cls.stage_grid(self.tree, slot)
-            first: dict[Decision, int] = {}
+            first: dict = {}
             for k, u in enumerate(grid):
-                first.setdefault(u, k)
+                first.setdefault(_exact(u), k)
             self._grids[slot] = (grid, first)
         return self._grids[slot]
 
@@ -220,22 +225,17 @@ class _Definitional:
         self._tails[node_id] = (stage, shape, leaves)
         return self._tails[node_id]
 
-    def _leaf_grid_values(self, leaf: int, wanted: int) -> np.ndarray | None:
-        """Objective on the leaf's whole path grid product, or None.
+    def _leaf_grid_values(self, leaf: int) -> np.ndarray | None:
+        """Objective on the leaf's whole path grid product, or None past the budget.
 
-        ``wanted`` is the number of entries the caller needs. The product is
-        evaluated once what the one-head evaluations at this leaf cost, each
-        counted as at least ``_CALL_ENTRIES`` entries, reaches its size: a
-        caller asking for a few heads of a large product pays for those
-        alone. Never past the budget of ``cap`` leaf entries in all.
+        Built once per leaf, as long as the leaf arrays hold at most ``cap``
+        entries in all.
         """
         if leaf in self._leaf_values:
             return self._leaf_values[leaf]
         grids = [self._grid(nid)[0] for nid in self.tree.path_nodes(leaf)]
         size = math.prod(len(g) for g in grids)
-        wanted = max(wanted, _CALL_ENTRIES) + self._leaf_wanted.get(leaf, 0)
-        if wanted < size or self._leaf_entries + size > self.cap:
-            self._leaf_wanted[leaf] = wanted
+        if self._leaf_entries + size > self.cap:
             return None
         self._leaf_entries += size
         values = self.cost.evaluate_grid(path(self.tree, leaf), grids)
@@ -250,11 +250,11 @@ class _Definitional:
             raise MultistageError(
                 f"head history has length {len(head)}, expected {stage + 1}"
             )
-        key = (node_id, head)
+        key = (node_id, tuple(_exact(u) for u in head))
         if key in self._v:
             return self._v[key]
         index: tuple | None = ()
-        for nid, u in zip(self.tree.path_nodes(node_id), head):
+        for nid, u in zip(self.tree.path_nodes(node_id), key[1]):
             k = self._grid(nid)[1].get(u)
             if k is None:
                 index = None
@@ -264,7 +264,7 @@ class _Definitional:
         for leaf, rel_prob, order, bshape in leaves:
             values = None
             if index is not None:
-                values = self._leaf_grid_values(leaf, math.prod(bshape))
+                values = self._leaf_grid_values(leaf)
             if values is None:
                 below = self.tree.path_nodes(leaf)[stage + 1:]
                 grids = [(u,) for u in head] + [self._grid(nid)[0] for nid in below]

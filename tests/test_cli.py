@@ -328,6 +328,22 @@ class TestDynamicCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["all_hold"] and report["equality_everywhere"]
 
+    def test_out_of_memory_exits_three(self, recourse_bundle, capsys, monkeypatch):
+        from multistage.value_process import _Definitional
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(_Definitional, "v", exhausted)
+        code = main(
+            ["dynamic-check", "--input", recourse_bundle["bundle"],
+             "--policy", recourse_bundle["perturbed"]]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out of memory" in captured.err and "--cap" in captured.err
+
     def test_history_blind_strict_inequality(self, tmp_path, capsys):
         fx = branching_gap_fixture()
         bundle = ProblemBundle(tree=fx["tree"], cost=fx["cost"], cls=fx["cls"])

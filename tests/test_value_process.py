@@ -532,7 +532,7 @@ class ScalarDefinitional:
         self.memo = {}
 
     def v(self, node_id, head):
-        key = (node_id, head)
+        key = (node_id, repr(head))  # repr tells -0.0 from 0.0
         if key not in self.memo:
             best = None
             for tail in reference_tails(self.tree, self.cls, node_id):
@@ -607,8 +607,8 @@ class TestDefinitionalRoute:
             assert same_float(compute_v(tree, cost, cls, 0, (u,), cap=9), ref.v(0, (u,)))
         assert same_float(compute_V(tree, cost, cls, 0, (), cap=9), ref.V(0, ()))
 
-    def test_large_leaf_products_are_evaluated_only_when_worth_it(self, monkeypatch):
-        T = 7
+    def test_each_leaf_array_is_built_once(self, monkeypatch):
+        T = 4
         tree = chain_tree([0.25 * t - 1.0 for t in range(T + 1)])
         grid = ((-1.0,), (0.0,), (1.0,))
         cls = PolicyClass(
@@ -624,13 +624,31 @@ class TestDefinitionalRoute:
             return evaluate_grid(self, paths, grids)
 
         monkeypatch.setattr(CostSpec, "evaluate_grid", counted)
-        head = tuple((0.0,) for _ in range(T + 1))
+        assert same_float(compute_V(tree, cost, cls, 0, ()), ref.V(0, ()))
+        assert sizes == [3 ** (T + 1)]
+        # a head off the grids is evaluated for itself alone
+        sizes.clear()
+        head = off_grid(tuple((0.0,) for _ in range(T + 1)), 0)
         assert same_float(compute_v(tree, cost, cls, T, head), ref.v(T, head))
         assert sizes == [1]
-        # the leaf's 3^8 entries: the first candidate alone, then all of them
-        sizes.clear()
-        assert same_float(compute_V(tree, cost, cls, 0, ()), ref.V(0, ()))
-        assert sizes == [3 ** T, 3 ** (T + 1)]
+
+    def test_signed_zero_heads_read_their_own_sign(self):
+        tree = chain_tree([0.5, -1.0, 2.0])
+        cost = CostSpec.general(
+            lambda xs, us: sum((t + 1) * math.copysign(1.0, u[0]) for t, u in enumerate(us))
+        )
+        heads = [((0.0,),), ((-0.0,),), ((0.0,), (-0.0,)), ((-0.0,), (0.0,))]
+        for grid in (((0.0,), (-0.0,), (1.0,)), ((0.0,), (1.0,)), ((-0.0,), (1.0,))):
+            cls = PolicyClass(
+                feasible={i: grid for i in range(3)}, kind="nodewise", decision_dim=1
+            )
+            ref = ScalarDefinitional(tree, cost, cls)
+            for head in heads:
+                node = len(head) - 1
+                assert same_float(compute_v(tree, cost, cls, node, head), ref.v(node, head))
+            for node in (0, 1, 2):
+                head = ((-0.0,),) * node
+                assert same_float(compute_V(tree, cost, cls, node, head), ref.V(node, head))
 
     def test_never_reads_the_backward_recursion(self, monkeypatch):
         import multistage.value_process as vp
