@@ -89,12 +89,28 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not problems else EXIT_NEGATIVE
 
 
-def cmd_solve(args) -> int:
-    bundle = load_bundle(args.input)
+def _valid_bundle(path: str):
+    bundle = load_bundle(path)
     problems = bundle.validate()
     if problems:
-        print("invalid bundle:", "; ".join(problems), file=sys.stderr)
-        return EXIT_INPUT
+        raise InputFormatError("invalid bundle: " + "; ".join(problems))
+    return bundle
+
+
+def _bundle_and_policy(args):
+    """The validated bundle and the policy to check: ``--policy``, or else the
+    bundle's first named policy."""
+    bundle = _valid_bundle(args.input)
+    if args.policy:
+        return bundle, load_policy(args.policy)
+    named = sorted(bundle.policies)
+    if not named:
+        raise InputFormatError("no policy given and the bundle carries none")
+    return bundle, bundle.policies[named[0]]
+
+
+def cmd_solve(args) -> int:
+    bundle = _valid_bundle(args.input)
     tree, cost, cls = bundle.tree, bundle.cost, bundle.cls
     count = cls.count(tree)
     report: dict = {
@@ -142,25 +158,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    bundle = load_bundle(args.input)
-    problems = bundle.validate()
-    if problems:
-        print("invalid bundle:", "; ".join(problems), file=sys.stderr)
-        return EXIT_INPUT
-    if args.policy:
-        policy = load_policy(args.policy)
-    else:
-        named = sorted(bundle.policies)
-        if not named:
-            print("no policy given and the bundle carries none", file=sys.stderr)
-            return EXIT_INPUT
-        policy = bundle.policies[named[0]]
+    bundle, policy = _bundle_and_policy(args)
     tree, cost, cls = bundle.tree, bundle.cost, bundle.cls
-    try:
-        report = verify_policy(tree, cost, cls, policy, tol=args.tolerance, cap=args.cap)
-    except InfeasiblePolicyError as exc:
-        print(f"infeasible policy: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    report = verify_policy(tree, cost, cls, policy, tol=args.tolerance, cap=args.cap)
     payload = report.to_json()
     payload["expected_value"] = expected_value(tree, cost, policy)
     payload["policy_count"] = cls.count(tree)
@@ -182,26 +182,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dynamic_check(args) -> int:
-    bundle = load_bundle(args.input)
-    problems = bundle.validate()
-    if problems:
-        print("invalid bundle:", "; ".join(problems), file=sys.stderr)
-        return EXIT_INPUT
-    if args.policy:
-        policy = load_policy(args.policy)
-    else:
-        named = sorted(bundle.policies)
-        if not named:
-            print("no policy given and the bundle carries none", file=sys.stderr)
-            return EXIT_INPUT
-        policy = bundle.policies[named[0]]
-    try:
-        report = check_dynamic_relations(
-            bundle.tree, bundle.cost, bundle.cls, policy, tol=args.tolerance, cap=args.cap
-        )
-    except InfeasiblePolicyError as exc:
-        print(f"infeasible policy: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    bundle, policy = _bundle_and_policy(args)
+    report = check_dynamic_relations(
+        bundle.tree, bundle.cost, bundle.cls, policy, tol=args.tolerance, cap=args.cap
+    )
     payload = report.to_json()
     payload["input"] = args.input
     payload["kind"] = bundle.cls.kind
@@ -261,10 +245,6 @@ def cmd_demo_interchange(args) -> int:
 def cmd_mdp_solve(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         mdp = mdp_from_json(json.load(fh))
-    problems = mdp.validate()
-    if problems:
-        print("invalid MDP:", "; ".join(problems), file=sys.stderr)
-        return EXIT_INPUT
     values, greedy = mdp_backward_induction(mdp, horizon=args.horizon)
     report = {
         "input": args.input,
@@ -283,10 +263,6 @@ def cmd_mdp_solve(args) -> int:
 def cmd_value_iterate(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         mdp = mdp_from_json(json.load(fh))
-    problems = mdp.validate()
-    if problems:
-        print("invalid MDP:", "; ".join(problems), file=sys.stderr)
-        return EXIT_INPUT
     try:
         result = value_iteration(mdp, epsilon=args.tolerance, max_iters=args.max_iters)
     except ConvergenceError as exc:
@@ -408,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
         return HANDLERS[args.command](args)
     except EnumerationCapError as exc:
         print(f"enumeration too large: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except InfeasiblePolicyError as exc:
+        print(f"infeasible policy: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (InputFormatError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -47,10 +47,12 @@ def u_window(decisions: Sequence[Vector], t: int, lag: int) -> Window:
 
 
 class GridWindow:
-    """A decision window over a grid product.
+    """A window over a grid product.
 
-    Window position j holds the candidate decisions of output axis
-    ``axes[j]`` of an array with ``ndim`` axes, one per stage of the path.
+    Window position j holds the candidate vectors of output axis ``axes[j]``
+    of an array with ``ndim`` axes: on a tree, the decisions of each stage
+    of the path; in the stagewise recursion, also the states and noise
+    values.
     """
 
     def __init__(self, grids: Sequence[Sequence[Vector]], axes: Sequence[int], ndim: int):
@@ -210,10 +212,10 @@ def _unbounded(value: float) -> UnboundedObjectiveError:
 # windows (observations, decisions), so that calling it costs no more than
 # any raw callable. It carries two attributes: ``grid(xs, us)``, the same
 # evaluation with ``us`` a :class:`GridWindow` (every decision position
-# ranging over its grid), returning an array that broadcasts to the grid
-# product with the same float operations in the same order; and
-# ``problems(T, window, dims, magnitudes)``, the payload's faults on a tree
-# (see :func:`cost_problems`).
+# ranging over its grid; a ``poly`` also takes ``xs`` as one), returning an
+# array that broadcasts to the grid product with the same float operations
+# in the same order; and ``problems(T, window, dims, magnitudes)``, the
+# payload's faults where it is evaluated (see :func:`cost_problems`).
 
 
 def _no_problems(T, window, dims, magnitudes) -> list[str]:
@@ -257,24 +259,24 @@ def poly_cost(terms: Sequence[Term], window_relative: bool):
             total += prod
         return total
 
-    def grid(xs: Window, us: GridWindow):
-        u_factors: dict[tuple[int, int, int], np.ndarray] = {}
+    def grid(xs: Window | GridWindow, us: GridWindow):
+        factors: dict[tuple[str, int, int, int], np.ndarray] = {}
         total = 0.0
         for coef, variables in terms:
             prod = coef
             for role, index, comp, power in variables:
-                n = len(xs) if role == "x" else len(us)
-                pos = n - 1 - index if window_relative else index
-                if not 0 <= pos < n:
+                seq = xs if role == "x" else us
+                pos = len(seq) - 1 - index if window_relative else index
+                if not 0 <= pos < len(seq):
                     prod = 0.0
                     break
-                if role == "x":
-                    prod = prod * xs[pos][comp] ** power
+                if not isinstance(seq, GridWindow):
+                    prod = prod * seq[pos][comp] ** power
                     continue
-                key = (pos, comp, power)
-                if key not in u_factors:
-                    u_factors[key] = us.factor(pos, lambda u, c=comp, p=power: u[c] ** p)
-                prod = prod * u_factors[key]
+                key = (role, pos, comp, power)
+                if key not in factors:
+                    factors[key] = seq.factor(pos, lambda v, c=comp, p=power: v[c] ** p)
+                prod = prod * factors[key]
             total = total + prod
         return total
 
@@ -404,6 +406,25 @@ def table_objective(entries: Sequence[dict], atol: float = EQUALITY_TOL):
     return evaluate
 
 
+def stage_magnitudes(vectors: Callable[[str, int], Sequence[Vector]]):
+    """The ``magnitudes(role, stage, comp)`` argument of ``problems``.
+
+    It returns the smallest and largest |entry comp| of the observations
+    (role ``"x"``) or decisions (``"u"``) that ``vectors(role, stage)``
+    lists, or None when there are none.
+    """
+    sizes: dict[tuple[str, int, int], tuple[float, float] | None] = {}
+
+    def magnitudes(role: str, stage: int, comp: int) -> tuple[float, float] | None:
+        key = (role, stage, comp)
+        if key not in sizes:
+            found = [abs(vec[comp]) for vec in vectors(role, stage) if len(vec) > comp]
+            sizes[key] = (min(found), max(found)) if found else None
+        return sizes[key]
+
+    return magnitudes
+
+
 def cost_problems(cost: CostSpec, tree, cls) -> list[str]:
     """Faults of a compiled cost payload against the tree and class it is solved on.
 
@@ -417,21 +438,13 @@ def cost_problems(cost: CostSpec, tree, cls) -> list[str]:
     T = tree.horizon
     dims = {"x": tree.obs_dim, "u": cls.decision_dim}
 
-    sizes: dict[tuple[str, int, int], tuple[float, float] | None] = {}
+    def vectors(role: str, stage: int) -> list[Vector]:
+        ids = tree.stage_nodes(stage)
+        if role == "x":
+            return [tree.nodes[i].obs for i in ids]
+        return [u for i in ids for u in cls.feasible.get(i, ())]
 
-    def magnitudes(role: str, stage: int, comp: int) -> tuple[float, float] | None:
-        """Smallest and largest |entry comp| of a stage's observations or decisions."""
-        key = (role, stage, comp)
-        if key not in sizes:
-            ids = tree.stage_nodes(stage)
-            if role == "x":
-                vectors = [tree.nodes[i].obs for i in ids]
-            else:
-                vectors = [u for i in ids for u in cls.feasible.get(i, ())]
-            found = [abs(vec[comp]) for vec in vectors if len(vec) > comp]
-            sizes[key] = (min(found), max(found)) if found else None
-        return sizes[key]
-
+    magnitudes = stage_magnitudes(vectors)
     if cost.form == "general":
         if not hasattr(cost.objective, "problems"):
             return []

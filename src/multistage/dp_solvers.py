@@ -30,7 +30,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .costs import CostSpec, u_window, x_window
+from .costs import (
+    CostSpec,
+    GridWindow,
+    _callable_from_json,
+    stage_magnitudes,
+    u_window,
+    x_window,
+)
 from .exceptions import (
     ConvergenceError,
     InputFormatError,
@@ -482,9 +489,11 @@ class SddpSpec:
 
     ``stage_noise[t]`` is the distribution of X_{t+1} as (probability,
     value) pairs, independent of everything before it; the state transition
-    is x_{t+1} = X_{t+1}. ``step_cost`` maps (x_t, x_{t+1}, u_t) to the cost
-    incurred on the step; pass ``stage_step_costs`` for stage-dependent
-    costs.
+    is x_{t+1} = X_{t+1}. ``step_cost`` is the cost incurred on the step in
+    window form, ``c(xs, us)`` with ``xs = (x_t, x_{t+1})`` and
+    ``us = (u_t,)``: the lag-1 stage cost c_{t+1} of an additive tree cost,
+    with the same callable shape. Pass ``stage_step_costs`` for
+    stage-dependent costs.
     """
 
     initial_state: tuple[float, ...]
@@ -492,7 +501,7 @@ class SddpSpec:
     stage_noise: tuple[tuple[tuple[float, tuple[float, ...]], ...], ...]
     stage_decisions: tuple[tuple[Decision, ...], ...]
     gamma: float
-    step_cost: Callable[[tuple, tuple, Decision], float] | None = None
+    step_cost: Callable[[tuple, tuple], float] | None = None
     stage_step_costs: tuple[Callable, ...] | None = None
     payload: dict | None = None
 
@@ -508,6 +517,11 @@ class SddpSpec:
             )
         if self.step_cost is None and self.stage_step_costs is None:
             raise InputFormatError("either step_cost or stage_step_costs is required")
+        if self.stage_step_costs is not None and len(self.stage_step_costs) < self.horizon:
+            raise InputFormatError(
+                f"{len(self.stage_step_costs)} stage costs cannot cover horizon "
+                f"{self.horizon}"
+            )
         for t, atoms in enumerate(self.stage_noise):
             total = sum(p for p, _ in atoms)
             if abs(total - 1.0) > KERNEL_TOL:
@@ -541,9 +555,11 @@ class SddpResult:
 def sddp_recursion(spec: SddpSpec) -> SddpResult:
     """Exact solve of the stagewise independent dynamic equation.
 
-    Vtilde_t(x) = min_u E[ c_{t+1}(x, X_{t+1}, u) + gamma Vtilde_{t+1}(X_{t+1}) ]
+    Vtilde_t(x) = min_u E[ c_{t+1}((x, X_{t+1}), (u,)) + gamma Vtilde_{t+1}(X_{t+1}) ]
     with an unconditional expectation: independence makes conditioning on
-    x_t irrelevant for the law of X_{t+1}.
+    x_t irrelevant for the law of X_{t+1}. A compiled step cost fills each
+    stage's step array with one ``grid`` call; any other cost is called
+    entry by entry.
     """
     T = spec.horizon
     values: list[dict[tuple[float, ...], float]] = [dict() for _ in range(T + 1)]
@@ -556,15 +572,24 @@ def sddp_recursion(spec: SddpSpec) -> SddpResult:
         decisions = spec.stage_decisions[t]
         if not decisions:
             raise MultistageError(f"no decisions at stage {t}")
-        states = spec.support(t)
-        step = np.array([  # step[x, u, j] = c(x, xi_j, u)
-            [[float(cost(x, xi, u)) for _, xi in atoms] for u in decisions] for x in states
-        ])
+        states, outcomes = spec.support(t), spec.support(t + 1)
+        shape = (len(states), len(outcomes), len(decisions))
+        if hasattr(cost, "grid"):  # step[x, j, u] = c((x, xi_j), (u,))
+            with np.errstate(all="ignore"):
+                step = cost.grid(
+                    GridWindow([states, outcomes], [0, 1], 3), GridWindow([decisions], [2], 3)
+                )
+            step = np.broadcast_to(step, shape)
+        else:
+            step = np.array([
+                [[float(cost((x, xi), (u,))) for u in decisions] for xi in outcomes]
+                for x in states
+            ])
         best, arg = _bellman_min(
-            np.broadcast_to([p for p, _ in atoms], (len(states), len(atoms))),
-            np.moveaxis(step, 1, 2),
+            np.broadcast_to([p for p, _ in atoms], shape[:2]),
+            step,
             spec.gamma,
-            np.array([values[t + 1][xi] for _, xi in atoms]),
+            np.array([values[t + 1][xi] for xi in outcomes]),
         )
         for k, x in enumerate(states):
             values[t][x] = float(best[k])
@@ -597,17 +622,8 @@ def sddp_to_product_tree(spec: SddpSpec) -> tuple[ScenarioTree, CostSpec, Policy
                 new_frontier.append(nid)
         frontier = new_frontier
     tree = ScenarioTree(nodes, horizon=spec.horizon, obs_dim=len(spec.initial_state))
-
-    def stage_cost(t: int):
-        cost = spec.cost_at(t - 1)
-
-        def c(xw, uw):
-            return float(cost(xw[-2], xw[-1], uw[-1]))
-
-        return c
-
     cost_spec = CostSpec.additive(
-        stage_costs=tuple(stage_cost(t) for t in range(1, spec.horizon + 1)),
+        stage_costs=tuple(spec.cost_at(t) for t in range(spec.horizon)),
         gamma=spec.gamma,
         lag=1,
     )
@@ -655,7 +671,7 @@ def sddp_to_mdp(spec: SddpSpec) -> tuple[MDPSpec, int]:
     for i, x in enumerate(states):
         for j, y in enumerate(states):
             for a, u in enumerate(actions):
-                cost[i, j, a] = float(spec.step_cost(x, y, u))
+                cost[i, j, a] = float(spec.step_cost((x, y), (u,)))
     mdp = MDPSpec(
         states=tuple(states),
         actions=tuple(actions),
@@ -784,83 +800,48 @@ def mdp_to_json(mdp: MDPSpec) -> dict:
     return out
 
 
-def _step_cost_from_json(
-    spec: dict, dims: dict[str, int], values: dict[str, list[tuple[float, ...]]]
-) -> Callable:
-    """Step cost c(x, w, u) from JSON.
+# Step-cost roles in window form: (role, offset from the window end).
+_STEP_ROLES = {"x": ("x", 1), "w": ("x", 0), "u": ("u", 0)}
 
-    ``dims`` bounds each role's poly components. ``values`` lists the noise
-    values (w) and decisions (u) the cost is evaluated at: a poly term that
-    would raise a 0 among them to a negative power is rejected here. States
-    (x) are only known along the solve, so a 0 state under a negative power
-    raises :class:`MultistageError` when it is reached.
+
+def _step_cost_from_json(spec: dict, dims: dict[str, int]) -> Callable:
+    """Step cost from JSON, compiled as the lag-1 window cost c((x, w), (u,)).
+
+    The payload names the state x = x_t, the noise value w = x_{t+1} and the
+    decision u = u_t. A ``poly`` term's variables map to the window roles
+    of :func:`costs.poly_cost` (``dims`` bounds each role's components), a
+    ``table`` entry ``{x, w, u, value}`` to ``{"x": [x, w], "u": [u], "value"}``.
     """
     if "poly" in spec:
-        terms = [
-            (float(term["coef"]), [(str(r), int(c), int(p)) for r, c, p in term["vars"]])
-            for term in spec["poly"]["terms"]
-        ]
-        for k, (_, variables) in enumerate(terms):
-            for role, comp, power in variables:
+        terms = []
+        for k, term in enumerate(spec["poly"]["terms"]):
+            variables = []
+            for role, comp, power in term["vars"]:
+                role, comp = str(role), int(comp)
                 if not 0 <= comp < dims.get(role, 0):
                     raise InputFormatError(
                         f"step-cost term {k}: no component {comp} of role {role!r} {dims}"
                     )
-                if power < 0 and any(vec[comp] == 0.0 for vec in values.get(role, ())):
-                    raise InputFormatError(
-                        f"step-cost term {k}: component {comp} of role {role!r} takes "
-                        f"the value 0 under the negative power {power}"
-                    )
-
-        def poly(x, w, u):
-            total = 0.0
-            seqs = {"x": x, "w": w, "u": u}
-            try:
-                for coef, variables in terms:
-                    prod = coef
-                    for role, comp, power in variables:
-                        prod *= seqs[role][comp] ** power
-                    total += prod
-            except ZeroDivisionError:
-                k, role, comp, power = next(
-                    (k, role, comp, power)
-                    for k, (_, variables) in enumerate(terms)
-                    for role, comp, power in variables
-                    if power < 0 and seqs[role][comp] == 0.0
-                )
-                raise MultistageError(
-                    f"step-cost term {k}: component {comp} of role {role!r} is 0 under "
-                    f"the negative power {power} at x={x}, w={w}, u={u}"
-                ) from None
-            return total
-
-        return poly
+                variables.append([*_STEP_ROLES[role], comp, power])
+            terms.append({"coef": term["coef"], "vars": variables})
+        return _callable_from_json({"poly": {"terms": terms}}, window_relative=True)
     if "table" in spec:
-        atol = float(spec["table"].get("atol", EQUALITY_TOL))
         entries = [
-            (
-                tuple(float(v) for v in e["x"]),
-                tuple(float(v) for v in e["w"]),
-                tuple(float(v) for v in e["u"]),
-                float(e["value"]),
-            )
+            {"x": [e["x"], e["w"]], "u": [e["u"]], "value": e["value"]}
             for e in spec["table"]["entries"]
         ]
-
-        def close(a, b):
-            return len(a) == len(b) and all(abs(p - q) <= atol for p, q in zip(a, b))
-
-        def table(x, w, u):
-            for ex, ew, eu, value in entries:
-                if close(x, ex) and close(w, ew) and close(u, eu):
-                    return value
-            raise MultistageError(f"no step-cost entry for x={x}, w={w}, u={u}")
-
-        return table
+        table = {**spec["table"], "entries": entries}
+        return _callable_from_json({"table": table}, window_relative=True)
     raise InputFormatError("step cost spec needs one of: poly, table")
 
 
 def sddp_from_json(data: dict) -> SddpSpec:
+    """Stagewise independent problem from JSON, its step costs checked at load.
+
+    A compiled step cost's ``problems`` runs at every stage t < horizon, on
+    the states, noise values and decisions of that step, so a 0 under a
+    negative power or a power that overflows a float is rejected here.
+    """
     try:
         stage_noise = tuple(
             tuple((float(a["prob"]), tuple(float(x) for x in a["value"])) for a in atoms)
@@ -877,33 +858,37 @@ def sddp_from_json(data: dict) -> SddpSpec:
             "w": min(noise_dims, default=0),
             "u": min((len(u) for grid in stage_decisions for u in grid), default=0),
         }
-
-        def stage_values(stages):
-            """Noise values and decisions of the given stages."""
-            return {
-                "w": [v for t in stages if t < len(stage_noise) for _, v in stage_noise[t]],
-                "u": [u for t in stages if t < len(stage_decisions) for u in stage_decisions[t]],
-            }
-
-        every_stage = range(max(len(stage_noise), len(stage_decisions)))
-        step_cost = None
-        stage_step_costs = None
-        if "cost" in data:
-            step_cost = _step_cost_from_json(data["cost"], dims, stage_values(every_stage))
-        if "stage_costs" in data:
-            stage_step_costs = tuple(
-                _step_cost_from_json(spec, dims, stage_values([t]))
-                for t, spec in enumerate(data["stage_costs"])
-            )
-        return SddpSpec(
+        spec = SddpSpec(
             initial_state=initial_state,
             horizon=int(data["horizon"]),
             stage_noise=stage_noise,
             stage_decisions=stage_decisions,
             gamma=float(data["gamma"]),
-            step_cost=step_cost,
-            stage_step_costs=stage_step_costs,
+            step_cost=_step_cost_from_json(data["cost"], dims) if "cost" in data else None,
+            stage_step_costs=(
+                tuple(_step_cost_from_json(c, dims) for c in data["stage_costs"])
+                if "stage_costs" in data
+                else None
+            ),
             payload=data,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed stagewise-independent JSON: {exc}") from exc
+
+    # In the window (t + 1, 1), x[1] = x_t and u[0] = u_t are read at stage t
+    # and the noise value x[0] = x_{t+1} at stage t + 1.
+    magnitudes = stage_magnitudes(
+        lambda role, t: spec.stage_decisions[t] if role == "u" else spec.support(t)
+    )
+    window_dims = {"x": max(dims["x"], dims["w"]), "u": dims["u"]}
+    problems = [
+        f"step-cost {p}"
+        for t in range(spec.horizon)
+        if hasattr(spec.cost_at(t), "problems")
+        for p in spec.cost_at(t).problems(spec.horizon, (t + 1, 1), window_dims, magnitudes)
+    ]
+    if problems:
+        raise InputFormatError(
+            "; ".join(problems) + " (x[1] is the state x, x[0] the noise value w)"
+        )
+    return spec

@@ -273,7 +273,8 @@ def random_sddp(
         }
     }
 
-    def step_cost(x, w, u):
+    def step_cost(xs, us):
+        (x, w), (u,) = xs, us
         return a * (u[0] - b * w[0]) ** 2 + c * x[0] * u[0]
 
     return SddpSpec(

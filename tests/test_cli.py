@@ -510,6 +510,36 @@ class TestSddpCommand:
         assert "step-cost term 4" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_overflowing_step_cost_term_exits_three(self, tmp_path, capsys):
+        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        payload["stage_decisions"][0][0] = [10.0]
+        payload["cost"]["poly"]["terms"].append({"coef": 1.0, "vars": [["u", 0, 400]]})
+        path = write_json(tmp_path / "sddp.json", payload)
+        assert main(["sddp-solve", "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "step-cost term 4" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_missing_table_entry_names_state_noise_and_decision(self, tmp_path, capsys):
+        spec = random_sddp(rng_from_seed(8), horizon=1)
+        x, u = spec.initial_state, spec.stage_decisions[0][0]
+        entries = [
+            {"x": list(x), "w": list(w), "u": list(v), "value": 1.0}
+            for w in spec.support(1)
+            for v in spec.stage_decisions[0]
+        ]
+        missing = entries.pop(0)
+        payload = dict(spec.payload, cost={"table": {"entries": entries}})
+        path = write_json(tmp_path / "sddp.json", payload)
+        assert main(["sddp-solve", "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert missing["u"] == list(u)
+        for value in (x[0], missing["w"][0], u[0]):
+            assert repr(value) in captured.err
+
 
 class TestArguments:
     def run_cli(self, args):

@@ -397,7 +397,7 @@ class TestSddp:
             stage_noise=(((1.0, (1.0,)),), ((1.0, (2.0,)),)),
             stage_decisions=(((0.0,), (1.0,)), ((0.0,), (1.0,))),
             gamma=0.5,
-            step_cost=lambda x, w, u: (u[0] - w[0]) ** 2,
+            step_cost=lambda xs, us: (us[0][0] - xs[1][0]) ** 2,
         )
         result = sddp_recursion(spec)
         # stage 1: best u against w=2 is u=1, cost 1; stage 0: u=1 hits w=1
@@ -465,6 +465,82 @@ class TestSddp:
             previous = values[0]
 
 
+def stagewise_payload(seed: int, variant: str) -> dict:
+    """A ``random_sddp`` payload with a stationary ``cost``, per-stage
+    ``stage_costs`` or 2-dimensional states."""
+    rng = rng_from_seed(seed)
+    payload = random_sddp(rng, horizon=3, n_atoms=3, n_decisions=3, gamma=0.7).payload
+    terms = payload["cost"]["poly"]["terms"]
+    terms.append({"coef": 0.2, "vars": [["u", 0, 4], ["x", 0, -2]]})
+    if variant == "stage_costs":
+        payload["stage_costs"] = [
+            {"poly": {"terms": [
+                {"coef": float(rng.uniform(0.5, 2.0)) * t["coef"], "vars": t["vars"]}
+                for t in terms
+            ]}}
+            for _ in range(3)
+        ]
+        del payload["cost"]
+    elif variant == "2d":
+        payload["initial_state"].append(float(rng.uniform(0.5, 1.0)))
+        for atoms in payload["stage_noise"]:
+            for atom in atoms:
+                atom["value"].append(float(rng.uniform(0.5, 1.0)))
+        terms.append({"coef": -0.3, "vars": [["x", 1, 1], ["w", 1, 3], ["u", 0, 1]]})
+        terms.append({"coef": 0.1, "vars": [["w", 0, 1], ["x", 1, -1]]})
+    return payload
+
+
+def per_entry(spec: SddpSpec) -> SddpSpec:
+    """The same problem with every step cost a plain callable, solved entry by entry."""
+
+    def plain(c):
+        return lambda xs, us: c(xs, us)
+
+    if spec.stage_step_costs is not None:
+        return replace(spec, stage_step_costs=tuple(plain(c) for c in spec.stage_step_costs))
+    return replace(spec, step_cost=plain(spec.step_cost))
+
+
+class TestStagewiseCostCompiler:
+    @pytest.mark.parametrize("variant", ["cost", "stage_costs", "2d"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grid_path_is_bit_equal_to_the_per_entry_path(self, variant, seed):
+        spec = sddp_from_json(stagewise_payload(900 + seed, variant))
+        assert all(hasattr(spec.cost_at(t), "grid") for t in range(spec.horizon))
+        a = sddp_recursion(spec)
+        b = sddp_recursion(per_entry(spec))
+        for level_a, level_b in zip(a.values, b.values):
+            assert {x: v.hex() for x, v in level_a.items()} == {
+                x: v.hex() for x, v in level_b.items()
+            }
+        assert a.greedy == b.greedy
+
+    def test_table_covering_every_entry_solves_like_the_poly(self):
+        payload = stagewise_payload(910, "cost")
+        spec = sddp_from_json(payload)
+        table = {}
+        for t in range(spec.horizon):
+            for x in spec.support(t):
+                for w in spec.support(t + 1):
+                    for u in spec.stage_decisions[t]:
+                        table[(x, w, u)] = spec.step_cost((x, w), (u,))
+        payload["cost"] = {"table": {"entries": [
+            {"x": list(x), "w": list(w), "u": list(u), "value": v}
+            for (x, w, u), v in table.items()
+        ]}}
+        a = sddp_recursion(spec)
+        b = sddp_recursion(sddp_from_json(payload))
+        assert a.values == b.values
+        assert a.greedy == b.greedy
+
+    def test_stage_costs_must_cover_the_horizon(self):
+        payload = stagewise_payload(911, "stage_costs")
+        payload["stage_costs"].pop()
+        with pytest.raises(InputFormatError, match="2 stage costs cannot cover horizon 3"):
+            sddp_from_json(payload)
+
+
 class TestJsonRoundTrips:
     def test_mdp_round_trip(self):
         mdp = random_mdp(rng_from_seed(71), action_dependent=True)
@@ -496,5 +572,5 @@ class TestJsonRoundTrips:
                 stage_noise=(((1.0, (float("inf"),)),),),
                 stage_decisions=(((0.0,),),),
                 gamma=0.5,
-                step_cost=lambda x, w, u: 0.0,
+                step_cost=lambda xs, us: 0.0,
             )
