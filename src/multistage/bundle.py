@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 from .costs import CostSpec, cost_from_json, cost_problems, cost_to_json, verify_holder
-from .exceptions import InputFormatError
+from .exceptions import InputFormatError, require_object
 from .policy import (
     Policy,
     PolicyClass,
@@ -61,6 +61,7 @@ class ProblemBundle:
 
 
 def bundle_from_json(data: dict) -> ProblemBundle:
+    require_object(data, "bundle")
     try:
         tree = tree_from_json(data["tree"])
         cost = cost_from_json(data["cost"])
@@ -69,7 +70,7 @@ def bundle_from_json(data: dict) -> ProblemBundle:
         raise InputFormatError(f"bundle JSON is missing {exc}") from exc
     policies = {
         str(name): policy_from_json(raw)
-        for name, raw in data.get("policies", {}).items()
+        for name, raw in require_object(data.get("policies", {}), "bundle policies").items()
     }
     return ProblemBundle(tree=tree, cost=cost, cls=cls, policies=policies)
 

@@ -28,6 +28,7 @@ from .exceptions import (
     InfeasiblePolicyError,
     InputFormatError,
     MultistageError,
+    require_object,
 )
 from .generate import interchange_fixture, rng_from_seed
 from .policy import DEFAULT_ENUMERATION_CAP, load_policy
@@ -71,7 +72,7 @@ def _policy_json(policy) -> dict:
 
 def cmd_validate(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = require_object(json.load(fh), args.input)
     if "tree" in data:
         from .bundle import bundle_from_json
 

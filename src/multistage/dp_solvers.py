@@ -42,8 +42,9 @@ from .exceptions import (
     ConvergenceError,
     InputFormatError,
     MultistageError,
+    UnboundedObjectiveError,
 )
-from .policy import Decision, Policy, PolicyClass
+from .policy import DEFAULT_ENUMERATION_CAP, Decision, Policy, PolicyClass
 from .scenario_tree import Node, ScenarioTree, path
 from .tolerances import EQUALITY_TOL, KERNEL_TOL
 from .value_process import ValueTables
@@ -374,7 +375,7 @@ def lag_recursion_check(
     cost: CostSpec,
     cls: PolicyClass,
     tol: float = EQUALITY_TOL,
-    cap: int = 10_000_000,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> LagRecursionReport:
     """Verify the lag-l structure and the windowed recursion on a tree.
 
@@ -585,6 +586,13 @@ def sddp_recursion(spec: SddpSpec) -> SddpResult:
                 [[float(cost((x, xi), (u,))) for u in decisions] for xi in outcomes]
                 for x in states
             ])
+        bad = np.argwhere(~np.isfinite(step))
+        if len(bad):
+            k, j, i = bad[0]
+            raise UnboundedObjectiveError(
+                f"step cost of stage {t} evaluated to {float(step[k, j, i])!r} at "
+                f"x={states[k]!r}, w={outcomes[j]!r}, u={decisions[i]!r}; it must be finite"
+            )
         best, arg = _bellman_min(
             np.broadcast_to([p for p, _ in atoms], shape[:2]),
             step,

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON object check that
+raises one."""
 
 from __future__ import annotations
 
@@ -85,3 +86,10 @@ class ConvergenceError(MultistageError):
         )
         self.max_iters = max_iters
         self.residuals = residuals
+
+
+def require_object(value, what: str) -> dict:
+    """``value`` itself if it is a JSON object; an input error naming ``what`` otherwise."""
+    if not isinstance(value, dict):
+        raise InputFormatError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value

@@ -2,15 +2,22 @@
 
 A :class:`Policy` attaches one decision vector to every tree node, which
 makes it adapted to the filtration by construction: the stage-t decision is
-a function of the stage-t atom. A :class:`PolicyClass` attaches a finite
-feasible set to every node and comes in two kinds:
+a function of the stage-t atom. A :class:`PolicyClass` is a finite feasible
+set per node plus one slot map (:meth:`PolicyClass.slots`), which says which
+nodes share a decision: every node has a slot, all nodes of one slot take
+the same decision, and each slot has a grid of candidates. A policy belongs
+to the class when every node's decision lies in its feasible set and every
+slot holds one decision. The class's ``kind`` fixes the map:
 
-* ``nodewise`` classes pick decisions per node independently. They are
-  closed under pasting two members along any measurable set, i.e.
-  decomposable by construction.
-* ``history_blind`` classes force all nodes of a stage to share one value.
-  With at least two same-stage nodes and two candidate values they are the
-  simplest enumerable classes that are not decomposable.
+* ``nodewise``: every node is its own slot, with its feasible set as grid.
+  These classes are closed under pasting two members along any measurable
+  set, i.e. decomposable by construction.
+* ``history_blind``: one slot per stage, whose grid holds the values feasible
+  at every node of the stage. With at least two same-stage nodes and two
+  candidate values they are the simplest enumerable classes that are not
+  decomposable.
+
+Enumeration walks the product of the slot grids, slots in order.
 
 The module also provides the bridge between the two representations of a
 control process: leaf-indexed tables (one full decision sequence per
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -33,6 +41,7 @@ from .exceptions import (
     NotAdaptedError,
     PastingInfeasibleError,
     UnknownNodeError,
+    require_object,
 )
 from .scenario_tree import ScenarioTree
 from .tolerances import ADAPTED_TOL
@@ -74,7 +83,7 @@ class Policy:
 
 @dataclass(frozen=True)
 class PolicyClass:
-    """Finite feasible decision sets per node, with a sharing discipline."""
+    """Finite feasible decision sets per node and a slot map of shared decisions."""
 
     feasible: dict[int, tuple[Decision, ...]]
     kind: str
@@ -112,95 +121,93 @@ class PolicyClass:
         rest = [set(self.feasible[i]) for i in ids[1:]]
         return tuple(u for u in first if all(u in s for s in rest))
 
+    def slots(
+        self, tree: ScenarioTree
+    ) -> tuple[tuple[int, ...], tuple[tuple[Decision, ...], ...]]:
+        """Which nodes share a decision: ``(slot_of_node, slot_grids)``.
+
+        ``slot_of_node[n]`` is the slot of node n and ``slot_grids[s]`` the
+        candidates of slot s; slots are numbered 0..S-1 in enumeration order.
+        A nodewise class gives node n slot n with grid ``feasible[n]``; a
+        history-blind class gives every stage-t node slot t with grid
+        :meth:`stage_grid`.
+        """
+        if self.kind == "nodewise":
+            return (
+                tuple(n.id for n in tree.nodes),
+                tuple(self.feasible[n.id] for n in tree.nodes),
+            )
+        return (
+            tuple(n.stage for n in tree.nodes),
+            tuple(self.stage_grid(tree, t) for t in range(tree.horizon + 1)),
+        )
+
     def feasible_at(self, tree: ScenarioTree, node_id: int) -> tuple[Decision, ...]:
         """Stage decisions achievable at one node (atom) of the tree."""
-        if self.kind == "nodewise":
-            return self.feasible[node_id]
-        return self.stage_grid(tree, tree.node(node_id).stage)
+        slot_of, grids = self.slots(tree)
+        return grids[slot_of[tree.node(node_id).id]]
 
     def count(self, tree: ScenarioTree) -> int:
-        """Number of policies in the class."""
-        total = 1
-        if self.kind == "nodewise":
-            for n in tree.nodes:
-                total *= len(self.feasible[n.id])
-        else:
-            for t in range(tree.horizon + 1):
-                total *= len(self.stage_grid(tree, t))
-        return total
+        """Number of policies in the class: the product of the slot grid sizes."""
+        return math.prod(len(g) for g in self.slots(tree)[1])
 
     def contains(self, tree: ScenarioTree, policy: Policy) -> bool:
         """Feasibility of a policy in this class (exact membership)."""
         for n in tree.nodes:
-            if n.id not in policy.decisions:
+            if policy.decisions.get(n.id) not in self.feasible[n.id]:
                 return False
-            if policy.decisions[n.id] not in self.feasible[n.id]:
-                return False
-        if self.kind == "history_blind":
-            for t in range(tree.horizon + 1):
-                ids = tree.stage_nodes(t)
-                if len({policy.decisions[i] for i in ids}) > 1:
-                    return False
-        return True
+        return _split_slot(self.slots(tree)[0], policy) is None
+
+
+def _split_slot(slot_of: Sequence[int], policy: Policy) -> int | None:
+    """The first slot whose nodes hold more than one decision, if any."""
+    held: dict[int, set[Decision]] = {}
+    for nid, s in enumerate(slot_of):
+        held.setdefault(s, set()).add(policy.decisions[nid])
+    return min((s for s, decs in held.items() if len(decs) > 1), default=None)
 
 
 # -- enumeration -------------------------------------------------------------
 
 
-def enumeration_slots(
-    tree: ScenarioTree, cls: PolicyClass
-) -> tuple[tuple[int, ...], tuple[tuple[Decision, ...], ...]]:
-    """Free slots of the class and their candidate lists, in canonical order.
-
-    Nodewise classes have one slot per node (ordered by id); history-blind
-    classes have one slot per stage. The enumeration below iterates the
-    Cartesian product of the candidate lists lexicographically, so runs are
-    reproducible.
-    """
-    if cls.kind == "nodewise":
-        slots = tuple(n.id for n in tree.nodes)
-        grids = tuple(cls.feasible[i] for i in slots)
-    else:
-        slots = tuple(range(tree.horizon + 1))
-        grids = tuple(cls.stage_grid(tree, t) for t in slots)
-    return slots, grids
-
-
-def iter_policy_indices(
-    tree: ScenarioTree, cls: PolicyClass, cap: int = DEFAULT_ENUMERATION_CAP
+def _index_product(
+    grids: Sequence[Sequence[Decision]], cap: int
 ) -> Iterator[tuple[int, ...]]:
-    """Yield index tuples into the enumeration slots, lexicographically."""
-    _, grids = enumeration_slots(tree, cls)
-    count = cls.count(tree)
+    """Index tuples into the slot grids, lexicographically; their count is
+    checked against ``cap`` before this returns."""
+    count = math.prod(len(g) for g in grids)
     if count > cap:
         raise EnumerationCapError(count, cap)
-    if any(not g for g in grids):
-        return iter(())
     return itertools.product(*(range(len(g)) for g in grids))
+
+
+def _policy_at(
+    cls: PolicyClass,
+    slot_of: Sequence[int],
+    grids: Sequence[Sequence[Decision]],
+    indices: Sequence[int],
+) -> Policy:
+    """The policy that gives every node entry ``indices[s]`` of its slot's grid."""
+    return Policy(
+        decisions={nid: grids[s][indices[s]] for nid, s in enumerate(slot_of)},
+        decision_dim=cls.decision_dim,
+    )
 
 
 def policy_from_indices(
     tree: ScenarioTree, cls: PolicyClass, indices: Sequence[int]
 ) -> Policy:
     """Materialize the policy selected by one enumeration index tuple."""
-    slots, grids = enumeration_slots(tree, cls)
-    decisions: dict[int, Decision] = {}
-    if cls.kind == "nodewise":
-        for slot, grid, idx in zip(slots, grids, indices):
-            decisions[slot] = grid[idx]
-    else:
-        for t, grid, idx in zip(slots, grids, indices):
-            for nid in tree.stage_nodes(t):
-                decisions[nid] = grid[idx]
-    return Policy(decisions=decisions, decision_dim=cls.decision_dim)
+    return _policy_at(cls, *cls.slots(tree), indices)
 
 
 def enumerate_policies(
     tree: ScenarioTree, cls: PolicyClass, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[Policy]:
     """Every policy of the class exactly once, in reproducible order."""
-    for indices in iter_policy_indices(tree, cls, cap=cap):
-        yield policy_from_indices(tree, cls, indices)
+    slot_of, grids = cls.slots(tree)
+    for indices in _index_product(grids, cap):
+        yield _policy_at(cls, slot_of, grids, indices)
 
 
 # -- adaptedness and factorization -------------------------------------------
@@ -315,12 +322,11 @@ def paste(
         decisions[n.id] = (u1 if inside else u2).decisions[n.id]
     pasted = Policy(decisions=decisions, decision_dim=cls.decision_dim)
 
-    if not cls.contains(tree, pasted):
-        for t in range(tree.horizon + 1):
-            ids = tree.stage_nodes(t)
-            if len({pasted.decisions[i] for i in ids}) > 1:
-                raise PastingInfeasibleError(t, ids, pasted)
-        raise PastingInfeasibleError(-1, (), pasted)
+    slot_of = cls.slots(tree)[0]
+    split = _split_slot(slot_of, pasted)
+    if split is not None:
+        ids = tuple(nid for nid, s in enumerate(slot_of) if s == split)
+        raise PastingInfeasibleError(tree.node(ids[0]).stage, ids, pasted)
     return pasted
 
 
@@ -335,9 +341,11 @@ def policy_to_json(policy: Policy) -> dict:
 
 
 def policy_from_json(data: dict) -> Policy:
+    require_object(data, "policy")
     try:
+        decisions = require_object(data["decisions"], "policy decisions")
         return Policy(
-            decisions={int(k): tuple(v) for k, v in data["decisions"].items()},
+            decisions={int(k): tuple(v) for k, v in decisions.items()},
             decision_dim=int(data["decision_dim"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -355,12 +363,11 @@ def policy_class_to_json(cls: PolicyClass) -> dict:
 
 
 def policy_class_from_json(data: dict) -> PolicyClass:
+    require_object(data, "policy class")
     try:
+        feasible = require_object(data["feasible"], "policy class feasible sets")
         return PolicyClass(
-            feasible={
-                int(k): tuple(tuple(dec) for dec in grid)
-                for k, grid in data["feasible"].items()
-            },
+            feasible={int(k): tuple(tuple(dec) for dec in grid) for k, grid in feasible.items()},
             kind=str(data["kind"]),
             decision_dim=int(data["decision_dim"]),
         )

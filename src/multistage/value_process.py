@@ -67,9 +67,8 @@ from .policy import (
     Decision,
     Policy,
     PolicyClass,
-    enumeration_slots,
-    iter_policy_indices,
-    policy_from_indices,
+    _index_product,
+    _policy_at,
 )
 from .scenario_tree import ScenarioTree, path, unconditional_probability
 
@@ -95,16 +94,6 @@ def essential_infimum(
 
 
 # -- definitional route ----------------------------------------------------------
-
-
-def _strict_descendants(tree: ScenarioTree, node_id: int) -> tuple[int, ...]:
-    out = []
-    frontier = list(tree.children(node_id))
-    while frontier:
-        nid = frontier.pop(0)
-        out.append(nid)
-        frontier.extend(tree.children(nid))
-    return tuple(sorted(out))
 
 
 def tail_conditional_value(
@@ -149,41 +138,34 @@ def _exact(u: Decision):
 class _Definitional:
     """v_t and V_t by direct minimization over every feasible tail, with reuse.
 
-    A tail assigns a decision to every strict descendant of a node: for a
-    nodewise class one axis per descendant (ordered by id), for a
-    history-blind class one axis per later stage, shared by the stage's
-    nodes. The cache is the one the module docstring describes. Heads are
-    matched to grid positions and memo keys by ``_exact``, so a signed zero
-    reads the entry of the same sign, as ``tail_conditional_value`` would.
+    A tail assigns a decision to every strict descendant of a node, one axis
+    per distinct slot below the node (sorted), shared by the slot's nodes.
+    The slot map is read once; ``grids[slot_of[n]]`` are node n's
+    candidates. The cache is the one the module docstring describes. Heads
+    are matched to grid positions and memo keys by ``_exact``, so a signed
+    zero reads the entry of the same sign, as ``tail_conditional_value``
+    would.
     """
 
     def __init__(self, tree: ScenarioTree, cost: CostSpec, cls: PolicyClass, cap: int):
         self.tree = tree
         self.cost = cost
-        self.cls = cls
         self.cap = cap
-        self._grids: dict[int, tuple[tuple[Decision, ...], dict]] = {}
+        self.slot_of, self.grids = cls.slots(tree)
+        self._first: list[dict] = []  # per slot: first grid position of each decision
+        for grid in self.grids:
+            first: dict = {}
+            for k, u in enumerate(grid):
+                first.setdefault(_exact(u), k)
+            self._first.append(first)
         self._tails: dict[int, tuple] = {}
         self._leaf_values: dict[int, np.ndarray] = {}
         self._leaf_entries = 0
         self._v: dict[tuple, float] = {}
 
-    def _grid(self, node_id: int) -> tuple[tuple[Decision, ...], dict]:
-        """Candidates of a node's tail axis and the first position of each."""
-        if self.cls.kind == "nodewise":
-            slot = node_id
-        else:
-            slot = self.tree.node(node_id).stage
-        if slot not in self._grids:
-            if self.cls.kind == "nodewise":
-                grid = self.cls.feasible[node_id]
-            else:
-                grid = self.cls.stage_grid(self.tree, slot)
-            first: dict = {}
-            for k, u in enumerate(grid):
-                first.setdefault(_exact(u), k)
-            self._grids[slot] = (grid, first)
-        return self._grids[slot]
+    def candidates(self, node_id: int) -> tuple[Decision, ...]:
+        """A node's candidates: the grid of its slot."""
+        return self.grids[self.slot_of[node_id]]
 
     def _tail(self, node_id: int):
         """The node's stage, tail product shape and per-leaf broadcast data.
@@ -196,31 +178,25 @@ class _Definitional:
             return self._tails[node_id]
         tree = self.tree
         stage = tree.node(node_id).stage
-        descendants = _strict_descendants(tree, node_id)
-        if self.cls.kind == "nodewise":
-            axis = {nid: k for k, nid in enumerate(descendants)}
-            shape = tuple(len(self._grid(nid)[0]) for nid in descendants)
-            count = math.prod(shape)
-        else:
-            axis = {nid: tree.nodes[nid].stage - stage - 1 for nid in descendants}
-            shape = tuple(
-                len(self.cls.stage_grid(tree, t)) for t in range(stage + 1, tree.horizon + 1)
-            )
-            count = math.prod(max(n, 1) for n in shape)
+        below = {leaf: tree.path_nodes(leaf)[stage + 1:] for leaf in tree.leaves_below(node_id)}
+        tail_slots = sorted({self.slot_of[nid] for nids in below.values() for nid in nids})
+        axis = {s: k for k, s in enumerate(tail_slots)}
+        shape = tuple(len(self.grids[s]) for s in tail_slots)
+        count = math.prod(max(n, 1) for n in shape)
         if count > self.cap:
             raise EnumerationCapError(count, self.cap)
         if 0 in shape:
             raise MultistageError(f"no feasible tails below node {node_id}")
         leaves = []
-        for leaf in tree.leaves_below(node_id):
-            below = tree.path_nodes(leaf)[stage + 1:]
+        for leaf, nids in below.items():
             rel_prob = 1.0
-            for nid in below:
+            for nid in nids:
                 rel_prob *= tree.nodes[nid].cond_prob
-            order = sorted(range(len(below)), key=lambda k: axis[below[k]])
+            positions = [axis[self.slot_of[nid]] for nid in nids]
+            order = sorted(range(len(nids)), key=positions.__getitem__)
             bshape = [1] * len(shape)
-            for nid in below:
-                bshape[axis[nid]] = shape[axis[nid]]
+            for p in positions:
+                bshape[p] = shape[p]
             leaves.append((leaf, rel_prob, order, tuple(bshape)))
         self._tails[node_id] = (stage, shape, leaves)
         return self._tails[node_id]
@@ -233,7 +209,7 @@ class _Definitional:
         """
         if leaf in self._leaf_values:
             return self._leaf_values[leaf]
-        grids = [self._grid(nid)[0] for nid in self.tree.path_nodes(leaf)]
+        grids = [self.candidates(nid) for nid in self.tree.path_nodes(leaf)]
         size = math.prod(len(g) for g in grids)
         if self._leaf_entries + size > self.cap:
             return None
@@ -255,7 +231,7 @@ class _Definitional:
             return self._v[key]
         index: tuple | None = ()
         for nid, u in zip(self.tree.path_nodes(node_id), key[1]):
-            k = self._grid(nid)[1].get(u)
+            k = self._first[self.slot_of[nid]].get(u)
             if k is None:
                 index = None
                 break
@@ -267,7 +243,7 @@ class _Definitional:
                 values = self._leaf_grid_values(leaf)
             if values is None:
                 below = self.tree.path_nodes(leaf)[stage + 1:]
-                grids = [(u,) for u in head] + [self._grid(nid)[0] for nid in below]
+                grids = [(u,) for u in head] + [self.candidates(nid) for nid in below]
                 values = self.cost.evaluate_grid(path(self.tree, leaf), grids)
                 tail = values[(0,) * len(head) + (...,)]
             else:
@@ -284,7 +260,7 @@ class _Definitional:
             raise MultistageError(
                 f"head history has length {len(u_head)}, expected {stage}"
             )
-        candidates = self.cls.feasible_at(self.tree, node_id)
+        candidates = self.candidates(node_id)
         if not candidates:
             raise MultistageError(f"empty feasible set at node {node_id}")
         head = tuple(u_head)
@@ -446,30 +422,26 @@ def expected_value(tree: ScenarioTree, cost: CostSpec, policy: Policy) -> float:
     return total
 
 
-def _leaf_codes(tree: ScenarioTree, cls: PolicyClass):
+def _leaf_codes(
+    tree: ScenarioTree, slot_of: Sequence[int], grids: Sequence[Sequence[Decision]]
+):
     """Per leaf: probability, slot positions along the path and mixed-radix strides.
 
     The code sum(index * stride) of a decision history is its position in
     the C-order ravel of the leaf's grid-product array.
     """
-    slots, grids = enumeration_slots(tree, cls)
-    slot_pos = {s: i for i, s in enumerate(slots)}
-    sizes = [len(g) for g in grids]
     leaf_data = []
     for leaf in tree.leaves():
         prob = unconditional_probability(tree, leaf)
-        if cls.kind == "nodewise":
-            positions = [slot_pos[i] for i in tree.path_nodes(leaf)]
-        else:
-            positions = [slot_pos[tree.node(i).stage] for i in tree.path_nodes(leaf)]
+        positions = [slot_of[i] for i in tree.path_nodes(leaf)]
         strides = []
         acc = 1
         for p in reversed(positions):
             strides.append(acc)
-            acc *= sizes[p]
+            acc *= len(grids[p])
         strides.reverse()
         leaf_data.append((leaf, prob, positions, strides))
-    return slots, grids, leaf_data
+    return leaf_data
 
 
 def brute_force_optimum(
@@ -486,19 +458,17 @@ def brute_force_optimum(
     those cached values, so the scan stays independent of the backward
     recursion it serves as an oracle for.
     """
-    count = cls.count(tree)
-    if count > cap:
-        raise EnumerationCapError(count, cap)
-    slots, grids, leaf_data = _leaf_codes(tree, cls)
+    slot_of, grids = cls.slots(tree)
+    policies = _index_product(grids, cap)
 
     caches = []
-    for leaf, prob, positions, strides in leaf_data:
+    for leaf, prob, positions, strides in _leaf_codes(tree, slot_of, grids):
         values = cost.evaluate_grid(path(tree, leaf), [grids[p] for p in positions])
         caches.append((prob, positions, strides, values.ravel()))
 
     best_value = None
     best_indices = None
-    for indices in iter_policy_indices(tree, cls, cap=cap):
+    for indices in policies:
         total = 0.0
         for prob, positions, strides, values in caches:
             code = 0
@@ -510,7 +480,7 @@ def brute_force_optimum(
             best_indices = indices
     if best_value is None:
         raise MultistageError("the policy class is empty")
-    return best_value, policy_from_indices(tree, cls, best_indices)
+    return best_value, _policy_at(cls, slot_of, grids, best_indices)
 
 
 # -- value processes -----------------------------------------------------------

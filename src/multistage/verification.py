@@ -21,12 +21,17 @@ from typing import Callable, Mapping, Sequence
 
 from .costs import CostSpec
 from .exceptions import (
-    EnumerationCapError,
     IncompleteFunctionError,
     InfeasiblePolicyError,
     MultistageError,
 )
-from .policy import DEFAULT_ENUMERATION_CAP, Decision, Policy, PolicyClass
+from .policy import (
+    DEFAULT_ENUMERATION_CAP,
+    Decision,
+    Policy,
+    PolicyClass,
+    _index_product,
+)
 from .scenario_tree import ScenarioTree, path, unconditional_probability
 from .tolerances import DEFAULT_TOL
 from .value_process import ValueTables, _Definitional, value_process_for_policy
@@ -284,7 +289,7 @@ def check_dynamic_relations(
         lhs_V = route.V(n.id, head)
         rhs_V = min(
             sum(p * route.V(c, head + (u,)) for p, c in zip(probs, kids))
-            for u in cls.feasible_at(tree, n.id)
+            for u in route.candidates(n.id)
         )
         records.append(
             RelationRecord(t=n.stage, node=n.id, relation="V", lhs=lhs_V, rhs=rhs_V)
@@ -293,7 +298,7 @@ def check_dynamic_relations(
         lhs_v = route.v(n.id, head_full)
         rhs_v = 0.0
         for p, c in zip(probs, kids):
-            best = min(route.v(c, head_full + (u,)) for u in cls.feasible_at(tree, c))
+            best = min(route.v(c, head_full + (u,)) for u in route.candidates(c))
             rhs_v += p * best
         records.append(
             RelationRecord(t=n.stage, node=n.id, relation="v", lhs=lhs_v, rhs=rhs_v)
@@ -345,37 +350,24 @@ def interchange_gap(
     ids = tree.stage_nodes(stage)
     if not ids:
         raise MultistageError(f"no nodes at stage {stage}")
+    slot_of, grids = cls.slots(tree)
     probs = {i: unconditional_probability(tree, i) for i in ids}
     paths = {i: path(tree, i) for i in ids}
-    values = {
-        i: [objective(paths[i], u) for u in cls.feasible_at(tree, i)] for i in ids
-    }
+    values = {i: [objective(paths[i], u) for u in grids[slot_of[i]]] for i in ids}
     for i in ids:
         if not values[i]:
             raise MultistageError(f"empty candidate set at node {i}")
 
     lhs = sum(probs[i] * min(values[i]) for i in ids)
 
-    if cls.kind == "nodewise":
-        grids = [range(len(values[i])) for i in ids]
-    else:
-        shared = cls.stage_grid(tree, stage)
-        if not shared:
-            raise MultistageError(f"empty shared grid at stage {stage}")
-        grids = [range(len(shared))]
-    count = 1
-    for g in grids:
-        count *= len(g)
-    if count > cap:
-        raise EnumerationCapError(count, cap)
+    stage_slots = sorted({slot_of[i] for i in ids})
+    axis = {i: stage_slots.index(slot_of[i]) for i in ids}
+    combos = _index_product([grids[s] for s in stage_slots], cap)
 
     rhs = None
     rhs_choice: tuple[int, ...] | None = None
-    for combo in itertools.product(*grids):
-        if cls.kind == "nodewise":
-            total = sum(probs[i] * values[i][k] for i, k in zip(ids, combo))
-        else:
-            total = sum(probs[i] * values[i][combo[0]] for i in ids)
+    for combo in combos:
+        total = sum(probs[i] * values[i][combo[axis[i]]] for i in ids)
         if rhs is None or total < rhs:
             rhs = total
             rhs_choice = combo
@@ -384,15 +376,13 @@ def interchange_gap(
     witness = None
     if rhs - lhs > tol:
         for i in ids:
-            k = rhs_choice[0] if cls.kind == "history_blind" else rhs_choice[
-                ids.index(i)
-            ]
+            k = rhs_choice[axis[i]]
             best = min(range(len(values[i])), key=lambda j: (values[i][j], j))
             if values[i][k] > values[i][best] + tol:
                 witness = {
                     "node": i,
-                    "class_choice": list(cls.feasible_at(tree, i)[k]),
-                    "pointwise_choice": list(cls.feasible_at(tree, i)[best]),
+                    "class_choice": list(grids[slot_of[i]][k]),
+                    "pointwise_choice": list(grids[slot_of[i]][best]),
                 }
                 break
     return InterchangeReport(lhs=lhs, rhs=rhs, tolerance=tol, witness=witness)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,7 +71,7 @@ class TestValidate:
         assert main(["validate", "--input", str(bad)]) == 3
 
     def test_violated_holder_declaration_exits_one(self, recourse_bundle, tmp_path, capsys):
-        data = json.loads(open(recourse_bundle["bundle"]).read())
+        data = json.loads(Path(recourse_bundle["bundle"]).read_text())
         data["cost"]["holder"] = {"C": 1e-6, "alpha": 1.0, "delta": 10.0}
         path = write_json(tmp_path / "holder.json", data)
         code = main(["validate", "--input", path, "--json"])
@@ -168,6 +169,42 @@ class TestMalformedCost:
         assert main(["solve", "--input", path]) == 0
 
 
+class TestJsonValueTypes:
+    """A JSON value of the wrong type where an object belongs is an input error."""
+
+    @staticmethod
+    def bundle():
+        data = malformed_cost_bundle(
+            {"form": "general", "poly": {"terms": [{"coef": 1.0, "vars": [["u", 1, 0, 2]]}]}}
+        )
+        data["policies"] = {
+            "ones": {"decision_dim": 1, "decisions": {"0": [1.0], "1": [1.0], "2": [1.0]}}
+        }
+        return data
+
+    MUTATIONS = {
+        "top-level-number": lambda data: 5,
+        "top-level-array": lambda data: [],
+        "policies-array": lambda data: dict(data, policies=[]),
+        "decisions-array": lambda data: dict(
+            data, policies={"ones": dict(data["policies"]["ones"], decisions=[])}
+        ),
+        "feasible-array": lambda data: dict(
+            data, policy_class=dict(data["policy_class"], feasible=[])
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "verify", "dynamic-check"])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_exits_three(self, tmp_path, capsys, mutation, command):
+        path = write_json(tmp_path / "bad.json", self.MUTATIONS[mutation](self.bundle()))
+        assert main([command, "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error:" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestSolve:
     def test_recorded_fixture_value(self, recourse_bundle, capsys):
         code = main(
@@ -238,7 +275,7 @@ class TestSolve:
         assert report["value"] == pytest.approx(1.0)
 
     def test_invalid_bundle_exits_three(self, tmp_path, recourse_bundle):
-        data = json.loads(open(recourse_bundle["bundle"]).read())
+        data = json.loads(Path(recourse_bundle["bundle"]).read_text())
         del data["policy_class"]["feasible"]["2"]
         path = write_json(tmp_path / "broken.json", data)
         assert main(["solve", "--input", path]) == 3
@@ -519,6 +556,16 @@ class TestSddpCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "step-cost term 4" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_non_finite_step_cost_exits_three(self, tmp_path, capsys):
+        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        payload["cost"]["poly"]["terms"] += [{"coef": 1e308, "vars": []}] * 2
+        path = write_json(tmp_path / "sddp.json", payload)
+        assert main(["sddp-solve", "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "step cost of stage 1 evaluated to inf" in captured.err
         assert "Traceback" not in captured.err
 
     def test_missing_table_entry_names_state_noise_and_decision(self, tmp_path, capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multistage import (
@@ -19,7 +19,7 @@ from multistage import (
     policy_to_json,
     policy_to_leafwise,
 )
-from multistage.generate import random_tree, rng_from_seed
+from multistage.generate import random_nodewise_class, random_tree, rng_from_seed
 from multistage.scenario_tree import Node, ScenarioTree
 
 
@@ -213,6 +213,73 @@ class TestPaste:
         u2 = Policy(decisions={i: (float(bits2[i]),) for i in range(3)}, decision_dim=1)
         pasted = paste(tree, cls, u1, u2, subset)
         assert cls.contains(tree, pasted)
+
+
+def shared_core_class(rng, tree):
+    """History-blind class whose stage-t nodes add values of their own to a
+    shared core and list their sets in their own orders."""
+    feasible = {}
+    for t in range(tree.horizon + 1):
+        core = [(float(v),) for v in rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 4)))]
+        for nid in tree.stage_nodes(t):
+            own = [(float(v),) for v in rng.uniform(2.0, 3.0, size=int(rng.integers(0, 2)))]
+            grid = core + own
+            feasible[nid] = tuple(grid[k] for k in rng.permutation(len(grid)))
+    return PolicyClass(feasible=feasible, kind="history_blind", decision_dim=1)
+
+
+class TestClassSemantics:
+    """Count, enumeration, membership, feasible sets and pasting agree on
+    which nodes share a decision, for both class kinds."""
+
+    @staticmethod
+    def instance(seed, kind):
+        rng = rng_from_seed(seed)
+        tree = random_tree(rng, horizon=int(rng.integers(1, 3)))
+        if kind == "nodewise":
+            return tree, random_nodewise_class(rng, tree, max_policies=600)
+        return tree, shared_core_class(rng, tree)
+
+    @given(
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(["nodewise", "history_blind"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_enumeration_matches_count_membership_and_feasible_sets(self, seed, kind):
+        tree, cls = self.instance(seed, kind)
+        policies = list(enumerate_policies(tree, cls))
+        assert len(policies) == cls.count(tree)
+        assert len({tuple(sorted(p.decisions.items())) for p in policies}) == len(policies)
+        assert all(cls.contains(tree, p) for p in policies)
+        for n in tree.nodes:
+            first_seen = list(dict.fromkeys(p.decisions[n.id] for p in policies))
+            assert first_seen == list(cls.feasible_at(tree, n.id))
+
+    @given(seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_history_blind_split_stage_is_named(self, seed, data):
+        tree, cls = self.instance(seed, "history_blind")
+        stages = [
+            t for t in range(tree.horizon + 1)
+            if len(tree.stage_nodes(t)) > 1 and len(cls.stage_grid(tree, t)) > 1
+        ]
+        assume(stages)
+        t = data.draw(st.sampled_from(stages))
+        ids = tree.stage_nodes(t)
+        u1 = data.draw(st.sampled_from(list(enumerate_policies(tree, cls))))
+        other = next(u for u in cls.stage_grid(tree, t) if u != u1.decisions[ids[0]])
+        u2 = Policy(
+            decisions={n: other if n in ids else d for n, d in u1.decisions.items()},
+            decision_dim=1,
+        )
+        assert cls.contains(tree, u2)
+
+        node = data.draw(st.sampled_from(ids))
+        assert not cls.contains(tree, Policy({**u1.decisions, node: other}, 1))
+        with pytest.raises(PastingInfeasibleError) as err:
+            paste(tree, cls, u1, u2, tree.leaves_below(node))
+        assert err.value.stage == t
+        assert tuple(err.value.node_ids) == ids
 
 
 class TestJson:

@@ -33,7 +33,7 @@ from multistage.generate import (
     random_tree,
     rng_from_seed,
 )
-from multistage.policy import enumeration_slots, policy_from_indices
+from multistage.policy import policy_from_indices
 from multistage.scenario_tree import Node, ScenarioTree, path
 from multistage.value_process import holder_table_violation
 
@@ -560,7 +560,7 @@ def definitional_instance(seed):
     if seed % 3 == 2:
         compiled = cost
         cost = CostSpec.general(lambda xs, us: compiled.evaluate(xs, us))
-    slots, grids = enumeration_slots(tree, cls)
+    grids = cls.slots(tree)[1]
     policy = policy_from_indices(
         tree, cls, [(seed + 3 * k) % len(g) for k, g in enumerate(grids)]
     )
@@ -592,7 +592,7 @@ class TestDefinitionalRoute:
                 assert same_float(v_proc[n.id], ref.v(n.id, hist))
                 assert same_float(V_proc[n.id], ref.V(n.id, hist[:-1]))
         # a cap the root's tails just fit: the leaf grid arrays no longer all do
-        _, grids = enumeration_slots(tree, cls)
+        grids = cls.slots(tree)[1]
         tails = math.prod(len(g) for g in grids[1:])
         assert same_float(compute_V(tree, cost, cls, 0, (), cap=tails), ref.V(0, ()))
 
@@ -672,7 +672,7 @@ class TestDefinitionalRoute:
     @pytest.mark.parametrize("kind", ["nodewise", "history_blind"])
     def test_cap_is_checked_before_any_evaluation(self, monkeypatch, kind):
         tree, cost, cls = random_instance(11, max_policies=5000, horizon=3, kind=kind)
-        _, grids = enumeration_slots(tree, cls)
+        grids = cls.slots(tree)[1]
         tails = math.prod(len(g) for g in grids[1:])
 
         def refuse(*args, **kwargs):
