@@ -520,7 +520,7 @@ def cost_from_json(data: dict) -> CostSpec:
                 payload=data,
             )
         raise InputFormatError(f"unknown cost form {form!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed cost JSON: {exc}") from exc
 
 

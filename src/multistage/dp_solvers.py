@@ -787,7 +787,7 @@ def mdp_from_json(data: dict) -> MDPSpec:
                 else None
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed MDP JSON: {exc}") from exc
 
 
@@ -880,7 +880,7 @@ def sddp_from_json(data: dict) -> SddpSpec:
             ),
             payload=data,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed stagewise-independent JSON: {exc}") from exc
 
     # In the window (t + 1, 1), x[1] = x_t and u[0] = u_t are read at stage t

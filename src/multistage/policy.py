@@ -348,7 +348,7 @@ def policy_from_json(data: dict) -> Policy:
             decisions={int(k): tuple(v) for k, v in decisions.items()},
             decision_dim=int(data["decision_dim"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed policy JSON: {exc}") from exc
 
 
@@ -371,7 +371,7 @@ def policy_class_from_json(data: dict) -> PolicyClass:
             kind=str(data["kind"]),
             decision_dim=int(data["decision_dim"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed policy class JSON: {exc}") from exc
 
 

@@ -250,7 +250,7 @@ def tree_from_json(data: dict) -> ScenarioTree:
             )
             for entry in data["nodes"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed tree JSON: {exc}") from exc
     return ScenarioTree(nodes, horizon=horizon, obs_dim=obs_dim)
 

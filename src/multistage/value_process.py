@@ -14,13 +14,13 @@ exactly. Two independent routes are provided: definitional enumeration of
 tail decisions (``compute_v``/``compute_V``, valid for every class), and
 backward recursion (``backward_tables``, valid for nodewise classes, where
 the interchange of minimum and conditional expectation is an identity).
-``brute_force_optimum`` enumerates whole policies and serves as the oracle
-for the recursion.
+``brute_force_optimum``, the oracle for the recursion, is the definitional
+route's minimum at the root: V_0 with empty history, with its minimizer.
 
 The definitional route keeps one cache per call of ``compute_v``,
-``compute_V``, ``check_dynamic_relations`` or the history-blind
-``value_process_for_policy``: per leaf, the objective on the leaf's whole
-path grid product (one ``CostSpec.evaluate_grid`` call); v per
+``compute_V``, ``brute_force_optimum``, ``check_dynamic_relations`` or the
+history-blind ``value_process_for_policy``: per leaf, the objective on the
+leaf's whole path grid product (one ``CostSpec.evaluate_grid`` call); v per
 (node, head); and per node, its tail axes, whose count is checked against
 the cap before anything is evaluated. v_t(node, head) slices every leaf
 array below the node at the head, adds rel_prob * slice into one
@@ -37,7 +37,8 @@ one weighted leaf slice at most the accumulator's size, plus the working
 arrays of the ``evaluate_grid`` call that builds a leaf array. So ``cap``
 bounds memory as well as work: about three times ``cap`` float64 entries,
 240 MB at the default cap of 10^7 (measured peaks: 1.0 to 2.3 times
-``cap`` entries, on chain and binary trees).
+``cap`` entries, on chain and binary trees), for ``solve``'s brute force as
+for ``verify`` and ``dynamic-check``.
 
 Decision histories are free parameters of the value functions: they need
 not be feasible for the class, only the tail being optimized is
@@ -67,7 +68,6 @@ from .policy import (
     Decision,
     Policy,
     PolicyClass,
-    _index_product,
     _policy_at,
 )
 from .scenario_tree import ScenarioTree, path, unconditional_probability
@@ -168,8 +168,9 @@ class _Definitional:
         return self.grids[self.slot_of[node_id]]
 
     def _tail(self, node_id: int):
-        """The node's stage, tail product shape and per-leaf broadcast data.
+        """The node's stage, tail slots, tail product shape and per-leaf broadcast data.
 
+        The tail slots are the slots below the node, sorted: one axis each.
         Per leaf below the node: the leaf, its probability given the node,
         and the axis order and shape that place its tail slice on the tail
         product.
@@ -198,7 +199,7 @@ class _Definitional:
             for p in positions:
                 bshape[p] = shape[p]
             leaves.append((leaf, rel_prob, order, tuple(bshape)))
-        self._tails[node_id] = (stage, shape, leaves)
+        self._tails[node_id] = (stage, tail_slots, shape, leaves)
         return self._tails[node_id]
 
     def _leaf_grid_values(self, leaf: int) -> np.ndarray | None:
@@ -218,20 +219,21 @@ class _Definitional:
         self._leaf_values[leaf] = values
         return values
 
-    def v(self, node_id: int, u_head: History) -> float:
-        """v_t at a node for a head history of stages 0..t."""
-        stage, shape, leaves = self._tail(node_id)
+    def tail_values(self, node_id: int, u_head: History) -> np.ndarray:
+        """Conditional expected cost at a node for one head and every tail.
+
+        One entry per tail, on the tail product (axes in sorted slot order):
+        what ``tail_conditional_value`` gives for the head and that tail.
+        """
+        stage, _, shape, leaves = self._tail(node_id)
         head = tuple(tuple(u) for u in u_head)
         if len(head) != stage + 1:
             raise MultistageError(
                 f"head history has length {len(head)}, expected {stage + 1}"
             )
-        key = (node_id, tuple(_exact(u) for u in head))
-        if key in self._v:
-            return self._v[key]
         index: tuple | None = ()
-        for nid, u in zip(self.tree.path_nodes(node_id), key[1]):
-            k = self._first[self.slot_of[nid]].get(u)
+        for nid, u in zip(self.tree.path_nodes(node_id), head):
+            k = self._first[self.slot_of[nid]].get(_exact(u))
             if k is None:
                 index = None
                 break
@@ -249,9 +251,15 @@ class _Definitional:
             else:
                 tail = values[index + (...,)]
             acc += (rel_prob * tail).transpose(order).reshape(bshape)
-        value = float(_first_min(acc.reshape(-1)))
-        self._v[key] = value
-        return value
+        return acc
+
+    def v(self, node_id: int, u_head: History) -> float:
+        """v_t at a node for a head history of stages 0..t."""
+        key = (node_id, tuple(_exact(tuple(u)) for u in u_head))
+        if key not in self._v:
+            acc = self.tail_values(node_id, u_head)
+            self._v[key] = float(_first_min(acc.reshape(-1)))
+        return self._v[key]
 
     def V(self, node_id: int, u_head: History) -> float:
         """V_t at a node: minimum of v_t over the stage-t candidates."""
@@ -422,28 +430,6 @@ def expected_value(tree: ScenarioTree, cost: CostSpec, policy: Policy) -> float:
     return total
 
 
-def _leaf_codes(
-    tree: ScenarioTree, slot_of: Sequence[int], grids: Sequence[Sequence[Decision]]
-):
-    """Per leaf: probability, slot positions along the path and mixed-radix strides.
-
-    The code sum(index * stride) of a decision history is its position in
-    the C-order ravel of the leaf's grid-product array.
-    """
-    leaf_data = []
-    for leaf in tree.leaves():
-        prob = unconditional_probability(tree, leaf)
-        positions = [slot_of[i] for i in tree.path_nodes(leaf)]
-        strides = []
-        acc = 1
-        for p in reversed(positions):
-            strides.append(acc)
-            acc *= len(grids[p])
-        strides.reverse()
-        leaf_data.append((leaf, prob, positions, strides))
-    return leaf_data
-
-
 def brute_force_optimum(
     tree: ScenarioTree,
     cost: CostSpec,
@@ -452,35 +438,32 @@ def brute_force_optimum(
 ) -> tuple[float, Policy]:
     """Exhaustive minimum of E v(X, U) over every policy of the class.
 
-    Ties go to the first minimizer in enumeration order. The objective is
-    evaluated once per (leaf, decision history along the leaf) pair, on the
-    leaf's whole grid product at once, and the policy sweep only recombines
-    those cached values, so the scan stays independent of the backward
-    recursion it serves as an oracle for.
+    This is V_0 at the root with empty history, read off the definitional
+    route: per root candidate, in grid order, the expected cost of every
+    tail at once, whose first minimum is kept. A policy is the root's grid
+    position and a position in the tail product, so ties go to the first
+    minimizer in enumeration order. The class size is checked against
+    ``cap`` before anything is evaluated. The route never calls the
+    backward recursion this serves as an oracle for.
     """
-    slot_of, grids = cls.slots(tree)
-    policies = _index_product(grids, cap)
-
-    caches = []
-    for leaf, prob, positions, strides in _leaf_codes(tree, slot_of, grids):
-        values = cost.evaluate_grid(path(tree, leaf), [grids[p] for p in positions])
-        caches.append((prob, positions, strides, values.ravel()))
-
-    best_value = None
-    best_indices = None
-    for indices in policies:
-        total = 0.0
-        for prob, positions, strides, values in caches:
-            code = 0
-            for p, s in zip(positions, strides):
-                code += indices[p] * s
-            total += prob * values[code]
-        if best_value is None or total < best_value:
-            best_value = total
-            best_indices = indices
-    if best_value is None:
+    count = cls.count(tree)
+    if count > cap:
+        raise EnumerationCapError(count, cap)
+    if count == 0:
         raise MultistageError("the policy class is empty")
-    return best_value, _policy_at(cls, slot_of, grids, best_indices)
+    route = _Definitional(tree, cost, cls, cap)
+    best_value = best_at = None
+    for k, u in enumerate(route.candidates(0)):
+        acc = route.tail_values(0, (u,)).reshape(-1)
+        j = int(acc.argmin())
+        if best_value is None or acc[j] < best_value:
+            best_value, best_at = float(acc[j]), (k, j)
+    _, tail_slots, shape, _ = route._tail(0)
+    indices = [0] * len(route.grids)
+    indices[route.slot_of[0]] = best_at[0]
+    for s, i in zip(tail_slots, np.unravel_index(best_at[1], shape)):
+        indices[s] = int(i)
+    return best_value, _policy_at(cls, route.slot_of, route.grids, indices)
 
 
 # -- value processes -----------------------------------------------------------

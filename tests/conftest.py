@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from multistage import Node, PolicyClass, ScenarioTree
 from multistage.generate import recourse_fixture
+
+# The same examples on every run: no random seed, no example database.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -205,6 +205,73 @@ class TestJsonValueTypes:
         assert "Traceback" not in captured.err
 
 
+def set_infinite(*keys):
+    """A mutation that sets the field at a key path to Infinity, as JSON writes 1e400."""
+
+    def mutate(data):
+        target = data
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = 1e400
+        return data
+
+    return mutate
+
+
+class TestInfiniteIntegerFields:
+    """An integer field holding Infinity is an input error, not a traceback."""
+
+    TERM = ("cost", "poly", "terms", 0, "vars", 0)
+    BUNDLE = {
+        "horizon": set_infinite("tree", "horizon"),
+        "obs_dim": set_infinite("tree", "obs_dim"),
+        "node-id": set_infinite("tree", "nodes", 1, "id"),
+        "node-stage": set_infinite("tree", "nodes", 1, "stage"),
+        "node-parent": set_infinite("tree", "nodes", 1, "parent"),
+        "poly-stage": set_infinite(*TERM, 1),
+        "poly-component": set_infinite(*TERM, 2),
+        "poly-power": set_infinite(*TERM, 3),
+        "additive-lag": lambda data: dict(data, cost={
+            "form": "additive", "gamma": 0.5, "lag": 1e400, "stage_costs": [
+                {"poly": {"terms": [{"coef": 1.0, "vars": [["u", 0, 0, 2]]}]}}]}),
+        "class-decision_dim": set_infinite("policy_class", "decision_dim"),
+        "bundle-policy-decision_dim": set_infinite("policies", "ones", "decision_dim"),
+    }
+    STAGEWISE = {
+        "horizon": set_infinite("horizon"),
+        "step-component": set_infinite("cost", "poly", "terms", 0, "vars", 0, 1),
+        "step-power": set_infinite("cost", "poly", "terms", 0, "vars", 0, 2),
+    }
+
+    @staticmethod
+    def assert_input_error(argv, capsys):
+        assert main(argv + ["--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error:" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "verify", "dynamic-check"])
+    @pytest.mark.parametrize("field", sorted(BUNDLE))
+    def test_bundle_field(self, tmp_path, capsys, field, command):
+        data = self.BUNDLE[field](TestJsonValueTypes.bundle())
+        path = write_json(tmp_path / "bad.json", data)
+        self.assert_input_error([command, "--input", path], capsys)
+
+    @pytest.mark.parametrize("command", ["verify", "dynamic-check"])
+    def test_policy_file_decision_dim(self, tmp_path, capsys, command):
+        path = write_json(tmp_path / "bundle.json", TestJsonValueTypes.bundle())
+        policy = write_json(tmp_path / "policy.json", {
+            "decision_dim": 1e400, "decisions": {"0": [1.0], "1": [1.0], "2": [1.0]}})
+        self.assert_input_error([command, "--input", path, "--policy", policy], capsys)
+
+    @pytest.mark.parametrize("field", sorted(STAGEWISE))
+    def test_stagewise_field(self, tmp_path, capsys, field):
+        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        path = write_json(tmp_path / "sddp.json", self.STAGEWISE[field](payload))
+        self.assert_input_error(["sddp-solve", "--input", path], capsys)
+
+
 class TestSolve:
     def test_recorded_fixture_value(self, recourse_bundle, capsys):
         code = main(
@@ -273,6 +340,14 @@ class TestSolve:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["value"] == pytest.approx(1.0)
+
+    def test_brute_force_past_the_cap_exits_three(self, tmp_path, capsys):
+        path = write_json(tmp_path / "bundle.json", TestJsonValueTypes.bundle())
+        # 2 ** 3 policies: the cap is checked before anything is evaluated
+        assert main(["solve", "--input", path, "--method", "brute", "--cap", "7", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "enumeration of 8 items exceeds the cap of 7" in captured.err
 
     def test_invalid_bundle_exits_three(self, tmp_path, recourse_bundle):
         data = json.loads(Path(recourse_bundle["bundle"]).read_text())

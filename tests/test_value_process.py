@@ -34,7 +34,7 @@ from multistage.generate import (
     rng_from_seed,
 )
 from multistage.policy import policy_from_indices
-from multistage.scenario_tree import Node, ScenarioTree, path
+from multistage.scenario_tree import Node, ScenarioTree, path, unconditional_probability
 from multistage.value_process import holder_table_violation
 
 
@@ -412,6 +412,121 @@ class TestBruteForce:
         assert policy.decisions == expected[1].decisions
 
 
+def loop_brute_force(tree, cost, cls):
+    """Reference oracle: one Python sum per policy, policies in enumeration order.
+
+    Per leaf, the objective on its path grid product (one ``evaluate_grid``
+    call) and its unconditional probability; per policy, the sum over leaves
+    in leaf order of prob * the leaf's entry at the policy, from 0.0. The
+    first strict minimum is kept.
+    """
+    slot_of, grids = cls.slots(tree)
+    caches = []
+    for leaf in tree.leaves():
+        positions = [slot_of[i] for i in tree.path_nodes(leaf)]
+        values = cost.evaluate_grid(path(tree, leaf), [grids[p] for p in positions])
+        caches.append((unconditional_probability(tree, leaf), positions, values))
+    best_value = best_indices = None
+    for indices in itertools.product(*(range(len(g)) for g in grids)):
+        total = 0.0
+        for prob, positions, values in caches:
+            total += prob * values[tuple(indices[p] for p in positions)]
+        if best_value is None or total < best_value:
+            best_value, best_indices = total, indices
+    return best_value, policy_from_indices(tree, cls, best_indices)
+
+
+def table_cost_for(rng, tree, cls):
+    """A lookup table with one random entry per leaf path and slot-grid history."""
+    slot_of, grids = cls.slots(tree)
+    entries = []
+    for leaf in tree.leaves():
+        nids = tree.path_nodes(leaf)
+        xs = [list(tree.nodes[i].obs) for i in nids]
+        for hist in itertools.product(*(grids[slot_of[i]] for i in nids)):
+            entries.append({"x": xs, "u": [list(u) for u in hist],
+                            "value": float(rng.uniform(-1.0, 3.0))})
+    return cost_from_json({"form": "general", "table": {"entries": entries}})
+
+
+def oracle_instance(seed):
+    """Seeded instance of either class kind; general, additive, table or raw-callable cost."""
+    kind = "nodewise" if seed % 2 == 0 else "history_blind"
+    cost_kind = ("general", "additive", "table", "callable")[seed // 2 % 4]
+    tree, cost, cls = random_instance(
+        4000 + seed, max_policies=2000, kind=kind, additive=cost_kind == "additive"
+    )
+    if cost_kind == "table":
+        cost = table_cost_for(rng_from_seed(seed), tree, cls)
+    elif cost_kind == "callable":
+        compiled = cost
+        cost = CostSpec.general(lambda xs, us: compiled.evaluate(xs, us))
+    return tree, cost, cls
+
+
+class TestBruteForceMatchesPolicyLoop:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_bitwise_equal_value_and_same_policy(self, seed):
+        tree, cost, cls = oracle_instance(seed)
+        value, policy = brute_force_optimum(tree, cost, cls)
+        ref_value, ref_policy = loop_brute_force(tree, cost, cls)
+        assert float.hex(value) == float.hex(float(ref_value))
+        assert policy.decisions == ref_policy.decisions
+
+    def test_root_tie_goes_to_the_first_policy(self, binary2):
+        grid = ((1.0,), (0.0,), (-1.0,))
+        cls = PolicyClass(
+            feasible={n.id: grid for n in binary2.nodes}, kind="nodewise", decision_dim=1
+        )
+        # the root decision is free, the tails tie between u and -u
+        cost = CostSpec.general(lambda xs, us: float(sum(u[0] ** 2 for u in us[1:])))
+        value, policy = brute_force_optimum(binary2, cost, cls)
+        ref_value, ref_policy = loop_brute_force(binary2, cost, cls)
+        assert float.hex(value) == float.hex(float(ref_value))
+        assert policy.decisions == ref_policy.decisions
+        assert policy.decisions == {n.id: (1.0,) if n.id == 0 else (0.0,)
+                                    for n in binary2.nodes}
+
+    @pytest.mark.parametrize("first_sign", [1.0, -1.0])
+    def test_signed_zero_tie_goes_to_the_first_policy(self, first_sign):
+        tree = chain_tree([0.0, 1.0])
+        grid = ((0.0,), (1.0,))
+        cls = PolicyClass(feasible={0: grid, 1: grid}, kind="nodewise", decision_dim=1)
+        # every policy costs a zero; the sign flips with each decision
+        cost = CostSpec.general(
+            lambda xs, us: math.copysign(0.0, first_sign * (-1.0) ** sum(u[0] for u in us))
+        )
+        value, policy = brute_force_optimum(tree, cost, cls)
+        ref_value, ref_policy = loop_brute_force(tree, cost, cls)
+        assert float.hex(value) == float.hex(float(ref_value))
+        assert policy.decisions == ref_policy.decisions == {0: (0.0,), 1: (0.0,)}
+
+
+def large_oracle_instance(seed):
+    """Nodewise instance with 10^5 to 10^6 policies: full grids of up to 3 choices."""
+    rng = rng_from_seed(seed)
+    tree = random_tree(rng, horizon=3)
+    cls = random_nodewise_class(rng, tree, max_policies=10**6, fill=True)
+    if seed % 2:
+        cost = random_additive_cost(rng, tree.horizon)
+    else:
+        cost = random_general_cost(rng, tree)
+    return tree, cost, cls
+
+
+class TestLargeOracleInstances:
+    @pytest.mark.parametrize("seed", [5002, 5007, 5013])
+    def test_recursion_matches_the_oracle(self, seed):
+        tree, cost, cls = large_oracle_instance(seed)
+        assert 10**5 <= cls.count(tree) <= 10**6
+        value, policy = brute_force_optimum(tree, cost, cls)
+        tables = backward_tables(tree, cost, cls)
+        assert tables.root_value == pytest.approx(value, abs=1e-9)
+        assert expected_value(tree, cost, policy) == pytest.approx(value, abs=1e-9)
+        greedy = greedy_policy_from_tables(tree, cls, tables)
+        assert expected_value(tree, cost, greedy) == pytest.approx(value, abs=1e-9)
+
+
 class TestValueProcess:
     def test_optimal_policy_reaches_the_optimum_at_the_root(self, recourse):
         tree, cost, cls = recourse["tree"], recourse["cost"], recourse["cls"]
@@ -685,6 +800,11 @@ class TestDefinitionalRoute:
             with pytest.raises(EnumerationCapError) as err:
                 call(tree, cost, cls, 0, head, cap=tails - 1)
             assert (err.value.count, err.value.cap) == (tails, tails - 1)
+        # brute force checks the whole class against the cap
+        count = cls.count(tree)
+        with pytest.raises(EnumerationCapError) as err:
+            brute_force_optimum(tree, cost, cls, cap=count - 1)
+        assert (err.value.count, err.value.cap) == (count, count - 1)
 
     def test_wrong_head_length(self, binary2, binary2_class):
         cost = sum_cost()
@@ -703,3 +823,5 @@ class TestDefinitionalRoute:
             compute_V(binary2, cost, cls, 1, ((0.0,),))
         with pytest.raises(MultistageError, match="no feasible tails below node 0"):
             compute_v(binary2, cost, cls, 0, ((0.0,),))
+        with pytest.raises(MultistageError, match="^the policy class is empty$"):
+            brute_force_optimum(binary2, cost, cls)
