@@ -272,6 +272,7 @@ def cmd_value_iterate(args) -> int:
             "converged": False,
             "iterations": exc.max_iters,
             "residuals": exc.residuals,
+            "rounding_bounds": exc.rounding_bounds,
         }
         _emit(report, args.json, [f"no convergence in {exc.max_iters} iterations"])
         return EXIT_NEGATIVE
@@ -282,6 +283,7 @@ def cmd_value_iterate(args) -> int:
         "values": [float(x) for x in result.values],
         "greedy": [int(a) for a in result.greedy],
         "residuals": result.residuals,
+        "rounding_bounds": result.rounding_bounds,
         "epsilon": args.tolerance,
     }
     _emit(

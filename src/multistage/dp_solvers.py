@@ -16,7 +16,10 @@ structure of the driving process:
   grid, optionally with action-dependent transition kernels.
 * stationary infinite horizon: the Bellman operator is a |gamma|
   contraction; ``value_iteration`` solves the fixed-point equation with an
-  a-priori stopping rule.
+  a-priori stopping rule. The expected step cost
+  sum_j K_u[x, j] c(x, j, u) does not depend on Vtilde, so it is computed
+  once and the operator receives it precomputed: each sweep is then one
+  long-double mat-vec, and reports a bound on its rounding error.
 * stagewise independent noise: the conditional expectation degenerates to
   an unconditional one (``sddp_recursion``, every kernel row is the noise
   law), matching the recursion of cut-based methods, here solved on grids.
@@ -107,8 +110,18 @@ class MDPSpec:
     def validate(self) -> list[str]:
         problems: list[str] = []
         n, a = self.n_states, self.n_actions
+        if n == 0 or a == 0:
+            return [f"the MDP needs at least one state and one action, got {n} and {a}"]
         if not -1.0 < self.gamma < 1.0:
             problems.append(f"gamma {self.gamma} outside (-1, 1)")
+        if not np.isfinite(self.bound_K):
+            problems.append(f"bound_K {self.bound_K} is not finite")
+        arrays = [("kernel", self.kernel), ("cost", self.cost)] + [
+            (f"stage_costs[{t}]", c) for t, c in enumerate(self.stage_costs or ())
+        ]
+        for label, arr in arrays:
+            if arr is not None and not np.isfinite(arr).all():
+                problems.append(f"{label} has non-finite entries")
         if self.kernel.ndim == 2:
             rows = [("", self.kernel)]
         elif self.kernel.ndim == 3:
@@ -153,17 +166,37 @@ class MDPSpec:
         return problems
 
 
-def _bellman_min(kernel, cost, gamma, v, mask=None) -> tuple[np.ndarray, np.ndarray]:
+def _expected_cost(kernel, cost) -> np.ndarray:
+    """Q[i, a] = sum_j K_a[i, j] c[i, j, a] for ``kernel`` (n, m) or (a, n, m), ``cost`` (n, m, a).
+
+    Runs in the inputs' dtype. Each entry is one dot product of two
+    contiguous rows, which keeps float64 results bit-identical to ``np.dot``;
+    einsum or a strided target is not.
+    """
+    target = np.ascontiguousarray(np.moveaxis(cost, 2, 1))
+    rows = kernel[:, None, :] if kernel.ndim == 2 else np.moveaxis(kernel, 0, 1)
+    return np.matmul(rows[..., None, :], target[..., :, None])[..., 0, 0]
+
+
+def _bellman_min(
+    kernel, cost, gamma, v, mask=None, expected=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Min and first argmin over a of Q[i, a] = sum_j K_a[i, j] (c[i, j, a] + gamma v[j]).
 
     ``kernel`` is (n, m) or (a, n, m), ``cost`` (n, m, a), ``v`` (m,); actions
-    with a false ``mask[i, a]`` count as +inf. Runs in the inputs' dtype. Each
-    Q entry is one dot product of two contiguous rows, which keeps float64
-    results bit-identical to ``np.dot``; einsum or a strided target is not.
+    with a false ``mask[i, a]`` count as +inf. Runs in the inputs' dtype, and
+    Q is ``_expected_cost`` of the target c + gamma v.
+
+    A stationary sweep passes instead the part of Q that does not depend on
+    v, computed once: ``expected`` = ``_expected_cost(kernel, cost)``, (n, a).
+    Then Q = expected + gamma (K v) with one ``np.dot``, ``cost`` is not read
+    and ``kernel`` holds the rows K_a[i] as one matrix: (n, m) when the
+    kernel ignores the action, the (n a, m) stack in (i, a) order otherwise.
     """
-    target = np.ascontiguousarray(np.moveaxis(cost + gamma * v[:, None], 2, 1))
-    rows = kernel[:, None, :] if kernel.ndim == 2 else np.moveaxis(kernel, 0, 1)
-    q = np.matmul(rows[..., None, :], target[..., :, None])[..., 0, 0]
+    if expected is None:
+        q = _expected_cost(kernel, cost + gamma * v[:, None])
+    else:
+        q = expected + gamma * np.dot(kernel, v).reshape(len(expected), -1)
     if mask is not None:
         q = np.where(mask, q, np.inf)
     return q.min(axis=1), q.argmin(axis=1)
@@ -219,6 +252,7 @@ class ValueIterationResult:
     iterations: int
     residuals: list[float]
     greedy: np.ndarray
+    rounding_bounds: list[float]
 
 
 def value_iteration(
@@ -232,38 +266,77 @@ def value_iteration(
     which bounds the distance to the fixed point by eps/2; with gamma = 0
     the operator is constant and one sweep suffices. The residual history is
     returned so the per-step contraction ratio (at most |gamma|) can be
-    inspected.
+    inspected, with a bound delta_k on the rounding error of each step:
+    r_{k+1} <= |gamma| r_k + delta_k + delta_{k+1}.
     """
     problems = mdp.validate()
     if problems:
         raise InputFormatError("; ".join(problems))
     if mdp.cost is None:
         raise InputFormatError("value iteration needs a stationary cost")
+    if not epsilon >= 0.0:
+        raise InputFormatError(f"tolerance {epsilon!r} must be a number >= 0")
+    if max_iters < 1:
+        raise InputFormatError(f"max_iters {max_iters} must be at least 1")
     g = abs(mdp.gamma)
     threshold = float("inf") if g == 0.0 else epsilon * (1.0 - g) / (2.0 * g)
 
     # The sweep runs in extended precision: residuals shrink to the stopping
     # threshold, where plain double rounding on O(1) values would already
     # distort the per-step contraction ratio beyond the 1e-9 slack it is
-    # checked against.
+    # checked against. The expected step cost does not depend on v and is
+    # computed once, so a sweep is one mat-vec.
     kernel = mdp.kernel.astype(np.longdouble)
-    cost = mdp.cost.astype(np.longdouble)
     gamma = np.longdouble(mdp.gamma)
+    expected = _expected_cost(kernel, mdp.cost.astype(np.longdouble))
+    m = kernel.shape[-1]
+    rows = kernel if kernel.ndim == 2 else np.moveaxis(kernel, 0, 1).reshape(-1, m)
     mask = mdp.action_mask
     v = np.zeros(mdp.n_states, dtype=np.longdouble)
-    residuals: list[float] = []
-    for iteration in range(1, max_iters + 1):
-        nxt, _ = _bellman_min(kernel, cost, gamma, v, mask)
-        residual = float(np.max(np.abs(nxt - v)))
-        residuals.append(residual)
+    norms, residuals = [], []
+    for _ in range(max_iters):
+        norms.append(np.max(np.abs(v)))
+        nxt, _ = _bellman_min(rows, None, gamma, v, mask, expected)
+        residuals.append(float(np.max(np.abs(nxt - v))))
         v = nxt
-        if residual <= threshold:
-            values = v.astype(float)
-            _, greedy = _bellman_min(mdp.kernel, mdp.cost, mdp.gamma, values, mask)
-            return ValueIterationResult(
-                values=values, iterations=iteration, residuals=residuals, greedy=greedy
-            )
-    raise ConvergenceError(max_iters, residuals)
+        if residuals[-1] <= threshold:
+            break
+    bounds = _rounding_bounds(kernel, expected, gamma, norms, residuals)
+    if not residuals[-1] <= threshold:
+        raise ConvergenceError(max_iters, residuals, bounds)
+    values = v.astype(float)
+    _, greedy = _bellman_min(mdp.kernel, mdp.cost, mdp.gamma, values, mask)
+    return ValueIterationResult(
+        values=values,
+        iterations=len(residuals),
+        residuals=residuals,
+        greedy=greedy,
+        rounding_bounds=bounds,
+    )
+
+
+def _rounding_bounds(kernel, expected, gamma, norms, residuals) -> list[float]:
+    """delta_k per sweep k, rounded up to float64, such that the printed
+    residuals obey r_{k+1} <= |gamma| r_k + delta_k + delta_{k+1}.
+
+    The sweep's entries expected + gamma (K v) take m products and sums and
+    two more operations, so each is off by at most (m + 2) u (|expected| +
+    |gamma| rho ||v_{k-1}||) to first order, u the long-double unit roundoff
+    and rho a bound on the kernel's row sums; one more u covers the
+    higher-order terms and the float64 rounding of the printed residuals.
+    ``expected`` is rounded once, before the sweeps: it defines a nearby MDP
+    that the sweeps iterate on, so its rounding does not enter. The second
+    term, |gamma| max(0, rho (1 + 2^-50) - 1) r_k, covers the float64
+    rounding of the printed residuals in the ratio and any kernel row that
+    sums above 1.
+    """
+    c = (kernel.shape[-1] + 3) * np.finfo(np.longdouble).eps / 2
+    rho = kernel.sum(axis=-1).max() * (1 + c)
+    g = abs(gamma)
+    sweep = c * (np.max(np.abs(expected)) + g * rho * np.array(norms))
+    printed = g * max(rho * (1 + np.longdouble(2.0) ** -50) - 1, 0)
+    bounds = sweep + printed * np.array(residuals, dtype=np.longdouble)
+    return np.nextafter(bounds.astype(float), np.inf).tolist()
 
 
 # -- discount-normalized value process on trees ---------------------------------

@@ -79,13 +79,16 @@ class UnboundedObjectiveError(MultistageError):
 class ConvergenceError(MultistageError):
     """Fixed-point iteration exhausted its iteration budget."""
 
-    def __init__(self, max_iters: int, residuals: list[float]):
+    def __init__(
+        self, max_iters: int, residuals: list[float], rounding_bounds: list[float]
+    ):
         last = residuals[-1] if residuals else float("nan")
         super().__init__(
             f"no convergence within {max_iters} iterations (last residual {last:.3e})"
         )
         self.max_iters = max_iters
         self.residuals = residuals
+        self.rounding_bounds = rounding_bounds
 
 
 def require_object(value, what: str) -> dict:

@@ -491,6 +491,31 @@ class TestDemoInterchange:
         assert report["trials"]["min_gap"] >= -1e-12
 
 
+NAN, INF = float("nan"), float("inf")
+ONES = [[[1.0], [1.0]], [[1.0], [1.0]]]
+
+# fields replaced in the JSON of constant_cost_mdp(), and the problem reported
+SPOILED_MDPS = {
+    "nan-kernel": ({"kernel": [[NAN, 0.5], [0.5, 0.5]]}, "kernel has non-finite entries"),
+    "nan-cost": ({"cost": [[[1.0], [NAN]], [[1.0], [1.0]]]}, "cost has non-finite entries"),
+    "nan-stage-cost": (
+        {"stage_costs": [ONES, [[[1.0], [1.0]], [[NAN], [1.0]]]]},
+        "stage_costs[1] has non-finite entries",
+    ),
+    "inf-cost-and-bound": (
+        {"cost": [[[1.0], [1.0]], [[INF], [1.0]]], "bound_K": INF},
+        "bound_K inf is not finite",
+    ),
+    "nan-bound": ({"bound_K": NAN}, "bound_K nan is not finite"),
+    "inf-bound": ({"bound_K": INF}, "bound_K inf is not finite"),
+    "no-actions": ({"actions": []}, "at least one state and one action, got 2 and 0"),
+    "no-states": (
+        {"states": [], "kernel": [], "cost": []},
+        "at least one state and one action, got 0 and 1",
+    ),
+}
+
+
 class TestMdpCommands:
     def test_mdp_solve_constant_cost(self, tmp_path, capsys):
         path = write_json(tmp_path / "mdp.json", mdp_to_json(constant_cost_mdp(gamma=0.5)))
@@ -554,6 +579,41 @@ class TestMdpCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "actions_by_state" in captured.err
+
+    @pytest.mark.parametrize("case", sorted(SPOILED_MDPS))
+    @pytest.mark.parametrize("command", ["mdp-solve", "value-iterate"])
+    def test_non_finite_or_empty_mdp_exits_three(self, tmp_path, capsys, command, case):
+        fields, message = SPOILED_MDPS[case]
+        data = {**mdp_to_json(constant_cost_mdp(gamma=0.5)), **fields}
+        path = write_json(tmp_path / "mdp.json", data)
+        args = [command, "--input", path, "--json"]
+        if command == "mdp-solve":
+            args += ["--horizon", "2"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tolerance", "nan"], ["--tolerance", "-1"], ["--max-iters", "0"],
+         ["--max-iters", "-3"]],
+        ids=["nan-tolerance", "negative-tolerance", "zero-iterations", "negative-iterations"],
+    )
+    def test_invalid_value_iterate_arguments_exit_three(self, tmp_path, capsys, flags):
+        path = write_json(tmp_path / "mdp.json", mdp_to_json(constant_cost_mdp(gamma=0.5)))
+        assert main(["value-iterate", "--input", path, "--json", *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+
+    def test_value_iterate_zero_tolerance_is_allowed(self, tmp_path, capsys):
+        path = write_json(tmp_path / "mdp.json", mdp_to_json(constant_cost_mdp(gamma=0.5)))
+        code = main(["value-iterate", "--input", path, "--tolerance", "0", "--json"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["residuals"][-1] == 0.0
+        assert len(report["rounding_bounds"]) == len(report["residuals"])
 
     def test_kernel_violation_exits_three(self, tmp_path):
         data = mdp_to_json(constant_cost_mdp(gamma=0.5))

@@ -314,16 +314,59 @@ class TestValueIteration:
         with pytest.raises(ConvergenceError) as err:
             value_iteration(mdp, epsilon=1e-8, max_iters=3)
         assert len(err.value.residuals) == 3
+        assert len(err.value.rounding_bounds) == 3
+
+    @pytest.mark.parametrize(
+        "n_states, action_dependent, gamma",
+        [(50, False, 0.9), (50, True, -0.5), (120, True, 0.9), (200, False, 0.9),
+         (200, True, 0.9)],
+    )
+    def test_residuals_contract_up_to_the_rounding_bounds(
+        self, n_states, action_dependent, gamma
+    ):
+        """r_{k+1} <= |gamma| r_k + delta_k + delta_{k+1} down to eps = 1e-9,
+        where the residuals reach the rounding floor of the values and the
+        plain ratio test r_{k+1} / r_k <= |gamma| + 1e-9 can fail."""
+        mdp = random_mdp(
+            rng_from_seed(56 + n_states),
+            n_states=n_states,
+            n_actions=5,
+            gamma=gamma,
+            action_dependent=action_dependent,
+        )
+        result = value_iteration(mdp, epsilon=1e-9)
+        res, delta = result.residuals, result.rounding_bounds
+        assert len(delta) == len(res) == result.iterations
+        for k in range(len(res) - 1):
+            assert res[k + 1] <= abs(gamma) * res[k] + delta[k] + delta[k + 1]
+        # the bounds sit at the long-double rounding floor, far below the residuals
+        for r, d in zip(res, delta):
+            assert 0.0 < d <= 1e-15 * (1.0 + r)
+
+    @pytest.mark.parametrize(
+        "epsilon, max_iters",
+        [(float("nan"), 100), (-1.0, 100), (1e-8, 0), (1e-8, -3)],
+        ids=["nan-tolerance", "negative-tolerance", "zero-iterations", "negative-iterations"],
+    )
+    def test_invalid_arguments_are_input_errors(self, epsilon, max_iters):
+        with pytest.raises(InputFormatError):
+            value_iteration(constant_cost_mdp(gamma=0.5), epsilon=epsilon, max_iters=max_iters)
+
+    def test_zero_tolerance_iterates_to_an_exact_fixed_point(self):
+        result = value_iteration(constant_cost_mdp(gamma=0.5), epsilon=0.0)
+        assert result.residuals[-1] == 0.0
+        assert np.array_equal(result.values, [2.0, 2.0])
 
 
-def loop_bellman_min(kernel, cost, gamma, v):
-    """Reference operator: one np.dot per (state, action), first argmin."""
+def loop_bellman_min(kernel, cost, gamma, v, allowed=None):
+    """Reference operator: one np.dot per (state, action), first argmin over
+    the actions ``allowed[i]`` (all when None)."""
     n, n_actions = cost.shape[0], cost.shape[2]
     values = np.empty(n, dtype=v.dtype)
     greedy = np.empty(n, dtype=int)
     for i in range(n):
         best = None
-        for a in range(n_actions):
+        for a in range(n_actions) if allowed is None else allowed[i]:
             row = kernel[i] if kernel.ndim == 2 else kernel[a, i]
             q = np.dot(row, cost[i, :, a] + gamma * v)
             if best is None or q < best:
@@ -332,29 +375,64 @@ def loop_bellman_min(kernel, cost, gamma, v):
     return values, greedy
 
 
-def loop_value_iteration(mdp, epsilon):
-    """Reference value iteration: long-double sweeps, float64 greedy step."""
+def loop_value_iteration(mdp, epsilon, precomputed=True):
+    """Reference value iteration: long-double sweeps, float64 greedy step.
+
+    With ``precomputed`` a sweep adds gamma np.dot(K_a[i], v) to the expected
+    step cost np.dot(K_a[i], c[i, :, a]), computed once; without it a sweep
+    takes np.dot(K_a[i], c[i, :, a] + gamma v), the expected step cost
+    recomputed every time.
+    """
     g = abs(mdp.gamma)
     threshold = float("inf") if g == 0.0 else epsilon * (1.0 - g) / (2.0 * g)
     kernel = mdp.kernel.astype(np.longdouble)
     cost = mdp.cost.astype(np.longdouble)
     gamma = np.longdouble(mdp.gamma)
-    v = np.zeros(mdp.n_states, dtype=np.longdouble)
+    n = mdp.n_states
+    allowed = [mdp.action_indices(i) for i in range(n)]
+
+    def row(i, a):
+        return kernel[i] if kernel.ndim == 2 else kernel[a, i]
+
+    expected = {(i, a): np.dot(row(i, a), cost[i, :, a]) for i in range(n) for a in allowed[i]}
+
+    def sweep(v):
+        if not precomputed:
+            return loop_bellman_min(kernel, cost, gamma, v, allowed)[0]
+        return np.array(
+            [min(expected[i, a] + gamma * np.dot(row(i, a), v) for a in allowed[i])
+             for i in range(n)],
+            dtype=np.longdouble,
+        )
+
+    v = np.zeros(n, dtype=np.longdouble)
     residuals = []
     while True:
-        nxt, _ = loop_bellman_min(kernel, cost, gamma, v)
+        nxt = sweep(v)
         residuals.append(float(np.max(np.abs(nxt - v))))
         v = nxt
         if residuals[-1] <= threshold:
             values = v.astype(float)
-            _, greedy = loop_bellman_min(mdp.kernel, mdp.cost, mdp.gamma, values)
+            _, greedy = loop_bellman_min(mdp.kernel, mdp.cost, mdp.gamma, values, allowed)
             return values, greedy, len(residuals), residuals
+
+
+def with_allowed_actions(mdp, seed):
+    """``mdp`` with a seeded, non-empty set of allowed actions per state."""
+    rng = rng_from_seed(seed)
+    rows = []
+    for _ in range(mdp.n_states):
+        keep = rng.random(mdp.n_actions) < 0.6
+        keep[rng.integers(mdp.n_actions)] = True
+        rows.append(tuple(int(a) for a in np.nonzero(keep)[0]))
+    return replace(mdp, actions_by_state=tuple(rows))
 
 
 class TestOperatorExactness:
     """The vectorized operator reproduces the per-(state, action) dot loop
-    bit for bit, which keeps the mdp-solve and value-iterate reports
-    byte-identical."""
+    bit for bit, which keeps the mdp-solve report byte-identical; value
+    iteration reproduces the loop that computes the expected step cost once,
+    and stays within rounding of the loop that recomputes it every sweep."""
 
     @pytest.mark.parametrize("action_dependent", [False, True])
     def test_backward_induction_equals_the_dot_loop(self, action_dependent):
@@ -372,8 +450,8 @@ class TestOperatorExactness:
             assert np.array_equal(values[t], v)
             assert np.array_equal(greedy[t], g)
 
-    @pytest.mark.parametrize("action_dependent", [False, True])
-    def test_value_iteration_equals_the_dot_loop(self, action_dependent):
+    @staticmethod
+    def vi_instance(action_dependent, masked):
         mdp = random_mdp(
             rng_from_seed(82),
             n_states=11,
@@ -381,12 +459,43 @@ class TestOperatorExactness:
             gamma=0.9,
             action_dependent=action_dependent,
         )
+        return with_allowed_actions(mdp, 83) if masked else mdp
+
+    @pytest.mark.parametrize("action_dependent", [False, True])
+    def test_value_iteration_equals_the_dot_loop(self, action_dependent):
+        mdp = self.vi_instance(action_dependent, masked=False)
         result = value_iteration(mdp, epsilon=1e-8)
         values, greedy, iterations, residuals = loop_value_iteration(mdp, 1e-8)
         assert np.array_equal(result.values, values)
         assert np.array_equal(result.greedy, greedy)
         assert result.iterations == iterations
         assert result.residuals == residuals
+
+    @pytest.mark.parametrize("action_dependent", [False, True])
+    def test_masked_value_iteration_equals_the_dot_loop(self, action_dependent):
+        mdp = self.vi_instance(action_dependent, masked=True)
+        assert any(len(row) < mdp.n_actions for row in mdp.actions_by_state)
+        result = value_iteration(mdp, epsilon=1e-8)
+        values, greedy, iterations, residuals = loop_value_iteration(mdp, 1e-8)
+        assert np.array_equal(result.values, values)
+        assert np.array_equal(result.greedy, greedy)
+        assert result.iterations == iterations
+        assert result.residuals == residuals
+        for i, row in enumerate(mdp.actions_by_state):
+            assert result.greedy[i] in row
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("action_dependent", [False, True])
+    def test_value_iteration_stays_near_the_recomputing_loop(self, action_dependent, masked):
+        mdp = self.vi_instance(action_dependent, masked)
+        result = value_iteration(mdp, epsilon=1e-8)
+        values, greedy, iterations, residuals = loop_value_iteration(
+            mdp, 1e-8, precomputed=False
+        )
+        assert np.max(np.abs(result.values - values)) <= 1e-12
+        assert np.array_equal(result.greedy, greedy)
+        assert result.iterations == iterations
+        assert np.allclose(result.residuals, residuals, rtol=1e-9, atol=0.0)
 
 
 class TestSddp:
