@@ -343,6 +343,16 @@ class TestValueIteration:
         for r, d in zip(res, delta):
             assert 0.0 < d <= 1e-15 * (1.0 + r)
 
+    @pytest.mark.parametrize("n_states, gamma, value", [(2, 0.9, 1.0), (5, -0.7, 7.0)])
+    def test_rounding_bounds_cover_an_exact_contraction(self, n_states, gamma, value):
+        """With a constant cost the residuals contract at exactly |gamma|, so
+        the float64 rounding of the printed residuals must be in the bound."""
+        mdp = constant_cost_mdp(n_states=n_states, gamma=gamma, value=value)
+        result = value_iteration(mdp, epsilon=1e-14)
+        res, delta = result.residuals, result.rounding_bounds
+        for k in range(len(res) - 1):
+            assert res[k + 1] <= abs(gamma) * res[k] + delta[k] + delta[k + 1]
+
     @pytest.mark.parametrize(
         "epsilon, max_iters",
         [(float("nan"), 100), (-1.0, 100), (1e-8, 0), (1e-8, -3)],
@@ -461,26 +471,25 @@ class TestOperatorExactness:
         )
         return with_allowed_actions(mdp, 83) if masked else mdp
 
-    @pytest.mark.parametrize("action_dependent", [False, True])
-    def test_value_iteration_equals_the_dot_loop(self, action_dependent):
-        mdp = self.vi_instance(action_dependent, masked=False)
+    @staticmethod
+    def value_iteration_equals_the_dot_loop(mdp):
         result = value_iteration(mdp, epsilon=1e-8)
         values, greedy, iterations, residuals = loop_value_iteration(mdp, 1e-8)
         assert np.array_equal(result.values, values)
         assert np.array_equal(result.greedy, greedy)
         assert result.iterations == iterations
         assert result.residuals == residuals
+        return result
+
+    @pytest.mark.parametrize("action_dependent", [False, True])
+    def test_value_iteration_equals_the_dot_loop(self, action_dependent):
+        self.value_iteration_equals_the_dot_loop(self.vi_instance(action_dependent, False))
 
     @pytest.mark.parametrize("action_dependent", [False, True])
     def test_masked_value_iteration_equals_the_dot_loop(self, action_dependent):
         mdp = self.vi_instance(action_dependent, masked=True)
         assert any(len(row) < mdp.n_actions for row in mdp.actions_by_state)
-        result = value_iteration(mdp, epsilon=1e-8)
-        values, greedy, iterations, residuals = loop_value_iteration(mdp, 1e-8)
-        assert np.array_equal(result.values, values)
-        assert np.array_equal(result.greedy, greedy)
-        assert result.iterations == iterations
-        assert result.residuals == residuals
+        result = self.value_iteration_equals_the_dot_loop(mdp)
         for i, row in enumerate(mdp.actions_by_state):
             assert result.greedy[i] in row
 
