@@ -15,9 +15,11 @@ real number. Two forms exist:
 Objectives can be plain Python callables or built from a JSON payload
 (named builtin, polynomial, or lookup table), in which case they round-trip
 through serialization. Polynomial and builtin payloads are compiled once,
-when loaded, into functions that can also evaluate a whole grid of
-decision histories at once (:meth:`CostSpec.evaluate_grid`); tables and
-raw callables are evaluated history by history.
+when loaded, into one function per payload that takes plain windows or
+grid windows (:class:`GridWindow`) alike, so a whole grid of decision
+histories is evaluated at once (:meth:`CostSpec.evaluate_grid`).
+:func:`window_values` alone decides what broadcasts: tables and raw
+callables on a grid are called once per history of their window.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ class GridWindow:
 
     def __len__(self) -> int:
         return len(self.grids)
+
+    def __getitem__(self, positions: slice) -> "GridWindow":
+        return GridWindow(self.grids[positions], self.axes[positions], self.ndim)
 
     def factor(self, j: int, f: Callable[[Vector], float]) -> np.ndarray:
         """f(u) for every candidate u at position j, shaped to broadcast along its axis."""
@@ -115,14 +120,7 @@ class CostSpec:
 
     def evaluate(self, paths: Sequence[Vector], decisions: Sequence[Vector]) -> float:
         """Objective value on one trajectory with its full decision history."""
-        if len(paths) != len(decisions):
-            raise MultistageError(
-                f"{len(paths)} observations but {len(decisions)} decisions"
-            )
-        if self.form == "general":
-            value = float(self.objective(tuple(paths), tuple(decisions)))
-        else:
-            value = self._additive_sum(paths, decisions, len(paths) - 1)
+        value = float(self._accumulate(paths, tuple(decisions), len(paths) - 1))
         if not math.isfinite(value):
             raise _unbounded(value)
         return value
@@ -135,59 +133,21 @@ class CostSpec:
         ``grids[t]`` lists the stage-t candidates. The result has shape
         (|grids[0]|, ..., |grids[T]|), and its entry (k_0, ..., k_T) equals,
         bit for bit, ``evaluate(paths, (grids[0][k_0], ..., grids[T][k_T]))``:
-        compiled payloads combine per-stage factors by broadcasting, with the
-        same operations in the same order; anything else is evaluated
-        history by history.
+        both run the same accumulation, here with the decisions a
+        :class:`GridWindow`, and :func:`window_values` evaluates each cost
+        on it (compiled payloads broadcast, anything else is called once per
+        history of its window).
         """
-        if len(paths) != len(grids):
-            raise MultistageError(f"{len(paths)} observations but {len(grids)} grids")
         shape = tuple(len(g) for g in grids)
-        ndim = len(shape)
-        paths = tuple(paths)
-        if self.form == "general":
-            compiled = hasattr(self.objective, "grid")
-        else:
-            T = ndim - 1
-            if len(self.stage_costs) < T:
-                raise MultistageError(
-                    f"additive cost has {len(self.stage_costs)} stage costs but the "
-                    f"trajectory needs {T}"
-                )
-            compiled = all(hasattr(c, "grid") for c in self.stage_costs[:T])
-        if not compiled:
-            values = [self.evaluate(paths, h) for h in itertools.product(*grids)]
-            return np.array(values, dtype=float).reshape(shape)
-
         with np.errstate(all="ignore"):
-            if self.form == "general":
-                value = self.objective.grid(paths, GridWindow(grids, range(ndim), ndim))
-            else:
-                value = 0.0
-                for t in range(1, ndim):
-                    a = max(0, t - self.lag)
-                    c = self.stage_costs[t - 1].grid(
-                        paths[a: t + 1], GridWindow(grids[a:t], range(a, t), ndim)
-                    )
-                    value = value + self.gamma ** (t - 1) * c
+            value = self._accumulate(
+                paths, GridWindow(grids, range(len(shape)), len(shape)), len(paths) - 1
+            )
         values = np.array(np.broadcast_to(value, shape), dtype=float)
         finite = np.isfinite(values)
         if not finite.all():
             raise _unbounded(float(values[~finite][0]))
         return values
-
-    def _additive_sum(self, paths, decisions, through: int) -> float:
-        if len(self.stage_costs) < through:
-            raise MultistageError(
-                f"additive cost has {len(self.stage_costs)} stage costs but the "
-                f"trajectory needs {through}"
-            )
-        total = 0.0
-        for t in range(1, through + 1):
-            c = self.stage_costs[t - 1](
-                x_window(paths, t, self.lag), u_window(decisions, t, self.lag)
-            )
-            total += self.gamma ** (t - 1) * c
-        return total
 
     def additive_prefix(self, paths, decisions, through: int) -> float:
         """Discounted stage costs accumulated through stage ``through``.
@@ -197,7 +157,29 @@ class CostSpec:
         """
         if self.form != "additive":
             raise MultistageError("prefix costs are defined for additive form only")
-        return self._additive_sum(paths, decisions, through)
+        return self._accumulate(paths, tuple(decisions), through)
+
+    def _accumulate(self, paths, decisions: Window | GridWindow, through: int):
+        """The objective, or for the additive form the discounted sum from 0.0
+        of stage costs 1..``through`` in stage order, on plain or grid decisions."""
+        if len(paths) != len(decisions):
+            raise MultistageError(
+                f"{len(paths)} observations but {len(decisions)} decisions"
+            )
+        paths = tuple(paths)
+        if self.form == "general":
+            return window_values(self.objective, paths, decisions)
+        if len(self.stage_costs) < through:
+            raise MultistageError(
+                f"additive cost has {len(self.stage_costs)} stage costs but the "
+                f"trajectory needs {through}"
+            )
+        total = 0.0
+        for t in range(1, through + 1):
+            a = max(0, t - self.lag)
+            c = window_values(self.stage_costs[t - 1], paths[a: t + 1], decisions[a:t])
+            total = total + self.gamma ** (t - 1) * c
+        return total
 
 
 def _unbounded(value: float) -> UnboundedObjectiveError:
@@ -208,24 +190,62 @@ def _unbounded(value: float) -> UnboundedObjectiveError:
 
 # -- compiled payloads ----------------------------------------------------------
 #
-# A compiled cost is a plain function (xs, us) -> float of one pair of
-# windows (observations, decisions), so that calling it costs no more than
-# any raw callable. It carries two attributes: ``grid(xs, us)``, the same
-# evaluation with ``us`` a :class:`GridWindow` (every decision position
-# ranging over its grid; a ``poly`` also takes ``xs`` as one), returning an
-# array that broadcasts to the grid product with the same float operations
-# in the same order; and ``problems(T, window, dims, magnitudes)``, the
-# payload's faults where it is evaluated (see :func:`cost_problems`).
+# A compiled cost is one function (xs, us) of a pair of windows
+# (observations, decisions). On plain windows it returns a float and costs
+# no more than any raw callable. When a window is a :class:`GridWindow`
+# (every position ranging over its grid), the same body returns an array
+# that broadcasts to the grid product, with the same float operations in
+# the same order. It carries ``problems(T, window, dims, magnitudes)``, the
+# payload's faults where it is evaluated (see :func:`cost_problems`); that
+# attribute also marks it as compiled for :func:`window_values`, the one
+# place that decides which costs broadcast.
 
 
 def _no_problems(T, window, dims, magnitudes) -> list[str]:
     return []
 
 
-def _compiled(evaluate, grid, problems=_no_problems):
-    evaluate.grid = grid
+def _compiled(evaluate, problems=_no_problems):
     evaluate.problems = problems
     return evaluate
+
+
+def _each(window: Window | GridWindow, j: int, f: Callable[[Vector], float]):
+    """f of window position j: a float, or an array for a :class:`GridWindow`."""
+    if isinstance(window, GridWindow):
+        return window.factor(j, f)
+    return f(window[j])
+
+
+def window_values(cost: Callable, xs: Window | GridWindow, us: Window | GridWindow):
+    """cost(xs, us) where either window may be a :class:`GridWindow`.
+
+    A compiled cost, and any cost on plain windows, is called once on the
+    windows as they are. A raw callable or a ``table`` on a grid window is
+    called once per history of the windows' grid product, in C order, and
+    the values are returned as an array that broadcasts like a compiled
+    cost's.
+    """
+    if hasattr(cost, "problems") or not (
+        isinstance(xs, GridWindow) or isinstance(us, GridWindow)
+    ):
+        return cost(xs, us)
+    grids = [w for w in (xs, us) if isinstance(w, GridWindow)]
+    shape = [1] * grids[0].ndim
+    for w in grids:
+        for g, axis in zip(w.grids, w.axes):
+            shape[axis] = len(g)
+
+    def pick(w, index):
+        if not isinstance(w, GridWindow):
+            return w
+        return tuple(g[index[axis]] for g, axis in zip(w.grids, w.axes))
+
+    values = [
+        cost(pick(xs, index), pick(us, index))
+        for index in itertools.product(*map(range, shape))
+    ]
+    return np.array(values, dtype=float).reshape(shape)
 
 
 Term = tuple[float, tuple[tuple[str, int, int, int], ...]]
@@ -243,23 +263,7 @@ def poly_cost(terms: Sequence[Term], window_relative: bool):
     """
     terms = tuple(terms)
 
-    def evaluate(xs: Window, us: Window) -> float:
-        if window_relative:
-            xs, us = xs[::-1], us[::-1]
-        total = 0.0
-        for coef, variables in terms:
-            prod = coef
-            for role, index, comp, power in variables:
-                seq = xs if role == "x" else us
-                if 0 <= index < len(seq):
-                    prod *= seq[index][comp] ** power
-                else:
-                    prod = 0.0
-                    break
-            total += prod
-        return total
-
-    def grid(xs: Window | GridWindow, us: GridWindow):
+    def evaluate(xs: Window | GridWindow, us: Window | GridWindow):
         factors: dict[tuple[str, int, int, int], np.ndarray] = {}
         total = 0.0
         for coef, variables in terms:
@@ -317,7 +321,7 @@ def poly_cost(terms: Sequence[Term], window_relative: bool):
                     out.append(f"{where}: {size!r} ** {power} at stage {stage} overflows a float")
         return out
 
-    return _compiled(evaluate, grid, problems)
+    return _compiled(evaluate, problems)
 
 
 def quadratic_tracking(params: dict):
@@ -329,16 +333,10 @@ def quadratic_tracking(params: dict):
         w = 1.0 if weights is None else weights[t]
         return w * sum((ui - x[i % len(x)]) ** 2 for i, ui in enumerate(u))
 
-    def evaluate(xs: Window, us: Window) -> float:
-        total = 0.0
-        for t, u in enumerate(us):
-            total += stage(t, xs[t], u)
-        return total
-
-    def grid(xs: Window, us: GridWindow):
+    def evaluate(xs: Window, us: Window | GridWindow):
         total = 0.0
         for t in range(len(us)):
-            total = total + us.factor(t, lambda u, t=t: stage(t, xs[t], u))
+            total = total + _each(us, t, lambda u, t=t: stage(t, xs[t], u))
         return total
 
     def problems(T, window, dims, magnitudes):
@@ -354,22 +352,19 @@ def quadratic_tracking(params: dict):
             return [f"quadratic_tracking weights has {n} entries, the window needs {min(t, lag)}"]
         return []
 
-    return _compiled(evaluate, grid, problems)
+    return _compiled(evaluate, problems)
 
 
 def sum_decisions(params: dict):
     """Sum of every decision entry in the window."""
 
-    def evaluate(xs: Window, us: Window) -> float:
-        return float(sum(sum(u) for u in us))
-
-    def grid(xs: Window, us: GridWindow):
-        total = 0
+    def evaluate(xs: Window, us: Window | GridWindow):
+        total = 0.0
         for t in range(len(us)):
-            total = total + us.factor(t, sum)
+            total = total + _each(us, t, sum)
         return total
 
-    return _compiled(evaluate, grid)
+    return _compiled(evaluate)
 
 
 BUILTIN_OBJECTIVES = {
@@ -476,9 +471,10 @@ def _callable_from_json(spec: dict, window_relative: bool):
         terms = [_term_from_json(term) for term in spec["poly"]["terms"]]
         return poly_cost(terms, window_relative)
     if "table" in spec:
-        return table_objective(
-            spec["table"]["entries"], atol=float(spec["table"].get("atol", EQUALITY_TOL))
-        )
+        atol = float(spec["table"].get("atol", EQUALITY_TOL))
+        if not 0.0 <= atol < math.inf:
+            raise InputFormatError(f"table atol {atol!r} must be finite and >= 0")
+        return table_objective(spec["table"]["entries"], atol=atol)
     if "builtin" in spec:
         name = spec["builtin"]
         if name not in BUILTIN_OBJECTIVES:

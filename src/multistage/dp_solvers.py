@@ -28,6 +28,7 @@ structure of the driving process:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,6 +40,7 @@ from .costs import (
     _callable_from_json,
     stage_magnitudes,
     u_window,
+    window_values,
     x_window,
 )
 from .exceptions import (
@@ -267,7 +269,10 @@ def value_iteration(
     the operator is constant and one sweep suffices. The residual history is
     returned so the per-step contraction ratio (at most |gamma|) can be
     inspected, with a bound delta_k on the rounding error of each step:
-    r_{k+1} <= |gamma| r_k + delta_k + delta_{k+1}.
+    r_{k+1} <= |gamma| r_k + delta_k + delta_{k+1}. It also stops, converged,
+    at the rounding floor r_k <= delta_{k-1} + delta_k once a sweep returns
+    the iterate of the sweep before: from there the iterates alternate
+    between two values forever, so with eps = 0 the threshold is never met.
     """
     problems = mdp.validate()
     if problems:
@@ -292,17 +297,20 @@ def value_iteration(
     m = kernel.shape[-1]
     rows = kernel if kernel.ndim == 2 else np.moveaxis(kernel, 0, 1).reshape(-1, m)
     mask = mdp.action_mask
-    v = np.zeros(mdp.n_states, dtype=np.longdouble)
-    norms, residuals = [], []
+    rounding_bound = _rounding_bound(kernel, expected, gamma)
+    v = previous = np.zeros(mdp.n_states, dtype=np.longdouble)
+    residuals, bounds = [], []
     for _ in range(max_iters):
-        norms.append(np.max(np.abs(v)))
+        norm = np.max(np.abs(v))
         nxt, _ = _bellman_min(rows, None, gamma, v, mask, expected)
-        residuals.append(float(np.max(np.abs(nxt - v))))
-        v = nxt
-        if residuals[-1] <= threshold:
+        r = float(np.max(np.abs(nxt - v)))
+        residuals.append(r)
+        bounds.append(rounding_bound(norm, r))
+        cycles = r <= sum(bounds[-2:]) and np.array_equal(nxt, previous)
+        previous, v = v, nxt
+        if r <= threshold or cycles:
             break
-    bounds = _rounding_bounds(kernel, expected, gamma, norms, residuals)
-    if not residuals[-1] <= threshold:
+    else:
         raise ConvergenceError(max_iters, residuals, bounds)
     values = v.astype(float)
     _, greedy = _bellman_min(mdp.kernel, mdp.cost, mdp.gamma, values, mask)
@@ -315,9 +323,10 @@ def value_iteration(
     )
 
 
-def _rounding_bounds(kernel, expected, gamma, norms, residuals) -> list[float]:
-    """delta_k per sweep k, rounded up to float64, such that the printed
-    residuals obey r_{k+1} <= |gamma| r_k + delta_k + delta_{k+1}.
+def _rounding_bound(kernel, expected, gamma) -> Callable[[np.longdouble, float], float]:
+    """The bound delta_k = bound(||v_{k-1}||, r_k) of sweep k, rounded up to
+    float64, such that the printed residuals obey
+    r_{k+1} <= |gamma| r_k + delta_k + delta_{k+1}.
 
     The sweep's entries expected + gamma (K v) take m products and sums and
     two more operations, so each is off by at most (m + 2) u (|expected| +
@@ -333,10 +342,14 @@ def _rounding_bounds(kernel, expected, gamma, norms, residuals) -> list[float]:
     c = (kernel.shape[-1] + 3) * np.finfo(np.longdouble).eps / 2
     rho = kernel.sum(axis=-1).max() * (1 + c)
     g = abs(gamma)
-    sweep = c * (np.max(np.abs(expected)) + g * rho * np.array(norms))
+    largest = np.max(np.abs(expected))
     printed = g * max(rho * (1 + np.longdouble(2.0) ** -50) - 1, 0)
-    bounds = sweep + printed * np.array(residuals, dtype=np.longdouble)
-    return np.nextafter(bounds.astype(float), np.inf).tolist()
+
+    def bound(norm: np.longdouble, residual: float) -> float:
+        delta = c * (largest + g * rho * norm) + printed * np.longdouble(residual)
+        return math.nextafter(float(delta), math.inf)
+
+    return bound
 
 
 # -- discount-normalized value process on trees ---------------------------------
@@ -591,6 +604,8 @@ class SddpSpec:
             )
         if self.step_cost is None and self.stage_step_costs is None:
             raise InputFormatError("either step_cost or stage_step_costs is required")
+        if not -1.0 < self.gamma < 1.0:
+            raise InputFormatError(f"gamma {self.gamma} outside (-1, 1)")
         if self.stage_step_costs is not None and len(self.stage_step_costs) < self.horizon:
             raise InputFormatError(
                 f"{len(self.stage_step_costs)} stage costs cannot cover horizon "
@@ -631,9 +646,10 @@ def sddp_recursion(spec: SddpSpec) -> SddpResult:
 
     Vtilde_t(x) = min_u E[ c_{t+1}((x, X_{t+1}), (u,)) + gamma Vtilde_{t+1}(X_{t+1}) ]
     with an unconditional expectation: independence makes conditioning on
-    x_t irrelevant for the law of X_{t+1}. A compiled step cost fills each
-    stage's step array with one ``grid`` call; any other cost is called
-    entry by entry.
+    x_t irrelevant for the law of X_{t+1}. Each stage's step array
+    step[x, j, u] = c((x, xi_j), (u,)) is one :func:`costs.window_values`
+    call on grid windows over the states, noise values and decisions, so a
+    compiled step cost broadcasts and any other is called entry by entry.
     """
     T = spec.horizon
     values: list[dict[tuple[float, ...], float]] = [dict() for _ in range(T + 1)]
@@ -648,17 +664,11 @@ def sddp_recursion(spec: SddpSpec) -> SddpResult:
             raise MultistageError(f"no decisions at stage {t}")
         states, outcomes = spec.support(t), spec.support(t + 1)
         shape = (len(states), len(outcomes), len(decisions))
-        if hasattr(cost, "grid"):  # step[x, j, u] = c((x, xi_j), (u,))
-            with np.errstate(all="ignore"):
-                step = cost.grid(
-                    GridWindow([states, outcomes], [0, 1], 3), GridWindow([decisions], [2], 3)
-                )
-            step = np.broadcast_to(step, shape)
-        else:
-            step = np.array([
-                [[float(cost((x, xi), (u,))) for u in decisions] for xi in outcomes]
-                for x in states
-            ])
+        with np.errstate(all="ignore"):
+            step = window_values(
+                cost, GridWindow([states, outcomes], [0, 1], 3), GridWindow([decisions], [2], 3)
+            )
+        step = np.broadcast_to(step, shape)
         bad = np.argwhere(~np.isfinite(step))
         if len(bad):
             k, j, i = bad[0]

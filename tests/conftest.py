@@ -1,8 +1,18 @@
+import os
+
 import pytest
 from hypothesis import settings
 
+import multistage
 from multistage import Node, PolicyClass, ScenarioTree
 from multistage.generate import recourse_fixture
+
+# Tests that run `python -m multistage` in a child process import the same
+# package as the suite, also from a checkout that was never installed.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(multistage.__file__)),
+                  os.environ.get("PYTHONPATH")])
+)
 
 # The same examples on every run: no random seed, no example database.
 settings.register_profile("deterministic", derandomize=True, database=None)

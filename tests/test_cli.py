@@ -703,6 +703,16 @@ class TestSddpCommand:
         assert "step cost of stage 1 evaluated to inf" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 1.0, -1.0])
+    def test_discount_outside_the_unit_interval_exits_three(self, tmp_path, capsys, gamma):
+        payload = dict(random_sddp(rng_from_seed(8), horizon=2).payload, gamma=gamma)
+        path = write_json(tmp_path / "sddp.json", payload)
+        assert main(["sddp-solve", "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside (-1, 1)" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_missing_table_entry_names_state_noise_and_decision(self, tmp_path, capsys):
         spec = random_sddp(rng_from_seed(8), horizon=1)
         x, u = spec.initial_state, spec.stage_decisions[0][0]
@@ -721,6 +731,57 @@ class TestSddpCommand:
         assert missing["u"] == list(u)
         for value in (x[0], missing["w"][0], u[0]):
             assert repr(value) in captured.err
+
+
+BAD_ATOLS = {"nan": float("nan"), "infinity": float("inf"), "negative": -1e-9}
+
+
+class TestTableAtol:
+    """A table's atol must be finite and >= 0 where it is loaded."""
+
+    @staticmethod
+    def bundle(atol):
+        """A full general table whose first entry (value 1.0) is not the optimum."""
+        entries = [
+            {"x": [[0.5], [obs]], "u": [[u0], [u1]], "value": 1.0 + u0 + u1 - obs}
+            for obs in (1.0, 2.0) for u0 in (0.0, 1.0) for u1 in (0.0, 1.0)
+        ]
+        return malformed_cost_bundle(
+            {"form": "general", "table": {"entries": entries, "atol": atol}}
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("atol", sorted(BAD_ATOLS))
+    def test_bundle_commands_exit_three(self, tmp_path, capsys, atol, command):
+        path = write_json(tmp_path / "bad.json", self.bundle(BAD_ATOLS[atol]))
+        assert main([command, "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "atol" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_a_valid_atol_solves(self, tmp_path, capsys):
+        path = write_json(tmp_path / "ok.json", self.bundle(1e-9))
+        assert main(["solve", "--input", path, "--json"]) == 0
+        # the optimum puts u_0 = 0 and u_1 = 0 on both leaves: 1 - 1.5
+        assert json.loads(capsys.readouterr().out)["value"] == -0.5
+
+    @pytest.mark.parametrize("atol", sorted(BAD_ATOLS))
+    def test_sddp_solve_exits_three(self, tmp_path, capsys, atol):
+        spec = random_sddp(rng_from_seed(8), horizon=1)
+        entries = [
+            {"x": list(spec.initial_state), "w": list(w), "u": list(u), "value": float(k)}
+            for k, (w, u) in enumerate(
+                (w, u) for w in spec.support(1) for u in spec.stage_decisions[0]
+            )
+        ]
+        table = {"entries": entries, "atol": BAD_ATOLS[atol]}
+        path = write_json(tmp_path / "sddp.json", dict(spec.payload, cost={"table": table}))
+        assert main(["sddp-solve", "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "atol" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestArguments:

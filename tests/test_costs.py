@@ -13,7 +13,7 @@ from multistage import (
     empirical_holder_constant,
     verify_holder,
 )
-from multistage.costs import cost_problems, u_window, x_window
+from multistage.costs import GridWindow, cost_problems, u_window, window_values, x_window
 from multistage.generate import chain_tree, random_tree, rng_from_seed
 from multistage.policy import PolicyClass
 from multistage.scenario_tree import Node, ScenarioTree
@@ -310,6 +310,71 @@ class TestGridEvaluator:
             cost.evaluate_grid(paths, (((1e10, 0.0),),) + grids[1:])
         with pytest.raises(UnboundedObjectiveError):
             cost.evaluate(paths, ((1e10, 0.0), grids[1][0]))
+
+
+class TestWindowValues:
+    """window_values is the one dispatcher between broadcasting and per-history calls."""
+
+    def test_raw_additive_stage_cost_is_called_once_per_window_history(self):
+        _, paths, grids = random_paths_and_grids(13, horizon=3)
+        calls = []
+
+        def c(xw, uw):
+            calls.append(uw)
+            return xw[-1][0] * uw[-1][0] - xw[0][1] * uw[-1][1]
+
+        cost = CostSpec.additive([c] * 3, gamma=0.8, lag=1)
+        values = cost.evaluate_grid(paths, grids)
+        # stage t reads u_{t-1} alone: one call per candidate of grids[t - 1]
+        assert len(calls) == sum(len(g) for g in grids[:3])
+        calls.clear()
+        assert_bitwise(values, loop_over_grid(cost, paths, grids))
+
+    @staticmethod
+    def explicit_loop(cost, xs, us, shape):
+        """cost on the windows picked out of every index of ``shape``, in C order."""
+
+        def pick(window, index):
+            if not isinstance(window, GridWindow):
+                return window
+            return tuple(g[index[a]] for g, a in zip(window.grids, window.axes))
+
+        return [cost(pick(xs, i), pick(us, i)) for i in itertools.product(*map(range, shape))]
+
+    @pytest.mark.parametrize("kind", ["raw", "table", "poly"])
+    def test_mixed_plain_and_grid_windows_match_an_explicit_loop(self, kind):
+        _, paths, grids = random_paths_and_grids(14, horizon=2)
+        states, outcomes = grids[0], grids[1]
+        decisions = grids[2]
+        shape = (len(states), len(outcomes), len(decisions))
+        windows = [
+            # plain observations, grid decisions (a tree stage cost)
+            (paths[:2], GridWindow([decisions], [2], 3)),
+            # grid observations and decisions (a stagewise step array)
+            (GridWindow([states, outcomes], [0, 1], 3), GridWindow([decisions], [2], 3)),
+            # grid observations, plain decisions
+            (GridWindow([states, outcomes], [0, 1], 3), (decisions[0],)),
+        ]
+        if kind == "raw":
+            def cost(xs, us):
+                return xs[0][0] * us[0][1] - xs[1][1] ** 2 + us[0][0]
+        elif kind == "table":
+            cost = cost_from_json({"form": "general", "table": {"entries": [
+                {"x": [list(x), list(w)], "u": [list(u)], "value": float(k)}
+                for k, (x, w, u) in enumerate(itertools.product(
+                    states + paths[:1], outcomes + paths[1:2], decisions))
+            ]}}).objective
+        else:
+            cost = cost_from_json({"form": "additive", "gamma": 0.5, "lag": 1, "stage_costs": [
+                {"poly": {"terms": [
+                    {"coef": 1.5, "vars": [["x", 1, 0, 1], ["u", 0, 1, 2]]},
+                    {"coef": -0.5, "vars": [["x", 0, 1, 3]]},
+                    {"coef": 0.25, "vars": [["u", 0, 0, 1]]},
+                ]}}]}).stage_costs[0]
+        for xs, us in windows:
+            got = np.broadcast_to(window_values(cost, xs, us), shape)
+            want = self.explicit_loop(cost, xs, us, shape)
+            assert [float(v).hex() for v in got.ravel()] == [float(v).hex() for v in want]
 
 
 class TestCostProblems:

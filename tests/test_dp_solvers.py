@@ -362,6 +362,17 @@ class TestValueIteration:
         with pytest.raises(InputFormatError):
             value_iteration(constant_cost_mdp(gamma=0.5), epsilon=epsilon, max_iters=max_iters)
 
+    @pytest.mark.parametrize("n_states", range(2, 8))
+    def test_zero_tolerance_stops_at_the_rounding_floor(self, n_states):
+        """With gamma < 0 the long-double iterates end up alternating in their
+        last bit, so eps = 0 is never met; the rounding floor ends the run."""
+        mdp = constant_cost_mdp(n_states=n_states, gamma=-0.7)
+        result = value_iteration(mdp, epsilon=0.0)
+        res, delta = result.residuals, result.rounding_bounds
+        assert result.iterations < 200
+        assert 0.0 < res[-1] <= delta[-2] + delta[-1]
+        assert np.allclose(result.values, 1.0 / 1.7, rtol=0.0, atol=1e-15)
+
     def test_zero_tolerance_iterates_to_an_exact_fixed_point(self):
         result = value_iteration(constant_cost_mdp(gamma=0.5), epsilon=0.0)
         assert result.residuals[-1] == 0.0
@@ -625,7 +636,7 @@ class TestStagewiseCostCompiler:
     @pytest.mark.parametrize("seed", range(3))
     def test_grid_path_is_bit_equal_to_the_per_entry_path(self, variant, seed):
         spec = sddp_from_json(stagewise_payload(900 + seed, variant))
-        assert all(hasattr(spec.cost_at(t), "grid") for t in range(spec.horizon))
+        assert all(hasattr(spec.cost_at(t), "problems") for t in range(spec.horizon))
         a = sddp_recursion(spec)
         b = sddp_recursion(per_entry(spec))
         for level_a, level_b in zip(a.values, b.values):
