@@ -327,7 +327,6 @@ class TestWindowValues:
         values = cost.evaluate_grid(paths, grids)
         # stage t reads u_{t-1} alone: one call per candidate of grids[t - 1]
         assert len(calls) == sum(len(g) for g in grids[:3])
-        calls.clear()
         assert_bitwise(values, loop_over_grid(cost, paths, grids))
 
     @staticmethod
