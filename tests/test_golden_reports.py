@@ -1,0 +1,231 @@
+"""Golden digests of the ``--json`` reports on seeded bundles.
+
+The CLI promises byte-identical reports for identical inputs, and a change
+that only makes the program faster must not move a single bit of them.
+Each case below is a bundle built by ``multistage.generate`` from a fixed
+seed, a subcommand run on it in-process, and the SHA-256 digest of the
+report it prints, with the ``input`` field (a temporary path) dropped. The
+bundles cover a general polynomial, additive lag-1 and lag-2 stacks,
+``quadratic_tracking``, a lookup ``table``, a nodewise class whose grid sizes
+differ within a stage, a nodewise class with more leaf entries than one
+batch of leaf arrays holds and a history-blind class. ``validate`` runs on a
+bundle with a declared Hoelder block that holds and on one that fails.
+
+The digests depend on the floating-point arithmetic, so they were recorded
+with numpy 2.4 on x86-64. To print the digests of the current code, run
+``PYTHONPATH=src python tests/test_golden_reports.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import sys
+
+import pytest
+
+from multistage.bundle import ProblemBundle, bundle_to_json
+from multistage.cli import main
+from multistage.costs import cost_from_json, empirical_holder_constant
+from multistage.generate import (
+    random_additive_cost,
+    random_general_cost,
+    random_history_blind_class,
+    random_instance,
+    random_nodewise_class,
+    random_tree,
+    rng_from_seed,
+)
+from multistage.policy import Policy
+from multistage.scenario_tree import path
+
+
+def probe_policy(tree, cls) -> Policy:
+    """A feasible, usually suboptimal policy: entry (stage + 1) mod size of each grid."""
+    decisions = {}
+    for n in tree.nodes:
+        grid = cls.feasible[n.id]
+        decisions[n.id] = grid[(n.stage + 1) % len(grid)]
+    return Policy(decisions=decisions, decision_dim=cls.decision_dim)
+
+
+def table_cost(rng, tree, cls) -> dict:
+    """A general table over every leaf path and grid history, random values."""
+    entries = []
+    for leaf in tree.leaves():
+        grids = [cls.feasible[i] for i in tree.path_nodes(leaf)]
+        for hist in itertools.product(*grids):
+            entries.append({
+                "x": [list(x) for x in path(tree, leaf)],
+                "u": [list(u) for u in hist],
+                "value": float(rng.uniform(-1.0, 1.0)),
+            })
+    return {"form": "general", "table": {"entries": entries}}
+
+
+def bundles() -> dict[str, dict]:
+    """Name -> bundle JSON (with one policy), every one from a fixed seed."""
+    out = {}
+
+    def add(name, tree, cost, cls):
+        bundle = ProblemBundle(tree=tree, cost=cost, cls=cls,
+                               policies={"probe": probe_policy(tree, cls)})
+        out[name] = bundle_to_json(bundle)
+
+    tree, cost, cls = random_instance(21, max_policies=4000, horizon=3)
+    add("general", tree, cost, cls)
+    tree, cost, cls = random_instance(22, max_policies=4000, horizon=3, additive=True)
+    add("lag1", tree, cost, cls)
+
+    rng = rng_from_seed(23)
+    tree = random_tree(rng, horizon=3)
+    cls = random_nodewise_class(rng, tree, max_policies=4000)
+    add("lag2", tree, random_additive_cost(rng, horizon=3, lag=2, gamma=0.9), cls)
+
+    rng = rng_from_seed(24)
+    tree = random_tree(rng, horizon=2, obs_dim=2)
+    cls = random_nodewise_class(rng, tree, decision_dim=3, max_policies=3000)
+    weights = [float(w) for w in rng.uniform(0.5, 2.0, size=3)]
+    tracking = cost_from_json({"form": "general", "builtin": "quadratic_tracking",
+                               "params": {"weights": weights}})
+    add("tracking", tree, tracking, cls)
+
+    rng = rng_from_seed(25)
+    tree = random_tree(rng, horizon=2)
+    cls = random_nodewise_class(rng, tree, max_policies=2000)
+    add("table", tree, cost_from_json(table_cost(rng, tree, cls)), cls)
+
+    # grid sizes 1 to 3 chosen per node: several shapes among the leaves
+    rng = rng_from_seed(26)
+    tree = random_tree(rng, horizon=3, max_branch=3)
+    cls = random_nodewise_class(rng, tree, max_choices=3, max_policies=4500)
+    add("mixed", tree, random_general_cost(rng, tree), cls)
+
+    tree, cost, cls = random_instance(27, horizon=3, kind="history_blind")
+    add("blind", tree, cost, cls)
+    rng = rng_from_seed(28)
+    tree = random_tree(rng, horizon=3)
+    cls = random_history_blind_class(rng, tree)
+    add("blind_lag2", tree, random_additive_cost(rng, horizon=3, lag=2, gamma=-0.5), cls)
+
+    # full grids of 3 on a horizon-6 tree: more leaf entries than one batch holds
+    rng = rng_from_seed(33)
+    tree = random_tree(rng, horizon=6)
+    cls = random_nodewise_class(rng, tree, fill=True)
+    add("wide", tree, random_general_cost(rng, tree), cls)
+
+    rng = rng_from_seed(29)
+    tree = random_tree(rng, horizon=2, obs_dim=1)
+    cls = random_nodewise_class(rng, tree, max_policies=3000)
+    cost = random_general_cost(rng, tree)
+    ratio = empirical_holder_constant(tree, cls, cost, alpha=1.0, delta=0.8)
+    for name, scale in (("holder_holds", 1.5), ("holder_fails", 0.5)):
+        data = bundle_to_json(ProblemBundle(tree=tree, cost=cost, cls=cls))
+        data["cost"] = {**data["cost"],
+                        "holder": {"C": scale * ratio, "alpha": 1.0, "delta": 0.8}}
+        out[name] = data
+    return out
+
+
+def commands(name: str) -> list[list[str]]:
+    if name.startswith("holder"):
+        return [["validate"]]
+    if name == "wide":  # too many policies and tails for the definitional route
+        return [["solve", "--method", "backward"], ["verify"]]
+    out = [["solve", "--method", "brute"], ["verify"], ["dynamic-check"]]
+    if not name.startswith("blind"):
+        out.insert(0, ["solve", "--method", "backward"])
+    return out
+
+
+def case_ids() -> list[str]:
+    return [f"{name}:{' '.join(cmd)}" for name in bundles() for cmd in commands(name)]
+
+
+def run_case(directory, name: str, command: list[str]) -> tuple[int, str]:
+    """Exit code and digest of the report, without its ``input`` field."""
+    file = directory / f"{name}.json"
+    if not file.exists():
+        file.write_text(json.dumps(bundles()[name], sort_keys=True, indent=2))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*command, "--input", str(file), "--json"])
+    report = json.loads(out.getvalue())
+    report.pop("input")
+    text = json.dumps(report, sort_keys=True, indent=2)
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
+GOLDEN = {
+    'general:solve --method backward': (0, '26d7a2d983153f13fe44df7d255857dd883335a4f840699e0cd8bb4100d481ef'),
+    'general:solve --method brute': (0, '1c26e45b1a63484efceef93dcdb3090828822e2bd6e4d6d6936d38a10e0cacb7'),
+    'general:verify': (1, '8296ebb1337b0eca0c38864db1238ec589fe84f4d24f9334bda54bcaf9135c78'),
+    'general:dynamic-check': (0, 'c9bf6a40150d6b7d831c1a4023335b8ef89d15da1c7a902c5df47a5d911c61f0'),
+    'lag1:solve --method backward': (0, '023437773ade76a1180818236969bb88de14d030b10329200bfbaa44d70f4c56'),
+    'lag1:solve --method brute': (0, 'b1ff94d3a43aa19827ff11fd0a827b466be9445ced1291d82d7d63bf9367bc5d'),
+    'lag1:verify': (1, 'c3a42be084c1c21be05f509d94fb877503c370a67bdd23f448b40ccba624d240'),
+    'lag1:dynamic-check': (0, 'b42582430c18c862d3a7995cded1b8f34261419c17e84c7d04acfd4fc5a9832f'),
+    'lag2:solve --method backward': (0, '1107910465c8bca5e9b9ac25d0b5bccf421130f5a604030817a17e7a34fff706'),
+    'lag2:solve --method brute': (0, 'a15a6144f578922944d7832b76d93d61500b184fe515da4384490514bc796c58'),
+    'lag2:verify': (1, '8d12949d11656270951bd44b53c0ebf50e0725686ef45e28b35902072675601e'),
+    'lag2:dynamic-check': (0, '2b35f0449909ab97309f3a6fd4065ede890c147f530c9a75d13b493821ead835'),
+    'tracking:solve --method backward': (0, '52a0e31e84c0fc9b3c572066a2b03e94d7566d590defe7061060f15e53824a7f'),
+    'tracking:solve --method brute': (0, '86c4fd10363f5b2b6f447c780b2a753dcbc731a4e4f7728c60731152a1a34483'),
+    'tracking:verify': (1, 'c53d9c144662cf306b70b23d050e83d2c3b450b42e646a6c7b961e0add7bbae8'),
+    'tracking:dynamic-check': (0, '1e2511a512c8cf5a1174c1a661a5f7ae09c533f4b61b70f23ae18210be014d14'),
+    'table:solve --method backward': (0, '68e341126f74a26304239bcd8c5572f5ab4e998252e33dc50e00ac16ba624d9c'),
+    'table:solve --method brute': (0, '8522e02048df16446709b964d46eed5ea737850a3fad29d09b01b81d39b38d75'),
+    'table:verify': (1, '23e8e23f72ea24644d6a4195944e8a538afc6a39b982a2dbf0daaf72cfb4b0f8'),
+    'table:dynamic-check': (0, 'd4aed63a442c0cabb56ab57dc9ec4fedbb45dbb2d46849253007ce258ccc58af'),
+    'mixed:solve --method backward': (0, '6e0baef2d750878beb444bc8f59f4a8ff94a3d4fd29e7da4aed052e5d0d5bf43'),
+    'mixed:solve --method brute': (0, '4296ef1d1644499bdfda8bce2dcfd0faf6d6ddac45c0f08c66851a96b5e60ed2'),
+    'mixed:verify': (1, 'ed9d9cab600880c3a98f2a354e64876ad8f3bab3efb16eb0a53c0c36ca795225'),
+    'mixed:dynamic-check': (0, 'bf7fbdd941ef9a57c66230f18470e82b537af6a5913657fde069021f5f937cda'),
+    'blind:solve --method brute': (0, 'b7bfd2248f88ef56fdf956d8bf2c857c76a84aaa5fe99b5d027acf6961460505'),
+    'blind:verify': (2, '81e9c9e6ae2cec05ec74d8ec7f920188ba56f5369986a74677843405c8072b2b'),
+    'blind:dynamic-check': (0, 'd0be67692de53420c8114abf4fac6c79ffb3dd5d0f35a465ee012e8744b5839f'),
+    'blind_lag2:solve --method brute': (0, '75215eb6774c622c6fef94f62ff46363190fcc394aaf3232f94d2b0ca428e18d'),
+    'blind_lag2:verify': (2, '4cdbd7501e3feb8b661eeda3289b20692da9230ef952e7c50bcaea57d3ca60ce'),
+    'blind_lag2:dynamic-check': (0, '3a9f928770797442ce71f076e3ab4b2adff551a2a51d9c60e6861efde42c55ec'),
+    'wide:solve --method backward': (0, '00814351387e8ac894ae92d3d2771c98348a878ea83bd932166deec2fd19d8ef'),
+    'wide:verify': (1, '746eee4a695d1f80f54ac6a57c607a483dcd36768f149d74cb81cb13589297ff'),
+    'holder_holds:validate': (0, 'd52c39388400ff9490eebe5a9a10889202cbf08f24ac28cb275bf7e2d07f2c43'),
+    'holder_fails:validate': (1, '895492832de2039347fb67c4e334185688c9ba6ab3b483676897463be6f8b030'),
+}
+
+
+@pytest.fixture(scope="module")
+def directory(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+def test_every_case_has_a_digest():
+    assert sorted(GOLDEN) == sorted(case_ids())
+
+
+def test_the_mixed_bundle_has_several_leaf_shapes():
+    data = bundles()["mixed"]
+    feasible = data["policy_class"]["feasible"]
+    stage = {int(n["id"]): n["stage"] for n in data["tree"]["nodes"]}
+    sizes = {len(grid) for nid, grid in feasible.items() if stage[int(nid)] == 3}
+    assert len(sizes) > 1
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_report_is_byte_identical(directory, case):
+    name, command = case.split(":")
+    assert run_case(directory, name, command.split()) == tuple(GOLDEN[case])
+
+
+if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in case_ids():
+            name, command = case.split(":")
+            code, digest = run_case(pathlib.Path(tmp), name, command.split())
+            sys.stdout.write(f"    {case!r}: ({code}, {digest!r}),\n")
