@@ -16,14 +16,20 @@ Objectives can be plain Python callables or built from a JSON payload
 (named builtin, polynomial, or lookup table), in which case they round-trip
 through serialization. Polynomial and builtin payloads are compiled once,
 when loaded, into one function per payload that takes plain windows or
-grid windows (:class:`GridWindow`) alike, so a whole grid of decision
-histories is evaluated at once (:meth:`CostSpec.evaluate_grid`).
-:func:`window_values` alone decides what broadcasts: tables and raw
-callables on a grid are called once per history of their window.
+grid windows (:class:`GridWindow`) alike, so every decision history of a
+batch of leaves is evaluated at once (:meth:`CostSpec.evaluate_leaves`,
+whose result has a leading leaf axis; :meth:`CostSpec.evaluate_grid` is a
+batch of one). :func:`window_values` alone decides what broadcasts: tables
+and raw callables on a grid are called once per history of their window,
+in leaf then C order. :func:`leaf_batches` groups leaves by grid sizes and
+cuts the groups into batches of whole leaves of at most
+:data:`LEAF_BATCH_ENTRIES` entries, so the working arrays of one batch stay
+small: a few arrays of that many float64 entries, or of one larger leaf.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,30 +55,73 @@ def u_window(decisions: Sequence[Vector], t: int, lag: int) -> Window:
 
 
 class GridWindow:
-    """A window over a grid product.
+    """A window over a grid product, or over a batch of grid products.
 
     Window position j holds the candidate vectors of output axis ``axes[j]``
-    of an array with ``ndim`` axes: on a tree, the decisions of each stage
-    of the path; in the stagewise recursion, also the states and noise
-    values.
+    of an array with ``ndim`` axes: in the stagewise recursion, the states,
+    noise values and decisions. A batch (``rows`` given) has a leading axis
+    of rows, on a tree one per leaf. Position j then lists the distinct
+    grids of its rows, one per tree node, and row r reads
+    ``grids[j][rows[j][r]]``. An axis of None marks a position whose grids
+    hold one vector each (the observations), which varies along the rows
+    only.
     """
 
-    def __init__(self, grids: Sequence[Sequence[Vector]], axes: Sequence[int], ndim: int):
+    def __init__(self, grids, axes: Sequence[int | None], ndim: int, rows=None):
         self.grids = grids
         self.axes = axes
         self.ndim = ndim
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.grids)
 
     def __getitem__(self, positions: slice) -> "GridWindow":
-        return GridWindow(self.grids[positions], self.axes[positions], self.ndim)
+        rows = None if self.rows is None else self.rows[positions]
+        return GridWindow(self.grids[positions], self.axes[positions], self.ndim, rows)
 
-    def factor(self, j: int, f: Callable[[Vector], float]) -> np.ndarray:
-        """f(u) for every candidate u at position j, shaped to broadcast along its axis."""
+    def factor(self, j: int, f: Callable, given: "GridWindow | None" = None) -> np.ndarray:
+        """f(u) for every candidate u at position j, shaped to broadcast along its axis.
+
+        In a batch, f runs once per candidate of each distinct grid and the
+        values are gathered along the rows. ``given``, the batch of
+        observations with the same rows, makes it f(x, u) with x the row's
+        vector at position j of ``given``.
+        """
         shape = [1] * self.ndim
-        shape[self.axes[j]] = len(self.grids[j])
-        return np.array([f(u) for u in self.grids[j]], dtype=float).reshape(shape)
+        if self.rows is None:
+            values = np.array([f(u) for u in self.grids[j]], dtype=float)
+        else:
+            if given is None:
+                table = [[f(u) for u in grid] for grid in self.grids[j]]
+            else:
+                pairs = zip(given.grids[j], self.grids[j])
+                table = [[f(x, u) for u in grid] for (x,), grid in pairs]
+            values = np.array(table, dtype=float)[self.rows[j]]
+            shape[0] = len(values)
+        if self.axes[j] is not None:
+            shape[self.axes[j]] = values.shape[-1]
+        return values.reshape(shape)
+
+    def grid(self, j: int, row: int = 0) -> Sequence[Vector]:
+        """The grid at position j of one row (of every row, outside a batch)."""
+        return self.grids[j] if self.rows is None else self.grids[j][self.rows[j][row]]
+
+    def extent(self) -> list[tuple[int, int]]:
+        """(axis, size) of every axis the window spans, the rows' axis 0 included."""
+        out = [] if self.rows is None else [(0, len(r)) for r in self.rows]
+        return out + [(a, len(self.grid(j))) for j, a in enumerate(self.axes) if a is not None]
+
+    def at(self, index: Sequence[int]) -> Window:
+        """The plain window at one index of the product (row ``index[0]`` of a batch)."""
+        return tuple(
+            self.grid(j, index[0])[0 if axis is None else index[axis]]
+            for j, axis in enumerate(self.axes)
+        )
+
+
+#: entries of one batch of leaf arrays: whole leaves up to this many, or one larger leaf
+LEAF_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -132,22 +181,50 @@ class CostSpec:
 
         ``grids[t]`` lists the stage-t candidates. The result has shape
         (|grids[0]|, ..., |grids[T]|), and its entry (k_0, ..., k_T) equals,
-        bit for bit, ``evaluate(paths, (grids[0][k_0], ..., grids[T][k_T]))``:
-        both run the same accumulation, here with the decisions a
-        :class:`GridWindow`, and :func:`window_values` evaluates each cost
-        on it (compiled payloads broadcast, anything else is called once per
-        history of its window).
+        bit for bit, ``evaluate(paths, (grids[0][k_0], ..., grids[T][k_T]))``.
+        It is :meth:`evaluate_leaves` on a batch of one leaf.
         """
-        shape = tuple(len(g) for g in grids)
-        with np.errstate(all="ignore"):
-            value = self._accumulate(
-                paths, GridWindow(grids, range(len(shape)), len(shape)), len(paths) - 1
-            )
-        values = np.array(np.broadcast_to(value, shape), dtype=float)
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise _unbounded(float(values[~finite][0]))
-        return values
+        return self.evaluate_leaves([paths], [grids])[0]
+
+    def evaluate_leaves(self, paths_list: Sequence, grids_list: Sequence) -> np.ndarray:
+        """Objective on a batch of leaves, each for every history of its grid product.
+
+        The leaves need equal grid sizes per stage. The result has shape
+        (L, |g_0|, ..., |g_T|), and slice k is ``evaluate_grid`` of leaf k:
+        both run the accumulation of :meth:`evaluate`, here with the
+        observations and decisions batch :class:`GridWindow` s, and
+        :func:`window_values` evaluates each cost on them (compiled payloads
+        broadcast, anything else is called once per history, in leaf then C
+        order). Leaves that share a stage's observation and grid objects
+        (one tree node) share that stage's row, so a compiled factor is
+        computed once per node. An error is the one the first failing leaf
+        raises on its own.
+        """
+        with _first_leaf_error(self, paths_list, grids_list):
+            shape = tuple(map(len, grids_list[0]))
+            for paths, grids in zip(paths_list, grids_list):
+                if len(paths) != len(grids):
+                    raise MultistageError(f"{len(paths)} observations but {len(grids)} decisions")
+                if tuple(map(len, grids)) != shape:
+                    raise MultistageError("a batch needs equal grid sizes per stage")
+            obs, cands, rows = [], [], []
+            for j in range(len(shape)):
+                keys = [(id(p[j]), id(g[j])) for p, g in zip(paths_list, grids_list)]
+                last = {key: i for i, key in enumerate(keys)}  # one per node, as they appear
+                row = {key: r for r, key in enumerate(last)}
+                rows.append(np.array([row[key] for key in keys], dtype=np.intp))
+                obs.append([(paths_list[i][j],) for i in last.values()])
+                cands.append([grids_list[i][j] for i in last.values()])
+            ndim = len(shape) + 1
+            xs = GridWindow(obs, (None,) * len(shape), ndim, rows)
+            us = GridWindow(cands, tuple(range(1, ndim)), ndim, rows)
+            with np.errstate(all="ignore"):
+                value = self._accumulate(xs, us, len(shape) - 1)
+            values = np.array(np.broadcast_to(value, (len(paths_list),) + shape), dtype=float)
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise _unbounded(float(values[~finite][0]))
+            return values
 
     def additive_prefix(self, paths, decisions, through: int) -> float:
         """Discounted stage costs accumulated through stage ``through``.
@@ -161,12 +238,13 @@ class CostSpec:
 
     def _accumulate(self, paths, decisions: Window | GridWindow, through: int):
         """The objective, or for the additive form the discounted sum from 0.0
-        of stage costs 1..``through`` in stage order, on plain or grid decisions."""
+        of stage costs 1..``through`` in stage order, on plain or batch windows."""
         if len(paths) != len(decisions):
             raise MultistageError(
                 f"{len(paths)} observations but {len(decisions)} decisions"
             )
-        paths = tuple(paths)
+        if not isinstance(paths, GridWindow):
+            paths = tuple(paths)
         if self.form == "general":
             return window_values(self.objective, paths, decisions)
         if len(self.stage_costs) < through:
@@ -186,6 +264,54 @@ def _unbounded(value: float) -> UnboundedObjectiveError:
     return UnboundedObjectiveError(
         f"objective evaluated to {value!r}; it must be finite on the grid"
     )
+
+
+@contextlib.contextmanager
+def _first_leaf_error(cost: CostSpec, paths_list, grids_list):
+    """On an error of a batch, raise what a loop of ``evaluate_grid`` over its
+    leaves raises first: a batch evaluates the leaves in another order."""
+    try:
+        yield
+    except Exception as exc:
+        if len(paths_list) > 1 and not isinstance(exc, MemoryError):
+            for paths, grids in zip(paths_list, grids_list):
+                cost.evaluate_grid(paths, grids)
+        raise
+
+
+def leaf_batches(cost: CostSpec, paths_list, grids_list) -> list[tuple[list[int], np.ndarray]]:
+    """Leaf arrays of many leaves in batches: ``(members, cost.evaluate_leaves(...))``.
+
+    The leaves are grouped by their grid sizes per stage, in order of first
+    appearance, and each group is cut into batches of whole leaves holding
+    at most :data:`LEAF_BATCH_ENTRIES` entries (one leaf if it holds more).
+    ``members`` lists the input positions of a batch's leaves. An error is
+    the one a loop of ``evaluate_grid`` over the leaves, in input order,
+    raises first.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, grids in enumerate(grids_list):
+        groups.setdefault(tuple(map(len, grids)), []).append(i)
+    batches = []
+    with _first_leaf_error(cost, paths_list, grids_list):
+        for shape, members in groups.items():
+            step = max(1, LEAF_BATCH_ENTRIES // max(1, math.prod(shape)))
+            for s in range(0, len(members), step):
+                part = members[s: s + step]
+                values = cost.evaluate_leaves(
+                    [paths_list[i] for i in part], [grids_list[i] for i in part]
+                )
+                batches.append((part, values))
+    return batches
+
+
+def leaf_arrays(cost: CostSpec, paths_list, grids_list) -> list[np.ndarray]:
+    """``evaluate_grid`` of every leaf, in input order, from :func:`leaf_batches`."""
+    out: list = [None] * len(paths_list)
+    for members, values in leaf_batches(cost, paths_list, grids_list):
+        for k, i in enumerate(members):
+            out[i] = values[k]
+    return out
 
 
 # -- compiled payloads ----------------------------------------------------------
@@ -233,13 +359,11 @@ def window_values(cost: Callable, xs: Window | GridWindow, us: Window | GridWind
     grids = [w for w in (xs, us) if isinstance(w, GridWindow)]
     shape = [1] * grids[0].ndim
     for w in grids:
-        for g, axis in zip(w.grids, w.axes):
-            shape[axis] = len(g)
+        for axis, size in w.extent():
+            shape[axis] = size
 
     def pick(w, index):
-        if not isinstance(w, GridWindow):
-            return w
-        return tuple(g[index[axis]] for g, axis in zip(w.grids, w.axes))
+        return w.at(index) if isinstance(w, GridWindow) else w
 
     values = [
         cost(pick(xs, index), pick(us, index))
@@ -333,10 +457,14 @@ def quadratic_tracking(params: dict):
         w = 1.0 if weights is None else weights[t]
         return w * sum((ui - x[i % len(x)]) ** 2 for i, ui in enumerate(u))
 
-    def evaluate(xs: Window, us: Window | GridWindow):
+    def evaluate(xs: Window | GridWindow, us: Window | GridWindow):
         total = 0.0
         for t in range(len(us)):
-            total = total + _each(us, t, lambda u, t=t: stage(t, xs[t], u))
+            if isinstance(xs, GridWindow):  # a batch: each row's x_t with its u_t grid
+                term = us.factor(t, lambda x, u, t=t: stage(t, x, u), given=xs)
+            else:
+                term = _each(us, t, lambda u, t=t: stage(t, xs[t], u))
+            total = total + term
         return total
 
     def problems(T, window, dims, magnitudes):
@@ -584,13 +712,14 @@ def verify_holder(tree, cls, cost: CostSpec, C: float, alpha: float, delta: floa
     """
     from .scenario_tree import path as tree_path
 
+    leaves = tree.leaves()
+    grids_list = [[cls.feasible[i] for i in tree.path_nodes(leaf)] for leaf in leaves]
+    arrays = leaf_arrays(cost, [tree_path(tree, leaf) for leaf in leaves], grids_list)
     worst = 0.0
     pairs = 0
-    for leaf in tree.leaves():
-        grids = [cls.feasible[i] for i in tree.path_nodes(leaf)]
+    for grids, values in zip(grids_list, arrays):
         histories = list(itertools.product(*grids))
-        values = cost.evaluate_grid(tree_path(tree, leaf), grids).ravel()
-        ratio, n, _ = holder_check_values(histories, values, C, alpha, delta)
+        ratio, n, _ = holder_check_values(histories, values.ravel(), C, alpha, delta)
         worst = max(worst, ratio)
         pairs += n
     return HolderCheck(

@@ -51,7 +51,7 @@ from .exceptions import (
 )
 from .policy import DEFAULT_ENUMERATION_CAP, Decision, Policy, PolicyClass
 from .scenario_tree import Node, ScenarioTree, path
-from .tolerances import EQUALITY_TOL, KERNEL_TOL
+from .tolerances import EQUALITY_TOL, KERNEL_TOL, LAG_KEY_DIGITS
 from .value_process import ValueTables
 
 
@@ -418,8 +418,8 @@ def tilde_shift(
 # -- lag-l recursion on trees ----------------------------------------------------
 
 
-def _round_vec(vec: Sequence[float], ndigits: int = 9) -> tuple[float, ...]:
-    return tuple(round(float(x), ndigits) for x in vec)
+def _round_vec(vec: Sequence[float]) -> tuple[float, ...]:
+    return tuple(round(float(x), LAG_KEY_DIGITS) for x in vec)
 
 
 def _obs_window_key(tree: ScenarioTree, node_id: int, lag: int) -> tuple:
@@ -434,7 +434,7 @@ def _subtree_signature(tree: ScenarioTree, cls: PolicyClass, node_id: int) -> tu
     kids = tree.children(node_id)
     child_sigs = sorted(
         (
-            round(tree.nodes[c].cond_prob, 9),
+            round(tree.nodes[c].cond_prob, LAG_KEY_DIGITS),
             _round_vec(tree.nodes[c].obs),
             _subtree_signature(tree, cls, c),
         )
@@ -617,10 +617,14 @@ class SddpSpec:
                 raise InputFormatError(
                     f"stage {t + 1} noise probabilities sum to {total!r}, not 1"
                 )
-            for p, value in atoms:
+            for k, (p, value) in enumerate(atoms):
                 if not np.isfinite(p) or not all(np.isfinite(x) for x in value):
                     raise InputFormatError(
                         f"stage {t + 1} noise support contains a non-finite entry"
+                    )
+                if p < 0.0:
+                    raise InputFormatError(
+                        f"stage {t + 1} noise atom {k} has negative probability {p!r}"
                     )
 
     def cost_at(self, t: int) -> Callable:

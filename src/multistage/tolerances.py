@@ -1,8 +1,9 @@
 """Every numerical tolerance of the package, each with the one thing it decides.
 
-Tolerances are absolute. Changing one changes which inputs are accepted
-and which findings are reported, so the values are fixed here and nowhere
-else; callers that take a ``tol`` argument default to one of these.
+Tolerances are absolute, except the one rounding, which counts decimal
+digits. Changing one changes which inputs are accepted and which findings
+are reported, so the values are fixed here and nowhere else; callers that
+take a ``tol`` argument default to one of these.
 """
 
 #: probabilities: the root's is 1, each edge's lies in (0, 1], children sum to 1
@@ -25,3 +26,6 @@ INEQUALITY_SLACK = 1e-12
 
 #: default tolerance of the martingale, dynamic-relation and interchange reports
 DEFAULT_TOL = 1e-9
+
+#: lag recursion: observations, decisions and probabilities equal when rounded to this many digits
+LAG_KEY_DIGITS = 9

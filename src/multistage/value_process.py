@@ -17,28 +17,37 @@ the interchange of minimum and conditional expectation is an identity).
 ``brute_force_optimum``, the oracle for the recursion, is the definitional
 route's minimum at the root: V_0 with empty history, with its minimizer.
 
+Both routes read the objective on whole leaf grid products through
+``costs.leaf_batches``: one ``CostSpec.evaluate_leaves`` call per batch of
+leaves with equal grid sizes, a leaf axis in front. The recursion takes each
+leaf's v as a view of its batch and the V of a whole batch with one
+``_first_min``. That evaluator is the shared definition of the objective;
+each route keeps its own arithmetic on the leaf values.
+
 The definitional route keeps one cache per call of ``compute_v``,
-``compute_V``, ``brute_force_optimum``, ``check_dynamic_relations`` or the
-history-blind ``value_process_for_policy``: per leaf, the objective on the
-leaf's whole path grid product (one ``CostSpec.evaluate_grid`` call); v per
-(node, head); and per node, its tail axes, whose count is checked against
-the cap before anything is evaluated. v_t(node, head) slices every leaf
-array below the node at the head, adds rel_prob * slice into one
-accumulator over the node's whole tail product (leaves in order, from
-0.0, as ``tail_conditional_value`` adds them) and takes the joint minimum
-over that product. It never nests minima and expectations, which would
-be the recursion. A leaf's array is built at the first head on the grids
-asked of it, as long as the leaf arrays stay within ``cap`` entries in all;
-past that budget, and for heads off the grids (or holding a -0.0 where the
-grid has 0.0, or the reverse), the leaf is evaluated for the one head asked,
-with the head given as one-point grids. Memory: the leaf arrays hold at
-most ``cap`` float64 entries in all, the accumulator at most ``cap``, and
-one weighted leaf slice at most the accumulator's size, plus the working
-arrays of the ``evaluate_grid`` call that builds a leaf array. So ``cap``
-bounds memory as well as work: about three times ``cap`` float64 entries,
-240 MB at the default cap of 10^7 (measured peaks: 1.0 to 2.3 times
-``cap`` entries, on chain and binary trees), for ``solve``'s brute force as
-for ``verify`` and ``dynamic-check``.
+``compute_V``, ``brute_force_optimum``, ``check_dynamic_relations`` or
+the history-blind ``value_process_for_policy``: per leaf, the objective
+on the leaf's whole path grid product; v per (node, head); and per node,
+its tail axes, whose count is checked against the cap before anything is
+evaluated. v_t(node, head) slices every leaf array below the node at the
+head, adds rel_prob * slice into one accumulator over the node's whole
+tail product (leaves in order, from 0.0, as ``tail_conditional_value``
+adds them) and takes the joint minimum over that product. It never nests
+minima and expectations, which would be the recursion. A leaf's array is
+built at the first head on the grids asked of it, as long as the leaf
+arrays stay within ``cap`` entries in all, decided leaf by leaf in
+order; the leaves that follow it and fit are built in the same batched
+call. Past that budget, and for heads off the grids (or holding a -0.0
+where the grid has 0.0, or the reverse), the leaf is evaluated for the
+one head asked, with the head given as one-point grids. Memory: the leaf
+arrays hold at most ``cap`` float64 entries in all, the accumulator at
+most ``cap``, and one weighted leaf slice at most the accumulator's
+size, plus the working arrays of one batch (a few arrays of
+``costs.LEAF_BATCH_ENTRIES`` entries, or of one larger leaf). So ``cap``
+bounds memory as well as work: about three times ``cap`` float64
+entries, 240 MB at the default cap of 10^7 (measured peaks: 1.0 to 2.3
+times ``cap`` entries, on chain and binary trees), for ``solve``'s brute
+force as for ``verify`` and ``dynamic-check``.
 
 Decision histories are free parameters of the value functions: they need
 not be feasible for the class, only the tail being optimized is
@@ -55,7 +64,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .costs import CostSpec, holder_pairs
+from .costs import CostSpec, holder_pairs, leaf_arrays, leaf_batches
 from .exceptions import (
     DecomposableClassRequiredError,
     EnumerationCapError,
@@ -202,22 +211,29 @@ class _Definitional:
         self._tails[node_id] = (stage, tail_slots, shape, leaves)
         return self._tails[node_id]
 
-    def _leaf_grid_values(self, leaf: int) -> np.ndarray | None:
-        """Objective on the leaf's whole path grid product, or None past the budget.
+    def _leaf_grid_values(self, leaves: Sequence[int], i: int) -> np.ndarray | None:
+        """Objective on the whole path grid product of ``leaves[i]``, or None past the budget.
 
         Built once per leaf, as long as the leaf arrays hold at most ``cap``
-        entries in all.
+        entries in all, decided leaf by leaf in ``leaves`` order. A leaf
+        that is built brings along, in one batched evaluation, the leaves
+        after it that are not built yet, up to the first one past the budget.
         """
-        if leaf in self._leaf_values:
-            return self._leaf_values[leaf]
-        grids = [self.candidates(nid) for nid in self.tree.path_nodes(leaf)]
-        size = math.prod(len(g) for g in grids)
-        if self._leaf_entries + size > self.cap:
-            return None
-        self._leaf_entries += size
-        values = self.cost.evaluate_grid(path(self.tree, leaf), grids)
-        self._leaf_values[leaf] = values
-        return values
+        if leaves[i] not in self._leaf_values:
+            run, grids_list = [], []
+            for leaf in leaves[i:]:
+                if leaf in self._leaf_values:
+                    continue
+                grids = [self.candidates(nid) for nid in self.tree.path_nodes(leaf)]
+                size = math.prod(len(g) for g in grids)
+                if self._leaf_entries + size > self.cap:
+                    break
+                self._leaf_entries += size
+                run.append(leaf)
+                grids_list.append(grids)
+            paths = [path(self.tree, leaf) for leaf in run]
+            self._leaf_values.update(zip(run, leaf_arrays(self.cost, paths, grids_list)))
+        return self._leaf_values.get(leaves[i])
 
     def tail_values(self, node_id: int, u_head: History) -> np.ndarray:
         """Conditional expected cost at a node for one head and every tail.
@@ -238,11 +254,12 @@ class _Definitional:
                 index = None
                 break
             index += (k,)
+        ids = [leaf for leaf, *_ in leaves]
         acc = np.zeros(shape)
-        for leaf, rel_prob, order, bshape in leaves:
+        for i, (leaf, rel_prob, order, bshape) in enumerate(leaves):
             values = None
             if index is not None:
-                values = self._leaf_grid_values(leaf)
+                values = self._leaf_grid_values(ids, i)
             if values is None:
                 below = self.tree.path_nodes(leaf)[stage + 1:]
                 grids = [(u,) for u in head] + [self.candidates(nid) for nid in below]
@@ -347,9 +364,17 @@ def _first_min(values: np.ndarray) -> np.ndarray:
     """Minimum over the last axis, as Python's ``min`` picks it.
 
     Equal nonzero floats are identical, so only a zero minimum can differ
-    (+0.0 against -0.0); then the entry at the first ``argmin`` is read.
+    (+0.0 against -0.0); then the entry at the first ``argmin`` is read. A
+    last axis shorter than the number of minima is folded with
+    ``np.minimum``, which numpy runs far faster than a reduction over it.
     """
-    low = values.min(axis=-1)
+    n = values.shape[-1]
+    if 0 < n * n <= values.size:
+        low = values[..., 0]
+        for k in range(1, n):
+            low = np.minimum(low, values[..., k])
+    else:
+        low = values.min(axis=-1)
     if low.all():
         return low
     best = values.argmin(axis=-1)[..., None]
@@ -386,18 +411,25 @@ def backward_tables(
     axes = {
         n.id: tuple(cls.feasible[i] for i in tree.path_nodes(n.id)) for n in tree.nodes
     }
+    leaves = tree.stage_nodes(tree.horizon)
+    seed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for members, values in leaf_batches(
+        cost, [path(tree, n) for n in leaves], [axes[n] for n in leaves]
+    ):
+        low = _first_min(values)
+        seed.update((leaves[i], (values[k], low[k])) for k, i in enumerate(members))
     v: dict[int, np.ndarray] = {}
     V: dict[int, np.ndarray] = {}
     for t in range(tree.horizon, -1, -1):
         for nid in tree.stage_nodes(t):
             if t == tree.horizon:
-                v[nid] = cost.evaluate_grid(path(tree, nid), axes[nid])
-            else:
-                acc = np.zeros(tuple(len(g) for g in axes[nid]))
-                for c in tree.children(nid):
-                    acc = acc + tree.nodes[c].cond_prob * V[c]
-                v[nid] = acc
-            V[nid] = _first_min(v[nid])
+                v[nid], V[nid] = seed[nid]
+                continue
+            acc = np.zeros(tuple(len(g) for g in axes[nid]))
+            for c in tree.children(nid):
+                acc = acc + tree.nodes[c].cond_prob * V[c]
+            v[nid] = acc
+            V[nid] = _first_min(acc)
     return ValueTables(v=v, V=V, axes=axes)
 
 
@@ -422,11 +454,17 @@ def greedy_policy_from_tables(
 
 def expected_value(tree: ScenarioTree, cost: CostSpec, policy: Policy) -> float:
     """E v(X, U): probability weighted objective over all leaf trajectories."""
+    leaves = tree.leaves()
+    points: dict[int, tuple[Decision]] = {}  # per node: its decision as a one-point grid
+    grids_list = []
+    for leaf in leaves:
+        nids = tree.path_nodes(leaf)
+        hist = policy.decision_path(tree, leaf)
+        grids_list.append([points.setdefault(n, (u,)) for n, u in zip(nids, hist)])
+    values = leaf_arrays(cost, [path(tree, leaf) for leaf in leaves], grids_list)
     total = 0.0
-    for leaf in tree.leaves():
-        total += unconditional_probability(tree, leaf) * cost.evaluate(
-            path(tree, leaf), policy.decision_path(tree, leaf)
-        )
+    for leaf, value in zip(leaves, values):
+        total += unconditional_probability(tree, leaf) * value.item()
     return total
 
 

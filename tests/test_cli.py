@@ -671,6 +671,27 @@ class TestSddpCommand:
         assert captured.out == ""
         assert "step-cost term 4" in captured.err
 
+    def test_negative_noise_probability_exits_three(self, tmp_path, capsys):
+        # [0.48, 0.52] -> [1.48, -0.48]: still sums to 1
+        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        atoms = payload["stage_noise"][0]
+        atoms[0]["prob"] += 1.0
+        atoms[1]["prob"] -= 1.0
+        path = write_json(tmp_path / "sddp.json", payload)
+        assert main(["sddp-solve", "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "stage 1 noise atom 1 has negative probability" in captured.err
+
+    def test_zero_noise_probability_is_allowed(self, tmp_path, capsys):
+        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        atoms = payload["stage_noise"][0]
+        atoms[0]["prob"] = 1.0
+        atoms[1]["prob"] = 0.0
+        path = write_json(tmp_path / "sddp.json", payload)
+        assert main(["sddp-solve", "--input", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["root_value"] is not None
+
     def test_negative_power_of_a_zero_state_exits_three(self, tmp_path, capsys):
         payload = random_sddp(rng_from_seed(8), horizon=2).payload
         payload["initial_state"] = [0.0]

@@ -3,17 +3,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multistage import (
     CostSpec,
     InputFormatError,
+    MultistageError,
     UnboundedObjectiveError,
     cost_from_json,
     cost_to_json,
     empirical_holder_constant,
     verify_holder,
 )
-from multistage.costs import GridWindow, cost_problems, u_window, window_values, x_window
+from multistage import costs
+from multistage.costs import (
+    GridWindow,
+    cost_problems,
+    leaf_arrays,
+    leaf_batches,
+    u_window,
+    window_values,
+    x_window,
+)
 from multistage.generate import chain_tree, random_tree, rng_from_seed
 from multistage.policy import PolicyClass
 from multistage.scenario_tree import Node, ScenarioTree
@@ -310,6 +322,187 @@ class TestGridEvaluator:
             cost.evaluate_grid(paths, (((1e10, 0.0),),) + grids[1:])
         with pytest.raises(UnboundedObjectiveError):
             cost.evaluate(paths, ((1e10, 0.0), grids[1][0]))
+
+
+# -- batches of leaves ----------------------------------------------------------------
+
+PAYLOAD_KINDS = ["poly", "relative", "tracking", "sum", "table", "window_table", "raw"]
+
+
+def signed(rng, size):
+    """Uniform draws in which about one in eight entries is 0.0 or -0.0."""
+    values = [float(x) for x in rng.uniform(-1.5, 1.5, size=size)]
+    return tuple(float(rng.choice([0.0, -0.0])) if rng.uniform() < 0.125 else v
+                 for v in values)
+
+
+def leaf_instance(seed, kind):
+    """Leaves of a random tree with grids of 1 to 3 candidates per node (several
+    leaf shapes) or per stage, per node one observation shared by the leaves
+    below it, signed zeros among both, and a cost of the given kind."""
+    rng = rng_from_seed(seed)
+    dim = int(rng.integers(1, 3))
+    tree = random_tree(rng, horizon=int(rng.integers(1, 4)), max_branch=3)
+    T = tree.horizon
+    obs = {n.id: signed(rng, dim) for n in tree.nodes}
+    grid = {n.id: tuple(signed(rng, dim) for _ in range(int(rng.integers(1, 4))))
+            for n in tree.nodes}
+    if rng.uniform() < 0.5:  # one grid object per stage, as a history-blind class has
+        grid = {n.id: grid[tree.stage_nodes(n.stage)[0]] for n in tree.nodes}
+    leaves = tree.leaves()
+    paths = [tuple(obs[i] for i in tree.path_nodes(leaf)) for leaf in leaves]
+    grids = [[grid[i] for i in tree.path_nodes(leaf)] for leaf in leaves]
+
+    def terms(n_index):
+        out = random_terms(rng, n_index, dim, n_terms=6)
+        if rng.uniform() < 0.3:  # large enough to overflow on some histories
+            out.append({"coef": 1e308, "vars": [["u", int(rng.integers(0, T + 1)), 0, 2]]})
+        return out
+
+    def additive(stage_costs, lag):
+        gamma = float(rng.choice([0.9, -0.5, 0.0]))
+        return cost_from_json(
+            {"form": "additive", "gamma": gamma, "lag": lag, "stage_costs": stage_costs}
+        )
+
+    if kind == "poly":  # stage indices up to T + 2: some terms fall off the path
+        cost = cost_from_json({"form": "general", "poly": {"terms": terms(T + 3)}})
+    elif kind == "relative":  # offsets up to 3 reach past every lag-2 window
+        cost = additive([{"poly": {"terms": terms(4)}} for _ in range(T)],
+                        int(rng.integers(0, 3)))
+    elif kind == "tracking":
+        weights = [float(w) for w in rng.uniform(0.5, 2.0, size=T + 1)]
+        if rng.uniform() < 0.5:
+            cost = cost_from_json({"form": "general", "builtin": "quadratic_tracking",
+                                   "params": {"weights": weights}})
+        else:
+            cost = additive([{"builtin": "quadratic_tracking"}] * T, 2)
+    elif kind == "sum":
+        if rng.uniform() < 0.5:
+            cost = cost_from_json({"form": "general", "builtin": "sum_decisions"})
+        else:
+            cost = additive([{"builtin": "sum_decisions"}] * T, 1)
+    elif kind == "table":  # every history or most, a few values infinite
+        every = rng.uniform() < 0.5
+        entries = [
+            {"x": [list(x) for x in p], "u": [list(u) for u in h],
+             "value": math.inf if rng.uniform() < 0.02 else float(rng.uniform(-1, 1))}
+            for p, g in zip(paths, grids) for h in itertools.product(*g)
+            if every or rng.uniform() < 0.9
+        ]
+        cost = cost_from_json({"form": "general", "table": {"entries": entries}})
+    elif kind == "window_table":  # lag-1 stage tables: a miss may come at any stage
+        entries = [
+            {"x": [list(p[t - 1]), list(p[t])], "u": [list(u)], "value": float(rng.uniform())}
+            for p, g in zip(paths, grids) for t in range(1, T + 1) for u in g[t - 1]
+            if rng.uniform() < 0.97
+        ]
+        cost = additive([{"table": {"entries": entries}}] * T, 1)
+    else:
+        def objective(xs, us):
+            if us[-1][0] > 1.4:
+                raise MultistageError(f"raw objective refuses u={us!r}")
+            return sum(u[0] * x[-1] for u, x in zip(us, xs)) - xs[0][0] * us[-1][-1]
+
+        cost = CostSpec.general(objective)
+    return cost, paths, grids
+
+
+def outcome(evaluate):
+    """The arrays' bytes, or the type and message of the error raised."""
+    try:
+        return "ok", [a.dtype.str + str(a.shape) + a.tobytes().hex() for a in evaluate()]
+    except (MultistageError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestLeafBatches:
+    """A batch of leaves equals evaluate_grid leaf by leaf, bit for bit, errors included."""
+
+    @settings(max_examples=140, deadline=None)
+    @given(seed=st.integers(0, 10**6), kind=st.sampled_from(PAYLOAD_KINDS))
+    def test_batches_equal_the_leaf_loop(self, seed, kind):
+        cost, paths, grids = leaf_instance(seed, kind)
+        loop = outcome(lambda: [cost.evaluate_grid(p, g) for p, g in zip(paths, grids)])
+        assert outcome(lambda: leaf_arrays(cost, paths, grids)) == loop
+        # each shape group on its own, as evaluate_leaves takes it
+        groups = {}
+        for i, g in enumerate(grids):
+            groups.setdefault(tuple(map(len, g)), []).append(i)
+        for members in groups.values():
+            batch = outcome(lambda: list(cost.evaluate_leaves(
+                [paths[i] for i in members], [grids[i] for i in members])))
+            alone = outcome(lambda: [cost.evaluate_grid(paths[i], grids[i]) for i in members])
+            assert batch == alone
+
+    @pytest.mark.parametrize("entries", [1, 5, 40])
+    @pytest.mark.parametrize("kind", PAYLOAD_KINDS)
+    def test_small_batches_cut_groups_into_whole_leaves(self, monkeypatch, kind, entries):
+        cost, paths, grids = leaf_instance(17, kind)
+        want = outcome(lambda: [cost.evaluate_grid(p, g) for p, g in zip(paths, grids)])
+        monkeypatch.setattr(costs, "LEAF_BATCH_ENTRIES", entries)
+        assert outcome(lambda: leaf_arrays(cost, paths, grids)) == want
+        if want[0] == "ok":
+            batches = leaf_batches(cost, paths, grids)
+            assert sorted(i for members, _ in batches for i in members) == list(range(len(paths)))
+            for members, values in batches:
+                assert len(members) == 1 or values[0].size * len(members) <= entries
+
+    def test_first_non_finite_entry_in_leaf_order(self):
+        # 1e300 * x_1 * u_1: leaf 0 reads [1e300, inf], leaf 1 [-inf, -inf]
+        paths = [((0.0,), (1.0,)), ((0.0,), (-1e20,))]
+        grids = [((0.0,),), ((1.0,), (1e10,))]
+        cost = cost_from_json({"form": "general", "poly": {"terms": [
+            {"coef": 1e300, "vars": [["x", 1, 0, 1], ["u", 1, 0, 1]]}]}})
+        with pytest.raises(UnboundedObjectiveError, match=r"evaluated to inf;"):
+            cost.evaluate_grid(paths[0], grids)
+        with pytest.raises(UnboundedObjectiveError, match=r"evaluated to inf;"):
+            cost.evaluate_leaves(paths, [grids, grids])
+        with pytest.raises(UnboundedObjectiveError, match=r"evaluated to -inf;"):
+            cost.evaluate_leaves(paths[::-1], [grids, grids])
+
+    def test_first_table_miss_is_the_leaf_loops(self):
+        # lag-1 stage tables: leaf 0 misses at stage 2, leaf 1 already at stage 1;
+        # stage by stage over the batch, leaf 1's miss would come first
+        paths = [((0.0,), (1.0,), (2.0,)), ((0.0,), (5.0,), (6.0,))]
+        grids = [((0.0,),)] * 3
+        entries = [{"x": [[0.0], [1.0]], "u": [[0.0]], "value": 1.0}]
+        cost = cost_from_json({"form": "additive", "gamma": 0.5, "lag": 1,
+                               "stage_costs": [{"table": {"entries": entries}}] * 2})
+        with pytest.raises(MultistageError) as alone:
+            cost.evaluate_grid(paths[0], grids)
+        with pytest.raises(MultistageError) as batch:
+            cost.evaluate_leaves(paths, [grids, grids])
+        assert str(batch.value) == str(alone.value)
+        assert "x=((1.0,), (2.0,))" in str(batch.value)
+
+    def test_evaluate_grid_is_a_batch_of_one(self, monkeypatch):
+        _, paths, grids = random_paths_and_grids(15)
+        cost = cost_from_json({"form": "general", "builtin": "sum_decisions"})
+        calls = []
+        evaluate_leaves = CostSpec.evaluate_leaves
+
+        def counted(self, paths_list, grids_list):
+            calls.append(len(paths_list))
+            return evaluate_leaves(self, paths_list, grids_list)
+
+        monkeypatch.setattr(CostSpec, "evaluate_leaves", counted)
+        assert_bitwise(cost.evaluate_grid(paths, grids), loop_over_grid(cost, paths, grids))
+        assert calls == [1]
+
+    def test_compiled_factors_run_once_per_node(self):
+        # two leaves share the root: its grid is evaluated once, not once per leaf
+        calls = []
+        root, a, b = ((1.0,), (2.0,)), ((3.0,),), ((4.0,),)
+        x0, xa, xb = (0.5,), (1.5,), (2.5,)
+        cost = cost_from_json({"form": "general", "poly": {"terms": [
+            {"coef": 1.0, "vars": [["u", 0, 0, 2], ["u", 1, 0, 1]]}]}})
+        batch = GridWindow([[root], [a, b]], (1, 2), 3, [np.array([0, 0]), np.array([0, 1])])
+        values = batch.factor(0, lambda u: calls.append(u) or u[0] ** 2)
+        assert calls == [(1.0,), (2.0,)]
+        assert values.shape == (2, 2, 1)
+        got = cost.evaluate_leaves([(x0, xa), (x0, xb)], [[root, a], [root, b]])
+        assert got.tobytes() == np.array([[[3.0], [12.0]], [[4.0], [16.0]]]).tobytes()
 
 
 class TestWindowValues:

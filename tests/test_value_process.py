@@ -22,6 +22,7 @@ from multistage import (
     tail_conditional_value,
     value_process_for_policy,
 )
+from multistage import costs
 from multistage.costs import cost_from_json
 from multistage.generate import (
     branching_gap_fixture,
@@ -324,8 +325,10 @@ def dict_instance(seed):
 
 
 class TestArrayTablesMatchDictRecursion:
+    @pytest.mark.parametrize("entries", [1, costs.LEAF_BATCH_ENTRIES], ids=["alone", "batched"])
     @pytest.mark.parametrize("seed", range(15))
-    def test_bitwise_equal_tables_and_greedy_policy(self, seed):
+    def test_bitwise_equal_tables_and_greedy_policy(self, monkeypatch, seed, entries):
+        monkeypatch.setattr(costs, "LEAF_BATCH_ENTRIES", entries)
         tree, cost, cls = dict_instance(seed)
         tables = backward_tables(tree, cost, cls)
         v_ref, V_ref, greedy_ref = dict_backward_tables(tree, cost, cls)
@@ -347,6 +350,18 @@ class TestArrayTablesMatchDictRecursion:
         tables = backward_tables(tree, cost, cls)
         assert math.copysign(1.0, tables.root_value) == 1.0
         assert greedy_policy_from_tables(tree, cls, tables).decisions == {0: (0.0,)}
+
+    def test_signed_zero_leaf_minima_in_one_batch(self, binary2, binary2_class):
+        # leaves with a positive observation read (+0.0, -0.0), the others (-0.0, +0.0)
+        def objective(xs, us):
+            first = us[-1][0] == 0.0
+            return (0.0 if first else -0.0) if xs[-1][0] > 0 else (-0.0 if first else 0.0)
+
+        tables = backward_tables(binary2, CostSpec.general(objective), binary2_class)
+        for leaf in binary2.leaves():
+            want = 1.0 if binary2.nodes[leaf].obs[0] > 0 else -1.0
+            signs = np.copysign(1.0, tables.V[leaf])
+            assert (signs == want).all()
 
     def test_index_rejects_histories_off_the_grid(self, binary2, binary2_class):
         cost = random_general_cost(rng_from_seed(42), binary2)
@@ -732,13 +747,14 @@ class TestDefinitionalRoute:
         cost = random_general_cost(rng_from_seed(4), tree)
         ref = ScalarDefinitional(tree, cost, cls)
         sizes = []
-        evaluate_grid = CostSpec.evaluate_grid
+        evaluate_leaves = CostSpec.evaluate_leaves
 
-        def counted(self, paths, grids):
-            sizes.append(math.prod(len(g) for g in grids))
-            return evaluate_grid(self, paths, grids)
+        def counted(self, paths_list, grids_list):
+            sizes.extend(math.prod(len(g) for g in grids) for grids in grids_list)
+            return evaluate_leaves(self, paths_list, grids_list)
 
-        monkeypatch.setattr(CostSpec, "evaluate_grid", counted)
+        # every leaf array, batched or alone, comes from evaluate_leaves
+        monkeypatch.setattr(CostSpec, "evaluate_leaves", counted)
         assert same_float(compute_V(tree, cost, cls, 0, ()), ref.V(0, ()))
         assert sizes == [3 ** (T + 1)]
         # a head off the grids is evaluated for itself alone
@@ -746,6 +762,29 @@ class TestDefinitionalRoute:
         head = off_grid(tuple((0.0,) for _ in range(T + 1)), 0)
         assert same_float(compute_v(tree, cost, cls, T, head), ref.v(T, head))
         assert sizes == [1]
+
+    def test_leaf_arrays_are_built_once_per_shape_batch(self, monkeypatch):
+        # grid sizes 1 to 3 per node: the leaves fall into several shape groups
+        tree = random_tree(rng_from_seed(41), horizon=3)
+        cls = random_nodewise_class(rng_from_seed(42), tree, max_policies=4000)
+        cost = random_general_cost(rng_from_seed(43), tree)
+        shapes = [tuple(len(cls.feasible[i]) for i in tree.path_nodes(leaf))
+                  for leaf in tree.leaves()]
+        assert len(set(shapes)) > 1
+        calls = []
+        evaluate_leaves = CostSpec.evaluate_leaves
+
+        def counted(self, paths_list, grids_list):
+            calls.append(sorted(math.prod(map(len, g)) for g in grids_list))
+            return evaluate_leaves(self, paths_list, grids_list)
+
+        monkeypatch.setattr(CostSpec, "evaluate_leaves", counted)
+        value, _ = brute_force_optimum(tree, cost, cls)
+        # one call per shape group, every leaf's whole grid product exactly once
+        assert len(calls) == len(set(shapes))
+        assert sorted(n for call in calls for n in call) == sorted(map(math.prod, shapes))
+        monkeypatch.setattr(CostSpec, "evaluate_leaves", evaluate_leaves)
+        assert same_float(value, loop_brute_force(tree, cost, cls)[0])
 
     def test_signed_zero_heads_read_their_own_sign(self):
         tree = chain_tree([0.5, -1.0, 2.0])
@@ -793,6 +832,7 @@ class TestDefinitionalRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("evaluated before the cap check")
 
+        monkeypatch.setattr(CostSpec, "evaluate_leaves", refuse)
         monkeypatch.setattr(CostSpec, "evaluate_grid", refuse)
         monkeypatch.setattr(CostSpec, "evaluate", refuse)
         for call in (compute_v, compute_V):
