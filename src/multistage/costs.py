@@ -83,11 +83,14 @@ class GridWindow:
     def factor(self, j: int, f: Callable, given: "GridWindow | None" = None) -> np.ndarray:
         """f(u) for every candidate u at position j, shaped to broadcast along its axis.
 
-        In a batch, f runs once per candidate of each distinct grid and the
-        values are gathered along the rows. ``given``, the batch of
-        observations with the same rows, makes it f(x, u) with x the row's
-        vector at position j of ``given``.
+        In a batch, f runs once per candidate of each distinct grid, and the
+        values are gathered along the rows (axis 0) when there are several
+        grids. An observation shared by every row is f of it, a plain value.
+        ``given``, the batch of observations with the same rows, makes it
+        f(x, u) with x the row's vector at position j of ``given``.
         """
+        if self.axes[j] is None and len(self.grids[j]) == 1:
+            return f(self.grids[j][0][0])
         shape = [1] * self.ndim
         if self.rows is None:
             values = np.array([f(u) for u in self.grids[j]], dtype=float)
@@ -97,7 +100,9 @@ class GridWindow:
             else:
                 pairs = zip(given.grids[j], self.grids[j])
                 table = [[f(x, u) for u in grid] for (x,), grid in pairs]
-            values = np.array(table, dtype=float)[self.rows[j]]
+            values = np.array(table, dtype=float)
+            if len(values) > 1:
+                values = values[self.rows[j]]
             shape[0] = len(values)
         if self.axes[j] is not None:
             shape[self.axes[j]] = values.shape[-1]

@@ -500,7 +500,11 @@ class TestLeafBatches:
         batch = GridWindow([[root], [a, b]], (1, 2), 3, [np.array([0, 0]), np.array([0, 1])])
         values = batch.factor(0, lambda u: calls.append(u) or u[0] ** 2)
         assert calls == [(1.0,), (2.0,)]
-        assert values.shape == (2, 2, 1)
+        assert values.shape == (1, 2, 1)  # one grid: it broadcasts along the rows
+        calls.clear()
+        values = batch.factor(1, lambda u: calls.append(u) or u[0])
+        assert calls == [(3.0,), (4.0,)]
+        assert values.tobytes() == np.array([[[3.0]], [[4.0]]]).tobytes()
         got = cost.evaluate_leaves([(x0, xa), (x0, xb)], [[root, a], [root, b]])
         assert got.tobytes() == np.array([[[3.0], [12.0]], [[4.0], [16.0]]]).tobytes()
 
