@@ -325,10 +325,8 @@ def dict_instance(seed):
 
 
 class TestArrayTablesMatchDictRecursion:
-    @pytest.mark.parametrize("entries", [1, costs.LEAF_BATCH_ENTRIES], ids=["alone", "batched"])
     @pytest.mark.parametrize("seed", range(15))
-    def test_bitwise_equal_tables_and_greedy_policy(self, monkeypatch, seed, entries):
-        monkeypatch.setattr(costs, "LEAF_BATCH_ENTRIES", entries)
+    def test_bitwise_equal_tables_and_greedy_policy(self, seed):
         tree, cost, cls = dict_instance(seed)
         tables = backward_tables(tree, cost, cls)
         v_ref, V_ref, greedy_ref = dict_backward_tables(tree, cost, cls)
@@ -350,6 +348,16 @@ class TestArrayTablesMatchDictRecursion:
         tables = backward_tables(tree, cost, cls)
         assert math.copysign(1.0, tables.root_value) == 1.0
         assert greedy_policy_from_tables(tree, cls, tables).decisions == {0: (0.0,)}
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_one_leaf_per_batch_gives_the_same_tables(self, monkeypatch, seed):
+        tree, cost, cls = dict_instance(seed)
+        batched = backward_tables(tree, cost, cls)
+        monkeypatch.setattr(costs, "LEAF_BATCH_ENTRIES", 1)
+        alone = backward_tables(tree, cost, cls)
+        for n in tree.nodes:
+            assert alone.v[n.id].tobytes() == batched.v[n.id].tobytes()
+            assert alone.V[n.id].tobytes() == batched.V[n.id].tobytes()
 
     def test_signed_zero_leaf_minima_in_one_batch(self, binary2, binary2_class):
         # leaves with a positive observation read (+0.0, -0.0), the others (-0.0, +0.0)
