@@ -6,10 +6,13 @@ Each case below is a bundle built by ``multistage.generate`` from a fixed
 seed, a subcommand run on it in-process, and the SHA-256 digest of the
 report it prints, with the ``input`` field (a temporary path) dropped. The
 bundles cover a general polynomial, additive lag-1 and lag-2 stacks,
-``quadratic_tracking``, a lookup ``table``, a nodewise class whose grid sizes
-differ within a stage, a nodewise class with more leaf entries than one
-batch of leaf arrays holds and a history-blind class. ``validate`` runs on a
-bundle with a declared Hoelder block that holds and on one that fails.
+``quadratic_tracking``, lookup ``table`` s (general, additive lag-2, and one
+whose entries overlap within ``atol``, so the first matching entry decides),
+a nodewise class whose grid sizes differ within a stage, a nodewise class
+with more leaf entries than one batch of leaf arrays holds and a
+history-blind class. ``validate`` runs on a bundle with a declared Hoelder
+block that holds and on one that fails, and ``sddp-solve`` on a
+stagewise-independent problem whose step cost is a table.
 
 The digests depend on the floating-point arithmetic, so they were recorded
 with numpy 2.4 on x86-64. To print the digests of the current code, run
@@ -36,6 +39,7 @@ from multistage.generate import (
     random_history_blind_class,
     random_instance,
     random_nodewise_class,
+    random_sddp,
     random_tree,
     rng_from_seed,
 )
@@ -66,8 +70,56 @@ def table_cost(rng, tree, cls) -> dict:
     return {"form": "general", "table": {"entries": entries}}
 
 
-def bundles() -> dict[str, dict]:
-    """Name -> bundle JSON (with one policy), every one from a fixed seed."""
+def lag_table_cost(rng, tree, cls, lag: int) -> dict:
+    """An additive lag-``lag`` stack of stage tables over every window on the grids."""
+    stage_costs = []
+    for t in range(1, tree.horizon + 1):
+        a = max(0, t - lag)
+        windows = {tree.path_nodes(leaf)[a: t + 1] for leaf in tree.leaves()}
+        entries = [
+            {"x": [list(tree.nodes[i].obs) for i in nodes],
+             "u": [list(u) for u in hist],
+             "value": float(rng.uniform(-1.0, 1.0))}
+            for nodes in sorted(windows)
+            for hist in itertools.product(*(cls.feasible[i] for i in nodes[:-1]))
+        ]
+        stage_costs.append({"table": {"entries": entries}})
+    return {"form": "additive", "gamma": 0.8, "lag": lag, "stage_costs": stage_costs}
+
+
+def overlapping_table_cost(rng, tree, cls, atol: float) -> dict:
+    """A general table in which every history has a second entry within ``atol``
+    of it, each history's first entry placed at random among the other ones."""
+    exact = table_cost(rng, tree, cls)["table"]["entries"]
+    near = [
+        {"x": e["x"], "u": [[v + 0.5 * atol for v in u] for u in e["u"]],
+         "value": float(rng.uniform(-1.0, 1.0))}
+        for e in exact
+    ]
+    entries = []
+    for e, n in zip(exact, near):
+        entries += [n, e] if rng.uniform() < 0.5 else [e, n]
+    return {"form": "general", "table": {"atol": atol, "entries": entries}}
+
+
+def sddp_table(seed: int) -> dict:
+    """A stagewise-independent problem whose step cost is a table over every
+    (state, noise value, decision) of every stage."""
+    rng = rng_from_seed(seed)
+    spec = random_sddp(rng, horizon=3, n_atoms=3, n_decisions=3, shared_noise=False)
+    entries = [
+        {"x": list(x), "w": list(w), "u": list(u), "value": float(rng.uniform(-1.0, 2.0))}
+        for t in range(spec.horizon)
+        for x in spec.support(t)
+        for w in spec.support(t + 1)
+        for u in spec.stage_decisions[t]
+    ]
+    return {**spec.payload, "cost": {"table": {"entries": entries}}}
+
+
+def inputs() -> dict[str, dict]:
+    """Name -> input JSON (a bundle with one policy, or a stagewise-independent
+    problem), every one from a fixed seed."""
     out = {}
 
     def add(name, tree, cost, cls):
@@ -97,6 +149,19 @@ def bundles() -> dict[str, dict]:
     tree = random_tree(rng, horizon=2)
     cls = random_nodewise_class(rng, tree, max_policies=2000)
     add("table", tree, cost_from_json(table_cost(rng, tree, cls)), cls)
+
+    rng = rng_from_seed(30)
+    tree = random_tree(rng, horizon=3)
+    cls = random_nodewise_class(rng, tree, max_policies=4000)
+    add("table_lag2", tree, cost_from_json(lag_table_cost(rng, tree, cls, 2)), cls)
+
+    rng = rng_from_seed(31)
+    tree = random_tree(rng, horizon=2)
+    cls = random_nodewise_class(rng, tree, max_policies=2000)
+    add("table_overlap", tree,
+        cost_from_json(overlapping_table_cost(rng, tree, cls, atol=1e-6)), cls)
+
+    out["sddp_table"] = sddp_table(32)
 
     # grid sizes 1 to 3 chosen per node: several shapes among the leaves
     rng = rng_from_seed(26)
@@ -133,6 +198,10 @@ def bundles() -> dict[str, dict]:
 def commands(name: str) -> list[list[str]]:
     if name.startswith("holder"):
         return [["validate"]]
+    if name.startswith("sddp"):
+        return [["sddp-solve"]]
+    if name in ("table_lag2", "table_overlap"):
+        return [["solve", "--method", "backward"], ["solve", "--method", "brute"], ["verify"]]
     if name == "wide":  # too many policies and tails for the definitional route
         return [["solve", "--method", "backward"], ["verify"]]
     out = [["solve", "--method", "brute"], ["verify"], ["dynamic-check"]]
@@ -142,14 +211,14 @@ def commands(name: str) -> list[list[str]]:
 
 
 def case_ids() -> list[str]:
-    return [f"{name}:{' '.join(cmd)}" for name in bundles() for cmd in commands(name)]
+    return [f"{name}:{' '.join(cmd)}" for name in inputs() for cmd in commands(name)]
 
 
 def run_case(directory, name: str, command: list[str]) -> tuple[int, str]:
     """Exit code and digest of the report, without its ``input`` field."""
     file = directory / f"{name}.json"
     if not file.exists():
-        file.write_text(json.dumps(bundles()[name], sort_keys=True, indent=2))
+        file.write_text(json.dumps(inputs()[name], sort_keys=True, indent=2))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([*command, "--input", str(file), "--json"])
@@ -180,6 +249,12 @@ GOLDEN = {
     'table:solve --method brute': (0, '8522e02048df16446709b964d46eed5ea737850a3fad29d09b01b81d39b38d75'),
     'table:verify': (1, '23e8e23f72ea24644d6a4195944e8a538afc6a39b982a2dbf0daaf72cfb4b0f8'),
     'table:dynamic-check': (0, 'd4aed63a442c0cabb56ab57dc9ec4fedbb45dbb2d46849253007ce258ccc58af'),
+    'table_lag2:solve --method backward': (0, '1ce0792e49abf53f6571c33249036bba0d216dccefdadb85fe2ba27649223fe2'),
+    'table_lag2:solve --method brute': (0, '86d9d772e4934bfa40eba5db962e9acb6664fa4b73b56f6389a1454fc52aad4d'),
+    'table_lag2:verify': (1, '52f39ac8a65c798b53869e5a909d99d8b17801f22dfe2dae236a482e7ea22ef4'),
+    'table_overlap:solve --method backward': (0, '9123419a8f494104331bb530fa8747dbe3c17fbf5552d8c3e458af8a2f7c6b67'),
+    'table_overlap:solve --method brute': (0, '16eb35fc22f9a02b9c0106a3fb81602e12e4ca98f79c22f2be80e5fd64a2ff79'),
+    'table_overlap:verify': (1, 'cb841668771d371837d4b2139b89aa13f4cb44cfa361358c9b428f32fb45a0d2'),
     'mixed:solve --method backward': (0, '6e0baef2d750878beb444bc8f59f4a8ff94a3d4fd29e7da4aed052e5d0d5bf43'),
     'mixed:solve --method brute': (0, '4296ef1d1644499bdfda8bce2dcfd0faf6d6ddac45c0f08c66851a96b5e60ed2'),
     'mixed:verify': (1, 'ed9d9cab600880c3a98f2a354e64876ad8f3bab3efb16eb0a53c0c36ca795225'),
@@ -194,6 +269,7 @@ GOLDEN = {
     'wide:verify': (1, '746eee4a695d1f80f54ac6a57c607a483dcd36768f149d74cb81cb13589297ff'),
     'holder_holds:validate': (0, 'd52c39388400ff9490eebe5a9a10889202cbf08f24ac28cb275bf7e2d07f2c43'),
     'holder_fails:validate': (1, '895492832de2039347fb67c4e334185688c9ba6ab3b483676897463be6f8b030'),
+    'sddp_table:sddp-solve': (0, '0f0b304f0ada55496311a34f79906473ba157c9740f6a5893d73943516afb17b'),
 }
 
 
@@ -207,7 +283,7 @@ def test_every_case_has_a_digest():
 
 
 def test_the_mixed_bundle_has_several_leaf_shapes():
-    data = bundles()["mixed"]
+    data = inputs()["mixed"]
     feasible = data["policy_class"]["feasible"]
     stage = {int(n["id"]): n["stage"] for n in data["tree"]["nodes"]}
     sizes = {len(grid) for nid, grid in feasible.items() if stage[int(nid)] == 3}
