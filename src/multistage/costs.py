@@ -14,14 +14,14 @@ real number. Two forms exist:
 
 Objectives can be plain Python callables or built from a JSON payload
 (named builtin, polynomial, or lookup table), in which case they round-trip
-through serialization. Polynomial and builtin payloads are compiled once,
-when loaded, into one function per payload that takes plain windows or
+through serialization. Every payload (polynomial, builtin or table) is
+compiled once, when loaded, into one function that takes plain windows or
 grid windows (:class:`GridWindow`) alike, so every decision history of a
 batch of leaves is evaluated at once (:meth:`CostSpec.evaluate_leaves`,
 whose result has a leading leaf axis; :meth:`CostSpec.evaluate_grid` is a
-batch of one). :func:`window_values` alone decides what broadcasts: tables
-and raw callables on a grid are called once per history of their window,
-in leaf then C order. :func:`leaf_batches` groups leaves by grid sizes and
+batch of one). :func:`window_values` alone decides what broadcasts: only
+raw callables on a grid are called once per history of their window, in
+leaf then C order. :func:`leaf_batches` groups leaves by grid sizes and
 cuts the groups into batches of whole leaves of at most
 :data:`LEAF_BATCH_ENTRIES` entries, so the working arrays of one batch stay
 small: a few arrays of that many float64 entries, or of one larger leaf.
@@ -37,7 +37,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import InputFormatError, MultistageError, UnboundedObjectiveError
+from .exceptions import (
+    InputFormatError,
+    MultistageError,
+    UnboundedObjectiveError,
+    require_object,
+)
 from .tolerances import EQUALITY_TOL, HOLDER_SLACK
 
 Vector = tuple[float, ...]
@@ -322,14 +327,15 @@ def leaf_arrays(cost: CostSpec, paths_list, grids_list) -> list[np.ndarray]:
 # -- compiled payloads ----------------------------------------------------------
 #
 # A compiled cost is one function (xs, us) of a pair of windows
-# (observations, decisions). On plain windows it returns a float and costs
-# no more than any raw callable. When a window is a :class:`GridWindow`
-# (every position ranging over its grid), the same body returns an array
-# that broadcasts to the grid product, with the same float operations in
-# the same order. It carries ``problems(T, window, dims, magnitudes)``, the
-# payload's faults where it is evaluated (see :func:`cost_problems`); that
-# attribute also marks it as compiled for :func:`window_values`, the one
-# place that decides which costs broadcast.
+# (observations, decisions); ``poly``, the builtins and ``table`` all are.
+# On plain windows it returns a float. When a window is a
+# :class:`GridWindow` (every position ranging over its grid), the same body
+# returns an array that broadcasts to the grid product, with the same float
+# operations in the same order (a table: the same comparisons, and the
+# same first matching entry). It carries ``problems(T, window, dims,
+# magnitudes)``, the payload's faults where it is evaluated (see
+# :func:`cost_problems`); that attribute also marks it as compiled for
+# :func:`window_values`, the one place that decides which costs broadcast.
 
 
 def _no_problems(T, window, dims, magnitudes) -> list[str]:
@@ -351,11 +357,11 @@ def _each(window: Window | GridWindow, j: int, f: Callable[[Vector], float]):
 def window_values(cost: Callable, xs: Window | GridWindow, us: Window | GridWindow):
     """cost(xs, us) where either window may be a :class:`GridWindow`.
 
-    A compiled cost, and any cost on plain windows, is called once on the
-    windows as they are. A raw callable or a ``table`` on a grid window is
-    called once per history of the windows' grid product, in C order, and
-    the values are returned as an array that broadcasts like a compiled
-    cost's.
+    A compiled cost (every JSON payload, ``table`` included), and any cost
+    on plain windows, is called once on the windows as they are. A raw
+    callable on a grid window is called once per history of the windows'
+    grid product, in C order, and the values are returned as an array that
+    broadcasts like a compiled cost's.
     """
     if hasattr(cost, "problems") or not (
         isinstance(xs, GridWindow) or isinstance(us, GridWindow)
@@ -507,7 +513,19 @@ BUILTIN_OBJECTIVES = {
 
 
 def table_objective(entries: Sequence[dict], atol: float = EQUALITY_TOL):
-    """Lookup objective matching (x windows, u windows) within ``atol``."""
+    """Lookup objective: the value of the first entry that matches (xs, us).
+
+    Entry k matches when its x and u windows have the lengths of xs and us,
+    each of its vectors the length of the vector at the same position, and
+    no component differs from it by more than ``atol``. Keys must be finite
+    (a NaN would match anything), and a table needs an entry.
+
+    On grid windows, each position's vectors are compared with the entries'
+    once, as an (entries, candidates) matrix gathered along the rows, and
+    the matrices are ANDed into one (entries, histories) array; entries go
+    in chunks of at most :data:`LEAF_BATCH_ENTRIES` // histories, carrying
+    the first match. A plain window is a grid of one history.
+    """
     parsed = [
         (
             tuple(tuple(float(v) for v in vec) for vec in e["x"]),
@@ -516,22 +534,89 @@ def table_objective(entries: Sequence[dict], atol: float = EQUALITY_TOL):
         )
         for e in entries
     ]
+    if not parsed:
+        raise InputFormatError("table has no entries")
+    components = [v for ex, eu, _ in parsed for vec in ex + eu for v in vec]
+    if not np.isfinite(np.array(components, dtype=float)).all():
+        for k, (ex, eu, _) in enumerate(parsed):
+            for role, window in (("x", ex), ("u", eu)):
+                for j, vec in enumerate(window):
+                    if not all(map(math.isfinite, vec)):
+                        raise InputFormatError(
+                            f"table entry {k}: {role}[{j}] = {list(vec)!r} "
+                            "has a non-finite component"
+                        )
+    layouts: dict[tuple[int, int], tuple] = {}
 
-    def matches(key: Window, ref: Window) -> bool:
-        if len(key) != len(ref):
-            return False
-        for a, b in zip(key, ref):
-            if len(a) != len(b) or any(abs(x - y) > atol for x, y in zip(a, b)):
-                return False
-        return True
+    def layout(nx: int, nu: int):
+        """Values of the entries with windows of lengths (nx, nu), in entry
+        order, and per window position their vectors as the rows of a
+        NaN-padded array, with the vectors' lengths."""
+        if (nx, nu) not in layouts:
+            kept = [ex + eu + (value,) for ex, eu, value in parsed
+                    if len(ex) == nx and len(eu) == nu]
+            keys = []
+            for p in range(nx + nu):
+                dims = [len(e[p]) for e in kept]
+                width = max(dims, default=0)
+                pad = [e[p] + (math.nan,) * (width - len(e[p])) for e in kept]
+                keys.append((np.array(pad, dtype=float).reshape(len(kept), width),
+                             np.array(dims, dtype=np.intp)))
+            layouts[(nx, nu)] = np.array([e[-1] for e in kept]), keys
+        return layouts[(nx, nu)]
 
-    def evaluate(xs: Window, us: Window) -> float:
-        for ex, eu, value in parsed:
-            if matches(xs, ex) and matches(us, eu):
-                return value
-        raise MultistageError(f"no table entry matches x={xs!r}, u={us!r}")
+    def near(pad, dims, vectors) -> np.ndarray:
+        """(entries, vectors): the entry's vector has the vector's length and
+        no component farther than ``atol`` from it (NaN padding is never far)."""
+        width = pad.shape[1]
+        block = [(*v[:width], *(math.nan,) * (width - len(v))) for v in vectors]
+        far = np.abs(pad[:, None, :] - np.array(block, dtype=float).reshape(-1, width)) > atol
+        return ~far.any(axis=2) & (dims[:, None] == [len(v) for v in vectors])
 
-    return evaluate
+    def evaluate(xs: Window | GridWindow, us: Window | GridWindow):
+        ndim = next((w.ndim for w in (xs, us) if isinstance(w, GridWindow)), 0)
+        # per window position: its distinct grids, their row map and axis
+        slots = []
+        for w in (xs, us):
+            if not isinstance(w, GridWindow):
+                slots += [([[v]], None, None) for v in w]
+            elif w.rows is None:
+                slots += [([g], None, a) for g, a in zip(w.grids, w.axes)]
+            else:
+                slots += list(zip(w.grids, w.rows, w.axes))
+        shape = [1] * ndim
+        for gs, rows, axis in slots:
+            if rows is not None and len(gs) > 1:
+                shape[0] = len(rows)
+            if axis is not None:
+                shape[axis] = len(gs[0])
+        values, keys = layout(len(xs), len(us))
+        step = max(1, LEAF_BATCH_ENTRIES // max(1, math.prod(shape)))
+        first = np.full(shape, -1, dtype=np.intp)
+        for s in range(0, len(values), step):
+            hit = np.ones((min(step, len(values) - s),) + (1,) * ndim, dtype=bool)
+            for (pad, dims), (gs, rows, axis) in zip(keys, slots):
+                match = near(pad[s: s + step], dims[s: s + step], [v for g in gs for v in g])
+                match = match.reshape(len(hit), len(gs), len(gs[0]))
+                if len(gs) > 1:
+                    match = match[:, rows]
+                target = [len(hit)] + [1] * ndim
+                if rows is not None:
+                    target[1] = match.shape[1]
+                if axis is not None:
+                    target[axis + 1] = match.shape[2]
+                hit = hit & match.reshape(target)
+            first = np.where((first < 0) & hit.any(axis=0), hit.argmax(axis=0) + s, first)
+            if (first >= 0).all():
+                break
+        misses = np.argwhere(first < 0)
+        if len(misses):
+            index = tuple(int(i) for i in misses[0])
+            xs, us = (w.at(index) if isinstance(w, GridWindow) else w for w in (xs, us))
+            raise MultistageError(f"no table entry matches x={xs!r}, u={us!r}")
+        return values[first] if ndim else float(values[first])
+
+    return _compiled(evaluate)
 
 
 def stage_magnitudes(vectors: Callable[[str, int], Sequence[Vector]]):
@@ -561,7 +646,8 @@ def cost_problems(cost: CostSpec, tree, cls) -> list[str]:
     variable may take a negative power where an observation or a feasible
     decision at its stage is 0, nor a power that overflows a float there.
     ``quadratic_tracking`` weights must cover the stages they are read at.
-    Tables and raw callables are not checked.
+    Tables have nothing to check here (their keys are checked when loaded),
+    and raw callables are not checked.
     """
     T = tree.horizon
     dims = {"x": tree.obs_dim, "u": cls.decision_dim}
@@ -604,10 +690,11 @@ def _callable_from_json(spec: dict, window_relative: bool):
         terms = [_term_from_json(term) for term in spec["poly"]["terms"]]
         return poly_cost(terms, window_relative)
     if "table" in spec:
-        atol = float(spec["table"].get("atol", EQUALITY_TOL))
+        table = require_object(spec["table"], "table")
+        atol = float(table.get("atol", EQUALITY_TOL))
         if not 0.0 <= atol < math.inf:
             raise InputFormatError(f"table atol {atol!r} must be finite and >= 0")
-        return table_objective(spec["table"]["entries"], atol=atol)
+        return table_objective(table["entries"], atol=atol)
     if "builtin" in spec:
         name = spec["builtin"]
         if name not in BUILTIN_OBJECTIVES:

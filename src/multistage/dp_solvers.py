@@ -48,6 +48,7 @@ from .exceptions import (
     InputFormatError,
     MultistageError,
     UnboundedObjectiveError,
+    require_object,
 )
 from .policy import DEFAULT_ENUMERATION_CAP, Decision, Policy, PolicyClass
 from .scenario_tree import Node, ScenarioTree, path
@@ -905,7 +906,8 @@ def _step_cost_from_json(spec: dict, dims: dict[str, int]) -> Callable:
     The payload names the state x = x_t, the noise value w = x_{t+1} and the
     decision u = u_t. A ``poly`` term's variables map to the window roles
     of :func:`costs.poly_cost` (``dims`` bounds each role's components), a
-    ``table`` entry ``{x, w, u, value}`` to ``{"x": [x, w], "u": [u], "value"}``.
+    ``table`` entry ``{x, w, u, value}`` to ``{"x": [x, w], "u": [u], "value"}``
+    (so a fault in an entry's w is reported at position 1 of its x window).
     """
     if "poly" in spec:
         terms = []
@@ -921,12 +923,12 @@ def _step_cost_from_json(spec: dict, dims: dict[str, int]) -> Callable:
             terms.append({"coef": term["coef"], "vars": variables})
         return _callable_from_json({"poly": {"terms": terms}}, window_relative=True)
     if "table" in spec:
+        table = require_object(spec["table"], "step-cost table")
         entries = [
             {"x": [e["x"], e["w"]], "u": [e["u"]], "value": e["value"]}
-            for e in spec["table"]["entries"]
+            for e in table["entries"]
         ]
-        table = {**spec["table"], "entries": entries}
-        return _callable_from_json({"table": table}, window_relative=True)
+        return _callable_from_json({"table": {**table, "entries": entries}}, window_relative=True)
     raise InputFormatError("step cost spec needs one of: poly, table")
 
 

@@ -805,6 +805,84 @@ class TestTableAtol:
         assert "Traceback" not in captured.err
 
 
+class TestTableKeys:
+    """A table must be an object with entries, and every key of an entry finite."""
+
+    @staticmethod
+    def stagewise(table):
+        spec = random_sddp(rng_from_seed(8), horizon=1)
+        return dict(spec.payload, cost={"table": table})
+
+    @staticmethod
+    def stagewise_entries():
+        spec = random_sddp(rng_from_seed(8), horizon=1)
+        return [
+            {"x": list(spec.initial_state), "w": list(w), "u": list(u), "value": float(k)}
+            for k, (w, u) in enumerate(
+                (w, u) for w in spec.support(1) for u in spec.stage_decisions[0]
+            )
+        ]
+
+    @staticmethod
+    def assert_input_error(argv, capsys, *words):
+        assert main(argv + ["--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        for word in words:
+            assert word in captured.err
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("table", [[1], "x"], ids=["list", "string"])
+    def test_table_that_is_not_an_object(self, tmp_path, capsys, table, command):
+        data = malformed_cost_bundle({"form": "general", "table": table})
+        path = write_json(tmp_path / "bad.json", data)
+        self.assert_input_error([command, "--input", path], capsys, "table")
+
+    @pytest.mark.parametrize("table", [[1], "x"], ids=["list", "string"])
+    def test_step_cost_table_that_is_not_an_object(self, tmp_path, capsys, table):
+        path = write_json(tmp_path / "sddp.json", self.stagewise(table))
+        self.assert_input_error(["sddp-solve", "--input", path], capsys, "table")
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize(
+        "role, key", [("x", [[0.0], [float("nan")]]), ("u", [[float("-inf")], [0.0]])]
+    )
+    def test_non_finite_key(self, tmp_path, capsys, role, key, command):
+        # a NaN key would match every value at its position: -100 would win
+        table = TestTableAtol.bundle(1e-9)["cost"]["table"]
+        table["entries"][3] = {**table["entries"][3], role: key, "value": -100.0}
+        path = write_json(tmp_path / "bad.json", malformed_cost_bundle(
+            {"form": "general", "table": table}))
+        self.assert_input_error([command, "--input", path], capsys, "table entry 3", role)
+
+    @pytest.mark.parametrize("role", ["x", "w", "u"])
+    def test_non_finite_step_cost_key(self, tmp_path, capsys, role):
+        entries = self.stagewise_entries()
+        entries[2][role] = [float("nan")]
+        path = write_json(tmp_path / "sddp.json", self.stagewise({"entries": entries}))
+        self.assert_input_error(["sddp-solve", "--input", path], capsys, "table entry 2")
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_empty_table(self, tmp_path, capsys, command):
+        path = write_json(tmp_path / "bad.json", malformed_cost_bundle(
+            {"form": "general", "table": {"entries": []}}))
+        self.assert_input_error([command, "--input", path], capsys, "no entries")
+
+    def test_empty_step_cost_table(self, tmp_path, capsys):
+        path = write_json(tmp_path / "sddp.json", self.stagewise({"entries": []}))
+        self.assert_input_error(["sddp-solve", "--input", path], capsys, "no entries")
+
+    def test_a_non_finite_value_stays_an_unbounded_objective(self, tmp_path, capsys):
+        table = TestTableAtol.bundle(1e-9)["cost"]["table"]
+        table["entries"][0]["value"] = float("inf")
+        path = write_json(tmp_path / "inf.json", malformed_cost_bundle(
+            {"form": "general", "table": table}))
+        assert main(["validate", "--input", path]) == 0
+        capsys.readouterr()
+        self.assert_input_error(["solve", "--input", path], capsys, "finite")
+
+
 class TestArguments:
     def run_cli(self, args):
         return subprocess.run(

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from multistage.costs import (
     window_values,
     x_window,
 )
-from multistage.generate import chain_tree, random_tree, rng_from_seed
+from multistage.dp_solvers import sddp_from_json, sddp_recursion
+from multistage.generate import chain_tree, random_sddp, random_tree, rng_from_seed
 from multistage.policy import PolicyClass
 from multistage.scenario_tree import Node, ScenarioTree
+from multistage.tolerances import EQUALITY_TOL
 
 
 class TestWindows:
@@ -642,3 +645,311 @@ class TestCostProblems:
         assert self.problems(tracking([1.0])) == [
             "cost quadratic_tracking weights has 1 entries, expected T+1 = 2"
         ]
+
+
+# -- table lookup -----------------------------------------------------------------------
+
+
+def scan_table(entries, atol=EQUALITY_TOL):
+    """The reference lookup: a scan of the entries, in order, for one history.
+
+    It is the lookup ``table_objective`` replaced, kept as a raw callable, so
+    :func:`window_values` calls it once per history of a grid, in C order.
+    """
+    parsed = [
+        (
+            tuple(tuple(float(v) for v in vec) for vec in e["x"]),
+            tuple(tuple(float(v) for v in vec) for vec in e["u"]),
+            float(e["value"]),
+        )
+        for e in entries
+    ]
+
+    def matches(key, ref):
+        if len(key) != len(ref):
+            return False
+        for a, b in zip(key, ref):
+            if len(a) != len(b) or any(abs(x - y) > atol for x, y in zip(a, b)):
+                return False
+        return True
+
+    def evaluate(xs, us):
+        for ex, eu, value in parsed:
+            if matches(xs, ex) and matches(us, eu):
+                return value
+        raise MultistageError(f"no table entry matches x={xs!r}, u={us!r}")
+
+    return evaluate
+
+
+def lookup(cost, xs, us):
+    """window_values of cost: ("ok", the value), or the type and message of the error."""
+    try:
+        return "ok", window_values(cost, xs, us)
+    except MultistageError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_lookup_is_the_scan(entries, atol, xs, us):
+    """The table on (xs, us) equals the scan: float.hex for float.hex over the
+    scan's whole grid product, a Python float on plain windows, or the same error."""
+    got = lookup(costs.table_objective(entries, atol), xs, us)
+    want = lookup(scan_table(entries, atol), xs, us)
+    if got[0] != "ok" or want[0] != "ok":
+        assert got == want
+        return
+    if isinstance(want[1], float):
+        assert type(got[1]) is float
+        assert got[1].hex() == want[1].hex()
+        return
+    values = np.broadcast_to(got[1], want[1].shape)
+    assert values.dtype == np.float64
+    assert [float(v).hex() for v in values.ravel()] == [float(v).hex() for v in want[1].ravel()]
+
+
+def table_case(seed):
+    """Random windows (plain, a grid product, or a batch of rows) and entries near
+    their vectors: at 0, exactly atol or just past it, with signed zeros, and
+    some of another window length or vector length."""
+    rng = rng_from_seed(seed)
+    atol = float(rng.choice([0.0, 2.0 ** -10, 0.5]))
+    dim = int(rng.integers(1, 3))
+    pool = [0.0, -0.0, 1.0, -1.5, 0.75]
+
+    def vector():
+        return tuple(float(rng.choice(pool)) for _ in range(dim))
+
+    def grid():
+        return tuple(vector() for _ in range(int(rng.integers(1, 4))))
+
+    mode = str(rng.choice(["plain", "grid", "mixed", "batch"]))
+    n = int(rng.integers(1, 4))
+    if mode == "plain":
+        xs = tuple(vector() for _ in range(n))
+        us = tuple(vector() for _ in range(int(rng.integers(0, 3))))
+        seen = [[v] for v in xs + us]
+    elif mode in ("grid", "mixed"):
+        xs_grids = [grid() for _ in range(n)]
+        us_grids = [grid() for _ in range(int(rng.integers(1, 3)))]
+        axes = [int(a) for a in rng.permutation(len(xs_grids) + len(us_grids))]
+        ndim = len(axes)
+        xs = GridWindow(xs_grids, axes[:n], ndim)
+        us = GridWindow(us_grids, axes[n:], ndim)
+        seen = [list(g) for g in xs_grids + us_grids]
+        if mode == "mixed":  # plain observations, as a tree's stage cost has them
+            xs = tuple(vector() for _ in range(n))
+            us = GridWindow(us_grids, list(range(len(us_grids))), len(us_grids))
+            seen = [[v] for v in xs] + [list(g) for g in us_grids]
+    else:  # rows of a batch of leaves, then a lag window of it
+        L = int(rng.integers(1, 5))
+        obs, cands, rows = [], [], []
+        for _ in range(n):
+            k = int(rng.integers(1, L + 1))
+            size = int(rng.integers(1, 4))
+            obs.append([(vector(),) for _ in range(k)])
+            cands.append([tuple(vector() for _ in range(size)) for _ in range(k)])
+            rows.append(np.sort(rng.integers(0, k, size=L)).astype(np.intp))
+        xs = GridWindow(obs, (None,) * n, n + 1, rows)
+        us = GridWindow(cands, tuple(range(1, n + 1)), n + 1, rows)
+        t = int(rng.integers(0, n))
+        a = int(rng.integers(0, t + 1))
+        xs, us = xs[a: t + 1], us[a:t]
+        seen = [[x for (x,) in g] for g in obs[a: t + 1]]
+        seen += [[v for grid_ in g for v in grid_] for g in cands[a:t]]
+    nx = len(xs)
+
+    def near(v):
+        """v moved by 0, +-atol or just past atol, per component."""
+        out = []
+        for c in v:
+            step = float(rng.choice([0.0, 0.0, atol, -atol, 1.5 * atol + 2.0 ** -30]))
+            out.append(c + step)
+        return out
+
+    entries = []
+    for _ in range(int(rng.integers(1, 30))):
+        key = [near(pos[int(rng.integers(0, len(pos)))]) for pos in seen]
+        roll = rng.uniform()
+        if roll < 0.05:
+            key.append(list(vector()))  # a window one longer
+        elif roll < 0.1:
+            key[int(rng.integers(0, len(key)))].append(0.0)  # a longer vector
+        entries.append({"x": key[:nx], "u": key[nx:],
+                        "value": float(rng.choice([0.5, -2.0, rng.uniform(-1, 1)]))})
+    return entries, atol, xs, us
+
+
+class TestTableLookup:
+    """table_objective equals the entry scan on every history, errors included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**6), chunk=st.sampled_from([None, 1, 3, 10]))
+    def test_matches_the_entry_scan(self, seed, chunk):
+        entries, atol, xs, us = table_case(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:  # entries in chunks: a first match in a later chunk
+                mp.setattr(costs, "LEAF_BATCH_ENTRIES", chunk)
+            assert_lookup_is_the_scan(entries, atol, xs, us)
+
+    def test_the_first_of_overlapping_entries_wins(self):
+        entries = [
+            {"x": [[1.0]], "u": [[0.0]], "value": 2.5},
+            {"x": [[1.0 + 1e-10]], "u": [[-1e-10]], "value": -7.0},
+        ]
+        xs, us = GridWindow([((1.0,), (3.0,))], [0], 2), GridWindow([((0.0,),)], [1], 2)
+        entries.append({"x": [[3.0]], "u": [[0.0]], "value": 1.0})
+        assert_lookup_is_the_scan(entries, 1e-9, xs, us)
+        table = costs.table_objective(entries, 1e-9)
+        assert table(((1.0 + 5e-10,),), ((0.0,),)) == 2.5
+        entries[:2] = entries[1::-1]
+        assert costs.table_objective(entries, 1e-9)(((1.0,),), ((0.0,),)) == -7.0
+
+    def test_a_distance_of_exactly_atol_matches(self):
+        entries = [{"x": [[1.0]], "u": [[-1.0]], "value": 4.0}]
+        table = costs.table_objective(entries, 0.5)
+        assert table(((1.5,),), ((-0.5,),)) == 4.0
+        assert table(((0.5,),), ((-1.5,),)) == 4.0
+        past = float(np.nextafter(1.5, 2.0))
+        with pytest.raises(MultistageError, match="no table entry matches"):
+            table(((past,),), ((-1.0,),))
+        xs = GridWindow([((0.5,), (1.5,), (past,))], [0], 2)
+        us = GridWindow([((-1.5,), (-0.5,))], [1], 2)
+        assert_lookup_is_the_scan(entries, 0.5, xs, us)
+
+    def test_entries_of_another_length_are_skipped(self):
+        entries = [
+            {"x": [[1.0], [2.0]], "u": [], "value": 1.0},  # a longer x window
+            {"x": [[1.0]], "u": [[2.0], [2.0]], "value": 2.0},  # a longer u window
+            {"x": [[1.0, 0.0]], "u": [[2.0]], "value": 3.0},  # a longer x vector
+            {"x": [[1.0]], "u": [[]], "value": 4.0},  # a shorter u vector
+            {"x": [[1.0]], "u": [[2.0]], "value": 5.0},
+        ]
+        table = costs.table_objective(entries)
+        assert table(((1.0,),), ((2.0,),)) == 5.0
+        us = GridWindow([((2.0,), (), (2.0, 0.0))], [0], 1)
+        assert_lookup_is_the_scan(entries, EQUALITY_TOL, ((1.0,),), us)
+        assert_lookup_is_the_scan(entries[:4], EQUALITY_TOL, ((1.0,),), us)
+
+    def test_signed_zeros(self):
+        entries = [{"x": [[-0.0]], "u": [[0.0]], "value": -0.0},
+                   {"x": [[0.0]], "u": [[-0.0]], "value": 0.0}]
+        table = costs.table_objective(entries, 0.0)
+        assert table(((0.0,),), ((-0.0,),)).hex() == "-0x0.0p+0"
+        xs, us = GridWindow([((0.0,), (-0.0,))], [0], 2), GridWindow([((-0.0,), (0.0,))], [1], 2)
+        assert_lookup_is_the_scan(entries, 0.0, xs, us)
+        assert_lookup_is_the_scan(entries[::-1], 0.0, xs, us)
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 16])
+    def test_first_match_in_a_later_entry_chunk(self, monkeypatch, cap):
+        # 4 histories, 12 entries: the matches sit at entries 2, 7, 8 and 11
+        grid = ((0.0,), (1.0,), (2.0,), (3.0,))
+        entries = [{"x": [[9.0]], "u": [[9.0]], "value": float(k)} for k in range(12)]
+        for k, u in ((2, 1.0), (7, 3.0), (8, 0.0), (11, 2.0)):
+            entries[k] = {"x": [[0.5]], "u": [[u]], "value": float(k)}
+        monkeypatch.setattr(costs, "LEAF_BATCH_ENTRIES", cap)
+        us = GridWindow([grid], [0], 1)
+        values = window_values(costs.table_objective(entries), ((0.5,),), us)
+        assert values.tolist() == [8.0, 2.0, 11.0, 7.0]
+        assert_lookup_is_the_scan(entries, EQUALITY_TOL, ((0.5,),), us)
+        del entries[11]  # u = 2.0 now misses: the one history left without a match
+        assert_lookup_is_the_scan(entries, EQUALITY_TOL, ((0.5,),), us)
+        with pytest.raises(MultistageError, match=r"u=\(\(2\.0,\),\)"):
+            window_values(costs.table_objective(entries), ((0.5,),), us)
+
+    def test_plain_windows_give_a_python_float(self):
+        entries = [{"x": [[0.1], [0.2]], "u": [[0.3]], "value": 0.1 + 0.2}]
+        value = costs.table_objective(entries)(((0.1,), (0.2,)), ((0.3,),))
+        assert type(value) is float
+        assert value.hex() == (0.1 + 0.2).hex()
+        entries[0]["u"].append([7.0])
+        cost = cost_from_json({"form": "general", "table": {"entries": entries}})
+        assert type(cost.evaluate(((0.1,), (0.2,)), ((0.3,), (7.0,)))) is float
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("kind", ["table", "window_table"])
+    def test_leaf_batches_equal_the_scan(self, seed, kind):
+        cost, paths, grids = leaf_instance(seed, kind)
+        if kind == "table":
+            scan = CostSpec.general(scan_table(cost.payload["table"]["entries"]))
+        else:
+            scan = CostSpec.additive(
+                [scan_table(c["table"]["entries"]) for c in cost.payload["stage_costs"]],
+                cost.gamma, cost.lag)
+        assert outcome(lambda: leaf_arrays(cost, paths, grids)) == outcome(
+            lambda: leaf_arrays(scan, paths, grids))
+        for p, g in zip(paths, grids):
+            for h in itertools.islice(itertools.product(*g), 5):
+                assert outcome(lambda: [np.array(cost.evaluate(p, h))]) == outcome(
+                    lambda: [np.array(scan.evaluate(p, h))])
+
+    @pytest.mark.parametrize("lag", [None, 1, 2])
+    def test_a_batch_calls_the_table_once_per_stage_window(self, lag):
+        _, paths, grids = random_paths_and_grids(16, horizon=3, dim=1)
+        shared = [paths, paths[:3] + ((9.0,),)]  # two leaves below one stage-2 node
+        windows = [(slice(0, 4), slice(0, 4))] if lag is None else [
+            (slice(max(0, t - lag), t + 1), slice(max(0, t - lag), t)) for t in (1, 2, 3)]
+        entries = [
+            {"x": [list(x) for x in p[xw]], "u": [list(u) for u in h], "value": float(k)}
+            for p in shared for xw, uw in windows
+            for k, h in enumerate(itertools.product(*grids[uw]))
+        ]
+        table = costs.table_objective(entries)
+        calls = []
+
+        def counted(xs, us):
+            calls.append((type(xs), type(us)))
+            return table(xs, us)
+
+        counted = costs._compiled(counted, table.problems)
+        if lag is None:
+            cost, reference = CostSpec.general(counted), CostSpec.general(scan_table(entries))
+        else:
+            cost = CostSpec.additive([counted] * 3, gamma=0.5, lag=lag)
+            reference = CostSpec.additive([scan_table(entries)] * 3, gamma=0.5, lag=lag)
+        values = cost.evaluate_leaves(shared, [grids, grids])
+        assert len(calls) == len(windows)
+        assert set(calls) == {(GridWindow, GridWindow)}
+        for k, p in enumerate(shared):
+            assert_bitwise(values[k], reference.evaluate_grid(p, grids))
+
+
+class TestStagewiseTable:
+    """sddp_recursion broadcasts a stagewise table, with the per-history loop's values."""
+
+    @staticmethod
+    def spec(seed, drop=None):
+        spec = random_sddp(rng_from_seed(seed), horizon=3, n_atoms=3, n_decisions=2,
+                           shared_noise=False)
+        rng = rng_from_seed(seed + 100)
+        entries = [
+            {"x": list(x), "w": list(w), "u": list(u), "value": float(rng.uniform(-1, 1))}
+            for t in range(spec.horizon) for x in spec.support(t)
+            for w in spec.support(t + 1) for u in spec.stage_decisions[t]
+        ]
+        if drop is not None:
+            del entries[drop]
+        table = sddp_from_json({**spec.payload, "cost": {"table": {"entries": entries}}})
+        windows = [{"x": [e["x"], e["w"]], "u": [e["u"]], "value": e["value"]} for e in entries]
+        return table, replace(table, step_cost=scan_table(windows))
+
+    @staticmethod
+    def solved(spec):
+        try:
+            result = sddp_recursion(spec)
+        except MultistageError as exc:
+            return type(exc).__name__, str(exc)
+        return ([{x: v.hex() for x, v in level.items()} for level in result.values],
+                result.greedy)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_per_history_loop(self, seed):
+        table, scan = self.spec(seed)
+        assert not hasattr(scan.step_cost, "problems")
+        assert self.solved(table) == self.solved(scan)
+
+    @pytest.mark.parametrize("drop", [0, 10, 40])
+    def test_a_missing_entry_is_the_loops_first_miss(self, drop):
+        table, scan = self.spec(5, drop=drop)
+        found = self.solved(table)
+        assert found[0] == "MultistageError"
+        assert found == self.solved(scan)
