@@ -14,8 +14,13 @@ history-blind class. ``validate`` runs on a bundle with a declared Hoelder
 block that holds and on one that fails, and ``sddp-solve`` on a
 stagewise-independent problem whose step cost is a table.
 
+The help texts are pinned the same way: the digest of what ``multistage
+--help`` and every ``<subcommand> --help`` print, and of the usage error that
+a command line without a subcommand prints, each formatted for 80 columns.
+
 The digests depend on the floating-point arithmetic, so they were recorded
-with numpy 2.4 on x86-64. To print the digests of the current code, run
+with numpy 2.4 on x86-64, and the help texts with Python 3.11's argparse.
+To print the digests of the current code, run
 ``PYTHONPATH=src python tests/test_golden_reports.py``.
 """
 
@@ -210,6 +215,26 @@ def commands(name: str) -> list[list[str]]:
     return out
 
 
+SUBCOMMANDS = ["validate", "solve", "verify", "dynamic-check", "demo-interchange",
+               "mdp-solve", "value-iterate", "sddp-solve"]
+
+
+def help_ids() -> list[str]:
+    return ["", "--help"] + [f"{name} --help" for name in SUBCOMMANDS]
+
+
+def run_help(command: str) -> tuple[int, str, str]:
+    """Exit code and digests of stdout and stderr of ``multistage <command>``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+    return (code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            hashlib.sha256(err.getvalue().encode()).hexdigest())
+
+
 def case_ids() -> list[str]:
     return [f"{name}:{' '.join(cmd)}" for name in inputs() for cmd in commands(name)]
 
@@ -273,6 +298,20 @@ GOLDEN = {
 }
 
 
+HELP_GOLDEN = {
+    '': (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'e4cae8e4b5f4dee9ae650fa5a817b2cb63214249bdf86b709caaf77b7ff89232'),
+    '--help': (0, '4da3e6dab91eee18c6bd36398285efec90c72dc659364a20fd183d8a635ede87', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'validate --help': (0, '7e63fc791e909e42d0494c1317a287572a4f36c21103d99f892f9e3efa6788cd', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'solve --help': (0, '0e8e846d4b9697410d1c16503617f7c36bb57f565b38c7cd28c5b258723ccee9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify --help': (0, 'eb723c1c37b849a4d74a5ead7729d1d7f2dd184fd1e6424951895c304815e91f', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'dynamic-check --help': (0, '7f4814feabb366db9a0029367065739c3adf4a2b62e0b5ca274c9a45b7dda55d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'demo-interchange --help': (0, 'd2d15ebde3aa005fe9ab31195d1d5e8761819f5d65ee26861b974f9adbc8a783', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'mdp-solve --help': (0, '12eae8bc8a59b2b39dd07d8a87170934ccdabde378174c32e686a9d1ee140c94', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'value-iterate --help': (0, 'ef1fdbcb0cf4bd0a407ef7955ae338f646a507f47f597a7ad1c97e1ff7c91bc9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'sddp-solve --help': (0, '24ecac6b817a3e2d04617742da89410d45d8917ced82867854f7ad4752475626', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+}
+
+
 @pytest.fixture(scope="module")
 def directory(tmp_path_factory):
     return tmp_path_factory.mktemp("golden")
@@ -296,10 +335,24 @@ def test_report_is_byte_identical(directory, case):
     assert run_case(directory, name, command.split()) == tuple(GOLDEN[case])
 
 
+def test_every_help_text_has_a_digest():
+    assert sorted(HELP_GOLDEN) == sorted(help_ids())
+
+
+@pytest.mark.parametrize("command", sorted(HELP_GOLDEN))
+def test_help_text_is_byte_identical(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_help(command) == tuple(HELP_GOLDEN[command])
+
+
 if __name__ == "__main__":
+    import os
     import pathlib
     import tempfile
 
+    os.environ["COLUMNS"] = "80"
+    for command in help_ids():
+        sys.stdout.write(f"    {command!r}: {run_help(command)!r},\n")
     with tempfile.TemporaryDirectory() as tmp:
         for case in case_ids():
             name, command = case.split(":")
