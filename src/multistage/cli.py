@@ -10,7 +10,9 @@ inputs and flags the JSON output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 from . import __version__
@@ -368,6 +370,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and kept for the process.
+
+    Parsing leaves it as it was: ``parse_args`` fills a fresh namespace, and
+    no default is a mutable object.
+    """
+    return build_parser()
+
+
+def _check_flags(args) -> None:
+    """Numeric flags that have no meaning are input errors, for every subcommand."""
+    tolerance = getattr(args, "tolerance", 0.0)
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise InputFormatError(f"--tolerance {tolerance!r} must be finite and >= 0")
+    if getattr(args, "cap", 1) < 1:
+        raise InputFormatError(f"--cap {args.cap} must be at least 1")
+    if getattr(args, "trials", 0) < 0:
+        raise InputFormatError(f"--trials {args.trials} must be >= 0")
+
+
 HANDLERS = {
     "validate": cmd_validate,
     "solve": cmd_solve,
@@ -381,9 +404,9 @@ HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        _check_flags(args)
         return HANDLERS[args.command](args)
     except EnumerationCapError as exc:
         print(f"enumeration too large: {exc}", file=sys.stderr)

@@ -616,7 +616,9 @@ def table_objective(entries: Sequence[dict], atol: float = EQUALITY_TOL):
             raise MultistageError(f"no table entry matches x={xs!r}, u={us!r}")
         return values[first] if ndim else float(values[first])
 
-    return _compiled(evaluate)
+    evaluate = _compiled(evaluate)
+    evaluate.lookup = True  # cost_problems checks that it covers every grid history
+    return evaluate
 
 
 def stage_magnitudes(vectors: Callable[[str, int], Sequence[Vector]]):
@@ -646,8 +648,10 @@ def cost_problems(cost: CostSpec, tree, cls) -> list[str]:
     variable may take a negative power where an observation or a feasible
     decision at its stage is 0, nor a power that overflows a float there.
     ``quadratic_tracking`` weights must cover the stages they are read at.
-    Tables have nothing to check here (their keys are checked when loaded),
-    and raw callables are not checked.
+    Once all that holds and every node has a feasible set, a table must
+    match every grid history of its windows (its keys are checked when
+    loaded); the first it misses is the fault (:func:`table_misses`). Raw
+    callables are not checked.
     """
     T = tree.horizon
     dims = {"x": tree.obs_dim, "u": cls.decision_dim}
@@ -659,16 +663,65 @@ def cost_problems(cost: CostSpec, tree, cls) -> list[str]:
         return [u for i in ids for u in cls.feasible.get(i, ())]
 
     magnitudes = stage_magnitudes(vectors)
-    if cost.form == "general":
-        if not hasattr(cost.objective, "problems"):
-            return []
-        return [f"cost {p}" for p in cost.objective.problems(T, None, dims, magnitudes)]
     out = []
-    for k, c in enumerate(cost.stage_costs[:T]):
-        if hasattr(c, "problems"):
-            found = c.problems(T, (k + 1, cost.lag), dims, magnitudes)
-            out += [f"stage cost {k} {p}" for p in found]
-    return out
+    if cost.form == "general":
+        if hasattr(cost.objective, "problems"):
+            found = cost.objective.problems(T, None, dims, magnitudes)
+            out += [f"cost {p}" for p in found]
+    else:
+        for k, c in enumerate(cost.stage_costs[:T]):
+            if hasattr(c, "problems"):
+                found = c.problems(T, (k + 1, cost.lag), dims, magnitudes)
+                out += [f"stage cost {k} {p}" for p in found]
+    if out or any(n.id not in cls.feasible for n in tree.nodes):
+        return out
+    return table_misses(cost, tree, cls)
+
+
+def table_misses(cost: CostSpec, tree, cls) -> list[str]:
+    """The first grid history that a table of the cost misses, as a fault.
+
+    Every table is evaluated on its windows of every leaf's grid product,
+    through :func:`leaf_batches` (so in batches of at most
+    :data:`LEAF_BATCH_ENTRIES` entries) on a copy of the cost in which
+    every payload reads 0.0 and a table only looks its entries up. A miss
+    is then the only error, and the first is the one a solve meets first:
+    the first leaf's, in stage then C order.
+    """
+    from .scenario_tree import path as tree_path
+
+    def probe(c, where: str):
+        def evaluate(xs, us):
+            try:
+                c(xs, us)
+            except MultistageError as exc:
+                raise MultistageError(f"{where} {exc}") from None
+            return 0.0
+
+        return _compiled(evaluate if getattr(c, "lookup", False) else lambda xs, us: 0.0)
+
+    T = tree.horizon
+    if cost.form == "general":
+        payloads = [cost.objective]
+        check = CostSpec.general(probe(cost.objective, "cost table:"))
+    else:
+        payloads = cost.stage_costs[:T]
+        if len(payloads) < T:
+            return []  # ProblemBundle.validate names the short stack
+        probes = [probe(c, f"stage cost {k} table:") for k, c in enumerate(payloads)]
+        check = CostSpec.additive(probes, cost.gamma, cost.lag)
+    if not any(getattr(c, "lookup", False) for c in payloads):
+        return []
+    leaves = tree.leaves()
+    try:
+        leaf_batches(
+            check,
+            [tree_path(tree, leaf) for leaf in leaves],
+            [[cls.feasible[i] for i in tree.path_nodes(leaf)] for leaf in leaves],
+        )
+    except MultistageError as exc:
+        return [str(exc)]
+    return []
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from multistage.bundle import ProblemBundle, bundle_to_json
-from multistage.cli import main
+from multistage.cli import build_parser, main
 from multistage.dp_solvers import mdp_to_json
 from multistage.generate import (
     branching_gap_fixture,
@@ -881,6 +881,187 @@ class TestTableKeys:
         assert main(["validate", "--input", path]) == 0
         capsys.readouterr()
         self.assert_input_error(["solve", "--input", path], capsys, "finite")
+
+
+class TestTableCoverage:
+    """A table must match every grid history of its windows; a miss is a
+    fault of the bundle, found when it is loaded and not in mid-solve."""
+
+    MISS = "no table entry matches x=((0.5,), (2.0,)), u=((0.0,), (1.0,))"
+
+    @staticmethod
+    def general(*missing):
+        data = TestTableAtol.bundle(1e-9)
+        entries = data["cost"]["table"]["entries"]
+        data["cost"]["table"]["entries"] = [e for k, e in enumerate(entries) if k not in missing]
+        return data
+
+    @staticmethod
+    def additive(missing):
+        """A lag-1 stack whose one stage table reads (x_0, x_1) and (u_0,)."""
+        entries = [
+            {"x": [[0.5], [obs]], "u": [[u0]], "value": u0 - obs}
+            for obs in (1.0, 2.0) for u0 in (0.0, 1.0)
+        ]
+        del entries[missing]
+        return malformed_cost_bundle({"form": "additive", "gamma": 0.9, "lag": 1,
+                                      "stage_costs": [{"table": {"entries": entries}}]})
+
+    def test_validate_names_the_missing_history(self, tmp_path, capsys):
+        path = write_json(tmp_path / "gap.json", self.general(5))
+        assert main(["validate", "--input", path, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["violations"] == [f"cost table: {self.MISS}"]
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "dynamic-check"])
+    def test_bundle_commands_exit_three_before_solving(self, tmp_path, capsys, command):
+        path = write_json(tmp_path / "gap.json", self.general(5))
+        assert main([command, "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: invalid bundle: cost table: {self.MISS}\n"
+
+    def test_a_stage_table_miss_names_its_stage(self, tmp_path, capsys):
+        path = write_json(tmp_path / "gap.json", self.additive(3))
+        assert main(["validate", "--input", path, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["violations"] == [
+            "stage cost 0 table: no table entry matches x=((0.5,), (2.0,)), u=((1.0,),)"
+        ]
+
+    def test_the_first_leaf_miss_is_named_whatever_the_batch_size(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import multistage.costs as costs
+
+        path = write_json(tmp_path / "gaps.json", self.general(1, 5))
+        first = "cost table: no table entry matches x=((0.5,), (1.0,)), u=((0.0,), (1.0,))"
+        for entries in (costs.LEAF_BATCH_ENTRIES, 1):
+            monkeypatch.setattr(costs, "LEAF_BATCH_ENTRIES", entries)
+            assert main(["validate", "--input", path, "--json"]) == 1
+            assert json.loads(capsys.readouterr().out)["violations"] == [first]
+
+    def test_a_full_table_stays_valid(self, tmp_path, capsys):
+        path = write_json(tmp_path / "full.json", self.additive(3))
+        data = json.loads(Path(path).read_text())
+        data["cost"]["stage_costs"][0]["table"]["entries"].append(
+            {"x": [[0.5], [2.0]], "u": [[1.0]], "value": -1.0})
+        write_json(tmp_path / "full.json", data)
+        assert main(["validate", "--input", path]) == 0
+        assert main(["solve", "--input", path]) == 0
+
+
+class TestNumericFlags:
+    """A tolerance that is not finite or is below 0, a cap below 1 and a
+    negative trial count are input errors wherever the flag is taken."""
+
+    CASES = {
+        "solve-nan-tolerance": ("solve", ["--tolerance", "nan"]),
+        "solve-negative-tolerance": ("solve", ["--tolerance", "-1"]),
+        "verify-infinite-tolerance": ("verify", ["--tolerance", "inf"]),
+        "verify-nan-tolerance": ("verify", ["--tolerance", "nan"]),
+        "verify-negative-tolerance": ("verify", ["--tolerance", "-1"]),
+        "dynamic-check-nan-tolerance": ("dynamic-check", ["--tolerance", "nan"]),
+        "dynamic-check-negative-tolerance": ("dynamic-check", ["--tolerance", "-1"]),
+        "demo-infinite-tolerance": ("demo-interchange", ["--tolerance", "inf"]),
+        "value-iterate-infinite-tolerance": ("value-iterate", ["--tolerance", "inf"]),
+        "solve-zero-cap": ("solve", ["--cap", "0"]),
+        "verify-zero-cap": ("verify", ["--cap", "0"]),
+        "dynamic-check-negative-cap": ("dynamic-check", ["--cap", "-5"]),
+        "negative-trials": ("demo-interchange", ["--trials", "-3"]),
+    }
+
+    @staticmethod
+    def argv(command, recourse_bundle, tmp_path):
+        if command == "demo-interchange":
+            return [command]
+        if command == "value-iterate":
+            mdp = mdp_to_json(constant_cost_mdp(gamma=0.5))
+            return [command, "--input", write_json(tmp_path / "mdp.json", mdp)]
+        argv = [command, "--input", recourse_bundle["bundle"]]
+        if command != "solve":
+            argv += ["--policy", recourse_bundle["perturbed"]]
+        return argv
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_meaningless_value_exits_three(self, recourse_bundle, tmp_path, capsys, case):
+        command, flags = self.CASES[case]
+        argv = self.argv(command, recourse_bundle, tmp_path)
+        assert main([*argv, *flags, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert flags[0] in captured.err
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "dynamic-check", "demo-interchange"])
+    def test_zero_tolerance_is_allowed(self, recourse_bundle, tmp_path, capsys, command):
+        argv = self.argv(command, recourse_bundle, tmp_path)
+        assert main([*argv, "--tolerance", "0", "--json"]) != 3
+        assert json.loads(capsys.readouterr().out)
+
+
+class TestParserReuse:
+    """main parses every command line with one parser per process; reusing it
+    must carry nothing from one call into the next."""
+
+    @staticmethod
+    def command_lines(recourse_bundle, tmp_path):
+        mdp = write_json(tmp_path / "mdp.json", mdp_to_json(constant_cost_mdp(gamma=0.5)))
+        sddp = write_json(tmp_path / "sddp.json", random_sddp(rng_from_seed(8), horizon=2).payload)
+        bundle, policy = recourse_bundle["bundle"], recourse_bundle["perturbed"]
+        return [
+            ["validate", "--input", bundle, "--json"],
+            ["solve", "--input", bundle, "--method", "brute", "--cap", "50", "--json"],
+            ["solve", "--input", bundle],
+            ["verify", "--input", bundle, "--policy", policy, "--tolerance", "1e-6", "--json"],
+            ["verify", "--input", bundle, "--json"],
+            ["dynamic-check", "--input", bundle, "--policy", policy, "--json"],
+            ["demo-interchange", "--trials", "4", "--seed", "2", "--json"],
+            ["demo-interchange"],
+            ["mdp-solve", "--input", mdp, "--horizon", "3", "--json"],
+            ["value-iterate", "--input", mdp, "--max-iters", "50", "--json"],
+            ["value-iterate", "--input", mdp],
+            ["sddp-solve", "--input", sddp, "--json"],
+            ["solve", "--input", bundle, "--no-such-flag"],
+            ["--version"],
+            ["--help"],
+            ["verify", "--help"],
+            ["solve", "--input", bundle, "--json"],
+        ]
+
+    @staticmethod
+    def outcomes(command_lines, capsys):
+        out = []
+        for argv in command_lines:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out.append((argv, code, captured.out, captured.err))
+        return out
+
+    def test_every_call_reads_as_on_a_fresh_parser(
+        self, recourse_bundle, tmp_path, capsys, monkeypatch
+    ):
+        command_lines = self.command_lines(recourse_bundle, tmp_path)
+        reused = self.outcomes(command_lines, capsys)
+        monkeypatch.setattr("multistage.cli._parser", build_parser)
+        fresh = self.outcomes(command_lines, capsys)
+        assert reused == fresh
+        assert {code for _, code, _, _ in reused} == {0, 1, 3}
+        # verify without --policy finds no policy in the bundle
+        assert reused[4][1] == 3 and "no policy given" in reused[4][3]
+
+    def test_the_parser_is_built_on_the_first_call_only(self):
+        script = (
+            "import multistage.cli as cli\n"
+            "at_import = cli._parser.cache_info().currsize\n"
+            "cli.main(['demo-interchange']); cli.main(['demo-interchange'])\n"
+            "print(at_import, cli._parser.cache_info().misses,"
+            " cli.build_parser() is not cli.build_parser())\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == "0 1 True"
 
 
 class TestArguments:
