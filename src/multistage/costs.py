@@ -336,6 +336,8 @@ def leaf_arrays(cost: CostSpec, paths_list, grids_list) -> list[np.ndarray]:
 # magnitudes)``, the payload's faults where it is evaluated (see
 # :func:`cost_problems`); that attribute also marks it as compiled for
 # :func:`window_values`, the one place that decides which costs broadcast.
+# A table also carries ``lookup = True``: :func:`table_misses` checks that it
+# matches every grid history it will be evaluated on.
 
 
 def _no_problems(T, window, dims, magnitudes) -> list[str]:
@@ -617,7 +619,7 @@ def table_objective(entries: Sequence[dict], atol: float = EQUALITY_TOL):
         return values[first] if ndim else float(values[first])
 
     evaluate = _compiled(evaluate)
-    evaluate.lookup = True  # cost_problems checks that it covers every grid history
+    evaluate.lookup = True
     return evaluate
 
 
@@ -685,8 +687,8 @@ def table_misses(cost: CostSpec, tree, cls) -> list[str]:
     through :func:`leaf_batches` (so in batches of at most
     :data:`LEAF_BATCH_ENTRIES` entries) on a copy of the cost in which
     every payload reads 0.0 and a table only looks its entries up. A miss
-    is then the only error, and the first is the one a solve meets first:
-    the first leaf's, in stage then C order.
+    is then the only error; the one reported is the first leaf's (in tree
+    order) first miss, in stage then C order.
     """
     from .scenario_tree import path as tree_path
 
@@ -702,16 +704,16 @@ def table_misses(cost: CostSpec, tree, cls) -> list[str]:
 
     T = tree.horizon
     if cost.form == "general":
-        payloads = [cost.objective]
+        if not getattr(cost.objective, "lookup", False):
+            return []
         check = CostSpec.general(probe(cost.objective, "cost table:"))
     else:
         payloads = cost.stage_costs[:T]
-        if len(payloads) < T:
-            return []  # ProblemBundle.validate names the short stack
+        # a short stack is a fault that ProblemBundle.validate names
+        if len(payloads) < T or not any(getattr(c, "lookup", False) for c in payloads):
+            return []
         probes = [probe(c, f"stage cost {k} table:") for k, c in enumerate(payloads)]
         check = CostSpec.additive(probes, cost.gamma, cost.lag)
-    if not any(getattr(c, "lookup", False) for c in payloads):
-        return []
     leaves = tree.leaves()
     try:
         leaf_batches(

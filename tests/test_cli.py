@@ -897,13 +897,13 @@ class TestTableCoverage:
         return data
 
     @staticmethod
-    def additive(missing):
+    def additive(*missing):
         """A lag-1 stack whose one stage table reads (x_0, x_1) and (u_0,)."""
         entries = [
             {"x": [[0.5], [obs]], "u": [[u0]], "value": u0 - obs}
             for obs in (1.0, 2.0) for u0 in (0.0, 1.0)
         ]
-        del entries[missing]
+        entries = [e for k, e in enumerate(entries) if k not in missing]
         return malformed_cost_bundle({"form": "additive", "gamma": 0.9, "lag": 1,
                                       "stage_costs": [{"table": {"entries": entries}}]})
 
@@ -939,12 +939,9 @@ class TestTableCoverage:
             assert main(["validate", "--input", path, "--json"]) == 1
             assert json.loads(capsys.readouterr().out)["violations"] == [first]
 
-    def test_a_full_table_stays_valid(self, tmp_path, capsys):
-        path = write_json(tmp_path / "full.json", self.additive(3))
-        data = json.loads(Path(path).read_text())
-        data["cost"]["stage_costs"][0]["table"]["entries"].append(
-            {"x": [[0.5], [2.0]], "u": [[1.0]], "value": -1.0})
-        write_json(tmp_path / "full.json", data)
+    @pytest.mark.parametrize("form", ["general", "additive"])
+    def test_a_full_table_stays_valid(self, tmp_path, form):
+        path = write_json(tmp_path / "full.json", getattr(self, form)())
         assert main(["validate", "--input", path]) == 0
         assert main(["solve", "--input", path]) == 0
 
