@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .costs import CostSpec, cost_from_json, cost_problems, cost_to_json, verify_holder
-from .exceptions import InputFormatError, require_object
+from .exceptions import InputFormatError, read_json, require_object
 from .policy import (
     Policy,
     PolicyClass,
@@ -89,9 +88,4 @@ def bundle_to_json(bundle: ProblemBundle) -> dict:
 
 
 def load_bundle(path: str) -> ProblemBundle:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: {exc}") from exc
-    return bundle_from_json(data)
+    return bundle_from_json(read_json(path))

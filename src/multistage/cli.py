@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import __version__
-from .bundle import load_bundle
+from .bundle import bundle_from_json, load_bundle
 from .dp_solvers import (
     mdp_backward_induction,
     mdp_from_json,
@@ -30,11 +30,12 @@ from .exceptions import (
     InfeasiblePolicyError,
     InputFormatError,
     MultistageError,
+    read_json,
     require_object,
 )
 from .generate import interchange_fixture, rng_from_seed
-from .policy import DEFAULT_ENUMERATION_CAP, load_policy
-from .scenario_tree import validate
+from .policy import DEFAULT_ENUMERATION_CAP, load_policy, policy_to_json
+from .scenario_tree import tree_from_json, validate
 from .tolerances import DEFAULT_TOL, INEQUALITY_SLACK
 from .value_process import (
     backward_tables,
@@ -66,22 +67,11 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _policy_json(policy) -> dict:
-    from .policy import policy_to_json
-
-    return policy_to_json(policy)
-
-
 def cmd_validate(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        data = require_object(json.load(fh), args.input)
+    data = require_object(read_json(args.input), args.input)
     if "tree" in data:
-        from .bundle import bundle_from_json
-
         problems = bundle_from_json(data).validate()
     else:
-        from .scenario_tree import tree_from_json
-
         problems = validate(tree_from_json(data))
     report = {"input": args.input, "violations": problems, "valid": not problems}
     _emit(
@@ -155,7 +145,7 @@ def cmd_solve(args) -> int:
             report["agreement"] = True
     report["method"] = method
     report["value"] = value
-    report["policy"] = _policy_json(policy)
+    report["policy"] = policy_to_json(policy)
     _emit(report, args.json, [f"optimal value: {value!r}", f"method: {method}"])
     return EXIT_OK
 
@@ -246,8 +236,7 @@ def cmd_demo_interchange(args) -> int:
 
 
 def cmd_mdp_solve(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        mdp = mdp_from_json(json.load(fh))
+    mdp = mdp_from_json(read_json(args.input))
     values, greedy = mdp_backward_induction(mdp, horizon=args.horizon)
     report = {
         "input": args.input,
@@ -264,8 +253,7 @@ def cmd_mdp_solve(args) -> int:
 
 
 def cmd_value_iterate(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        mdp = mdp_from_json(json.load(fh))
+    mdp = mdp_from_json(read_json(args.input))
     try:
         result = value_iteration(mdp, epsilon=args.tolerance, max_iters=args.max_iters)
     except ConvergenceError as exc:
@@ -301,8 +289,7 @@ def cmd_value_iterate(args) -> int:
 
 
 def cmd_sddp_solve(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        spec = sddp_from_json(json.load(fh))
+    spec = sddp_from_json(read_json(args.input))
     result = sddp_recursion(spec)
     report = {
         "input": args.input,
@@ -414,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasiblePolicyError as exc:
         print(f"infeasible policy: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InputFormatError, OSError, json.JSONDecodeError) as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MultistageError as exc:

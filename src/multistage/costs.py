@@ -15,12 +15,14 @@ real number. Two forms exist:
 Objectives can be plain Python callables or built from a JSON payload
 (named builtin, polynomial, or lookup table), in which case they round-trip
 through serialization. Every payload (polynomial, builtin or table) is
-compiled once, when loaded, into one function that takes plain windows or
-grid windows (:class:`GridWindow`) alike, so every decision history of a
-batch of leaves is evaluated at once (:meth:`CostSpec.evaluate_leaves`,
-whose result has a leading leaf axis; :meth:`CostSpec.evaluate_grid` is a
-batch of one). :func:`window_values` alone decides what broadcasts: only
-raw callables on a grid are called once per history of their window, in
+compiled once, when loaded, into one function whose body takes batch
+windows (:class:`GridWindow`), so every decision history of a batch of
+leaves is evaluated at once (:meth:`CostSpec.evaluate_leaves`, whose result
+has a leading leaf axis; :meth:`CostSpec.evaluate_grid` is a batch of one).
+A plain window is a batch of one row: :meth:`CostSpec.evaluate` and a
+compiled cost called on plain windows run that same body and return a
+float. :func:`window_values` alone decides what broadcasts: raw callables
+still receive plain windows, once per history of their batch window, in
 leaf then C order. :func:`leaf_batches` groups leaves by grid sizes and
 cuts the groups into batches of whole leaves of at most
 :data:`LEAF_BATCH_ENTRIES` entries, so the working arrays of one batch stay
@@ -60,74 +62,93 @@ def u_window(decisions: Sequence[Vector], t: int, lag: int) -> Window:
 
 
 class GridWindow:
-    """A window over a grid product, or over a batch of grid products.
+    """A window over a batch of grid products: one row per leaf on a tree.
 
     Window position j holds the candidate vectors of output axis ``axes[j]``
-    of an array with ``ndim`` axes: in the stagewise recursion, the states,
-    noise values and decisions. A batch (``rows`` given) has a leading axis
-    of rows, on a tree one per leaf. Position j then lists the distinct
-    grids of its rows, one per tree node, and row r reads
-    ``grids[j][rows[j][r]]``. An axis of None marks a position whose grids
-    hold one vector each (the observations), which varies along the rows
-    only.
+    of an array with ``ndim`` axes, whose axis 0 runs along the rows.
+    Position j lists the distinct grids of its rows, one per tree node, and
+    row r reads ``grids[j][rows[j][r]]``. An axis of None marks a position
+    whose grids hold one vector each (the observations), which varies along
+    the rows only. A plain window, or the stagewise recursion's states,
+    noise values and decisions, is a batch of one row (:meth:`single`).
     """
 
-    def __init__(self, grids, axes: Sequence[int | None], ndim: int, rows=None):
+    def __init__(self, grids, axes: Sequence[int | None], ndim: int, rows):
         self.grids = grids
         self.axes = axes
         self.ndim = ndim
         self.rows = rows
 
+    @classmethod
+    def single(cls, grids, axes: Sequence[int | None], ndim: int) -> "GridWindow":
+        """The batch of one row whose position j ranges over ``grids[j]``."""
+        return cls([[g] for g in grids], axes, ndim, [np.zeros(1, dtype=np.intp)] * len(grids))
+
     def __len__(self) -> int:
         return len(self.grids)
 
     def __getitem__(self, positions: slice) -> "GridWindow":
-        rows = None if self.rows is None else self.rows[positions]
-        return GridWindow(self.grids[positions], self.axes[positions], self.ndim, rows)
+        return GridWindow(
+            self.grids[positions], self.axes[positions], self.ndim, self.rows[positions]
+        )
+
+    def place(self, j: int, values: np.ndarray) -> np.ndarray:
+        """Values shaped (..., distinct grids, candidates) of position j,
+        gathered along the rows (axis 0, when there are several grids) and
+        with the candidates on axis ``axes[j]``, so that they broadcast."""
+        if values.shape[-2] > 1:
+            values = values[..., self.rows[j], :]
+        shape = [1] * self.ndim
+        shape[0] = values.shape[-2]
+        if self.axes[j] is not None:
+            shape[self.axes[j]] = values.shape[-1]
+        return values.reshape(values.shape[:-2] + tuple(shape))
 
     def factor(self, j: int, f: Callable, given: "GridWindow | None" = None) -> np.ndarray:
         """f(u) for every candidate u at position j, shaped to broadcast along its axis.
 
-        In a batch, f runs once per candidate of each distinct grid, and the
-        values are gathered along the rows (axis 0) when there are several
-        grids. An observation shared by every row is f of it, a plain value.
-        ``given``, the batch of observations with the same rows, makes it
-        f(x, u) with x the row's vector at position j of ``given``.
+        f runs once per candidate of each distinct grid, and the values are
+        placed by :meth:`place`. An observation shared by every row is f of
+        it, a plain value. ``given``, the batch of observations with the
+        same rows, makes it f(x, u) with x the row's vector at position j
+        of ``given``.
         """
         if self.axes[j] is None and len(self.grids[j]) == 1:
-            return f(self.grids[j][0][0])
-        shape = [1] * self.ndim
-        if self.rows is None:
-            values = np.array([f(u) for u in self.grids[j]], dtype=float)
+            u = self.grids[j][0][0]
+            return f(u) if given is None else f(given.grids[j][0][0], u)
+        if given is None:
+            table = [[f(u) for u in grid] for grid in self.grids[j]]
         else:
-            if given is None:
-                table = [[f(u) for u in grid] for grid in self.grids[j]]
-            else:
-                pairs = zip(given.grids[j], self.grids[j])
-                table = [[f(x, u) for u in grid] for (x,), grid in pairs]
-            values = np.array(table, dtype=float)
-            if len(values) > 1:
-                values = values[self.rows[j]]
-            shape[0] = len(values)
-        if self.axes[j] is not None:
-            shape[self.axes[j]] = values.shape[-1]
-        return values.reshape(shape)
-
-    def grid(self, j: int, row: int = 0) -> Sequence[Vector]:
-        """The grid at position j of one row (of every row, outside a batch)."""
-        return self.grids[j] if self.rows is None else self.grids[j][self.rows[j][row]]
+            pairs = zip(given.grids[j], self.grids[j])
+            table = [[f(x, u) for u in grid] for (x,), grid in pairs]
+        return self.place(j, np.array(table, dtype=float))
 
     def extent(self) -> list[tuple[int, int]]:
-        """(axis, size) of every axis the window spans, the rows' axis 0 included."""
-        out = [] if self.rows is None else [(0, len(r)) for r in self.rows]
-        return out + [(a, len(self.grid(j))) for j, a in enumerate(self.axes) if a is not None]
+        """(axis, size) of every axis the window's placed values span: the
+        rows' axis 0 where a position has several grids, and each candidate axis."""
+        out = [(0, len(r)) for r, grids in zip(self.rows, self.grids) if len(grids) > 1]
+        return out + [(a, len(g[0])) for g, a in zip(self.grids, self.axes) if a is not None]
 
     def at(self, index: Sequence[int]) -> Window:
-        """The plain window at one index of the product (row ``index[0]`` of a batch)."""
+        """The plain window at one index of the product (of row ``index[0]``)."""
         return tuple(
-            self.grid(j, index[0])[0 if axis is None else index[axis]]
-            for j, axis in enumerate(self.axes)
+            grids[rows[index[0]]][0 if axis is None else index[axis]]
+            for grids, rows, axis in zip(self.grids, self.rows, self.axes)
         )
+
+
+def _shape(xs: GridWindow, us: GridWindow) -> list[int]:
+    """The shape that the values of a pair of windows broadcast to."""
+    shape = [1] * xs.ndim
+    for axis, size in xs.extent() + us.extent():
+        shape[axis] = size
+    return shape
+
+
+def _one_row(window: Sequence[Vector]) -> GridWindow:
+    """A plain window as a batch of one row with no grid axes."""
+    grids = [(v,) for v in window]
+    return GridWindow.single(grids, (None,) * len(grids), 1)
 
 
 #: entries of one batch of leaf arrays: whole leaves up to this many, or one larger leaf
@@ -179,7 +200,7 @@ class CostSpec:
 
     def evaluate(self, paths: Sequence[Vector], decisions: Sequence[Vector]) -> float:
         """Objective value on one trajectory with its full decision history."""
-        value = float(self._accumulate(paths, tuple(decisions), len(paths) - 1))
+        value = self._trajectory(paths, decisions, len(paths) - 1)
         if not math.isfinite(value):
             raise _unbounded(value)
         return value
@@ -244,17 +265,21 @@ class CostSpec:
         """
         if self.form != "additive":
             raise MultistageError("prefix costs are defined for additive form only")
-        return self._accumulate(paths, tuple(decisions), through)
+        return self._trajectory(paths, decisions, through)
 
-    def _accumulate(self, paths, decisions: Window | GridWindow, through: int):
+    def _trajectory(self, paths, decisions, through: int) -> float:
+        """:meth:`_accumulate` on one trajectory, a batch of one row, as a float."""
+        with np.errstate(all="ignore"):
+            value = self._accumulate(_one_row(paths), _one_row(decisions), through)
+        return np.asarray(value).item()
+
+    def _accumulate(self, paths: GridWindow, decisions: GridWindow, through: int):
         """The objective, or for the additive form the discounted sum from 0.0
-        of stage costs 1..``through`` in stage order, on plain or batch windows."""
+        of stage costs 1..``through`` in stage order, on batch windows."""
         if len(paths) != len(decisions):
             raise MultistageError(
                 f"{len(paths)} observations but {len(decisions)} decisions"
             )
-        if not isinstance(paths, GridWindow):
-            paths = tuple(paths)
         if self.form == "general":
             return window_values(self.objective, paths, decisions)
         if len(self.stage_costs) < through:
@@ -326,18 +351,19 @@ def leaf_arrays(cost: CostSpec, paths_list, grids_list) -> list[np.ndarray]:
 
 # -- compiled payloads ----------------------------------------------------------
 #
-# A compiled cost is one function (xs, us) of a pair of windows
-# (observations, decisions); ``poly``, the builtins and ``table`` all are.
-# On plain windows it returns a float. When a window is a
-# :class:`GridWindow` (every position ranging over its grid), the same body
-# returns an array that broadcasts to the grid product, with the same float
-# operations in the same order (a table: the same comparisons, and the
-# same first matching entry). It carries ``problems(T, window, dims,
-# magnitudes)``, the payload's faults where it is evaluated (see
-# :func:`cost_problems`); that attribute also marks it as compiled for
-# :func:`window_values`, the one place that decides which costs broadcast.
-# A table also carries ``lookup = True``: :func:`table_misses` checks that it
-# matches every grid history it will be evaluated on.
+# A compiled cost is one function (xs, us) of a pair of batch windows
+# (observations, decisions), :class:`GridWindow` s with the same rows;
+# ``poly``, the builtins and ``table`` all are. Its body returns an array
+# that broadcasts to the windows' grid products, or a float where nothing
+# varies. Called on plain windows, it runs the same body on them as a batch
+# of one row and returns a Python float, with the same float operations in
+# the same order (a table: the same comparisons, and the same first
+# matching entry). It carries ``problems(T, window, dims, magnitudes)``, the
+# payload's faults where it is evaluated (see :func:`cost_problems`); that
+# attribute also marks it as compiled for :func:`window_values`, the one
+# place that decides which costs broadcast. A table also carries
+# ``lookup = True``: :func:`table_misses` checks that it matches every grid
+# history it will be evaluated on.
 
 
 def _no_problems(T, window, dims, magnitudes) -> list[str]:
@@ -345,42 +371,31 @@ def _no_problems(T, window, dims, magnitudes) -> list[str]:
 
 
 def _compiled(evaluate, problems=_no_problems):
-    evaluate.problems = problems
-    return evaluate
+    """The compiled cost of a body that takes batch windows."""
+
+    def compiled(xs, us):
+        if isinstance(xs, GridWindow):
+            return evaluate(xs, us)
+        return np.asarray(evaluate(_one_row(xs), _one_row(us))).item()
+
+    compiled.problems = problems
+    return compiled
 
 
-def _each(window: Window | GridWindow, j: int, f: Callable[[Vector], float]):
-    """f of window position j: a float, or an array for a :class:`GridWindow`."""
-    if isinstance(window, GridWindow):
-        return window.factor(j, f)
-    return f(window[j])
+def window_values(cost: Callable, xs: GridWindow, us: GridWindow):
+    """cost(xs, us) on a pair of batch windows.
 
-
-def window_values(cost: Callable, xs: Window | GridWindow, us: Window | GridWindow):
-    """cost(xs, us) where either window may be a :class:`GridWindow`.
-
-    A compiled cost (every JSON payload, ``table`` included), and any cost
-    on plain windows, is called once on the windows as they are. A raw
-    callable on a grid window is called once per history of the windows'
-    grid product, in C order, and the values are returned as an array that
-    broadcasts like a compiled cost's.
+    A compiled cost (every JSON payload, ``table`` included) is called once
+    on the windows. A raw callable is called once per history of the
+    windows' grid product (:func:`_shape`), in C order, on the
+    plain windows :meth:`GridWindow.at` picks, and the values are returned
+    as an array that broadcasts like a compiled cost's.
     """
-    if hasattr(cost, "problems") or not (
-        isinstance(xs, GridWindow) or isinstance(us, GridWindow)
-    ):
+    if hasattr(cost, "problems"):
         return cost(xs, us)
-    grids = [w for w in (xs, us) if isinstance(w, GridWindow)]
-    shape = [1] * grids[0].ndim
-    for w in grids:
-        for axis, size in w.extent():
-            shape[axis] = size
-
-    def pick(w, index):
-        return w.at(index) if isinstance(w, GridWindow) else w
-
+    shape = _shape(xs, us)
     values = [
-        cost(pick(xs, index), pick(us, index))
-        for index in itertools.product(*map(range, shape))
+        cost(xs.at(index), us.at(index)) for index in itertools.product(*map(range, shape))
     ]
     return np.array(values, dtype=float).reshape(shape)
 
@@ -400,20 +415,18 @@ def poly_cost(terms: Sequence[Term], window_relative: bool):
     """
     terms = tuple(terms)
 
-    def evaluate(xs: Window | GridWindow, us: Window | GridWindow):
+    def evaluate(xs: GridWindow, us: GridWindow):
+        windows = {"x": (xs, len(xs)), "u": (us, len(us))}
         factors: dict[tuple[str, int, int, int], np.ndarray] = {}
         total = 0.0
         for coef, variables in terms:
             prod = coef
             for role, index, comp, power in variables:
-                seq = xs if role == "x" else us
-                pos = len(seq) - 1 - index if window_relative else index
-                if not 0 <= pos < len(seq):
+                seq, n = windows[role]
+                pos = n - 1 - index if window_relative else index
+                if not 0 <= pos < n:
                     prod = 0.0
                     break
-                if not isinstance(seq, GridWindow):
-                    prod = prod * seq[pos][comp] ** power
-                    continue
                 key = (role, pos, comp, power)
                 if key not in factors:
                     factors[key] = seq.factor(pos, lambda v, c=comp, p=power: v[c] ** p)
@@ -470,14 +483,10 @@ def quadratic_tracking(params: dict):
         w = 1.0 if weights is None else weights[t]
         return w * sum((ui - x[i % len(x)]) ** 2 for i, ui in enumerate(u))
 
-    def evaluate(xs: Window | GridWindow, us: Window | GridWindow):
+    def evaluate(xs: GridWindow, us: GridWindow):
         total = 0.0
-        for t in range(len(us)):
-            if isinstance(xs, GridWindow):  # a batch: each row's x_t with its u_t grid
-                term = us.factor(t, lambda x, u, t=t: stage(t, x, u), given=xs)
-            else:
-                term = _each(us, t, lambda u, t=t: stage(t, xs[t], u))
-            total = total + term
+        for t in range(len(us)):  # each row's x_t with its u_t grid
+            total = total + us.factor(t, lambda x, u, t=t: stage(t, x, u), given=xs)
         return total
 
     def problems(T, window, dims, magnitudes):
@@ -499,10 +508,10 @@ def quadratic_tracking(params: dict):
 def sum_decisions(params: dict):
     """Sum of every decision entry in the window."""
 
-    def evaluate(xs: Window, us: Window | GridWindow):
+    def evaluate(xs: GridWindow, us: GridWindow):
         total = 0.0
         for t in range(len(us)):
-            total = total + _each(us, t, sum)
+            total = total + us.factor(t, sum)
         return total
 
     return _compiled(evaluate)
@@ -522,11 +531,11 @@ def table_objective(entries: Sequence[dict], atol: float = EQUALITY_TOL):
     no component differs from it by more than ``atol``. Keys must be finite
     (a NaN would match anything), and a table needs an entry.
 
-    On grid windows, each position's vectors are compared with the entries'
-    once, as an (entries, candidates) matrix gathered along the rows, and
-    the matrices are ANDed into one (entries, histories) array; entries go
-    in chunks of at most :data:`LEAF_BATCH_ENTRIES` // histories, carrying
-    the first match. A plain window is a grid of one history.
+    Each position's distinct vectors are compared with the entries' once,
+    as an (entries, grids, candidates) matrix that :meth:`GridWindow.place`
+    puts on the window's axes, and the matrices are ANDed into one
+    (entries, histories) array; entries go in chunks of at most
+    :data:`LEAF_BATCH_ENTRIES` // histories, carrying the first match.
     """
     parsed = [
         (
@@ -575,48 +584,26 @@ def table_objective(entries: Sequence[dict], atol: float = EQUALITY_TOL):
         far = np.abs(pad[:, None, :] - np.array(block, dtype=float).reshape(-1, width)) > atol
         return ~far.any(axis=2) & (dims[:, None] == [len(v) for v in vectors])
 
-    def evaluate(xs: Window | GridWindow, us: Window | GridWindow):
-        ndim = next((w.ndim for w in (xs, us) if isinstance(w, GridWindow)), 0)
-        # per window position: its distinct grids, their row map and axis
-        slots = []
-        for w in (xs, us):
-            if not isinstance(w, GridWindow):
-                slots += [([[v]], None, None) for v in w]
-            elif w.rows is None:
-                slots += [([g], None, a) for g, a in zip(w.grids, w.axes)]
-            else:
-                slots += list(zip(w.grids, w.rows, w.axes))
-        shape = [1] * ndim
-        for gs, rows, axis in slots:
-            if rows is not None and len(gs) > 1:
-                shape[0] = len(rows)
-            if axis is not None:
-                shape[axis] = len(gs[0])
+    def evaluate(xs: GridWindow, us: GridWindow):
+        shape = _shape(xs, us)
+        positions = [(w, j) for w in (xs, us) for j in range(len(w))]
         values, keys = layout(len(xs), len(us))
         step = max(1, LEAF_BATCH_ENTRIES // max(1, math.prod(shape)))
         first = np.full(shape, -1, dtype=np.intp)
         for s in range(0, len(values), step):
-            hit = np.ones((min(step, len(values) - s),) + (1,) * ndim, dtype=bool)
-            for (pad, dims), (gs, rows, axis) in zip(keys, slots):
-                match = near(pad[s: s + step], dims[s: s + step], [v for g in gs for v in g])
-                match = match.reshape(len(hit), len(gs), len(gs[0]))
-                if len(gs) > 1:
-                    match = match[:, rows]
-                target = [len(hit)] + [1] * ndim
-                if rows is not None:
-                    target[1] = match.shape[1]
-                if axis is not None:
-                    target[axis + 1] = match.shape[2]
-                hit = hit & match.reshape(target)
+            hit = np.ones((min(step, len(values) - s),) + (1,) * xs.ndim, dtype=bool)
+            for (pad, dims), (w, j) in zip(keys, positions):
+                grids = w.grids[j]
+                match = near(pad[s: s + step], dims[s: s + step], [v for g in grids for v in g])
+                hit = hit & w.place(j, match.reshape(len(hit), len(grids), len(grids[0])))
             first = np.where((first < 0) & hit.any(axis=0), hit.argmax(axis=0) + s, first)
             if (first >= 0).all():
                 break
         misses = np.argwhere(first < 0)
         if len(misses):
             index = tuple(int(i) for i in misses[0])
-            xs, us = (w.at(index) if isinstance(w, GridWindow) else w for w in (xs, us))
-            raise MultistageError(f"no table entry matches x={xs!r}, u={us!r}")
-        return values[first] if ndim else float(values[first])
+            raise MultistageError(f"no table entry matches x={xs.at(index)!r}, u={us.at(index)!r}")
+        return values[first]
 
     evaluate = _compiled(evaluate)
     evaluate.lookup = True

@@ -640,6 +640,21 @@ class SddpSpec:
         return tuple(value for _, value in self.stage_noise[t - 1])
 
 
+def _step_array(cost: Callable, states, outcomes, decisions) -> np.ndarray:
+    """step[x, j, u] = cost((x, xi_j), (u,)) over every state, noise value and decision.
+
+    It is one :func:`costs.window_values` call on the one-row windows
+    ((x_t, x_{t+1}), (u_t,)) whose positions range over the three grids on
+    axes 1-3, so a compiled step cost broadcasts and any other is called
+    entry by entry, in C order. Non-finite entries are kept.
+    """
+    xs = GridWindow.single([states, outcomes], (1, 2), 4)
+    us = GridWindow.single([decisions], (3,), 4)
+    with np.errstate(all="ignore"):
+        step = window_values(cost, xs, us)
+    return np.broadcast_to(step, (1, len(states), len(outcomes), len(decisions)))[0]
+
+
 @dataclass
 class SddpResult:
     values: list[dict[tuple[float, ...], float]]
@@ -651,10 +666,8 @@ def sddp_recursion(spec: SddpSpec) -> SddpResult:
 
     Vtilde_t(x) = min_u E[ c_{t+1}((x, X_{t+1}), (u,)) + gamma Vtilde_{t+1}(X_{t+1}) ]
     with an unconditional expectation: independence makes conditioning on
-    x_t irrelevant for the law of X_{t+1}. Each stage's step array
-    step[x, j, u] = c((x, xi_j), (u,)) is one :func:`costs.window_values`
-    call on grid windows over the states, noise values and decisions, so a
-    compiled step cost broadcasts and any other is called entry by entry.
+    x_t irrelevant for the law of X_{t+1}. Each stage's step costs are one
+    :func:`_step_array`.
     """
     T = spec.horizon
     values: list[dict[tuple[float, ...], float]] = [dict() for _ in range(T + 1)]
@@ -668,12 +681,7 @@ def sddp_recursion(spec: SddpSpec) -> SddpResult:
         if not decisions:
             raise MultistageError(f"no decisions at stage {t}")
         states, outcomes = spec.support(t), spec.support(t + 1)
-        shape = (len(states), len(outcomes), len(decisions))
-        with np.errstate(all="ignore"):
-            step = window_values(
-                cost, GridWindow([states, outcomes], [0, 1], 3), GridWindow([decisions], [2], 3)
-            )
-        step = np.broadcast_to(step, shape)
+        step = _step_array(cost, states, outcomes, decisions)
         bad = np.argwhere(~np.isfinite(step))
         if len(bad):
             k, j, i = bad[0]
@@ -682,7 +690,7 @@ def sddp_recursion(spec: SddpSpec) -> SddpResult:
                 f"x={states[k]!r}, w={outcomes[j]!r}, u={decisions[i]!r}; it must be finite"
             )
         best, arg = _bellman_min(
-            np.broadcast_to([p for p, _ in atoms], shape[:2]),
+            np.broadcast_to([p for p, _ in atoms], step.shape[:2]),
             step,
             spec.gamma,
             np.array([values[t + 1][xi] for xi in outcomes]),
@@ -763,11 +771,7 @@ def sddp_to_mdp(spec: SddpSpec) -> tuple[MDPSpec, int]:
         marginal[index[value]] += p
     kernel = np.tile(marginal, (n, 1))
     actions = spec.stage_decisions[0]
-    cost = np.zeros((n, n, len(actions)))
-    for i, x in enumerate(states):
-        for j, y in enumerate(states):
-            for a, u in enumerate(actions):
-                cost[i, j, a] = float(spec.step_cost((x, y), (u,)))
+    cost = np.array(_step_array(spec.step_cost, states, states, actions))
     mdp = MDPSpec(
         states=tuple(states),
         actions=tuple(actions),
@@ -937,7 +941,11 @@ def sddp_from_json(data: dict) -> SddpSpec:
 
     A compiled step cost's ``problems`` runs at every stage t < horizon, on
     the states, noise values and decisions of that step, so a 0 under a
-    negative power or a power that overflows a float is rejected here.
+    negative power or a power that overflows a float is rejected here. A
+    ``table`` step cost is then looked up on every (state, noise value,
+    decision) of every stage, as :func:`sddp_recursion` will (one
+    :func:`_step_array` per stage, in stage order), so a miss is rejected
+    here too.
     """
     try:
         stage_noise = tuple(
@@ -988,4 +996,15 @@ def sddp_from_json(data: dict) -> SddpSpec:
         raise InputFormatError(
             "; ".join(problems) + " (x[1] is the state x, x[0] the noise value w)"
         )
+    for t in range(spec.horizon):
+        if getattr(spec.cost_at(t), "lookup", False):
+            try:
+                _step_array(
+                    spec.cost_at(t), spec.support(t), spec.support(t + 1),
+                    spec.stage_decisions[t],
+                )
+            except MultistageError as exc:
+                raise InputFormatError(
+                    f"stage {t} step-cost table: {exc} (x lists the state, then the noise value)"
+                ) from None
     return spec

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the JSON object check that
-raises one."""
+"""Exception types shared across the package, and the JSON file reader and
+object check that raise one."""
 
 from __future__ import annotations
+
+import json
 
 
 class MultistageError(Exception):
@@ -89,6 +91,16 @@ class ConvergenceError(MultistageError):
         self.max_iters = max_iters
         self.residuals = residuals
         self.rounding_bounds = rounding_bounds
+
+
+def read_json(path: str):
+    """The JSON document in the file at ``path``; an input error naming the
+    file if it is not UTF-8 JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise InputFormatError(f"{path}: {exc}") from exc
 
 
 def require_object(value, what: str) -> dict:

@@ -28,7 +28,6 @@ factorization into stagewise functions of the history.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -41,6 +40,7 @@ from .exceptions import (
     NotAdaptedError,
     PastingInfeasibleError,
     UnknownNodeError,
+    read_json,
     require_object,
 )
 from .scenario_tree import ScenarioTree
@@ -376,9 +376,4 @@ def policy_class_from_json(data: dict) -> PolicyClass:
 
 
 def load_policy(path: str) -> Policy:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: {exc}") from exc
-    return policy_from_json(data)
+    return policy_from_json(read_json(path))

@@ -754,6 +754,80 @@ class TestSddpCommand:
             assert repr(value) in captured.err
 
 
+    def test_a_table_that_misses_a_step_exits_three_before_the_recursion(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import multistage.cli as cli
+
+        entries = [
+            {"x": [0.0], "w": [w], "u": [u], "value": w - u}
+            for w in (1.0, 2.0) for u in (0.0, 1.0)
+        ]
+        payload = {
+            "initial_state": [0.0], "horizon": 1, "gamma": 0.9,
+            "stage_noise": [[{"prob": 0.5, "value": [1.0]}, {"prob": 0.5, "value": [2.0]}]],
+            "stage_decisions": [[[0.0], [1.0]]],
+            "cost": {"table": {"entries": entries[:-1]}},
+        }
+        path = write_json(tmp_path / "gap.json", payload)
+        solved = []
+        monkeypatch.setattr(cli, "sddp_recursion", lambda spec: solved.append(spec))
+        assert main(["sddp-solve", "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, solved) == ("", [])
+        assert captured.err.startswith(
+            "input error: stage 0 step-cost table: "
+            "no table entry matches x=((0.0,), (2.0,)), u=((1.0,),)"
+        )
+        monkeypatch.undo()
+        full = write_json(tmp_path / "full.json", dict(payload, cost={"table": {"entries": entries}}))
+        assert main(["sddp-solve", "--input", full, "--json"]) == 0
+
+
+class TestTruncatedJson:
+    """A file that is not JSON is an input error that names the file, whichever
+    command reads it."""
+
+    @staticmethod
+    def truncated(tmp_path, name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data)[:12])
+        return str(path)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("validate", []),
+        ("solve", []),
+        ("mdp-solve", ["--horizon", "2"]),
+        ("value-iterate", []),
+        ("sddp-solve", []),
+    ])
+    def test_the_input_file_is_named(self, tmp_path, capsys, recourse_bundle, command, extra):
+        data = {
+            "mdp-solve": mdp_to_json(constant_cost_mdp(n_states=2, gamma=0.5)),
+            "value-iterate": mdp_to_json(constant_cost_mdp(n_states=2, gamma=0.5)),
+            "sddp-solve": random_sddp(rng_from_seed(8), horizon=2).payload,
+        }.get(command) or json.loads(Path(recourse_bundle["bundle"]).read_text())
+        path = self.truncated(tmp_path, "cut.json", data)
+        assert main([command, "--input", path, *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {path}: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "dynamic-check"])
+    def test_the_policy_file_is_named(self, tmp_path, capsys, recourse_bundle, command):
+        policy = json.loads(Path(recourse_bundle["optimal"]).read_text())
+        path = self.truncated(tmp_path, "policy.json", policy)
+        assert main([command, "--input", recourse_bundle["bundle"], "--policy", path]) == 3
+        assert capsys.readouterr().err.startswith(f"input error: {path}: ")
+
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"states": "\xe9"}')
+        assert main(["mdp-solve", "--input", str(path), "--horizon", "1"]) == 3
+        assert capsys.readouterr().err.startswith(f"input error: {path}: ")
+
+
 BAD_ATOLS = {"nan": float("nan"), "infinity": float("inf"), "negative": -1e-9}
 
 

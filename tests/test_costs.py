@@ -531,12 +531,12 @@ class TestWindowValues:
 
     @staticmethod
     def explicit_loop(cost, xs, us, shape):
-        """cost on the windows picked out of every index of ``shape``, in C order."""
+        """cost on the plain windows picked out of every index of ``shape``, in C order."""
 
         def pick(window, index):
-            if not isinstance(window, GridWindow):
-                return window
-            return tuple(g[index[a]] for g, a in zip(window.grids, window.axes))
+            return tuple(
+                g[0][0 if a is None else index[a]] for g, a in zip(window.grids, window.axes)
+            )
 
         return [cost(pick(xs, i), pick(us, i)) for i in itertools.product(*map(range, shape))]
 
@@ -545,14 +545,19 @@ class TestWindowValues:
         _, paths, grids = random_paths_and_grids(14, horizon=2)
         states, outcomes = grids[0], grids[1]
         decisions = grids[2]
-        shape = (len(states), len(outcomes), len(decisions))
+        shape = (1, len(states), len(outcomes), len(decisions))
+
+        def fixed(vectors):  # one-row positions without a grid axis
+            return GridWindow.single([(v,) for v in vectors], (None,) * len(vectors), 4)
+
         windows = [
-            # plain observations, grid decisions (a tree stage cost)
-            (paths[:2], GridWindow([decisions], [2], 3)),
+            # fixed observations, grid decisions (a tree stage cost)
+            (fixed(paths[:2]), GridWindow.single([decisions], (3,), 4)),
             # grid observations and decisions (a stagewise step array)
-            (GridWindow([states, outcomes], [0, 1], 3), GridWindow([decisions], [2], 3)),
-            # grid observations, plain decisions
-            (GridWindow([states, outcomes], [0, 1], 3), (decisions[0],)),
+            (GridWindow.single([states, outcomes], (1, 2), 4),
+             GridWindow.single([decisions], (3,), 4)),
+            # grid observations, fixed decisions
+            (GridWindow.single([states, outcomes], (1, 2), 4), fixed(decisions[:1])),
         ]
         if kind == "raw":
             def cost(xs, us):
@@ -574,6 +579,49 @@ class TestWindowValues:
             got = np.broadcast_to(window_values(cost, xs, us), shape)
             want = self.explicit_loop(cost, xs, us, shape)
             assert [float(v).hex() for v in got.ravel()] == [float(v).hex() for v in want]
+
+
+def one_row(window):
+    """A plain window as the batch of one row with no grid axes."""
+    return GridWindow.single([(v,) for v in window], (None,) * len(window), 1)
+
+
+class TestPlainWindows:
+    """A compiled payload on plain windows is its body on the one-row window, as a float."""
+
+    @staticmethod
+    def payload(kind, rng, xs, us):
+        if kind in ("poly", "relative"):
+            return {"poly": {"terms": random_terms(rng, len(xs), 2, n_terms=12)}}
+        if kind == "tracking":
+            return {"builtin": "quadratic_tracking"}
+        if kind == "weighted":
+            weights = [float(w) for w in rng.uniform(0.1, 2.0, size=len(us))]
+            return {"builtin": "quadratic_tracking", "params": {"weights": weights}}
+        if kind == "sum":
+            return {"builtin": "sum_decisions"}
+        other = [tuple(v + 1.0 for v in x) for x in xs]
+        return {"table": {"entries": [
+            {"x": [list(x) for x in window], "u": [list(u) for u in us], "value": value}
+            for window, value in ((other, -1.0), (xs, float(rng.uniform(-1, 1))), (xs, 2.0))
+        ]}}
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "kind", ["poly", "relative", "tracking", "weighted", "sum", "table"])
+    def test_a_python_float_equal_to_the_one_row_value(self, kind, seed):
+        rng, paths, grids = random_paths_and_grids(40 + seed, horizon=2)
+        decisions = tuple(g[-1] for g in grids)
+        if kind == "relative":  # a lag-1 stage cost's windows
+            xs, us = paths[1:3], decisions[1:2]
+            cost = cost_from_json({"form": "additive", "gamma": 0.5, "lag": 1, "stage_costs": [
+                self.payload(kind, rng, xs, us)] * 2}).stage_costs[1]
+        else:
+            xs, us = paths, decisions
+            cost = cost_from_json({"form": "general", **self.payload(kind, rng, xs, us)}).objective
+        value = cost(xs, us)
+        assert type(value) is float
+        assert value.hex() == np.asarray(window_values(cost, one_row(xs), one_row(us))).item().hex()
 
 
 class TestCostProblems:
@@ -683,9 +731,12 @@ def scan_table(entries, atol=EQUALITY_TOL):
 
 
 def lookup(cost, xs, us):
-    """window_values of cost: ("ok", the value), or the type and message of the error."""
+    """window_values of cost (cost itself on plain windows): ("ok", the value), or
+    the type and message of the error."""
     try:
-        return "ok", window_values(cost, xs, us)
+        if isinstance(xs, GridWindow):
+            return "ok", window_values(cost, xs, us)
+        return "ok", cost(xs, us)
     except MultistageError as exc:
         return type(exc).__name__, str(exc)
 
@@ -708,9 +759,9 @@ def assert_lookup_is_the_scan(entries, atol, xs, us):
 
 
 def table_case(seed):
-    """Random windows (plain, a grid product, or a batch of rows) and entries near
-    their vectors: at 0, exactly atol or just past it, with signed zeros, and
-    some of another window length or vector length."""
+    """Random windows (plain, one row of a grid product, or a batch of rows) and
+    entries near their vectors: at 0, exactly atol or just past it, with signed
+    zeros, and some of another window length or vector length."""
     rng = rng_from_seed(seed)
     atol = float(rng.choice([0.0, 2.0 ** -10, 0.5]))
     dim = int(rng.integers(1, 3))
@@ -731,15 +782,17 @@ def table_case(seed):
     elif mode in ("grid", "mixed"):
         xs_grids = [grid() for _ in range(n)]
         us_grids = [grid() for _ in range(int(rng.integers(1, 3)))]
-        axes = [int(a) for a in rng.permutation(len(xs_grids) + len(us_grids))]
-        ndim = len(axes)
-        xs = GridWindow(xs_grids, axes[:n], ndim)
-        us = GridWindow(us_grids, axes[n:], ndim)
+        axes = [int(a) + 1 for a in rng.permutation(len(xs_grids) + len(us_grids))]
+        ndim = len(axes) + 1
+        xs = GridWindow.single(xs_grids, axes[:n], ndim)
+        us = GridWindow.single(us_grids, axes[n:], ndim)
         seen = [list(g) for g in xs_grids + us_grids]
-        if mode == "mixed":  # plain observations, as a tree's stage cost has them
-            xs = tuple(vector() for _ in range(n))
-            us = GridWindow(us_grids, list(range(len(us_grids))), len(us_grids))
-            seen = [[v] for v in xs] + [list(g) for g in us_grids]
+        if mode == "mixed":  # fixed observations, as a tree's stage cost has them
+            obs = [vector() for _ in range(n)]
+            ndim = len(us_grids) + 1
+            xs = GridWindow.single([(x,) for x in obs], (None,) * n, ndim)
+            us = GridWindow.single(us_grids, tuple(range(1, ndim)), ndim)
+            seen = [[x] for x in obs] + [list(g) for g in us_grids]
     else:  # rows of a batch of leaves, then a lag window of it
         L = int(rng.integers(1, 5))
         obs, cands, rows = [], [], []
@@ -796,7 +849,8 @@ class TestTableLookup:
             {"x": [[1.0]], "u": [[0.0]], "value": 2.5},
             {"x": [[1.0 + 1e-10]], "u": [[-1e-10]], "value": -7.0},
         ]
-        xs, us = GridWindow([((1.0,), (3.0,))], [0], 2), GridWindow([((0.0,),)], [1], 2)
+        xs = GridWindow.single([((1.0,), (3.0,))], (1,), 3)
+        us = GridWindow.single([((0.0,),)], (2,), 3)
         entries.append({"x": [[3.0]], "u": [[0.0]], "value": 1.0})
         assert_lookup_is_the_scan(entries, 1e-9, xs, us)
         table = costs.table_objective(entries, 1e-9)
@@ -812,8 +866,8 @@ class TestTableLookup:
         past = float(np.nextafter(1.5, 2.0))
         with pytest.raises(MultistageError, match="no table entry matches"):
             table(((past,),), ((-1.0,),))
-        xs = GridWindow([((0.5,), (1.5,), (past,))], [0], 2)
-        us = GridWindow([((-1.5,), (-0.5,))], [1], 2)
+        xs = GridWindow.single([((0.5,), (1.5,), (past,))], (1,), 3)
+        us = GridWindow.single([((-1.5,), (-0.5,))], (2,), 3)
         assert_lookup_is_the_scan(entries, 0.5, xs, us)
 
     def test_entries_of_another_length_are_skipped(self):
@@ -826,16 +880,18 @@ class TestTableLookup:
         ]
         table = costs.table_objective(entries)
         assert table(((1.0,),), ((2.0,),)) == 5.0
-        us = GridWindow([((2.0,), (), (2.0, 0.0))], [0], 1)
-        assert_lookup_is_the_scan(entries, EQUALITY_TOL, ((1.0,),), us)
-        assert_lookup_is_the_scan(entries[:4], EQUALITY_TOL, ((1.0,),), us)
+        xs = GridWindow.single([((1.0,),)], (None,), 2)
+        us = GridWindow.single([((2.0,), (), (2.0, 0.0))], (1,), 2)
+        assert_lookup_is_the_scan(entries, EQUALITY_TOL, xs, us)
+        assert_lookup_is_the_scan(entries[:4], EQUALITY_TOL, xs, us)
 
     def test_signed_zeros(self):
         entries = [{"x": [[-0.0]], "u": [[0.0]], "value": -0.0},
                    {"x": [[0.0]], "u": [[-0.0]], "value": 0.0}]
         table = costs.table_objective(entries, 0.0)
         assert table(((0.0,),), ((-0.0,),)).hex() == "-0x0.0p+0"
-        xs, us = GridWindow([((0.0,), (-0.0,))], [0], 2), GridWindow([((-0.0,), (0.0,))], [1], 2)
+        xs = GridWindow.single([((0.0,), (-0.0,))], (1,), 3)
+        us = GridWindow.single([((-0.0,), (0.0,))], (2,), 3)
         assert_lookup_is_the_scan(entries, 0.0, xs, us)
         assert_lookup_is_the_scan(entries[::-1], 0.0, xs, us)
 
@@ -847,14 +903,15 @@ class TestTableLookup:
         for k, u in ((2, 1.0), (7, 3.0), (8, 0.0), (11, 2.0)):
             entries[k] = {"x": [[0.5]], "u": [[u]], "value": float(k)}
         monkeypatch.setattr(costs, "LEAF_BATCH_ENTRIES", cap)
-        us = GridWindow([grid], [0], 1)
-        values = window_values(costs.table_objective(entries), ((0.5,),), us)
-        assert values.tolist() == [8.0, 2.0, 11.0, 7.0]
-        assert_lookup_is_the_scan(entries, EQUALITY_TOL, ((0.5,),), us)
+        xs = GridWindow.single([((0.5,),)], (None,), 2)
+        us = GridWindow.single([grid], (1,), 2)
+        values = window_values(costs.table_objective(entries), xs, us)
+        assert values.tolist() == [[8.0, 2.0, 11.0, 7.0]]
+        assert_lookup_is_the_scan(entries, EQUALITY_TOL, xs, us)
         del entries[11]  # u = 2.0 now misses: the one history left without a match
-        assert_lookup_is_the_scan(entries, EQUALITY_TOL, ((0.5,),), us)
+        assert_lookup_is_the_scan(entries, EQUALITY_TOL, xs, us)
         with pytest.raises(MultistageError, match=r"u=\(\(2\.0,\),\)"):
-            window_values(costs.table_objective(entries), ((0.5,),), us)
+            window_values(costs.table_objective(entries), xs, us)
 
     def test_plain_windows_give_a_python_float(self):
         entries = [{"x": [[0.1], [0.2]], "u": [[0.3]], "value": 0.1 + 0.2}]
@@ -917,19 +974,26 @@ class TestStagewiseTable:
     """sddp_recursion broadcasts a stagewise table, with the per-history loop's values."""
 
     @staticmethod
-    def spec(seed, drop=None):
+    def entries(seed):
         spec = random_sddp(rng_from_seed(seed), horizon=3, n_atoms=3, n_decisions=2,
                            shared_noise=False)
         rng = rng_from_seed(seed + 100)
-        entries = [
+        return spec, [
             {"x": list(x), "w": list(w), "u": list(u), "value": float(rng.uniform(-1, 1))}
             for t in range(spec.horizon) for x in spec.support(t)
             for w in spec.support(t + 1) for u in spec.stage_decisions[t]
         ]
+
+    @classmethod
+    def spec(cls, seed, drop=None):
+        """The spec with a step-cost table, loaded from JSON (with an entry
+        dropped after the load, past its check), and the same with the scan."""
+        spec, entries = cls.entries(seed)
+        table = sddp_from_json({**spec.payload, "cost": {"table": {"entries": entries}}})
         if drop is not None:
             del entries[drop]
-        table = sddp_from_json({**spec.payload, "cost": {"table": {"entries": entries}}})
         windows = [{"x": [e["x"], e["w"]], "u": [e["u"]], "value": e["value"]} for e in entries]
+        table = replace(table, step_cost=costs.table_objective(windows))
         return table, replace(table, step_cost=scan_table(windows))
 
     @staticmethod
@@ -953,3 +1017,16 @@ class TestStagewiseTable:
         found = self.solved(table)
         assert found[0] == "MultistageError"
         assert found == self.solved(scan)
+
+    @pytest.mark.parametrize("drop", [0, 10, 40, -1])
+    def test_a_missing_entry_is_rejected_at_load(self, drop):
+        spec, entries = self.entries(5)
+        miss = entries.pop(drop)
+        stage = [t for t in range(spec.horizon) for _ in itertools.product(
+            spec.support(t), spec.support(t + 1), spec.stage_decisions[t])][drop]
+        with pytest.raises(InputFormatError) as found:
+            sddp_from_json({**spec.payload, "cost": {"table": {"entries": entries}}})
+        x = (tuple(miss["x"]), tuple(miss["w"]))
+        assert str(found.value).startswith(
+            f"stage {stage} step-cost table: no table entry matches x={x!r}, "
+            f"u={(tuple(miss['u']),)!r}")

@@ -631,6 +631,22 @@ def per_entry(spec: SddpSpec) -> SddpSpec:
     return replace(spec, step_cost=plain(spec.step_cost))
 
 
+@pytest.mark.parametrize("kind", ["raw", "poly"])
+@pytest.mark.parametrize("seed", range(3))
+def test_sddp_to_mdp_cost_array_equals_the_entry_loop(kind, seed):
+    spec = random_sddp(rng_from_seed(70 + seed), horizon=3, n_atoms=3, n_decisions=3, gamma=0.8)
+    if kind == "poly":
+        spec = sddp_from_json(stagewise_payload(70 + seed, "cost"))
+    mdp, _ = sddp_to_mdp(spec)
+    loop = np.zeros(mdp.cost.shape)
+    for i, x in enumerate(mdp.states):
+        for j, y in enumerate(mdp.states):
+            for a, u in enumerate(mdp.actions):
+                loop[i, j, a] = float(spec.step_cost((x, y), (u,)))
+    assert mdp.cost.dtype == np.float64
+    assert mdp.cost.tobytes() == loop.tobytes()
+
+
 class TestStagewiseCostCompiler:
     @pytest.mark.parametrize("variant", ["cost", "stage_costs", "2d"])
     @pytest.mark.parametrize("seed", range(3))
