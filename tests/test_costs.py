@@ -245,6 +245,11 @@ def random_terms(rng, n_index, dim, n_terms=8):
     return terms
 
 
+def fixed(vectors, ndim):
+    """Vectors as the positions, with no grid axis, of a one-row window of ``ndim`` axes."""
+    return GridWindow.single([(v,) for v in vectors], (None,) * len(vectors), ndim)
+
+
 class TestGridEvaluator:
     """evaluate_grid equals a loop of evaluate over the grid product, bit for bit."""
 
@@ -547,17 +552,14 @@ class TestWindowValues:
         decisions = grids[2]
         shape = (1, len(states), len(outcomes), len(decisions))
 
-        def fixed(vectors):  # one-row positions without a grid axis
-            return GridWindow.single([(v,) for v in vectors], (None,) * len(vectors), 4)
-
         windows = [
             # fixed observations, grid decisions (a tree stage cost)
-            (fixed(paths[:2]), GridWindow.single([decisions], (3,), 4)),
+            (fixed(paths[:2], 4), GridWindow.single([decisions], (3,), 4)),
             # grid observations and decisions (a stagewise step array)
             (GridWindow.single([states, outcomes], (1, 2), 4),
              GridWindow.single([decisions], (3,), 4)),
             # grid observations, fixed decisions
-            (GridWindow.single([states, outcomes], (1, 2), 4), fixed(decisions[:1])),
+            (GridWindow.single([states, outcomes], (1, 2), 4), fixed(decisions[:1], 4)),
         ]
         if kind == "raw":
             def cost(xs, us):
@@ -581,47 +583,91 @@ class TestWindowValues:
             assert [float(v).hex() for v in got.ravel()] == [float(v).hex() for v in want]
 
 
-def one_row(window):
-    """A plain window as the batch of one row with no grid axes."""
-    return GridWindow.single([(v,) for v in window], (None,) * len(window), 1)
-
-
 class TestPlainWindows:
-    """A compiled payload on plain windows is its body on the one-row window, as a float."""
+    """A compiled payload on plain windows returns a Python float: bit for bit
+    the value of a hand-written formula, or of the entry scan for a table."""
 
     @staticmethod
-    def payload(kind, rng, xs, us):
+    def poly(terms, relative):
+        """The polynomial, term by term, in the order of its JSON."""
+
+        def value(xs, us):
+            windows = {"x": xs, "u": us}
+            total = 0.0
+            for term in terms:
+                prod = term["coef"]
+                for role, index, comp, power in term["vars"]:
+                    window = windows[role]
+                    pos = len(window) - 1 - index if relative else index
+                    if not 0 <= pos < len(window):
+                        prod = 0.0  # off the window: the term vanishes
+                        break
+                    prod = prod * window[pos][comp] ** power
+                total = total + prod
+            return total
+
+        return value
+
+    @staticmethod
+    def tracking(weights):
+        def value(xs, us):
+            total = 0.0
+            for t, u in enumerate(us):
+                w = 1.0 if weights is None else weights[t]
+                total = total + w * sum((c - xs[t][i % len(xs[t])]) ** 2 for i, c in enumerate(u))
+            return total
+
+        return value
+
+    @staticmethod
+    def summed(xs, us):
+        total = 0.0
+        for u in us:
+            total = total + sum(u)
+        return total
+
+    @classmethod
+    def case(cls, kind, rng, xs, us):
+        """The payload of ``kind`` on (xs, us) and its reference."""
         if kind in ("poly", "relative"):
-            return {"poly": {"terms": random_terms(rng, len(xs), 2, n_terms=12)}}
+            terms = random_terms(rng, len(xs), 2, n_terms=12)
+            return {"poly": {"terms": terms}}, cls.poly(terms, kind == "relative")
         if kind == "tracking":
-            return {"builtin": "quadratic_tracking"}
+            return {"builtin": "quadratic_tracking"}, cls.tracking(None)
         if kind == "weighted":
             weights = [float(w) for w in rng.uniform(0.1, 2.0, size=len(us))]
-            return {"builtin": "quadratic_tracking", "params": {"weights": weights}}
+            return ({"builtin": "quadratic_tracking", "params": {"weights": weights}},
+                    cls.tracking(weights))
         if kind == "sum":
-            return {"builtin": "sum_decisions"}
+            return {"builtin": "sum_decisions"}, cls.summed
         other = [tuple(v + 1.0 for v in x) for x in xs]
-        return {"table": {"entries": [
+        entries = [
             {"x": [list(x) for x in window], "u": [list(u) for u in us], "value": value}
             for window, value in ((other, -1.0), (xs, float(rng.uniform(-1, 1))), (xs, 2.0))
-        ]}}
+        ]
+        return {"table": {"entries": entries}}, scan_table(entries)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
         "kind", ["poly", "relative", "tracking", "weighted", "sum", "table"])
-    def test_a_python_float_equal_to_the_one_row_value(self, kind, seed):
+    def test_a_python_float_equal_to_the_reference(self, kind, seed):
         rng, paths, grids = random_paths_and_grids(40 + seed, horizon=2)
         decisions = tuple(g[-1] for g in grids)
         if kind == "relative":  # a lag-1 stage cost's windows
             xs, us = paths[1:3], decisions[1:2]
-            cost = cost_from_json({"form": "additive", "gamma": 0.5, "lag": 1, "stage_costs": [
-                self.payload(kind, rng, xs, us)] * 2}).stage_costs[1]
+            payload, reference = self.case(kind, rng, xs, us)
+            cost = cost_from_json({"form": "additive", "gamma": 0.5, "lag": 1,
+                                   "stage_costs": [payload] * 2}).stage_costs[1]
         else:
             xs, us = paths, decisions
-            cost = cost_from_json({"form": "general", **self.payload(kind, rng, xs, us)}).objective
+            payload, reference = self.case(kind, rng, xs, us)
+            spec = cost_from_json({"form": "general", **payload})
+            cost = spec.objective
+            assert type(spec.evaluate(xs, us)) is float
+            assert spec.evaluate(xs, us).hex() == reference(xs, us).hex()
         value = cost(xs, us)
         assert type(value) is float
-        assert value.hex() == np.asarray(window_values(cost, one_row(xs), one_row(us))).item().hex()
+        assert value.hex() == reference(xs, us).hex()
 
 
 class TestCostProblems:
@@ -790,7 +836,7 @@ def table_case(seed):
         if mode == "mixed":  # fixed observations, as a tree's stage cost has them
             obs = [vector() for _ in range(n)]
             ndim = len(us_grids) + 1
-            xs = GridWindow.single([(x,) for x in obs], (None,) * n, ndim)
+            xs = fixed(obs, ndim)
             us = GridWindow.single(us_grids, tuple(range(1, ndim)), ndim)
             seen = [[x] for x in obs] + [list(g) for g in us_grids]
     else:  # rows of a batch of leaves, then a lag window of it
@@ -880,7 +926,7 @@ class TestTableLookup:
         ]
         table = costs.table_objective(entries)
         assert table(((1.0,),), ((2.0,),)) == 5.0
-        xs = GridWindow.single([((1.0,),)], (None,), 2)
+        xs = fixed([(1.0,)], 2)
         us = GridWindow.single([((2.0,), (), (2.0, 0.0))], (1,), 2)
         assert_lookup_is_the_scan(entries, EQUALITY_TOL, xs, us)
         assert_lookup_is_the_scan(entries[:4], EQUALITY_TOL, xs, us)
@@ -903,7 +949,7 @@ class TestTableLookup:
         for k, u in ((2, 1.0), (7, 3.0), (8, 0.0), (11, 2.0)):
             entries[k] = {"x": [[0.5]], "u": [[u]], "value": float(k)}
         monkeypatch.setattr(costs, "LEAF_BATCH_ENTRIES", cap)
-        xs = GridWindow.single([((0.5,),)], (None,), 2)
+        xs = fixed([(0.5,)], 2)
         us = GridWindow.single([grid], (1,), 2)
         values = window_values(costs.table_objective(entries), xs, us)
         assert values.tolist() == [[8.0, 2.0, 11.0, 7.0]]
@@ -986,14 +1032,15 @@ class TestStagewiseTable:
 
     @classmethod
     def spec(cls, seed, drop=None):
-        """The spec with a step-cost table, loaded from JSON (with an entry
-        dropped after the load, past its check), and the same with the scan."""
+        """The spec with a step-cost table loaded from JSON, and the same with the
+        scan. An entry to drop is dropped after the load, past its check."""
         spec, entries = cls.entries(seed)
         table = sddp_from_json({**spec.payload, "cost": {"table": {"entries": entries}}})
         if drop is not None:
             del entries[drop]
         windows = [{"x": [e["x"], e["w"]], "u": [e["u"]], "value": e["value"]} for e in entries]
-        table = replace(table, step_cost=costs.table_objective(windows))
+        if drop is not None:
+            table = replace(table, step_cost=costs.table_objective(windows))
         return table, replace(table, step_cost=scan_table(windows))
 
     @staticmethod
