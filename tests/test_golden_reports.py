@@ -14,6 +14,13 @@ history-blind class. ``validate`` runs on a bundle with a declared Hoelder
 block that holds and on one that fails, and ``sddp-solve`` on a
 stagewise-independent problem whose step cost is a table.
 
+The lag-l recursion check and the discount shift are pinned the same way,
+in-process: the digest of every field of a ``lag_recursion_check`` report
+and of a ``tilde_shift`` process (at the greedy and at a probe policy), with
+every float written as ``float.hex``. Their fixtures cover lags 0 to 3,
+gamma > 0, < 0 and = 0, compiled JSON stage costs and raw callables, and
+one tree whose lag windows hide different laws (an inapplicable report).
+
 The help texts are pinned the same way: the digest of what ``multistage
 --help`` and every ``<subcommand> --help`` print, and of the usage error that
 a command line without a subcommand prints, each formatted for 80 columns.
@@ -32,13 +39,21 @@ import io
 import itertools
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
 from multistage.bundle import ProblemBundle, bundle_to_json
 from multistage.cli import main
 from multistage.costs import cost_from_json, empirical_holder_constant
+from multistage.dp_solvers import (
+    lag_recursion_check,
+    sddp_from_json,
+    sddp_to_product_tree,
+    tilde_shift,
+)
 from multistage.generate import (
+    non_markov_tree,
     random_additive_cost,
     random_general_cost,
     random_history_blind_class,
@@ -48,8 +63,9 @@ from multistage.generate import (
     random_tree,
     rng_from_seed,
 )
-from multistage.policy import Policy
+from multistage.policy import Policy, PolicyClass
 from multistage.scenario_tree import path
+from multistage.value_process import backward_tables, greedy_policy_from_tables
 
 
 def probe_policy(tree, cls) -> Policy:
@@ -253,6 +269,71 @@ def run_case(directory, name: str, command: list[str]) -> tuple[int, str]:
     return code, hashlib.sha256(text.encode()).hexdigest()
 
 
+def raw(cost):
+    """The additive cost with every stage cost a raw callable, called history by history."""
+    return replace(cost, stage_costs=tuple(
+        (lambda xs, us, c=c: c(xs, us)) for c in cost.stage_costs
+    ))
+
+
+def dynamic_fixtures() -> dict:
+    """Name -> (tree, additive cost, nodewise class), every one from a fixed seed."""
+    out = {}
+    for name, seed, lag, gamma in (("tree_lag1", 51, 1, 0.5), ("tree_lag1_neg", 52, 1, -0.7),
+                                   ("tree_lag2", 53, 2, 0.9), ("tree_lag1_zero", 54, 1, 0.0),
+                                   ("tree_lag3_neg", 55, 3, -0.3), ("tree_lag0", 56, 0, 0.5)):
+        rng = rng_from_seed(seed)
+        tree = random_tree(rng, horizon=3)
+        cls = random_nodewise_class(rng, tree, max_policies=4000)
+        cost = random_additive_cost(rng, horizon=3, lag=lag, gamma=gamma)
+        out[name] = (tree, cost, cls)
+    for name in ("tree_lag1", "tree_lag3_neg"):
+        tree, cost, cls = out[name]
+        out[name + "_raw"] = (tree, raw(cost), cls)
+    for T, gamma in ((2, 0.5), (3, 0.5), (3, -0.5), (3, 0.0), (4, -0.5)):
+        spec = random_sddp(rng_from_seed(8), horizon=T, gamma=gamma)
+        out[f"sddp{T}_{gamma}_raw"] = sddp_to_product_tree(spec)
+        out[f"sddp{T}_{gamma}_json"] = sddp_to_product_tree(sddp_from_json(spec.payload))
+    tree, _, cls = out["sddp3_0.5_json"]
+    for lag, gamma in ((0, 0.9), (2, -0.7)):
+        cost = random_additive_cost(rng_from_seed(57 + lag), horizon=3, lag=lag, gamma=gamma)
+        out[f"sddp3_lag{lag}"] = (tree, cost, cls)
+    tree = non_markov_tree()
+    grid = ((0.0,), (1.0,))
+    cls = PolicyClass(feasible={n.id: grid for n in tree.nodes}, kind="nodewise",
+                      decision_dim=1)
+    out["non_markov"] = (tree, random_additive_cost(rng_from_seed(33), 2, gamma=0.5), cls)
+    return out
+
+
+def hexed(value):
+    """A JSON form of a report value: every float as its type name and ``float.hex``,
+    a dict as its (key, value) pairs in order."""
+    if isinstance(value, float):
+        return [type(value).__name__, value.hex()]
+    if isinstance(value, dict):
+        return [[hexed(k), hexed(v)] for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    return value
+
+
+def hex_digest(value) -> str:
+    return hashlib.sha256(json.dumps(hexed(value)).encode()).hexdigest()
+
+
+def run_dynamic(name: str) -> tuple[str, str, str]:
+    """Digests of the lag check's report and of the shift at the greedy and a probe policy."""
+    tree, cost, cls = dynamic_fixtures()[name]
+    tables = backward_tables(tree, cost, cls)
+    greedy = greedy_policy_from_tables(tree, cls, tables)
+    return (
+        hex_digest(vars(lag_recursion_check(tree, cost, cls))),
+        hex_digest(vars(tilde_shift(tree, tables, cost, greedy))),
+        hex_digest(vars(tilde_shift(tree, tables, cost, probe_policy(tree, cls)))),
+    )
+
+
 GOLDEN = {
     'general:solve --method backward': (0, '26d7a2d983153f13fe44df7d255857dd883335a4f840699e0cd8bb4100d481ef'),
     'general:solve --method brute': (0, '1c26e45b1a63484efceef93dcdb3090828822e2bd6e4d6d6936d38a10e0cacb7'),
@@ -312,6 +393,32 @@ HELP_GOLDEN = {
 }
 
 
+#: fixture -> digests of the lag check, the greedy shift and the probe shift
+DYNAMIC_GOLDEN = {
+    'tree_lag1': ('db70a69748d76a3f9907f2a07c8cb445c7e378a86249e2d3ab637a1d4d1aa98f', 'b0c5b0d3e13046c6cc88d08bc92b63b1a87c5922d5add5a24f31f57fb96eda8e', '49895a9a2bb8ce0c7ce59cdb2c5787c4dde15aa37eee2c80392075dccf856696'),
+    'tree_lag1_neg': ('dc0aa5b454e8ba872130504bfd927b381623ef9cbd08d44bbff4dcc61d09cea2', 'da738a333e767df14c03e73b4f551f84de83e61e98eeaeaeb944fd36c9f5c700', 'da738a333e767df14c03e73b4f551f84de83e61e98eeaeaeb944fd36c9f5c700'),
+    'tree_lag2': ('3fd3d04dba03b9ab2b6363e840d72125cbb13e26ebd6f72e1461162c1965010c', '903646b57c4f14395382eedd52bc9b6ba49b8bbab9fb6dd893e473c53a14a67b', '65bccd5a8a7e069992cf19305e3009db34fce3b2068f4a17b10cbbdd856a3381'),
+    'tree_lag1_zero': ('0464ccc22fb922205817c9955d02a595f52485795036d30a26d3f8160a7bc5a6', 'f71f2f49c731083bee98280882f045967c9004c92535cc1fec3b420dada90300', 'f71f2f49c731083bee98280882f045967c9004c92535cc1fec3b420dada90300'),
+    'tree_lag3_neg': ('2e82f528ea3d4ed476a2d70eab430e7a93095305d88103917bce8b422ad94f1b', '23a3db485630720988e790f7f2bee53405782dd387ac9b0f0dfe91cc8d29c1ca', 'b8712b42633198d0f8af94bf82e92a11c9dca71da1bb219be9680f83c1851d93'),
+    'tree_lag0': ('407656f18bb69f34fc79d18e1febcfebb8f9d624d3ab363b5ec07ca3cf29c74a', 'c6f72da4093c43980464ee723bfde31ad78315441cdd421b9877f0d6341024bf', 'c6f72da4093c43980464ee723bfde31ad78315441cdd421b9877f0d6341024bf'),
+    'tree_lag1_raw': ('db70a69748d76a3f9907f2a07c8cb445c7e378a86249e2d3ab637a1d4d1aa98f', 'b0c5b0d3e13046c6cc88d08bc92b63b1a87c5922d5add5a24f31f57fb96eda8e', '49895a9a2bb8ce0c7ce59cdb2c5787c4dde15aa37eee2c80392075dccf856696'),
+    'tree_lag3_neg_raw': ('2e82f528ea3d4ed476a2d70eab430e7a93095305d88103917bce8b422ad94f1b', '23a3db485630720988e790f7f2bee53405782dd387ac9b0f0dfe91cc8d29c1ca', 'b8712b42633198d0f8af94bf82e92a11c9dca71da1bb219be9680f83c1851d93'),
+    'sddp2_0.5_raw': ('5fa13968c7e0125f0f08cc5b1ec7ba403e59b639708114488252e7991c938962', 'b19116dea003de177f2d615251754dcf8ae13d26ade1bcc26cafa16b83f22fc8', 'b19116dea003de177f2d615251754dcf8ae13d26ade1bcc26cafa16b83f22fc8'),
+    'sddp2_0.5_json': ('c5e935f39c703d6fb47ce20c7e064c3b579fc24da50135b49908b5b8a4e93150', '335c79e155feac80ab3ce6c40a70ba48ae312638eafbe2276b16a06e4ebf7532', 'cf2d472fb74b2a0e3a008023d2ca14eb865dd7a3416fc0921f024ff31b0be8b0'),
+    'sddp3_0.5_raw': ('1e1d7dfc6bd93d26cbbdb77fbfd6b59b9e7351b3694d23553afdad0942da3c1b', '47ce25f70afbfeb85e26a9c1bdff91088ea4be693bd4232159f80aa92ad15c6f', '9b2e6ac8665859f79b9fc280b713d7a9ba2ce1979cb81676c0b3bc111018ad0d'),
+    'sddp3_0.5_json': ('a8eee9497f009fcc22a35b71e6578166b7f4405348723cf30506d61b19aac08e', '81b3d56eee32d28bbe9f4af8a8348150bca18dca876f9bde1af130c4f73f2062', 'b8b04563a089355e82c2994c25de69db33054b9d3b323a90c07cd3f27cfc4718'),
+    'sddp3_-0.5_raw': ('325c3e0f91c19ed492f6e41cba568f22a493a2ea35703268e2c9ea6a4bb702ee', '8ee1411f1c9e99a52978d60f6c5be1cc250b31c4084b2be1b042c8cd8983d1c1', 'ff166c96b2dc15df01ab519d497ec2d35edc16b0b28713ef1c9a19b7751dc187'),
+    'sddp3_-0.5_json': ('db35a1acd2ef2d543f8130697c45ebfa7535ad4aa0aa9435b51ddd76c03c8a70', '6b9b9f3dac9ab5ba03c39334d67cf9eeba3e06bf55a2e20163f641b026bceca3', 'b54961522f56596b761ed76c28cd9a34f4da7ecd3af5802e351e3d471a945782'),
+    'sddp3_0.0_raw': ('631a262b2319746246adf3dafcbae6d73db5acc8b08e0e40981831505a7171cc', '5ca998feacee5a06dc14e71c6728bfdc546a6d711e4ae88889518192dc2f229c', '5ca998feacee5a06dc14e71c6728bfdc546a6d711e4ae88889518192dc2f229c'),
+    'sddp3_0.0_json': ('a6c696ee980fa6decd3f81cd6edb5cd8fdcb4a37737a097a3b4dbc5ffdc914f9', '108ca66ee5dbb3cb124937b9b9ef344f7e3f7f3ba6f63ca950227c18f4fed6fa', '108ca66ee5dbb3cb124937b9b9ef344f7e3f7f3ba6f63ca950227c18f4fed6fa'),
+    'sddp4_-0.5_raw': ('4c41111a822e630d7e4ff30bb44599482e12c294f6ac4c55cbc2212abe04a932', '0b1a530928da7c3a32517778fc6251ccd09b2b2acf728d7d116d1bbd73282c41', '5132874d322a69fba474c793c54eb95e3d1fa0e3e0c7fccfdffcb7d995524e74'),
+    'sddp4_-0.5_json': ('7d573d3af61c2c7ba9ab836080742bfed2f6d2885c9898da234ceb834f7ca145', '4566cb845ded15b5fd95dc4df9ad39617ddc65888e9d92a666af5db5718f5eca', '84adc1b2783dfb3a8d696b26742da0a66a8ccddb963c048f28533d81a667e6f9'),
+    'sddp3_lag0': ('cf35aa3bdfe00cee775c93c22ef684c686e37182623d0e8c0e5cef5e823808d7', '0b5ed6aadf5f8269d0b46944afbf410df139eb790dff1941452cbd647151c6ef', '0b5ed6aadf5f8269d0b46944afbf410df139eb790dff1941452cbd647151c6ef'),
+    'sddp3_lag2': ('672d8bc704789f925f1eef4e7439658eb66b174367769e6e334d8c9b72d6a232', '9fd30202884b8df47ec8cca224751b77000e143171933a9a9671cb49ecfe5a00', '9fd30202884b8df47ec8cca224751b77000e143171933a9a9671cb49ecfe5a00'),
+    'non_markov': ('d4d4d1bad0ff2033c898897edd8b98a789dc412bb2e253d77509415acbce381e', 'b1604098b612ee407983a4627b8dc8ad4b8ce4a8551cc7d75904aca67776775c', '3ce70b2c37c0020b2d773ff9897e9cdfc2f9cd6bbad12b76cdef1d82deaf9ed4'),
+}
+
+
 @pytest.fixture(scope="module")
 def directory(tmp_path_factory):
     return tmp_path_factory.mktemp("golden")
@@ -333,6 +440,15 @@ def test_the_mixed_bundle_has_several_leaf_shapes():
 def test_report_is_byte_identical(directory, case):
     name, command = case.split(":")
     assert run_case(directory, name, command.split()) == tuple(GOLDEN[case])
+
+
+def test_every_dynamic_fixture_has_a_digest():
+    assert list(DYNAMIC_GOLDEN) == list(dynamic_fixtures())
+
+
+@pytest.mark.parametrize("name", list(DYNAMIC_GOLDEN))
+def test_lag_check_and_shift_are_bitwise_identical(name):
+    assert run_dynamic(name) == tuple(DYNAMIC_GOLDEN[name])
 
 
 def test_every_help_text_has_a_digest():
@@ -358,3 +474,5 @@ if __name__ == "__main__":
             name, command = case.split(":")
             code, digest = run_case(pathlib.Path(tmp), name, command.split())
             sys.stdout.write(f"    {case!r}: ({code}, {digest!r}),\n")
+    for name in dynamic_fixtures():
+        sys.stdout.write(f"    {name!r}: {run_dynamic(name)!r},\n")
