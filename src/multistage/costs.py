@@ -199,8 +199,15 @@ class CostSpec:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, paths: Sequence[Vector], decisions: Sequence[Vector]) -> float:
-        """Objective value on one trajectory with its full decision history."""
-        value = self._trajectory(paths, decisions, len(paths) - 1)
+        """Objective value on one trajectory with its full decision history.
+
+        :meth:`_accumulate` on the trajectory as a batch of one row. Of an
+        additive cost on a path cut at stage t, it is the discounted stage
+        costs through t, which do not read u_t.
+        """
+        with np.errstate(all="ignore"):
+            value = self._accumulate(_one_row(paths), _one_row(decisions), len(paths) - 1)
+        value = np.asarray(value).item()
         if not math.isfinite(value):
             raise _unbounded(value)
         return value
@@ -256,22 +263,6 @@ class CostSpec:
             if not finite.all():
                 raise _unbounded(float(values[~finite][0]))
             return values
-
-    def additive_prefix(self, paths, decisions, through: int) -> float:
-        """Discounted stage costs accumulated through stage ``through``.
-
-        Only needs decisions up to stage ``through - 1``; used to peel past
-        costs off the value process when normalizing by the discount.
-        """
-        if self.form != "additive":
-            raise MultistageError("prefix costs are defined for additive form only")
-        return self._trajectory(paths, decisions, through)
-
-    def _trajectory(self, paths, decisions, through: int) -> float:
-        """:meth:`_accumulate` on one trajectory, a batch of one row, as a float."""
-        with np.errstate(all="ignore"):
-            value = self._accumulate(_one_row(paths), _one_row(decisions), through)
-        return np.asarray(value).item()
 
     def _accumulate(self, paths: GridWindow, decisions: GridWindow, through: int):
         """The objective, or for the additive form the discounted sum from 0.0

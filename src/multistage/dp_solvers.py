@@ -38,8 +38,8 @@ from .costs import (
     CostSpec,
     GridWindow,
     _callable_from_json,
+    leaf_arrays,
     stage_magnitudes,
-    u_window,
     window_values,
     x_window,
 )
@@ -53,7 +53,7 @@ from .exceptions import (
 from .policy import DEFAULT_ENUMERATION_CAP, Decision, Policy, PolicyClass
 from .scenario_tree import Node, ScenarioTree, path
 from .tolerances import EQUALITY_TOL, KERNEL_TOL, LAG_KEY_DIGITS
-from .value_process import ValueTables
+from .value_process import ValueTables, backward_tables
 
 
 # -- Markov decision processes -------------------------------------------------
@@ -119,6 +119,8 @@ class MDPSpec:
             problems.append(f"gamma {self.gamma} outside (-1, 1)")
         if not np.isfinite(self.bound_K):
             problems.append(f"bound_K {self.bound_K} is not finite")
+        if self.cost is None and self.stage_costs is None:
+            problems.append("the MDP defines neither cost nor stage_costs")
         arrays = [("kernel", self.kernel), ("cost", self.cost)] + [
             (f"stage_costs[{t}]", c) for t, c in enumerate(self.stage_costs or ())
         ]
@@ -230,12 +232,7 @@ def mdp_backward_induction(
     v_end = np.zeros(mdp.n_states) if terminal is None else np.array(terminal, dtype=float)
     values, greedy = [v_end], []
     for t in range(horizon - 1, -1, -1):
-        if mdp.stage_costs is not None:
-            cost = mdp.stage_costs[t]
-        elif mdp.cost is not None:
-            cost = mdp.cost
-        else:
-            raise InputFormatError("the MDP defines neither cost nor stage_costs")
+        cost = mdp.cost if mdp.stage_costs is None else mdp.stage_costs[t]
         v, g = _bellman_min(mdp.kernel, cost, mdp.gamma, values[-1], mask)
         values.append(v)
         greedy.append(g)
@@ -365,27 +362,28 @@ class ShiftedProcess:
     skipped_stages: list[int]
 
 
-def shifted_table_value(
-    tree: ScenarioTree,
-    tables: ValueTables,
-    cost: CostSpec,
-    node_id: int,
-    head: tuple[Decision, ...],
-) -> float:
-    """Vtilde_t(node, head) = gamma^-t (V_t(node, head) - accumulated costs).
+def shifted_tables(
+    tree: ScenarioTree, tables: ValueTables, cost: CostSpec
+) -> dict[int, np.ndarray]:
+    """Vtilde_t(node, .) = gamma^-t (V_t(node, .) - prefix_t) on the grids of ``tables.V[node]``.
 
-    ``head`` is the decision history through stage t-1; the accumulated
-    stage costs through t only need decisions through t-1 by the lag
-    convention.
+    One array for every node of a stage where the shift is defined (every
+    stage, or only stage 0 when gamma = 0), in stage order, then in
+    ``stage_nodes`` order. The prefix, the discounted stage costs through t,
+    is the objective of the stage-t root path, as :func:`costs.leaf_batches`
+    evaluates it on the path's grids; it does not read u_t, so it is read at
+    index 0 of the node's own axis.
     """
-    t = tree.node(node_id).stage
     if cost.form != "additive":
         raise MultistageError("the discount shift requires an additive cost")
-    if cost.gamma == 0.0 and t >= 1:
-        raise MultistageError("gamma = 0 leaves the shift undefined for t >= 1")
-    raw = float(tables.V[node_id][tables.index(node_id, head)])
-    acc = cost.additive_prefix(path(tree, node_id), list(head) + [None], t)
-    return (raw - acc) / cost.gamma**t if t else raw - acc
+    out: dict[int, np.ndarray] = {}
+    for t in range(tree.horizon + 1 if cost.gamma != 0.0 else 1):
+        nodes = tree.stage_nodes(t)
+        paths, grids = [path(tree, n) for n in nodes], [tables.axes[n] for n in nodes]
+        prefixes = leaf_arrays(cost, paths, grids)
+        for nid, prefix in zip(nodes, prefixes):
+            out[nid] = (tables.V[nid] - prefix[..., 0]) / cost.gamma**t
+    return out
 
 
 def tilde_shift(
@@ -397,22 +395,16 @@ def tilde_shift(
     """Discount-normalized value process of V along a policy.
 
     Vtilde_0 equals V_0; later stages subtract the realized accumulated
-    costs and divide by gamma^t. With gamma = 0 the shift is undefined for
+    costs and divide by gamma^t (:func:`shifted_tables`, read at the
+    policy's decision history). With gamma = 0 the shift is undefined for
     t >= 1 and those stages are reported as skipped.
     """
-    if cost.form != "additive":
-        raise MultistageError("the discount shift requires an additive cost")
     stages: dict[int, dict[int, float]] = {}
-    skipped: list[int] = []
-    for t in range(tree.horizon + 1):
-        if cost.gamma == 0.0 and t >= 1:
-            skipped.append(t)
-            continue
-        level: dict[int, float] = {}
-        for nid in tree.stage_nodes(t):
-            head = policy.decision_path(tree, nid)[:-1]
-            level[nid] = shifted_table_value(tree, tables, cost, nid, head)
-        stages[t] = level
+    for nid, values in shifted_tables(tree, tables, cost).items():
+        head = policy.decision_path(tree, nid)[:-1]
+        level = stages.setdefault(tree.node(nid).stage, {})
+        level[nid] = float(values[tables.index(nid, head)])
+    skipped = [t for t in range(1, tree.horizon + 1) if cost.gamma == 0.0]
     return ShiftedProcess(stages=stages, skipped_stages=skipped)
 
 
@@ -479,8 +471,6 @@ def lag_recursion_check(
     the shifted value into a maximum at odd stages, so only the one-sided
     bound remains.
     """
-    from .value_process import backward_tables
-
     if cost.form != "additive":
         raise MultistageError("the lag recursion requires an additive cost")
     lag = cost.lag
@@ -508,58 +498,51 @@ def lag_recursion_check(
     tables = backward_tables(tree, cost, cls, cap=cap)
     gamma = cost.gamma
     skipped = [t for t in range(1, tree.horizon + 1) if gamma == 0.0]
+    shifted = shifted_tables(tree, tables, cost)
 
-    shifted: dict[int, dict[tuple, float]] = {n.id: {} for n in tree.nodes}
-    window_values: dict[int, dict[tuple, float]] = {}
+    windows: dict[int, dict[tuple, float]] = {}
     collapse_dev = 0.0
-    for t in range(tree.horizon + 1):
-        if gamma == 0.0 and t >= 1:
-            continue
-        level: dict[tuple, float] = {}
-        for nid in tree.stage_nodes(t):
-            obs_key = _obs_window_key(tree, nid, lag)
-            for head in itertools.product(*tables.axes[nid][:-1]):
-                value = shifted_table_value(tree, tables, cost, nid, head)
-                shifted[nid][head] = value
-                u_key = tuple(
-                    _round_vec(u) for u in head[max(0, t - lag + 1):]
-                )
-                key = (obs_key, u_key)
-                if key in level:
-                    collapse_dev = max(collapse_dev, abs(level[key] - value))
-                else:
-                    level[key] = value
-        window_values[t] = level
+    for nid, values in shifted.items():
+        t = tree.node(nid).stage
+        level = windows.setdefault(t, {})
+        obs_key = _obs_window_key(tree, nid, lag)
+        heads = itertools.product(*tables.axes[nid][:-1])
+        for head, value in zip(heads, values.ravel().tolist()):
+            key = (obs_key, tuple(_round_vec(u) for u in head[max(0, t - lag + 1):]))
+            if key in level:
+                collapse_dev = max(collapse_dev, abs(level[key] - value))
+            else:
+                level[key] = value
 
-    def one_step(t: int, head: tuple, c: int, u: Decision) -> float:
-        """Step cost into child c after u, plus the child's discounted Vtilde."""
-        decisions = list(head) + [u, None]
-        step = cost.stage_costs[t](
-            x_window(path(tree, c), t + 1, lag), u_window(decisions, t + 1, lag)
-        )
-        if gamma == 0.0:
-            return step
-        return step + gamma * shifted_table_value(tree, tables, cost, c, head + (u,))
-
+    # Per node, q[head, child, u] = c_{t+1} + gamma Vtilde_{t+1}(child, head + (u,)),
+    # the step cost on one-row windows whose decisions range over the node's
+    # grids (axes 1..t+1); the right-hand side is one Bellman minimum.
     violation = -float("inf")
     equality = True
-    for t in range(tree.horizon):
-        if gamma == 0.0 and t >= 1:
+    for nid, values in shifted.items():
+        t = tree.node(nid).stage
+        if t == tree.horizon:
             continue
-        for nid in tree.stage_nodes(t):
-            kids, grid = tree.children(nid), cls.feasible[nid]
-            probs = np.array([[tree.nodes[c].cond_prob for c in kids]])
-            for head, lhs in shifted[nid].items():
-                q = np.array([[one_step(t, head, c, u) for c in kids] for u in grid])
-                rhs = float(_bellman_min(probs, q.T[None], 0.0, np.zeros(len(kids)))[0][0])
-                violation = max(violation, rhs - lhs)
-                if abs(lhs - rhs) > tol:
-                    equality = False
+        lhs, shape, kids = values.ravel(), tables.v[nid].shape, tree.children(nid)
+        a = max(0, t + 1 - lag)
+        us = GridWindow.single(tables.axes[nid][a:], tuple(range(a + 1, t + 2)), t + 2)
+        q = np.empty((lhs.size, len(kids), shape[-1]))
+        for j, c in enumerate(kids):
+            window = [(x,) for x in x_window(path(tree, c), t + 1, lag)]
+            xs = GridWindow.single(window, (None,) * len(window), t + 2)
+            with np.errstate(all="ignore"):
+                step = window_values(cost.stage_costs[t], xs, us)
+            step = np.broadcast_to(step, (1,) + shape)[0]
+            q[:, j] = (step if gamma == 0.0 else step + gamma * shifted[c]).reshape(lhs.size, -1)
+        kernel = np.broadcast_to([tree.nodes[c].cond_prob for c in kids], q.shape[:2])
+        rhs = _bellman_min(kernel, q, 0.0, np.zeros(len(kids)))[0]
+        violation = max(violation, *(rhs - lhs).tolist())
+        equality = equality and not (np.abs(lhs - rhs) > tol).any()
     return LagRecursionReport(
         applicable=True,
         reason=None,
         witness=None,
-        window_values=window_values,
+        window_values=windows,
         max_collapse_deviation=collapse_dev,
         max_recursion_violation=violation if violation > -float("inf") else 0.0,
         equality_everywhere=equality,

@@ -172,19 +172,15 @@ def verify_policy(
     else:
         verdict = INCONCLUSIVE
 
-    merged: list[StageSlack] = []
-    by_t = {s.t: [s] for s in rep_v.per_stage_slack}
-    for s in rep_V.per_stage_slack:
-        by_t.setdefault(s.t, []).append(s)
-    for t in sorted(by_t):
-        group = by_t[t]
-        merged.append(
-            StageSlack(
-                t=t,
-                min_slack=min(s.min_slack for s in group),
-                max_slack=max(s.max_slack for s in group),
-            )
+    # check_submartingale on one tree lists the same stages for both processes
+    merged = [
+        StageSlack(
+            t=a.t,
+            min_slack=min(a.min_slack, b.min_slack),
+            max_slack=max(a.max_slack, b.max_slack),
         )
+        for a, b in zip(rep_v.per_stage_slack, rep_V.per_stage_slack)
+    ]
     witness = None
     if verdict == NOT_OPTIMAL:
         positive = [

@@ -615,6 +615,21 @@ class TestMdpCommands:
         assert report["residuals"][-1] == 0.0
         assert len(report["rounding_bounds"]) == len(report["residuals"])
 
+    @pytest.mark.parametrize(
+        "args",
+        [["mdp-solve", "--horizon", "0"], ["mdp-solve", "--horizon", "1"], ["value-iterate"]],
+        ids=["horizon-0", "horizon-1", "value-iterate"],
+    )
+    def test_an_mdp_without_a_cost_exits_three(self, tmp_path, capsys, args):
+        data = mdp_to_json(constant_cost_mdp(gamma=0.5))
+        del data["cost"]
+        path = write_json(tmp_path / "mdp.json", data)
+        assert main([*args, "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert "the MDP defines neither cost nor stage_costs" in captured.err
+
     def test_kernel_violation_exits_three(self, tmp_path):
         data = mdp_to_json(constant_cost_mdp(gamma=0.5))
         data["kernel"][0][0] = 0.9

@@ -77,7 +77,7 @@ class TestAdditiveExpansion:
         paths = ((0.0,), (1.0,), (2.0,), (3.0,))
         decisions = ((1.0,), (2.0,), (3.0,), (4.0,))
         full = cost.evaluate(paths, decisions)
-        head = cost.additive_prefix(paths[:3], decisions[:3], 2)
+        head = cost.evaluate(paths[:3], decisions[:3])
         tail = 0.9**2 * c(x_window(paths, 3, 1), u_window(decisions, 3, 1))
         assert full == pytest.approx(head + tail, abs=1e-12)
 

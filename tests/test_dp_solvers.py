@@ -26,7 +26,7 @@ from multistage import (
     unroll_mdp_to_tree,
     value_iteration,
 )
-from multistage.dp_solvers import SddpSpec, shifted_table_value
+from multistage.dp_solvers import SddpSpec, shifted_tables
 from multistage.generate import (
     chain_tree,
     constant_cost_mdp,
@@ -104,6 +104,7 @@ class TestTildeShift:
         tables = backward_tables(tree, cost, cls)
         policy = greedy_policy_from_tables(tree, cls, tables)
         shifted = tilde_shift(tree, tables, cost, policy)
+        arrays = shifted_tables(tree, tables, cost)
         from multistage.costs import u_window, x_window
 
         for t in range(tree.horizon):
@@ -123,7 +124,7 @@ class TestTildeShift:
                         total += tree.nodes[c].cond_prob * (
                             step
                             + cost.gamma
-                            * shifted_table_value(tree, tables, cost, c, head + (u,))
+                            * arrays[c][tables.index(c, head + (u,))]
                         )
                     best = total if best is None else min(best, total)
                 assert shifted.stages[t][nid] == pytest.approx(best, abs=1e-9)
@@ -176,6 +177,20 @@ class TestLagRecursion:
                 ]
                 assert len(matches) == 1
                 assert value == pytest.approx(matches[0], abs=1e-9)
+
+    def test_negative_gamma_keeps_only_the_one_sided_bound(self):
+        spec = random_sddp(rng_from_seed(8), horizon=3, gamma=-0.5)
+        report = lag_recursion_check(*sddp_to_product_tree(spec))
+        assert report.applicable
+        assert report.max_recursion_violation <= report.tolerance
+        assert not report.equality_everywhere
+
+    def test_gamma_zero_checks_stage_zero_only(self):
+        spec = random_sddp(rng_from_seed(8), horizon=3, gamma=0.0)
+        report = lag_recursion_check(*sddp_to_product_tree(spec))
+        assert report.applicable
+        assert report.skipped_stages == [1, 2, 3]
+        assert list(report.window_values) == [0]
 
     def test_non_markov_tree_is_inapplicable_with_witness(self):
         tree = non_markov_tree()
