@@ -35,12 +35,11 @@ from .exceptions import (
 )
 from .generate import interchange_fixture, rng_from_seed
 from .policy import DEFAULT_ENUMERATION_CAP, load_policy, policy_to_json
-from .scenario_tree import tree_from_json, validate
+from .scenario_tree import tree_from_json, unconditional_probability, validate
 from .tolerances import DEFAULT_TOL, INEQUALITY_SLACK
 from .value_process import (
     backward_tables,
     brute_force_optimum,
-    expected_value,
     greedy_policy_from_tables,
 )
 from .verification import (
@@ -155,7 +154,11 @@ def cmd_verify(args) -> int:
     tree, cost, cls = bundle.tree, bundle.cost, bundle.cls
     report = verify_policy(tree, cost, cls, policy, tol=args.tolerance, cap=args.cap)
     payload = report.to_json()
-    payload["expected_value"] = expected_value(tree, cost, policy)
+    # E v(X, U) = sum of P(leaf) * v_T(leaf): v_T is the objective along the policy
+    expected = 0.0
+    for leaf in tree.leaves():
+        expected += unconditional_probability(tree, leaf) * report.v_process[leaf]
+    payload["expected_value"] = expected
     payload["policy_count"] = cls.count(tree)
     payload["input"] = args.input
     _emit(

@@ -421,19 +421,24 @@ def _obs_window_key(tree: ScenarioTree, node_id: int, lag: int) -> tuple:
     return tuple(_round_vec(tree.nodes[i].obs) for i in nodes)
 
 
-def _subtree_signature(tree: ScenarioTree, cls: PolicyClass, node_id: int) -> tuple:
-    """Canonical form of the conditional law and grids below a node."""
-    grid = tuple(sorted(_round_vec(u) for u in cls.feasible[node_id]))
-    kids = tree.children(node_id)
-    child_sigs = sorted(
-        (
-            round(tree.nodes[c].cond_prob, LAG_KEY_DIGITS),
-            _round_vec(tree.nodes[c].obs),
-            _subtree_signature(tree, cls, c),
+def _subtree_signatures(tree: ScenarioTree, cls: PolicyClass) -> dict[int, tuple]:
+    """Canonical form of the conditional law and grids below every node.
+
+    One bottom-up pass: a node's signature holds its children's.
+    """
+    sigs: dict[int, tuple] = {}
+    for nid in reversed(tree.top_down()):
+        grid = tuple(sorted(_round_vec(u) for u in cls.feasible[nid]))
+        child_sigs = sorted(
+            (
+                round(tree.nodes[c].cond_prob, LAG_KEY_DIGITS),
+                _round_vec(tree.nodes[c].obs),
+                sigs[c],
+            )
+            for c in tree.children(nid)
         )
-        for c in kids
-    )
-    return (grid, tuple(child_sigs))
+        sigs[nid] = (grid, tuple(child_sigs))
+    return sigs
 
 
 @dataclass
@@ -475,12 +480,13 @@ def lag_recursion_check(
         raise MultistageError("the lag recursion requires an additive cost")
     lag = cost.lag
 
+    signatures = _subtree_signatures(tree, cls)
     for t in range(tree.horizon + 1):
         groups: dict[tuple, list[int]] = {}
         for nid in tree.stage_nodes(t):
             groups.setdefault(_obs_window_key(tree, nid, lag), []).append(nid)
         for window, ids in groups.items():
-            sigs = {_subtree_signature(tree, cls, i) for i in ids}
+            sigs = {signatures[i] for i in ids}
             if len(sigs) > 1:
                 return LagRecursionReport(
                     applicable=False,

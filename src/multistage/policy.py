@@ -61,7 +61,7 @@ class Policy:
 
     def __post_init__(self):
         normalized = {
-            int(k): tuple(float(x) for x in v) for k, v in self.decisions.items()
+            int(k): tuple(map(float, v)) for k, v in self.decisions.items()
         }
         object.__setattr__(self, "decisions", normalized)
         for nid, dec in normalized.items():
@@ -94,16 +94,17 @@ class PolicyClass:
             raise InputFormatError(f"unknown class kind {self.kind!r}")
         normalized: dict[int, tuple[Decision, ...]] = {}
         for k, grid in self.feasible.items():
-            entries = tuple(tuple(float(x) for x in dec) for dec in grid)
+            nid = int(k)
+            entries = tuple(tuple(map(float, dec)) for dec in grid)
             if not entries:
-                raise InputFormatError(f"feasible set at node {k} is empty")
+                raise InputFormatError(f"feasible set at node {nid} is empty")
             for dec in entries:
                 if len(dec) != self.decision_dim:
                     raise InputFormatError(
-                        f"feasible decision at node {k} has dimension {len(dec)}, "
+                        f"feasible decision at node {nid} has dimension {len(dec)}, "
                         f"expected {self.decision_dim}"
                     )
-            normalized[int(k)] = entries
+            normalized[nid] = entries
         object.__setattr__(self, "feasible", normalized)
 
     # -- structure ---------------------------------------------------------
@@ -344,10 +345,7 @@ def policy_from_json(data: dict) -> Policy:
     require_object(data, "policy")
     try:
         decisions = require_object(data["decisions"], "policy decisions")
-        return Policy(
-            decisions={int(k): tuple(v) for k, v in decisions.items()},
-            decision_dim=int(data["decision_dim"]),
-        )
+        return Policy(decisions=decisions, decision_dim=int(data["decision_dim"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed policy JSON: {exc}") from exc
 
@@ -367,9 +365,7 @@ def policy_class_from_json(data: dict) -> PolicyClass:
     try:
         feasible = require_object(data["feasible"], "policy class feasible sets")
         return PolicyClass(
-            feasible={int(k): tuple(tuple(dec) for dec in grid) for k, grid in feasible.items()},
-            kind=str(data["kind"]),
-            decision_dim=int(data["decision_dim"]),
+            feasible=feasible, kind=str(data["kind"]), decision_dim=int(data["decision_dim"])
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed policy class JSON: {exc}") from exc

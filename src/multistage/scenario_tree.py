@@ -58,6 +58,7 @@ class ScenarioTree:
         self.horizon = int(horizon)
         self.obs_dim = int(obs_dim)
 
+        # ``ordered`` runs in id order, so every child list comes out sorted
         children: dict[int, list[int]] = {n.id: [] for n in ordered}
         for n in ordered:
             if n.parent is None:
@@ -68,23 +69,21 @@ class ScenarioTree:
                 raise InputFormatError(f"node {n.id} references unknown parent {n.parent}")
             children[n.parent].append(n.id)
         self._children: dict[int, tuple[int, ...]] = {
-            i: tuple(sorted(c)) for i, c in children.items()
+            i: tuple(c) for i, c in children.items()
         }
 
-        # Root paths; walking more than N parents means a parent cycle.
+        # Root paths, each extending its parent's, breadth first from the root;
+        # a node this walk does not reach sits on a parent cycle.
         paths: dict[int, tuple[int, ...]] = {0: (0,)}
-        for n in ordered:
-            chain = []
-            cur: int | None = n.id
-            while cur is not None and cur not in paths:
-                chain.append(cur)
-                cur = self.nodes[cur].parent
-                if len(chain) > len(ordered):
-                    raise InputFormatError("parent links contain a cycle")
-            base = paths[cur] if cur is not None else ()
-            for k, nid in enumerate(reversed(chain)):
-                paths[nid] = base + tuple(reversed(chain))[: k + 1]
+        order = [0]
+        for nid in order:
+            for c in self._children[nid]:
+                paths[c] = paths[nid] + (c,)
+                order.append(c)
+        if len(order) != len(ordered):
+            raise InputFormatError("parent links contain a cycle")
         self._paths = paths
+        self._top_down = tuple(order)
 
         stage_map: dict[int, list[int]] = {}
         for n in ordered:
@@ -92,17 +91,12 @@ class ScenarioTree:
         self._stages = {t: tuple(ids) for t, ids in stage_map.items()}
         self._leaves = tuple(n.id for n in ordered if not self._children[n.id])
 
-        below: dict[int, tuple[int, ...]] = {}
-        for nid in sorted(paths, key=lambda i: -len(paths[i])):
-            kids = self._children[nid]
-            if not kids:
-                below[nid] = (nid,)
-            else:
-                acc: list[int] = []
-                for c in kids:
-                    acc.extend(below[c])
-                below[nid] = tuple(sorted(acc))
-        self._leaves_below = below
+        # The leaves run in id order, so every tuple comes out sorted.
+        below: dict[int, list[int]] = {n.id: [] for n in ordered}
+        for leaf in self._leaves:
+            for nid in paths[leaf]:
+                below[nid].append(leaf)
+        self._leaves_below = {i: tuple(b) for i, b in below.items()}
 
     # -- structure queries -------------------------------------------------
 
@@ -111,9 +105,14 @@ class ScenarioTree:
             raise UnknownNodeError(f"no node with id {node_id}")
         return self.nodes[node_id]
 
+    def _lookup(self, table: dict, node_id: int):
+        try:
+            return table[node_id]
+        except KeyError:
+            raise UnknownNodeError(f"no node with id {node_id}") from None
+
     def children(self, node_id: int) -> tuple[int, ...]:
-        self.node(node_id)
-        return self._children[node_id]
+        return self._lookup(self._children, node_id)
 
     def is_leaf(self, node_id: int) -> bool:
         return not self.children(node_id)
@@ -122,16 +121,19 @@ class ScenarioTree:
         return self._leaves
 
     def leaves_below(self, node_id: int) -> tuple[int, ...]:
-        self.node(node_id)
-        return self._leaves_below[node_id]
+        return self._lookup(self._leaves_below, node_id)
 
     def stage_nodes(self, t: int) -> tuple[int, ...]:
         return self._stages.get(t, ())
 
     def path_nodes(self, node_id: int) -> tuple[int, ...]:
         """Node ids along the root-to-node path, root first."""
-        self.node(node_id)
-        return self._paths[node_id]
+        return self._lookup(self._paths, node_id)
+
+    def top_down(self) -> tuple[int, ...]:
+        """Every node id once, each parent before its children: breadth first
+        from the root, siblings in id order. Ids need not put parents first."""
+        return self._top_down
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -242,11 +244,11 @@ def tree_from_json(data: dict) -> ScenarioTree:
         obs_dim = int(data["obs_dim"])
         nodes = [
             Node(
-                id=int(entry["id"]),
-                stage=int(entry["stage"]),
-                parent=None if entry.get("parent") is None else int(entry["parent"]),
-                cond_prob=float(entry["cond_prob"]),
-                obs=tuple(float(x) for x in entry["obs"]),
+                int(entry["id"]),
+                int(entry["stage"]),
+                None if entry.get("parent") is None else int(entry["parent"]),
+                float(entry["cond_prob"]),
+                tuple(map(float, entry["obs"])),
             )
             for entry in data["nodes"]
         ]

@@ -399,22 +399,29 @@ def backward_tables(
     if cls.kind != "nodewise":
         raise DecomposableClassRequiredError(cls.kind)
 
+    # Each node's observation path, axes and entry count extend its parent's;
+    # the cap check sums the counts in node-id order.
+    paths: dict[int, tuple[tuple[float, ...], ...]] = {}
+    axes: dict[int, tuple[tuple[Decision, ...], ...]] = {}
+    counts: dict[int, int] = {}
+    for nid in tree.top_down():
+        node, grid = tree.nodes[nid], cls.feasible[nid]
+        if node.parent is None:
+            paths[nid], axes[nid], counts[nid] = (node.obs,), (grid,), len(grid)
+        else:
+            paths[nid] = paths[node.parent] + (node.obs,)
+            axes[nid] = axes[node.parent] + (grid,)
+            counts[nid] = counts[node.parent] * len(grid)
     total_entries = 0
-    for n in tree.nodes:
-        count = 1
-        for i in tree.path_nodes(n.id):
-            count *= len(cls.feasible[i])
-        total_entries += count
+    for nid in range(len(tree)):
+        total_entries += counts[nid]
         if total_entries > cap:
             raise EnumerationCapError(total_entries, cap)
 
-    axes = {
-        n.id: tuple(cls.feasible[i] for i in tree.path_nodes(n.id)) for n in tree.nodes
-    }
     leaves = tree.stage_nodes(tree.horizon)
     seed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for members, values in leaf_batches(
-        cost, [path(tree, n) for n in leaves], [axes[n] for n in leaves]
+        cost, [paths[n] for n in leaves], [axes[n] for n in leaves]
     ):
         low = _first_min(values)
         seed.update((leaves[i], (values[k], low[k])) for k, i in enumerate(members))
@@ -528,10 +535,14 @@ def value_process_for_policy(
     if cls.kind == "nodewise":
         if tables is None:
             tables = backward_tables(tree, cost, cls, cap=cap)
-        for n in tree.nodes:
-            idx = tables.index(n.id, policy.decision_path(tree, n.id))
-            v_proc[n.id] = float(tables.v[n.id][idx])
-            V_proc[n.id] = float(tables.V[n.id][idx[:-1]])
+        # a node's grid positions extend its parent's by its own decision's
+        positions: dict[int, tuple[int, ...]] = {}
+        for nid in tree.top_down():
+            parent = tree.nodes[nid].parent
+            head = () if parent is None else positions[parent]
+            idx = positions[nid] = head + (tables.axes[nid][-1].index(policy.decisions[nid]),)
+            v_proc[nid] = float(tables.v[nid][idx])
+            V_proc[nid] = float(tables.V[nid][head])
     else:
         route = _Definitional(tree, cost, cls, cap)
         for n in tree.nodes:

@@ -64,6 +64,8 @@ class MartingaleReport:
     verdict: str | None = None
     witness: dict | None = None
     details: dict = field(default_factory=dict)
+    #: the v process that :func:`verify_policy` classified, node -> value; not reported
+    v_process: dict[int, float] | None = None
 
     def to_json(self) -> dict:
         out = {
@@ -199,6 +201,7 @@ def verify_policy(
         verdict=verdict,
         witness=witness,
         details={"v": rep_v, "V": rep_V},
+        v_process=v_proc,
     )
 
 

@@ -1,24 +1,33 @@
+import contextlib
+import io
+import itertools
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from multistage.bundle import ProblemBundle, bundle_to_json
+from multistage.bundle import ProblemBundle, bundle_to_json, load_bundle
 from multistage.cli import build_parser, main
+from multistage.costs import CostSpec, cost_from_json
 from multistage.dp_solvers import mdp_to_json
+from multistage.exceptions import EnumerationCapError
 from multistage.generate import (
     branching_gap_fixture,
     constant_cost_mdp,
     random_general_cost,
     random_mdp,
     random_sddp,
+    random_tree,
     recourse_fixture,
     rng_from_seed,
 )
-from multistage.policy import Policy, policy_to_json
+from multistage.policy import Policy, PolicyClass, policy_to_json
 from multistage.scenario_tree import Node, ScenarioTree, tree_to_json
+from multistage.value_process import backward_tables, expected_value
+from test_golden_reports import GOLDEN, hexed, inputs
 
 
 def write_json(path, data):
@@ -1209,3 +1218,213 @@ class TestDeterminism:
         second = self.run_cli(args)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+
+def run_json(argv):
+    """Exit code and parsed ``--json`` report of one in-process command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--json"])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.fixture(scope="module")
+def golden_inputs():
+    """The seeded inputs of the golden reports: name -> JSON."""
+    return inputs()
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory, golden_inputs):
+    """The seeded inputs of the golden reports, written once: name -> path."""
+    directory = tmp_path_factory.mktemp("golden_inputs")
+    return {
+        name: write_json(directory / f"{name}.json", data) for name, data in golden_inputs.items()
+    }
+
+
+def signed_zero_bundle(kind: str, cost_kind: str) -> ProblemBundle:
+    """Grids that hold 0.0 and -0.0, and a policy that picks -0.0 on even stages."""
+    rng = rng_from_seed(41)
+    tree = random_tree(rng, horizon=2)
+    if cost_kind == "poly":
+        cost = random_general_cost(rng, tree)
+    else:
+        cost = cost_from_json({"form": "general", "builtin": cost_kind})
+    grid = ((0.0,), (-0.0,), (1.0,))
+    cls = PolicyClass(feasible={n.id: grid for n in tree.nodes}, kind=kind, decision_dim=1)
+    policy = Policy(
+        decisions={n.id: (-0.0,) if n.stage % 2 == 0 else (0.0,) for n in tree.nodes},
+        decision_dim=1,
+    )
+    return ProblemBundle(tree=tree, cost=cost, cls=cls, policies={"zeros": policy})
+
+
+class TestVerifyExpectedValue:
+    """``verify`` reports E v(X, U) off the v process it classified."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(c.split(":")[0] for c in GOLDEN if c.endswith(":verify"))
+    )
+    def test_equals_expected_value_on_every_golden_verify_case(self, golden_files, name):
+        bundle = load_bundle(golden_files[name])
+        _, report = run_json(["verify", "--input", golden_files[name]])
+        policy = bundle.policies["probe"]
+        wanted = expected_value(bundle.tree, bundle.cost, policy)
+        assert report["expected_value"].hex() == wanted.hex()
+
+    @pytest.mark.parametrize("kind", ["nodewise", "history_blind"])
+    @pytest.mark.parametrize("cost", ["poly", "sum_decisions"])
+    def test_equals_expected_value_on_a_grid_with_both_zeros(self, tmp_path, kind, cost):
+        bundle = signed_zero_bundle(kind, cost)
+        file = write_json(tmp_path / "zeros.json", bundle_to_json(bundle))
+        code, report = run_json(["verify", "--input", file])
+        assert code in (0, 1, 2)
+        wanted = expected_value(bundle.tree, bundle.cost, bundle.policies["zeros"])
+        assert report["expected_value"].hex() == wanted.hex()
+
+    def test_verify_evaluates_the_objective_only_for_the_tables(self, golden_files, monkeypatch):
+        calls = []
+        evaluate_leaves = CostSpec.evaluate_leaves
+
+        def counted(self, paths_list, grids_list):
+            calls.append(len(paths_list))
+            return evaluate_leaves(self, paths_list, grids_list)
+
+        monkeypatch.setattr(CostSpec, "evaluate_leaves", counted)
+        bundle = load_bundle(golden_files["mixed"])
+        backward_tables(bundle.tree, bundle.cost, bundle.cls)
+        alone = list(calls)
+        calls.clear()
+        run_json(["verify", "--input", golden_files["mixed"]])
+        assert alone and calls == alone
+
+
+def relabel(data: dict) -> tuple[dict, dict[int, int]]:
+    """The bundle with its node ids renumbered, and the map old id -> new id.
+
+    The root keeps id 0; the other nodes are numbered deepest stage first, so
+    every child below stage 1 has a smaller id than its parent. Within a
+    stage the ids keep their order, and with it every sum over siblings,
+    leaves or stage nodes keeps its order.
+    """
+    nodes = data["tree"]["nodes"]
+    others = sorted((n for n in nodes if "parent" in n), key=lambda n: (-n["stage"], n["id"]))
+    new = {0: 0, **{n["id"]: k for k, n in enumerate(others, 1)}}
+    renumbered = []
+    for n in nodes:
+        entry = {**n, "id": new[n["id"]]}
+        if "parent" in n:
+            entry["parent"] = new[n["parent"]]
+        renumbered.append(entry)
+
+    def keyed(by_node: dict) -> dict:
+        return {str(new[int(k)]): v for k, v in by_node.items()}
+
+    out = {
+        **data,
+        "tree": {**data["tree"], "nodes": renumbered},
+        "policy_class": {**data["policy_class"], "feasible": keyed(data["policy_class"]["feasible"])},
+        "policies": {
+            name: {**p, "decisions": keyed(p["decisions"])} for name, p in data["policies"].items()
+        },
+    }
+    return out, new
+
+
+def unlabel(report: dict, new: dict[int, int]) -> dict:
+    """A report of the relabeled bundle in the original ids, without ``input``.
+    Dynamic-check records are sorted by node and relation, on both sides."""
+    old = {v: k for k, v in new.items()}
+    report = {k: v for k, v in report.items() if k != "input"}
+    if "policy" in report:
+        decisions = report["policy"]["decisions"]
+        report["policy"] = {
+            **report["policy"],
+            "decisions": dict(sorted((str(old[int(k)]), u) for k, u in decisions.items())),
+        }
+    for rep in report.get("processes", {}).values():
+        if rep["witness"] is not None:
+            rep["witness"]["node"] = old[rep["witness"]["node"]]
+    if "records" in report:
+        for r in report["records"]:
+            r["node"] = old[r["node"]]
+        report["records"].sort(key=lambda r: (r["node"], r["relation"]))
+    return report
+
+
+class TestRelabeledTree:
+    """Ids that do not put parents first change no report but by the relabeling."""
+
+    @pytest.fixture(params=["mixed", "lag1"])
+    def pair(self, request, tmp_path, golden_inputs):
+        data = golden_inputs[request.param]
+        relabeled, new = relabel(data)
+        parent_of = {n["id"]: n.get("parent") for n in relabeled["tree"]["nodes"]}
+        assert any(p is not None and c < p for c, p in parent_of.items())
+        files = (write_json(tmp_path / "original.json", data),
+                 write_json(tmp_path / "relabeled.json", relabeled))
+        return files, new
+
+    def both(self, pair, argv, policies=(None, None)):
+        (original, relabeled), new = pair
+        reports = []
+        for file, policy in zip((original, relabeled), policies):
+            extra = ["--policy", policy] if policy else []
+            reports.append(run_json([*argv, "--input", file, *extra]))
+        (code_a, a), (code_b, b) = reports
+        assert code_a == code_b
+        a = unlabel(a, {k: k for k in new})
+        assert hexed(unlabel(b, new)) == hexed(a)
+        return code_a, a
+
+    def test_solve_backward(self, pair):
+        assert self.both(pair, ["solve", "--method", "backward"])[0] == 0
+
+    def test_verify_optimal_and_perturbed(self, pair, tmp_path):
+        _, new = pair
+        _, solved = self.both(pair, ["solve", "--method", "backward"])
+        optimal = solved["policy"]
+        files = (
+            write_json(tmp_path / "opt.json", optimal),
+            write_json(tmp_path / "opt_relabeled.json", {
+                **optimal,
+                "decisions": {str(new[int(k)]): u for k, u in optimal["decisions"].items()},
+            }),
+        )
+        assert self.both(pair, ["verify"], files)[0] == 0
+        assert self.both(pair, ["verify"])[0] == 1  # the bundle's probe policy
+
+    def test_dynamic_check(self, pair):
+        code, report = self.both(pair, ["dynamic-check"])
+        assert code == 0 and report["records"]
+
+    def test_over_cap_solve_reports_the_same_count(self, pair):
+        (original, relabeled), _ = pair
+        bundle = load_bundle(original)
+        entries = sum(
+            math.prod(len(bundle.cls.feasible[i]) for i in bundle.tree.path_nodes(n.id))
+            for n in bundle.tree.nodes
+        )
+        errors = []
+        for file in (original, relabeled):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                argv = ["solve", "--method", "backward", "--cap", str(entries - 1)]
+                assert main([*argv, "--input", file]) == 3
+            errors.append(err.getvalue())
+        assert errors[0] == errors[1]
+        assert f"enumeration of {entries} items" in errors[0]
+
+    def test_the_cap_check_sums_entries_in_node_id_order(self, pair):
+        (_, relabeled), _ = pair
+        bundle = load_bundle(relabeled)
+        tree, cost, cls = bundle.tree, bundle.cost, bundle.cls
+        counts = [
+            math.prod(len(cls.feasible[i]) for i in tree.path_nodes(n)) for n in range(len(tree))
+        ]
+        sums = list(itertools.accumulate(counts))
+        for cap in sums[:-1]:
+            with pytest.raises(EnumerationCapError) as exc:
+                backward_tables(tree, cost, cls, cap=cap)
+            assert exc.value.count == min(s for s in sums if s > cap)

@@ -105,6 +105,50 @@ class TestPath:
             path(chain3, 99)
 
 
+class TestStructure:
+    """Children, root paths and leaves below on ids that do not put parents first."""
+
+    @pytest.fixture
+    def children_first(self):
+        # 0 -> {3, 4}, 3 -> {1}, 4 -> {2}: the stage-2 nodes have the smallest ids
+        return make_tree(
+            [
+                (0, 0, None, 1.0, 0.0),
+                (1, 2, 3, 1.0, 1.0),
+                (2, 2, 4, 1.0, 2.0),
+                (3, 1, 0, 0.5, 3.0),
+                (4, 1, 0, 0.5, 4.0),
+            ],
+            horizon=2,
+        )
+
+    def test_paths_and_leaves_below(self, children_first):
+        tree = children_first
+        assert validate(tree) == []
+        assert tree.path_nodes(1) == (0, 3, 1)
+        assert tree.path_nodes(2) == (0, 4, 2)
+        assert tree.leaves_below(0) == (1, 2)
+        assert tree.leaves_below(4) == (2,)
+        assert tree.children(0) == (3, 4)
+
+    def test_top_down_puts_parents_first(self, children_first):
+        assert children_first.top_down() == (0, 3, 4, 1, 2)
+
+    def test_parent_cycle_is_rejected(self):
+        with pytest.raises(InputFormatError, match="cycle"):
+            make_tree(
+                [(0, 0, None, 1.0, 0.0), (1, 1, 2, 1.0, 1.0), (2, 1, 1, 1.0, 2.0)],
+                horizon=1,
+            )
+
+    @pytest.mark.parametrize("query", ["children", "path_nodes", "leaves_below"])
+    def test_unknown_ids_raise(self, query):
+        tree = random_tree(rng_from_seed(7), horizon=2)
+        for bad in (-1, len(tree)):
+            with pytest.raises(UnknownNodeError, match=f"^no node with id {bad}$"):
+                getattr(tree, query)(bad)
+
+
 class TestConditionalExpectation:
     def test_fifty_fifty_mean(self):
         tree = make_tree(
