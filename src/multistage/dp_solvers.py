@@ -66,7 +66,9 @@ class MDPSpec:
     ``kernel`` has shape (n, n) when transitions ignore the action and
     (a, n, n) when they depend on it. ``cost`` has shape (n, n, a); for
     stage-dependent problems pass ``stage_costs`` (one such array per
-    transition) to the backward induction instead.
+    transition) to the backward induction instead. The spec checks itself
+    when it is built: :meth:`validate`'s problems raise one
+    :class:`InputFormatError`.
     """
 
     states: tuple[tuple[float, ...], ...]
@@ -88,6 +90,9 @@ class MDPSpec:
                 "stage_costs",
                 tuple(np.asarray(c, dtype=float) for c in self.stage_costs),
             )
+        problems = self.validate()
+        if problems:
+            raise InputFormatError("; ".join(problems))
 
     @property
     def n_states(self) -> int:
@@ -208,20 +213,14 @@ def _bellman_min(
 
 
 def mdp_backward_induction(
-    mdp: MDPSpec,
-    horizon: int,
-    terminal: Sequence[float] | None = None,
+    mdp: MDPSpec, horizon: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Finite-horizon backward induction.
 
     Vtilde_t(x) = min_u E_u[ c_{t+1}(x, X', u) + gamma Vtilde_{t+1}(X') ],
-    seeded with the terminal values (default zero). Returns the value
-    arrays for t = 0..T and the first-argmin greedy action indices for
-    t = 0..T-1.
+    seeded with zero terminal values. Returns the value arrays for
+    t = 0..T and the first-argmin greedy action indices for t = 0..T-1.
     """
-    problems = mdp.validate()
-    if problems:
-        raise InputFormatError("; ".join(problems))
     if horizon < 0:
         raise InputFormatError(f"horizon {horizon} is negative")
     if mdp.stage_costs is not None and len(mdp.stage_costs) < horizon:
@@ -229,8 +228,7 @@ def mdp_backward_induction(
             f"{len(mdp.stage_costs)} stage costs cannot cover horizon {horizon}"
         )
     mask = mdp.action_mask
-    v_end = np.zeros(mdp.n_states) if terminal is None else np.array(terminal, dtype=float)
-    values, greedy = [v_end], []
+    values, greedy = [np.zeros(mdp.n_states)], []
     for t in range(horizon - 1, -1, -1):
         cost = mdp.cost if mdp.stage_costs is None else mdp.stage_costs[t]
         v, g = _bellman_min(mdp.kernel, cost, mdp.gamma, values[-1], mask)
@@ -272,9 +270,6 @@ def value_iteration(
     the iterate of the sweep before: from there the iterates alternate
     between two values forever, so with eps = 0 the threshold is never met.
     """
-    problems = mdp.validate()
-    if problems:
-        raise InputFormatError("; ".join(problems))
     if mdp.cost is None:
         raise InputFormatError("value iteration needs a stationary cost")
     if not epsilon >= 0.0:
@@ -415,30 +410,33 @@ def _round_vec(vec: Sequence[float]) -> tuple[float, ...]:
     return tuple(round(float(x), LAG_KEY_DIGITS) for x in vec)
 
 
-def _obs_window_key(tree: ScenarioTree, node_id: int, lag: int) -> tuple:
-    t = tree.node(node_id).stage
-    nodes = tree.path_nodes(node_id)[max(0, t - lag + 1):]
-    return tuple(_round_vec(tree.nodes[i].obs) for i in nodes)
+def _window_classes(
+    tree: ScenarioTree, cls: PolicyClass, lag: int
+) -> tuple[dict[int, tuple], dict[int, int]]:
+    """Every node's rounded observation window x_{t-l+1..t} and subtree class.
 
-
-def _subtree_signatures(tree: ScenarioTree, cls: PolicyClass) -> dict[int, tuple]:
-    """Canonical form of the conditional law and grids below every node.
-
-    One bottom-up pass: a node's signature holds its children's.
+    A window extends its parent's, top down. Class ids are assigned bottom
+    up, one per distinct canonical form of the law and grids below a node:
+    its sorted rounded grid and the sorted (rounded probability, rounded
+    observation, class id) of its children. So two nodes share an id
+    exactly when the nested forms, child classes unfolded, are equal.
     """
-    sigs: dict[int, tuple] = {}
+    obs = {n.id: _round_vec(n.obs) for n in tree.nodes}
+    windows: dict[int, tuple] = {}
+    for nid in tree.top_down():
+        parent = tree.nodes[nid].parent
+        window = windows.get(parent, ()) + (obs[nid],)
+        windows[nid] = window[max(0, len(window) - lag):]
+    ids: dict[int, int] = {}
+    forms: dict[tuple, int] = {}
     for nid in reversed(tree.top_down()):
         grid = tuple(sorted(_round_vec(u) for u in cls.feasible[nid]))
-        child_sigs = sorted(
-            (
-                round(tree.nodes[c].cond_prob, LAG_KEY_DIGITS),
-                _round_vec(tree.nodes[c].obs),
-                sigs[c],
-            )
+        below = sorted(
+            (round(tree.nodes[c].cond_prob, LAG_KEY_DIGITS), obs[c], ids[c])
             for c in tree.children(nid)
         )
-        sigs[nid] = (grid, tuple(child_sigs))
-    return sigs
+        ids[nid] = forms.setdefault((grid, tuple(below)), len(forms))
+    return windows, ids
 
 
 @dataclass
@@ -480,14 +478,13 @@ def lag_recursion_check(
         raise MultistageError("the lag recursion requires an additive cost")
     lag = cost.lag
 
-    signatures = _subtree_signatures(tree, cls)
+    windows, classes = _window_classes(tree, cls, lag)
     for t in range(tree.horizon + 1):
         groups: dict[tuple, list[int]] = {}
         for nid in tree.stage_nodes(t):
-            groups.setdefault(_obs_window_key(tree, nid, lag), []).append(nid)
+            groups.setdefault(windows[nid], []).append(nid)
         for window, ids in groups.items():
-            sigs = {signatures[i] for i in ids}
-            if len(sigs) > 1:
+            if len({classes[i] for i in ids}) > 1:
                 return LagRecursionReport(
                     applicable=False,
                     reason="two nodes share a lag window but have different "
@@ -506,19 +503,25 @@ def lag_recursion_check(
     skipped = [t for t in range(1, tree.horizon + 1) if gamma == 0.0]
     shifted = shifted_tables(tree, tables, cost)
 
-    windows: dict[int, dict[tuple, float]] = {}
+    # Per node, Vtilde as (outer heads, window columns u_{t-l+1..t-1}). A key's
+    # reference is its first value in C order: row 0 of its first column in
+    # the first node that has it. NaN differences never count, as under max.
+    collapse: dict[int, dict[tuple, float]] = {}
     collapse_dev = 0.0
     for nid, values in shifted.items():
         t = tree.node(nid).stage
-        level = windows.setdefault(t, {})
-        obs_key = _obs_window_key(tree, nid, lag)
-        heads = itertools.product(*tables.axes[nid][:-1])
-        for head, value in zip(heads, values.ravel().tolist()):
-            key = (obs_key, tuple(_round_vec(u) for u in head[max(0, t - lag + 1):]))
-            if key in level:
-                collapse_dev = max(collapse_dev, abs(level[key] - value))
-            else:
-                level[key] = value
+        level = collapse.setdefault(t, {})
+        grids = tables.axes[nid][max(0, t - lag + 1):-1]
+        columns = values.reshape(-1, math.prod(map(len, grids)))
+        refs = []
+        for first, us in zip(
+            columns[0].tolist(),
+            itertools.product(*([_round_vec(u) for u in grid] for grid in grids)),
+        ):
+            refs.append(level.setdefault((windows[nid], us), first))
+        with np.errstate(all="ignore"):
+            deviations = np.abs(columns - refs)
+        collapse_dev = float(np.fmax.reduce(deviations, axis=None, initial=collapse_dev))
 
     # Per node, q[head, child, u] = c_{t+1} + gamma Vtilde_{t+1}(child, head + (u,)),
     # the step cost on one-row windows whose decisions range over the node's
@@ -548,7 +551,7 @@ def lag_recursion_check(
         applicable=True,
         reason=None,
         witness=None,
-        window_values=windows,
+        window_values=collapse,
         max_collapse_deviation=collapse_dev,
         max_recursion_violation=violation if violation > -float("inf") else 0.0,
         equality_everywhere=equality,
@@ -616,6 +619,9 @@ class SddpSpec:
                     raise InputFormatError(
                         f"stage {t + 1} noise atom {k} has negative probability {p!r}"
                     )
+        for t, grid in enumerate(self.stage_decisions):
+            if not grid:
+                raise InputFormatError(f"stage {t} has an empty decision grid")
 
     def cost_at(self, t: int) -> Callable:
         if self.stage_step_costs is not None:
@@ -667,8 +673,6 @@ def sddp_recursion(spec: SddpSpec) -> SddpResult:
         cost = spec.cost_at(t)
         atoms = spec.stage_noise[t]
         decisions = spec.stage_decisions[t]
-        if not decisions:
-            raise MultistageError(f"no decisions at stage {t}")
         states, outcomes = spec.support(t), spec.support(t + 1)
         step = _step_array(cost, states, outcomes, decisions)
         bad = np.argwhere(~np.isfinite(step))
@@ -693,42 +697,55 @@ def sddp_recursion(spec: SddpSpec) -> SddpResult:
 # -- bridges between the formulations ----------------------------------------------
 
 
+def _unroll(
+    root: tuple, horizon: int, branches: Callable, grid: Callable, m: int, stage_costs, gamma
+) -> tuple[ScenarioTree, CostSpec, PolicyClass]:
+    """Unroll a lag-1 problem into a scenario tree, stage by stage.
+
+    ``root`` is the root's (observation, state). A stage-t node of state s
+    gets the children ``branches(t, s)``, (probability, observation, state)
+    triples, in that order, and the decision grid ``grid(t, s)``; a leaf gets
+    a dummy singleton of dimension ``m``, whose decision never enters the
+    cost. Nodes are numbered breadth first. The cost is the additive lag-1
+    stack of ``stage_costs`` and the class is nodewise.
+    """
+    nodes = [Node(0, 0, None, 1.0, root[0])]
+    frontier = [(0, root[1])]
+    feasible: dict[int, tuple[Decision, ...]] = {}
+    for t in range(horizon):
+        children = []
+        for parent, state in frontier:
+            feasible[parent] = grid(t, state)
+            for p, obs, nxt in branches(t, state):
+                children.append((len(nodes), nxt))
+                nodes.append(Node(len(nodes), t + 1, parent, p, obs))
+        frontier = children
+    for leaf, _ in frontier:
+        feasible[leaf] = ((0.0,) * m,)
+    tree = ScenarioTree(nodes, horizon=horizon, obs_dim=len(root[0]))
+    cost = CostSpec.additive(stage_costs=tuple(stage_costs), gamma=gamma, lag=1)
+    return tree, cost, PolicyClass(feasible=feasible, kind="nodewise", decision_dim=m)
+
+
 def sddp_to_product_tree(spec: SddpSpec) -> tuple[ScenarioTree, CostSpec, PolicyClass]:
     """Unroll a stagewise independent problem into a scenario tree.
 
     Every stage-t node branches into the stage-(t+1) noise atoms, the cost
     becomes an additive lag-1 stack, and the class is nodewise with the
     stage decision grid at every node (plus a dummy singleton at the
-    leaves, whose decision never enters the cost).
+    leaves, whose decision never enters the cost). At horizon 0 the tree is
+    the root alone, with decision dimension 0.
     """
-    nodes = [Node(id=0, stage=0, parent=None, cond_prob=1.0, obs=spec.initial_state)]
-    frontier = [0]
-    for t in range(1, spec.horizon + 1):
-        atoms = spec.stage_noise[t - 1]
-        new_frontier = []
-        for parent in frontier:
-            for p, value in atoms:
-                nid = len(nodes)
-                nodes.append(
-                    Node(id=nid, stage=t, parent=parent, cond_prob=float(p), obs=value)
-                )
-                new_frontier.append(nid)
-        frontier = new_frontier
-    tree = ScenarioTree(nodes, horizon=spec.horizon, obs_dim=len(spec.initial_state))
-    cost_spec = CostSpec.additive(
-        stage_costs=tuple(spec.cost_at(t) for t in range(spec.horizon)),
-        gamma=spec.gamma,
-        lag=1,
+    grids = spec.stage_decisions
+    return _unroll(
+        (spec.initial_state, None),
+        spec.horizon,
+        lambda t, _: [(float(p), value, None) for p, value in spec.stage_noise[t]],
+        lambda t, _: grids[t],
+        len(grids[0][0]) if grids else 0,
+        [spec.cost_at(t) for t in range(spec.horizon)],
+        spec.gamma,
     )
-    m = len(spec.stage_decisions[0][0])
-    feasible: dict[int, tuple[Decision, ...]] = {}
-    for n in tree.nodes:
-        if n.stage < spec.horizon:
-            feasible[n.id] = spec.stage_decisions[n.stage]
-        else:
-            feasible[n.id] = ((0.0,) * m,)
-    cls = PolicyClass(feasible=feasible, kind="nodewise", decision_dim=m)
-    return tree, cost_spec, cls
 
 
 def sddp_to_mdp(spec: SddpSpec) -> tuple[MDPSpec, int]:
@@ -739,6 +756,8 @@ def sddp_to_mdp(spec: SddpSpec) -> tuple[MDPSpec, int]:
     kernel row is the shared marginal. Returns the spec and the index of
     the initial state.
     """
+    if spec.horizon == 0:
+        raise MultistageError("the MDP bridge requires horizon >= 1, got horizon 0")
     if spec.stage_step_costs is not None:
         raise MultistageError("the MDP bridge requires a stationary step cost")
     first = spec.stage_noise[0]
@@ -787,30 +806,6 @@ def unroll_mdp_to_tree(
         )
     if mdp.cost is None:
         raise MultistageError("the unrolling requires a stationary cost")
-    nodes = [
-        Node(
-            id=0, stage=0, parent=None, cond_prob=1.0, obs=mdp.states[start_index]
-        )
-    ]
-    state_of = {0: start_index}
-    frontier = [0]
-    for t in range(1, horizon + 1):
-        new_frontier = []
-        for parent in frontier:
-            i = state_of[parent]
-            for j in range(mdp.n_states):
-                p = float(mdp.kernel[i, j])
-                if p <= 0.0:
-                    continue
-                nid = len(nodes)
-                nodes.append(
-                    Node(id=nid, stage=t, parent=parent, cond_prob=p, obs=mdp.states[j])
-                )
-                state_of[nid] = j
-                new_frontier.append(nid)
-        frontier = new_frontier
-    tree = ScenarioTree(nodes, horizon=horizon, obs_dim=len(mdp.states[0]))
-
     state_index = {s: i for i, s in enumerate(mdp.states)}
     action_index = {u: a for a, u in enumerate(mdp.actions)}
 
@@ -820,20 +815,17 @@ def unroll_mdp_to_tree(
         a = action_index[tuple(uw[-1])]
         return float(mdp.cost[i, j, a])
 
-    cost_spec = CostSpec.additive(
-        stage_costs=tuple(step for _ in range(horizon)), gamma=mdp.gamma, lag=1
+    return _unroll(
+        (mdp.states[start_index], start_index),
+        horizon,
+        lambda t, i: [
+            (p, mdp.states[j], j) for j, p in enumerate(mdp.kernel[i].tolist()) if p > 0.0
+        ],
+        lambda t, i: tuple(mdp.actions[a] for a in mdp.action_indices(i)),
+        len(mdp.actions[0]),
+        [step] * horizon,
+        mdp.gamma,
     )
-    m = len(mdp.actions[0])
-    feasible: dict[int, tuple[Decision, ...]] = {}
-    for n in tree.nodes:
-        if n.stage < horizon:
-            feasible[n.id] = tuple(
-                mdp.actions[a] for a in mdp.action_indices(state_of[n.id])
-            )
-        else:
-            feasible[n.id] = ((0.0,) * m,)
-    cls = PolicyClass(feasible=feasible, kind="nodewise", decision_dim=m)
-    return tree, cost_spec, cls
 
 
 # -- JSON -------------------------------------------------------------------------

@@ -807,6 +807,27 @@ class TestSddpCommand:
         full = write_json(tmp_path / "full.json", dict(payload, cost={"table": {"entries": entries}}))
         assert main(["sddp-solve", "--input", full, "--json"]) == 0
 
+    def test_an_empty_decision_grid_exits_three_before_the_recursion(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import multistage.cli as cli
+
+        payload = {
+            "initial_state": [0.0], "horizon": 1, "gamma": 0.9,
+            "stage_noise": [[{"prob": 1.0, "value": [1.0]}]],
+            "stage_decisions": [[]],
+            "cost": {"poly": {"terms": [{"coef": 1.0, "vars": [["w", 0, 2]]}]}},
+        }
+        path = write_json(tmp_path / "empty.json", payload)
+        solved = []
+        monkeypatch.setattr(cli, "sddp_recursion", lambda spec: solved.append(spec))
+        assert main(["sddp-solve", "--input", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, solved) == ("", [])
+        assert captured.err == (
+            "input error: stage 0 has an empty decision grid\n"
+        )
+
 
 class TestTruncatedJson:
     """A file that is not JSON is an input error that names the file, whichever

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from multistage import (
     unroll_mdp_to_tree,
     value_iteration,
 )
+from multistage import dp_solvers
 from multistage.dp_solvers import SddpSpec, shifted_tables
 from multistage.generate import (
     chain_tree,
@@ -38,7 +40,8 @@ from multistage.generate import (
     random_tree,
     rng_from_seed,
 )
-from multistage.scenario_tree import path
+from multistage.scenario_tree import Node, ScenarioTree, path
+from multistage.tolerances import LAG_KEY_DIGITS
 
 
 def additive_fixture(gamma=0.5, horizon=2, seed=11):
@@ -205,6 +208,212 @@ class TestLagRecursion:
         assert sorted(report.witness["nodes"]) == [1, 2]
 
 
+# The structural test of ``lag_recursion_check`` as it was built on nested
+# signatures, kept as an independent oracle for the integer class ids.
+
+
+def _round_vec(vec):
+    return tuple(round(float(x), LAG_KEY_DIGITS) for x in vec)
+
+
+def _obs_window_key(tree, node_id, lag):
+    t = tree.node(node_id).stage
+    nodes = tree.path_nodes(node_id)[max(0, t - lag + 1):]
+    return tuple(_round_vec(tree.nodes[i].obs) for i in nodes)
+
+
+def _subtree_signatures(tree, cls):
+    sigs = {}
+    for nid in reversed(tree.top_down()):
+        grid = tuple(sorted(_round_vec(u) for u in cls.feasible[nid]))
+        child_sigs = sorted(
+            (
+                round(tree.nodes[c].cond_prob, LAG_KEY_DIGITS),
+                _round_vec(tree.nodes[c].obs),
+                sigs[c],
+            )
+            for c in tree.children(nid)
+        )
+        sigs[nid] = (grid, tuple(child_sigs))
+    return sigs
+
+
+def signature_precondition(tree, cls, lag):
+    """(applicable, reason, witness) of the nested-signature structural test."""
+    signatures = _subtree_signatures(tree, cls)
+    for t in range(tree.horizon + 1):
+        groups = {}
+        for nid in tree.stage_nodes(t):
+            groups.setdefault(_obs_window_key(tree, nid, lag), []).append(nid)
+        for window, ids in groups.items():
+            if len({signatures[i] for i in ids}) > 1:
+                reason = "two nodes share a lag window but have different conditional laws below"
+                return False, reason, {"t": t, "window": list(window), "nodes": sorted(ids)}
+    return True, None, None
+
+
+def coarse_tree(seed):
+    """``random_tree`` with observations rounded to {0, 1} and, on odd seeds,
+    every branching uniform, so that windows and subtree laws coincide often."""
+    rng = rng_from_seed(seed)
+    tree = random_tree(rng, horizon=int(rng.integers(1, 4)), max_branch=3)
+
+    def prob(n):
+        uniform = seed % 2 and n.parent is not None
+        return 1.0 / len(tree.children(n.parent)) if uniform else n.cond_prob
+
+    nodes = [
+        Node(n.id, n.stage, n.parent, prob(n), (float(n.obs[0] > 0.0),)) for n in tree.nodes
+    ]
+    return ScenarioTree(nodes, horizon=tree.horizon, obs_dim=1)
+
+
+def assert_precondition_matches_the_oracle(tree, cls, lag):
+    cost = random_additive_cost(rng_from_seed(7), horizon=tree.horizon, lag=lag, gamma=0.5)
+    report = lag_recursion_check(tree, cost, cls)
+    expected = signature_precondition(tree, cls, lag)
+    assert (report.applicable, report.reason, report.witness) == expected
+    return report
+
+
+def crafted_tree(stage2):
+    """Root, two stage-1 nodes with equal observations, and the given
+    (parent, cond_prob, obs) stage-2 nodes in id order."""
+    nodes = [
+        Node(0, 0, None, 1.0, (0.0,)),
+        Node(1, 1, 0, 0.5, (1.0,)),
+        Node(2, 1, 0, 0.5, (1.0,)),
+    ] + [Node(3 + k, 2, parent, p, (x,)) for k, (parent, p, x) in enumerate(stage2)]
+    return ScenarioTree(nodes, horizon=2, obs_dim=1)
+
+
+def shared_grid_class(tree, grid=((0.0,), (1.0,))):
+    return PolicyClass(feasible={n.id: grid for n in tree.nodes}, kind="nodewise", decision_dim=1)
+
+
+class TestLagPrecondition:
+    """The class ids decide the precondition exactly as nested signatures did."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_trees_match_the_signature_oracle(self, seed):
+        tree = coarse_tree(seed) if seed % 3 else random_tree(rng_from_seed(seed), max_branch=3)
+        grid_rng = rng_from_seed(1000 + seed)
+        cls = random_nodewise_class(grid_rng, tree, max_choices=2) if seed % 4 == 0 else (
+            shared_grid_class(tree)
+        )
+        assert_precondition_matches_the_oracle(tree, cls, lag=seed % 4)
+
+    def test_a_shared_window_with_another_law_below_is_the_witness(self):
+        tree = crafted_tree([(1, 0.5, 0.0), (1, 0.5, 2.0), (2, 0.9, 0.0), (2, 0.1, 2.0)])
+        report = assert_precondition_matches_the_oracle(tree, shared_grid_class(tree), lag=1)
+        assert report.witness == {"t": 1, "window": [(1.0,)], "nodes": [1, 2]}
+
+    def test_the_same_law_with_children_in_another_id_order_is_one_class(self):
+        tree = crafted_tree([(1, 0.3, 0.0), (1, 0.7, 2.0), (2, 0.7, 2.0), (2, 0.3, 0.0)])
+        report = assert_precondition_matches_the_oracle(tree, shared_grid_class(tree), lag=1)
+        assert report.applicable
+
+    def test_a_probability_that_differs_past_the_key_digits_is_one_class(self):
+        eps = 10.0 ** -(LAG_KEY_DIGITS + 3)
+        tree = crafted_tree(
+            [(1, 0.5 + eps, 0.0), (1, 0.5 - eps, 2.0), (2, 0.5, 0.0), (2, 0.5, 2.0)]
+        )
+        report = assert_precondition_matches_the_oracle(tree, shared_grid_class(tree), lag=1)
+        assert report.applicable
+
+    def test_a_grid_that_differs_below_is_the_witness(self):
+        tree = crafted_tree([(1, 0.5, 0.0), (1, 0.5, 2.0), (2, 0.5, 0.0), (2, 0.5, 2.0)])
+        grids = {n.id: ((0.0,), (1.0,)) for n in tree.nodes}
+        grids[6] = ((0.0,), (2.0,))
+        cls = PolicyClass(feasible=grids, kind="nodewise", decision_dim=1)
+        report = assert_precondition_matches_the_oracle(tree, cls, lag=1)
+        assert report.witness["nodes"] == [1, 2]
+
+    @pytest.mark.parametrize("lag", [0, 1, 2, 3])
+    def test_windows_keep_the_last_lag_observations(self, lag):
+        tree = chain_tree([0.0, 1.0, 2.0, 3.0, 4.0])
+        windows, _ = dp_solvers._window_classes(tree, shared_grid_class(tree), lag)
+        for nid in tree.top_down():
+            assert windows[nid] == _obs_window_key(tree, nid, lag)
+
+
+def collapse_by_history(tree, tables, shifted, lag):
+    """The collapse test one decision history at a time, folded with ``max``."""
+    windows, dev = {}, 0.0
+    for nid, values in shifted.items():
+        t = tree.node(nid).stage
+        level = windows.setdefault(t, {})
+        obs_key = _obs_window_key(tree, nid, lag)
+        heads = itertools.product(*tables.axes[nid][:-1])
+        for head, value in zip(heads, values.ravel().tolist()):
+            key = (obs_key, tuple(_round_vec(u) for u in head[max(0, t - lag + 1):]))
+            if key in level:
+                dev = max(dev, abs(level[key] - value))
+            else:
+                level[key] = value
+    return windows, dev
+
+
+def hexed(windows):
+    """Window values with their order, types and bits, so that NaN compares equal."""
+    return {t: [(k, type(v).__name__, v.hex()) for k, v in w.items()] for t, w in windows.items()}
+
+
+class TestLagCollapse:
+    """The collapse by window column equals the per-history loop, also on
+    shifted values that mix +inf, -inf, NaN and finite entries."""
+
+    @staticmethod
+    def product_fixture(seed, lag):
+        # 1.0 and 1.0 + 1e-12 round to one key, so two columns share it
+        spec = SddpSpec(
+            initial_state=(0.0,),
+            horizon=3,
+            stage_noise=(((0.5, (1.0,)), (0.5, (2.0,))),) * 3,
+            stage_decisions=(((0.0,), (1.0,), (1.0 + 1e-12,)),) * 3,
+            gamma=0.5,
+            step_cost=lambda xs, us: (us[0][0] - xs[1][0]) ** 2,
+        )
+        tree, _, cls = sddp_to_product_tree(spec)
+        cost = random_additive_cost(rng_from_seed(seed), horizon=3, lag=lag, gamma=0.5)
+        return tree, cost, cls
+
+    @pytest.mark.parametrize("lag", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixed_non_finite_columns_match_the_history_loop(self, monkeypatch, seed, lag):
+        tree, cost, cls = self.product_fixture(seed, lag)
+        real = dp_solvers.shifted_tables
+        seen = {}
+
+        def spoiled(tree, tables, cost):
+            out = real(tree, tables, cost)
+            rng = np.random.default_rng(seed)
+            pool = np.array([np.inf, -np.inf, np.nan, 1.5, -2.0, 0.0])
+            for nid, values in out.items():
+                picks = rng.choice(pool, size=values.shape)
+                out[nid] = np.where(rng.random(values.shape) < 0.6, picks, values)
+            seen.update(tables=tables, shifted=out)
+            return out
+
+        monkeypatch.setattr(dp_solvers, "shifted_tables", spoiled)
+        # the recursion test downstream meets inf - inf; only the collapse is compared
+        with np.errstate(all="ignore"):
+            report = lag_recursion_check(tree, cost, cls)
+        windows, dev = collapse_by_history(tree, seen["tables"], seen["shifted"], lag)
+        assert type(report.max_collapse_deviation) is float
+        assert report.max_collapse_deviation.hex() == dev.hex()
+        assert hexed(report.window_values) == hexed(windows)
+
+    @pytest.mark.parametrize("lag", [0, 1, 2, 3])
+    def test_finite_columns_match_the_history_loop(self, lag):
+        tree, cost, cls = self.product_fixture(5, lag)
+        report = lag_recursion_check(tree, cost, cls)
+        tables = backward_tables(tree, cost, cls)
+        windows, dev = collapse_by_history(tree, tables, shifted_tables(tree, tables, cost), lag)
+        assert report.max_collapse_deviation.hex() == dev.hex()
+        assert hexed(report.window_values) == hexed(windows)
+
+
 class TestMdpBackwardInduction:
     def test_single_step_is_the_expected_cost_minimum(self):
         mdp = random_mdp(rng_from_seed(41), n_states=3, n_actions=2, gamma=0.7)
@@ -271,16 +480,15 @@ class TestMdpBackwardInduction:
             assert tables.root_value == pytest.approx(values[0][start], abs=1e-9)
 
     def test_invalid_kernel_rows_are_rejected(self):
-        mdp = MDPSpec(
-            states=((0.0,), (1.0,)),
-            actions=((0.0,),),
-            kernel=np.array([[0.5, 0.6], [0.5, 0.5]]),
-            cost=np.zeros((2, 2, 1)),
-            gamma=0.5,
-            bound_K=1.0,
-        )
-        with pytest.raises(InputFormatError):
-            mdp_backward_induction(mdp, horizon=1)
+        with pytest.raises(InputFormatError, match="kernel row 0 sums to"):
+            MDPSpec(
+                states=((0.0,), (1.0,)),
+                actions=((0.0,),),
+                kernel=np.array([[0.5, 0.6], [0.5, 0.5]]),
+                cost=np.zeros((2, 2, 1)),
+                gamma=0.5,
+                bound_K=1.0,
+            )
 
 
 class TestValueIteration:
@@ -597,6 +805,42 @@ class TestSddp:
         tables = backward_tables(tree, cost, cls)
         assert root >= tables.root_value - 1e-12
         assert root - tables.root_value > 0.01
+
+    @staticmethod
+    def horizon_zero_spec():
+        return SddpSpec(
+            initial_state=(0.5, -1.0),
+            horizon=0,
+            stage_noise=(),
+            stage_decisions=(),
+            gamma=0.5,
+            step_cost=lambda xs, us: 1.0,
+        )
+
+    def test_horizon_zero_unrolls_to_the_root_alone(self):
+        spec = self.horizon_zero_spec()
+        tree, cost, cls = sddp_to_product_tree(spec)
+        assert tree.nodes == (Node(0, 0, None, 1.0, (0.5, -1.0)),)
+        assert (tree.horizon, tree.obs_dim, cost.stage_costs) == (0, 2, ())
+        assert (cls.feasible, cls.decision_dim) == ({0: ((),)}, 0)
+        root = backward_tables(tree, cost, cls).root_value
+        assert (type(root), root) == (float, 0.0)
+        assert sddp_recursion(spec).values == [{(0.5, -1.0): 0.0}]
+
+    def test_horizon_zero_has_no_mdp(self):
+        with pytest.raises(MultistageError, match="horizon 0"):
+            sddp_to_mdp(self.horizon_zero_spec())
+
+    def test_an_empty_decision_grid_is_rejected_at_construction(self):
+        with pytest.raises(InputFormatError, match="stage 1 has an empty decision grid"):
+            SddpSpec(
+                initial_state=(0.0,),
+                horizon=2,
+                stage_noise=(((1.0, (1.0,)),),) * 2,
+                stage_decisions=(((0.0,),), ()),
+                gamma=0.5,
+                step_cost=lambda xs, us: 0.0,
+            )
 
     def test_discount_monotonicity_in_the_horizon(self):
         rng = rng_from_seed(63)
