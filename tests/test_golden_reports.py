@@ -10,7 +10,17 @@ bundles cover a general polynomial, additive lag-1 and lag-2 stacks,
 whose entries overlap within ``atol``, so the first matching entry decides),
 a nodewise class whose grid sizes differ within a stage, a nodewise class
 with more leaf entries than one batch of leaf arrays holds and a
-history-blind class. ``validate`` runs on a bundle with a declared Hoelder
+history-blind class.
+
+Two fixed-shape bundles pin the definitional route's fallbacks: a nodewise
+tree with 1, 2, 4 and 6 nodes per stage and grids of 2 (``nw13``) and a
+horizon-5 history-blind tree with a grid of 3 at the last stage
+(``blind5``). ``dynamic-check`` and ``verify`` run on each at the default
+``--cap`` and at smaller caps (``CAPS``): one where the root's tails fit
+but a node's block of values over its own and its parent's decision does
+not, and on ``blind5`` one where every block fits but the leaf arrays run
+past the budget. On ``nw13`` the 96 leaf entries are fewer than the
+root's 4096 tails, so no cap the root fits reaches the leaf budget. ``validate`` runs on a bundle with a declared Hoelder
 block that holds and on one that fails, and ``sddp-solve`` on a
 stagewise-independent problem whose step cost is a table.
 
@@ -38,6 +48,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -64,7 +75,7 @@ from multistage.generate import (
     rng_from_seed,
 )
 from multistage.policy import Policy, PolicyClass
-from multistage.scenario_tree import path
+from multistage.scenario_tree import Node, ScenarioTree, path
 from multistage.value_process import backward_tables, greedy_policy_from_tables
 
 
@@ -138,6 +149,46 @@ def sddp_table(seed: int) -> dict:
     return {**spec.payload, "cost": {"table": {"entries": entries}}}
 
 
+def fixed_tree(rng, counts: list[int]) -> ScenarioTree:
+    """A tree with ``counts[t]`` nodes at stage t, the stage-t nodes dealt to the
+    stage-(t-1) nodes in turn; random probabilities and scalar observations."""
+    nodes = [Node(id=0, stage=0, parent=None, cond_prob=1.0,
+                  obs=(float(rng.uniform(-2.0, 2.0)),))]
+    frontier = [0]
+    for t, count in enumerate(counts[1:], start=1):
+        parents = [frontier[k % len(frontier)] for k in range(count)]
+        weights = rng.uniform(0.2, 1.0, size=count)
+        level = []
+        for parent in frontier:
+            mine = [k for k in range(count) if parents[k] == parent]
+            level += [(parent, float(weights[k] / weights[mine].sum())) for k in mine]
+        frontier = []
+        for parent, p in level:
+            frontier.append(len(nodes))
+            nodes.append(Node(id=len(nodes), stage=t, parent=parent, cond_prob=p,
+                              obs=(float(rng.uniform(-2.0, 2.0)),)))
+    return ScenarioTree(nodes, horizon=len(counts) - 1, obs_dim=1)
+
+
+def sized_class(rng, tree, sizes: list[int], kind: str) -> PolicyClass:
+    """Random scalar grids of ``sizes[t]`` decisions at stage t: one per node
+    (nodewise) or one per stage (history-blind)."""
+    def grid(k):
+        return tuple((float(u),) for u in rng.uniform(-1.0, 1.0, size=k))
+
+    stage_grids = [grid(k) for k in sizes]
+    feasible = {n.id: stage_grids[n.stage] if kind == "history_blind" else grid(sizes[n.stage])
+                for n in tree.nodes}
+    return PolicyClass(feasible=feasible, kind=kind, decision_dim=1)
+
+
+#: fixed-shape bundle -> (nodes per stage, grid size per stage, class kind)
+FIXED = {"nw13": ([1, 2, 4, 6], [2, 2, 2, 2], "nodewise"),
+         "blind5": ([1, 2, 3, 4, 5, 6], [2, 2, 2, 2, 2, 3], "history_blind")}
+#: fixed-shape bundle -> the caps below the default its commands also run at
+CAPS = {"nw13": [4096], "blind5": [48, 288]}
+
+
 def inputs() -> dict[str, dict]:
     """Name -> input JSON (a bundle with one policy, or a stagewise-independent
     problem), every one from a fixed seed."""
@@ -203,6 +254,12 @@ def inputs() -> dict[str, dict]:
     cls = random_nodewise_class(rng, tree, fill=True)
     add("wide", tree, random_general_cost(rng, tree), cls)
 
+    for seed, (name, (counts, sizes, kind)) in enumerate(FIXED.items(), start=61):
+        rng = rng_from_seed(seed)
+        tree = fixed_tree(rng, counts)
+        cls = sized_class(rng, tree, sizes, kind)
+        add(name, tree, random_general_cost(rng, tree), cls)
+
     rng = rng_from_seed(29)
     tree = random_tree(rng, horizon=2, obs_dim=1)
     cls = random_nodewise_class(rng, tree, max_policies=3000)
@@ -225,6 +282,9 @@ def commands(name: str) -> list[list[str]]:
         return [["solve", "--method", "backward"], ["solve", "--method", "brute"], ["verify"]]
     if name == "wide":  # too many policies and tails for the definitional route
         return [["solve", "--method", "backward"], ["verify"]]
+    if name in FIXED:
+        caps = [[]] + [["--cap", str(cap)] for cap in CAPS[name]]
+        return [[command, *cap] for cap in caps for command in ("dynamic-check", "verify")]
     out = [["solve", "--method", "brute"], ["verify"], ["dynamic-check"]]
     if not name.startswith("blind"):
         out.insert(0, ["solve", "--method", "backward"])
@@ -373,6 +433,16 @@ GOLDEN = {
     'blind_lag2:dynamic-check': (0, '3a9f928770797442ce71f076e3ab4b2adff551a2a51d9c60e6861efde42c55ec'),
     'wide:solve --method backward': (0, '00814351387e8ac894ae92d3d2771c98348a878ea83bd932166deec2fd19d8ef'),
     'wide:verify': (1, '746eee4a695d1f80f54ac6a57c607a483dcd36768f149d74cb81cb13589297ff'),
+    'nw13:dynamic-check': (0, 'd9034404a078f575363df7c8ca3bfbc5967f6c19a9ff2dd46dbdcd09fc870f54'),
+    'nw13:verify': (1, 'b63da0b51d87a960902da50ac489027c58378ac2285c124800b15aa67b022009'),
+    'nw13:dynamic-check --cap 4096': (0, 'd9034404a078f575363df7c8ca3bfbc5967f6c19a9ff2dd46dbdcd09fc870f54'),
+    'nw13:verify --cap 4096': (1, 'b63da0b51d87a960902da50ac489027c58378ac2285c124800b15aa67b022009'),
+    'blind5:dynamic-check': (0, '4856d51c09c2bba51dbcc69977378c26504767398ed780dc79ab2a279f9d7e9d'),
+    'blind5:verify': (2, 'a9180c75f8d981447dd27fd977526661e2692999d9b1051a4b1a4176dd6e5726'),
+    'blind5:dynamic-check --cap 48': (0, '4856d51c09c2bba51dbcc69977378c26504767398ed780dc79ab2a279f9d7e9d'),
+    'blind5:verify --cap 48': (2, 'a9180c75f8d981447dd27fd977526661e2692999d9b1051a4b1a4176dd6e5726'),
+    'blind5:dynamic-check --cap 288': (0, '4856d51c09c2bba51dbcc69977378c26504767398ed780dc79ab2a279f9d7e9d'),
+    'blind5:verify --cap 288': (2, 'a9180c75f8d981447dd27fd977526661e2692999d9b1051a4b1a4176dd6e5726'),
     'holder_holds:validate': (0, 'd52c39388400ff9490eebe5a9a10889202cbf08f24ac28cb275bf7e2d07f2c43'),
     'holder_fails:validate': (1, '895492832de2039347fb67c4e334185688c9ba6ab3b483676897463be6f8b030'),
     'sddp_table:sddp-solve': (0, '0f0b304f0ada55496311a34f79906473ba157c9740f6a5893d73943516afb17b'),
@@ -434,6 +504,18 @@ def test_the_mixed_bundle_has_several_leaf_shapes():
     stage = {int(n["id"]): n["stage"] for n in data["tree"]["nodes"]}
     sizes = {len(grid) for nid, grid in feasible.items() if stage[int(nid)] == 3}
     assert len(sizes) > 1
+
+
+def test_small_caps_reach_the_fallbacks():
+    # root tails, and the largest block over a node's own and its parent's decision
+    nw13 = inputs()["nw13"]["policy_class"]["feasible"]
+    tails = math.prod(len(grid) for nid, grid in nw13.items() if nid != "0")
+    assert CAPS["nw13"] == [tails] and len(nw13["0"]) * tails > tails
+    blind5 = FIXED["blind5"][1]
+    tails, block = math.prod(blind5[1:]), math.prod(blind5)
+    assert tails == CAPS["blind5"][0] < block
+    leaf_entries = FIXED["blind5"][0][-1] * block
+    assert block <= CAPS["blind5"][1] < leaf_entries
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
