@@ -379,6 +379,8 @@ def _check_flags(args) -> None:
         raise InputFormatError(f"--cap {args.cap} must be at least 1")
     if getattr(args, "trials", 0) < 0:
         raise InputFormatError(f"--trials {args.trials} must be >= 0")
+    if getattr(args, "seed", 0) < 0:
+        raise InputFormatError(f"--seed {args.seed} must be >= 0")
 
 
 HANDLERS = {

@@ -1066,8 +1066,9 @@ class TestTableCoverage:
 
 
 class TestNumericFlags:
-    """A tolerance that is not finite or is below 0, a cap below 1 and a
-    negative trial count are input errors wherever the flag is taken."""
+    """A tolerance that is not finite or is below 0, a cap below 1, a
+    negative trial count and a negative seed are input errors wherever the
+    flag is taken."""
 
     CASES = {
         "solve-nan-tolerance": ("solve", ["--tolerance", "nan"]),
@@ -1083,6 +1084,9 @@ class TestNumericFlags:
         "verify-zero-cap": ("verify", ["--cap", "0"]),
         "dynamic-check-negative-cap": ("dynamic-check", ["--cap", "-5"]),
         "negative-trials": ("demo-interchange", ["--trials", "-3"]),
+        "negative-seed": ("demo-interchange", ["--seed", "-1"]),
+        "negative-seed-no-trials": ("demo-interchange", ["--seed", "-1", "--trials", "0"]),
+        "negative-seed-with-trials": ("demo-interchange", ["--seed", "-1", "--trials", "1"]),
     }
 
     @staticmethod
