@@ -45,6 +45,7 @@ from .costs import (
 )
 from .exceptions import (
     ConvergenceError,
+    IncompleteFunctionError,
     InputFormatError,
     MultistageError,
     UnboundedObjectiveError,
@@ -395,8 +396,14 @@ def tilde_shift(
     t >= 1 and those stages are reported as skipped.
     """
     stages: dict[int, dict[int, float]] = {}
+    # the arrays come parents first, so each history extends its parent's
+    hists: dict[int, tuple[Decision, ...]] = {}
     for nid, values in shifted_tables(tree, tables, cost).items():
-        head = policy.decision_path(tree, nid)[:-1]
+        parent = tree.nodes[nid].parent
+        head = () if parent is None else hists[parent]
+        if nid not in policy.decisions:
+            raise IncompleteFunctionError(f"policy has no decision for node {nid}")
+        hists[nid] = head + (policy.decisions[nid],)
         level = stages.setdefault(tree.node(nid).stage, {})
         level[nid] = float(values[tables.index(nid, head)])
     skipped = [t for t in range(1, tree.horizon + 1) if cost.gamma == 0.0]

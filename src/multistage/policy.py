@@ -80,6 +80,16 @@ class Policy:
             out.append(self.decisions[i])
         return tuple(out)
 
+    def decision_paths(self, tree: ScenarioTree) -> dict[int, tuple[Decision, ...]]:
+        """Every node's decision history, each extending its parent's, top down."""
+        out: dict[int, tuple[Decision, ...]] = {}
+        for nid in tree.top_down():
+            if nid not in self.decisions:
+                raise IncompleteFunctionError(f"policy has no decision for node {nid}")
+            parent = tree.nodes[nid].parent
+            out[nid] = (() if parent is None else out[parent]) + (self.decisions[nid],)
+        return out
+
 
 @dataclass(frozen=True)
 class PolicyClass:

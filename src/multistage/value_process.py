@@ -27,27 +27,36 @@ each route keeps its own arithmetic on the leaf values.
 The definitional route keeps one cache per call of ``compute_v``,
 ``compute_V``, ``brute_force_optimum``, ``check_dynamic_relations`` or
 the history-blind ``value_process_for_policy``: per leaf, the objective
-on the leaf's whole path grid product; v per (node, head); and per node,
-its tail axes, whose count is checked against the cap before anything is
-evaluated. v_t(node, head) slices every leaf array below the node at the
-head, adds rel_prob * slice into one accumulator over the node's whole
-tail product (leaves in order, from 0.0, as ``tail_conditional_value``
-adds them) and takes the joint minimum over that product. It never nests
-minima and expectations, which would be the recursion. A leaf's array is
+on the leaf's whole path grid product; per (node, head prefix) a block,
+v_t over every grid continuation of the prefix by the node's parent's
+and its own decision (the root's own decision alone); and per node, its
+tail axes, whose count is checked against the cap before anything is
+evaluated. A block takes one pass over the leaves below the node: each
+leaf array is sliced at the prefix, and rel_prob * slice is added into
+one accumulator over the free head axes and the node's whole tail
+product (leaves in order, from 0.0, as ``tail_conditional_value`` adds
+them); the joint minimum over the tail product then gives v_t for every
+continuation, and V_t is the minimum of a block row over the node's
+candidates. It never nests minima and expectations, which would be the
+recursion. ``check_dynamic_relations`` and the history-blind
+``value_process_for_policy`` read one block per node. A leaf's array is
 built at the first head on the grids asked of it, as long as the leaf
 arrays stay within ``cap`` entries in all, decided leaf by leaf in
 order; the leaves that follow it and fit are built in the same batched
-call. Past that budget, and for heads off the grids (or holding a -0.0
-where the grid has 0.0, or the reverse), the leaf is evaluated for the
-one head asked, with the head given as one-point grids. Memory: the leaf
-arrays hold at most ``cap`` float64 entries in all, the accumulator at
-most ``cap``, and one weighted leaf slice at most the accumulator's
-size, plus the working arrays of one batch (a few arrays of
-``costs.LEAF_BATCH_ENTRIES`` entries, or of one larger leaf). So ``cap``
-bounds memory as well as work: about three times ``cap`` float64
-entries, 240 MB at the default cap of 10^7 (measured peaks: 1.0 to 2.3
-times ``cap`` entries, on chain and binary trees), for ``solve``'s brute
-force as for ``verify`` and ``dynamic-check``.
+call. A head off the grids (or holding a -0.0 where the grid has 0.0, or
+the reverse), a node with a leaf past that budget and a block of more
+than ``cap`` entries take one pass per head instead, the accumulator
+over the tail product alone; a leaf past the budget is evaluated for the
+one head asked, with the head given as one-point grids. Every entry goes
+through the same float operations either way. Memory: the leaf arrays
+hold at most ``cap`` float64 entries in all, the accumulator (a block or
+one head's tails) at most ``cap``, and one weighted leaf slice at most
+the accumulator's size, plus the working arrays of one batch (a few
+arrays of ``costs.LEAF_BATCH_ENTRIES`` entries, or of one larger leaf).
+So ``cap`` bounds memory as well as work: about three times ``cap``
+float64 entries, 240 MB at the default cap of 10^7 (measured peaks: 1.0
+to 2.3 times ``cap`` entries, on chain and binary trees), for ``solve``'s
+brute force as for ``verify`` and ``dynamic-check``.
 
 Decision histories are free parameters of the value functions: they need
 not be feasible for the class, only the tail being optimized is
@@ -150,10 +159,14 @@ class _Definitional:
     A tail assigns a decision to every strict descendant of a node, one axis
     per distinct slot below the node (sorted), shared by the slot's nodes.
     The slot map is read once; ``grids[slot_of[n]]`` are node n's
-    candidates. The cache is the one the module docstring describes. Heads
-    are matched to grid positions and memo keys by ``_exact``, so a signed
-    zero reads the entry of the same sign, as ``tail_conditional_value``
-    would.
+    candidates. The cache is the one the module docstring describes: v and
+    V at a node read its block, v_t over the node's own decision and its
+    parent's (the root's own alone) for one head prefix, built by one
+    :meth:`tail_values` pass. Heads are matched to grid positions by
+    ``_exact``, so a signed zero reads the entry of the same sign, as
+    ``tail_conditional_value`` would; a head off the grids, a leaf past the
+    leaf budget and a block of more than ``cap`` entries take one pass per
+    head instead.
     """
 
     def __init__(self, tree: ScenarioTree, cost: CostSpec, cls: PolicyClass, cap: int):
@@ -161,16 +174,19 @@ class _Definitional:
         self.cost = cost
         self.cap = cap
         self.slot_of, self.grids = cls.slots(tree)
-        self._first: list[dict] = []  # per slot: first grid position of each decision
+        firsts: list[dict] = []  # per slot: first grid position of each decision
+        self._entry_first: list[list[int]] = []  # per slot: that position for each grid entry
         for grid in self.grids:
             first: dict = {}
             for k, u in enumerate(grid):
                 first.setdefault(_exact(u), k)
-            self._first.append(first)
+            firsts.append(first)
+            self._entry_first.append([first[_exact(u)] for u in grid])
+        self._node_first = [firsts[s] for s in self.slot_of]  # per node: its slot's dict
         self._tails: dict[int, tuple] = {}
         self._leaf_values: dict[int, np.ndarray] = {}
         self._leaf_entries = 0
-        self._v: dict[tuple, float] = {}
+        self._blocks: dict[tuple, np.ndarray | None] = {}
 
     def candidates(self, node_id: int) -> tuple[Decision, ...]:
         """A node's candidates: the grid of its slot."""
@@ -181,15 +197,15 @@ class _Definitional:
 
         The tail slots are the slots below the node, sorted: one axis each.
         Per leaf below the node: the leaf, its probability given the node,
-        and the axis order and shape that place its tail slice on the tail
-        product.
+        and the axis order (None if the slice's axes are already in slot
+        order) and shape that place its tail slice on the tail product.
         """
         if node_id in self._tails:
             return self._tails[node_id]
-        tree = self.tree
+        tree, slot_of = self.tree, self.slot_of
         stage = tree.node(node_id).stage
-        below = {leaf: tree.path_nodes(leaf)[stage + 1:] for leaf in tree.leaves_below(node_id)}
-        tail_slots = sorted({self.slot_of[nid] for nids in below.values() for nid in nids})
+        below = [(leaf, tree.path_nodes(leaf)[stage + 1:]) for leaf in tree.leaves_below(node_id)]
+        tail_slots = sorted({slot_of[nid] for _, nids in below for nid in nids})
         axis = {s: k for k, s in enumerate(tail_slots)}
         shape = tuple(len(self.grids[s]) for s in tail_slots)
         count = math.prod(max(n, 1) for n in shape)
@@ -198,12 +214,14 @@ class _Definitional:
         if 0 in shape:
             raise MultistageError(f"no feasible tails below node {node_id}")
         leaves = []
-        for leaf, nids in below.items():
+        for leaf, nids in below:
             rel_prob = 1.0
             for nid in nids:
                 rel_prob *= tree.nodes[nid].cond_prob
-            positions = [axis[self.slot_of[nid]] for nid in nids]
-            order = sorted(range(len(nids)), key=positions.__getitem__)
+            positions = [axis[slot_of[nid]] for nid in nids]
+            order = None
+            if positions != sorted(positions):
+                order = sorted(range(len(nids)), key=positions.__getitem__)
             bshape = [1] * len(shape)
             for p in positions:
                 bshape[p] = shape[p]
@@ -211,17 +229,18 @@ class _Definitional:
         self._tails[node_id] = (stage, tail_slots, shape, leaves)
         return self._tails[node_id]
 
-    def _leaf_grid_values(self, leaves: Sequence[int], i: int) -> np.ndarray | None:
-        """Objective on the whole path grid product of ``leaves[i]``, or None past the budget.
+    def _leaf_grid_values(self, leaves: Sequence[tuple], i: int) -> np.ndarray | None:
+        """Objective on the whole path grid product of the i-th of a node's
+        ``_tail`` leaves, or None past the budget.
 
         Built once per leaf, as long as the leaf arrays hold at most ``cap``
         entries in all, decided leaf by leaf in ``leaves`` order. A leaf
         that is built brings along, in one batched evaluation, the leaves
         after it that are not built yet, up to the first one past the budget.
         """
-        if leaves[i] not in self._leaf_values:
+        if leaves[i][0] not in self._leaf_values:
             run, grids_list = [], []
-            for leaf in leaves[i:]:
+            for leaf, *_ in leaves[i:]:
                 if leaf in self._leaf_values:
                     continue
                 grids = [self.candidates(nid) for nid in self.tree.path_nodes(leaf)]
@@ -233,50 +252,119 @@ class _Definitional:
                 grids_list.append(grids)
             paths = [path(self.tree, leaf) for leaf in run]
             self._leaf_values.update(zip(run, leaf_arrays(self.cost, paths, grids_list)))
-        return self._leaf_values.get(leaves[i])
+        return self._leaf_values.get(leaves[i][0])
 
-    def tail_values(self, node_id: int, u_head: History) -> np.ndarray:
-        """Conditional expected cost at a node for one head and every tail.
+    def _positions(self, nids: Sequence[int], head: History) -> tuple[int, ...] | None:
+        """Grid positions of a head's decisions at ``nids``, or None if one is off its grid."""
+        index = []
+        for nid, u in zip(nids, head):
+            k = self._node_first[nid].get(_exact(u))
+            if k is None:
+                return None
+            index.append(k)
+        return tuple(index)
 
-        One entry per tail, on the tail product (axes in sorted slot order):
-        what ``tail_conditional_value`` gives for the head and that tail.
+    def tail_values(self, node_id: int, prefix: History) -> np.ndarray:
+        """Conditional expected cost at a node for every continuation of a head prefix and every tail.
+
+        The prefix holds the decisions of stages 0..p-1, p <= t + 1 (t the
+        node's stage). The result has one free axis per head stage p..t, on
+        the grid of the node's root path at that stage, then the tail
+        product (axes in sorted slot order): each entry is what
+        ``tail_conditional_value`` gives for the head that continues the
+        prefix by the free axes' decisions, and that tail. Each leaf below
+        the node is sliced at the prefix, weighted and added once, in leaf
+        order from 0.0, so every entry goes through the float operations of
+        a call with its whole head as the prefix.
         """
-        stage, _, shape, leaves = self._tail(node_id)
-        head = tuple(tuple(u) for u in u_head)
+        stage = self._tail(node_id)[0]
+        prefix = tuple(map(tuple, prefix))
+        if len(prefix) > stage + 1:
+            raise MultistageError(
+                f"head prefix has length {len(prefix)}, expected at most {stage + 1}"
+            )
+        nids = self.tree.path_nodes(node_id)
+        free_shape = tuple(len(self.candidates(nid)) for nid in nids[len(prefix):])
+        return self._accumulate(node_id, prefix, self._positions(nids, prefix), free_shape)
+
+    def _accumulate(self, node_id: int, prefix: History, index, free_shape) -> np.ndarray:
+        """The leaf pass of :meth:`tail_values`, given the prefix's grid positions
+        (None if it leaves the grids) and the sizes of the free axes."""
+        _, _, shape, leaves = self._tail(node_id)
+        p = len(prefix)
+        free = tuple(range(len(free_shape)))
+        at = None if index is None else index + (...,)
+        acc = np.zeros(free_shape + shape)
+        for i, (leaf, rel_prob, order, bshape) in enumerate(leaves):
+            values = None
+            if at is not None:
+                values = self._leaf_values.get(leaf)
+                if values is None:
+                    values = self._leaf_grid_values(leaves, i)
+            if values is None:
+                below = self.tree.path_nodes(leaf)[p:]
+                grids = [(u,) for u in prefix] + [self.candidates(nid) for nid in below]
+                values = self.cost.evaluate_grid(path(self.tree, leaf), grids)
+                tail = rel_prob * values[(0,) * p + (...,)]
+            else:
+                tail = rel_prob * values[at]
+            if order is not None:
+                tail = tail.transpose(free + tuple(len(free) + k for k in order))
+            acc += tail.reshape(free_shape + bshape)
+        return acc
+
+    def _row(self, node_id: int, head: History) -> np.ndarray | None:
+        """v_t at a node over its own candidates' grid positions, for a head of stages 0..t-1.
+
+        Read off the node's block for the head's prefix without the parent's
+        decision; None where the per-head route applies: a decision off its
+        grid, a block of more than ``cap`` entries, or a leaf below the node
+        past the leaf budget.
+        """
+        index = self._positions(self.tree.path_nodes(node_id), head)
+        if index is None:
+            return None
+        p = max(0, len(index) - 1)
+        block = self._block(node_id, index[:p])
+        return None if block is None else block[index[p:]]
+
+    def _block(self, node_id: int, prefix: tuple[int, ...]) -> np.ndarray | None:
+        """v_t over the free head axes after a prefix of grid positions, or None.
+
+        Built once per (node, prefix). None if the block would hold more
+        than ``cap`` entries or a leaf below the node is past the leaf budget.
+        """
+        key = (node_id, prefix)
+        if key not in self._blocks:
+            self._blocks[key] = self._build_block(node_id, prefix)
+        return self._blocks[key]
+
+    def _build_block(self, node_id: int, prefix: tuple[int, ...]) -> np.ndarray | None:
+        _, _, shape, leaves = self._tail(node_id)
+        nids = self.tree.path_nodes(node_id)
+        free_shape = tuple(len(self.candidates(nid)) for nid in nids[len(prefix):])
+        if math.prod(free_shape) * math.prod(shape) > self.cap:
+            return None
+        for i, (leaf, *_) in enumerate(leaves):
+            if leaf not in self._leaf_values and self._leaf_grid_values(leaves, i) is None:
+                return None
+        decisions = tuple(self.candidates(nid)[k] for nid, k in zip(nids, prefix))
+        acc = self._accumulate(node_id, decisions, prefix, free_shape)
+        return _first_min(acc.reshape(free_shape + (-1,)))
+
+    def v(self, node_id: int, u_head: History) -> float:
+        """v_t at a node for a head history of stages 0..t."""
+        stage = self._tail(node_id)[0]
+        head = tuple(map(tuple, u_head))
         if len(head) != stage + 1:
             raise MultistageError(
                 f"head history has length {len(head)}, expected {stage + 1}"
             )
-        index: tuple | None = ()
-        for nid, u in zip(self.tree.path_nodes(node_id), head):
-            k = self._first[self.slot_of[nid]].get(_exact(u))
-            if k is None:
-                index = None
-                break
-            index += (k,)
-        ids = [leaf for leaf, *_ in leaves]
-        acc = np.zeros(shape)
-        for i, (leaf, rel_prob, order, bshape) in enumerate(leaves):
-            values = None
-            if index is not None:
-                values = self._leaf_grid_values(ids, i)
-            if values is None:
-                below = self.tree.path_nodes(leaf)[stage + 1:]
-                grids = [(u,) for u in head] + [self.candidates(nid) for nid in below]
-                values = self.cost.evaluate_grid(path(self.tree, leaf), grids)
-                tail = values[(0,) * len(head) + (...,)]
-            else:
-                tail = values[index + (...,)]
-            acc += (rel_prob * tail).transpose(order).reshape(bshape)
-        return acc
-
-    def v(self, node_id: int, u_head: History) -> float:
-        """v_t at a node for a head history of stages 0..t."""
-        key = (node_id, tuple(_exact(tuple(u)) for u in u_head))
-        if key not in self._v:
-            acc = self.tail_values(node_id, u_head)
-            self._v[key] = float(_first_min(acc.reshape(-1)))
-        return self._v[key]
+        k = self._node_first[node_id].get(_exact(head[-1]))
+        row = None if k is None else self._row(node_id, head[:-1])
+        if row is None:
+            return float(_first_min(self.tail_values(node_id, head).reshape(-1)))
+        return float(row[k])
 
     def V(self, node_id: int, u_head: History) -> float:
         """V_t at a node: minimum of v_t over the stage-t candidates."""
@@ -288,8 +376,34 @@ class _Definitional:
         candidates = self.candidates(node_id)
         if not candidates:
             raise MultistageError(f"empty feasible set at node {node_id}")
-        head = tuple(u_head)
-        return min(self.v(node_id, head + (u,)) for u in candidates)
+        head = tuple(map(tuple, u_head))
+        row = self._row(node_id, head)
+        if row is None:
+            return min(self.v(node_id, head + (u,)) for u in candidates)
+        return min(map(row.tolist().__getitem__, self._entry_first[self.slot_of[node_id]]))
+
+    def V_next(self, node_id: int, u_head: History) -> list[float]:
+        """V_t at a non-root node for the head of stages 0..t-2 followed by each
+        of its parent's candidates in turn, as :meth:`V` gives them."""
+        node = self.tree.node(node_id)
+        if node.parent is None or len(u_head) != node.stage - 1:
+            raise MultistageError(
+                f"head history has length {len(u_head)}, expected {node.stage - 1}"
+            )
+        parent = node.parent
+        head = tuple(map(tuple, u_head))
+        index = self._positions(self.tree.path_nodes(node_id), head)
+        block = None
+        if index is not None and self.candidates(node_id):
+            block = self._block(node_id, index)
+        if block is None:
+            return [self.V(node_id, head + (u,)) for u in self.candidates(parent)]
+        rows, own = block.tolist(), self._entry_first[self.slot_of[node_id]]
+        return [min(map(rows[k].__getitem__, own)) for k in self._entry_first[self.slot_of[parent]]]
+
+    def position(self, node_id: int, u: Decision) -> int | None:
+        """The first grid position of a decision among a node's candidates, or None."""
+        return self._node_first[node_id].get(_exact(u))
 
 
 def compute_v(
@@ -545,8 +659,9 @@ def value_process_for_policy(
             V_proc[nid] = float(tables.V[nid][head])
     else:
         route = _Definitional(tree, cost, cls, cap)
+        hists = policy.decision_paths(tree)
         for n in tree.nodes:
-            hist = policy.decision_path(tree, n.id)
+            hist = hists[n.id]
             v_proc[n.id] = route.v(n.id, hist)
             V_proc[n.id] = route.V(n.id, hist[:-1])
     return v_proc, V_proc

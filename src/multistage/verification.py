@@ -276,29 +276,34 @@ def check_dynamic_relations(
     if not cls.contains(tree, policy):
         raise InfeasiblePolicyError("policy is not feasible in the class")
     route = _Definitional(tree, cost, cls, cap)
+    heads = policy.decision_paths(tree)
     records: list[RelationRecord] = []
     for n in tree.nodes:
         kids = tree.children(n.id)
         if not kids:
             continue
-        head_full = policy.decision_path(tree, n.id)
+        head_full = heads[n.id]
         head = head_full[:-1]
         probs = [tree.nodes[c].cond_prob for c in kids]
 
         lhs_V = route.V(n.id, head)
+        # per child: V_{t+1} after each stage-t candidate, in candidate order
+        rows = [route.V_next(c, head) for c in kids]
         rhs_V = min(
-            sum(p * route.V(c, head + (u,)) for p, c in zip(probs, kids))
-            for u in route.candidates(n.id)
+            sum(p * row[j] for p, row in zip(probs, rows))
+            for j in range(len(route.candidates(n.id)))
         )
         records.append(
             RelationRecord(t=n.stage, node=n.id, relation="V", lhs=lhs_V, rhs=rhs_V)
         )
 
         lhs_v = route.v(n.id, head_full)
+        # the best stage-(t+1) deviation of v_{t+1} is V_{t+1}, read at the
+        # policy's own candidate when it is on the grid
+        k = route.position(n.id, head_full[-1])
         rhs_v = 0.0
-        for p, c in zip(probs, kids):
-            best = min(route.v(c, head_full + (u,)) for u in route.candidates(c))
-            rhs_v += p * best
+        for p, c, row in zip(probs, kids, rows):
+            rhs_v += p * (route.V(c, head_full) if k is None else row[k])
         records.append(
             RelationRecord(t=n.stage, node=n.id, relation="v", lhs=lhs_v, rhs=rhs_v)
         )

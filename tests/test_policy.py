@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from multistage import (
     EnumerationCapError,
+    IncompleteFunctionError,
     InputFormatError,
     NotAdaptedError,
     PastingInfeasibleError,
@@ -300,3 +301,30 @@ class TestJson:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputFormatError):
             Policy(decisions={0: (1.0, 2.0)}, decision_dim=1)
+
+
+class TestDecisionPaths:
+    @staticmethod
+    def tree():
+        """A chain whose ids do not put the parent first: node 1 hangs below node 2."""
+        return ScenarioTree(
+            [
+                Node(id=0, stage=0, parent=None, cond_prob=1.0, obs=(0.0,)),
+                Node(id=1, stage=2, parent=2, cond_prob=1.0, obs=(1.0,)),
+                Node(id=2, stage=1, parent=0, cond_prob=1.0, obs=(2.0,)),
+            ],
+            horizon=2,
+            obs_dim=1,
+        )
+
+    def test_every_history_extends_its_parents(self):
+        tree = self.tree()
+        policy = Policy(decisions={0: (0.5,), 1: (-0.0,), 2: (1.5,)}, decision_dim=1)
+        paths = policy.decision_paths(tree)
+        assert list(paths) == list(tree.top_down())
+        assert paths == {n.id: policy.decision_path(tree, n.id) for n in tree.nodes}
+
+    def test_a_missing_decision_is_named(self):
+        policy = Policy(decisions={0: (0.5,), 1: (1.0,)}, decision_dim=1)
+        with pytest.raises(IncompleteFunctionError, match="no decision for node 2"):
+            policy.decision_paths(self.tree())

@@ -11,6 +11,7 @@ from multistage import (
     DecomposableClassRequiredError,
     EnumerationCapError,
     MultistageError,
+    Policy,
     PolicyClass,
     backward_tables,
     brute_force_optimum,
@@ -29,6 +30,7 @@ from multistage.generate import (
     chain_tree,
     random_additive_cost,
     random_general_cost,
+    random_history_blind_class,
     random_instance,
     random_nodewise_class,
     random_tree,
@@ -36,7 +38,8 @@ from multistage.generate import (
 )
 from multistage.policy import policy_from_indices
 from multistage.scenario_tree import Node, ScenarioTree, path, unconditional_probability
-from multistage.value_process import holder_table_violation
+from multistage.value_process import _Definitional, holder_table_violation
+from multistage.verification import check_dynamic_relations
 
 
 def sum_cost():
@@ -705,6 +708,47 @@ def definitional_instance(seed):
     return tree, cost, cls, policy
 
 
+def signed_zero_instance(seed, kind, form):
+    """A small seeded instance whose grids hold 0.0 and -0.0 and a repeated decision.
+
+    ``form`` is ``general`` or ``additive`` (compiled payloads), ``raw`` (the
+    general payload behind a Python callable) or ``signed`` (a raw callable
+    that tells -0.0 from 0.0). For odd seeds one slot's grid holds 0.0
+    alone and the policy picks -0.0 there: feasible, but off the grid's
+    entries, so the heads through it take the per-head route.
+    """
+    rng = rng_from_seed(seed)
+    tree = random_tree(rng, horizon=int(rng.integers(1, 4)), max_branch=2)
+    if kind == "nodewise":
+        cls = random_nodewise_class(rng, tree, max_choices=2, max_policies=24)
+    else:
+        cls = random_history_blind_class(rng, tree, max_choices=2)
+    slot_of, grids = cls.slots(tree)
+    zeros, repeat = (int(s) for s in rng.integers(0, len(grids), size=2))
+    zero = ((0.0,), (-0.0,)) if seed % 2 == 0 else ((0.0,),)
+    grids = [g + zero * (s == zeros) + g[:1] * (s == repeat) for s, g in enumerate(grids)]
+    feasible = {n.id: grids[slot_of[n.id]] for n in tree.nodes}
+    cls = PolicyClass(feasible=feasible, kind=kind, decision_dim=1)
+    if form == "additive":
+        cost = random_additive_cost(rng, horizon=tree.horizon)
+    else:
+        cost = random_general_cost(rng, tree)
+    if form == "raw":
+        compiled = cost
+        cost = CostSpec.general(lambda xs, us: compiled.evaluate(xs, us))
+    elif form == "signed":
+        compiled = cost
+        cost = CostSpec.general(lambda xs, us: compiled.evaluate(xs, us) + sum(
+            (t + 1) * math.copysign(0.25, u[0]) for t, u in enumerate(us)))
+    indices = [int(rng.integers(0, len(g))) for g in grids]
+    policy = policy_from_indices(tree, cls, indices)
+    if seed % 2:
+        decisions = {n.id: (-0.0,) if slot_of[n.id] == zeros else policy.decisions[n.id]
+                     for n in tree.nodes}
+        policy = Policy(decisions=decisions, decision_dim=1)
+    return tree, cost, cls, policy
+
+
 def off_grid(head, k):
     """The head with entry k moved off every grid."""
     return head[:k] + (tuple(x + 0.375 for x in head[k]),) + head[k + 1:]
@@ -733,6 +777,58 @@ class TestDefinitionalRoute:
         grids = cls.slots(tree)[1]
         tails = math.prod(len(g) for g in grids[1:])
         assert same_float(compute_V(tree, cost, cls, 0, (), cap=tails), ref.V(0, ()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["nodewise", "history_blind"]),
+           form=st.sampled_from(["general", "additive", "raw", "signed"]))
+    def test_blocks_equal_the_scalar_reference(self, seed, kind, form):
+        tree, cost, cls, policy = signed_zero_instance(seed, kind, form)
+        ref = ScalarDefinitional(tree, cost, cls)
+        heads = {n.id: policy.decision_path(tree, n.id) for n in tree.nodes}
+        expected = []
+        for n in tree.nodes:
+            kids = tree.children(n.id)
+            if not kids:
+                continue
+            head_full, head = heads[n.id], heads[n.id][:-1]
+            probs = [tree.nodes[c].cond_prob for c in kids]
+            rhs_V = min(sum(p * ref.V(c, head + (u,)) for p, c in zip(probs, kids))
+                        for u in cls.feasible_at(tree, n.id))
+            rhs_v = 0.0
+            for p, c in zip(probs, kids):
+                rhs_v += p * min(ref.v(c, head_full + (u,)) for u in cls.feasible_at(tree, c))
+            expected += [("V", ref.V(n.id, head), rhs_V), ("v", ref.v(n.id, head_full), rhs_v)]
+        records = check_dynamic_relations(tree, cost, cls, policy).records
+        assert [(r.relation, r.lhs.hex(), r.rhs.hex()) for r in records] == [
+            (relation, lhs.hex(), rhs.hex()) for relation, lhs, rhs in expected]
+        if kind == "history_blind":
+            v_proc, V_proc = value_process_for_policy(tree, cost, cls, policy)
+            assert [v_proc[n.id].hex() for n in tree.nodes] == [
+                ref.v(n.id, heads[n.id]).hex() for n in tree.nodes]
+            assert [V_proc[n.id].hex() for n in tree.nodes] == [
+                ref.V(n.id, heads[n.id][:-1]).hex() for n in tree.nodes]
+
+    @pytest.mark.parametrize("kind", ["nodewise", "history_blind"])
+    def test_one_accumulator_pass_per_node(self, monkeypatch, kind):
+        accumulate = _Definitional._accumulate
+        passes = []
+
+        def counted(self, node_id, *args):
+            passes.append(node_id)
+            return accumulate(self, node_id, *args)
+
+        monkeypatch.setattr(_Definitional, "_accumulate", counted)
+        for seed in range(6):
+            tree, cost, cls = random_instance(60 + seed, max_policies=3000, horizon=3, kind=kind)
+            policy = policy_from_indices(tree, cls, [0] * len(cls.slots(tree)[1]))
+            passes.clear()
+            check_dynamic_relations(tree, cost, cls, policy)
+            assert sorted(passes) == sorted(set(passes)) and len(passes) <= len(tree)
+            if kind == "history_blind":
+                passes.clear()
+                value_process_for_policy(tree, cost, cls, policy)
+                assert sorted(passes) == list(range(len(tree)))
 
     def test_leaf_arrays_past_the_cap_give_the_same_values(self):
         tree = chain_tree([0.5, -1.0, 2.0])
