@@ -159,10 +159,11 @@ class _Definitional:
     A tail assigns a decision to every strict descendant of a node, one axis
     per distinct slot below the node (sorted), shared by the slot's nodes.
     The slot map is read once; ``grids[slot_of[n]]`` are node n's
-    candidates. The cache is the one the module docstring describes: v and
-    V at a node read its block, v_t over the node's own decision and its
-    parent's (the root's own alone) for one head prefix, built by one
-    :meth:`tail_values` pass. Heads are matched to grid positions by
+    candidates. The cache is the one the module docstring describes: v, V
+    and :meth:`V_next` at a node read its block, v_t over the node's own
+    decision and its parent's (the root's own alone) for one head prefix,
+    built by one leaf pass (:meth:`_accumulate`, the pass of
+    :meth:`tail_values`). Heads are matched to grid positions by
     ``_exact``, so a signed zero reads the entry of the same sign, as
     ``tail_conditional_value`` would; a head off the grids, a leaf past the
     leaf budget and a block of more than ``cap`` entries take one pass per
