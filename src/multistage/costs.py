@@ -43,6 +43,7 @@ from .exceptions import (
     InputFormatError,
     MultistageError,
     UnboundedObjectiveError,
+    require_int,
     require_object,
 )
 from .tolerances import EQUALITY_TOL, HOLDER_SLACK
@@ -709,7 +710,8 @@ def table_misses(cost: CostSpec, tree, cls) -> list[str]:
 
 def _term_from_json(raw: dict) -> Term:
     variables = tuple(
-        (str(role), int(stage), int(comp), int(power))
+        (str(role), require_int(stage, "poly variable index"),
+         require_int(comp, "poly variable component"), require_int(power, "poly variable power"))
         for role, stage, comp, power in raw["vars"]
     )
     for role, _, _, _ in variables:
@@ -764,7 +766,7 @@ def cost_from_json(data: dict) -> CostSpec:
             return CostSpec.additive(
                 stage_costs,
                 gamma=float(data["gamma"]),
-                lag=int(data["lag"]),
+                lag=require_int(data["lag"], "cost lag"),
                 holder=holder,
                 payload=data,
             )

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +49,7 @@ from .exceptions import (
     InputFormatError,
     MultistageError,
     UnboundedObjectiveError,
+    require_int,
     require_object,
 )
 from .policy import DEFAULT_ENUMERATION_CAP, Decision, Policy, PolicyClass
@@ -580,7 +581,8 @@ class SddpSpec:
     window form, ``c(xs, us)`` with ``xs = (x_t, x_{t+1})`` and
     ``us = (u_t,)``: the lag-1 stage cost c_{t+1} of an additive tree cost,
     with the same callable shape. Pass ``stage_step_costs`` for
-    stage-dependent costs.
+    stage-dependent costs. :meth:`step_array` evaluates each stage's step
+    costs once, for the load check and the recursion alike.
     """
 
     initial_state: tuple[float, ...]
@@ -591,6 +593,7 @@ class SddpSpec:
     step_cost: Callable[[tuple, tuple], float] | None = None
     stage_step_costs: tuple[Callable, ...] | None = None
     payload: dict | None = None
+    _steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.stage_noise) != self.horizon:
@@ -641,6 +644,15 @@ class SddpSpec:
             return (self.initial_state,)
         return tuple(value for _, value in self.stage_noise[t - 1])
 
+    def step_array(self, t: int) -> np.ndarray:
+        """Stage t's :func:`_step_array`, over its states, noise values and
+        decisions; evaluated at the first call and kept."""
+        if t not in self._steps:
+            self._steps[t] = _step_array(
+                self.cost_at(t), self.support(t), self.support(t + 1), self.stage_decisions[t]
+            )
+        return self._steps[t]
+
 
 def _step_array(cost: Callable, states, outcomes, decisions) -> np.ndarray:
     """step[x, j, u] = cost((x, xi_j), (u,)) over every state, noise value and decision.
@@ -669,7 +681,7 @@ def sddp_recursion(spec: SddpSpec) -> SddpResult:
     Vtilde_t(x) = min_u E[ c_{t+1}((x, X_{t+1}), (u,)) + gamma Vtilde_{t+1}(X_{t+1}) ]
     with an unconditional expectation: independence makes conditioning on
     x_t irrelevant for the law of X_{t+1}. Each stage's step costs are one
-    :func:`_step_array`.
+    :func:`_step_array`, read through :meth:`SddpSpec.step_array`.
     """
     T = spec.horizon
     values: list[dict[tuple[float, ...], float]] = [dict() for _ in range(T + 1)]
@@ -677,11 +689,10 @@ def sddp_recursion(spec: SddpSpec) -> SddpResult:
     for x in spec.support(T):
         values[T][x] = 0.0
     for t in range(T - 1, -1, -1):
-        cost = spec.cost_at(t)
         atoms = spec.stage_noise[t]
         decisions = spec.stage_decisions[t]
         states, outcomes = spec.support(t), spec.support(t + 1)
-        step = _step_array(cost, states, outcomes, decisions)
+        step = spec.step_array(t)
         bad = np.argwhere(~np.isfinite(step))
         if len(bad):
             k, j, i = bad[0]
@@ -838,15 +849,6 @@ def unroll_mdp_to_tree(
 # -- JSON -------------------------------------------------------------------------
 
 
-def _action_index(entry) -> int:
-    """An ``actions_by_state`` entry: an integer, possibly written as 2.0."""
-    if isinstance(entry, bool) or not (
-        isinstance(entry, int) or (isinstance(entry, float) and entry.is_integer())
-    ):
-        raise InputFormatError(f"actions_by_state entry {entry!r} is not an action index")
-    return int(entry)
-
-
 def mdp_from_json(data: dict) -> MDPSpec:
     try:
         return MDPSpec(
@@ -862,7 +864,10 @@ def mdp_from_json(data: dict) -> MDPSpec:
                 else None
             ),
             actions_by_state=(
-                tuple(tuple(_action_index(a) for a in row) for row in data["actions_by_state"])
+                tuple(
+                    tuple(require_int(a, "actions_by_state entry") for a in row)
+                    for row in data["actions_by_state"]
+                )
                 if data.get("actions_by_state") is not None
                 else None
             ),
@@ -906,7 +911,9 @@ def _step_cost_from_json(spec: dict, dims: dict[str, int]) -> Callable:
         for k, term in enumerate(spec["poly"]["terms"]):
             variables = []
             for role, comp, power in term["vars"]:
-                role, comp = str(role), int(comp)
+                role = str(role)
+                comp = require_int(comp, "step-cost variable component")
+                power = require_int(power, "step-cost variable power")
                 if not 0 <= comp < dims.get(role, 0):
                     raise InputFormatError(
                         f"step-cost term {k}: no component {comp} of role {role!r} {dims}"
@@ -931,8 +938,8 @@ def sddp_from_json(data: dict) -> SddpSpec:
     the states, noise values and decisions of that step, so a 0 under a
     negative power or a power that overflows a float is rejected here. A
     ``table`` step cost is then looked up on every (state, noise value,
-    decision) of every stage, as :func:`sddp_recursion` will (one
-    :func:`_step_array` per stage, in stage order), so a miss is rejected
+    decision) of every stage, in stage order, by :meth:`SddpSpec.step_array`,
+    whose arrays :func:`sddp_recursion` then reads, so a miss is rejected
     here too.
     """
     try:
@@ -953,7 +960,7 @@ def sddp_from_json(data: dict) -> SddpSpec:
         }
         spec = SddpSpec(
             initial_state=initial_state,
-            horizon=int(data["horizon"]),
+            horizon=require_int(data["horizon"], "stagewise horizon"),
             stage_noise=stage_noise,
             stage_decisions=stage_decisions,
             gamma=float(data["gamma"]),
@@ -987,10 +994,7 @@ def sddp_from_json(data: dict) -> SddpSpec:
     for t in range(spec.horizon):
         if getattr(spec.cost_at(t), "lookup", False):
             try:
-                _step_array(
-                    spec.cost_at(t), spec.support(t), spec.support(t + 1),
-                    spec.stage_decisions[t],
-                )
+                spec.step_array(t)
             except MultistageError as exc:
                 raise InputFormatError(
                     f"stage {t} step-cost table: {exc} (x lists the state, then the noise value)"

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the JSON file reader and
-object check that raise one."""
+object and integer checks that raise one."""
 
 from __future__ import annotations
 
@@ -108,3 +108,14 @@ def require_object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise InputFormatError(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
+
+
+def require_int(value, what: str) -> int:
+    """``value`` as an int if it is a JSON integer: an int, or a float with no
+    fractional part such as 2.0, never a boolean; an input error naming
+    ``what`` otherwise."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InputFormatError(f"{what} must be an integer, got {value!r}")

@@ -41,6 +41,7 @@ from .exceptions import (
     PastingInfeasibleError,
     UnknownNodeError,
     read_json,
+    require_int,
     require_object,
 )
 from .scenario_tree import ScenarioTree
@@ -355,7 +356,8 @@ def policy_from_json(data: dict) -> Policy:
     require_object(data, "policy")
     try:
         decisions = require_object(data["decisions"], "policy decisions")
-        return Policy(decisions=decisions, decision_dim=int(data["decision_dim"]))
+        decision_dim = require_int(data["decision_dim"], "policy decision_dim")
+        return Policy(decisions=decisions, decision_dim=decision_dim)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed policy JSON: {exc}") from exc
 
@@ -375,7 +377,8 @@ def policy_class_from_json(data: dict) -> PolicyClass:
     try:
         feasible = require_object(data["feasible"], "policy class feasible sets")
         return PolicyClass(
-            feasible=feasible, kind=str(data["kind"]), decision_dim=int(data["decision_dim"])
+            feasible=feasible, kind=str(data["kind"]),
+            decision_dim=require_int(data["decision_dim"], "policy class decision_dim"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed policy class JSON: {exc}") from exc

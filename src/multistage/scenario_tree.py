@@ -19,6 +19,7 @@ from .exceptions import (
     IncompleteFunctionError,
     InputFormatError,
     UnknownNodeError,
+    require_int,
 )
 from .tolerances import PROB_TOL
 
@@ -240,13 +241,14 @@ def tree_to_json(tree: ScenarioTree) -> dict:
 def tree_from_json(data: dict) -> ScenarioTree:
     """Inverse of :func:`tree_to_json`; raises on malformed input."""
     try:
-        horizon = int(data["horizon"])
-        obs_dim = int(data["obs_dim"])
+        horizon = require_int(data["horizon"], "tree horizon")
+        obs_dim = require_int(data["obs_dim"], "tree obs_dim")
         nodes = [
             Node(
-                int(entry["id"]),
-                int(entry["stage"]),
-                None if entry.get("parent") is None else int(entry["parent"]),
+                require_int(entry["id"], "node id"),
+                require_int(entry["stage"], "node stage"),
+                None if entry.get("parent") is None
+                else require_int(entry["parent"], "node parent"),
                 float(entry["cond_prob"]),
                 tuple(map(float, entry["obs"])),
             )

@@ -27,36 +27,44 @@ each route keeps its own arithmetic on the leaf values.
 The definitional route keeps one cache per call of ``compute_v``,
 ``compute_V``, ``brute_force_optimum``, ``check_dynamic_relations`` or
 the history-blind ``value_process_for_policy``: per leaf, the objective
-on the leaf's whole path grid product; per (node, head prefix) a block,
-v_t over every grid continuation of the prefix by the node's parent's
-and its own decision (the root's own decision alone); and per node, its
-tail axes, whose count is checked against the cap before anything is
-evaluated. A block takes one pass over the leaves below the node: each
-leaf array is sliced at the prefix, and rel_prob * slice is added into
-one accumulator over the free head axes and the node's whole tail
-product (leaves in order, from 0.0, as ``tail_conditional_value`` adds
-them); the joint minimum over the tail product then gives v_t for every
-continuation, and V_t is the minimum of a block row over the node's
-candidates. It never nests minima and expectations, which would be the
-recursion. ``check_dynamic_relations`` and the history-blind
-``value_process_for_policy`` read one block per node. A leaf's array is
-built at the first head on the grids asked of it, as long as the leaf
-arrays stay within ``cap`` entries in all, decided leaf by leaf in
-order; the leaves that follow it and fit are built in the same batched
-call. A head off the grids (or holding a -0.0 where the grid has 0.0, or
-the reverse), a node with a leaf past that budget and a block of more
-than ``cap`` entries take one pass per head instead, the accumulator
-over the tail product alone; a leaf past the budget is evaluated for the
-one head asked, with the head given as one-point grids. Every entry goes
-through the same float operations either way. Memory: the leaf arrays
-hold at most ``cap`` float64 entries in all, the accumulator (a block or
-one head's tails) at most ``cap``, and one weighted leaf slice at most
-the accumulator's size, plus the working arrays of one batch (a few
-arrays of ``costs.LEAF_BATCH_ENTRIES`` entries, or of one larger leaf).
-So ``cap`` bounds memory as well as work: about three times ``cap``
-float64 entries, 240 MB at the default cap of 10^7 (measured peaks: 1.0
-to 2.3 times ``cap`` entries, on chain and binary trees), for ``solve``'s
-brute force as for ``verify`` and ``dynamic-check``.
+on the leaf's whole path grid product; per node, its tail axes, whose
+count is checked against the cap before anything is evaluated, and its
+prefix length; and per (node, head prefix of that length) a block, v_t
+over every grid continuation of the prefix to stage t. One rule picks
+the prefix length of a stage-t node: the shortest of t - 1 (the parent's
+and the node's own decision free; the root has no parent, so its own
+alone, at 0), t (the parent's decision fixed) and t + 1 (the whole head
+fixed) whose block, free head axes times tail product, holds at most
+``cap`` entries. The last always fits, since the tails do. A block takes
+one pass over the leaves below the node: each leaf array is sliced at
+the prefix, and rel_prob * slice is added into one accumulator over the
+free head axes and the node's whole tail product (leaves in order, from
+0.0, as ``tail_conditional_value`` adds them); the joint minimum over
+the tail product then gives v_t for every continuation. Every v, V and
+``V_next`` query reads these blocks: a head at least as long as the
+prefix indexes one block, and a shorter one stacks the blocks over the
+grid entries it leaves free. V_t is the minimum of a block row over the
+node's candidates. It never nests minima and expectations, which would
+be the recursion. ``check_dynamic_relations`` and the history-blind
+``value_process_for_policy`` build each block once. A head off the grids
+(or holding a -0.0 where the grid has 0.0, or the reverse) takes one
+uncached pass at the head itself, which fits ``cap`` because the head is
+at least as long as the prefix (a shorter one stacks passes over its
+free grid entries). A leaf's array is built at the first on-grid prefix
+asked of it, as long as the leaf arrays stay within ``cap`` entries in
+all, decided leaf by leaf in order; the leaves that follow it and fit
+are built in the same batched call. A leaf past that budget, and every
+leaf in a pass off the grids, is evaluated for the one prefix asked,
+given as one-point grids. Every entry goes through the same float
+operations either way. Memory: the leaf arrays hold at most ``cap``
+float64 entries in all, the accumulator at most ``cap``, and one
+weighted leaf slice at most the accumulator's size, plus the working
+arrays of one batch (a few arrays of ``costs.LEAF_BATCH_ENTRIES``
+entries, or of one larger leaf). So ``cap`` bounds memory as well as
+work: about three times ``cap`` float64 entries, 240 MB at the default
+cap of 10^7 (measured peaks: 1.0 to 2.3 times ``cap`` entries, on chain
+and binary trees), for ``solve``'s brute force as for ``verify`` and
+``dynamic-check``.
 
 Decision histories are free parameters of the value functions: they need
 not be feasible for the class, only the tail being optimized is
@@ -160,14 +168,13 @@ class _Definitional:
     per distinct slot below the node (sorted), shared by the slot's nodes.
     The slot map is read once; ``grids[slot_of[n]]`` are node n's
     candidates. The cache is the one the module docstring describes: v, V
-    and :meth:`V_next` at a node read its block, v_t over the node's own
-    decision and its parent's (the root's own alone) for one head prefix,
-    built by one leaf pass (:meth:`_accumulate`, the pass of
-    :meth:`tail_values`). Heads are matched to grid positions by
-    ``_exact``, so a signed zero reads the entry of the same sign, as
-    ``tail_conditional_value`` would; a head off the grids, a leaf past the
-    leaf budget and a block of more than ``cap`` entries take one pass per
-    head instead.
+    and :meth:`V_next` at a node read its blocks (:meth:`_values`), v_t
+    over the grid continuations of a head prefix whose length one rule
+    fixes per node (:meth:`_tail`), each built by one leaf pass
+    (:meth:`_accumulate`, the pass of :meth:`tail_values`). Heads are
+    matched to grid positions by ``_exact``, so a signed zero reads the
+    entry of the same sign, as ``tail_conditional_value`` would; a head off
+    the grids takes one uncached pass of its own.
     """
 
     def __init__(self, tree: ScenarioTree, cost: CostSpec, cls: PolicyClass, cap: int):
@@ -176,30 +183,36 @@ class _Definitional:
         self.cap = cap
         self.slot_of, self.grids = cls.slots(tree)
         firsts: list[dict] = []  # per slot: first grid position of each decision
-        self._entry_first: list[list[int]] = []  # per slot: that position for each grid entry
         for grid in self.grids:
             first: dict = {}
             for k, u in enumerate(grid):
                 first.setdefault(_exact(u), k)
             firsts.append(first)
-            self._entry_first.append([first[_exact(u)] for u in grid])
         self._node_first = [firsts[s] for s in self.slot_of]  # per node: its slot's dict
         self._tails: dict[int, tuple] = {}
         self._leaf_values: dict[int, np.ndarray] = {}
         self._leaf_entries = 0
-        self._blocks: dict[tuple, np.ndarray | None] = {}
+        self._blocks: dict[tuple, np.ndarray] = {}
 
     def candidates(self, node_id: int) -> tuple[Decision, ...]:
         """A node's candidates: the grid of its slot."""
         return self.grids[self.slot_of[node_id]]
 
+    def _free_shape(self, node_id: int, p: int) -> tuple[int, ...]:
+        """Grid sizes of a node's root path from stage p on: the free head
+        axes after a prefix of length p."""
+        return tuple(len(self.candidates(nid)) for nid in self.tree.path_nodes(node_id)[p:])
+
     def _tail(self, node_id: int):
-        """The node's stage, tail slots, tail product shape and per-leaf broadcast data.
+        """The node's stage, tail slots, tail shape, per-leaf data and prefix length.
 
         The tail slots are the slots below the node, sorted: one axis each.
         Per leaf below the node: the leaf, its probability given the node,
         and the axis order (None if the slice's axes are already in slot
-        order) and shape that place its tail slice on the tail product.
+        order) and shape that place its tail slice on the tail product. The
+        prefix length is that of the node's blocks: the shortest of t - 1,
+        t and t + 1 (0 and 1 at the root) whose block, the free head axes
+        times the tail product, holds at most ``cap`` entries.
         """
         if node_id in self._tails:
             return self._tails[node_id]
@@ -227,7 +240,10 @@ class _Definitional:
             for p in positions:
                 bshape[p] = shape[p]
             leaves.append((leaf, rel_prob, order, tuple(bshape)))
-        self._tails[node_id] = (stage, tail_slots, shape, leaves)
+        prefix = max(0, stage - 1)
+        while prefix <= stage and math.prod(self._free_shape(node_id, prefix)) * count > self.cap:
+            prefix += 1
+        self._tails[node_id] = (stage, tail_slots, shape, leaves, prefix)
         return self._tails[node_id]
 
     def _leaf_grid_values(self, leaves: Sequence[tuple], i: int) -> np.ndarray | None:
@@ -284,15 +300,17 @@ class _Definitional:
             raise MultistageError(
                 f"head prefix has length {len(prefix)}, expected at most {stage + 1}"
             )
-        nids = self.tree.path_nodes(node_id)
-        free_shape = tuple(len(self.candidates(nid)) for nid in nids[len(prefix):])
-        return self._accumulate(node_id, prefix, self._positions(nids, prefix), free_shape)
+        index = self._positions(self.tree.path_nodes(node_id), prefix)
+        return self._accumulate(node_id, prefix, index)
 
-    def _accumulate(self, node_id: int, prefix: History, index, free_shape) -> np.ndarray:
+    def _accumulate(self, node_id: int, prefix: History, index) -> np.ndarray:
         """The leaf pass of :meth:`tail_values`, given the prefix's grid positions
-        (None if it leaves the grids) and the sizes of the free axes."""
-        _, _, shape, leaves = self._tail(node_id)
+        (None if it leaves the grids). A leaf past the leaf budget, and every
+        leaf of a pass whose prefix leaves the grids, is evaluated with the
+        prefix given as one-point grids."""
+        _, _, shape, leaves, _ = self._tail(node_id)
         p = len(prefix)
+        free_shape = self._free_shape(node_id, p)
         free = tuple(range(len(free_shape)))
         at = None if index is None else index + (...,)
         acc = np.zeros(free_shape + shape)
@@ -314,44 +332,43 @@ class _Definitional:
             acc += tail.reshape(free_shape + bshape)
         return acc
 
-    def _row(self, node_id: int, head: History) -> np.ndarray | None:
-        """v_t at a node over its own candidates' grid positions, for a head of stages 0..t-1.
+    def _minimum(self, node_id: int, prefix: History, index) -> np.ndarray:
+        """v_t over the free head axes after a prefix: one leaf pass, then
+        the first minimum over the tail product."""
+        acc = self._accumulate(node_id, prefix, index)
+        free = acc.ndim - len(self._tail(node_id)[2])
+        return _first_min(acc.reshape(acc.shape[:free] + (-1,)))
 
-        Read off the node's block for the head's prefix without the parent's
-        decision; None where the per-head route applies: a decision off its
-        grid, a block of more than ``cap`` entries, or a leaf below the node
-        past the leaf budget.
+    def _values(self, node_id: int, head: History) -> np.ndarray:
+        """v_t at a node over every grid continuation of a head of stages 0..q-1
+        (q <= t + 1), one axis per stage q..t.
+
+        A head at least as long as the node's prefix length p reads the
+        block of its first p grid positions, built once. A shorter head
+        stacks the values after each candidate of its next stage. A head off
+        the grids takes one pass of its own, uncached; it fits ``cap``
+        because it is at least p long.
         """
-        index = self._positions(self.tree.path_nodes(node_id), head)
-        if index is None:
-            return None
-        p = max(0, len(index) - 1)
-        block = self._block(node_id, index[:p])
-        return None if block is None else block[index[p:]]
-
-    def _block(self, node_id: int, prefix: tuple[int, ...]) -> np.ndarray | None:
-        """v_t over the free head axes after a prefix of grid positions, or None.
-
-        Built once per (node, prefix). None if the block would hold more
-        than ``cap`` entries or a leaf below the node is past the leaf budget.
-        """
-        key = (node_id, prefix)
-        if key not in self._blocks:
-            self._blocks[key] = self._build_block(node_id, prefix)
-        return self._blocks[key]
-
-    def _build_block(self, node_id: int, prefix: tuple[int, ...]) -> np.ndarray | None:
-        _, _, shape, leaves = self._tail(node_id)
+        p = self._tail(node_id)[4]
         nids = self.tree.path_nodes(node_id)
-        free_shape = tuple(len(self.candidates(nid)) for nid in nids[len(prefix):])
-        if math.prod(free_shape) * math.prod(shape) > self.cap:
-            return None
-        for i, (leaf, *_) in enumerate(leaves):
-            if leaf not in self._leaf_values and self._leaf_grid_values(leaves, i) is None:
-                return None
-        decisions = tuple(self.candidates(nid)[k] for nid, k in zip(nids, prefix))
-        acc = self._accumulate(node_id, decisions, prefix, free_shape)
-        return _first_min(acc.reshape(free_shape + (-1,)))
+        if len(head) < p:
+            grid = self.candidates(nids[len(head)])
+            stacked = [self._values(node_id, head + (u,)) for u in grid]
+            return np.array(stacked).reshape(self._free_shape(node_id, len(head)))
+        index = self._positions(nids, head)
+        if index is None:
+            return self._minimum(node_id, head, None)
+        key = (node_id, index[:p])
+        if key not in self._blocks:
+            decisions = tuple(self.candidates(nid)[k] for nid, k in zip(nids, key[1]))
+            self._blocks[key] = self._minimum(node_id, decisions, key[1])
+        return self._blocks[key][index[p:]]
+
+    def _rows(self, node_id: int, head: History) -> list:
+        """:meth:`_values` as nested lists, for a head that leaves the node's own stage free."""
+        if not self.candidates(node_id):
+            raise MultistageError(f"empty feasible set at node {node_id}")
+        return self._values(node_id, tuple(map(tuple, head))).tolist()
 
     def v(self, node_id: int, u_head: History) -> float:
         """v_t at a node for a head history of stages 0..t."""
@@ -361,27 +378,16 @@ class _Definitional:
             raise MultistageError(
                 f"head history has length {len(head)}, expected {stage + 1}"
             )
-        k = self._node_first[node_id].get(_exact(head[-1]))
-        row = None if k is None else self._row(node_id, head[:-1])
-        if row is None:
-            return float(_first_min(self.tail_values(node_id, head).reshape(-1)))
-        return float(row[k])
+        return float(self._values(node_id, head))
 
     def V(self, node_id: int, u_head: History) -> float:
-        """V_t at a node: minimum of v_t over the stage-t candidates."""
+        """V_t at a node: minimum of v_t over the stage-t candidates, in candidate order."""
         stage = self.tree.node(node_id).stage
         if len(u_head) != stage:
             raise MultistageError(
                 f"head history has length {len(u_head)}, expected {stage}"
             )
-        candidates = self.candidates(node_id)
-        if not candidates:
-            raise MultistageError(f"empty feasible set at node {node_id}")
-        head = tuple(map(tuple, u_head))
-        row = self._row(node_id, head)
-        if row is None:
-            return min(self.v(node_id, head + (u,)) for u in candidates)
-        return min(map(row.tolist().__getitem__, self._entry_first[self.slot_of[node_id]]))
+        return min(self._rows(node_id, u_head))
 
     def V_next(self, node_id: int, u_head: History) -> list[float]:
         """V_t at a non-root node for the head of stages 0..t-2 followed by each
@@ -391,20 +397,7 @@ class _Definitional:
             raise MultistageError(
                 f"head history has length {len(u_head)}, expected {node.stage - 1}"
             )
-        parent = node.parent
-        head = tuple(map(tuple, u_head))
-        index = self._positions(self.tree.path_nodes(node_id), head)
-        block = None
-        if index is not None and self.candidates(node_id):
-            block = self._block(node_id, index)
-        if block is None:
-            return [self.V(node_id, head + (u,)) for u in self.candidates(parent)]
-        rows, own = block.tolist(), self._entry_first[self.slot_of[node_id]]
-        return [min(map(rows[k].__getitem__, own)) for k in self._entry_first[self.slot_of[parent]]]
-
-    def position(self, node_id: int, u: Decision) -> int | None:
-        """The first grid position of a decision among a node's candidates, or None."""
-        return self._node_first[node_id].get(_exact(u))
+        return [min(row) for row in self._rows(node_id, u_head)]
 
 
 def compute_v(
@@ -618,7 +611,7 @@ def brute_force_optimum(
         j = int(acc.argmin())
         if best_value is None or acc[j] < best_value:
             best_value, best_at = float(acc[j]), (k, j)
-    _, tail_slots, shape, _ = route._tail(0)
+    _, tail_slots, shape, _, _ = route._tail(0)
     indices = [0] * len(route.grids)
     indices[route.slot_of[0]] = best_at[0]
     for s, i in zip(tail_slots, np.unravel_index(best_at[1], shape)):

@@ -298,12 +298,10 @@ def check_dynamic_relations(
         )
 
         lhs_v = route.v(n.id, head_full)
-        # the best stage-(t+1) deviation of v_{t+1} is V_{t+1}, read at the
-        # policy's own candidate when it is on the grid
-        k = route.position(n.id, head_full[-1])
+        # the best stage-(t+1) deviation of v_{t+1} is V_{t+1}
         rhs_v = 0.0
-        for p, c, row in zip(probs, kids, rows):
-            rhs_v += p * (route.V(c, head_full) if k is None else row[k])
+        for p, c in zip(probs, kids):
+            rhs_v += p * route.V(c, head_full)
         records.append(
             RelationRecord(t=n.stage, node=n.id, relation="v", lhs=lhs_v, rhs=rhs_v)
         )

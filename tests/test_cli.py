@@ -281,6 +281,83 @@ class TestInfiniteIntegerFields:
         self.assert_input_error(["sddp-solve", "--input", path], capsys)
 
 
+def additive_bundle():
+    """The value-types bundle with an additive lag-1 cost."""
+    data = TestJsonValueTypes.bundle()
+    data["cost"] = {"form": "additive", "gamma": 0.5, "lag": 1, "stage_costs": [
+        {"poly": {"terms": [{"coef": 1.0, "vars": [["u", 0, 0, 2]]}]}}]}
+    return data
+
+
+def mdp_with_actions():
+    data = mdp_to_json(constant_cost_mdp(gamma=0.5))
+    data["actions_by_state"] = [[0], [0]]
+    return data
+
+
+class TestIntegerFields:
+    """An integer field holding a fraction, a boolean or a string is an input
+    error that names the field; an integer written as a float is accepted."""
+
+    TERM = ("cost", "poly", "terms", 0, "vars", 0)  # the first term's first variable
+    #: field -> (input, command, key path, the error's name for the field)
+    FIELDS = {
+        "tree-horizon": ("bundle", "validate", ("tree", "horizon"), "tree horizon"),
+        "tree-obs_dim": ("bundle", "validate", ("tree", "obs_dim"), "tree obs_dim"),
+        "node-id": ("bundle", "validate", ("tree", "nodes", 1, "id"), "node id"),
+        "node-stage": ("bundle", "validate", ("tree", "nodes", 1, "stage"), "node stage"),
+        "node-parent": ("bundle", "validate", ("tree", "nodes", 1, "parent"), "node parent"),
+        "poly-index": ("bundle", "solve", (*TERM, 1), "poly variable index"),
+        "poly-component": ("bundle", "solve", (*TERM, 2), "poly variable component"),
+        "poly-power": ("bundle", "solve", (*TERM, 3), "poly variable power"),
+        "cost-lag": ("additive", "solve", ("cost", "lag"), "cost lag"),
+        "class-decision_dim": ("bundle", "validate", ("policy_class", "decision_dim"),
+                               "policy class decision_dim"),
+        "policy-decision_dim": ("bundle", "verify", ("policies", "ones", "decision_dim"),
+                                "policy decision_dim"),
+        "stagewise-horizon": ("stagewise", "sddp-solve", ("horizon",), "stagewise horizon"),
+        "step-component": ("stagewise", "sddp-solve", (*TERM, 1),
+                           "step-cost variable component"),
+        "step-power": ("stagewise", "sddp-solve", (*TERM, 2), "step-cost variable power"),
+        "actions_by_state": ("mdp", "value-iterate", ("actions_by_state", 1, 0),
+                             "actions_by_state entry"),
+    }
+    INPUTS = {
+        "bundle": TestJsonValueTypes.bundle,
+        "additive": additive_bundle,
+        "stagewise": lambda: random_sddp(rng_from_seed(8), horizon=2).payload,
+        "mdp": mdp_with_actions,
+    }
+
+    def run(self, tmp_path, capsys, field, value=None):
+        """Exit code, stdout and stderr of the field's command, with the field
+        set to ``value`` (left as it is for None)."""
+        kind, command, keys, _ = self.FIELDS[field]
+        data = self.INPUTS[kind]()
+        if value is not None:
+            target = data
+            for k in keys[:-1]:
+                target = target[k]
+            target[keys[-1]] = value(target[keys[-1]]) if callable(value) else value
+        path = write_json(tmp_path / "input.json", data)
+        code = main([command, "--input", path, "--json"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("value", [1.5, True, "1"], ids=["fraction", "boolean", "string"])
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_non_integer_exits_three(self, tmp_path, capsys, field, value):
+        code, out, err = self.run(tmp_path, capsys, field, value)
+        assert (code, out) == (3, "")
+        assert f"input error: {self.FIELDS[field][3]} must be an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_integer_written_as_a_float_is_accepted(self, tmp_path, capsys, field):
+        code, out, err = self.run(tmp_path, capsys, field)
+        assert code in (0, 1) and err == ""
+        assert self.run(tmp_path, capsys, field, float) == (code, out, err)
+
+
 class TestSolve:
     def test_recorded_fixture_value(self, recourse_bundle, capsys):
         code = main(
@@ -806,6 +883,24 @@ class TestSddpCommand:
         monkeypatch.undo()
         full = write_json(tmp_path / "full.json", dict(payload, cost={"table": {"entries": entries}}))
         assert main(["sddp-solve", "--input", full, "--json"]) == 0
+
+    def test_a_table_is_matched_once_per_stage(self, tmp_path, capsys, monkeypatch):
+        # the load check and the recursion read the same step arrays
+        import multistage.dp_solvers as dp
+        from test_golden_reports import sddp_table
+
+        payload = sddp_table(32)
+        step_array = dp._step_array
+        steps = []  # (states, noise values) of every call; they differ stage by stage
+
+        def counted(cost, states, outcomes, decisions):
+            steps.append((states, outcomes))
+            return step_array(cost, states, outcomes, decisions)
+
+        monkeypatch.setattr(dp, "_step_array", counted)
+        path = write_json(tmp_path / "sddp.json", payload)
+        assert main(["sddp-solve", "--input", path, "--json"]) == 0
+        assert len(steps) == len(set(steps)) == payload["horizon"]
 
     def test_an_empty_decision_grid_exits_three_before_the_recursion(
         self, tmp_path, capsys, monkeypatch

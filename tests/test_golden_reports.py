@@ -12,15 +12,18 @@ a nodewise class whose grid sizes differ within a stage, a nodewise class
 with more leaf entries than one batch of leaf arrays holds and a
 history-blind class.
 
-Two fixed-shape bundles pin the definitional route's fallbacks: a nodewise
-tree with 1, 2, 4 and 6 nodes per stage and grids of 2 (``nw13``) and a
-horizon-5 history-blind tree with a grid of 3 at the last stage
+Two fixed-shape bundles pin the definitional route at small caps: a
+nodewise tree with 1, 2, 4 and 6 nodes per stage and grids of 2 (``nw13``)
+and a horizon-5 history-blind tree with a grid of 3 at the last stage
 (``blind5``). ``dynamic-check`` and ``verify`` run on each at the default
 ``--cap`` and at smaller caps (``CAPS``): one where the root's tails fit
 but a node's block of values over its own and its parent's decision does
-not, and on ``blind5`` one where every block fits but the leaf arrays run
-past the budget. On ``nw13`` the 96 leaf entries are fewer than the
-root's 4096 tails, so no cap the root fits reaches the leaf budget. ``validate`` runs on a bundle with a declared Hoelder
+not, so that node's blocks fix a longer head prefix, and on ``blind5`` one
+where every block fits but the leaf arrays run past the budget. On
+``nw13`` the 96 leaf entries are fewer than the root's 4096 tails, so no
+cap the root fits reaches the leaf budget. The digests were recorded
+before the route chose one prefix per node, when these caps took a pass
+per head. ``validate`` runs on a bundle with a declared Hoelder
 block that holds and on one that fails, and ``sddp-solve`` on a
 stagewise-independent problem whose step cost is a table.
 
@@ -516,6 +519,26 @@ def test_small_caps_reach_the_fallbacks():
     assert tails == CAPS["blind5"][0] < block
     leaf_entries = FIXED["blind5"][0][-1] * block
     assert block <= CAPS["blind5"][1] < leaf_entries
+
+
+@pytest.mark.parametrize("command", ["dynamic-check", "verify"])
+@pytest.mark.parametrize("name, cap", [(name, cap) for name in FIXED for cap in CAPS[name]])
+def test_no_leaf_pass_is_repeated(directory, monkeypatch, name, cap, command):
+    # every (node, head prefix) reaches the definitional route's leaf pass once
+    from multistage.value_process import _Definitional
+
+    accumulate = _Definitional._accumulate
+    passes = []
+
+    def counted(self, node_id, prefix, *args):
+        passes.append((node_id, repr(prefix)))  # repr tells -0.0 from 0.0
+        return accumulate(self, node_id, prefix, *args)
+
+    monkeypatch.setattr(_Definitional, "_accumulate", counted)
+    run_case(directory, name, [command, "--cap", str(cap)])
+    assert len(passes) == len(set(passes))
+    if command == "dynamic-check" or FIXED[name][2] == "history_blind":
+        assert passes
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

@@ -36,7 +36,7 @@ from multistage.generate import (
     random_tree,
     rng_from_seed,
 )
-from multistage.policy import policy_from_indices
+from multistage.policy import DEFAULT_ENUMERATION_CAP, policy_from_indices
 from multistage.scenario_tree import Node, ScenarioTree, path, unconditional_probability
 from multistage.value_process import _Definitional, holder_table_violation
 from multistage.verification import check_dynamic_relations
@@ -715,7 +715,7 @@ def signed_zero_instance(seed, kind, form):
     general payload behind a Python callable) or ``signed`` (a raw callable
     that tells -0.0 from 0.0). For odd seeds one slot's grid holds 0.0
     alone and the policy picks -0.0 there: feasible, but off the grid's
-    entries, so the heads through it take the per-head route.
+    entries, so the heads through it take uncached passes of their own.
     """
     rng = rng_from_seed(seed)
     tree = random_tree(rng, horizon=int(rng.integers(1, 4)), max_branch=2)
@@ -747,6 +747,23 @@ def signed_zero_instance(seed, kind, form):
                      for n in tree.nodes}
         policy = Policy(decisions=decisions, decision_dim=1)
     return tree, cost, cls, policy
+
+
+def block_sizes(tree, cls):
+    """Entries of every block the definitional route may build, from the
+    root's tail product (the least cap it runs at) up: per node of stage t
+    and prefix length p in t-1, t, t+1 (0 and 1 at the root), the grid sizes
+    of stages p..t times the node's tail product."""
+    slot_of, grids = cls.slots(tree)
+    sizes = {}
+    for n in tree.nodes:
+        below = {slot_of[i] for leaf in tree.leaves_below(n.id)
+                 for i in tree.path_nodes(leaf)[n.stage + 1:]}
+        tails = math.prod(len(grids[s]) for s in below)
+        nids = tree.path_nodes(n.id)
+        for p in range(max(0, n.stage - 1), n.stage + 2):
+            sizes[n.id, p] = math.prod(len(grids[slot_of[i]]) for i in nids[p:]) * tails
+    return sorted({s for s in sizes.values() if s >= sizes[0, 1]})
 
 
 def off_grid(head, k):
@@ -799,15 +816,17 @@ class TestDefinitionalRoute:
             for p, c in zip(probs, kids):
                 rhs_v += p * min(ref.v(c, head_full + (u,)) for u in cls.feasible_at(tree, c))
             expected += [("V", ref.V(n.id, head), rhs_V), ("v", ref.v(n.id, head_full), rhs_v)]
-        records = check_dynamic_relations(tree, cost, cls, policy).records
-        assert [(r.relation, r.lhs.hex(), r.rhs.hex()) for r in records] == [
-            (relation, lhs.hex(), rhs.hex()) for relation, lhs, rhs in expected]
-        if kind == "history_blind":
-            v_proc, V_proc = value_process_for_policy(tree, cost, cls, policy)
-            assert [v_proc[n.id].hex() for n in tree.nodes] == [
-                ref.v(n.id, heads[n.id]).hex() for n in tree.nodes]
-            assert [V_proc[n.id].hex() for n in tree.nodes] == [
-                ref.V(n.id, heads[n.id][:-1]).hex() for n in tree.nodes]
+        expected = [(relation, lhs.hex(), rhs.hex()) for relation, lhs, rhs in expected]
+        # at each block size as the cap, some node's blocks take a longer prefix
+        for cap in [DEFAULT_ENUMERATION_CAP] + block_sizes(tree, cls):
+            records = check_dynamic_relations(tree, cost, cls, policy, cap=cap).records
+            assert [(r.relation, r.lhs.hex(), r.rhs.hex()) for r in records] == expected
+            if kind == "history_blind":
+                v_proc, V_proc = value_process_for_policy(tree, cost, cls, policy, cap=cap)
+                assert [v_proc[n.id].hex() for n in tree.nodes] == [
+                    ref.v(n.id, heads[n.id]).hex() for n in tree.nodes]
+                assert [V_proc[n.id].hex() for n in tree.nodes] == [
+                    ref.V(n.id, heads[n.id][:-1]).hex() for n in tree.nodes]
 
     @pytest.mark.parametrize("kind", ["nodewise", "history_blind"])
     def test_one_accumulator_pass_per_node(self, monkeypatch, kind):
