@@ -34,6 +34,15 @@ every float written as ``float.hex``. Their fixtures cover lags 0 to 3,
 gamma > 0, < 0 and = 0, compiled JSON stage costs and raw callables, and
 one tree whose lag windows hide different laws (an inapplicable report).
 
+The MDP commands are pinned by the bytes they print: the digest of the
+whole standard output of ``mdp-solve`` and ``value-iterate``, with ``--json``
+and as text, with the input path replaced by a fixed placeholder. Their
+seeded ``random_mdp`` instances cover action-independent and
+action-dependent kernels, an ``actions_by_state`` mask together with
+``stage_costs``, gamma < 0 and gamma = 0, and a ``--max-iters`` run that does
+not converge (exit 1). These digests were recorded before the MDP solvers
+and the report writer were reworked.
+
 The help texts are pinned the same way: the digest of what ``multistage
 --help`` and every ``<subcommand> --help`` print, and of the usage error that
 a command line without a subcommand prints, each formatted for 80 columns.
@@ -62,6 +71,7 @@ from multistage.cli import main
 from multistage.costs import cost_from_json, empirical_holder_constant
 from multistage.dp_solvers import (
     lag_recursion_check,
+    mdp_to_json,
     sddp_from_json,
     sddp_to_product_tree,
     tilde_shift,
@@ -72,6 +82,7 @@ from multistage.generate import (
     random_general_cost,
     random_history_blind_class,
     random_instance,
+    random_mdp,
     random_nodewise_class,
     random_sddp,
     random_tree,
@@ -327,6 +338,8 @@ def run_case(directory, name: str, command: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(out):
         code = main([*command, "--input", str(file), "--json"])
     report = json.loads(out.getvalue())
+    # the printed bytes are json.dumps' own, so the digest pins them too
+    assert out.getvalue() == json.dumps(report, sort_keys=True, indent=2) + "\n"
     report.pop("input")
     text = json.dumps(report, sort_keys=True, indent=2)
     return code, hashlib.sha256(text.encode()).hexdigest()
@@ -397,6 +410,54 @@ def run_dynamic(name: str) -> tuple[str, str, str]:
     )
 
 
+
+def mdp_inputs() -> dict[str, dict]:
+    """Name -> MDP JSON, every one from a fixed seed."""
+    out = {}
+    for name, seed, n, a, gamma, dependent in (
+        ("mdp_indep", 71, 6, 3, 0.9, False), ("mdp_dep", 72, 5, 4, 0.8, True),
+        ("mdp_neg", 73, 4, 3, -0.7, True), ("mdp_zero", 74, 4, 2, 0.0, False),
+    ):
+        out[name] = mdp_to_json(random_mdp(rng_from_seed(seed), n_states=n, n_actions=a,
+                                           gamma=gamma, action_dependent=dependent))
+    # a mask on the actions, and one cost array per transition of a horizon-4 solve
+    rng = rng_from_seed(75)
+    data = mdp_to_json(random_mdp(rng, n_states=5, n_actions=3, gamma=0.85,
+                                  action_dependent=True))
+    data["actions_by_state"] = [[0, 2], [1], [0, 1, 2], [2, 0], [1, 2]]
+    data["stage_costs"] = [rng.uniform(-1.0, 1.0, size=(5, 5, 3)).tolist() for _ in range(4)]
+    data["bound_K"] = 1.0
+    out["mdp_masked"] = data
+    return out
+
+
+#: MDP input -> the commands run on it, each with and without --json
+MDP_COMMANDS = {
+    "mdp_indep": ["mdp-solve --horizon 5", "value-iterate"],
+    "mdp_dep": ["mdp-solve --horizon 7", "value-iterate --tolerance 1e-6"],
+    "mdp_neg": ["mdp-solve --horizon 4", "value-iterate"],
+    "mdp_zero": ["mdp-solve --horizon 3", "value-iterate"],
+    "mdp_masked": ["mdp-solve --horizon 4", "value-iterate", "value-iterate --max-iters 3"],
+}
+
+
+def mdp_case_ids() -> list[str]:
+    return [f"{name}:{command}{flag}" for name, commands in MDP_COMMANDS.items()
+            for command in commands for flag in ("", " --json")]
+
+
+def run_mdp_case(directory, name: str, command: list[str]) -> tuple[int, str]:
+    """Exit code and digest of the whole standard output, the input path replaced."""
+    file = directory / f"{name}.json"
+    if not file.exists():
+        file.write_text(json.dumps(mdp_inputs()[name], sort_keys=True, indent=2))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*command, "--input", str(file)])
+    text = out.getvalue().replace(json.dumps(str(file)), '"<input>"')
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
 GOLDEN = {
     'general:solve --method backward': (0, '26d7a2d983153f13fe44df7d255857dd883335a4f840699e0cd8bb4100d481ef'),
     'general:solve --method brute': (0, '1c26e45b1a63484efceef93dcdb3090828822e2bd6e4d6d6936d38a10e0cacb7'),
@@ -463,6 +524,33 @@ HELP_GOLDEN = {
     'mdp-solve --help': (0, '12eae8bc8a59b2b39dd07d8a87170934ccdabde378174c32e686a9d1ee140c94', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'value-iterate --help': (0, 'ef1fdbcb0cf4bd0a407ef7955ae338f646a507f47f597a7ad1c97e1ff7c91bc9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'sddp-solve --help': (0, '24ecac6b817a3e2d04617742da89410d45d8917ced82867854f7ad4752475626', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+}
+
+
+#: MDP case -> exit code and digest of the standard output
+MDP_GOLDEN = {
+    'mdp_indep:mdp-solve --horizon 5': (0, '8f39d1e4d26af51249aa9e523691e86a5223019971fe7dc5f18d75b9224961e0'),
+    'mdp_indep:mdp-solve --horizon 5 --json': (0, '22ca808f2bd9c204a748066d17af40cbc085b23c9efd829571cce9b3e5828892'),
+    'mdp_indep:value-iterate': (0, '3fff824ddbd6ebf19de5423acae6a4db0d93c7317e45f206bd1706710e8f4f9d'),
+    'mdp_indep:value-iterate --json': (0, 'fb62048b6e3f8ad6662797b36348c3870c5a82d12a31449c5ea6d9966ed9e4be'),
+    'mdp_dep:mdp-solve --horizon 7': (0, '72c93a4e608365e341ad35cd463dbd3f66e8416ee3cadf5c3687b8363f5a6aad'),
+    'mdp_dep:mdp-solve --horizon 7 --json': (0, 'b530586c83a26d4bfd8fdd7c6a547a44bf97e59f7bcbaefee310e8a0a271e480'),
+    'mdp_dep:value-iterate --tolerance 1e-6': (0, 'd5231bb73353f60633bf869fb1dbf5123a8c0108d5f97358eb27ab1eb24edf7a'),
+    'mdp_dep:value-iterate --tolerance 1e-6 --json': (0, '6bd9ada9e6626be12fadcd2a100813f18157f3246772d63964d68d6f248048f3'),
+    'mdp_neg:mdp-solve --horizon 4': (0, '326fd6787f952b23aa7ba1f5badf3ff9a9fbc17442424035c452f50336bfa859'),
+    'mdp_neg:mdp-solve --horizon 4 --json': (0, '5659409ad87430e5ba7575acb79336a2b1a76422f7a7f171cca64534e507790b'),
+    'mdp_neg:value-iterate': (0, '9394e2dd56fa6d53f86def571b9b2da52be635be81640760d865b13b5bd08d8a'),
+    'mdp_neg:value-iterate --json': (0, 'db3dac6c4da41ec778a6f4329cb0dbc0b9c3a228b4dc25f336fd6d473d18a517'),
+    'mdp_zero:mdp-solve --horizon 3': (0, '2b5ec4c8f0187a89c16ec5a50e7c8e486fddd14f59ed35bc49a5d92905dba844'),
+    'mdp_zero:mdp-solve --horizon 3 --json': (0, '57472e12e5a85215efa912513af1fe48a81e00eea962a9bf30bb814c70f014cc'),
+    'mdp_zero:value-iterate': (0, 'be2bba5bbdd8af944ab97fe08d9212aded07f1e80bd0bf44ee63ca22e9ab1e25'),
+    'mdp_zero:value-iterate --json': (0, 'c72cf881807aa7dc77d05cd0b4296a13203f35fa39b57d7e65b46f3534c5e36c'),
+    'mdp_masked:mdp-solve --horizon 4': (0, '51add17d8719eb7da8e0aab4e933634efe82efee6643232b1c9b3ab0fa0252c3'),
+    'mdp_masked:mdp-solve --horizon 4 --json': (0, '3be2bdef392e489e104ad3af96ecb9c7103ebb6b546805c1fa508286623ea433'),
+    'mdp_masked:value-iterate': (0, 'bd4f6b39032aa671ceeb1ee62bae8c1c65e992f0d4e8e3a353f4e05aff0e894c'),
+    'mdp_masked:value-iterate --json': (0, '84feece0601f2394e7419c9511b2a7070d149000cc3988fb4ed0c51c65e726ac'),
+    'mdp_masked:value-iterate --max-iters 3': (1, 'c242217cc3b72b6a5ee117b1956e3fa39d40123c3fa63bf6c0864b19b604f3d9'),
+    'mdp_masked:value-iterate --max-iters 3 --json': (1, '32bb61f43f425884c01498a6bbe54c6026e90a9897ed7806bc1f290bf31fb2c2'),
 }
 
 
@@ -547,6 +635,16 @@ def test_report_is_byte_identical(directory, case):
     assert run_case(directory, name, command.split()) == tuple(GOLDEN[case])
 
 
+def test_every_mdp_case_has_a_digest():
+    assert list(MDP_GOLDEN) == mdp_case_ids()
+
+
+@pytest.mark.parametrize("case", list(MDP_GOLDEN))
+def test_mdp_output_is_byte_identical(directory, case):
+    name, command = case.split(":")
+    assert run_mdp_case(directory, name, command.split()) == tuple(MDP_GOLDEN[case])
+
+
 def test_every_dynamic_fixture_has_a_digest():
     assert list(DYNAMIC_GOLDEN) == list(dynamic_fixtures())
 
@@ -578,6 +676,10 @@ if __name__ == "__main__":
         for case in case_ids():
             name, command = case.split(":")
             code, digest = run_case(pathlib.Path(tmp), name, command.split())
+            sys.stdout.write(f"    {case!r}: ({code}, {digest!r}),\n")
+        for case in mdp_case_ids():
+            name, command = case.split(":")
+            code, digest = run_mdp_case(pathlib.Path(tmp), name, command.split())
             sys.stdout.write(f"    {case!r}: ({code}, {digest!r}),\n")
     for name in dynamic_fixtures():
         sys.stdout.write(f"    {name!r}: {run_dynamic(name)!r},\n")
