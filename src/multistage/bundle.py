@@ -1,10 +1,12 @@
-"""Problem bundles: tree, cost and class shipped as one JSON document."""
+"""Problem bundles: tree, cost and class shipped as one JSON document, and
+one loader per input kind: bundles, MDPs and stagewise-independent problems."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .costs import CostSpec, cost_from_json, cost_problems, cost_to_json, verify_holder
+from .dp_solvers import MDPSpec, SddpSpec, mdp_from_json, sddp_from_json
 from .exceptions import InputFormatError, read_json, require_object
 from .policy import (
     Policy,
@@ -89,3 +91,14 @@ def bundle_to_json(bundle: ProblemBundle) -> dict:
 
 def load_bundle(path: str) -> ProblemBundle:
     return bundle_from_json(read_json(path))
+
+
+def load_mdp(path: str) -> MDPSpec:
+    """The MDP in the JSON file at ``path``, checked as :func:`mdp_from_json` checks it."""
+    return mdp_from_json(read_json(path))
+
+
+def load_stagewise(path: str) -> SddpSpec:
+    """The stagewise-independent problem in the JSON file at ``path``, checked
+    as :func:`sddp_from_json` checks it."""
+    return sddp_from_json(read_json(path))

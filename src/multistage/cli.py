@@ -14,16 +14,11 @@ import functools
 import json
 import math
 import sys
+from typing import Callable
 
 from . import __version__
-from .bundle import bundle_from_json, load_bundle
-from .dp_solvers import (
-    mdp_backward_induction,
-    mdp_from_json,
-    sddp_from_json,
-    sddp_recursion,
-    value_iteration,
-)
+from .bundle import bundle_from_json, load_bundle, load_mdp, load_stagewise
+from .dp_solvers import mdp_backward_induction, sddp_recursion, value_iteration
 from .exceptions import (
     ConvergenceError,
     EnumerationCapError,
@@ -58,11 +53,97 @@ EXIT_INPUT = 3
 AUTO_BRUTE_LIMIT = 100_000
 
 
-def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _scalar_text(value) -> str | None:
+    """The JSON text of a number, a boolean or None; None for any other value."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _key_text(key) -> str:
+    text = key if isinstance(key, str) else _scalar_text(key)
+    if text is None:
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+        )
+    return text
+
+
+def _encode(value, indent: str, out: list[str]) -> None:
+    """Append the text of ``value`` at nesting ``indent`` to ``out``."""
+    text = _escape(value) if isinstance(value, str) else _scalar_text(value)
+    if text is not None:
+        out.append(text)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = ",\n" + inner
+        if set(map(type, value)) <= {float, int}:
+            # repr of a finite float or an int is its JSON text; NaN and the
+            # infinities are the only reprs with an "n"
+            text = separator.join(map(repr, value))
+            if "n" not in text:
+                out.append(f"[\n{inner}{text}\n{indent}]")
+                return
+        out.append("[\n" + inner)
+        for k, item in enumerate(value):
+            if k:
+                out.append(separator)
+            _encode(item, inner, out)
+        out.append(f"\n{indent}]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        out.append("{\n" + inner)
+        for k, (key, item) in enumerate(sorted(value.items())):
+            if k:
+                out.append(",\n" + inner)
+            out.append(_escape(_key_text(key)) + ": ")
+            _encode(item, inner, out)
+        out.append(f"\n{indent}}}")
     else:
-        for line in lines:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def report_json(report) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2)``, byte for byte, or the
+    same exception type; a list of plain floats and ints is one ``str.join``.
+
+    Like ``json.dumps`` it writes NaN and the infinities as ``NaN`` and
+    ``±Infinity``, escapes every non-ASCII character, refuses numpy integers
+    and sorts dict keys before converting them to strings. It does not look
+    for reference cycles: a report is a tree.
+    """
+    out: list[str] = []
+    _encode(report, "", out)
+    return "".join(out)
+
+
+def _emit(report: dict, as_json: bool, lines: Callable[[], list[str]]) -> None:
+    """Print ``report`` as JSON, or else the text lines that ``lines()`` builds."""
+    if as_json:
+        print(report_json(report))
+    else:
+        for line in lines():
             print(line)
 
 
@@ -76,7 +157,7 @@ def cmd_validate(args) -> int:
     _emit(
         report,
         args.json,
-        [f"{'OK' if not problems else 'INVALID'}: {args.input}"] + problems,
+        lambda: [f"{'OK' if not problems else 'INVALID'}: {args.input}"] + problems,
     )
     return EXIT_OK if not problems else EXIT_NEGATIVE
 
@@ -138,14 +219,14 @@ def cmd_solve(args) -> int:
             value, policy = brute_value, brute_policy
         elif abs(brute_value - value) > args.tolerance:
             report["agreement"] = False
-            _emit(report, args.json, [f"DISAGREEMENT: {value} vs {brute_value}"])
+            _emit(report, args.json, lambda: [f"DISAGREEMENT: {value} vs {brute_value}"])
             return EXIT_NEGATIVE
         else:
             report["agreement"] = True
     report["method"] = method
     report["value"] = value
     report["policy"] = policy_to_json(policy)
-    _emit(report, args.json, [f"optimal value: {value!r}", f"method: {method}"])
+    _emit(report, args.json, lambda: [f"optimal value: {value!r}", f"method: {method}"])
     return EXIT_OK
 
 
@@ -164,7 +245,7 @@ def cmd_verify(args) -> int:
     _emit(
         payload,
         args.json,
-        [
+        lambda: [
             f"classification: {report.classification}",
             f"verdict: {report.verdict}",
             f"expected value: {payload['expected_value']!r}",
@@ -188,7 +269,7 @@ def cmd_dynamic_check(args) -> int:
     _emit(
         payload,
         args.json,
-        [
+        lambda: [
             f"all one-step relations hold: {report.all_hold}",
             f"equality everywhere: {report.equality_everywhere}",
         ],
@@ -234,29 +315,24 @@ def cmd_demo_interchange(args) -> int:
             min_gap = min(min_gap, rep.gap)
         report["trials"] = {"count": args.trials, "min_gap": min_gap}
         lines.append(f"{args.trials} random trials, min gap {min_gap!r}")
-    _emit(report, args.json, lines)
+    _emit(report, args.json, lambda: lines)
     return EXIT_OK if min_gap >= -INEQUALITY_SLACK else EXIT_NEGATIVE
 
 
 def cmd_mdp_solve(args) -> int:
-    mdp = mdp_from_json(read_json(args.input))
-    values, greedy = mdp_backward_induction(mdp, horizon=args.horizon)
+    values, greedy = mdp_backward_induction(load_mdp(args.input), horizon=args.horizon)
     report = {
         "input": args.input,
         "horizon": args.horizon,
-        "values": [[float(x) for x in v] for v in values],
-        "greedy": [[int(a) for a in g] for g in greedy],
+        "values": [v.tolist() for v in values],
+        "greedy": [g.tolist() for g in greedy],
     }
-    _emit(
-        report,
-        args.json,
-        [f"stage 0 values: {[float(x) for x in values[0]]!r}"],
-    )
+    _emit(report, args.json, lambda: [f"stage 0 values: {report['values'][0]!r}"])
     return EXIT_OK
 
 
 def cmd_value_iterate(args) -> int:
-    mdp = mdp_from_json(read_json(args.input))
+    mdp = load_mdp(args.input)
     try:
         result = value_iteration(mdp, epsilon=args.tolerance, max_iters=args.max_iters)
     except ConvergenceError as exc:
@@ -267,14 +343,14 @@ def cmd_value_iterate(args) -> int:
             "residuals": exc.residuals,
             "rounding_bounds": exc.rounding_bounds,
         }
-        _emit(report, args.json, [f"no convergence in {exc.max_iters} iterations"])
+        _emit(report, args.json, lambda: [f"no convergence in {exc.max_iters} iterations"])
         return EXIT_NEGATIVE
     report = {
         "input": args.input,
         "converged": True,
         "iterations": result.iterations,
-        "values": [float(x) for x in result.values],
-        "greedy": [int(a) for a in result.greedy],
+        "values": result.values.tolist(),
+        "greedy": result.greedy.tolist(),
         "residuals": result.residuals,
         "rounding_bounds": result.rounding_bounds,
         "epsilon": args.tolerance,
@@ -282,8 +358,8 @@ def cmd_value_iterate(args) -> int:
     _emit(
         report,
         args.json,
-        [
-            f"fixed point: {[float(x) for x in result.values]!r}",
+        lambda: [
+            f"fixed point: {report['values']!r}",
             f"iterations: {result.iterations}",
             "residuals: " + " ".join(f"{r:.3e}" for r in result.residuals),
         ],
@@ -292,7 +368,7 @@ def cmd_value_iterate(args) -> int:
 
 
 def cmd_sddp_solve(args) -> int:
-    spec = sddp_from_json(read_json(args.input))
+    spec = load_stagewise(args.input)
     result = sddp_recursion(spec)
     report = {
         "input": args.input,
@@ -306,7 +382,7 @@ def cmd_sddp_solve(args) -> int:
         ],
         "root_value": result.values[0][spec.initial_state],
     }
-    _emit(report, args.json, [f"root value: {report['root_value']!r}"])
+    _emit(report, args.json, lambda: [f"root value: {report['root_value']!r}"])
     return EXIT_OK
 
 

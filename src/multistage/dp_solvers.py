@@ -50,6 +50,7 @@ from .exceptions import (
     MultistageError,
     UnboundedObjectiveError,
     require_int,
+    require_number,
     require_object,
 )
 from .policy import DEFAULT_ENUMERATION_CAP, Decision, Policy, PolicyClass
@@ -178,37 +179,34 @@ class MDPSpec:
         return problems
 
 
-def _expected_cost(kernel, cost) -> np.ndarray:
-    """Q[i, a] = sum_j K_a[i, j] c[i, j, a] for ``kernel`` (n, m) or (a, n, m), ``cost`` (n, m, a).
+def _transposed(cost) -> np.ndarray:
+    """The contiguous (n, a, m) transpose of a cost array (n, m, a): row [i, a]
+    holds c[i, :, a], the target that ``_expected_cost`` dots with K_a[i]."""
+    return np.ascontiguousarray(np.moveaxis(cost, 2, 1))
 
-    Runs in the inputs' dtype. Each entry is one dot product of two
-    contiguous rows, which keeps float64 results bit-identical to ``np.dot``;
-    einsum or a strided target is not.
+
+def _expected_cost(kernel, target) -> np.ndarray:
+    """Q[i, a] = sum_j K_a[i, j] target[i, a, j] for ``kernel`` (n, m) or (a, n, m).
+
+    ``target`` is a contiguous (n, a, m) array, such as ``_transposed(cost)``
+    for Q[i, a] = sum_j K_a[i, j] c[i, j, a]. Runs in the inputs' dtype. Each
+    entry is one dot product of two contiguous rows, which keeps float64
+    results bit-identical to ``np.dot``; einsum or a strided target is not.
     """
-    target = np.ascontiguousarray(np.moveaxis(cost, 2, 1))
     rows = kernel[:, None, :] if kernel.ndim == 2 else np.moveaxis(kernel, 0, 1)
     return np.matmul(rows[..., None, :], target[..., :, None])[..., 0, 0]
 
 
-def _bellman_min(
-    kernel, cost, gamma, v, mask=None, expected=None
-) -> tuple[np.ndarray, np.ndarray]:
+def _bellman_min(kernel, target, gamma, v, mask=None) -> tuple[np.ndarray, np.ndarray]:
     """Min and first argmin over a of Q[i, a] = sum_j K_a[i, j] (c[i, j, a] + gamma v[j]).
 
-    ``kernel`` is (n, m) or (a, n, m), ``cost`` (n, m, a), ``v`` (m,); actions
-    with a false ``mask[i, a]`` count as +inf. Runs in the inputs' dtype, and
-    Q is ``_expected_cost`` of the target c + gamma v.
-
-    A stationary sweep passes instead the part of Q that does not depend on
-    v, computed once: ``expected`` = ``_expected_cost(kernel, cost)``, (n, a).
-    Then Q = expected + gamma (K v) with one ``np.dot``, ``cost`` is not read
-    and ``kernel`` holds the rows K_a[i] as one matrix: (n, m) when the
-    kernel ignores the action, the (n a, m) stack in (i, a) order otherwise.
+    ``kernel`` is (n, m) or (a, n, m), ``target`` the (n, a, m) transpose of
+    the cost c (``_transposed``), ``v`` (m,); actions with a false
+    ``mask[i, a]`` count as +inf. Runs in the inputs' dtype, and Q is
+    ``_expected_cost`` of the target c + gamma v, each entry c[i, j, a] +
+    (gamma v[j]) as it would be added in the (n, m, a) layout.
     """
-    if expected is None:
-        q = _expected_cost(kernel, cost + gamma * v[:, None])
-    else:
-        q = expected + gamma * np.dot(kernel, v).reshape(len(expected), -1)
+    q = _expected_cost(kernel, target + gamma * v)
     if mask is not None:
         q = np.where(mask, q, np.inf)
     return q.min(axis=1), q.argmin(axis=1)
@@ -222,6 +220,8 @@ def mdp_backward_induction(
     Vtilde_t(x) = min_u E_u[ c_{t+1}(x, X', u) + gamma Vtilde_{t+1}(X') ],
     seeded with zero terminal values. Returns the value arrays for
     t = 0..T and the first-argmin greedy action indices for t = 0..T-1.
+    Each cost array is transposed once per call (``_transposed``), and each
+    stage adds gamma Vtilde_{t+1} to that transpose.
     """
     if horizon < 0:
         raise InputFormatError(f"horizon {horizon} is negative")
@@ -230,10 +230,11 @@ def mdp_backward_induction(
             f"{len(mdp.stage_costs)} stage costs cannot cover horizon {horizon}"
         )
     mask = mdp.action_mask
+    stationary = _transposed(mdp.cost) if mdp.stage_costs is None else None
     values, greedy = [np.zeros(mdp.n_states)], []
     for t in range(horizon - 1, -1, -1):
-        cost = mdp.cost if mdp.stage_costs is None else mdp.stage_costs[t]
-        v, g = _bellman_min(mdp.kernel, cost, mdp.gamma, values[-1], mask)
+        target = stationary if mdp.stage_costs is None else _transposed(mdp.stage_costs[t])
+        v, g = _bellman_min(mdp.kernel, target, mdp.gamma, values[-1], mask)
         values.append(v)
         greedy.append(g)
     return values[::-1], greedy[::-1]
@@ -243,7 +244,7 @@ def bellman_apply(mdp: MDPSpec, v: np.ndarray) -> np.ndarray:
     """One sweep of the stationary Bellman operator."""
     if mdp.cost is None:
         raise InputFormatError("the Bellman operator needs a stationary cost")
-    return _bellman_min(mdp.kernel, mdp.cost, mdp.gamma, v, mdp.action_mask)[0]
+    return _bellman_min(mdp.kernel, _transposed(mdp.cost), mdp.gamma, v, mdp.action_mask)[0]
 
 
 @dataclass
@@ -285,19 +286,26 @@ def value_iteration(
     # threshold, where plain double rounding on O(1) values would already
     # distort the per-step contraction ratio beyond the 1e-9 slack it is
     # checked against. The expected step cost does not depend on v and is
-    # computed once, so a sweep is one mat-vec.
+    # computed once, so a sweep is one mat-vec. The sweep is action-major:
+    # q[a, i] = expected[i, a] + gamma (K_a v)[i], K_a[i] row a n + i of the
+    # (a n, m) kernel (the (n, m) kernel itself when it ignores the action),
+    # a masked action's expected cost +inf, and the minimum runs over the
+    # actions in index order, as ``_bellman_min``'s does.
     kernel = mdp.kernel.astype(np.longdouble)
     gamma = np.longdouble(mdp.gamma)
-    expected = _expected_cost(kernel, mdp.cost.astype(np.longdouble))
-    m = kernel.shape[-1]
-    rows = kernel if kernel.ndim == 2 else np.moveaxis(kernel, 0, 1).reshape(-1, m)
-    mask = mdp.action_mask
+    expected = _expected_cost(kernel, _transposed(mdp.cost.astype(np.longdouble)))
     rounding_bound = _rounding_bound(kernel, expected, gamma)
+    rows = kernel.reshape(-1, kernel.shape[-1])
+    expected_t = np.ascontiguousarray(expected.T)
+    mask = mdp.action_mask
+    if mask is not None:
+        expected_t[~mask.T] = np.inf
+    shape = (-1 if kernel.ndim == 3 else 1, mdp.n_states)
     v = previous = np.zeros(mdp.n_states, dtype=np.longdouble)
     residuals, bounds = [], []
     for _ in range(max_iters):
         norm = np.max(np.abs(v))
-        nxt, _ = _bellman_min(rows, None, gamma, v, mask, expected)
+        nxt = (expected_t + gamma * np.dot(rows, v).reshape(shape)).min(axis=0)
         r = float(np.max(np.abs(nxt - v)))
         residuals.append(r)
         bounds.append(rounding_bound(norm, r))
@@ -308,7 +316,7 @@ def value_iteration(
     else:
         raise ConvergenceError(max_iters, residuals, bounds)
     values = v.astype(float)
-    _, greedy = _bellman_min(mdp.kernel, mdp.cost, mdp.gamma, values, mask)
+    _, greedy = _bellman_min(mdp.kernel, _transposed(mdp.cost), mdp.gamma, values, mask)
     return ValueIterationResult(
         values=values,
         iterations=len(residuals),
@@ -552,7 +560,7 @@ def lag_recursion_check(
             step = np.broadcast_to(step, (1,) + shape)[0]
             q[:, j] = (step if gamma == 0.0 else step + gamma * shifted[c]).reshape(lhs.size, -1)
         kernel = np.broadcast_to([tree.nodes[c].cond_prob for c in kids], q.shape[:2])
-        rhs = _bellman_min(kernel, q, 0.0, np.zeros(len(kids)))[0]
+        rhs = _bellman_min(kernel, _transposed(q), 0.0, np.zeros(len(kids)))[0]
         violation = max(violation, *(rhs - lhs).tolist())
         equality = equality and not (np.abs(lhs - rhs) > tol).any()
     return LagRecursionReport(
@@ -702,7 +710,7 @@ def sddp_recursion(spec: SddpSpec) -> SddpResult:
             )
         best, arg = _bellman_min(
             np.broadcast_to([p for p, _ in atoms], step.shape[:2]),
-            step,
+            _transposed(step),
             spec.gamma,
             np.array([values[t + 1][xi] for xi in outcomes]),
         )
@@ -849,15 +857,21 @@ def unroll_mdp_to_tree(
 # -- JSON -------------------------------------------------------------------------
 
 
+def _numbers(values, what: str) -> tuple[float, ...]:
+    return tuple(require_number(x, what) for x in values)
+
+
 def mdp_from_json(data: dict) -> MDPSpec:
+    """MDP from JSON. ``gamma``, ``bound_K`` and the entries of the state and
+    action vectors must be JSON numbers; the arrays are read by numpy."""
     try:
         return MDPSpec(
-            states=tuple(tuple(float(x) for x in s) for s in data["states"]),
-            actions=tuple(tuple(float(x) for x in a) for a in data["actions"]),
+            states=tuple(_numbers(s, "MDP state entry") for s in data["states"]),
+            actions=tuple(_numbers(a, "MDP action entry") for a in data["actions"]),
             kernel=np.asarray(data["kernel"], dtype=float),
             cost=None if data.get("cost") is None else np.asarray(data["cost"], dtype=float),
-            gamma=float(data["gamma"]),
-            bound_K=float(data["bound_K"]),
+            gamma=require_number(data["gamma"], "MDP gamma"),
+            bound_K=require_number(data["bound_K"], "MDP bound_K"),
             stage_costs=(
                 tuple(np.asarray(c, dtype=float) for c in data["stage_costs"])
                 if data.get("stage_costs")
@@ -934,6 +948,9 @@ def _step_cost_from_json(spec: dict, dims: dict[str, int]) -> Callable:
 def sddp_from_json(data: dict) -> SddpSpec:
     """Stagewise independent problem from JSON, its step costs checked at load.
 
+    ``gamma``, the noise probabilities and the entries of the noise values,
+    decisions and ``initial_state`` must be JSON numbers.
+
     A compiled step cost's ``problems`` runs at every stage t < horizon, on
     the states, noise values and decisions of that step, so a 0 under a
     negative power or a power that overflows a float is rejected here. A
@@ -944,14 +961,18 @@ def sddp_from_json(data: dict) -> SddpSpec:
     """
     try:
         stage_noise = tuple(
-            tuple((float(a["prob"]), tuple(float(x) for x in a["value"])) for a in atoms)
+            tuple(
+                (require_number(a["prob"], "noise probability"),
+                 _numbers(a["value"], "noise value entry"))
+                for a in atoms
+            )
             for atoms in data["stage_noise"]
         )
         stage_decisions = tuple(
-            tuple(tuple(float(x) for x in u) for u in grid)
+            tuple(_numbers(u, "decision entry") for u in grid)
             for grid in data["stage_decisions"]
         )
-        initial_state = tuple(float(x) for x in data["initial_state"])
+        initial_state = _numbers(data["initial_state"], "initial_state entry")
         noise_dims = [len(value) for atoms in stage_noise for _, value in atoms]
         dims = {
             "x": min([len(initial_state)] + noise_dims),
@@ -963,7 +984,7 @@ def sddp_from_json(data: dict) -> SddpSpec:
             horizon=require_int(data["horizon"], "stagewise horizon"),
             stage_noise=stage_noise,
             stage_decisions=stage_decisions,
-            gamma=float(data["gamma"]),
+            gamma=require_number(data["gamma"], "stagewise gamma"),
             step_cost=_step_cost_from_json(data["cost"], dims) if "cost" in data else None,
             stage_step_costs=(
                 tuple(_step_cost_from_json(c, dims) for c in data["stage_costs"])

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the JSON file reader and
-object and integer checks that raise one."""
+object, integer and number checks that raise one."""
 
 from __future__ import annotations
 
@@ -119,3 +119,13 @@ def require_int(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise InputFormatError(f"{what} must be an integer, got {value!r}")
+
+
+def require_number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number: an int or a float, never a
+    boolean or a string; an input error naming ``what`` otherwise."""
+    if isinstance(value, float):
+        return float(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    raise InputFormatError(f"{what} must be a number, got {value!r}")

@@ -12,8 +12,7 @@ reads, safe to run concurrently on a shared instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .exceptions import (
     IncompleteFunctionError,
@@ -24,12 +23,12 @@ from .exceptions import (
 from .tolerances import PROB_TOL
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One atom of the filtration: a tree node at a given stage.
 
     ``cond_prob`` is the probability of reaching this node given its parent;
-    ``obs`` is the realization of X_t on this atom.
+    ``obs`` is the realization of X_t on this atom. A node is an immutable
+    named tuple, built at tuple speed.
     """
 
     id: int

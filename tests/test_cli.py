@@ -3,17 +3,24 @@ import io
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from multistage.bundle import ProblemBundle, bundle_to_json, load_bundle
+from multistage.bundle import (
+    ProblemBundle,
+    bundle_to_json,
+    load_bundle,
+    load_mdp,
+    load_stagewise,
+)
 from multistage.cli import build_parser, main
 from multistage.costs import CostSpec, cost_from_json
 from multistage.dp_solvers import mdp_to_json
-from multistage.exceptions import EnumerationCapError
+from multistage.exceptions import EnumerationCapError, InputFormatError
 from multistage.generate import (
     branching_gap_fixture,
     constant_cost_mdp,
@@ -358,6 +365,80 @@ class TestIntegerFields:
         assert self.run(tmp_path, capsys, field, float) == (code, out, err)
 
 
+def integral_stagewise():
+    """A stagewise-independent payload whose number fields below hold integral values."""
+    data = random_sddp(rng_from_seed(8), horizon=2).payload
+    data.update(gamma=0.0, initial_state=[2.0])
+    data["stage_noise"][0][0]["prob"], data["stage_noise"][0][1]["prob"] = 0.0, 1.0
+    data["stage_noise"][1][0]["value"] = [1.0]
+    data["stage_decisions"][0][1] = [1.0]
+    return data
+
+
+#: field -> (input, key path, the error's name for the field)
+NUMBER_FIELDS = {
+    "mdp-gamma": ("mdp", ("gamma",), "MDP gamma"),
+    "mdp-bound_K": ("mdp", ("bound_K",), "MDP bound_K"),
+    "mdp-state": ("mdp", ("states", 1, 0), "MDP state entry"),
+    "mdp-action": ("mdp", ("actions", 0, 0), "MDP action entry"),
+    "stagewise-gamma": ("stagewise", ("gamma",), "stagewise gamma"),
+    "noise-prob": ("stagewise", ("stage_noise", 0, 1, "prob"), "noise probability"),
+    "noise-value": ("stagewise", ("stage_noise", 1, 0, "value", 0), "noise value entry"),
+    "decision": ("stagewise", ("stage_decisions", 0, 1, 0), "decision entry"),
+    "initial_state": ("stagewise", ("initial_state", 0), "initial_state entry"),
+}
+NUMBER_COMMANDS = {"mdp": [["mdp-solve", "--horizon", "2"], ["value-iterate"]],
+                   "stagewise": [["sddp-solve"]]}
+
+
+class TestNumberFields:
+    """A scalar float field of an MDP or a stagewise-independent input that
+    holds a string, a boolean or null is an input error that names the field;
+    a number written as an integer is accepted."""
+
+    INPUTS = {
+        "mdp": lambda: {**mdp_to_json(constant_cost_mdp(gamma=0.5)), "gamma": 0.0},
+        "stagewise": integral_stagewise,
+    }
+    CASES = [(field, command) for field, (kind, _, _) in NUMBER_FIELDS.items()
+             for command in NUMBER_COMMANDS[kind]]
+    CASE_IDS = [f"{field}-{command[0]}" for field, command in CASES]
+
+    def run(self, tmp_path, capsys, field, command, value=None):
+        """Exit code, stdout and stderr of ``command`` with the field set to
+        ``value`` (left as it is for None)."""
+        kind, keys, _ = NUMBER_FIELDS[field]
+        data = self.INPUTS[kind]()
+        if value is not None:
+            target = data
+            for k in keys[:-1]:
+                target = target[k]
+            target[keys[-1]] = value(target[keys[-1]]) if callable(value) else value
+        path = write_json(tmp_path / "input.json", data)
+        code = main([*command, "--input", path, "--json"])
+        captured = capsys.readouterr()
+        return code, captured.out.replace(path, "<input>"), captured.err
+
+    @pytest.mark.parametrize("value", ["0", "0.5", True, False, None],
+                             ids=["string", "fraction-string", "true", "false", "null"])
+    @pytest.mark.parametrize("field, command", CASES, ids=CASE_IDS)
+    def test_non_number_exits_three(self, tmp_path, capsys, field, command, value):
+        code, out, err = self.run(tmp_path, capsys, field, command, lambda _: value)
+        assert (code, out) == (3, "")
+        assert f"input error: {NUMBER_FIELDS[field][2]} must be a number, got {value!r}" in err
+
+    @pytest.mark.parametrize("field, command", CASES, ids=CASE_IDS)
+    def test_number_written_as_an_integer_is_accepted(self, tmp_path, capsys, field, command):
+        code, out, err = self.run(tmp_path, capsys, field, command)
+        assert code == 0 and err == ""
+
+        def integer(value):
+            assert value == int(value)
+            return int(value)
+
+        assert self.run(tmp_path, capsys, field, command, integer) == (code, out, err)
+
+
 class TestSolve:
     def test_recorded_fixture_value(self, recourse_bundle, capsys):
         code = main(
@@ -600,6 +681,45 @@ SPOILED_MDPS = {
         "at least one state and one action, got 0 and 1",
     ),
 }
+
+
+class TestLoaders:
+    """One loader per input kind reads the file and builds the checked spec."""
+
+    def test_load_mdp_and_load_stagewise(self, tmp_path):
+        mdp = mdp_to_json(random_mdp(rng_from_seed(4), action_dependent=True))
+        stagewise = random_sddp(rng_from_seed(8), horizon=2).payload
+        assert mdp_to_json(load_mdp(write_json(tmp_path / "mdp.json", mdp))) == mdp
+        spec = load_stagewise(write_json(tmp_path / "sddp.json", stagewise))
+        assert spec.payload == stagewise and spec.horizon == 2
+
+    @pytest.mark.parametrize("load", [load_mdp, load_stagewise])
+    def test_a_file_that_is_not_json_names_the_file(self, tmp_path, load):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}: "):
+            load(str(path))
+
+    @pytest.mark.parametrize("command, load", [
+        (["mdp-solve", "--horizon", "2"], "load_mdp"), (["value-iterate"], "load_mdp"),
+        (["sddp-solve"], "load_stagewise"),
+    ])
+    def test_commands_read_through_the_loader(self, tmp_path, monkeypatch, command, load):
+        import multistage.cli as cli
+
+        data = (random_sddp(rng_from_seed(8), horizon=2).payload if load == "load_stagewise"
+                else mdp_to_json(constant_cost_mdp(gamma=0.5)))
+        path = write_json(tmp_path / "input.json", data)
+        calls = []
+
+        def counted(p, real=getattr(cli, load)):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(cli, load, counted)
+        monkeypatch.setattr(cli, "read_json", None)  # the handler must not read the file
+        assert main([*command, "--input", path, "--json"]) == 0
+        assert calls == [path]
 
 
 class TestMdpCommands:

@@ -141,6 +141,13 @@ class TestStructure:
                 horizon=1,
             )
 
+    def test_nodes_are_immutable(self, binary2):
+        node = binary2.node(3)
+        with pytest.raises(AttributeError):
+            node.cond_prob = 0.5
+        assert (node.id, node.stage, node.parent, node.cond_prob, node.obs) == (
+            3, 2, 1, 0.3, (2.0,))
+
     @pytest.mark.parametrize("query", ["children", "path_nodes", "leaves_below"])
     def test_unknown_ids_raise(self, query):
         tree = random_tree(rng_from_seed(7), horizon=2)
