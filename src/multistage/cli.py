@@ -56,22 +56,32 @@ AUTO_BRUTE_LIMIT = 100_000
 _escape = json.encoder.encode_basestring_ascii
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+#: the JSON text of a scalar, by its exact type
+_SCALARS = {
+    str: _escape,
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def _scalar_text(value) -> str | None:
-    """The JSON text of a number, a boolean or None; None for any other value."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
+    """The JSON text of a string, a number, a boolean or None; None for any other value."""
+    text = _SCALARS.get(type(value))
+    if text is not None:
+        return text(value)
+    for kind in (str, int, float):  # subclasses, such as np.float64
+        if isinstance(value, kind):
+            return _SCALARS[kind](value)
     return None
 
 
@@ -81,47 +91,41 @@ def _key_text(key) -> str:
         raise TypeError(
             f"keys must be str, int, float, bool or None, not {type(key).__name__}"
         )
-    return text
+    return _escape(text)
 
 
-def _encode(value, indent: str, out: list[str]) -> None:
-    """Append the text of ``value`` at nesting ``indent`` to ``out``."""
-    text = _escape(value) if isinstance(value, str) else _scalar_text(value)
-    if text is not None:
-        out.append(text)
-    elif isinstance(value, (list, tuple)):
+def _text(value, indent: str) -> str:
+    """The JSON text of ``value`` at nesting ``indent``."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
-            return
+            return "[]"
         inner = indent + "  "
         separator = ",\n" + inner
+        body = None
         if set(map(type, value)) <= {float, int}:
             # repr of a finite float or an int is its JSON text; NaN and the
             # infinities are the only reprs with an "n"
-            text = separator.join(map(repr, value))
-            if "n" not in text:
-                out.append(f"[\n{inner}{text}\n{indent}]")
-                return
-        out.append("[\n" + inner)
-        for k, item in enumerate(value):
-            if k:
-                out.append(separator)
-            _encode(item, inner, out)
-        out.append(f"\n{indent}]")
-    elif isinstance(value, dict):
+            body = separator.join(map(repr, value))
+            if "n" in body:
+                body = None
+        if body is None:
+            body = separator.join([_text(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
         if not value:
-            out.append("{}")
-            return
+            return "{}"
         inner = indent + "  "
-        out.append("{\n" + inner)
-        for k, (key, item) in enumerate(sorted(value.items())):
-            if k:
-                out.append(",\n" + inner)
-            out.append(_escape(_key_text(key)) + ": ")
-            _encode(item, inner, out)
-        out.append(f"\n{indent}}}")
-    else:
+        body = (",\n" + inner).join(
+            [f"{_key_text(key)}: {_text(item, inner)}" for key, item in sorted(value.items())]
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    text = _scalar_text(value)
+    if text is None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return text
 
 
 def report_json(report) -> str:
@@ -133,9 +137,7 @@ def report_json(report) -> str:
     and sorts dict keys before converting them to strings. It does not look
     for reference cycles: a report is a tree.
     """
-    out: list[str] = []
-    _encode(report, "", out)
-    return "".join(out)
+    return _text(report, "")
 
 
 def _emit(report: dict, as_json: bool, lines: Callable[[], list[str]]) -> None:

@@ -124,8 +124,6 @@ def require_int(value, what: str) -> int:
 def require_number(value, what: str) -> float:
     """``value`` as a float if it is a JSON number: an int or a float, never a
     boolean or a string; an input error naming ``what`` otherwise."""
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, int) and not isinstance(value, bool):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise InputFormatError(f"{what} must be a number, got {value!r}")

@@ -3,6 +3,7 @@ byte for byte, or the same exception type."""
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 
@@ -62,6 +63,17 @@ refused = st.one_of(
 risky_trees = st.recursive(st.one_of(scalars, refused), containers, max_leaves=20)
 
 
+class Label(str):
+    """A str subclass, which json writes as its string."""
+
+
+class Level(enum.IntEnum):
+    """An int subclass, which json writes as its integer."""
+
+    LOW = 1
+    HIGH = 2
+
+
 def outcome(write, obj):
     try:
         return write(obj)
@@ -90,6 +102,7 @@ def test_equals_json_dumps_or_raises_the_same_exception_type(obj):
     [True, 1], [np.float64(0.1), 1.0], {2.5: 1, 1: 2, False: 3}, {None: [5e-324]},
     "é日\x00\x1f\"\\", [np.int64(3)], {np.int64(1): 2}, {"a": 1, 2: 3},
     {"x": [1e16, 1e-7, 123456789012345678901234567890]}, np.zeros(2),
+    [Label("é"), Level.HIGH, 2.5], {Label("k"): Level.LOW, Level.HIGH: None},
 ])
 def test_equals_json_dumps_on_edge_cases(obj):
     assert outcome(report_json, obj) == outcome(dumps, obj)
