@@ -96,9 +96,9 @@ def _key_text(key) -> str:
 
 def _text(value, indent: str) -> str:
     """The JSON text of ``value`` at nesting ``indent``."""
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        return scalar(value)
+    text = _scalar_text(value)
+    if text is not None:
+        return text
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -122,10 +122,7 @@ def _text(value, indent: str) -> str:
             [f"{_key_text(key)}: {_text(item, inner)}" for key, item in sorted(value.items())]
         )
         return f"{{\n{inner}{body}\n{indent}}}"
-    text = _scalar_text(value)
-    if text is None:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return text
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def report_json(report) -> str:
