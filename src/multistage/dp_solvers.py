@@ -859,8 +859,6 @@ def unroll_mdp_to_tree(
 
 def _numbers(values, what: str) -> tuple[float, ...]:
     """The entries of a JSON vector, each a JSON number (``require_number``), as floats."""
-    if set(map(type, values)) <= {float}:  # the common case, checked in one pass
-        return tuple(values)
     return tuple(require_number(x, what) for x in values)
 
 
