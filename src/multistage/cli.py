@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from typing import Callable
 
 from . import __version__
 from .bundle import bundle_from_json, load_bundle, load_mdp, load_stagewise
@@ -53,96 +52,11 @@ EXIT_INPUT = 3
 AUTO_BRUTE_LIMIT = 100_000
 
 
-_escape = json.encoder.encode_basestring_ascii
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
-#: the JSON text of a scalar, by its exact type
-_SCALARS = {
-    str: _escape,
-    float: _float_text,
-    int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
-
-
-def _scalar_text(value) -> str | None:
-    """The JSON text of a string, a number, a boolean or None; None for any other value."""
-    text = _SCALARS.get(type(value))
-    if text is not None:
-        return text(value)
-    for kind in (str, int, float):  # subclasses, such as np.float64
-        if isinstance(value, kind):
-            return _SCALARS[kind](value)
-    return None
-
-
-def _key_text(key) -> str:
-    text = key if isinstance(key, str) else _scalar_text(key)
-    if text is None:
-        raise TypeError(
-            f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-        )
-    return _escape(text)
-
-
-def _text(value, indent: str) -> str:
-    """The JSON text of ``value`` at nesting ``indent``."""
-    text = _scalar_text(value)
-    if text is not None:
-        return text
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        separator = ",\n" + inner
-        body = None
-        if set(map(type, value)) <= {float, int}:
-            # repr of a finite float or an int is its JSON text; NaN and the
-            # infinities are the only reprs with an "n"
-            body = separator.join(map(repr, value))
-            if "n" in body:
-                body = None
-        if body is None:
-            body = separator.join([_text(item, inner) for item in value])
-        return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        body = (",\n" + inner).join(
-            [f"{_key_text(key)}: {_text(item, inner)}" for key, item in sorted(value.items())]
-        )
-        return f"{{\n{inner}{body}\n{indent}}}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def report_json(report) -> str:
-    """``json.dumps(report, sort_keys=True, indent=2)``, byte for byte, or the
-    same exception type; a list of plain floats and ints is one ``str.join``.
-
-    Like ``json.dumps`` it writes NaN and the infinities as ``NaN`` and
-    ``±Infinity``, escapes every non-ASCII character, refuses numpy integers
-    and sorts dict keys before converting them to strings. It does not look
-    for reference cycles: a report is a tree.
-    """
-    return _text(report, "")
-
-
-def _emit(report: dict, as_json: bool, lines: Callable[[], list[str]]) -> None:
-    """Print ``report`` as JSON, or else the text lines that ``lines()`` builds."""
+def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(report_json(report))
+        print(json.dumps(report, sort_keys=True, indent=2))
     else:
-        for line in lines():
+        for line in lines:
             print(line)
 
 
@@ -156,7 +70,7 @@ def cmd_validate(args) -> int:
     _emit(
         report,
         args.json,
-        lambda: [f"{'OK' if not problems else 'INVALID'}: {args.input}"] + problems,
+        [f"{'OK' if not problems else 'INVALID'}: {args.input}"] + problems,
     )
     return EXIT_OK if not problems else EXIT_NEGATIVE
 
@@ -218,14 +132,14 @@ def cmd_solve(args) -> int:
             value, policy = brute_value, brute_policy
         elif abs(brute_value - value) > args.tolerance:
             report["agreement"] = False
-            _emit(report, args.json, lambda: [f"DISAGREEMENT: {value} vs {brute_value}"])
+            _emit(report, args.json, [f"DISAGREEMENT: {value} vs {brute_value}"])
             return EXIT_NEGATIVE
         else:
             report["agreement"] = True
     report["method"] = method
     report["value"] = value
     report["policy"] = policy_to_json(policy)
-    _emit(report, args.json, lambda: [f"optimal value: {value!r}", f"method: {method}"])
+    _emit(report, args.json, [f"optimal value: {value!r}", f"method: {method}"])
     return EXIT_OK
 
 
@@ -244,7 +158,7 @@ def cmd_verify(args) -> int:
     _emit(
         payload,
         args.json,
-        lambda: [
+        [
             f"classification: {report.classification}",
             f"verdict: {report.verdict}",
             f"expected value: {payload['expected_value']!r}",
@@ -268,7 +182,7 @@ def cmd_dynamic_check(args) -> int:
     _emit(
         payload,
         args.json,
-        lambda: [
+        [
             f"all one-step relations hold: {report.all_hold}",
             f"equality everywhere: {report.equality_everywhere}",
         ],
@@ -314,7 +228,7 @@ def cmd_demo_interchange(args) -> int:
             min_gap = min(min_gap, rep.gap)
         report["trials"] = {"count": args.trials, "min_gap": min_gap}
         lines.append(f"{args.trials} random trials, min gap {min_gap!r}")
-    _emit(report, args.json, lambda: lines)
+    _emit(report, args.json, lines)
     return EXIT_OK if min_gap >= -INEQUALITY_SLACK else EXIT_NEGATIVE
 
 
@@ -326,7 +240,7 @@ def cmd_mdp_solve(args) -> int:
         "values": [v.tolist() for v in values],
         "greedy": [g.tolist() for g in greedy],
     }
-    _emit(report, args.json, lambda: [f"stage 0 values: {report['values'][0]!r}"])
+    _emit(report, args.json, [f"stage 0 values: {report['values'][0]!r}"])
     return EXIT_OK
 
 
@@ -342,7 +256,7 @@ def cmd_value_iterate(args) -> int:
             "residuals": exc.residuals,
             "rounding_bounds": exc.rounding_bounds,
         }
-        _emit(report, args.json, lambda: [f"no convergence in {exc.max_iters} iterations"])
+        _emit(report, args.json, [f"no convergence in {exc.max_iters} iterations"])
         return EXIT_NEGATIVE
     report = {
         "input": args.input,
@@ -357,7 +271,7 @@ def cmd_value_iterate(args) -> int:
     _emit(
         report,
         args.json,
-        lambda: [
+        [
             f"fixed point: {report['values']!r}",
             f"iterations: {result.iterations}",
             "residuals: " + " ".join(f"{r:.3e}" for r in result.residuals),
@@ -381,7 +295,7 @@ def cmd_sddp_solve(args) -> int:
         ],
         "root_value": result.values[0][spec.initial_state],
     }
-    _emit(report, args.json, lambda: [f"root value: {report['root_value']!r}"])
+    _emit(report, args.json, [f"root value: {report['root_value']!r}"])
     return EXIT_OK
 
 

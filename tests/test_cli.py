@@ -1459,6 +1459,20 @@ class TestDeterminism:
         assert first.returncode == 0
         assert first.stdout == second.stdout
 
+    def test_report_of_an_input_path_with_non_ascii_characters(self, tmp_path, capsys):
+        # the golden digests drop the input path; json.dumps escapes it to ASCII
+        directory = tmp_path / "résumé 日本"
+        directory.mkdir()
+        path = directory / "mdpñ.json"
+        write_json(path, mdp_to_json(random_mdp(rng_from_seed(3))))
+        for command in (["mdp-solve", "--horizon", "2"], ["value-iterate"]):
+            assert main([*command, "--input", str(path), "--json"]) == 0
+            out = capsys.readouterr().out
+            report = json.loads(out)
+            assert report["input"] == str(path)
+            assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+            assert out.isascii()
+
 
 def run_json(argv):
     """Exit code and parsed ``--json`` report of one in-process command."""
