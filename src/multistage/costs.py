@@ -44,22 +44,13 @@ from .exceptions import (
     MultistageError,
     UnboundedObjectiveError,
     require_int,
+    require_number,
     require_object,
 )
 from .tolerances import EQUALITY_TOL, HOLDER_SLACK
 
 Vector = tuple[float, ...]
 Window = tuple[Vector, ...]
-
-
-def x_window(paths: Sequence[Vector], t: int, lag: int) -> Window:
-    """Observations x_{t-lag..t}, truncated at stage 0."""
-    return tuple(paths[max(0, t - lag): t + 1])
-
-
-def u_window(decisions: Sequence[Vector], t: int, lag: int) -> Window:
-    """Decisions u_{t-lag..t-1}, truncated at stage 0."""
-    return tuple(decisions[max(0, t - lag): t])
 
 
 class GridWindow:
@@ -717,7 +708,7 @@ def _term_from_json(raw: dict) -> Term:
     for role, _, _, _ in variables:
         if role not in ("x", "u"):
             raise InputFormatError(f"unknown variable role {role!r}")
-    return float(raw["coef"]), variables
+    return require_number(raw["coef"], "poly coef"), variables
 
 
 def _callable_from_json(spec: dict, window_relative: bool):
@@ -745,13 +736,17 @@ def _callable_from_json(spec: dict, window_relative: bool):
 
 
 def cost_from_json(data: dict) -> CostSpec:
-    """Build a cost from its JSON payload; the payload is kept for round trips."""
+    """Build a cost from its JSON payload; the payload is kept for round trips.
+
+    A poly ``coef``, the additive ``gamma`` and the holder ``C``, ``alpha`` and
+    ``delta`` must be JSON numbers (``require_number``).
+    """
     try:
         form = data["form"]
         holder = None
         if "holder" in data:
             h = data["holder"]
-            holder = (float(h["C"]), float(h["alpha"]), float(h["delta"]))
+            holder = tuple(require_number(h[k], f"holder {k}") for k in ("C", "alpha", "delta"))
         if form == "general":
             return CostSpec.general(
                 _callable_from_json(data, window_relative=False),
@@ -765,7 +760,7 @@ def cost_from_json(data: dict) -> CostSpec:
             )
             return CostSpec.additive(
                 stage_costs,
-                gamma=float(data["gamma"]),
+                gamma=require_number(data["gamma"], "additive cost gamma"),
                 lag=require_int(data["lag"], "cost lag"),
                 holder=holder,
                 payload=data,
@@ -815,27 +810,12 @@ def holder_pairs(
     return dist[mask], dv[mask]
 
 
-def holder_check_values(
-    histories: Sequence[Window],
-    values: Sequence[float],
-    C: float,
-    alpha: float,
-    delta: float,
-) -> tuple[float, int, bool]:
-    """Max |dv| / ||du||^alpha over pairs within delta, plus a pass flag."""
-    dist, dv = holder_pairs(histories, values, delta)
-    if not len(dist):
-        return 0.0, 0, True
-    ratios = dv / dist ** alpha
-    max_ratio = float(ratios.max())
-    return max_ratio, len(dist), bool(max_ratio <= C + HOLDER_SLACK)
-
-
 def verify_holder(tree, cls, cost: CostSpec, C: float, alpha: float, delta: float) -> HolderCheck:
     """Check the declared Hoelder data on every leaf trajectory of the grid.
 
-    For each leaf, all feasible decision histories along its path are paired
-    and the bound is checked for pairs closer than ``delta``.
+    For each leaf, all feasible decision histories along its path are paired,
+    and the ratio |dv| / ||du||^alpha is taken over the pairs closer than
+    ``delta``; the bound holds when the largest ratio is at most C.
     """
     from .scenario_tree import path as tree_path
 
@@ -845,10 +825,10 @@ def verify_holder(tree, cls, cost: CostSpec, C: float, alpha: float, delta: floa
     worst = 0.0
     pairs = 0
     for grids, values in zip(grids_list, arrays):
-        histories = list(itertools.product(*grids))
-        ratio, n, _ = holder_check_values(histories, values.ravel(), C, alpha, delta)
-        worst = max(worst, ratio)
-        pairs += n
+        dist, dv = holder_pairs(list(itertools.product(*grids)), values.ravel(), delta)
+        if len(dist):
+            worst = max(worst, float((dv / dist ** alpha).max()))
+            pairs += len(dist)
     return HolderCheck(
         C=C, alpha=alpha, delta=delta, max_ratio=worst, pairs_checked=pairs,
         ok=worst <= C + HOLDER_SLACK,

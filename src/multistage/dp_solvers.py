@@ -5,9 +5,11 @@ and a discounted cost-to-go,
 
     V_t(x_{:t}, u_{:t-1}) = sum_{i<=t} gamma^(i-1) c_i(...) + gamma^t Vtilde_t,
 
-and Vtilde satisfies a one-step dynamic equation, which every solver below
-applies through one operator, ``_bellman_min``, fed according to the
-structure of the driving process:
+and Vtilde satisfies a one-step dynamic equation, which the solvers below
+apply according to the structure of the driving process. Backward
+induction, the stagewise recursion, ``bellman_apply`` and the lag check take
+each minimum through one operator, ``_bellman_min``; value iteration's
+sweeps run a minimum of their own:
 
 * lag-l processes: Vtilde_t depends only on the last l observations and
   the last l-1 decisions (``lag_recursion_check`` verifies both the window
@@ -18,8 +20,10 @@ structure of the driving process:
   contraction; ``value_iteration`` solves the fixed-point equation with an
   a-priori stopping rule. The expected step cost
   sum_j K_u[x, j] c(x, j, u) does not depend on Vtilde, so it is computed
-  once and the operator receives it precomputed: each sweep is then one
-  long-double mat-vec, and reports a bound on its rounding error.
+  once, before the sweeps. Each sweep is then one long-double mat-vec and
+  an action-major minimum over the actions in index order, as
+  ``_bellman_min`` takes it, and reports a bound on its rounding error.
+  Only the greedy actions after the last sweep come from ``_bellman_min``.
 * stagewise independent noise: the conditional expectation degenerates to
   an unconditional one (``sddp_recursion``, every kernel row is the noise
   law), matching the recursion of cut-based methods, here solved on grids.
@@ -38,10 +42,10 @@ from .costs import (
     CostSpec,
     GridWindow,
     _callable_from_json,
+    _compiled,
     leaf_arrays,
     stage_magnitudes,
     window_values,
-    x_window,
 )
 from .exceptions import (
     ConvergenceError,
@@ -367,6 +371,30 @@ class ShiftedProcess:
     skipped_stages: list[int]
 
 
+def _stage_cost_tables(
+    tree: ScenarioTree, tables: ValueTables, cost: CostSpec, t: int
+) -> list[np.ndarray]:
+    """c_t(node, .) on the grids of ``tables.V[node]`` for every stage-t node
+    (t >= 1), in ``stage_nodes`` order.
+
+    One :func:`costs.leaf_arrays` call evaluates the stage cost alone on the
+    stage-t root paths, as :meth:`CostSpec._accumulate` evaluates its term.
+    c_t does not read u_t, so the node's own grid is cut to its first
+    candidate, and that axis is dropped.
+    """
+    if len(cost.stage_costs) < t:
+        raise MultistageError(
+            f"additive cost has {len(cost.stage_costs)} stage costs but the "
+            f"trajectory needs {t}"
+        )
+    a, stage = max(0, t - cost.lag), cost.stage_costs[t - 1]
+    alone = CostSpec.general(_compiled(lambda xs, us: window_values(stage, xs[a:], us[a:t])))
+    nodes = tree.stage_nodes(t)
+    grids = [tables.axes[n][:-1] + (tables.axes[n][-1][:1],) for n in nodes]
+    arrays = leaf_arrays(alone, [path(tree, n) for n in nodes], grids)
+    return [values[..., 0] for values in arrays]
+
+
 def shifted_tables(
     tree: ScenarioTree, tables: ValueTables, cost: CostSpec
 ) -> dict[int, np.ndarray]:
@@ -375,19 +403,25 @@ def shifted_tables(
     One array for every node of a stage where the shift is defined (every
     stage, or only stage 0 when gamma = 0), in stage order, then in
     ``stage_nodes`` order. The prefix, the discounted stage costs through t,
-    is the objective of the stage-t root path, as :func:`costs.leaf_batches`
-    evaluates it on the path's grids; it does not read u_t, so it is read at
-    index 0 of the node's own axis.
+    is the parent's prefix plus gamma^(t-1) c_t (:func:`_stage_cost_tables`),
+    from 0.0 at the root: the float operations of
+    :meth:`CostSpec._accumulate`, in its order, with each stage cost
+    evaluated once.
     """
     if cost.form != "additive":
         raise MultistageError("the discount shift requires an additive cost")
     out: dict[int, np.ndarray] = {}
+    prefix = {0: np.zeros(())}
     for t in range(tree.horizon + 1 if cost.gamma != 0.0 else 1):
         nodes = tree.stage_nodes(t)
-        paths, grids = [path(tree, n) for n in nodes], [tables.axes[n] for n in nodes]
-        prefixes = leaf_arrays(cost, paths, grids)
-        for nid, prefix in zip(nodes, prefixes):
-            out[nid] = (tables.V[nid] - prefix[..., 0]) / cost.gamma**t
+        if t > 0:
+            steps = _stage_cost_tables(tree, tables, cost, t)
+            prefix = {
+                nid: prefix[tree.nodes[nid].parent][..., None] + cost.gamma ** (t - 1) * step
+                for nid, step in zip(nodes, steps)
+            }
+        for nid in nodes:
+            out[nid] = (tables.V[nid] - prefix[nid]) / cost.gamma**t
     return out
 
 
@@ -518,6 +552,9 @@ def lag_recursion_check(
     gamma = cost.gamma
     skipped = [t for t in range(1, tree.horizon + 1) if gamma == 0.0]
     shifted = shifted_tables(tree, tables, cost)
+    steps: dict[int, np.ndarray] = {}
+    for t in range(1, tree.horizon + 1):
+        steps.update(zip(tree.stage_nodes(t), _stage_cost_tables(tree, tables, cost, t)))
 
     # Per node, Vtilde as (outer heads, window columns u_{t-l+1..t-1}). A key's
     # reference is its first value in C order: row 0 of its first column in
@@ -540,8 +577,8 @@ def lag_recursion_check(
         collapse_dev = float(np.fmax.reduce(deviations, axis=None, initial=collapse_dev))
 
     # Per node, q[head, child, u] = c_{t+1} + gamma Vtilde_{t+1}(child, head + (u,)),
-    # the step cost on one-row windows whose decisions range over the node's
-    # grids (axes 1..t+1); the right-hand side is one Bellman minimum.
+    # with c_{t+1} the child's stage-cost array on the grids of V_{t+1}(child),
+    # the node's own; the right-hand side is one Bellman minimum.
     violation = -float("inf")
     equality = True
     for nid, values in shifted.items():
@@ -549,16 +586,10 @@ def lag_recursion_check(
         if t == tree.horizon:
             continue
         lhs, shape, kids = values.ravel(), tables.v[nid].shape, tree.children(nid)
-        a = max(0, t + 1 - lag)
-        us = GridWindow.single(tables.axes[nid][a:], tuple(range(a + 1, t + 2)), t + 2)
         q = np.empty((lhs.size, len(kids), shape[-1]))
         for j, c in enumerate(kids):
-            window = [(x,) for x in x_window(path(tree, c), t + 1, lag)]
-            xs = GridWindow.single(window, (None,) * len(window), t + 2)
-            with np.errstate(all="ignore"):
-                step = window_values(cost.stage_costs[t], xs, us)
-            step = np.broadcast_to(step, (1,) + shape)[0]
-            q[:, j] = (step if gamma == 0.0 else step + gamma * shifted[c]).reshape(lhs.size, -1)
+            step = steps[c] if gamma == 0.0 else steps[c] + gamma * shifted[c]
+            q[:, j] = step.reshape(lhs.size, -1)
         kernel = np.broadcast_to([tree.nodes[c].cond_prob for c in kids], q.shape[:2])
         rhs = _bellman_min(kernel, _transposed(q), 0.0, np.zeros(len(kids)))[0]
         violation = max(violation, *(rhs - lhs).tolist())

@@ -154,11 +154,6 @@ class PolicyClass:
             tuple(self.stage_grid(tree, t) for t in range(tree.horizon + 1)),
         )
 
-    def feasible_at(self, tree: ScenarioTree, node_id: int) -> tuple[Decision, ...]:
-        """Stage decisions achievable at one node (atom) of the tree."""
-        slot_of, grids = self.slots(tree)
-        return grids[slot_of[tree.node(node_id).id]]
-
     def count(self, tree: ScenarioTree) -> int:
         """Number of policies in the class: the product of the slot grid sizes."""
         return math.prod(len(g) for g in self.slots(tree)[1])
@@ -204,13 +199,6 @@ def _policy_at(
         decisions={nid: grids[s][indices[s]] for nid, s in enumerate(slot_of)},
         decision_dim=cls.decision_dim,
     )
-
-
-def policy_from_indices(
-    tree: ScenarioTree, cls: PolicyClass, indices: Sequence[int]
-) -> Policy:
-    """Materialize the policy selected by one enumeration index tuple."""
-    return _policy_at(cls, *cls.slots(tree), indices)
 
 
 def enumerate_policies(

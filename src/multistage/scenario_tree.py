@@ -19,6 +19,7 @@ from .exceptions import (
     InputFormatError,
     UnknownNodeError,
     require_int,
+    require_number,
 )
 from .tolerances import PROB_TOL
 
@@ -113,9 +114,6 @@ class ScenarioTree:
 
     def children(self, node_id: int) -> tuple[int, ...]:
         return self._lookup(self._children, node_id)
-
-    def is_leaf(self, node_id: int) -> bool:
-        return not self.children(node_id)
 
     def leaves(self) -> tuple[int, ...]:
         return self._leaves
@@ -238,7 +236,8 @@ def tree_to_json(tree: ScenarioTree) -> dict:
 
 
 def tree_from_json(data: dict) -> ScenarioTree:
-    """Inverse of :func:`tree_to_json`; raises on malformed input."""
+    """Inverse of :func:`tree_to_json`; raises on malformed input. ``cond_prob``
+    and the ``obs`` entries must be JSON numbers (``require_number``)."""
     try:
         horizon = require_int(data["horizon"], "tree horizon")
         obs_dim = require_int(data["obs_dim"], "tree obs_dim")
@@ -248,8 +247,8 @@ def tree_from_json(data: dict) -> ScenarioTree:
                 require_int(entry["stage"], "node stage"),
                 None if entry.get("parent") is None
                 else require_int(entry["parent"], "node parent"),
-                float(entry["cond_prob"]),
-                tuple(map(float, entry["obs"])),
+                require_number(entry["cond_prob"], "node cond_prob"),
+                tuple(require_number(x, "node obs entry") for x in entry["obs"]),
             )
             for entry in data["nodes"]
         ]

@@ -22,7 +22,7 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def chain3():
     """Deterministic T=2 chain with observations 0, 1, 2."""
-    from multistage.generate import chain_tree
+    from instances import chain_tree
 
     return chain_tree([0.0, 1.0, 2.0])
 

@@ -16,18 +16,21 @@ import pytest
 
 import multistage as ms
 from multistage.generate import (
-    branching_gap_fixture,
-    constant_cost_mdp,
     interchange_fixture,
-    random_additive_cost,
-    random_general_cost,
     random_history_blind_class,
-    random_mdp,
     random_nodewise_class,
-    random_sddp,
     random_tree,
     recourse_fixture,
     rng_from_seed,
+)
+from instances import (
+    branching_gap_fixture,
+    constant_cost_mdp,
+    feasible_at,
+    random_additive_cost,
+    random_general_cost,
+    random_mdp,
+    random_sddp,
 )
 
 
@@ -201,7 +204,7 @@ def test_criterion_5_one_sided_inequality_for_history_blind():
             kids = tree.children(n.id)
             if not kids:
                 continue
-            grids = [cls.feasible_at(tree, j) for j in tree.path_nodes(n.id)]
+            grids = [feasible_at(cls, tree, j) for j in tree.path_nodes(n.id)]
             for head in itertools.product(*grids):
                 lhs = ms.compute_v(tree, cost, cls, n.id, head)
                 rhs = sum(

@@ -21,19 +21,17 @@ from multistage.cli import build_parser, main
 from multistage.costs import CostSpec, cost_from_json
 from multistage.dp_solvers import mdp_to_json
 from multistage.exceptions import EnumerationCapError, InputFormatError
-from multistage.generate import (
+from multistage.generate import random_tree, recourse_fixture, rng_from_seed
+from multistage.policy import Policy, PolicyClass, policy_to_json
+from multistage.scenario_tree import Node, ScenarioTree, tree_to_json
+from multistage.value_process import backward_tables, expected_value
+from instances import (
     branching_gap_fixture,
     constant_cost_mdp,
     random_general_cost,
     random_mdp,
     random_sddp,
-    random_tree,
-    recourse_fixture,
-    rng_from_seed,
 )
-from multistage.policy import Policy, PolicyClass, policy_to_json
-from multistage.scenario_tree import Node, ScenarioTree, tree_to_json
-from multistage.value_process import backward_tables, expected_value
 from test_golden_reports import GOLDEN, hexed, inputs
 
 
@@ -375,6 +373,20 @@ def integral_stagewise():
     return data
 
 
+def integral_step_cost():
+    """``integral_stagewise`` with a first step-cost coefficient of 1.0."""
+    data = integral_stagewise()
+    data["cost"]["poly"]["terms"][0]["coef"] = 1.0
+    return data
+
+
+def recourse_payload(**cost):
+    """The recourse fixture's bundle as JSON, with ``cost`` merged into its cost."""
+    fx = recourse_fixture()
+    data = bundle_to_json(ProblemBundle(tree=fx["tree"], cost=fx["cost"], cls=fx["cls"]))
+    return json.loads(json.dumps({**data, "cost": {**data["cost"], **cost}}))
+
+
 #: field -> (input, key path, the error's name for the field)
 NUMBER_FIELDS = {
     "mdp-gamma": ("mdp", ("gamma",), "MDP gamma"),
@@ -386,19 +398,38 @@ NUMBER_FIELDS = {
     "noise-value": ("stagewise", ("stage_noise", 1, 0, "value", 0), "noise value entry"),
     "decision": ("stagewise", ("stage_decisions", 0, 1, 0), "decision entry"),
     "initial_state": ("stagewise", ("initial_state", 0), "initial_state entry"),
+    "step-coef": ("step", ("cost", "poly", "terms", 0, "coef"), "poly coef"),
+    "cond_prob": ("bundle", ("tree", "nodes", 0, "cond_prob"), "node cond_prob"),
+    "obs": ("bundle", ("tree", "nodes", 2, "obs", 0), "node obs entry"),
+    "coef": ("bundle", ("cost", "poly", "terms", 0, "coef"), "poly coef"),
+    "stage-coef": ("additive", ("cost", "stage_costs", 0, "poly", "terms", 0, "coef"),
+                   "poly coef"),
+    "additive-gamma": ("additive", ("cost", "gamma"), "additive cost gamma"),
+    "holder-C": ("holder", ("cost", "holder", "C"), "holder C"),
+    "holder-alpha": ("holder", ("cost", "holder", "alpha"), "holder alpha"),
+    "holder-delta": ("holder", ("cost", "holder", "delta"), "holder delta"),
 }
 NUMBER_COMMANDS = {"mdp": [["mdp-solve", "--horizon", "2"], ["value-iterate"]],
-                   "stagewise": [["sddp-solve"]]}
+                   "stagewise": [["sddp-solve"]], "step": [["sddp-solve"]],
+                   "bundle": [["validate"], ["solve"]], "additive": [["validate"], ["solve"]],
+                   "holder": [["validate"]]}
 
 
 class TestNumberFields:
-    """A scalar float field of an MDP or a stagewise-independent input that
-    holds a string, a boolean or null is an input error that names the field;
-    a number written as an integer is accepted."""
+    """A scalar float field of an MDP, a stagewise-independent input or a
+    bundle's tree or cost that holds a string, a boolean or null is an input
+    error that names the field; a number written as an integer is accepted."""
 
     INPUTS = {
         "mdp": lambda: {**mdp_to_json(constant_cost_mdp(gamma=0.5)), "gamma": 0.0},
         "stagewise": integral_stagewise,
+        "step": integral_step_cost,
+        "bundle": recourse_payload,
+        "additive": lambda: recourse_payload(
+            form="additive", gamma=0.0, lag=1,
+            stage_costs=[{"poly": {"terms": [{"coef": 1.0, "vars": [["u", 0, 0, 2]]}]}}],
+        ),
+        "holder": lambda: recourse_payload(holder={"C": 10.0, "alpha": 1.0, "delta": 1.0}),
     }
     CASES = [(field, command) for field, (kind, _, _) in NUMBER_FIELDS.items()
              for command in NUMBER_COMMANDS[kind]]

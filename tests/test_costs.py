@@ -23,15 +23,14 @@ from multistage.costs import (
     cost_problems,
     leaf_arrays,
     leaf_batches,
-    u_window,
     window_values,
-    x_window,
 )
 from multistage.dp_solvers import sddp_from_json, sddp_recursion
-from multistage.generate import chain_tree, random_sddp, random_tree, rng_from_seed
+from multistage.generate import random_tree, rng_from_seed
 from multistage.policy import PolicyClass
 from multistage.scenario_tree import Node, ScenarioTree
 from multistage.tolerances import EQUALITY_TOL
+from instances import chain_tree, random_sddp, u_window, x_window
 
 
 class TestWindows:
@@ -194,7 +193,7 @@ class TestRandomGenerators:
     def test_random_general_cost_is_serializable(self):
         rng = rng_from_seed(0)
         tree = random_tree(rng, horizon=2)
-        from multistage.generate import random_general_cost
+        from instances import random_general_cost
 
         cost = random_general_cost(rng, tree)
         data = cost_to_json(cost)

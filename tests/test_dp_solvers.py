@@ -29,19 +29,17 @@ from multistage import (
 )
 from multistage import dp_solvers
 from multistage.dp_solvers import SddpSpec, shifted_tables
-from multistage.generate import (
+from multistage.generate import random_nodewise_class, random_tree, rng_from_seed
+from multistage.scenario_tree import Node, ScenarioTree, path
+from multistage.tolerances import LAG_KEY_DIGITS
+from instances import (
     chain_tree,
     constant_cost_mdp,
     non_markov_tree,
     random_additive_cost,
     random_mdp,
-    random_nodewise_class,
     random_sddp,
-    random_tree,
-    rng_from_seed,
 )
-from multistage.scenario_tree import Node, ScenarioTree, path
-from multistage.tolerances import LAG_KEY_DIGITS
 
 
 def additive_fixture(gamma=0.5, horizon=2, seed=11):
@@ -108,7 +106,7 @@ class TestTildeShift:
         policy = greedy_policy_from_tables(tree, cls, tables)
         shifted = tilde_shift(tree, tables, cost, policy)
         arrays = shifted_tables(tree, tables, cost)
-        from multistage.costs import u_window, x_window
+        from instances import u_window, x_window
 
         for t in range(tree.horizon):
             for nid in tree.stage_nodes(t):
@@ -412,6 +410,44 @@ class TestLagCollapse:
         windows, dev = collapse_by_history(tree, tables, shifted_tables(tree, tables, cost), lag)
         assert report.max_collapse_deviation.hex() == dev.hex()
         assert hexed(report.window_values) == hexed(windows)
+
+
+class TestStageCostsOnce:
+    """On the tree's dynamic equations each stage cost is evaluated once per
+    stage: every node's prefix extends its parent's by gamma^(t-1) c_t."""
+
+    @staticmethod
+    def counted_calls(monkeypatch, cost):
+        """Calls of ``window_values`` on each stage cost, in stage order, from now on."""
+        from multistage import costs
+
+        real, calls = costs.window_values, []
+
+        def counted(c, xs, us):
+            calls.append(c)
+            return real(c, xs, us)
+
+        monkeypatch.setattr(costs, "window_values", counted)
+        monkeypatch.setattr(dp_solvers, "window_values", counted)
+        return lambda: [sum(c is stage for c in calls) for stage in cost.stage_costs]
+
+    @pytest.mark.parametrize("lag", [1, 2])
+    def test_shifted_tables_evaluates_each_stage_cost_once(self, monkeypatch, lag):
+        tree, _, cls = sddp_to_product_tree(random_sddp(rng_from_seed(8), horizon=6))
+        cost = random_additive_cost(rng_from_seed(8), horizon=6, lag=lag)
+        tables = backward_tables(tree, cost, cls)
+        counts = self.counted_calls(monkeypatch, cost)
+        shifted_tables(tree, tables, cost)
+        assert counts() == [1] * tree.horizon
+
+    def test_lag_recursion_check_evaluates_each_stage_cost_three_times(self, monkeypatch):
+        # once each in the backward tables, the prefixes and the recursion's step arrays
+        tree, _, cls = sddp_to_product_tree(random_sddp(rng_from_seed(8), horizon=6))
+        cost = random_additive_cost(rng_from_seed(8), horizon=6, lag=1)
+        counts = self.counted_calls(monkeypatch, cost)
+        report = lag_recursion_check(tree, cost, cls)
+        assert report.applicable
+        assert counts() == [3] * tree.horizon
 
 
 class TestMdpBackwardInduction:

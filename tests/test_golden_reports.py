@@ -77,20 +77,22 @@ from multistage.dp_solvers import (
     tilde_shift,
 )
 from multistage.generate import (
-    non_markov_tree,
-    random_additive_cost,
-    random_general_cost,
     random_history_blind_class,
-    random_instance,
-    random_mdp,
     random_nodewise_class,
-    random_sddp,
     random_tree,
     rng_from_seed,
 )
 from multistage.policy import Policy, PolicyClass
 from multistage.scenario_tree import Node, ScenarioTree, path
 from multistage.value_process import backward_tables, greedy_policy_from_tables
+from instances import (
+    non_markov_tree,
+    random_additive_cost,
+    random_general_cost,
+    random_instance,
+    random_mdp,
+    random_sddp,
+)
 
 
 def probe_policy(tree, cls) -> Policy:

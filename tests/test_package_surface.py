@@ -1,0 +1,103 @@
+"""The package holds what the system runs, and the README's quick start runs.
+
+A top-level function, class or method of ``src/multistage`` must be
+referenced from the package itself (outside its own body), be exported in
+``__all__``, or be named in the README or in ``perfbench``; code that only
+the tests read belongs in the tests (``tests/instances.py``). The check is
+by name: an attribute or variable of the same name anywhere in the package
+counts as a reference. ``ALLOWED`` lists the exceptions, each with its reason.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "multistage"
+README = ROOT / "README.md"
+
+#: definition -> why it stays in the package although only the tests reference it
+ALLOWED = {
+    "holder_table_violation": "ROADMAP item 9 (certified values off the grid) builds on it",
+}
+
+
+def definitions() -> list[tuple[str, str, int, int]]:
+    """(file, qualified name, first line, last line) of every top-level function
+    and class of the package and of every method of a top-level class, dunder
+    methods left out."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            out.append((path.name, node.name, node.lineno, node.end_lineno))
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                    qualified = f"{node.name}.{member.name}"
+                    out.append((path.name, qualified, member.lineno, member.end_lineno))
+    return out
+
+
+def package_references() -> tuple[list[tuple[str, str, int]], set[str]]:
+    """Every name and attribute the package reads, as (name, file, line), and
+    the names its ``__all__`` lists."""
+    refs, exported = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, path.name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, path.name, node.lineno))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported |= set(ast.literal_eval(node.value))
+    return refs, exported
+
+
+def unreferenced() -> list[str]:
+    """Qualified names of the definitions that nothing but the tests may read."""
+    refs, exported = package_references()
+    outside = README.read_text() + "".join(
+        p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))
+    )
+    named = set(re.findall(r"\w+", outside))
+    out = []
+    for file, qualified, first, last in definitions():
+        name = qualified.rsplit(".", 1)[-1]
+        if name in exported or name in named:
+            continue
+        if any(n == name and not (f == file and first <= line <= last) for n, f, line in refs):
+            continue
+        out.append(qualified)
+    return out
+
+
+def test_every_definition_is_used_by_the_system():
+    stray = [name for name in unreferenced() if name not in ALLOWED]
+    assert stray == [], f"referenced only from the tests, or from nowhere: {stray}"
+
+
+def test_every_allowed_name_is_still_needed():
+    assert sorted(set(ALLOWED) - set(unreferenced())) == []
+
+
+def quick_start() -> str:
+    """The Python block of the README's "Library quick start" section."""
+    section = README.read_text().split("## Library quick start", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.S)
+    assert match, "the quick start has no python block"
+    return match.group(1)
+
+
+def test_the_readme_quick_start_runs_and_prints_what_it_says():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(quick_start(), "README.md", "exec"), {})
+    assert out.getvalue() == "0.6\nmartingale optimal\n"

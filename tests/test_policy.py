@@ -22,6 +22,7 @@ from multistage import (
 )
 from multistage.generate import random_nodewise_class, random_tree, rng_from_seed
 from multistage.scenario_tree import Node, ScenarioTree
+from instances import feasible_at
 
 
 def small_tree():
@@ -254,7 +255,7 @@ class TestClassSemantics:
         assert all(cls.contains(tree, p) for p in policies)
         for n in tree.nodes:
             first_seen = list(dict.fromkeys(p.decisions[n.id] for p in policies))
-            assert first_seen == list(cls.feasible_at(tree, n.id))
+            assert first_seen == list(feasible_at(cls, tree, n.id))
 
     @given(seed=st.integers(0, 2**16), data=st.data())
     @settings(max_examples=40, deadline=None)

@@ -17,7 +17,8 @@ from multistage import (
     unconditional_probability,
     validate,
 )
-from multistage.generate import chain_tree, random_tree, rng_from_seed
+from multistage.generate import random_tree, rng_from_seed
+from instances import chain_tree
 
 
 def make_tree(entries, horizon, obs_dim=1):

@@ -26,20 +26,24 @@ from multistage import (
 from multistage import costs
 from multistage.costs import cost_from_json
 from multistage.generate import (
-    branching_gap_fixture,
-    chain_tree,
-    random_additive_cost,
-    random_general_cost,
     random_history_blind_class,
-    random_instance,
     random_nodewise_class,
     random_tree,
     rng_from_seed,
 )
-from multistage.policy import DEFAULT_ENUMERATION_CAP, policy_from_indices
+from multistage.policy import DEFAULT_ENUMERATION_CAP
 from multistage.scenario_tree import Node, ScenarioTree, path, unconditional_probability
 from multistage.value_process import _Definitional, holder_table_violation
 from multistage.verification import check_dynamic_relations
+from instances import (
+    branching_gap_fixture,
+    chain_tree,
+    feasible_at,
+    policy_from_indices,
+    random_additive_cost,
+    random_general_cost,
+    random_instance,
+)
 
 
 def sum_cost():
@@ -601,11 +605,11 @@ class TestTheoremInequality:
             1000 + seed, max_policies=200, horizon=2, kind=kind
         )
         for n in tree.nodes:
-            if tree.is_leaf(n.id):
+            if not tree.children(n.id):
                 continue
             kids = tree.children(n.id)
             for head in itertools.product(
-                *(cls.feasible_at(tree, i) for i in tree.path_nodes(n.id))
+                *(feasible_at(cls, tree, i) for i in tree.path_nodes(n.id))
             ):
                 lhs = compute_v(tree, cost, cls, n.id, head)
                 rhs = sum(
@@ -685,7 +689,7 @@ class ScalarDefinitional:
 
     def V(self, node_id, head):
         return min(self.v(node_id, head + (u,))
-                   for u in self.cls.feasible_at(self.tree, node_id))
+                   for u in feasible_at(self.cls, self.tree, node_id))
 
 
 def same_float(a, b):
@@ -811,10 +815,10 @@ class TestDefinitionalRoute:
             head_full, head = heads[n.id], heads[n.id][:-1]
             probs = [tree.nodes[c].cond_prob for c in kids]
             rhs_V = min(sum(p * ref.V(c, head + (u,)) for p, c in zip(probs, kids))
-                        for u in cls.feasible_at(tree, n.id))
+                        for u in feasible_at(cls, tree, n.id))
             rhs_v = 0.0
             for p, c in zip(probs, kids):
-                rhs_v += p * min(ref.v(c, head_full + (u,)) for u in cls.feasible_at(tree, c))
+                rhs_v += p * min(ref.v(c, head_full + (u,)) for u in feasible_at(cls, tree, c))
             expected += [("V", ref.V(n.id, head), rhs_V), ("v", ref.v(n.id, head_full), rhs_v)]
         expected = [(relation, lhs.hex(), rhs.hex()) for relation, lhs, rhs in expected]
         # at each block size as the cap, some node's blocks take a longer prefix

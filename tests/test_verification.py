@@ -15,16 +15,14 @@ from multistage import (
     verify_policy,
 )
 from multistage.generate import (
-    branching_gap_fixture,
-    chain_tree,
     interchange_fixture,
     random_history_blind_class,
-    random_instance,
     random_nodewise_class,
     random_tree,
     rng_from_seed,
 )
 from multistage.verification import MARTINGALE, NEITHER, SUBMARTINGALE
+from instances import branching_gap_fixture, chain_tree, feasible_at, random_instance
 from test_value_process import ScalarDefinitional, definitional_instance, same_float
 
 
@@ -331,12 +329,12 @@ class TestDynamicRelationsDefinitional:
             probs = [tree.nodes[c].cond_prob for c in kids]
             rhs_V = min(
                 sum(p * ref.V(c, head + (u,)) for p, c in zip(probs, kids))
-                for u in cls.feasible_at(tree, n.id)
+                for u in feasible_at(cls, tree, n.id)
             )
             out.append((ref.V(n.id, head), rhs_V))
             rhs_v = 0.0
             for p, c in zip(probs, kids):
-                rhs_v += p * min(ref.v(c, head_full + (u,)) for u in cls.feasible_at(tree, c))
+                rhs_v += p * min(ref.v(c, head_full + (u,)) for u in feasible_at(cls, tree, c))
             out.append((ref.v(n.id, head_full), rhs_v))
         return out
 
