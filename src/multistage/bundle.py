@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .costs import CostSpec, cost_from_json, cost_problems, cost_to_json, verify_holder
 from .dp_solvers import MDPSpec, SddpSpec, mdp_from_json, sddp_from_json
-from .exceptions import InputFormatError, read_json, require_object
+from .exceptions import InputFormatError, load_json, require_object
 from .policy import (
     Policy,
     PolicyClass,
@@ -90,15 +90,15 @@ def bundle_to_json(bundle: ProblemBundle) -> dict:
 
 
 def load_bundle(path: str) -> ProblemBundle:
-    return bundle_from_json(read_json(path))
+    return load_json(path, bundle_from_json)
 
 
 def load_mdp(path: str) -> MDPSpec:
     """The MDP in the JSON file at ``path``, checked as :func:`mdp_from_json` checks it."""
-    return mdp_from_json(read_json(path))
+    return load_json(path, mdp_from_json)
 
 
 def load_stagewise(path: str) -> SddpSpec:
     """The stagewise-independent problem in the JSON file at ``path``, checked
     as :func:`sddp_from_json` checks it."""
-    return sddp_from_json(read_json(path))
+    return load_json(path, sddp_from_json)

@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import __version__
-from .bundle import bundle_from_json, load_bundle, load_mdp, load_stagewise
+from .bundle import ProblemBundle, bundle_from_json, load_bundle, load_mdp, load_stagewise
 from .dp_solvers import mdp_backward_induction, sddp_recursion, value_iteration
 from .exceptions import (
     ConvergenceError,
@@ -24,7 +24,7 @@ from .exceptions import (
     InfeasiblePolicyError,
     InputFormatError,
     MultistageError,
-    read_json,
+    load_json,
     require_object,
 )
 from .generate import interchange_fixture, rng_from_seed
@@ -61,11 +61,12 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def cmd_validate(args) -> int:
-    data = require_object(read_json(args.input), args.input)
-    if "tree" in data:
-        problems = bundle_from_json(data).validate()
-    else:
-        problems = validate(tree_from_json(data))
+    def build(data):
+        require_object(data, args.input)
+        return bundle_from_json(data) if "tree" in data else tree_from_json(data)
+
+    loaded = load_json(args.input, build)
+    problems = loaded.validate() if isinstance(loaded, ProblemBundle) else validate(loaded)
     report = {"input": args.input, "violations": problems, "valid": not problems}
     _emit(
         report,

@@ -43,8 +43,10 @@ from .exceptions import (
     InputFormatError,
     MultistageError,
     UnboundedObjectiveError,
+    all_numbers,
     require_int,
     require_number,
+    require_numbers,
     require_object,
 )
 from .tolerances import EQUALITY_TOL, HOLDER_SLACK
@@ -460,7 +462,7 @@ def poly_cost(terms: Sequence[Term], window_relative: bool):
 def quadratic_tracking(params: dict):
     """sum_t w_t * ||u_t - x_t||^2 over the window, x repeated cyclically over u."""
     weights = params.get("weights")
-    weights = None if weights is None else tuple(float(w) for w in weights)
+    weights = None if weights is None else require_numbers(weights, "quadratic_tracking weight")
 
     def stage(t: int, x: Vector, u: Vector) -> float:
         w = 1.0 if weights is None else weights[t]
@@ -520,10 +522,18 @@ def table_objective(entries: Sequence[dict], atol: float = EQUALITY_TOL):
     (entries, histories) array; entries go in chunks of at most
     :data:`LEAF_BATCH_ENTRIES` // histories, carrying the first match.
     """
+    keys = itertools.chain.from_iterable(itertools.chain(e["x"], e["u"]) for e in entries)
+    if not all_numbers(itertools.chain(itertools.chain.from_iterable(keys),
+                                       (e["value"] for e in entries))):
+        for k, e in enumerate(entries):
+            for role in ("x", "u"):
+                for j, vec in enumerate(e[role]):
+                    require_numbers(vec, f"table entry {k}: {role}[{j}] entry")
+            require_number(e["value"], f"table entry {k} value")
     parsed = [
         (
-            tuple(tuple(float(v) for v in vec) for vec in e["x"]),
-            tuple(tuple(float(v) for v in vec) for vec in e["u"]),
+            tuple(tuple(map(float, vec)) for vec in e["x"]),
+            tuple(tuple(map(float, vec)) for vec in e["u"]),
             float(e["value"]),
         )
         for e in entries
@@ -717,7 +727,7 @@ def _callable_from_json(spec: dict, window_relative: bool):
         return poly_cost(terms, window_relative)
     if "table" in spec:
         table = require_object(spec["table"], "table")
-        atol = float(table.get("atol", EQUALITY_TOL))
+        atol = require_number(table.get("atol", EQUALITY_TOL), "table atol")
         if not 0.0 <= atol < math.inf:
             raise InputFormatError(f"table atol {atol!r} must be finite and >= 0")
         return table_objective(table["entries"], atol=atol)

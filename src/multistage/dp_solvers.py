@@ -55,6 +55,7 @@ from .exceptions import (
     UnboundedObjectiveError,
     require_int,
     require_number,
+    require_numbers,
     require_object,
 )
 from .policy import DEFAULT_ENUMERATION_CAP, Decision, Policy, PolicyClass
@@ -64,6 +65,36 @@ from .value_process import ValueTables, backward_tables
 
 
 # -- Markov decision processes -------------------------------------------------
+
+
+def _float_array(x) -> np.ndarray:
+    """``x`` as a float64 array, exactly as ``np.asarray(x, dtype=float)``
+    reads it: the same values, shape and exceptions.
+
+    Nested lists of equal lengths, as JSON decodes an array, are read in one
+    flat pass: a walk over the nesting levels finds the shape, and one
+    ``np.fromiter`` converts the entries of the innermost lists. Anything
+    else, and any list the walk cannot read (ragged, of mixed depth, with a
+    sequence among the entries), is left to ``np.asarray``.
+    """
+    if type(x) is list:
+        shape, level = [], [x]
+        while set(map(type, level)) == {list}:
+            lengths = set(map(len, level))
+            if len(lengths) != 1:
+                break
+            shape.append(lengths.pop())
+            if shape[-1] == 0:
+                return np.empty(shape)
+            if type(level[0][0]) is list:
+                level = list(itertools.chain.from_iterable(level))
+                continue
+            try:
+                entries = itertools.chain.from_iterable(level)
+                return np.fromiter(entries, float, math.prod(shape)).reshape(shape)
+            except (TypeError, ValueError):
+                break
+    return np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -88,14 +119,12 @@ class MDPSpec:
     actions_by_state: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel", np.asarray(self.kernel, dtype=float))
+        object.__setattr__(self, "kernel", _float_array(self.kernel))
         if self.cost is not None:
-            object.__setattr__(self, "cost", np.asarray(self.cost, dtype=float))
+            object.__setattr__(self, "cost", _float_array(self.cost))
         if self.stage_costs is not None:
             object.__setattr__(
-                self,
-                "stage_costs",
-                tuple(np.asarray(c, dtype=float) for c in self.stage_costs),
+                self, "stage_costs", tuple(_float_array(c) for c in self.stage_costs)
             )
         problems = self.validate()
         if problems:
@@ -660,7 +689,7 @@ class SddpSpec:
                     f"stage {t + 1} noise probabilities sum to {total!r}, not 1"
                 )
             for k, (p, value) in enumerate(atoms):
-                if not np.isfinite(p) or not all(np.isfinite(x) for x in value):
+                if not math.isfinite(p) or not all(map(math.isfinite, value)):
                     raise InputFormatError(
                         f"stage {t + 1} noise support contains a non-finite entry"
                     )
@@ -888,27 +917,19 @@ def unroll_mdp_to_tree(
 # -- JSON -------------------------------------------------------------------------
 
 
-def _numbers(values, what: str) -> tuple[float, ...]:
-    """The entries of a JSON vector, each a JSON number (``require_number``), as floats."""
-    return tuple(require_number(x, what) for x in values)
-
-
 def mdp_from_json(data: dict) -> MDPSpec:
     """MDP from JSON. ``gamma``, ``bound_K`` and the entries of the state and
-    action vectors must be JSON numbers; the arrays are read by numpy."""
+    action vectors must be JSON numbers; :class:`MDPSpec` reads the arrays
+    as numpy reads them (:func:`_float_array`)."""
     try:
         return MDPSpec(
-            states=tuple(_numbers(s, "MDP state entry") for s in data["states"]),
-            actions=tuple(_numbers(a, "MDP action entry") for a in data["actions"]),
-            kernel=np.asarray(data["kernel"], dtype=float),
-            cost=None if data.get("cost") is None else np.asarray(data["cost"], dtype=float),
+            states=tuple(require_numbers(s, "MDP state entry") for s in data["states"]),
+            actions=tuple(require_numbers(a, "MDP action entry") for a in data["actions"]),
+            kernel=data["kernel"],
+            cost=data.get("cost"),
             gamma=require_number(data["gamma"], "MDP gamma"),
             bound_K=require_number(data["bound_K"], "MDP bound_K"),
-            stage_costs=(
-                tuple(np.asarray(c, dtype=float) for c in data["stage_costs"])
-                if data.get("stage_costs")
-                else None
-            ),
+            stage_costs=tuple(data["stage_costs"]) if data.get("stage_costs") else None,
             actions_by_state=(
                 tuple(
                     tuple(require_int(a, "actions_by_state entry") for a in row)
@@ -995,16 +1016,16 @@ def sddp_from_json(data: dict) -> SddpSpec:
         stage_noise = tuple(
             tuple(
                 (require_number(a["prob"], "noise probability"),
-                 _numbers(a["value"], "noise value entry"))
+                 require_numbers(a["value"], "noise value entry"))
                 for a in atoms
             )
             for atoms in data["stage_noise"]
         )
         stage_decisions = tuple(
-            tuple(_numbers(u, "decision entry") for u in grid)
+            tuple(require_numbers(u, "decision entry") for u in grid)
             for grid in data["stage_decisions"]
         )
-        initial_state = _numbers(data["initial_state"], "initial_state entry")
+        initial_state = require_numbers(data["initial_state"], "initial_state entry")
         noise_dims = [len(value) for atoms in stage_noise for _, value in atoms]
         dims = {
             "x": min([len(initial_state)] + noise_dims),

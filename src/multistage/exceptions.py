@@ -1,9 +1,13 @@
-"""Exception types shared across the package, and the JSON file reader and
+"""Exception types shared across the package, and the JSON file loader and
 object, integer and number checks that raise one."""
 
 from __future__ import annotations
 
+import gc
 import json
+from typing import Any, Callable, Iterable, TypeVar
+
+T = TypeVar("T")
 
 
 class MultistageError(Exception):
@@ -93,14 +97,28 @@ class ConvergenceError(MultistageError):
         self.rounding_bounds = rounding_bounds
 
 
-def read_json(path: str):
-    """The JSON document in the file at ``path``; an input error naming the
-    file if it is not UTF-8 JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
-            raise InputFormatError(f"{path}: {exc}") from exc
+def load_json(path: str, build: Callable[[Any], T]) -> T:
+    """``build`` applied to the JSON document in the file at ``path``; an input
+    error naming the file if it is not UTF-8 JSON. Every input file is read
+    through here.
+
+    The cyclic garbage collector is paused for the decode and the build: a
+    decoded document holds no reference cycles, so the collections its many
+    containers would trigger free nothing. The collector is left as it was
+    found, enabled or not, on return and on error.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+                raise InputFormatError(f"{path}: {exc}") from exc
+        return build(data)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def require_object(value, what: str) -> dict:
@@ -127,3 +145,15 @@ def require_number(value, what: str) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise InputFormatError(f"{what} must be a number, got {value!r}")
+
+
+def require_numbers(values, what: str) -> tuple[float, ...]:
+    """The entries of a JSON vector, each a JSON number (:func:`require_number`), as floats."""
+    return tuple(require_number(x, what) for x in values)
+
+
+def all_numbers(values: Iterable) -> bool:
+    """Whether every entry of ``values`` is a JSON number as :func:`require_number`
+    has it, tested once per distinct type: one pass for a whole document's
+    entries, where a call per entry would cost more than reading them."""
+    return all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, values)))

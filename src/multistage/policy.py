@@ -40,8 +40,10 @@ from .exceptions import (
     NotAdaptedError,
     PastingInfeasibleError,
     UnknownNodeError,
-    read_json,
+    all_numbers,
+    load_json,
     require_int,
+    require_numbers,
     require_object,
 )
 from .scenario_tree import ScenarioTree
@@ -61,6 +63,9 @@ class Policy:
     decision_dim: int
 
     def __post_init__(self):
+        if not all_numbers(itertools.chain.from_iterable(self.decisions.values())):
+            for k, v in self.decisions.items():
+                require_numbers(v, f"decision at node {k}")
         normalized = {
             int(k): tuple(map(float, v)) for k, v in self.decisions.items()
         }
@@ -103,6 +108,11 @@ class PolicyClass:
     def __post_init__(self):
         if self.kind not in ("nodewise", "history_blind"):
             raise InputFormatError(f"unknown class kind {self.kind!r}")
+        grids = self.feasible.values()
+        if not all_numbers(itertools.chain.from_iterable(itertools.chain.from_iterable(grids))):
+            for k, grid in self.feasible.items():
+                for dec in grid:
+                    require_numbers(dec, f"feasible decision at node {k}")
         normalized: dict[int, tuple[Decision, ...]] = {}
         for k, grid in self.feasible.items():
             nid = int(k)
@@ -373,4 +383,4 @@ def policy_class_from_json(data: dict) -> PolicyClass:
 
 
 def load_policy(path: str) -> Policy:
-    return policy_from_json(read_json(path))
+    return load_json(path, policy_from_json)

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -408,11 +409,21 @@ NUMBER_FIELDS = {
     "holder-C": ("holder", ("cost", "holder", "C"), "holder C"),
     "holder-alpha": ("holder", ("cost", "holder", "alpha"), "holder alpha"),
     "holder-delta": ("holder", ("cost", "holder", "delta"), "holder delta"),
+    "table-x": ("table", ("cost", "table", "entries", 0, "x", 1, 0), "table entry 0: x[1] entry"),
+    "table-u": ("table", ("cost", "table", "entries", 0, "u", 0, 0), "table entry 0: u[0] entry"),
+    "table-value": ("table", ("cost", "table", "entries", 0, "value"), "table entry 0 value"),
+    "table-atol": ("table", ("cost", "table", "atol"), "table atol"),
+    "weight": ("tracking", ("cost", "params", "weights", 1), "quadratic_tracking weight"),
+    "policy-decision": ("policy", ("policies", "opt", "decisions", "0", 0),
+                        "decision at node 0"),
+    "feasible": ("bundle", ("policy_class", "feasible", "0", 1, 0),
+                 "feasible decision at node 0"),
 }
 NUMBER_COMMANDS = {"mdp": [["mdp-solve", "--horizon", "2"], ["value-iterate"]],
                    "stagewise": [["sddp-solve"]], "step": [["sddp-solve"]],
                    "bundle": [["validate"], ["solve"]], "additive": [["validate"], ["solve"]],
-                   "holder": [["validate"]]}
+                   "holder": [["validate"]], "table": [["validate"], ["solve"]],
+                   "tracking": [["validate"], ["solve"]], "policy": [["validate"], ["verify"]]}
 
 
 class TestNumberFields:
@@ -430,6 +441,12 @@ class TestNumberFields:
             stage_costs=[{"poly": {"terms": [{"coef": 1.0, "vars": [["u", 0, 0, 2]]}]}}],
         ),
         "holder": lambda: recourse_payload(holder={"C": 10.0, "alpha": 1.0, "delta": 1.0}),
+        "table": lambda: TestTableAtol.bundle(0.0),
+        "tracking": lambda: malformed_cost_bundle(
+            {"form": "general", "builtin": "quadratic_tracking", "params": {"weights": [1.0, 2.0]}}
+        ),
+        "policy": lambda: {**recourse_payload(), "policies": {
+            "opt": policy_to_json(recourse_fixture()["optimal_policy"])}},
     }
     CASES = [(field, command) for field, (kind, _, _) in NUMBER_FIELDS.items()
              for command in NUMBER_COMMANDS[kind]]
@@ -457,6 +474,19 @@ class TestNumberFields:
         code, out, err = self.run(tmp_path, capsys, field, command, lambda _: value)
         assert (code, out) == (3, "")
         assert f"input error: {NUMBER_FIELDS[field][2]} must be a number, got {value!r}" in err
+        assert "Traceback" not in err
+
+    def test_a_policy_file_decision_must_be_a_number(self, tmp_path, capsys):
+        fx = recourse_fixture()
+        bundle = write_json(tmp_path / "bundle.json", recourse_payload())
+        policy = policy_to_json(fx["optimal_policy"])
+        policy["decisions"]["0"] = ["1.0"]
+        path = write_json(tmp_path / "policy.json", policy)
+        assert main(["verify", "--input", bundle, "--policy", path, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error: decision at node 0 must be a number, got '1.0'" in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("field, command", CASES, ids=CASE_IDS)
     def test_number_written_as_an_integer_is_accepted(self, tmp_path, capsys, field, command):
@@ -731,6 +761,41 @@ class TestLoaders:
         with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}: "):
             load(str(path))
 
+    def test_load_mdp_runs_no_collection_and_restores_the_collector(self, tmp_path):
+        """The collector is paused for the decode and the build of a large MDP
+        (10 000 cost rows) and left as it was found, also after an error."""
+        path = write_json(tmp_path / "mdp.json", mdp_to_json(
+            random_mdp(rng_from_seed(5), n_states=100, n_actions=5)))
+        bad = [tmp_path / "bad.json", tmp_path / "incomplete.json"]
+        bad[0].write_text("{not json")
+        bad[1].write_text('{"states": [[0.0]], "kernel": [[1.0]]}')
+        loading, collections = [], []
+
+        def record(phase, info):
+            if phase == "start" and loading:
+                collections.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.callbacks.append(record)
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                loading.append(path)
+                try:
+                    mdp = load_mdp(path)
+                finally:
+                    loading.clear()
+                assert mdp.cost.shape == (100, 100, 5)
+                assert gc.isenabled() is enabled
+                for p in bad:
+                    with pytest.raises(InputFormatError):
+                        load_mdp(str(p))
+                    assert gc.isenabled() is enabled
+        finally:
+            gc.callbacks.remove(record)
+            (gc.enable if was_enabled else gc.disable)()
+        assert collections == []
+
     @pytest.mark.parametrize("command, load", [
         (["mdp-solve", "--horizon", "2"], "load_mdp"), (["value-iterate"], "load_mdp"),
         (["sddp-solve"], "load_stagewise"),
@@ -748,7 +813,7 @@ class TestLoaders:
             return real(p)
 
         monkeypatch.setattr(cli, load, counted)
-        monkeypatch.setattr(cli, "read_json", None)  # the handler must not read the file
+        monkeypatch.setattr(cli, "load_json", None)  # the handler must not read the file
         assert main([*command, "--input", path, "--json"]) == 0
         assert calls == [path]
 

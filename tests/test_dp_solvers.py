@@ -1,8 +1,11 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multistage import (
     ConvergenceError,
@@ -1014,3 +1017,72 @@ class TestJsonRoundTrips:
                 gamma=0.5,
                 step_cost=lambda xs, us: 0.0,
             )
+
+
+def _read(read, x):
+    """``read(x)`` as (dtype, shape, bytes), or the class of the exception it raised."""
+    try:
+        arr = read(x)
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+def _asarray(x):
+    return np.asarray(x, dtype=float)
+
+
+_ENTRIES = st.one_of(
+    st.integers(min_value=-(2**1000), max_value=2**1000),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def _nested(draw, depth_max=3):
+    """A nested list of equal lengths per level, depth 1 to 3, axes of 0 to 4."""
+    shape = draw(st.lists(st.integers(0, 4), min_size=1, max_size=depth_max))
+    flat = draw(st.lists(_ENTRIES, min_size=math.prod(shape), max_size=math.prod(shape)))
+
+    def build(level, entries):
+        if level == len(shape) - 1:
+            return list(entries)
+        step = len(entries) // shape[level] if shape[level] else 0
+        return [build(level + 1, entries[k * step:(k + 1) * step]) for k in range(shape[level])]
+
+    return build(0, flat)
+
+
+class TestFloatArray:
+    """``_float_array`` reads a decoded JSON array exactly as ``np.asarray(x,
+    dtype=float)`` does: the same values, shape and exception class."""
+
+    @given(_nested())
+    def test_nested_lists_read_as_numpy_reads_them(self, x):
+        out = _read(dp_solvers._float_array, x)
+        assert isinstance(out, tuple) and out == _read(_asarray, x)
+
+    @given(st.recursive(_ENTRIES, lambda inner: st.lists(inner, max_size=3), max_leaves=12))
+    def test_ragged_and_mixed_depth_lists_fail_as_numpy_fails(self, x):
+        assert _read(dp_solvers._float_array, x) == _read(_asarray, x)
+
+    @pytest.mark.parametrize("x, expected", [
+        (["0.5", True, None], [0.5, 1.0, math.nan]),
+        ([[1, 2], [3, 4.5]], [[1.0, 2.0], [3.0, 4.5]]),
+    ])
+    def test_leaves_convert_as_numpy_converts_them(self, x, expected):
+        np.testing.assert_array_equal(dp_solvers._float_array(x), expected)
+
+    @pytest.mark.parametrize("x, error", [
+        ([[1.0], [10**400]], OverflowError),
+        ([[1.0, 2.0], [3.0]], ValueError),
+        ([[1.0], [[2.0]]], ValueError),
+        ([[[1.0]], [2.0]], ValueError),
+    ], ids=["huge-int", "ragged", "deeper-later", "deeper-first"])
+    def test_faults_raise_what_numpy_raises(self, x, error):
+        with pytest.raises(error):
+            _asarray(x)
+        with pytest.raises(error):
+            dp_solvers._float_array(x)
+

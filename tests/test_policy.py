@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from multistage import (
     policy_to_json,
     policy_to_leafwise,
 )
+from multistage.exceptions import all_numbers, require_number
 from multistage.generate import random_nodewise_class, random_tree, rng_from_seed
 from multistage.scenario_tree import Node, ScenarioTree
 from instances import feasible_at
@@ -302,6 +304,32 @@ class TestJson:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputFormatError):
             Policy(decisions={0: (1.0, 2.0)}, decision_dim=1)
+
+    @given(st.lists(st.one_of(
+        st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=2),
+        st.builds(np.float64, st.floats()), st.builds(np.int64, st.integers(-9, 9)),
+        st.builds(np.bool_, st.booleans()),
+    ), max_size=4))
+    def test_all_numbers_is_require_number_on_every_entry(self, values):
+        def accepted(value):
+            try:
+                require_number(value, "entry")
+            except InputFormatError:
+                return False
+            return True
+
+        assert all_numbers(values) == all(map(accepted, values))
+
+    @pytest.mark.parametrize("bad", ["1.0", True, None])
+    def test_a_decision_that_is_not_a_number_names_its_node(self, bad):
+        decisions = {0: (np.float64(1.0),), 1: (0,), 2: (bad,)}
+        with pytest.raises(InputFormatError,
+                           match=f"^decision at node 2 must be a number, got {bad!r}$"):
+            Policy(decisions=decisions, decision_dim=1)
+        feasible = {0: ((1.0,),), 1: ((0.0,), (np.float64(2.0),)), 2: ((0.0,), (bad,))}
+        with pytest.raises(InputFormatError,
+                           match=f"^feasible decision at node 2 must be a number, got {bad!r}$"):
+            PolicyClass(feasible=feasible, kind="nodewise", decision_dim=1)
 
 
 class TestDecisionPaths:
