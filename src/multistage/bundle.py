@@ -5,7 +5,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .costs import CostSpec, cost_from_json, cost_problems, cost_to_json, verify_holder
+from .costs import (
+    MAX_HORIZON,
+    CostSpec,
+    cost_from_json,
+    cost_problems,
+    cost_to_json,
+    verify_holder,
+)
 from .dp_solvers import MDPSpec, SddpSpec, mdp_from_json, sddp_from_json
 from .exceptions import InputFormatError, load_json, require_object
 from .policy import (
@@ -44,8 +51,12 @@ class ProblemBundle:
         problems += cost_problems(self.cost, self.tree, self.cls)
         if self.cost.holder is not None and not problems:
             C, alpha, delta = self.cost.holder
-            check = verify_holder(self.tree, self.cls, self.cost, C, alpha, delta)
-            if not check.ok:
+            if self.tree.horizon > MAX_HORIZON:
+                problems.append(
+                    f"declared Hoelder bound cannot be checked: horizon {self.tree.horizon} "
+                    f"exceeds {MAX_HORIZON}, the longest that is evaluated"
+                )
+            elif not (check := verify_holder(self.tree, self.cls, self.cost, C, alpha, delta)).ok:
                 problems.append(
                     f"declared Hoelder bound violated on the grid: observed ratio "
                     f"{check.max_ratio} exceeds C = {C}"

@@ -17,6 +17,7 @@ import sys
 
 from . import __version__
 from .bundle import ProblemBundle, bundle_from_json, load_bundle, load_mdp, load_stagewise
+from .costs import MAX_HORIZON
 from .dp_solvers import mdp_backward_induction, sddp_recursion, value_iteration
 from .exceptions import (
     ConvergenceError,
@@ -77,7 +78,13 @@ def cmd_validate(args) -> int:
 
 
 def _valid_bundle(path: str):
+    """The bundle at ``path``, whose horizon the solvers support, if it is valid."""
     bundle = load_bundle(path)
+    if bundle.tree.horizon > MAX_HORIZON:
+        raise InputFormatError(
+            f"tree horizon {bundle.tree.horizon} exceeds {MAX_HORIZON}, the longest that "
+            "solve, verify and dynamic-check evaluate"
+        )
     problems = bundle.validate()
     if problems:
         raise InputFormatError("invalid bundle: " + "; ".join(problems))

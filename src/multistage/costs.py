@@ -54,6 +54,12 @@ from .tolerances import EQUALITY_TOL, HOLDER_SLACK
 Vector = tuple[float, ...]
 Window = tuple[Vector, ...]
 
+#: The longest tree horizon whose objective and value tables are evaluated:
+#: a horizon-T array has T + 2 axes (the leaves, then one per stage decision),
+#: numpy arrays hold at most 64, and the first-minimum gather of the
+#: backward recursion adds one more.
+MAX_HORIZON = 61
+
 
 class GridWindow:
     """A window over a batch of grid products: one row per leaf on a tree.

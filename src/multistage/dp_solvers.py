@@ -53,6 +53,7 @@ from .exceptions import (
     InputFormatError,
     MultistageError,
     UnboundedObjectiveError,
+    all_numbers,
     require_int,
     require_number,
     require_numbers,
@@ -1002,7 +1003,9 @@ def sddp_from_json(data: dict) -> SddpSpec:
     """Stagewise independent problem from JSON, its step costs checked at load.
 
     ``gamma``, the noise probabilities and the entries of the noise values,
-    decisions and ``initial_state`` must be JSON numbers.
+    decisions and ``initial_state`` must be JSON numbers. One
+    :func:`all_numbers` pass checks those entries; only when it fails does a
+    pass per entry run, to name the first fault.
 
     A compiled step cost's ``problems`` runs at every stage t < horizon, on
     the states, noise values and decisions of that step, so a 0 under a
@@ -1013,19 +1016,28 @@ def sddp_from_json(data: dict) -> SddpSpec:
     here too.
     """
     try:
+        noise = [[(a["prob"], a["value"]) for a in atoms] for atoms in data["stage_noise"]]
+        grids = data["stage_decisions"]
+        entries = itertools.chain(
+            (p for atoms in noise for p, _ in atoms),
+            itertools.chain.from_iterable(v for atoms in noise for _, v in atoms),
+            itertools.chain.from_iterable(itertools.chain.from_iterable(grids)),
+            data["initial_state"],
+        )
+        if not all_numbers(entries):
+            for atoms in noise:
+                for p, v in atoms:
+                    require_number(p, "noise probability")
+                    require_numbers(v, "noise value entry")
+            for grid in grids:
+                for u in grid:
+                    require_numbers(u, "decision entry")
+            require_numbers(data["initial_state"], "initial_state entry")
         stage_noise = tuple(
-            tuple(
-                (require_number(a["prob"], "noise probability"),
-                 require_numbers(a["value"], "noise value entry"))
-                for a in atoms
-            )
-            for atoms in data["stage_noise"]
+            tuple((float(p), tuple(map(float, v))) for p, v in atoms) for atoms in noise
         )
-        stage_decisions = tuple(
-            tuple(require_numbers(u, "decision entry") for u in grid)
-            for grid in data["stage_decisions"]
-        )
-        initial_state = require_numbers(data["initial_state"], "initial_state entry")
+        stage_decisions = tuple(tuple(tuple(map(float, u)) for u in grid) for grid in grids)
+        initial_state = tuple(map(float, data["initial_state"]))
         noise_dims = [len(value) for atoms in stage_noise for _, value in atoms]
         dims = {
             "x": min([len(initial_state)] + noise_dims),

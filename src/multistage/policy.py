@@ -43,6 +43,7 @@ from .exceptions import (
     all_numbers,
     load_json,
     require_int,
+    require_node_key,
     require_numbers,
     require_object,
 )
@@ -67,7 +68,8 @@ class Policy:
             for k, v in self.decisions.items():
                 require_numbers(v, f"decision at node {k}")
         normalized = {
-            int(k): tuple(map(float, v)) for k, v in self.decisions.items()
+            require_node_key(k, "policy"): tuple(map(float, v))
+            for k, v in self.decisions.items()
         }
         object.__setattr__(self, "decisions", normalized)
         for nid, dec in normalized.items():
@@ -115,7 +117,7 @@ class PolicyClass:
                     require_numbers(dec, f"feasible decision at node {k}")
         normalized: dict[int, tuple[Decision, ...]] = {}
         for k, grid in self.feasible.items():
-            nid = int(k)
+            nid = require_node_key(k, "policy class")
             entries = tuple(tuple(map(float, dec)) for dec in grid)
             if not entries:
                 raise InputFormatError(f"feasible set at node {nid} is empty")

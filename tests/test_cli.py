@@ -28,6 +28,7 @@ from multistage.scenario_tree import Node, ScenarioTree, tree_to_json
 from multistage.value_process import backward_tables, expected_value
 from instances import (
     branching_gap_fixture,
+    chain_tree,
     constant_cost_mdp,
     random_general_cost,
     random_mdp,
@@ -1182,6 +1183,139 @@ class TestTruncatedJson:
         path.write_bytes(b'{"states": "\xe9"}')
         assert main(["mdp-solve", "--input", str(path), "--horizon", "1"]) == 3
         assert capsys.readouterr().err.startswith(f"input error: {path}: ")
+
+
+class TestDeepNesting:
+    """A file nested deeper than Python's recursion limit is an input error
+    (exit 3, no traceback), whether the decode or the build reaches the limit."""
+
+    def run(self, tmp_path, capsys, text, command):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code = main([*command, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "Traceback" not in captured.err
+        return str(path), captured.err
+
+    def test_validate_a_deep_array(self, tmp_path, capsys):
+        path, err = self.run(tmp_path, capsys, "[" * 5000 + "]" * 5000, ["validate"])
+        assert err == f"input error: {path} must be a JSON object, got list\n"
+
+    def test_mdp_solve_a_deep_array(self, tmp_path, capsys):
+        text = "[" * 1000 + "]" * 1000
+        _, err = self.run(tmp_path, capsys, text, ["mdp-solve", "--horizon", "1"])
+        assert err.startswith("input error: malformed MDP JSON: ")
+
+    @pytest.mark.parametrize("command", [["validate"], ["solve"]])
+    def test_a_deep_node_obs_entry(self, tmp_path, capsys, command):
+        """The decode reads it; the build's message would print the entry."""
+        text = json.dumps(recourse_payload()).replace(
+            '"obs": [0.0]', '"obs": ' + "[" * 3000 + "]" * 3000, 1)
+        path, err = self.run(tmp_path, capsys, text, command)
+        assert err == f"input error: {path}: nested too deeply to read\n"
+
+    def test_a_deep_array_that_json_decodes(self, tmp_path, capsys):
+        path, err = self.run(tmp_path, capsys, "[" * 5000 + "NaN" + "]" * 5000, ["validate"])
+        assert err == f"input error: {path}: nested too deeply to read\n"
+
+
+class TestHorizonLimit:
+    """solve, verify and dynamic-check evaluate horizons up to MAX_HORIZON and
+    exit 3 naming it beyond; validate still calls such a tree valid."""
+
+    COMMANDS = [["solve", "--method", "backward"], ["solve", "--method", "brute"],
+                ["verify"], ["dynamic-check"]]
+
+    @staticmethod
+    def chain(tmp_path, horizon, **cost):
+        """A chain of ``horizon`` stages, one candidate 0.0 per node and cost u_0^2."""
+        tree = chain_tree([0.0] * (horizon + 1))
+        square = {"terms": [{"coef": 1.0, "vars": [["u", 0, 0, 2]]}]}
+        zero = {n.id: ((0.0,),) for n in tree.nodes}
+        bundle = ProblemBundle(
+            tree=tree,
+            cost=cost_from_json({"form": "general", "poly": square, **cost}),
+            cls=PolicyClass(feasible=zero, kind="nodewise", decision_dim=1),
+            policies={"only": Policy(decisions={i: g[0] for i, g in zero.items()},
+                                     decision_dim=1)},
+        )
+        return write_json(tmp_path / f"chain{horizon}.json", bundle_to_json(bundle))
+
+    @pytest.mark.parametrize("command", [["validate"], *COMMANDS], ids=" ".join)
+    def test_the_longest_horizon_is_evaluated(self, tmp_path, capsys, command):
+        assert main([*command, "--input", self.chain(tmp_path, 61)]) == 0
+
+    @pytest.mark.parametrize("horizon", [62, 63])
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_a_longer_horizon_exits_three(self, tmp_path, capsys, command, horizon):
+        assert main([*command, "--input", self.chain(tmp_path, horizon)]) == 3
+        assert capsys.readouterr().err == (
+            f"input error: tree horizon {horizon} exceeds 61, the longest that solve, "
+            "verify and dynamic-check evaluate\n"
+        )
+
+    @pytest.mark.parametrize("horizon", [62, 63])
+    def test_validate_calls_a_longer_chain_valid(self, tmp_path, capsys, horizon):
+        path = self.chain(tmp_path, horizon)
+        assert main(["validate", "--input", path]) == 0
+        assert capsys.readouterr().out == f"OK: {path}\n"
+
+    def test_a_hoelder_declaration_past_the_limit_is_a_violation(self, tmp_path, capsys):
+        holder = {"C": 10.0, "alpha": 1.0, "delta": 1.0}
+        assert main(["validate", "--input", self.chain(tmp_path, 61, holder=holder)]) == 0
+        path = self.chain(tmp_path, 63, holder=holder)
+        assert main(["validate", "--input", path]) == 1
+        assert capsys.readouterr().out.endswith(
+            "declared Hoelder bound cannot be checked: horizon 63 exceeds 61, "
+            "the longest that is evaluated\n"
+        )
+
+
+class TestNodeKeys:
+    """A node key that is not the canonical decimal form of its id ("01",
+    " 1", "+1") is an input error that names it: "01" and "1" would
+    otherwise name one node, and the last in the file would win."""
+
+    @staticmethod
+    def with_key(tmp_path, name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))  # the extra key last, as appended
+        return str(path)
+
+    @staticmethod
+    def policy(key):
+        policy = policy_to_json(recourse_fixture()["optimal_policy"])
+        policy["decisions"][key] = [0.0]
+        return policy
+
+    def expect(self, capsys, what, key):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        canonical = str(int(key))
+        assert captured.err == (
+            f"input error: {what} node key {key!r} must be written {canonical!r}\n"
+        )
+
+    @pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0"])
+    def test_a_policy_file(self, tmp_path, capsys, key):
+        bundle = write_json(tmp_path / "bundle.json", recourse_payload())
+        path = self.with_key(tmp_path, "policy.json", self.policy(key))
+        assert main(["verify", "--input", bundle, "--policy", path]) == 3
+        self.expect(capsys, "policy", key)
+
+    @pytest.mark.parametrize("command", ["validate", "verify"])
+    def test_a_bundle_policy(self, tmp_path, capsys, command):
+        data = {**recourse_payload(), "policies": {"opt": self.policy("01")}}
+        assert main([command, "--input", self.with_key(tmp_path, "bundle.json", data)]) == 3
+        self.expect(capsys, "policy", "01")
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_a_class(self, tmp_path, capsys, command):
+        data = recourse_payload()
+        data["policy_class"]["feasible"]["01"] = [[0.0]]
+        assert main([command, "--input", self.with_key(tmp_path, "bundle.json", data)]) == 3
+        self.expect(capsys, "policy class", "01")
 
 
 BAD_ATOLS = {"nan": float("nan"), "infinity": float("inf"), "negative": -1e-9}
