@@ -13,28 +13,19 @@ fall out as special cases.
 from .bundle import (
     ProblemBundle,
     bundle_from_json,
-    bundle_to_json,
     load_bundle,
     load_mdp,
     load_stagewise,
 )
-from .costs import (
-    CostSpec,
-    cost_from_json,
-    cost_to_json,
-    empirical_holder_constant,
-    verify_holder,
-)
+from .costs import CostSpec, verify_holder
 from .dp_solvers import (
     MDPSpec,
     SddpSpec,
     ShiftedProcess,
     ValueIterationResult,
-    bellman_apply,
     lag_recursion_check,
     mdp_backward_induction,
     mdp_from_json,
-    mdp_to_json,
     sddp_from_json,
     sddp_recursion,
     sddp_to_mdp,
@@ -51,41 +42,17 @@ from .exceptions import (
     InfeasiblePolicyError,
     InputFormatError,
     MultistageError,
-    NotAdaptedError,
-    PastingInfeasibleError,
     UnboundedObjectiveError,
     UnknownNodeError,
 )
-from .policy import (
-    Policy,
-    PolicyClass,
-    check_adapted,
-    doob_dynkin_factorize,
-    enumerate_policies,
-    paste,
-    policy_class_from_json,
-    policy_class_to_json,
-    policy_from_json,
-    policy_to_json,
-    policy_to_leafwise,
-)
-from .scenario_tree import (
-    Node,
-    ScenarioTree,
-    conditional_expectation,
-    path,
-    tree_from_json,
-    tree_to_json,
-    unconditional_probability,
-    validate,
-)
+from .policy import Policy, PolicyClass
+from .scenario_tree import Node, ScenarioTree, path, tree_from_json, validate
 from .value_process import (
     ValueTables,
     backward_tables,
     brute_force_optimum,
     compute_V,
     compute_v,
-    essential_infimum,
     expected_value,
     greedy_policy_from_tables,
     tail_conditional_value,
@@ -118,8 +85,6 @@ __all__ = [
     "MartingaleReport",
     "MultistageError",
     "Node",
-    "NotAdaptedError",
-    "PastingInfeasibleError",
     "Policy",
     "PolicyClass",
     "ProblemBundle",
@@ -131,22 +96,12 @@ __all__ = [
     "ValueIterationResult",
     "ValueTables",
     "backward_tables",
-    "bellman_apply",
     "brute_force_optimum",
     "bundle_from_json",
-    "bundle_to_json",
-    "check_adapted",
     "check_dynamic_relations",
     "check_submartingale",
     "compute_V",
     "compute_v",
-    "conditional_expectation",
-    "cost_from_json",
-    "cost_to_json",
-    "doob_dynkin_factorize",
-    "empirical_holder_constant",
-    "enumerate_policies",
-    "essential_infimum",
     "expected_value",
     "greedy_policy_from_tables",
     "interchange_gap",
@@ -157,14 +112,7 @@ __all__ = [
     "load_stagewise",
     "mdp_backward_induction",
     "mdp_from_json",
-    "mdp_to_json",
-    "paste",
     "path",
-    "policy_class_from_json",
-    "policy_class_to_json",
-    "policy_from_json",
-    "policy_to_json",
-    "policy_to_leafwise",
     "sddp_from_json",
     "sddp_recursion",
     "sddp_to_mdp",
@@ -172,8 +120,6 @@ __all__ = [
     "tail_conditional_value",
     "tilde_shift",
     "tree_from_json",
-    "tree_to_json",
-    "unconditional_probability",
     "unroll_mdp_to_tree",
     "validate",
     "value_iteration",

@@ -5,25 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .costs import (
-    MAX_HORIZON,
-    CostSpec,
-    cost_from_json,
-    cost_problems,
-    cost_to_json,
-    verify_holder,
-)
+from .costs import MAX_HORIZON, CostSpec, cost_from_json, cost_problems, verify_holder
 from .dp_solvers import MDPSpec, SddpSpec, mdp_from_json, sddp_from_json
 from .exceptions import InputFormatError, load_json, require_object
-from .policy import (
-    Policy,
-    PolicyClass,
-    policy_class_from_json,
-    policy_class_to_json,
-    policy_from_json,
-    policy_to_json,
-)
-from .scenario_tree import ScenarioTree, tree_from_json, tree_to_json, validate
+from .policy import Policy, PolicyClass, policy_class_from_json, policy_from_json
+from .scenario_tree import ScenarioTree, tree_from_json, validate
 
 
 @dataclass
@@ -85,19 +71,6 @@ def bundle_from_json(data: dict) -> ProblemBundle:
         for name, raw in require_object(data.get("policies", {}), "bundle policies").items()
     }
     return ProblemBundle(tree=tree, cost=cost, cls=cls, policies=policies)
-
-
-def bundle_to_json(bundle: ProblemBundle) -> dict:
-    out = {
-        "tree": tree_to_json(bundle.tree),
-        "cost": cost_to_json(bundle.cost),
-        "policy_class": policy_class_to_json(bundle.cls),
-    }
-    if bundle.policies:
-        out["policies"] = {
-            name: policy_to_json(p) for name, p in sorted(bundle.policies.items())
-        }
-    return out
 
 
 def load_bundle(path: str) -> ProblemBundle:

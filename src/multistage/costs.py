@@ -13,10 +13,10 @@ real number. Two forms exist:
   cost sees observations up to x_t but not the decision u_t taken after it.
 
 Objectives can be plain Python callables or built from a JSON payload
-(named builtin, polynomial, or lookup table), in which case they round-trip
-through serialization. Every payload (polynomial, builtin or table) is
-compiled once, when loaded, into one function whose body takes batch
-windows (:class:`GridWindow`), so every decision history of a batch of
+(named builtin, polynomial, or lookup table), in which case the cost keeps
+that payload (``CostSpec.payload``). Every payload (polynomial, builtin or
+table) is compiled once, when loaded, into one function whose body takes
+batch windows (:class:`GridWindow`), so every decision history of a batch of
 leaves is evaluated at once (:meth:`CostSpec.evaluate_leaves`, whose result
 has a leading leaf axis; :meth:`CostSpec.evaluate_grid` is a batch of one).
 A plain window is a batch of one row: :meth:`CostSpec.evaluate` and a
@@ -236,8 +236,14 @@ class CostSpec:
         order). Leaves that share a stage's observation and grid objects
         (one tree node) share that stage's row, so a compiled factor is
         computed once per node. An error is the one the first failing leaf
-        raises on its own.
+        raises on its own. A horizon past :data:`MAX_HORIZON` is an error
+        before any array is built.
         """
+        horizon = len(grids_list[0]) - 1
+        if horizon > MAX_HORIZON:
+            raise MultistageError(
+                f"horizon {horizon} exceeds {MAX_HORIZON}, the longest that is evaluated"
+            )
         with _first_leaf_error(self, paths_list, grids_list):
             shape = tuple(map(len, grids_list[0]))
             for paths, grids in zip(paths_list, grids_list):
@@ -752,7 +758,7 @@ def _callable_from_json(spec: dict, window_relative: bool):
 
 
 def cost_from_json(data: dict) -> CostSpec:
-    """Build a cost from its JSON payload; the payload is kept for round trips.
+    """Build a cost from its JSON payload, kept as ``CostSpec.payload``.
 
     A poly ``coef``, the additive ``gamma`` and the holder ``C``, ``alpha`` and
     ``delta`` must be JSON numbers (``require_number``).
@@ -784,14 +790,6 @@ def cost_from_json(data: dict) -> CostSpec:
         raise InputFormatError(f"unknown cost form {form!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed cost JSON: {exc}") from exc
-
-
-def cost_to_json(cost: CostSpec) -> dict:
-    if cost.payload is None:
-        raise InputFormatError(
-            "cost was built from a raw callable and has no serializable payload"
-        )
-    return cost.payload
 
 
 # -- Hoelder continuity summary ----------------------------------------------
@@ -849,9 +847,3 @@ def verify_holder(tree, cls, cost: CostSpec, C: float, alpha: float, delta: floa
         C=C, alpha=alpha, delta=delta, max_ratio=worst, pairs_checked=pairs,
         ok=worst <= C + HOLDER_SLACK,
     )
-
-
-def empirical_holder_constant(tree, cls, cost: CostSpec, alpha: float, delta: float) -> float:
-    """Smallest C that makes the Hoelder bound hold on the sampled grid."""
-    check = verify_holder(tree, cls, cost, C=0.0, alpha=alpha, delta=delta)
-    return check.max_ratio

@@ -7,9 +7,9 @@ and a discounted cost-to-go,
 
 and Vtilde satisfies a one-step dynamic equation, which the solvers below
 apply according to the structure of the driving process. Backward
-induction, the stagewise recursion, ``bellman_apply`` and the lag check take
-each minimum through one operator, ``_bellman_min``; value iteration's
-sweeps run a minimum of their own:
+induction, the stagewise recursion and the lag check take each minimum
+through one operator, ``_bellman_min``; value iteration's sweeps run a
+minimum of their own:
 
 * lag-l processes: Vtilde_t depends only on the last l observations and
   the last l-1 decisions (``lag_recursion_check`` verifies both the window
@@ -272,13 +272,6 @@ def mdp_backward_induction(
         values.append(v)
         greedy.append(g)
     return values[::-1], greedy[::-1]
-
-
-def bellman_apply(mdp: MDPSpec, v: np.ndarray) -> np.ndarray:
-    """One sweep of the stationary Bellman operator."""
-    if mdp.cost is None:
-        raise InputFormatError("the Bellman operator needs a stationary cost")
-    return _bellman_min(mdp.kernel, _transposed(mdp.cost), mdp.gamma, v, mdp.action_mask)[0]
 
 
 @dataclass
@@ -919,9 +912,10 @@ def unroll_mdp_to_tree(
 
 
 def mdp_from_json(data: dict) -> MDPSpec:
-    """MDP from JSON. ``gamma``, ``bound_K`` and the entries of the state and
+    """MDP from a JSON object. ``gamma``, ``bound_K`` and the entries of the state and
     action vectors must be JSON numbers; :class:`MDPSpec` reads the arrays
     as numpy reads them (:func:`_float_array`)."""
+    require_object(data, "malformed MDP JSON: an MDP")
     try:
         return MDPSpec(
             states=tuple(require_numbers(s, "MDP state entry") for s in data["states"]),
@@ -942,23 +936,6 @@ def mdp_from_json(data: dict) -> MDPSpec:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed MDP JSON: {exc}") from exc
-
-
-def mdp_to_json(mdp: MDPSpec) -> dict:
-    out: dict = {
-        "states": [list(s) for s in mdp.states],
-        "actions": [list(a) for a in mdp.actions],
-        "kernel": mdp.kernel.tolist(),
-        "gamma": mdp.gamma,
-        "bound_K": mdp.bound_K,
-    }
-    if mdp.cost is not None:
-        out["cost"] = mdp.cost.tolist()
-    if mdp.stage_costs is not None:
-        out["stage_costs"] = [c.tolist() for c in mdp.stage_costs]
-    if mdp.actions_by_state is not None:
-        out["actions_by_state"] = [list(r) for r in mdp.actions_by_state]
-    return out
 
 
 # Step-cost roles in window form: (role, offset from the window end).
@@ -1000,7 +977,7 @@ def _step_cost_from_json(spec: dict, dims: dict[str, int]) -> Callable:
 
 
 def sddp_from_json(data: dict) -> SddpSpec:
-    """Stagewise independent problem from JSON, its step costs checked at load.
+    """Stagewise independent problem from a JSON object, its step costs checked at load.
 
     ``gamma``, the noise probabilities and the entries of the noise values,
     decisions and ``initial_state`` must be JSON numbers. One
@@ -1015,6 +992,7 @@ def sddp_from_json(data: dict) -> SddpSpec:
     whose arrays :func:`sddp_recursion` then reads, so a miss is rejected
     here too.
     """
+    require_object(data, "malformed stagewise-independent JSON: a stagewise-independent problem")
     try:
         noise = [[(a["prob"], a["value"]) for a in atoms] for atoms in data["stage_noise"]]
         grids = data["stage_decisions"]

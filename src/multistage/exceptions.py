@@ -38,36 +38,8 @@ class EnumerationCapError(MultistageError):
         self.cap = cap
 
 
-class NotAdaptedError(MultistageError):
-    """A leaf-indexed control table is not adapted to the tree filtration."""
-
-    def __init__(self, node_id: int, stage: int):
-        super().__init__(
-            f"values at stage {stage} disagree across the leaves below node {node_id}; "
-            "the table cannot be factorized into stagewise functions"
-        )
-        self.node_id = node_id
-        self.stage = stage
-
-
 class InfeasiblePolicyError(MultistageError):
     """A policy picks a decision outside the feasible sets of a class."""
-
-
-class PastingInfeasibleError(MultistageError):
-    """Pasting two feasible policies left the class: non-decomposability evidence.
-
-    Carries the offending pasted policy so tests can inspect the witness.
-    """
-
-    def __init__(self, stage: int, node_ids: tuple[int, ...], policy):
-        super().__init__(
-            f"pasted policy is infeasible at stage {stage} (nodes {list(node_ids)}); "
-            "the class is not closed under pasting"
-        )
-        self.stage = stage
-        self.node_ids = node_ids
-        self.policy = policy
 
 
 class DecomposableClassRequiredError(MultistageError):

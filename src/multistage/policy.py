@@ -18,11 +18,6 @@ slot holds one decision. The class's ``kind`` fixes the map:
   decomposable.
 
 Enumeration walks the product of the slot grids, slots in order.
-
-The module also provides the bridge between the two representations of a
-control process: leaf-indexed tables (one full decision sequence per
-trajectory) and node-indexed policies, related by adaptedness checking and
-factorization into stagewise functions of the history.
 """
 
 from __future__ import annotations
@@ -30,16 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .exceptions import (
     EnumerationCapError,
     IncompleteFunctionError,
-    InfeasiblePolicyError,
     InputFormatError,
-    NotAdaptedError,
-    PastingInfeasibleError,
-    UnknownNodeError,
     all_numbers,
     load_json,
     require_int,
@@ -48,7 +39,6 @@ from .exceptions import (
     require_object,
 )
 from .scenario_tree import ScenarioTree
-from .tolerances import ADAPTED_TOL
 
 #: default bound on the number of policies an enumeration may produce
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -213,135 +203,6 @@ def _policy_at(
     )
 
 
-def enumerate_policies(
-    tree: ScenarioTree, cls: PolicyClass, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Policy]:
-    """Every policy of the class exactly once, in reproducible order."""
-    slot_of, grids = cls.slots(tree)
-    for indices in _index_product(grids, cap):
-        yield _policy_at(cls, slot_of, grids, indices)
-
-
-# -- adaptedness and factorization -------------------------------------------
-
-
-def _leaf_table(
-    tree: ScenarioTree, leafwise: Mapping[int, Sequence[Decision]]
-) -> dict[int, tuple[Decision, ...]]:
-    table: dict[int, tuple[Decision, ...]] = {}
-    for leaf in tree.leaves():
-        if leaf not in leafwise:
-            raise IncompleteFunctionError(f"leaf {leaf} is missing from the table")
-        seq = tuple(tuple(float(x) for x in dec) for dec in leafwise[leaf])
-        if len(seq) != tree.horizon + 1:
-            raise IncompleteFunctionError(
-                f"leaf {leaf}: expected {tree.horizon + 1} stage decisions, got {len(seq)}"
-            )
-        table[leaf] = seq
-    return table
-
-
-def _agreement(values: Iterable[Decision], tol: float) -> bool:
-    it = iter(values)
-    ref = next(it)
-    for v in it:
-        if len(v) != len(ref):
-            return False
-        if any(abs(a - b) > tol for a, b in zip(ref, v)):
-            return False
-    return True
-
-
-def check_adapted(
-    tree: ScenarioTree,
-    leafwise: Mapping[int, Sequence[Decision]],
-    tol: float = ADAPTED_TOL,
-) -> bool:
-    """Whether a leaf-indexed control table is adapted to the filtration.
-
-    True iff for every stage t and every stage-t node, the stage-t entry
-    agrees (within ``tol``) across all leaves below that node.
-    """
-    table = _leaf_table(tree, leafwise)
-    for n in tree.nodes:
-        vals = (table[leaf][n.stage] for leaf in tree.leaves_below(n.id))
-        if not _agreement(vals, tol):
-            return False
-    return True
-
-
-def doob_dynkin_factorize(
-    tree: ScenarioTree,
-    leafwise: Mapping[int, Sequence[Decision]],
-    tol: float = ADAPTED_TOL,
-) -> Policy:
-    """Factorize an adapted leaf table into one decision per node.
-
-    The stage-t decision of the returned policy at a node is the common
-    stage-t value of the table on the leaves below that node; evaluating
-    the policy back along each leaf path reproduces the table. Raises
-    :class:`NotAdaptedError` naming the offending node otherwise.
-    """
-    table = _leaf_table(tree, leafwise)
-    decisions: dict[int, Decision] = {}
-    dim: int | None = None
-    for n in tree.nodes:
-        leaves = tree.leaves_below(n.id)
-        if not _agreement((table[leaf][n.stage] for leaf in leaves), tol):
-            raise NotAdaptedError(n.id, n.stage)
-        decisions[n.id] = table[leaves[0]][n.stage]
-        dim = len(decisions[n.id]) if dim is None else dim
-    return Policy(decisions=decisions, decision_dim=dim or 0)
-
-
-def policy_to_leafwise(
-    tree: ScenarioTree, policy: Policy
-) -> dict[int, tuple[Decision, ...]]:
-    """Evaluate a policy along every leaf path: the inverse of factorization."""
-    return {leaf: policy.decision_path(tree, leaf) for leaf in tree.leaves()}
-
-
-# -- pasting -----------------------------------------------------------------
-
-
-def paste(
-    tree: ScenarioTree,
-    cls: PolicyClass,
-    u1: Policy,
-    u2: Policy,
-    leaf_set: Iterable[int],
-) -> Policy:
-    """Paste two feasible policies along a set of trajectories.
-
-    The result follows ``u1`` at nodes whose descendant leaves all lie in
-    ``leaf_set`` and ``u2`` elsewhere. Nodewise classes are closed under
-    this operation; for history-blind classes the result can leave the
-    class, in which case :class:`PastingInfeasibleError` carries the pasted
-    policy as non-decomposability evidence.
-    """
-    leaves = set(tree.leaves())
-    chosen = set(int(i) for i in leaf_set)
-    unknown = chosen - leaves
-    if unknown:
-        raise UnknownNodeError(f"not leaves of the tree: {sorted(unknown)}")
-    for name, pol in (("u1", u1), ("u2", u2)):
-        if not cls.contains(tree, pol):
-            raise InfeasiblePolicyError(f"policy {name} is not feasible in the class")
-
-    decisions: dict[int, Decision] = {}
-    for n in tree.nodes:
-        inside = set(tree.leaves_below(n.id)) <= chosen
-        decisions[n.id] = (u1 if inside else u2).decisions[n.id]
-    pasted = Policy(decisions=decisions, decision_dim=cls.decision_dim)
-
-    slot_of = cls.slots(tree)[0]
-    split = _split_slot(slot_of, pasted)
-    if split is not None:
-        ids = tuple(nid for nid, s in enumerate(slot_of) if s == split)
-        raise PastingInfeasibleError(tree.node(ids[0]).stage, ids, pasted)
-    return pasted
-
-
 # -- JSON ----------------------------------------------------------------------
 
 
@@ -360,16 +221,6 @@ def policy_from_json(data: dict) -> Policy:
         return Policy(decisions=decisions, decision_dim=decision_dim)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed policy JSON: {exc}") from exc
-
-
-def policy_class_to_json(cls: PolicyClass) -> dict:
-    return {
-        "kind": cls.kind,
-        "decision_dim": cls.decision_dim,
-        "feasible": {
-            str(k): [list(dec) for dec in grid] for k, grid in sorted(cls.feasible.items())
-        },
-    }
 
 
 def policy_class_from_json(data: dict) -> PolicyClass:

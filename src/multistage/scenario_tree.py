@@ -12,15 +12,9 @@ reads, safe to run concurrently on a shared instance.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .exceptions import (
-    IncompleteFunctionError,
-    InputFormatError,
-    UnknownNodeError,
-    require_int,
-    require_number,
-)
+from .exceptions import InputFormatError, UnknownNodeError, require_int, require_number
 from .tolerances import PROB_TOL
 
 
@@ -189,25 +183,6 @@ def path(tree: ScenarioTree, node_id: int) -> tuple[tuple[float, ...], ...]:
     return tuple(tree.nodes[i].obs for i in tree.path_nodes(node_id))
 
 
-def conditional_expectation(
-    tree: ScenarioTree, f: Mapping[int, float], at: int
-) -> float:
-    """Expectation of a child-indexed function conditional on reaching ``at``.
-
-    ``f`` must assign a value to every child of ``at``; the result is the
-    conditional-probability weighted sum over those children.
-    """
-    kids = tree.children(at)
-    if not kids:
-        raise IncompleteFunctionError(f"node {at} has no children to average over")
-    total = 0.0
-    for c in kids:
-        if c not in f:
-            raise IncompleteFunctionError(f"function is missing a value for child node {c}")
-        total += tree.nodes[c].cond_prob * f[c]
-    return total
-
-
 def unconditional_probability(tree: ScenarioTree, node_id: int) -> float:
     """Probability of reaching the node: product of edge probabilities."""
     prob = 1.0
@@ -219,25 +194,11 @@ def unconditional_probability(tree: ScenarioTree, node_id: int) -> float:
 # -- JSON ------------------------------------------------------------------
 
 
-def tree_to_json(tree: ScenarioTree) -> dict:
-    """Serializable form: ``{"horizon", "obs_dim", "nodes": [...]}``."""
-    nodes = []
-    for n in tree.nodes:
-        entry: dict = {
-            "id": n.id,
-            "stage": n.stage,
-            "cond_prob": n.cond_prob,
-            "obs": list(n.obs),
-        }
-        if n.parent is not None:
-            entry["parent"] = n.parent
-        nodes.append(entry)
-    return {"horizon": tree.horizon, "obs_dim": tree.obs_dim, "nodes": nodes}
-
-
 def tree_from_json(data: dict) -> ScenarioTree:
-    """Inverse of :func:`tree_to_json`; raises on malformed input. ``cond_prob``
-    and the ``obs`` entries must be JSON numbers (``require_number``)."""
+    """Tree from ``{"horizon", "obs_dim", "nodes": [...]}``, a node
+    ``{"id", "stage", "parent", "cond_prob", "obs"}`` with ``parent`` left out
+    or null at the root; raises on malformed input. ``cond_prob`` and the
+    ``obs`` entries must be JSON numbers (``require_number``)."""
     try:
         horizon = require_int(data["horizon"], "tree horizon")
         obs_dim = require_int(data["obs_dim"], "tree obs_dim")

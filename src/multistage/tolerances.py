@@ -10,6 +10,7 @@ take a ``tol`` argument default to one of these.
 PROB_TOL = 1e-12
 
 #: adaptedness: two stage-t decisions below one node agree componentwise
+#: (the adaptedness helpers of ``tests/instances.py``)
 ADAPTED_TOL = 1e-12
 
 #: Hoelder check: slack added on top of the declared constant C

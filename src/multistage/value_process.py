@@ -101,24 +101,6 @@ from .scenario_tree import ScenarioTree, path, unconditional_probability
 History = tuple[Decision, ...]
 
 
-def essential_infimum(
-    family: Sequence[Mapping[int, float]]
-) -> dict[int, float]:
-    """Pointwise minimum of a finite nonempty family of node-indexed maps.
-
-    On a finite space this is the essential infimum: it is a lower bound of
-    the family and dominates every other lower bound. The fold order over
-    the family is immaterial.
-    """
-    if not family:
-        raise MultistageError("essential infimum of an empty family is undefined")
-    keys = set(family[0])
-    for f in family[1:]:
-        if set(f) != keys:
-            raise IncompleteFunctionError("family members are defined on different node sets")
-    return {k: min(f[k] for f in family) for k in sorted(keys)}
-
-
 # -- definitional route ----------------------------------------------------------
 
 

@@ -4,16 +4,32 @@ Seeded random costs, MDPs and stagewise independent problems, the chain
 tree, the crafted fixtures that the package itself does not run, and small
 helpers that read the package's API the way the tests need it. Everything
 is deterministic given the seed.
+
+The rest is code that no command runs but the tests check against the
+package: the JSON writers that invert its loaders, exhaustive policy
+enumeration, one sweep of the stationary Bellman operator, the empirical
+Hoelder constant, and the paper's measure-theoretic helpers (conditional
+expectation and essential infimum on a finite tree, adaptedness of a
+leaf-indexed table and its Doob-Dynkin factorization into a policy, and
+pasting two policies along a set of trajectories).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from multistage.costs import CostSpec, cost_from_json
-from multistage.dp_solvers import MDPSpec, SddpSpec
+from multistage.bundle import ProblemBundle
+from multistage.costs import CostSpec, cost_from_json, verify_holder
+from multistage.dp_solvers import MDPSpec, SddpSpec, _bellman_min, _transposed
+from multistage.exceptions import (
+    IncompleteFunctionError,
+    InfeasiblePolicyError,
+    InputFormatError,
+    MultistageError,
+    UnknownNodeError,
+)
 from multistage.generate import (
     interchange_fixture,
     random_history_blind_class,
@@ -21,8 +37,18 @@ from multistage.generate import (
     random_tree,
     rng_from_seed,
 )
-from multistage.policy import Decision, Policy, PolicyClass, _policy_at
+from multistage.policy import (
+    DEFAULT_ENUMERATION_CAP,
+    Decision,
+    Policy,
+    PolicyClass,
+    _index_product,
+    _policy_at,
+    _split_slot,
+    policy_to_json,
+)
 from multistage.scenario_tree import Node, ScenarioTree
+from multistage.tolerances import ADAPTED_TOL
 
 
 # -- trees ------------------------------------------------------------------------
@@ -304,3 +330,283 @@ def feasible_at(cls: PolicyClass, tree: ScenarioTree, node_id: int) -> tuple[Dec
 def policy_from_indices(tree: ScenarioTree, cls: PolicyClass, indices: Sequence[int]) -> Policy:
     """The policy selected by one enumeration index tuple."""
     return _policy_at(cls, *cls.slots(tree), indices)
+
+
+# -- serialization: the inverses of the package's loaders --------------------------
+
+
+def tree_to_json(tree: ScenarioTree) -> dict:
+    """Serializable form: ``{"horizon", "obs_dim", "nodes": [...]}``."""
+    nodes = []
+    for n in tree.nodes:
+        entry: dict = {
+            "id": n.id,
+            "stage": n.stage,
+            "cond_prob": n.cond_prob,
+            "obs": list(n.obs),
+        }
+        if n.parent is not None:
+            entry["parent"] = n.parent
+        nodes.append(entry)
+    return {"horizon": tree.horizon, "obs_dim": tree.obs_dim, "nodes": nodes}
+
+
+def cost_to_json(cost: CostSpec) -> dict:
+    if cost.payload is None:
+        raise InputFormatError(
+            "cost was built from a raw callable and has no serializable payload"
+        )
+    return cost.payload
+
+
+def policy_class_to_json(cls: PolicyClass) -> dict:
+    return {
+        "kind": cls.kind,
+        "decision_dim": cls.decision_dim,
+        "feasible": {
+            str(k): [list(dec) for dec in grid] for k, grid in sorted(cls.feasible.items())
+        },
+    }
+
+
+def bundle_to_json(bundle: ProblemBundle) -> dict:
+    out = {
+        "tree": tree_to_json(bundle.tree),
+        "cost": cost_to_json(bundle.cost),
+        "policy_class": policy_class_to_json(bundle.cls),
+    }
+    if bundle.policies:
+        out["policies"] = {
+            name: policy_to_json(p) for name, p in sorted(bundle.policies.items())
+        }
+    return out
+
+
+def mdp_to_json(mdp: MDPSpec) -> dict:
+    out: dict = {
+        "states": [list(s) for s in mdp.states],
+        "actions": [list(a) for a in mdp.actions],
+        "kernel": mdp.kernel.tolist(),
+        "gamma": mdp.gamma,
+        "bound_K": mdp.bound_K,
+    }
+    if mdp.cost is not None:
+        out["cost"] = mdp.cost.tolist()
+    if mdp.stage_costs is not None:
+        out["stage_costs"] = [c.tolist() for c in mdp.stage_costs]
+    if mdp.actions_by_state is not None:
+        out["actions_by_state"] = [list(r) for r in mdp.actions_by_state]
+    return out
+
+
+# -- enumeration, the Bellman operator and the Hoelder constant --------------------
+
+
+def enumerate_policies(
+    tree: ScenarioTree, cls: PolicyClass, cap: int = DEFAULT_ENUMERATION_CAP
+) -> Iterator[Policy]:
+    """Every policy of the class exactly once, in reproducible order."""
+    slot_of, grids = cls.slots(tree)
+    for indices in _index_product(grids, cap):
+        yield _policy_at(cls, slot_of, grids, indices)
+
+
+def bellman_apply(mdp: MDPSpec, v: np.ndarray) -> np.ndarray:
+    """One sweep of the stationary Bellman operator."""
+    if mdp.cost is None:
+        raise InputFormatError("the Bellman operator needs a stationary cost")
+    return _bellman_min(mdp.kernel, _transposed(mdp.cost), mdp.gamma, v, mdp.action_mask)[0]
+
+
+def empirical_holder_constant(tree, cls, cost: CostSpec, alpha: float, delta: float) -> float:
+    """Smallest C that makes the Hoelder bound hold on the sampled grid."""
+    check = verify_holder(tree, cls, cost, C=0.0, alpha=alpha, delta=delta)
+    return check.max_ratio
+
+
+# -- conditional expectation and essential infimum on a finite tree ----------------
+
+
+def conditional_expectation(
+    tree: ScenarioTree, f: Mapping[int, float], at: int
+) -> float:
+    """Expectation of a child-indexed function conditional on reaching ``at``.
+
+    ``f`` must assign a value to every child of ``at``; the result is the
+    conditional-probability weighted sum over those children.
+    """
+    kids = tree.children(at)
+    if not kids:
+        raise IncompleteFunctionError(f"node {at} has no children to average over")
+    total = 0.0
+    for c in kids:
+        if c not in f:
+            raise IncompleteFunctionError(f"function is missing a value for child node {c}")
+        total += tree.nodes[c].cond_prob * f[c]
+    return total
+
+
+def essential_infimum(
+    family: Sequence[Mapping[int, float]]
+) -> dict[int, float]:
+    """Pointwise minimum of a finite nonempty family of node-indexed maps.
+
+    On a finite space this is the essential infimum: it is a lower bound of
+    the family and dominates every other lower bound. The fold order over
+    the family is immaterial.
+    """
+    if not family:
+        raise MultistageError("essential infimum of an empty family is undefined")
+    keys = set(family[0])
+    for f in family[1:]:
+        if set(f) != keys:
+            raise IncompleteFunctionError("family members are defined on different node sets")
+    return {k: min(f[k] for f in family) for k in sorted(keys)}
+
+
+# -- adaptedness and factorization -------------------------------------------------
+
+
+class NotAdaptedError(MultistageError):
+    """A leaf-indexed control table is not adapted to the tree filtration."""
+
+    def __init__(self, node_id: int, stage: int):
+        super().__init__(
+            f"values at stage {stage} disagree across the leaves below node {node_id}; "
+            "the table cannot be factorized into stagewise functions"
+        )
+        self.node_id = node_id
+        self.stage = stage
+
+
+def _leaf_table(
+    tree: ScenarioTree, leafwise: Mapping[int, Sequence[Decision]]
+) -> dict[int, tuple[Decision, ...]]:
+    table: dict[int, tuple[Decision, ...]] = {}
+    for leaf in tree.leaves():
+        if leaf not in leafwise:
+            raise IncompleteFunctionError(f"leaf {leaf} is missing from the table")
+        seq = tuple(tuple(float(x) for x in dec) for dec in leafwise[leaf])
+        if len(seq) != tree.horizon + 1:
+            raise IncompleteFunctionError(
+                f"leaf {leaf}: expected {tree.horizon + 1} stage decisions, got {len(seq)}"
+            )
+        table[leaf] = seq
+    return table
+
+
+def _agreement(values: Iterable[Decision], tol: float) -> bool:
+    it = iter(values)
+    ref = next(it)
+    for v in it:
+        if len(v) != len(ref):
+            return False
+        if any(abs(a - b) > tol for a, b in zip(ref, v)):
+            return False
+    return True
+
+
+def check_adapted(
+    tree: ScenarioTree,
+    leafwise: Mapping[int, Sequence[Decision]],
+    tol: float = ADAPTED_TOL,
+) -> bool:
+    """Whether a leaf-indexed control table is adapted to the filtration.
+
+    True iff for every stage t and every stage-t node, the stage-t entry
+    agrees (within ``tol``) across all leaves below that node.
+    """
+    table = _leaf_table(tree, leafwise)
+    for n in tree.nodes:
+        vals = (table[leaf][n.stage] for leaf in tree.leaves_below(n.id))
+        if not _agreement(vals, tol):
+            return False
+    return True
+
+
+def doob_dynkin_factorize(
+    tree: ScenarioTree,
+    leafwise: Mapping[int, Sequence[Decision]],
+    tol: float = ADAPTED_TOL,
+) -> Policy:
+    """Factorize an adapted leaf table into one decision per node.
+
+    The stage-t decision of the returned policy at a node is the common
+    stage-t value of the table on the leaves below that node; evaluating
+    the policy back along each leaf path reproduces the table. Raises
+    :class:`NotAdaptedError` naming the offending node otherwise.
+    """
+    table = _leaf_table(tree, leafwise)
+    decisions: dict[int, Decision] = {}
+    dim: int | None = None
+    for n in tree.nodes:
+        leaves = tree.leaves_below(n.id)
+        if not _agreement((table[leaf][n.stage] for leaf in leaves), tol):
+            raise NotAdaptedError(n.id, n.stage)
+        decisions[n.id] = table[leaves[0]][n.stage]
+        dim = len(decisions[n.id]) if dim is None else dim
+    return Policy(decisions=decisions, decision_dim=dim or 0)
+
+
+def policy_to_leafwise(
+    tree: ScenarioTree, policy: Policy
+) -> dict[int, tuple[Decision, ...]]:
+    """Evaluate a policy along every leaf path: the inverse of factorization."""
+    return {leaf: policy.decision_path(tree, leaf) for leaf in tree.leaves()}
+
+
+# -- pasting -----------------------------------------------------------------------
+
+
+class PastingInfeasibleError(MultistageError):
+    """Pasting two feasible policies left the class: non-decomposability evidence.
+
+    Carries the offending pasted policy so tests can inspect the witness.
+    """
+
+    def __init__(self, stage: int, node_ids: tuple[int, ...], policy):
+        super().__init__(
+            f"pasted policy is infeasible at stage {stage} (nodes {list(node_ids)}); "
+            "the class is not closed under pasting"
+        )
+        self.stage = stage
+        self.node_ids = node_ids
+        self.policy = policy
+
+
+def paste(
+    tree: ScenarioTree,
+    cls: PolicyClass,
+    u1: Policy,
+    u2: Policy,
+    leaf_set: Iterable[int],
+) -> Policy:
+    """Paste two feasible policies along a set of trajectories.
+
+    The result follows ``u1`` at nodes whose descendant leaves all lie in
+    ``leaf_set`` and ``u2`` elsewhere. Nodewise classes are closed under
+    this operation; for history-blind classes the result can leave the
+    class, in which case :class:`PastingInfeasibleError` carries the pasted
+    policy as non-decomposability evidence.
+    """
+    leaves = set(tree.leaves())
+    chosen = set(int(i) for i in leaf_set)
+    unknown = chosen - leaves
+    if unknown:
+        raise UnknownNodeError(f"not leaves of the tree: {sorted(unknown)}")
+    for name, pol in (("u1", u1), ("u2", u2)):
+        if not cls.contains(tree, pol):
+            raise InfeasiblePolicyError(f"policy {name} is not feasible in the class")
+
+    decisions: dict[int, Decision] = {}
+    for n in tree.nodes:
+        inside = set(tree.leaves_below(n.id)) <= chosen
+        decisions[n.id] = (u1 if inside else u2).decisions[n.id]
+    pasted = Policy(decisions=decisions, decision_dim=cls.decision_dim)
+
+    slot_of = cls.slots(tree)[0]
+    split = _split_slot(slot_of, pasted)
+    if split is not None:
+        ids = tuple(nid for nid, s in enumerate(slot_of) if s == split)
+        raise PastingInfeasibleError(tree.node(ids[0]).stage, ids, pasted)
+    return pasted

@@ -23,9 +23,13 @@ from multistage.generate import (
     recourse_fixture,
     rng_from_seed,
 )
+from multistage.scenario_tree import unconditional_probability
 from instances import (
     branching_gap_fixture,
+    bundle_to_json,
     constant_cost_mdp,
+    empirical_holder_constant,
+    enumerate_policies,
     feasible_at,
     random_additive_cost,
     random_general_cost,
@@ -61,7 +65,7 @@ def acceptance_instance(seed, max_policies, fill=False, horizon=None):
 def leaf_value_caches(tree, cost, cls):
     caches = []
     for leaf in tree.leaves():
-        prob = ms.unconditional_probability(tree, leaf)
+        prob = unconditional_probability(tree, leaf)
         grids = [cls.feasible[i] for i in tree.path_nodes(leaf)]
         table = {
             hist: cost.evaluate(ms.path(tree, leaf), hist)
@@ -110,7 +114,7 @@ def verification_sweep():
         martingale_set = set()
         optimal_set = set()
         count = 0
-        for k, policy in enumerate(ms.enumerate_policies(tree, cls)):
+        for k, policy in enumerate(enumerate_policies(tree, cls)):
             count += 1
             report = ms.verify_policy(tree, cost, cls, policy, tol=1e-9, tables=tables)
             assert report.classification in ("martingale", "submartingale")
@@ -236,7 +240,7 @@ def test_criterion_6_holder_preservation():
         cost = random_general_cost(rng, tree)
         alpha = 0.5 if i % 2 else 1.0
         delta = 10.0
-        C = ms.empirical_holder_constant(tree, cls, cost, alpha=alpha, delta=delta)
+        C = empirical_holder_constant(tree, cls, cost, alpha=alpha, delta=delta)
         assert ms.verify_holder(tree, cls, cost, C=C, alpha=alpha, delta=delta).ok
         tables = ms.backward_tables(tree, cost, cls)
         excess = ms.value_process.holder_table_violation(
@@ -323,7 +327,7 @@ def test_criterion_9_boundedness(value_iteration_runs):
 
 
 def test_criterion_10_cli_determinism(tmp_path):
-    from multistage.bundle import ProblemBundle, bundle_to_json
+    from multistage.bundle import ProblemBundle
 
     corpus = []
     fx = recourse_fixture()

@@ -11,28 +11,25 @@ from pathlib import Path
 
 import pytest
 
-from multistage.bundle import (
-    ProblemBundle,
-    bundle_to_json,
-    load_bundle,
-    load_mdp,
-    load_stagewise,
-)
+from multistage.bundle import ProblemBundle, load_bundle, load_mdp, load_stagewise
 from multistage.cli import build_parser, main
-from multistage.costs import CostSpec, cost_from_json
-from multistage.dp_solvers import mdp_to_json
-from multistage.exceptions import EnumerationCapError, InputFormatError
+from multistage.costs import CostSpec, cost_from_json, verify_holder
+from multistage.exceptions import EnumerationCapError, InputFormatError, MultistageError
 from multistage.generate import random_tree, recourse_fixture, rng_from_seed
 from multistage.policy import Policy, PolicyClass, policy_to_json
-from multistage.scenario_tree import Node, ScenarioTree, tree_to_json
-from multistage.value_process import backward_tables, expected_value
+from multistage.scenario_tree import Node, ScenarioTree
+from multistage.value_process import backward_tables, brute_force_optimum, expected_value
+from multistage.verification import check_dynamic_relations, verify_policy
 from instances import (
     branching_gap_fixture,
+    bundle_to_json,
     chain_tree,
     constant_cost_mdp,
+    mdp_to_json,
     random_general_cost,
     random_mdp,
     random_sddp,
+    tree_to_json,
 )
 from test_golden_reports import GOLDEN, hexed, inputs
 
@@ -1222,7 +1219,9 @@ class TestDeepNesting:
 
 class TestHorizonLimit:
     """solve, verify and dynamic-check evaluate horizons up to MAX_HORIZON and
-    exit 3 naming it beyond; validate still calls such a tree valid."""
+    exit 3 naming it beyond; validate still calls such a tree valid, unless
+    its cost must be evaluated to check it (a table, a Hoelder declaration).
+    Past the limit the library raises an error that names it."""
 
     COMMANDS = [["solve", "--method", "backward"], ["solve", "--method", "brute"],
                 ["verify"], ["dynamic-check"]]
@@ -1241,6 +1240,14 @@ class TestHorizonLimit:
                                      decision_dim=1)},
         )
         return write_json(tmp_path / f"chain{horizon}.json", bundle_to_json(bundle))
+
+    def table_chain(self, tmp_path, horizon):
+        """The chain with a one-entry ``table`` cost in place of the polynomial."""
+        data = json.loads(Path(self.chain(tmp_path, horizon)).read_text())
+        stages = [[0.0]] * (horizon + 1)
+        data["cost"] = {"form": "general",
+                        "table": {"entries": [{"x": stages, "u": stages, "value": 0.0}]}}
+        return write_json(tmp_path / f"table{horizon}.json", data)
 
     @pytest.mark.parametrize("command", [["validate"], *COMMANDS], ids=" ".join)
     def test_the_longest_horizon_is_evaluated(self, tmp_path, capsys, command):
@@ -1261,6 +1268,37 @@ class TestHorizonLimit:
         assert main(["validate", "--input", path]) == 0
         assert capsys.readouterr().out == f"OK: {path}\n"
 
+    def test_validate_evaluates_a_table_up_to_the_limit(self, tmp_path, capsys):
+        path = self.table_chain(tmp_path, 61)
+        assert main(["validate", "--input", path]) == 0
+        assert capsys.readouterr().out == f"OK: {path}\n"
+
+    @pytest.mark.parametrize("horizon", [62, 63])
+    def test_a_table_past_the_limit_is_a_violation(self, tmp_path, capsys, horizon):
+        path = self.table_chain(tmp_path, horizon)
+        assert main(["validate", "--input", path]) == 1
+        assert capsys.readouterr() == (
+            f"INVALID: {path}\nhorizon {horizon} exceeds 61, the longest that is evaluated\n", ""
+        )
+
+    @pytest.mark.parametrize("entry", [
+        "backward_tables", "brute_force_optimum", "verify_policy",
+        "check_dynamic_relations", "verify_holder",
+    ])
+    def test_the_library_names_the_limit(self, tmp_path, entry):
+        bundle = load_bundle(self.table_chain(tmp_path, 63))
+        tree, cost, cls, policy = bundle.tree, bundle.cost, bundle.cls, bundle.policies["only"]
+        calls = {
+            "backward_tables": lambda: backward_tables(tree, cost, cls),
+            "brute_force_optimum": lambda: brute_force_optimum(tree, cost, cls),
+            "verify_policy": lambda: verify_policy(tree, cost, cls, policy),
+            "check_dynamic_relations": lambda: check_dynamic_relations(tree, cost, cls, policy),
+            "verify_holder": lambda: verify_holder(tree, cls, cost, 1.0, 1.0, 1.0),
+        }
+        limit = "^horizon 63 exceeds 61, the longest that is evaluated$"
+        with pytest.raises(MultistageError, match=limit):
+            calls[entry]()
+
     def test_a_hoelder_declaration_past_the_limit_is_a_violation(self, tmp_path, capsys):
         holder = {"C": 10.0, "alpha": 1.0, "delta": 1.0}
         assert main(["validate", "--input", self.chain(tmp_path, 61, holder=holder)]) == 0
@@ -1270,6 +1308,48 @@ class TestHorizonLimit:
             "declared Hoelder bound cannot be checked: horizon 63 exceeds 61, "
             "the longest that is evaluated\n"
         )
+
+
+class TestTopLevelNotAnObject:
+    """Every file a subcommand reads holds a JSON object at its top level; a
+    list, string, number or null is an input error that says so (exit 3, no
+    traceback)."""
+
+    DOCUMENTS = ["[1, 2]", '"text"', "3", "null"]
+    #: command -> the start of its error message
+    COMMANDS = {
+        "validate": "input error: ", "solve": "input error: bundle ",
+        "verify": "input error: bundle ", "dynamic-check": "input error: bundle ",
+        "mdp-solve": "input error: malformed MDP JSON: ",
+        "value-iterate": "input error: malformed MDP JSON: ",
+        "sddp-solve": "input error: malformed stagewise-independent JSON: ",
+    }
+
+    @staticmethod
+    def expect(capsys, argv, start):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith(start)
+        assert " must be a JSON object, got " in captured.err
+
+    @pytest.mark.parametrize("document", DOCUMENTS)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_an_input_file(self, tmp_path, capsys, command, document):
+        path = tmp_path / "top.json"
+        path.write_text(document)
+        horizon = ["--horizon", "1"] if command == "mdp-solve" else []
+        self.expect(capsys, [command, "--input", str(path), *horizon], self.COMMANDS[command])
+
+    @pytest.mark.parametrize("document", DOCUMENTS)
+    @pytest.mark.parametrize("command", ["verify", "dynamic-check"])
+    def test_a_policy_file(self, tmp_path, capsys, command, document):
+        bundle = write_json(tmp_path / "bundle.json", recourse_payload())
+        path = tmp_path / "policy.json"
+        path.write_text(document)
+        argv = [command, "--input", bundle, "--policy", str(path)]
+        self.expect(capsys, argv, "input error: policy ")
 
 
 class TestNodeKeys:

@@ -12,14 +12,12 @@ from multistage import (
     InputFormatError,
     MultistageError,
     UnboundedObjectiveError,
-    cost_from_json,
-    cost_to_json,
-    empirical_holder_constant,
     verify_holder,
 )
 from multistage import costs
 from multistage.costs import (
     GridWindow,
+    cost_from_json,
     cost_problems,
     leaf_arrays,
     leaf_batches,
@@ -30,7 +28,14 @@ from multistage.generate import random_tree, rng_from_seed
 from multistage.policy import PolicyClass
 from multistage.scenario_tree import Node, ScenarioTree
 from multistage.tolerances import EQUALITY_TOL
-from instances import chain_tree, random_sddp, u_window, x_window
+from instances import (
+    chain_tree,
+    cost_to_json,
+    empirical_holder_constant,
+    random_sddp,
+    u_window,
+    x_window,
+)
 
 
 class TestWindows:

@@ -15,13 +15,11 @@ from multistage import (
     MultistageError,
     PolicyClass,
     backward_tables,
-    bellman_apply,
     brute_force_optimum,
     greedy_policy_from_tables,
     lag_recursion_check,
     mdp_backward_induction,
     mdp_from_json,
-    mdp_to_json,
     sddp_from_json,
     sddp_recursion,
     sddp_to_mdp,
@@ -36,8 +34,10 @@ from multistage.generate import random_nodewise_class, random_tree, rng_from_see
 from multistage.scenario_tree import Node, ScenarioTree, path
 from multistage.tolerances import LAG_KEY_DIGITS
 from instances import (
+    bellman_apply,
     chain_tree,
     constant_cost_mdp,
+    mdp_to_json,
     non_markov_tree,
     random_additive_cost,
     random_mdp,

@@ -10,10 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multistage import exceptions
-from multistage.dp_solvers import mdp_to_json
 from multistage.exceptions import InputFormatError, load_json
 from multistage.generate import rng_from_seed
-from instances import random_mdp
+from instances import mdp_to_json, random_mdp
 
 WHITESPACE = st.sampled_from(["", " ", "\t", "\n", "\r\n", " \r\n\t "])
 

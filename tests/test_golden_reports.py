@@ -66,12 +66,11 @@ from dataclasses import replace
 
 import pytest
 
-from multistage.bundle import ProblemBundle, bundle_to_json
+from multistage.bundle import ProblemBundle
 from multistage.cli import main
-from multistage.costs import cost_from_json, empirical_holder_constant
+from multistage.costs import cost_from_json
 from multistage.dp_solvers import (
     lag_recursion_check,
-    mdp_to_json,
     sddp_from_json,
     sddp_to_product_tree,
     tilde_shift,
@@ -86,6 +85,9 @@ from multistage.policy import Policy, PolicyClass
 from multistage.scenario_tree import Node, ScenarioTree, path
 from multistage.value_process import backward_tables, greedy_policy_from_tables
 from instances import (
+    bundle_to_json,
+    empirical_holder_constant,
+    mdp_to_json,
     non_markov_tree,
     random_additive_cost,
     random_general_cost,

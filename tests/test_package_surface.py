@@ -1,11 +1,16 @@
 """The package holds what the system runs, and the README's quick start runs.
 
 A top-level function, class or method of ``src/multistage`` must be
-referenced from the package itself (outside its own body), be exported in
-``__all__``, or be named in the README or in ``perfbench``; code that only
-the tests read belongs in the tests (``tests/instances.py``). The check is
-by name: an attribute or variable of the same name anywhere in the package
-counts as a reference. ``ALLOWED`` lists the exceptions, each with its reason.
+referenced from the package itself (outside its own body) or be named in
+the README or in ``perfbench``; code that only the tests read belongs in
+the tests (``tests/instances.py``). Being listed in ``__all__`` is not a
+use. The check is by name: an attribute or variable of the same name
+anywhere in the package counts as a reference. ``ALLOWED`` lists the
+exceptions, each with its reason.
+
+``multistage.__all__`` lists only classes of the package (its types and
+exceptions) and names that the README or ``perfbench`` uses, and
+``from multistage import *`` imports every one of them.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ import contextlib
 import io
 import re
 from pathlib import Path
+
+import multistage
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "multistage"
@@ -43,35 +50,33 @@ def definitions() -> list[tuple[str, str, int, int]]:
     return out
 
 
-def package_references() -> tuple[list[tuple[str, str, int]], set[str]]:
-    """Every name and attribute the package reads, as (name, file, line), and
-    the names its ``__all__`` lists."""
-    refs, exported = [], set()
+def package_references() -> list[tuple[str, str, int]]:
+    """Every name and attribute the package reads, as (name, file, line)."""
+    refs = []
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 refs.append((node.id, path.name, node.lineno))
             elif isinstance(node, ast.Attribute):
                 refs.append((node.attr, path.name, node.lineno))
-            elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                exported |= set(ast.literal_eval(node.value))
-    return refs, exported
+    return refs
+
+
+def named_outside() -> set[str]:
+    """Every word of the README and of the ``perfbench`` sources."""
+    outside = README.read_text() + "".join(
+        p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))
+    )
+    return set(re.findall(r"\w+", outside))
 
 
 def unreferenced() -> list[str]:
     """Qualified names of the definitions that nothing but the tests may read."""
-    refs, exported = package_references()
-    outside = README.read_text() + "".join(
-        p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))
-    )
-    named = set(re.findall(r"\w+", outside))
+    refs, named = package_references(), named_outside()
     out = []
     for file, qualified, first, last in definitions():
         name = qualified.rsplit(".", 1)[-1]
-        if name in exported or name in named:
+        if name in named:
             continue
         if any(n == name and not (f == file and first <= line <= last) for n, f, line in refs):
             continue
@@ -86,6 +91,23 @@ def test_every_definition_is_used_by_the_system():
 
 def test_every_allowed_name_is_still_needed():
     assert sorted(set(ALLOWED) - set(unreferenced())) == []
+
+
+def test_every_export_is_a_class_or_used_by_the_readme_or_perfbench():
+    defined, named = {qualified for _, qualified, _, _ in definitions()}, named_outside()
+    stray = sorted(
+        name for name in multistage.__all__
+        if name not in named
+        and not (name in defined and isinstance(getattr(multistage, name), type))
+    )
+    assert stray == [], f"exported, neither a class nor used by the README or perfbench: {stray}"
+
+
+def test_a_star_import_brings_every_export():
+    scope: dict = {}
+    exec("from multistage import *", scope)
+    assert sorted(set(multistage.__all__) - set(scope)) == []
+    assert len(set(multistage.__all__)) == len(multistage.__all__)
 
 
 def quick_start() -> str:

@@ -7,24 +7,24 @@ from multistage import (
     EnumerationCapError,
     IncompleteFunctionError,
     InputFormatError,
-    NotAdaptedError,
-    PastingInfeasibleError,
     Policy,
     PolicyClass,
-    check_adapted,
-    doob_dynkin_factorize,
-    enumerate_policies,
-    paste,
-    policy_class_from_json,
-    policy_class_to_json,
-    policy_from_json,
-    policy_to_json,
-    policy_to_leafwise,
 )
 from multistage.exceptions import all_numbers, require_number
 from multistage.generate import random_nodewise_class, random_tree, rng_from_seed
+from multistage.policy import policy_class_from_json, policy_from_json, policy_to_json
 from multistage.scenario_tree import Node, ScenarioTree
-from instances import feasible_at
+from instances import (
+    NotAdaptedError,
+    PastingInfeasibleError,
+    check_adapted,
+    doob_dynkin_factorize,
+    enumerate_policies,
+    feasible_at,
+    paste,
+    policy_class_to_json,
+    policy_to_leafwise,
+)
 
 
 def small_tree():

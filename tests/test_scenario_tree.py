@@ -10,15 +10,13 @@ from multistage import (
     Node,
     ScenarioTree,
     UnknownNodeError,
-    conditional_expectation,
     path,
     tree_from_json,
-    tree_to_json,
-    unconditional_probability,
     validate,
 )
 from multistage.generate import random_tree, rng_from_seed
-from instances import chain_tree
+from multistage.scenario_tree import unconditional_probability
+from instances import chain_tree, conditional_expectation, tree_to_json
 
 
 def make_tree(entries, horizon, obs_dim=1):

@@ -17,7 +17,6 @@ from multistage import (
     brute_force_optimum,
     compute_V,
     compute_v,
-    essential_infimum,
     expected_value,
     greedy_policy_from_tables,
     tail_conditional_value,
@@ -38,6 +37,9 @@ from multistage.verification import check_dynamic_relations
 from instances import (
     branching_gap_fixture,
     chain_tree,
+    empirical_holder_constant,
+    enumerate_policies,
+    essential_infimum,
     feasible_at,
     policy_from_indices,
     random_additive_cost,
@@ -421,8 +423,6 @@ class TestBruteForce:
         rng = rng_from_seed(77)
         cls = random_nodewise_class(rng, binary2, max_choices=2)
         cost = random_general_cost(rng, binary2)
-        from multistage import enumerate_policies
-
         values = [expected_value(binary2, cost, p) for p in enumerate_policies(binary2, cls)]
         value, _ = brute_force_optimum(binary2, cost, cls)
         assert value == pytest.approx(min(values), abs=1e-12)
@@ -591,8 +591,6 @@ class TestValueProcess:
 
 
 def iter_policies(tree, cls, skip=0):
-    from multistage import enumerate_policies
-
     policies = list(enumerate_policies(tree, cls))
     return iter(policies[skip % len(policies):])
 
@@ -638,7 +636,7 @@ class TestHolderPreservation:
         rng = rng_from_seed(55)
         cls = random_nodewise_class(rng, binary2, max_choices=3)
         cost = random_general_cost(rng, binary2)
-        from multistage import empirical_holder_constant, verify_holder
+        from multistage import verify_holder
 
         delta = 10.0
         C = empirical_holder_constant(binary2, cls, cost, alpha=1.0, delta=delta)

@@ -8,7 +8,6 @@ from multistage import (
     brute_force_optimum,
     check_dynamic_relations,
     check_submartingale,
-    enumerate_policies,
     expected_value,
     interchange_gap,
     interchange_monotone,
@@ -22,7 +21,13 @@ from multistage.generate import (
     rng_from_seed,
 )
 from multistage.verification import MARTINGALE, NEITHER, SUBMARTINGALE
-from instances import branching_gap_fixture, chain_tree, feasible_at, random_instance
+from instances import (
+    branching_gap_fixture,
+    chain_tree,
+    enumerate_policies,
+    feasible_at,
+    random_instance,
+)
 from test_value_process import ScalarDefinitional, definitional_instance, same_float
 
 
