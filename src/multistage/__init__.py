@@ -46,7 +46,7 @@ from .exceptions import (
     UnknownNodeError,
 )
 from .policy import Policy, PolicyClass
-from .scenario_tree import Node, ScenarioTree, path, tree_from_json, validate
+from .scenario_tree import Node, ScenarioTree, tree_from_json, validate
 from .value_process import (
     ValueTables,
     backward_tables,
@@ -112,7 +112,6 @@ __all__ = [
     "load_stagewise",
     "mdp_backward_induction",
     "mdp_from_json",
-    "path",
     "sddp_from_json",
     "sddp_recursion",
     "sddp_to_mdp",

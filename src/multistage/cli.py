@@ -4,7 +4,10 @@ Subcommands: validate, solve, verify, dynamic-check, demo-interchange,
 mdp-solve, value-iterate, sddp-solve. Exit codes follow one contract
 everywhere: 0 success or positive finding, 1 negative finding, 2
 inconclusive, 3 input error. Reports are deterministic: given identical
-inputs and flags the JSON output is byte-identical across runs.
+inputs and flags the JSON output is byte-identical across runs. Its bytes
+are those of ``json.dumps(report, sort_keys=True, indent=2)``; orjson
+writes them, and ``json.dumps`` is the fallback where orjson cannot
+(:func:`_dumps`).
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
+
+import orjson
 
 from . import __version__
 from .bundle import ProblemBundle, bundle_from_json, load_bundle, load_mdp, load_stagewise
@@ -53,9 +59,75 @@ EXIT_INPUT = 3
 AUTO_BRUTE_LIMIT = 100_000
 
 
+#: ``json.dumps(..., sort_keys=True, indent=2)``'s layout; a dataclass, a
+#: datetime and a subclass of a built-in type raise ``TypeError``
+_ORJSON_OPTIONS = (
+    orjson.OPT_INDENT_2
+    | orjson.OPT_SORT_KEYS
+    | orjson.OPT_PASSTHROUGH_DATACLASS
+    | orjson.OPT_PASSTHROUGH_DATETIME
+    | orjson.OPT_PASSTHROUGH_SUBCLASS
+)
+#: an exponent of a number, which json writes signed and with two digits or more
+_EXPONENT = re.compile(rb"e(?<=[0-9]e)(-?)([0-9]+)")
+#: a number in [1e-5, 1e-4) (orjson writes it without an exponent), or the
+#: tail of a longer number such as 10.00001
+_DECADE = re.compile(rb"0\.0000[0-9]+")
+
+
+def _exponent(match: re.Match) -> bytes:
+    sign, digits = match.groups()
+    return b"e" + (sign or b"+") + digits.rjust(2, b"0")
+
+
+def _decade(match: re.Match) -> bytes:
+    start = match.start()
+    if start and match.string[start - 1] in b"0123456789":
+        return match.group()
+    return repr(float(match.group())).encode()
+
+
+def _dumps(report: dict) -> str:
+    """``json.dumps(report, sort_keys=True, indent=2)``, the reference, written
+    through orjson where that gives the same text.
+
+    orjson writes the same layout and the same shortest digits, but spells
+    some numbers differently: an exponent without its sign or second digit
+    (``1e16``, ``1e-7``), and a number in [1e-5, 1e-4) without an exponent
+    (``0.00005``). Those tokens are rewritten, outside strings only. The text
+    comes from ``json.dumps`` when orjson raises ``TypeError`` (an int
+    outside [-2^63, 2^64), a key that is not a ``str``, a numpy scalar, a
+    dataclass, a datetime, a subclass of a built-in type), when orjson's
+    text holds a backslash (a string that json escapes, which orjson may
+    escape differently) or a byte of 0x7f or above (json escapes DEL and
+    non-ASCII), and when it holds ``null`` that does not decode to the
+    report (orjson writes NaN and ±inf as ``null``, json as ``NaN`` and
+    ``±Infinity``). Once no backslash is present, every ``"`` opens or
+    closes a string. An ``Enum`` or a ``UUID``, which no report holds, is
+    written by orjson where ``json`` raises.
+    """
+    try:
+        out = orjson.dumps(report, option=_ORJSON_OPTIONS)
+        same = not (
+            b"\\" in out
+            or not out.isascii()
+            or b"\x7f" in out
+            or (b"null" in out and orjson.loads(out) != report)
+        )
+    except TypeError:
+        same = False
+    if not same:
+        return json.dumps(report, sort_keys=True, indent=2)
+    parts = out.split(b'"')
+    skeleton = b'"'.join(parts[::2])
+    skeleton = _DECADE.sub(_decade, _EXPONENT.sub(_exponent, skeleton))
+    parts[::2] = skeleton.split(b'"')
+    return b'"'.join(parts).decode()
+
+
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dumps(report))
     else:
         for line in lines:
             print(line)

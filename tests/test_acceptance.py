@@ -23,7 +23,7 @@ from multistage.generate import (
     recourse_fixture,
     rng_from_seed,
 )
-from multistage.scenario_tree import unconditional_probability
+from multistage.scenario_tree import path, unconditional_probability
 from instances import (
     branching_gap_fixture,
     bundle_to_json,
@@ -68,7 +68,7 @@ def leaf_value_caches(tree, cost, cls):
         prob = unconditional_probability(tree, leaf)
         grids = [cls.feasible[i] for i in tree.path_nodes(leaf)]
         table = {
-            hist: cost.evaluate(ms.path(tree, leaf), hist)
+            hist: cost.evaluate(path(tree, leaf), hist)
             for hist in itertools.product(*grids)
         }
         caches.append((leaf, prob, table))

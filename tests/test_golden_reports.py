@@ -9,8 +9,9 @@ bundles cover a general polynomial, additive lag-1 and lag-2 stacks,
 ``quadratic_tracking``, lookup ``table`` s (general, additive lag-2, and one
 whose entries overlap within ``atol``, so the first matching entry decides),
 a nodewise class whose grid sizes differ within a stage, a nodewise class
-with more leaf entries than one batch of leaf arrays holds and a
-history-blind class.
+with more leaf entries than one batch of leaf arrays holds, a
+history-blind class, and 2^65 policies (``huge_count``), so that the
+``policy_count`` of its reports is past 64-bit integers.
 
 Two fixed-shape bundles pin the definitional route at small caps: a
 nodewise tree with 1, 2, 4 and 6 nodes per stage and grids of 2 (``nw13``)
@@ -41,7 +42,11 @@ seeded ``random_mdp`` instances cover action-independent and
 action-dependent kernels, an ``actions_by_state`` mask together with
 ``stage_costs``, gamma < 0 and gamma = 0, and a ``--max-iters`` run that does
 not converge (exit 1). These digests were recorded before the MDP solvers
-and the report writer were reworked.
+and the report writer were reworked. A written-out MDP (``mdp_tokens``) has
+values and residuals in [1e-5, 1e-4) of both signs, tokens such as
+``10.00001`` and magnitudes of 1e16 and more: the numbers that orjson spells
+unlike ``json``. Its digests, and those of ``huge_count``, were recorded
+while every report was still written by ``json.dumps``.
 
 The help texts are pinned the same way: the digest of what ``multistage
 --help`` and every ``<subcommand> --help`` print, and of the usage error that
@@ -278,6 +283,12 @@ def inputs() -> dict[str, dict]:
         cls = sized_class(rng, tree, sizes, kind)
         add(name, tree, random_general_cost(rng, tree), cls)
 
+    # grids of 2 at 65 nodes: a policy count of 2^65, past 64-bit integers
+    rng = rng_from_seed(34)
+    tree = fixed_tree(rng, [1, 64])
+    add("huge_count", tree, random_general_cost(rng, tree),
+        sized_class(rng, tree, [2, 2], "nodewise"))
+
     rng = rng_from_seed(29)
     tree = random_tree(rng, horizon=2, obs_dim=1)
     cls = random_nodewise_class(rng, tree, max_policies=3000)
@@ -296,6 +307,8 @@ def commands(name: str) -> list[list[str]]:
         return [["validate"]]
     if name.startswith("sddp"):
         return [["sddp-solve"]]
+    if name == "huge_count":  # too many policies for brute force and the definitional route
+        return [["solve"], ["verify"]]
     if name in ("table_lag2", "table_overlap"):
         return [["solve", "--method", "backward"], ["solve", "--method", "brute"], ["verify"]]
     if name == "wide":  # too many policies and tails for the definitional route
@@ -416,7 +429,7 @@ def run_dynamic(name: str) -> tuple[str, str, str]:
 
 
 def mdp_inputs() -> dict[str, dict]:
-    """Name -> MDP JSON, every one from a fixed seed."""
+    """Name -> MDP JSON, every one from a fixed seed or written out."""
     out = {}
     for name, seed, n, a, gamma, dependent in (
         ("mdp_indep", 71, 6, 3, 0.9, False), ("mdp_dep", 72, 5, 4, 0.8, True),
@@ -432,6 +445,18 @@ def mdp_inputs() -> dict[str, dict]:
     data["stage_costs"] = [rng.uniform(-1.0, 1.0, size=(5, 5, 3)).tolist() for _ in range(4)]
     data["bound_K"] = 1.0
     out["mdp_masked"] = data
+    # one state per cost, each its own absorbing state: the values and residuals
+    # hold floats in [1e-5, 1e-4) of both signs, 10.00001-like tokens and
+    # magnitudes of 1e16 and more, where orjson spells numbers unlike json
+    costs = [2e-5, -2e-5, 5.000005, -33.333338333, 2e16, -3.5e17, 3.3e-5, 1e-7, 5.5e15, -7e-5]
+    n = len(costs)
+    out["mdp_tokens"] = {
+        "states": [[float(i)] for i in range(n)], "actions": [[0.0], [1.0]],
+        "kernel": [[float(j == i) for j in range(n)] for i in range(n)],
+        "cost": [[[c, 1.5 * c] if j == i else [0.0, 0.0] for j in range(n)]
+                 for i, c in enumerate(costs)],
+        "gamma": 0.5, "bound_K": 1e18,
+    }
     return out
 
 
@@ -442,6 +467,7 @@ MDP_COMMANDS = {
     "mdp_neg": ["mdp-solve --horizon 4", "value-iterate"],
     "mdp_zero": ["mdp-solve --horizon 3", "value-iterate"],
     "mdp_masked": ["mdp-solve --horizon 4", "value-iterate", "value-iterate --max-iters 3"],
+    "mdp_tokens": ["mdp-solve --horizon 3", "value-iterate"],
 }
 
 
@@ -511,6 +537,8 @@ GOLDEN = {
     'blind5:verify --cap 48': (2, 'a9180c75f8d981447dd27fd977526661e2692999d9b1051a4b1a4176dd6e5726'),
     'blind5:dynamic-check --cap 288': (0, '4856d51c09c2bba51dbcc69977378c26504767398ed780dc79ab2a279f9d7e9d'),
     'blind5:verify --cap 288': (2, 'a9180c75f8d981447dd27fd977526661e2692999d9b1051a4b1a4176dd6e5726'),
+    'huge_count:solve': (0, '8af03c5bb160f1bae7bc44269b16da2b3de929dc9b8cbaeca39ff0caa438ae8a'),
+    'huge_count:verify': (1, 'bc087f45eec3ed030175ecc450df24ace891a6ab95986d6afdc1495c010da3fb'),
     'holder_holds:validate': (0, 'd52c39388400ff9490eebe5a9a10889202cbf08f24ac28cb275bf7e2d07f2c43'),
     'holder_fails:validate': (1, '895492832de2039347fb67c4e334185688c9ba6ab3b483676897463be6f8b030'),
     'sddp_table:sddp-solve': (0, '0f0b304f0ada55496311a34f79906473ba157c9740f6a5893d73943516afb17b'),
@@ -555,6 +583,10 @@ MDP_GOLDEN = {
     'mdp_masked:value-iterate --json': (0, '84feece0601f2394e7419c9511b2a7070d149000cc3988fb4ed0c51c65e726ac'),
     'mdp_masked:value-iterate --max-iters 3': (1, 'c242217cc3b72b6a5ee117b1956e3fa39d40123c3fa63bf6c0864b19b604f3d9'),
     'mdp_masked:value-iterate --max-iters 3 --json': (1, '32bb61f43f425884c01498a6bbe54c6026e90a9897ed7806bc1f290bf31fb2c2'),
+    'mdp_tokens:mdp-solve --horizon 3': (0, '2df1bd8f02d8aad4ef228245ff34cf2943765b2d3a253cdd9ea08dd8af91d2fd'),
+    'mdp_tokens:mdp-solve --horizon 3 --json': (0, '389a5170fbcd6c20ce1bac77c131e5e8a0118bf1dbde06cff56fa73c32823b6a'),
+    'mdp_tokens:value-iterate': (0, '8c8da1d7970cb407e36d257c694387f15940d573597fc936a2aab217ec467486'),
+    'mdp_tokens:value-iterate --json': (0, '242b0ddda39e0d6b215b1ba2b62f06bcda6597d85fa720b75d60cadecff3294f'),
 }
 
 

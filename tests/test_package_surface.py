@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -62,12 +63,73 @@ def package_references() -> list[tuple[str, str, int]]:
     return refs
 
 
+def api_names(tree: ast.AST) -> set[str]:
+    """The names a piece of Python uses as library API: what it imports from
+    ``multistage``, calls or reads as an attribute, and the whole of a piece
+    that is one name or one dotted name. A variable or an argument is not
+    API."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("multistage"):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            out.add(node.func.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    body = tree.body if isinstance(tree, ast.Module) else []
+    if len(body) == 1 and isinstance(body[0], ast.Expr):
+        value = body[0].value
+        while isinstance(value, ast.Attribute):
+            value = value.value
+        if isinstance(value, ast.Name):
+            out.add(value.id)
+    return out
+
+
+def readme_api() -> set[str]:
+    """The names that the README's Python blocks and code spans use as API."""
+    text = README.read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    out = set()
+    for piece in blocks + spans:
+        try:
+            out |= api_names(ast.parse(piece))
+        except SyntaxError:  # a command line, a path or an error message
+            continue
+    return out
+
+
+def perfbench_api() -> set[str]:
+    """The names ``perfbench`` imports from the package, and the modules, functions,
+    classes and methods its ``spans.LAYERS`` wraps."""
+    out = set()
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("multistage"):
+                out.update(alias.name for alias in node.names)
+    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    layers = next(node.value for node in spans.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"])
+    for pairs in ast.literal_eval(layers).values():
+        for module, name in pairs:
+            out.update([module, *name.split(".")])
+    return out
+
+
 def named_outside() -> set[str]:
-    """Every word of the README and of the ``perfbench`` sources."""
-    outside = README.read_text() + "".join(
-        p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))
-    )
-    return set(re.findall(r"\w+", outside))
+    """The names that the README or ``perfbench`` uses as library API."""
+    return readme_api() | perfbench_api()
+
+
+def overrides(file: str, qualified: str) -> bool:
+    """Whether ``qualified`` is a method that overrides one of a base class,
+    through which the base class or its callers reach it."""
+    if "." not in qualified:
+        return False
+    owner, method = qualified.split(".")
+    module = importlib.import_module(f"multistage.{file.removesuffix('.py')}")
+    return any(method in vars(base) for base in getattr(module, owner).__mro__[1:])
 
 
 def unreferenced() -> list[str]:
@@ -76,7 +138,7 @@ def unreferenced() -> list[str]:
     out = []
     for file, qualified, first, last in definitions():
         name = qualified.rsplit(".", 1)[-1]
-        if name in named:
+        if name in named or overrides(file, qualified):
             continue
         if any(n == name and not (f == file and first <= line <= last) for n, f, line in refs):
             continue

@@ -10,12 +10,11 @@ from multistage import (
     Node,
     ScenarioTree,
     UnknownNodeError,
-    path,
     tree_from_json,
     validate,
 )
 from multistage.generate import random_tree, rng_from_seed
-from multistage.scenario_tree import unconditional_probability
+from multistage.scenario_tree import path, unconditional_probability
 from instances import chain_tree, conditional_expectation, tree_to_json
 
 
