@@ -2,9 +2,12 @@
 ``json.dumps(report, sort_keys=True, indent=2)``, the reference.
 
 It writes through orjson and rewrites the number tokens that orjson spells
-differently. It falls back to ``json.dumps`` only where orjson cannot give
-the same bytes: orjson raises ``TypeError``, or its text holds a backslash,
-a byte of 0x7f or above, or a ``null`` that does not decode to the report.
+differently. An int outside orjson's range [-2^63, 2^64) that is a value of
+the report itself is spliced into orjson's text. It falls back to
+``json.dumps`` only where orjson cannot give the same bytes: orjson raises
+``TypeError`` (such an int nested deeper among them), or its text holds a
+backslash, a byte of 0x7f or above, or a ``null`` that does not decode to
+the report.
 """
 
 from __future__ import annotations
@@ -59,7 +62,10 @@ FLOATS = st.one_of(
     st.sampled_from([10.00001, -100.000015, 1e-5, -1e-5, 9.999999999999999e-05, 1e-4,
                      1e16, -1e16, 9999999999999998.0, 5e-324, -0.0]),
 )
-INTS = st.one_of(st.integers(), *(st.integers(b - 3, b + 3) for b in (-2**63, 2**63, 2**64)))
+#: ints around the ends of orjson's range [-2^63, 2^64) and far past them
+WIDE = st.one_of(*(st.integers(b - 3, b + 3)
+                   for b in (-2**63, 2**63, 2**64, -2**64, 2**65, -2**65, 10**90, -10**90)))
+INTS = st.one_of(st.integers(), WIDE)
 TEXT = st.one_of(
     st.text(max_size=8),
     st.lists(st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\xe9", " ",
@@ -80,10 +86,46 @@ REPORTS = st.recursive(
 )
 
 
+#: a report as the commands build it: an object, whose own values may be wide ints
+TOP_LEVEL = st.dictionaries(TEXT, st.one_of(INTS, REPORTS), max_size=5)
+
+
 @settings(max_examples=600, deadline=None)
-@given(REPORTS)
+@given(st.one_of(REPORTS, TOP_LEVEL))
 def test_the_writer_prints_the_reference_bytes(report):
     assert outcome(cli._dumps, report) == outcome(reference, report)
+
+
+#: what orjson writes as json does: finite floats, ints in its range, plain text
+PLAIN = st.recursive(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.integers(-2**63, 2**64 - 1), st.booleans(), st.none(),
+              st.text("abc 09.-e", max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text("abc", max_size=3), inner, max_size=3)),
+    max_leaves=10,
+)
+PLAIN_KEYS = st.text("abcdefgh_ 0", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(PLAIN_KEYS, st.one_of(WIDE, PLAIN), max_size=6),
+       st.sampled_from([None, "list", "object"]))
+def test_a_wide_int_falls_back_only_below_the_top_level(report, nest):
+    calls: list = []
+    wide = [key for key, value in report.items() if type(value) is int and value >= 2**64]
+    if nest == "list":
+        report["nested"] = [2**64]
+    elif nest == "object":
+        report["nested"] = {"count": -2**63 - 1, "values": [0.5]}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "json", types.SimpleNamespace(
+            dumps=lambda report, **kw: calls.append(report) or json.dumps(report, **kw)))
+        text = cli._dumps(report)
+    assert text == reference(report)
+    assert bool(calls) == (nest is not None)
+    for key in wide:
+        assert f'\n  "{key}": {report[key]}' in text
 
 
 @settings(max_examples=300, deadline=None)
@@ -135,8 +177,13 @@ def fallbacks(monkeypatch) -> list:
 
 @pytest.mark.parametrize("report, falls_back", [
     ({"count": 2**64 - 1, "low": -2**63}, False),
-    ({"count": 2**64}, True),
-    ({"low": -2**63 - 1}, True),
+    ({"count": 2**64}, False),
+    ({"low": -2**63 - 1}, False),
+    ({"count": 10**90, "low": -2**65, "zero": 0, "nested": {"zero": 0}}, False),
+    ({"nested": {"count": 2**64}}, True),
+    ({"count": 2**64, "values": [-2**63 - 1]}, True),
+    ({"count": 2**64, "input": 'a "quoted" path'}, True),
+    ({"count": 2**64, "value": float("nan")}, True),
     ({1: "int key"}, True),
     ({"value": np.float64(0.5)}, True),
     ({"input": 'a "quoted" path'}, True),
@@ -170,22 +217,24 @@ def test_the_token_mdp_reaches_every_rewrite(tmp_path):
         assert any(re.fullmatch(r"-?[0-9.]+e\+1[6-9]", x) for x in numbers)
 
 
-def test_the_golden_reports_fall_back_only_for_policy_counts_past_64_bits(
-        fallbacks, tmp_path):
+def test_no_golden_report_falls_back(fallbacks, tmp_path, monkeypatch):
     # validate, solve, verify, dynamic-check, sddp-solve, mdp-solve and value-iterate
-    fell_back = []
+    written = []
+    dumps = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda report: written.append(report) or dumps(report))
+    wide = []
     for case in sorted(GOLDEN):
         name, command = case.split(":")
         run_case(tmp_path, name, command.split())
-        if fallbacks:
-            assert [report["policy_count"] >= 2**64 for report in fallbacks] == [True]
-            fell_back.append(case)
-            fallbacks.clear()
+        assert fallbacks == [], case
+        if written.pop().get("policy_count", 0) >= 2**64:
+            wide.append(case)
     for case in MDP_GOLDEN:
         name, command = case.split(":")
         if command.endswith("--json"):
             run_mdp_case(tmp_path, name, command.split())
             assert fallbacks == [], case
-    # 2^65 policies, and 3 decisions at each of the many nodes of a horizon-6 tree
-    assert fell_back == ["huge_count:solve", "huge_count:verify",
-                         "wide:solve --method backward", "wide:verify"]
+    # 2^65 policies, and 3 decisions at each of the many nodes of a horizon-6 tree:
+    # orjson writes these reports too, and their policy counts are spliced in
+    assert wide == ["huge_count:solve", "huge_count:verify",
+                    "wide:solve --method backward", "wide:verify"]
