@@ -9,13 +9,9 @@ are those of ``json.dumps(report, sort_keys=True, indent=2)``; orjson
 writes them, and ``json.dumps`` is the fallback where orjson cannot
 (:func:`_dumps`).
 
-The argparse parser of :func:`build_parser` defines every flag and is the
-reference for what a command line means. A canonical line (a subcommand,
-then distinct flags spelled out in full, each followed by one value that
-does not start with ``-``) is parsed from a table built from that parser's
-own actions (:func:`_parse_canonical`), into the namespace argparse would
-return. argparse parses every other line and writes every help and usage
-text.
+The argparse parser of :func:`build_parser` is the only parser. It parses
+each distinct command line once per process (:func:`_parsed`), and each
+call of :func:`main` gets a fresh namespace of that line's fields.
 """
 
 from __future__ import annotations
@@ -467,135 +463,20 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-#: the actions the table parses, each with its ``nargs``: a store action
-#: takes one value, a store-const action (``store_true``, ``store_false``)
-#: none and stores its ``const``
-_TABLE_NARGS = {
-    argparse._StoreAction: None,
-    argparse._StoreConstAction: 0,
-    argparse._StoreTrueAction: 0,
-    argparse._StoreFalseAction: 0,
-}
-#: actions whose flags only argparse parses: it writes the help and the version
-_ARGPARSE_ONLY = (argparse._HelpAction, argparse._VersionAction)
+#: the most distinct command lines whose namespaces :func:`_parsed` keeps
+_PARSED_LINES = 256
 
 
-def _defaults(parser: argparse.ArgumentParser) -> dict:
-    """The values ``parser`` puts in a namespace before it reads a flag."""
-    return {**parser._defaults, **{
-        action.dest: action.default for action in parser._actions
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
-    }}
+@functools.lru_cache(maxsize=_PARSED_LINES)
+def _parsed(argv: tuple) -> dict:
+    """The fields of ``_parser().parse_args(list(argv))``, parsed once per
+    distinct line and kept for the process.
 
-
-def _plain(parser: argparse.ArgumentParser) -> bool:
-    """Whether ``parser`` reads flags after ``-`` only and reads no argument files."""
-    return parser.prefix_chars == "-" and parser.fromfile_prefix_chars is None
-
-
-def _flags(sub: argparse.ArgumentParser, parser: argparse.ArgumentParser) -> dict | None:
-    """Each flag of the subcommand parser ``sub`` of ``parser``, mapped to
-    ``(dest, convert, choices, const)``; ``convert`` is None for a flag that
-    takes no value.
-
-    None if ``sub`` has an action of another kind (``nargs`` other than None
-    or 0, ``append``, ``count``, a custom ``Action``, a positional), a string
-    default that ``type`` would convert, two actions on one dest, a mutually
-    exclusive group, or a flag that does not start with ``--`` or that
-    abbreviates a flag of ``parser`` (argparse reads that as ambiguous).
+    A line argparse rejects, ``--help`` and ``--version`` raise
+    ``SystemExit``, which is never stored, so argparse writes every help and
+    usage text on every call. Every stored field is an immutable scalar.
     """
-    actions = [a for a in sub._actions if type(a) not in _ARGPARSE_ONLY]
-    if (len({a.dest for a in actions}) != len(actions) or sub._mutually_exclusive_groups
-            or not _plain(sub)):
-        return None
-    flags = {}
-    for action in actions:
-        if (_TABLE_NARGS.get(type(action), -1) != action.nargs or not action.option_strings
-                or (isinstance(action.default, str) and action.type is not None)):
-            return None
-        convert = None
-        if action.nargs is None:
-            convert = sub._registry_get("type", action.type, action.type)
-        for flag in action.option_strings:
-            if not flag.startswith("--") or any(
-                    option != flag and option.startswith(flag)
-                    for option in parser._option_string_actions):
-                return None
-            flags[flag] = (action.dest, convert, action.choices, action.const)
-    return flags
-
-
-def _table_of(parser: argparse.ArgumentParser) -> dict:
-    """For each subcommand of ``parser`` that has :func:`_flags`, a triple:
-    those flags, the namespace of the subcommand without flags, and the
-    dests that must be given. Empty if ``parser`` has an action besides
-    help, version and the subcommands; argparse parses every line of a
-    subcommand that is left out.
-    """
-    top = [a for a in parser._actions if type(a) not in _ARGPARSE_ONLY]
-    if [type(a) for a in top] != [argparse._SubParsersAction] or not _plain(parser):
-        return {}
-    commands = top[0]
-    table = {}
-    for name, sub in commands.choices.items():
-        flags = _flags(sub, parser)
-        if flags is None:
-            continue
-        namespace = _defaults(parser)
-        if commands.dest is not argparse.SUPPRESS:
-            namespace[commands.dest] = name
-        namespace.update(_defaults(sub))
-        required = frozenset(a.dest for a in sub._actions if a.required)
-        table[name] = (flags, namespace, required)
-    return table
-
-
-@functools.cache
-def _table() -> dict:
-    """The table of :func:`_parser`, built on its first call and kept for the process."""
-    return _table_of(_parser())
-
-
-def _parse_canonical(argv: list) -> argparse.Namespace | None:
-    """The namespace ``_parser().parse_args(argv)`` returns, read from
-    :func:`_table` where ``argv`` is canonical: a subcommand, then distinct
-    flags spelled out in full, each followed by one value that does not
-    start with ``-`` (a flag that takes no value by none). None for every
-    other line, and where a value fails its ``type`` or ``choices`` or a
-    required flag is missing: argparse parses those and reports the error.
-    """
-    if not argv or type(argv[0]) is not str:
-        return None
-    command = _table().get(argv[0])
-    if command is None:
-        return None
-    flags, namespace, required = command
-    values = dict(namespace)
-    given = set()
-    i, end = 1, len(argv)
-    while i < end:
-        entry = flags.get(argv[i]) if type(argv[i]) is str else None
-        if entry is None or entry[0] in given:
-            return None
-        dest, convert, choices, const = entry
-        given.add(dest)
-        i += 1
-        if convert is None:
-            values[dest] = const
-            continue
-        if i == end or type(argv[i]) is not str or argv[i].startswith("-"):
-            return None
-        try:
-            value = convert(argv[i])
-        except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse reports these
-            return None
-        if choices is not None and value not in choices:
-            return None
-        values[dest] = value
-        i += 1
-    if not required <= given:
-        return None
-    return argparse.Namespace(**values)
+    return vars(_parser().parse_args(list(argv)))
 
 
 def _check_flags(args) -> None:
@@ -624,10 +505,7 @@ HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_canonical(argv)
-    if args is None:
-        args = _parser().parse_args(argv)
+    args = argparse.Namespace(**_parsed(tuple(sys.argv[1:] if argv is None else argv)))
     try:
         _check_flags(args)
         return HANDLERS[args.command](args)

@@ -49,6 +49,7 @@ from .costs import (
 )
 from .exceptions import (
     ConvergenceError,
+    EnumerationCapError,
     IncompleteFunctionError,
     InputFormatError,
     MultistageError,
@@ -255,7 +256,9 @@ def mdp_backward_induction(
     seeded with zero terminal values. Returns the value arrays for
     t = 0..T and the first-argmin greedy action indices for t = 0..T-1.
     Each cost array is transposed once per call (``_transposed``), and each
-    stage adds gamma Vtilde_{t+1} to that transpose.
+    stage adds gamma Vtilde_{t+1} to that transpose. The (horizon + 1) value
+    arrays hold at most ``DEFAULT_ENUMERATION_CAP`` entries in all, checked
+    before the first stage.
     """
     if horizon < 0:
         raise InputFormatError(f"horizon {horizon} is negative")
@@ -263,6 +266,9 @@ def mdp_backward_induction(
         raise InputFormatError(
             f"{len(mdp.stage_costs)} stage costs cannot cover horizon {horizon}"
         )
+    entries = (horizon + 1) * mdp.n_states
+    if entries > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(entries, DEFAULT_ENUMERATION_CAP)
     mask = mdp.action_mask
     stationary = _transposed(mdp.cost) if mdp.stage_costs is None else None
     values, greedy = [np.zeros(mdp.n_states)], []

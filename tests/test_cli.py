@@ -857,6 +857,17 @@ class TestMdpCommands:
         assert main(["mdp-solve", "--input", path, "--horizon", "-1"]) == 3
         assert "horizon -1" in capsys.readouterr().err
 
+    def test_a_horizon_past_the_entry_cap_exits_three_before_any_stage(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # (10^7 + 1) value entries of one state exceed DEFAULT_ENUMERATION_CAP = 10^7
+        path = write_json(tmp_path / "mdp.json", mdp_to_json(constant_cost_mdp(n_states=1)))
+        monkeypatch.setattr("multistage.dp_solvers._bellman_min",
+                            lambda *args: pytest.fail("a stage ran past the cap"))
+        assert main(["mdp-solve", "--input", path, "--horizon", str(10**7)]) == 3
+        assert capsys.readouterr() == (
+            "", "enumeration too large: enumeration of 10000001 items exceeds the cap of 10000000\n")
+
     @pytest.mark.parametrize(
         "actions_by_state",
         [[[0]], [[0], []], [[0], [1]], [[0], [-1]], [[0.7], [0]], [["0"], [0]]],
@@ -1689,7 +1700,8 @@ class TestParserReuse:
     ):
         command_lines = self.command_lines(recourse_bundle, tmp_path)
         reused = self.outcomes(command_lines, capsys)
-        monkeypatch.setattr("multistage.cli._parser", build_parser)
+        monkeypatch.setattr("multistage.cli._parsed",
+                            lambda argv: vars(build_parser().parse_args(list(argv))))
         fresh = self.outcomes(command_lines, capsys)
         assert reused == fresh
         assert {code for _, code, _, _ in reused} == {0, 1, 3}

@@ -1,11 +1,10 @@
-"""Command lines read from the flag table (``cli._parse_canonical``) mean what
-they mean to argparse, the reference.
+"""argparse is the only command-line parser, and :func:`cli.main` keeps its
+parses per process (``cli._parsed``).
 
-The table is built from the argparse parser's own actions. A canonical line
-(a subcommand, then distinct flags spelled out in full, each with one value
-that does not start with ``-``) is read from it; the table returns None for
-every other line, and argparse parses that line and writes every help and
-usage text.
+Each distinct line reaches ``ArgumentParser.parse_args`` once per process,
+and each call of ``main`` gets a fresh namespace of that line's fields. A
+line argparse rejects, ``--help`` and ``--version`` exit through argparse on
+every call, with argparse's text.
 """
 
 from __future__ import annotations
@@ -35,26 +34,78 @@ def subcommands(parser: argparse.ArgumentParser) -> dict:
     return action.choices
 
 
-def fields(namespace):
-    """The namespace's fields with their values' reprs (``nan`` equals ``nan``), or None."""
-    return None if namespace is None else {k: repr(v) for k, v in vars(namespace).items()}
+def fields(namespace) -> dict:
+    """The namespace's fields with their values' reprs (``nan`` equals ``nan``)."""
+    return {k: repr(v) for k, v in vars(namespace).items()}
 
 
-def argparse_outcome(argv):
-    """What a fresh argparse parser makes of ``argv``, as :func:`fields`; None where it exits."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return fields(build_parser().parse_args(argv))
-        except SystemExit:
-            return None
+def exits(call) -> tuple:
+    """``("parsed", fields)`` of what ``call()`` returns, or ``("exit", code,
+    stdout, stderr)`` where it raises ``SystemExit``."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return ("parsed", fields(call()))
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue(), err.getvalue())
+
+
+def reference(argv) -> tuple:
+    """What a fresh argparse parser makes of ``argv``, as :func:`exits`."""
+    return exits(lambda: build_parser().parse_args(list(argv)))
+
+
+@contextlib.contextmanager
+def spied():
+    """Every namespace ``main`` hands a handler, in order; the handlers only
+    record it, and the flag checks are off, so every parsed line is
+    dispatched."""
+    seen: list = []
+
+    def spy(args):
+        seen.append(args)
+        return 0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "HANDLERS", dict.fromkeys(cli.HANDLERS, spy))
+        patch.setattr(cli, "_check_flags", lambda args: None)
+        yield seen
+
+
+@pytest.fixture
+def dispatched():
+    with spied() as seen:
+        yield seen
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The argv of every ``ArgumentParser.parse_args`` call, starting from an
+    empty cache of parsed lines."""
+    calls: list = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, args=None, namespace=None):
+        calls.append(args)
+        return parse_args(self, args, namespace)
+
+    cli._parsed.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    yield calls
+    cli._parsed.cache_clear()
+
+
+def run_main(argv, dispatched) -> tuple:
+    """``main(argv)`` as :func:`exits`, reading the namespace it dispatched."""
+    return exits(lambda: main(list(argv)) == 0 and dispatched[-1])
 
 
 PARSER = build_parser()
 #: valid values of a flag by its ``type``; a flag with ``choices`` takes those
 GOOD = {int: ["0", "3", "17"], float: ["0", "1e-6", "2.5", "inf", "nan"],
         None: ["a.json", "x y", "", "3"]}
-#: each subcommand's flags, read from argparse, not from the table, with the
-#: values each takes (None for a flag that takes no value)
+#: each subcommand's flags, read from argparse, with the values each takes
+#: (None for a flag that takes no value)
 FLAGS = {
     name: {flag: None if action.nargs == 0 else list(action.choices or GOOD[action.type])
            for action in sub._actions if not isinstance(action, argparse._HelpAction)
@@ -94,58 +145,81 @@ def command_lines(draw) -> list[str]:
 
 @settings(max_examples=1500, deadline=None)
 @given(command_lines())
-def test_the_table_reads_a_line_as_argparse_does_or_not_at_all(argv):
-    table = fields(cli._parse_canonical(argv))
-    reference = argparse_outcome(argv)
-    assert table is None or table == reference
-    if reference is None:
-        assert table is None
+def test_main_dispatches_what_argparse_parses_on_every_repetition(argv):
+    expected = reference(argv)
+    with spied() as dispatched:
+        assert run_main(argv, dispatched) == expected
+        assert run_main(argv, dispatched) == expected
+    if expected[0] == "exit":
+        assert expected[1] in (0, 3)
+        assert expected[1] == 0 or "multistage" in expected[3]
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_every_canonical_line_is_read_from_the_table(data):
-    name = data.draw(st.sampled_from(sorted(FLAGS)))
-    sub = subcommands(PARSER)[name]
-    argv = [name]
-    for action in data.draw(st.permutations(
-            [a for a in sub._actions if not isinstance(a, argparse._HelpAction)])):
-        if action.required or data.draw(st.booleans()):
-            flag = action.option_strings[0]
-            argv.append(flag)
-            if FLAGS[name][flag] is not None:
-                argv.append(data.draw(st.sampled_from(FLAGS[name][flag])))
-    assert fields(cli._parse_canonical(argv)) == argparse_outcome(argv) is not None
+def test_a_repeated_line_is_parsed_once_and_a_new_line_once_more(parse_calls, dispatched):
+    line = ["demo-interchange", "--trials", "2", "--json"]
+    for _ in range(3):
+        assert main(list(line)) == 0
+    assert parse_calls == [line]
+    other = ["demo-interchange", "--seed", "4"]
+    assert main(other) == main(tuple(line)) == main(other) == 0
+    assert parse_calls == [line, other]
+    assert [fields(args) for args in dispatched[3:]] == [
+        fields(build_parser().parse_args(argv)) for argv in (other, line, other)]
 
 
-def test_every_action_of_the_parser_is_in_the_table():
-    table = cli._table_of(PARSER)
-    assert set(table) == set(FLAGS)
-    for name, flags in FLAGS.items():
-        assert set(table[name][0]) == set(flags)
+@pytest.mark.parametrize("argv", [
+    ["solve", "--input", "b.json", "--method", "both"],
+    ["solve", "--no-such-flag"],
+    ["mdp-solve", "--input", "m.json"],
+    ["nope"],
+    [],
+    ["--help"],
+    ["verify", "-h"],
+    ["--version"],
+])
+def test_an_exit_prints_argparse_text_on_every_repetition(argv, parse_calls, dispatched):
+    expected = reference(argv)
+    assert expected[0] == "exit" and expected[1] in (0, 3) and expected[2] + expected[3]
+    before = len(parse_calls)
+    for _ in range(3):
+        assert run_main(argv, dispatched) == expected
+    assert len(parse_calls) == before + 3 and dispatched == []
 
 
-def test_an_action_the_table_does_not_model_sends_its_subcommand_to_argparse():
-    class Echo(argparse.Action):
-        def __call__(self, parser, namespace, values, option_string=None):
-            setattr(namespace, self.dest, values)
+def test_a_namespace_changed_by_one_call_does_not_reach_the_next(monkeypatch):
+    seen = []
 
-    parser = build_parser()
-    sub = subcommands(parser)
-    sub["solve"].add_argument("--tag", action="append")
-    sub["verify"].add_argument("--loud", action="count")
-    sub["dynamic-check"].add_argument("--pair", nargs=2)
-    sub["mdp-solve"].add_argument("--echo", action=Echo)
-    sub["value-iterate"].add_argument("name")
-    sub["sddp-solve"].add_argument("-q", action="store_true")
-    sub["validate"].add_argument("--vers", action="store_true")  # abbreviates --version
-    assert set(cli._table_of(parser)) == {"demo-interchange"}
-    parser.add_argument("--top", action="store_true")
-    assert cli._table_of(parser) == {}
+    def changing(args):
+        seen.append(dict(vars(args)))
+        args.trials, args.seed, args.extra = 99, 7, "left over"
+        return 0
+
+    monkeypatch.setattr(cli, "HANDLERS", {**cli.HANDLERS, "demo-interchange": changing})
+    line = ["demo-interchange", "--trials", "2"]
+    assert main(line) == main(line) == 0
+    assert seen[0] == seen[1] == vars(build_parser().parse_args(line))
 
 
-class TestCanonicalTraffic:
-    """The lines perfbench runs never reach argparse, and mean what they meant."""
+SCALARS = (str, int, float, bool, type(None))
+
+
+def test_every_action_stores_an_immutable_scalar():
+    top = {type(action) for action in PARSER._actions}
+    assert top == {argparse._HelpAction, argparse._VersionAction, argparse._SubParsersAction}
+    for name, sub in subcommands(PARSER).items():
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert type(action) in (argparse._StoreAction, argparse._StoreTrueAction), name
+            assert action.nargs in (None, 0), (name, action.dest)
+            assert action.type in (None, int, float), (name, action.dest)
+            assert type(action.default) in SCALARS and type(action.const) in SCALARS
+            assert all(type(choice) is str for choice in action.choices or ())
+
+
+class TestBenchmarkLines:
+    """The lines of the benchmark's shape are parsed once per distinct line,
+    and print what they print when argparse parses every call."""
 
     @pytest.fixture
     def lines(self, tmp_path):
@@ -183,28 +257,25 @@ class TestCanonicalTraffic:
             out.append((code, captured.out, captured.err))
         return out
 
-    def test_argparse_is_never_called(self, lines, capsys, monkeypatch):
-        calls = []
-        parse_args = argparse.ArgumentParser.parse_args
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
-                            lambda self, *a, **kw: calls.append(a) or parse_args(self, *a, **kw))
-        self.outcomes(lines, capsys)
-        assert calls == []
+    def test_each_line_is_parsed_once_per_process(self, lines, capsys, parse_calls):
+        first = self.outcomes(lines, capsys)
+        assert self.outcomes(lines, capsys) == first
+        assert parse_calls == lines
         assert {line[0] for line in lines} == set(FLAGS)
 
-    def test_argparse_prints_the_same(self, lines, capsys, monkeypatch):
-        table = self.outcomes(lines, capsys)
-        monkeypatch.setattr(cli, "_parse_canonical", lambda argv: None)
-        assert self.outcomes(lines, capsys) == table
-        assert {code for code, _, _ in table} == {0, 1}
+    def test_a_fresh_parse_per_call_prints_the_same(self, lines, capsys, monkeypatch):
+        kept = self.outcomes(lines, capsys)
+        monkeypatch.setattr(cli, "_parsed",
+                            lambda argv: vars(build_parser().parse_args(list(argv))))
+        assert self.outcomes(lines, capsys) == kept
+        assert {code for code, _, _ in kept} == {0, 1}
 
 
-def test_the_entry_point_reads_sys_argv_either_way(tmp_path, monkeypatch, capsys):
+def test_the_entry_point_reads_sys_argv(tmp_path, capsys):
     fx = recourse_fixture()
     bundle = tmp_path / "bundle.json"
     bundle.write_text(json.dumps(bundle_to_json(
         ProblemBundle(tree=fx["tree"], cost=fx["cost"], cls=fx["cls"]))))
-    monkeypatch.setattr(cli, "_parse_canonical", lambda argv: None)
     assert main(["solve", "--input", str(bundle), "--json"]) == 0
     expected = capsys.readouterr()
     for flags in (["--input", str(bundle)], ["--inp", str(bundle)], [f"--input={bundle}"]):
