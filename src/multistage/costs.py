@@ -40,6 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import (
+    EnumerationCapError,
     InputFormatError,
     MultistageError,
     UnboundedObjectiveError,
@@ -49,6 +50,7 @@ from .exceptions import (
     require_numbers,
     require_object,
 )
+from .policy import DEFAULT_ENUMERATION_CAP
 from .tolerances import EQUALITY_TOL, HOLDER_SLACK
 
 Vector = tuple[float, ...]
@@ -829,12 +831,20 @@ def verify_holder(tree, cls, cost: CostSpec, C: float, alpha: float, delta: floa
 
     For each leaf, all feasible decision histories along its path are paired,
     and the ratio |dv| / ||du||^alpha is taken over the pairs closer than
-    ``delta``; the bound holds when the largest ratio is at most C.
+    ``delta``; the bound holds when the largest ratio is at most C. A leaf's
+    H histories of D components in all take an H x H x D difference array,
+    which is checked against ``DEFAULT_ENUMERATION_CAP`` for every leaf
+    before anything is evaluated.
     """
     from .scenario_tree import path as tree_path
 
     leaves = tree.leaves()
     grids_list = [[cls.feasible[i] for i in tree.path_nodes(leaf)] for leaf in leaves]
+    for grids in grids_list:
+        histories = math.prod(map(len, grids))
+        entries = histories * histories * sum(len(g[0]) for g in grids if g)
+        if entries > DEFAULT_ENUMERATION_CAP:
+            raise EnumerationCapError(entries, DEFAULT_ENUMERATION_CAP)
     arrays = leaf_arrays(cost, [tree_path(tree, leaf) for leaf in leaves], grids_list)
     worst = 0.0
     pairs = 0

@@ -439,15 +439,32 @@ def shifted_tables(
     """
     if cost.form != "additive":
         raise MultistageError("the discount shift requires an additive cost")
+    last = tree.horizon if cost.gamma != 0.0 else 0
+    return _shifted(tree, tables, cost, _stage_steps(tree, tables, cost, last))
+
+
+def _stage_steps(
+    tree: ScenarioTree, tables: ValueTables, cost: CostSpec, last: int
+) -> dict[int, np.ndarray]:
+    """c_t(node, .) of :func:`_stage_cost_tables` for every node of stages 1..last."""
+    steps: dict[int, np.ndarray] = {}
+    for t in range(1, last + 1):
+        steps.update(zip(tree.stage_nodes(t), _stage_cost_tables(tree, tables, cost, t)))
+    return steps
+
+
+def _shifted(
+    tree: ScenarioTree, tables: ValueTables, cost: CostSpec, steps: dict[int, np.ndarray]
+) -> dict[int, np.ndarray]:
+    """:func:`shifted_tables` from the stage-cost arrays ``steps`` (:func:`_stage_steps`)."""
     out: dict[int, np.ndarray] = {}
     prefix = {0: np.zeros(())}
     for t in range(tree.horizon + 1 if cost.gamma != 0.0 else 1):
         nodes = tree.stage_nodes(t)
         if t > 0:
-            steps = _stage_cost_tables(tree, tables, cost, t)
             prefix = {
-                nid: prefix[tree.nodes[nid].parent][..., None] + cost.gamma ** (t - 1) * step
-                for nid, step in zip(nodes, steps)
+                nid: prefix[tree.nodes[nid].parent][..., None] + cost.gamma ** (t - 1) * steps[nid]
+                for nid in nodes
             }
         for nid in nodes:
             out[nid] = (tables.V[nid] - prefix[nid]) / cost.gamma**t
@@ -580,10 +597,8 @@ def lag_recursion_check(
     tables = backward_tables(tree, cost, cls, cap=cap)
     gamma = cost.gamma
     skipped = [t for t in range(1, tree.horizon + 1) if gamma == 0.0]
-    shifted = shifted_tables(tree, tables, cost)
-    steps: dict[int, np.ndarray] = {}
-    for t in range(1, tree.horizon + 1):
-        steps.update(zip(tree.stage_nodes(t), _stage_cost_tables(tree, tables, cost, t)))
+    steps = _stage_steps(tree, tables, cost, tree.horizon)
+    shifted = _shifted(tree, tables, cost, steps)
 
     # Per node, Vtilde as (outer heads, window columns u_{t-l+1..t-1}). A key's
     # reference is its first value in C order: row 0 of its first column in

@@ -50,17 +50,16 @@ be the recursion. ``check_dynamic_relations`` and the history-blind
 (or holding a -0.0 where the grid has 0.0, or the reverse) takes one
 uncached pass at the head itself, which fits ``cap`` because the head is
 at least as long as the prefix (a shorter one stacks passes over its
-free grid entries). A leaf's array is built at the first on-grid prefix
-asked of it, as long as the leaf arrays stay within ``cap`` entries in
-all, decided leaf by leaf in order; the leaves that follow it and fit
-are built in the same batched call. A leaf past that budget, and every
-leaf in a pass off the grids, is evaluated for the one prefix asked,
-given as one-point grids. Every entry goes through the same float
-operations either way. Memory: the leaf arrays hold at most ``cap``
-float64 entries in all, the accumulator at most ``cap``, and one
-weighted leaf slice at most the accumulator's size, plus the working
-arrays of one batch (a few arrays of ``costs.LEAF_BATCH_ENTRIES``
-entries, or of one larger leaf). So ``cap`` bounds memory as well as
+free grid entries). An on-grid pass starts with one batched call that
+builds the arrays of its leaves not built yet, as long as the leaf
+arrays stay within ``cap`` entries in all, decided leaf by leaf in
+order. A leaf past that budget, and every leaf in a pass off the grids,
+is evaluated for the one prefix asked, given as one-point grids. Every
+entry goes through the same float operations either way. Memory: the
+leaf arrays hold at most ``cap`` float64 entries in all, the accumulator
+at most ``cap``, and one weighted leaf slice at most the accumulator's
+size, plus the working arrays of one batch (a few arrays of
+``costs.LEAF_BATCH_ENTRIES`` entries, or of one larger leaf). So ``cap`` bounds memory as well as
 work: about three times ``cap`` float64 entries, 240 MB at the default
 cap of 10^7 (measured peaks: 1.0 to 2.3 times ``cap`` entries, on chain
 and binary trees), for ``solve``'s brute force as for ``verify`` and
@@ -153,7 +152,7 @@ class _Definitional:
     and :meth:`V_next` at a node read its blocks (:meth:`_values`), v_t
     over the grid continuations of a head prefix whose length one rule
     fixes per node (:meth:`_tail`), each built by one leaf pass
-    (:meth:`_accumulate`, the pass of :meth:`tail_values`). Heads are
+    (:meth:`_accumulate`). Heads are
     matched to grid positions by ``_exact``, so a signed zero reads the
     entry of the same sign, as ``tail_conditional_value`` would; a head off
     the grids takes one uncached pass of its own.
@@ -228,30 +227,27 @@ class _Definitional:
         self._tails[node_id] = (stage, tail_slots, shape, leaves, prefix)
         return self._tails[node_id]
 
-    def _leaf_grid_values(self, leaves: Sequence[tuple], i: int) -> np.ndarray | None:
-        """Objective on the whole path grid product of the i-th of a node's
-        ``_tail`` leaves, or None past the budget.
+    def _build_leaves(self, leaves: Sequence[tuple]) -> None:
+        """Objective on the whole path grid product of every ``_tail`` leaf
+        not built yet that fits the leaf budget, in one batched evaluation.
 
-        Built once per leaf, as long as the leaf arrays hold at most ``cap``
-        entries in all, decided leaf by leaf in ``leaves`` order. A leaf
-        that is built brings along, in one batched evaluation, the leaves
-        after it that are not built yet, up to the first one past the budget.
+        The leaf arrays hold at most ``cap`` entries in all, decided leaf by
+        leaf in ``leaves`` order: a leaf past the budget is skipped, and a
+        later, smaller one may still fit.
         """
-        if leaves[i][0] not in self._leaf_values:
-            run, grids_list = [], []
-            for leaf, *_ in leaves[i:]:
-                if leaf in self._leaf_values:
-                    continue
-                grids = [self.candidates(nid) for nid in self.tree.path_nodes(leaf)]
-                size = math.prod(len(g) for g in grids)
-                if self._leaf_entries + size > self.cap:
-                    break
+        run, grids_list = [], []
+        for leaf, *_ in leaves:
+            if leaf in self._leaf_values:
+                continue
+            grids = [self.candidates(nid) for nid in self.tree.path_nodes(leaf)]
+            size = math.prod(len(g) for g in grids)
+            if self._leaf_entries + size <= self.cap:
                 self._leaf_entries += size
                 run.append(leaf)
                 grids_list.append(grids)
+        if run:
             paths = [path(self.tree, leaf) for leaf in run]
             self._leaf_values.update(zip(run, leaf_arrays(self.cost, paths, grids_list)))
-        return self._leaf_values.get(leaves[i][0])
 
     def _positions(self, nids: Sequence[int], head: History) -> tuple[int, ...] | None:
         """Grid positions of a head's decisions at ``nids``, or None if one is off its grid."""
@@ -263,45 +259,34 @@ class _Definitional:
             index.append(k)
         return tuple(index)
 
-    def tail_values(self, node_id: int, prefix: History) -> np.ndarray:
-        """Conditional expected cost at a node for every continuation of a head prefix and every tail.
+    def _accumulate(self, node_id: int, prefix: History, index) -> np.ndarray:
+        """Conditional expected cost at a node for every continuation of a head
+        prefix and every tail: one leaf pass.
 
         The prefix holds the decisions of stages 0..p-1, p <= t + 1 (t the
-        node's stage). The result has one free axis per head stage p..t, on
-        the grid of the node's root path at that stage, then the tail
-        product (axes in sorted slot order): each entry is what
+        node's stage), and ``index`` their grid positions (None if the
+        prefix leaves the grids). The result has one free axis per head
+        stage p..t, on the grid of the node's root path at that stage, then
+        the tail product (axes in sorted slot order): each entry is what
         ``tail_conditional_value`` gives for the head that continues the
         prefix by the free axes' decisions, and that tail. Each leaf below
         the node is sliced at the prefix, weighted and added once, in leaf
         order from 0.0, so every entry goes through the float operations of
-        a call with its whole head as the prefix.
+        a pass with its whole head as the prefix. An on-grid pass first
+        builds the leaf arrays that fit (:meth:`_build_leaves`); a leaf past
+        the budget, and every leaf of an off-grid pass, is evaluated with
+        the prefix given as one-point grids.
         """
-        stage = self._tail(node_id)[0]
-        prefix = tuple(map(tuple, prefix))
-        if len(prefix) > stage + 1:
-            raise MultistageError(
-                f"head prefix has length {len(prefix)}, expected at most {stage + 1}"
-            )
-        index = self._positions(self.tree.path_nodes(node_id), prefix)
-        return self._accumulate(node_id, prefix, index)
-
-    def _accumulate(self, node_id: int, prefix: History, index) -> np.ndarray:
-        """The leaf pass of :meth:`tail_values`, given the prefix's grid positions
-        (None if it leaves the grids). A leaf past the leaf budget, and every
-        leaf of a pass whose prefix leaves the grids, is evaluated with the
-        prefix given as one-point grids."""
         _, _, shape, leaves, _ = self._tail(node_id)
         p = len(prefix)
         free_shape = self._free_shape(node_id, p)
         free = tuple(range(len(free_shape)))
         at = None if index is None else index + (...,)
+        if at is not None:
+            self._build_leaves(leaves)
         acc = np.zeros(free_shape + shape)
-        for i, (leaf, rel_prob, order, bshape) in enumerate(leaves):
-            values = None
-            if at is not None:
-                values = self._leaf_values.get(leaf)
-                if values is None:
-                    values = self._leaf_grid_values(leaves, i)
+        for leaf, rel_prob, order, bshape in leaves:
+            values = None if at is None else self._leaf_values.get(leaf)
             if values is None:
                 below = self.tree.path_nodes(leaf)[p:]
                 grids = [(u,) for u in prefix] + [self.candidates(nid) for nid in below]
@@ -574,12 +559,14 @@ def brute_force_optimum(
     """Exhaustive minimum of E v(X, U) over every policy of the class.
 
     This is V_0 at the root with empty history, read off the definitional
-    route: per root candidate, in grid order, the expected cost of every
-    tail at once, whose first minimum is kept. A policy is the root's grid
-    position and a position in the tail product, so ties go to the first
-    minimizer in enumeration order. The class size is checked against
-    ``cap`` before anything is evaluated. The route never calls the
-    backward recursion this serves as an oracle for.
+    route: one leaf pass at the root with the empty prefix, the pass of
+    ``compute_V(tree, cost, cls, 0, ())``, gives the expected cost of every
+    root candidate and tail at once. A policy is the root's grid position
+    and a position in the tail product, and the first minimum over both,
+    in C order, is kept: ties go to the first minimizer in enumeration
+    order. The class size is checked against ``cap`` before anything is
+    evaluated. The route never calls the backward recursion this serves as
+    an oracle for.
     """
     count = cls.count(tree)
     if count > cap:
@@ -587,18 +574,15 @@ def brute_force_optimum(
     if count == 0:
         raise MultistageError("the policy class is empty")
     route = _Definitional(tree, cost, cls, cap)
-    best_value = best_at = None
-    for k, u in enumerate(route.candidates(0)):
-        acc = route.tail_values(0, (u,)).reshape(-1)
-        j = int(acc.argmin())
-        if best_value is None or acc[j] < best_value:
-            best_value, best_at = float(acc[j]), (k, j)
-    _, tail_slots, shape, _, _ = route._tail(0)
+    acc = route._accumulate(0, (), ())
+    flat = acc.reshape(-1)  # argmin and .flat take at most 32 axes
+    best = int(flat.argmin())
+    k, *tail = np.unravel_index(best, acc.shape)
     indices = [0] * len(route.grids)
-    indices[route.slot_of[0]] = best_at[0]
-    for s, i in zip(tail_slots, np.unravel_index(best_at[1], shape)):
+    indices[route.slot_of[0]] = int(k)
+    for s, i in zip(route._tail(0)[1], tail):
         indices[s] = int(i)
-    return best_value, _policy_at(cls, route.slot_of, route.grids, indices)
+    return float(flat[best]), _policy_at(cls, route.slot_of, route.grids, indices)
 
 
 # -- value processes -----------------------------------------------------------

@@ -433,15 +433,15 @@ def interchange_monotone(
     ids = tree.stage_nodes(stage)
     if not ids or not family:
         return MonotoneInterchangeReport(False, "empty stage or family", tolerance=tol)
-    members = [
-        {i: tuple(float(x) for x in f[i]) for i in ids} for f in family
-    ]
     for k, f in enumerate(family):
         for i in ids:
             if i not in f:
                 return MonotoneInterchangeReport(
                     False, f"member {k} is undefined at node {i}", tolerance=tol
                 )
+    members = [
+        {i: tuple(float(x) for x in f[i]) for i in ids} for f in family
+    ]
 
     pool = [tuple(sorted(f.items())) for f in members]
     for f, g in itertools.combinations(members, 2):
@@ -457,21 +457,13 @@ def interchange_monotone(
     paths = {i: path(tree, i) for i in ids}
     for i in ids:
         seen = sorted({f[i] for f in members})
-        for a, b in itertools.combinations(seen, 2):
-            if all(x <= y for x, y in zip(a, b)):
-                if objective(paths[i], a) > objective(paths[i], b) + tol:
-                    return MonotoneInterchangeReport(
-                        False,
-                        f"objective is not monotone at node {i}",
-                        tolerance=tol,
-                    )
-            elif all(y <= x for x, y in zip(a, b)):
-                if objective(paths[i], b) > objective(paths[i], a) + tol:
-                    return MonotoneInterchangeReport(
-                        False,
-                        f"objective is not monotone at node {i}",
-                        tolerance=tol,
-                    )
+        for a, b in itertools.permutations(seen, 2):
+            if all(x <= y for x, y in zip(a, b)) and (
+                objective(paths[i], a) > objective(paths[i], b) + tol
+            ):
+                return MonotoneInterchangeReport(
+                    False, f"objective is not monotone at node {i}", tolerance=tol
+                )
 
     lhs = sum(probs[i] * min(objective(paths[i], f[i]) for f in members) for i in ids)
     rhs = min(

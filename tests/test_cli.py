@@ -93,6 +93,32 @@ class TestValidate:
         assert any("Hoelder" in v for v in report["violations"])
 
 
+class TestHolderPairCap:
+    """A declared Hoelder check whose pair difference array would exceed
+    DEFAULT_ENUMERATION_CAP exits 3 before the array is built."""
+
+    @pytest.mark.parametrize("command", [["validate"], ["solve"]], ids=" ".join)
+    def test_an_oversized_pair_array_exits_three(self, tmp_path, capsys, monkeypatch, command):
+        # a five-stage chain with five candidates per stage: each leaf's
+        # 5^5 = 3125 histories of 5 components take 3125 * 3125 * 5 entries
+        tree = chain_tree([0.0] * 5)
+        grids = {n.id: tuple((float(k),) for k in range(5)) for n in tree.nodes}
+        square = {"terms": [{"coef": 1.0, "vars": [["u", 0, 0, 2]]}]}
+        holder = {"C": 10.0, "alpha": 1.0, "delta": 1.0}
+        bundle = ProblemBundle(
+            tree=tree,
+            cost=cost_from_json({"form": "general", "poly": square, "holder": holder}),
+            cls=PolicyClass(feasible=grids, kind="nodewise", decision_dim=1),
+            policies={},
+        )
+        path = write_json(tmp_path / "holder5.json", bundle_to_json(bundle))
+        monkeypatch.setattr("multistage.costs.holder_pairs",
+                            lambda *args: pytest.fail("the pair array was built"))
+        assert main([*command, "--input", path]) == 3
+        assert capsys.readouterr() == (
+            "", "enumeration too large: enumeration of 48828125 items exceeds the cap of 10000000\n")
+
+
 def malformed_cost_bundle(cost):
     """Horizon-1 binary tree with the grid {0, 1} at every node and the given cost."""
     grid = [[0.0], [1.0]]

@@ -383,11 +383,11 @@ class TestLagCollapse:
     @pytest.mark.parametrize("seed", range(8))
     def test_mixed_non_finite_columns_match_the_history_loop(self, monkeypatch, seed, lag):
         tree, cost, cls = self.product_fixture(seed, lag)
-        real = dp_solvers.shifted_tables
+        real = dp_solvers._shifted
         seen = {}
 
-        def spoiled(tree, tables, cost):
-            out = real(tree, tables, cost)
+        def spoiled(tree, tables, cost, steps):
+            out = real(tree, tables, cost, steps)
             rng = np.random.default_rng(seed)
             pool = np.array([np.inf, -np.inf, np.nan, 1.5, -2.0, 0.0])
             for nid, values in out.items():
@@ -396,7 +396,7 @@ class TestLagCollapse:
             seen.update(tables=tables, shifted=out)
             return out
 
-        monkeypatch.setattr(dp_solvers, "shifted_tables", spoiled)
+        monkeypatch.setattr(dp_solvers, "_shifted", spoiled)
         # the recursion test downstream meets inf - inf; only the collapse is compared
         with np.errstate(all="ignore"):
             report = lag_recursion_check(tree, cost, cls)
@@ -443,14 +443,15 @@ class TestStageCostsOnce:
         shifted_tables(tree, tables, cost)
         assert counts() == [1] * tree.horizon
 
-    def test_lag_recursion_check_evaluates_each_stage_cost_three_times(self, monkeypatch):
-        # once each in the backward tables, the prefixes and the recursion's step arrays
+    def test_lag_recursion_check_evaluates_each_stage_cost_twice(self, monkeypatch):
+        # once in the backward tables, once for the step arrays that the
+        # prefixes and the recursion share
         tree, _, cls = sddp_to_product_tree(random_sddp(rng_from_seed(8), horizon=6))
         cost = random_additive_cost(rng_from_seed(8), horizon=6, lag=1)
         counts = self.counted_calls(monkeypatch, cost)
         report = lag_recursion_check(tree, cost, cls)
         assert report.applicable
-        assert counts() == [3] * tree.horizon
+        assert counts() == [2] * tree.horizon
 
 
 class TestMdpBackwardInduction:

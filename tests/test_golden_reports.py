@@ -645,10 +645,14 @@ def test_small_caps_reach_the_fallbacks():
     assert block <= CAPS["blind5"][1] < leaf_entries
 
 
-@pytest.mark.parametrize("command", ["dynamic-check", "verify"])
-@pytest.mark.parametrize("name, cap", [(name, cap) for name in FIXED for cap in CAPS[name]])
+@pytest.mark.parametrize("name, cap, command", [
+    *((name, cap, command) for command in ("dynamic-check", "verify")
+      for name in FIXED for cap in CAPS[name]),
+    *((name, None, "solve --method brute") for name in FIXED),
+])
 def test_no_leaf_pass_is_repeated(directory, monkeypatch, name, cap, command):
-    # every (node, head prefix) reaches the definitional route's leaf pass once
+    # every (node, head prefix) reaches the definitional route's leaf pass
+    # once; brute force, at the default cap, makes one pass at the root
     from multistage.value_process import _Definitional
 
     accumulate = _Definitional._accumulate
@@ -659,9 +663,11 @@ def test_no_leaf_pass_is_repeated(directory, monkeypatch, name, cap, command):
         return accumulate(self, node_id, prefix, *args)
 
     monkeypatch.setattr(_Definitional, "_accumulate", counted)
-    run_case(directory, name, [command, "--cap", str(cap)])
+    run_case(directory, name, command.split() + ([] if cap is None else ["--cap", str(cap)]))
     assert len(passes) == len(set(passes))
-    if command == "dynamic-check" or FIXED[name][2] == "history_blind":
+    if command == "solve --method brute":
+        assert passes == [(0, "()")]
+    elif command == "dynamic-check" or FIXED[name][2] == "history_blind":
         assert passes
 
 

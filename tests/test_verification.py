@@ -248,6 +248,13 @@ class TestInterchangeMonotone:
         assert not report.applicable
         assert "minimum" in report.reason
 
+    def test_member_undefined_at_a_stage_node_is_inapplicable(self):
+        tree, objective, *_ = self.fixture()
+        family = [{1: (0.0,), 2: (0.0,)}, {1: (1.0,)}]
+        report = interchange_monotone(tree, 1, objective, family)
+        assert not report.applicable
+        assert report.reason == "member 1 is undefined at node 2"
+
     def test_non_monotone_objective_is_inapplicable(self):
         tree, _, f, g, met = self.fixture()
 
