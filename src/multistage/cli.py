@@ -28,7 +28,7 @@ import orjson
 from . import __version__
 from .bundle import ProblemBundle, bundle_from_json, load_bundle, load_mdp, load_stagewise
 from .costs import MAX_HORIZON
-from .dp_solvers import mdp_backward_induction, sddp_recursion, value_iteration
+from .dp_solvers import MAX_SWEEPS, mdp_backward_induction, sddp_recursion, value_iteration
 from .exceptions import (
     ConvergenceError,
     EnumerationCapError,
@@ -386,18 +386,21 @@ def cmd_value_iterate(args) -> int:
 
 def cmd_sddp_solve(args) -> int:
     spec = load_stagewise(args.input)
-    result = sddp_recursion(spec)
+    values, greedy = sddp_recursion(spec)
+
+    def keyed(t: int, entries) -> dict:
+        # a state listed twice (0.0 and -0.0 alike) keeps its first key and its last entry
+        level = dict(zip(spec.support(t), entries))
+        return {str(list(x)): entry for x, entry in sorted(level.items())}
+
     report = {
         "input": args.input,
-        "values": [
-            {str(list(state)): value for state, value in sorted(level.items())}
-            for level in result.values
-        ],
+        "values": [keyed(t, v.tolist()) for t, v in enumerate(values)],
         "greedy": [
-            {str(list(state)): list(u) for state, u in sorted(level.items())}
-            for level in result.greedy
+            keyed(t, [list(spec.stage_decisions[t][i]) for i in g.tolist()])
+            for t, g in enumerate(greedy)
         ],
-        "root_value": result.values[0][spec.initial_state],
+        "root_value": values[0].tolist()[0],
     }
     _emit(report, args.json, [f"root value: {report['root_value']!r}"])
     return EXIT_OK
@@ -448,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     mdp = command("mdp-solve", "finite-horizon backward induction", input_)
     mdp.add_argument("--horizon", type=int, required=True)
     vi = command("value-iterate", "stationary fixed point", input_, tolerance)
-    vi.add_argument("--max-iters", type=int, default=100_000)
+    vi.add_argument("--max-iters", type=int, default=MAX_SWEEPS)
     command("sddp-solve", "stagewise independent recursion", input_)
     return parser
 

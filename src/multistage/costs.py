@@ -13,12 +13,11 @@ real number. Two forms exist:
   cost sees observations up to x_t but not the decision u_t taken after it.
 
 Objectives can be plain Python callables or built from a JSON payload
-(named builtin, polynomial, or lookup table), in which case the cost keeps
-that payload (``CostSpec.payload``). Every payload (polynomial, builtin or
-table) is compiled once, when loaded, into one function whose body takes
-batch windows (:class:`GridWindow`), so every decision history of a batch of
-leaves is evaluated at once (:meth:`CostSpec.evaluate_leaves`, whose result
-has a leading leaf axis; :meth:`CostSpec.evaluate_grid` is a batch of one).
+(named builtin, polynomial, or lookup table). Every payload is compiled
+once, when loaded, into one function whose body takes batch windows
+(:class:`GridWindow`), so every decision history of a batch of leaves is
+evaluated at once (:meth:`CostSpec.evaluate_leaves`, whose result has a
+leading leaf axis; :meth:`CostSpec.evaluate_grid` is a batch of one).
 A plain window is a batch of one row: :meth:`CostSpec.evaluate` and a
 compiled cost called on plain windows run that same body and return a
 float. :func:`window_values` alone decides what broadcasts: raw callables
@@ -167,7 +166,6 @@ class CostSpec:
     gamma: float | None = None
     lag: int | None = None
     holder: tuple[float, float, float] | None = None
-    payload: dict | None = None
 
     def __post_init__(self):
         if self.form == "general":
@@ -184,18 +182,17 @@ class CostSpec:
             raise InputFormatError(f"unknown cost form {self.form!r}")
 
     @classmethod
-    def general(cls, objective, holder=None, payload=None) -> "CostSpec":
-        return cls(form="general", objective=objective, holder=holder, payload=payload)
+    def general(cls, objective, holder=None) -> "CostSpec":
+        return cls(form="general", objective=objective, holder=holder)
 
     @classmethod
-    def additive(cls, stage_costs, gamma, lag, holder=None, payload=None) -> "CostSpec":
+    def additive(cls, stage_costs, gamma, lag, holder=None) -> "CostSpec":
         return cls(
             form="additive",
             stage_costs=tuple(stage_costs),
             gamma=float(gamma),
             lag=int(lag),
             holder=holder,
-            payload=payload,
         )
 
     # -- evaluation ---------------------------------------------------------
@@ -480,7 +477,10 @@ def quadratic_tracking(params: dict):
 
     def stage(t: int, x: Vector, u: Vector) -> float:
         w = 1.0 if weights is None else weights[t]
-        return w * sum((ui - x[i % len(x)]) ** 2 for i, ui in enumerate(u))
+        try:
+            return w * sum((ui - x[i % len(x)]) ** 2 for i, ui in enumerate(u))
+        except OverflowError:  # a square past the float range, which the finiteness check reports
+            return w * math.inf
 
     def evaluate(xs: GridWindow, us: GridWindow):
         total = 0.0
@@ -588,7 +588,8 @@ def table_objective(entries: Sequence[dict], atol: float = EQUALITY_TOL):
         no component farther than ``atol`` from it (NaN padding is never far)."""
         width = pad.shape[1]
         block = [(*v[:width], *(math.nan,) * (width - len(v))) for v in vectors]
-        far = np.abs(pad[:, None, :] - np.array(block, dtype=float).reshape(-1, width)) > atol
+        block = np.array(block, dtype=float).reshape(len(vectors), width)  # width may be 0
+        far = np.abs(pad[:, None, :] - block) > atol
         return ~far.any(axis=2) & (dims[:, None] == [len(v) for v in vectors])
 
     def evaluate(xs: GridWindow, us: GridWindow):
@@ -760,7 +761,7 @@ def _callable_from_json(spec: dict, window_relative: bool):
 
 
 def cost_from_json(data: dict) -> CostSpec:
-    """Build a cost from its JSON payload, kept as ``CostSpec.payload``.
+    """Build a cost from its JSON payload.
 
     A poly ``coef``, the additive ``gamma`` and the holder ``C``, ``alpha`` and
     ``delta`` must be JSON numbers (``require_number``).
@@ -772,11 +773,7 @@ def cost_from_json(data: dict) -> CostSpec:
             h = data["holder"]
             holder = tuple(require_number(h[k], f"holder {k}") for k in ("C", "alpha", "delta"))
         if form == "general":
-            return CostSpec.general(
-                _callable_from_json(data, window_relative=False),
-                holder=holder,
-                payload=data,
-            )
+            return CostSpec.general(_callable_from_json(data, window_relative=False), holder=holder)
         if form == "additive":
             stage_costs = tuple(
                 _callable_from_json(spec, window_relative=True)
@@ -787,7 +784,6 @@ def cost_from_json(data: dict) -> CostSpec:
                 gamma=require_number(data["gamma"], "additive cost gamma"),
                 lag=require_int(data["lag"], "cost lag"),
                 holder=holder,
-                payload=data,
             )
         raise InputFormatError(f"unknown cost form {form!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -27,6 +27,8 @@ minimum of their own:
 * stagewise independent noise: the conditional expectation degenerates to
   an unconditional one (``sddp_recursion``, every kernel row is the noise
   law), matching the recursion of cut-based methods, here solved on grids.
+  The problem holds one step cost per stage, and the solve returns value
+  and greedy arrays per stage, as backward induction does.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .exceptions import (
 )
 from .policy import DEFAULT_ENUMERATION_CAP, Decision, Policy, PolicyClass
 from .scenario_tree import Node, ScenarioTree, path
-from .tolerances import EQUALITY_TOL, KERNEL_TOL, LAG_KEY_DIGITS
+from .tolerances import DEFAULT_TOL, EQUALITY_TOL, KERNEL_TOL, LAG_KEY_DIGITS
 from .value_process import ValueTables, backward_tables
 
 
@@ -280,6 +282,10 @@ def mdp_backward_induction(
     return values[::-1], greedy[::-1]
 
 
+#: the most sweeps value iteration makes before it reports no convergence
+MAX_SWEEPS = 100_000
+
+
 @dataclass
 class ValueIterationResult:
     values: np.ndarray
@@ -291,8 +297,8 @@ class ValueIterationResult:
 
 def value_iteration(
     mdp: MDPSpec,
-    epsilon: float = 1e-8,
-    max_iters: int = 100_000,
+    epsilon: float = DEFAULT_TOL,
+    max_iters: int = MAX_SWEEPS,
 ) -> ValueIterationResult:
     """Solve the stationary fixed-point equation by iterating from zero.
 
@@ -660,12 +666,12 @@ class SddpSpec:
 
     ``stage_noise[t]`` is the distribution of X_{t+1} as (probability,
     value) pairs, independent of everything before it; the state transition
-    is x_{t+1} = X_{t+1}. ``step_cost`` is the cost incurred on the step in
-    window form, ``c(xs, us)`` with ``xs = (x_t, x_{t+1})`` and
+    is x_{t+1} = X_{t+1}. ``stage_step_costs[t]`` is the cost incurred on
+    step t in window form, ``c(xs, us)`` with ``xs = (x_t, x_{t+1})`` and
     ``us = (u_t,)``: the lag-1 stage cost c_{t+1} of an additive tree cost,
-    with the same callable shape. Pass ``stage_step_costs`` for
-    stage-dependent costs. :meth:`step_array` evaluates each stage's step
-    costs once, for the load check and the recursion alike.
+    with the same callable shape. A stationary problem holds one callable at
+    every stage. :meth:`step_array` evaluates each stage's step costs once,
+    for the load check and the recursion alike.
     """
 
     initial_state: tuple[float, ...]
@@ -673,9 +679,7 @@ class SddpSpec:
     stage_noise: tuple[tuple[tuple[float, tuple[float, ...]], ...], ...]
     stage_decisions: tuple[tuple[Decision, ...], ...]
     gamma: float
-    step_cost: Callable[[tuple, tuple], float] | None = None
-    stage_step_costs: tuple[Callable, ...] | None = None
-    payload: dict | None = None
+    stage_step_costs: tuple[Callable[[tuple, tuple], float], ...]
     _steps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -688,11 +692,9 @@ class SddpSpec:
                 f"{len(self.stage_decisions)} decision stages for horizon "
                 f"{self.horizon}"
             )
-        if self.step_cost is None and self.stage_step_costs is None:
-            raise InputFormatError("either step_cost or stage_step_costs is required")
         if not -1.0 < self.gamma < 1.0:
             raise InputFormatError(f"gamma {self.gamma} outside (-1, 1)")
-        if self.stage_step_costs is not None and len(self.stage_step_costs) < self.horizon:
+        if len(self.stage_step_costs) < self.horizon:
             raise InputFormatError(
                 f"{len(self.stage_step_costs)} stage costs cannot cover horizon "
                 f"{self.horizon}"
@@ -716,11 +718,6 @@ class SddpSpec:
             if not grid:
                 raise InputFormatError(f"stage {t} has an empty decision grid")
 
-    def cost_at(self, t: int) -> Callable:
-        if self.stage_step_costs is not None:
-            return self.stage_step_costs[t]
-        return self.step_cost
-
     def support(self, t: int) -> tuple[tuple[float, ...], ...]:
         """States reachable at stage t."""
         if t == 0:
@@ -732,7 +729,8 @@ class SddpSpec:
         decisions; evaluated at the first call and kept."""
         if t not in self._steps:
             self._steps[t] = _step_array(
-                self.cost_at(t), self.support(t), self.support(t + 1), self.stage_decisions[t]
+                self.stage_step_costs[t], self.support(t), self.support(t + 1),
+                self.stage_decisions[t],
             )
         return self._steps[t]
 
@@ -752,47 +750,38 @@ def _step_array(cost: Callable, states, outcomes, decisions) -> np.ndarray:
     return np.broadcast_to(step, (1, len(states), len(outcomes), len(decisions)))[0]
 
 
-@dataclass
-class SddpResult:
-    values: list[dict[tuple[float, ...], float]]
-    greedy: list[dict[tuple[float, ...], Decision]]
-
-
-def sddp_recursion(spec: SddpSpec) -> SddpResult:
+def sddp_recursion(spec: SddpSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Exact solve of the stagewise independent dynamic equation.
 
     Vtilde_t(x) = min_u E[ c_{t+1}((x, X_{t+1}), (u,)) + gamma Vtilde_{t+1}(X_{t+1}) ]
     with an unconditional expectation: independence makes conditioning on
-    x_t irrelevant for the law of X_{t+1}. Each stage's step costs are one
-    :func:`_step_array`, read through :meth:`SddpSpec.step_array`.
+    x_t irrelevant for the law of X_{t+1}. Returns, as
+    :func:`mdp_backward_induction` does, the value arrays for t = 0..T, entry
+    k of ``values[t]`` at state ``spec.support(t)[k]``, and for t = 0..T-1
+    the first-argmin indices into ``spec.stage_decisions[t]``. Each stage's
+    step costs are one :func:`_step_array`, read through
+    :meth:`SddpSpec.step_array`.
     """
-    T = spec.horizon
-    values: list[dict[tuple[float, ...], float]] = [dict() for _ in range(T + 1)]
-    greedy: list[dict[tuple[float, ...], Decision]] = [dict() for _ in range(T)]
-    for x in spec.support(T):
-        values[T][x] = 0.0
-    for t in range(T - 1, -1, -1):
-        atoms = spec.stage_noise[t]
-        decisions = spec.stage_decisions[t]
-        states, outcomes = spec.support(t), spec.support(t + 1)
+    values, greedy = [np.zeros(len(spec.support(spec.horizon)))], []
+    for t in range(spec.horizon - 1, -1, -1):
         step = spec.step_array(t)
         bad = np.argwhere(~np.isfinite(step))
         if len(bad):
             k, j, i = bad[0]
             raise UnboundedObjectiveError(
                 f"step cost of stage {t} evaluated to {float(step[k, j, i])!r} at "
-                f"x={states[k]!r}, w={outcomes[j]!r}, u={decisions[i]!r}; it must be finite"
+                f"x={spec.support(t)[k]!r}, w={spec.support(t + 1)[j]!r}, "
+                f"u={spec.stage_decisions[t][i]!r}; it must be finite"
             )
-        best, arg = _bellman_min(
-            np.broadcast_to([p for p, _ in atoms], step.shape[:2]),
+        v, g = _bellman_min(
+            np.broadcast_to([p for p, _ in spec.stage_noise[t]], step.shape[:2]),
             _transposed(step),
             spec.gamma,
-            np.array([values[t + 1][xi] for xi in outcomes]),
+            values[-1],
         )
-        for k, x in enumerate(states):
-            values[t][x] = float(best[k])
-            greedy[t][x] = decisions[arg[k]]
-    return SddpResult(values=values, greedy=greedy)
+        values.append(v)
+        greedy.append(g)
+    return values[::-1], greedy[::-1]
 
 
 # -- bridges between the formulations ----------------------------------------------
@@ -844,7 +833,7 @@ def sddp_to_product_tree(spec: SddpSpec) -> tuple[ScenarioTree, CostSpec, Policy
         lambda t, _: [(float(p), value, None) for p, value in spec.stage_noise[t]],
         lambda t, _: grids[t],
         len(grids[0][0]) if grids else 0,
-        [spec.cost_at(t) for t in range(spec.horizon)],
+        spec.stage_step_costs[: spec.horizon],
         spec.gamma,
     )
 
@@ -853,13 +842,14 @@ def sddp_to_mdp(spec: SddpSpec) -> tuple[MDPSpec, int]:
     """Stationary MDP matching a shared-noise, stationary-cost instance.
 
     Requires the same noise distribution at every stage and a stationary
-    step cost. States are the initial state plus the noise support; every
-    kernel row is the shared marginal. Returns the spec and the index of
-    the initial state.
+    step cost, one callable at every stage. States are the initial state
+    plus the noise support; every kernel row is the shared marginal.
+    Returns the spec and the index of the initial state.
     """
     if spec.horizon == 0:
         raise MultistageError("the MDP bridge requires horizon >= 1, got horizon 0")
-    if spec.stage_step_costs is not None:
+    step_cost = spec.stage_step_costs[0]
+    if any(c is not step_cost for c in spec.stage_step_costs[1 : spec.horizon]):
         raise MultistageError("the MDP bridge requires a stationary step cost")
     first = spec.stage_noise[0]
     for atoms in spec.stage_noise[1:]:
@@ -880,7 +870,7 @@ def sddp_to_mdp(spec: SddpSpec) -> tuple[MDPSpec, int]:
         marginal[index[value]] += p
     kernel = np.tile(marginal, (n, 1))
     actions = spec.stage_decisions[0]
-    cost = np.array(_step_array(spec.step_cost, states, states, actions))
+    cost = np.array(_step_array(step_cost, states, states, actions))
     mdp = MDPSpec(
         states=tuple(states),
         actions=tuple(actions),
@@ -1043,19 +1033,24 @@ def sddp_from_json(data: dict) -> SddpSpec:
             "w": min(noise_dims, default=0),
             "u": min((len(u) for grid in stage_decisions for u in grid), default=0),
         }
+        horizon = require_int(data["horizon"], "stagewise horizon")
+        gamma = require_number(data["gamma"], "stagewise gamma")
+        cost = _step_cost_from_json(data["cost"], dims) if "cost" in data else None
+        if "stage_costs" in data:
+            step_costs = tuple(_step_cost_from_json(c, dims) for c in data["stage_costs"])
+        elif cost is not None:  # one per noise stage, which SddpSpec counts against horizon
+            step_costs = (cost,) * len(stage_noise)
+        else:
+            raise InputFormatError(
+                "a stagewise-independent problem needs one of: cost, stage_costs"
+            )
         spec = SddpSpec(
             initial_state=initial_state,
-            horizon=require_int(data["horizon"], "stagewise horizon"),
+            horizon=horizon,
             stage_noise=stage_noise,
             stage_decisions=stage_decisions,
-            gamma=require_number(data["gamma"], "stagewise gamma"),
-            step_cost=_step_cost_from_json(data["cost"], dims) if "cost" in data else None,
-            stage_step_costs=(
-                tuple(_step_cost_from_json(c, dims) for c in data["stage_costs"])
-                if "stage_costs" in data
-                else None
-            ),
-            payload=data,
+            gamma=gamma,
+            stage_step_costs=step_costs,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed stagewise-independent JSON: {exc}") from exc
@@ -1066,18 +1061,19 @@ def sddp_from_json(data: dict) -> SddpSpec:
         lambda role, t: spec.stage_decisions[t] if role == "u" else spec.support(t)
     )
     window_dims = {"x": max(dims["x"], dims["w"]), "u": dims["u"]}
+    step_costs = spec.stage_step_costs[: spec.horizon]
     problems = [
         f"step-cost {p}"
-        for t in range(spec.horizon)
-        if hasattr(spec.cost_at(t), "problems")
-        for p in spec.cost_at(t).problems(spec.horizon, (t + 1, 1), window_dims, magnitudes)
+        for t, cost in enumerate(step_costs)
+        if hasattr(cost, "problems")
+        for p in cost.problems(spec.horizon, (t + 1, 1), window_dims, magnitudes)
     ]
     if problems:
         raise InputFormatError(
             "; ".join(problems) + " (x[1] is the state x, x[0] the noise value w)"
         )
-    for t in range(spec.horizon):
-        if getattr(spec.cost_at(t), "lookup", False):
+    for t, cost in enumerate(step_costs):
+        if getattr(cost, "lookup", False):
             try:
                 spec.step_array(t)
             except MultistageError as exc:

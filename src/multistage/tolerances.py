@@ -9,10 +9,6 @@ take a ``tol`` argument default to one of these.
 #: probabilities: the root's is 1, each edge's lies in (0, 1], children sum to 1
 PROB_TOL = 1e-12
 
-#: adaptedness: two stage-t decisions below one node agree componentwise
-#: (the adaptedness helpers of ``tests/instances.py``)
-ADAPTED_TOL = 1e-12
-
 #: Hoelder check: slack added on top of the declared constant C
 HOLDER_SLACK = 1e-12
 

@@ -63,7 +63,9 @@ size, plus the working arrays of one batch (a few arrays of
 work: about three times ``cap`` float64 entries, 240 MB at the default
 cap of 10^7 (measured peaks: 1.0 to 2.3 times ``cap`` entries, on chain
 and binary trees), for ``solve``'s brute force as for ``verify`` and
-``dynamic-check``.
+``dynamic-check``. A fixed part of some 10 to 20 KB comes on top and
+dominates at small caps (brute-force peaks of 26.4 times ``cap`` entries
+at cap 96 and 621.5 times at cap 2, in ``BENCH_30.json``).
 
 Decision histories are free parameters of the value functions: they need
 not be feasible for the class, only the tail being optimized is

@@ -6,12 +6,14 @@ helpers that read the package's API the way the tests need it. Everything
 is deterministic given the seed.
 
 The rest is code that no command runs but the tests check against the
-package: the JSON writers that invert its loaders, exhaustive policy
-enumeration, one sweep of the stationary Bellman operator, the empirical
-Hoelder constant, and the paper's measure-theoretic helpers (conditional
-expectation and essential infimum on a finite tree, adaptedness of a
-leaf-indexed table and its Doob-Dynkin factorization into a policy, and
-pasting two policies along a set of trajectories).
+package: the JSON writers that invert its loaders (the package keeps no
+input document, so the documents that the helpers here build objects from
+are recorded here, :func:`document`), exhaustive policy enumeration, one
+sweep of the stationary Bellman operator, the empirical Hoelder constant,
+and the paper's measure-theoretic helpers (conditional expectation and
+essential infimum on a finite tree, adaptedness of a leaf-indexed table
+and its Doob-Dynkin factorization into a policy, and pasting two policies
+along a set of trajectories).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from multistage.exceptions import (
     MultistageError,
     UnknownNodeError,
 )
+from multistage import generate
 from multistage.generate import (
     interchange_fixture,
     random_history_blind_class,
@@ -48,7 +51,10 @@ from multistage.policy import (
     policy_to_json,
 )
 from multistage.scenario_tree import Node, ScenarioTree
-from multistage.tolerances import ADAPTED_TOL
+
+#: adaptedness: two stage-t decisions below one node agree componentwise
+#: (:func:`check_adapted`, :func:`doob_dynkin_factorize`)
+ADAPTED_TOL = 1e-12
 
 
 # -- trees ------------------------------------------------------------------------
@@ -67,6 +73,55 @@ def chain_tree(observations: list[float]) -> ScenarioTree:
         for i, x in enumerate(observations)
     ]
     return ScenarioTree(nodes, horizon=len(observations) - 1, obs_dim=1)
+
+
+# -- JSON documents ---------------------------------------------------------------
+
+#: the JSON document of every cost and stagewise problem built by :func:`load_cost`,
+#: :func:`recourse_fixture` or a generator below, by the object's id; the object is
+#: kept with its document, so that its id is not reused
+_DOCUMENTS: dict[int, tuple[object, dict]] = {}
+
+
+def with_document(obj, data: dict):
+    """``obj``, recorded as built from the JSON document ``data``."""
+    _DOCUMENTS[id(obj)] = (obj, data)
+    return obj
+
+
+def document(obj) -> dict:
+    """The JSON document that ``obj`` was built from (:func:`with_document`)."""
+    if id(obj) not in _DOCUMENTS:
+        raise InputFormatError(f"this {type(obj).__name__} was built without a JSON document")
+    return _DOCUMENTS[id(obj)][1]
+
+
+def load_cost(data: dict) -> CostSpec:
+    """``cost_from_json(data)``, with ``data`` recorded as its document."""
+    return with_document(cost_from_json(data), data)
+
+
+#: the JSON document of ``multistage.generate.recourse_fixture``'s cost
+RECOURSE_COST = {
+    "form": "general",
+    "poly": {
+        "terms": [
+            {"coef": 1.0, "vars": [["u", 0, 0, 2]]},
+            {"coef": -2.0, "vars": [["u", 0, 0, 1]]},
+            {"coef": 1.0, "vars": []},
+            {"coef": 1.0, "vars": [["u", 1, 0, 2]]},
+            {"coef": -2.0, "vars": [["u", 1, 0, 1], ["x", 1, 0, 1]]},
+            {"coef": 1.0, "vars": [["x", 1, 0, 2]]},
+        ]
+    },
+}
+
+
+def recourse_fixture() -> dict:
+    """``multistage.generate.recourse_fixture()``, its cost recorded as :data:`RECOURSE_COST`."""
+    fx = generate.recourse_fixture()
+    with_document(fx["cost"], RECOURSE_COST)
+    return fx
 
 
 # -- random costs -----------------------------------------------------------------
@@ -98,7 +153,7 @@ def random_general_cost(
             terms.append(
                 {"coef": lam, "vars": [["u", t, 0, 1], ["u", t + 1, 0, 1]]}
             )
-    return cost_from_json({"form": "general", "poly": {"terms": terms}})
+    return load_cost({"form": "general", "poly": {"terms": terms}})
 
 
 def random_additive_cost(
@@ -123,7 +178,7 @@ def random_additive_cost(
             {"coef": c, "vars": [["x", min(lag, 1), 0, 1], ["u", 0, 0, 1]]},
         ]
         stage_specs.append({"poly": {"terms": terms}})
-    return cost_from_json(
+    return load_cost(
         {"form": "additive", "gamma": gamma, "lag": lag, "stage_costs": stage_specs}
     )
 
@@ -222,14 +277,17 @@ def random_sddp(
         (x, w), (u,) = xs, us
         return a * (u[0] - b * w[0]) ** 2 + c * x[0] * u[0]
 
-    return SddpSpec(
+    spec = SddpSpec(
         initial_state=x0,
         horizon=horizon,
         stage_noise=stage_noise,
         stage_decisions=stage_decisions,
         gamma=gamma,
-        step_cost=step_cost,
-        payload={
+        stage_step_costs=(step_cost,) * horizon,
+    )
+    return with_document(
+        spec,
+        {
             "initial_state": list(x0),
             "horizon": horizon,
             "gamma": gamma,
@@ -260,7 +318,7 @@ def branching_gap_fixture() -> dict:
         for x1 in (0.0, 1.0)
         for u1 in (0.0, 1.0)
     ]
-    cost = cost_from_json({"form": "general", "table": {"entries": entries}})
+    cost = load_cost({"form": "general", "table": {"entries": entries}})
     return {
         "tree": fx["tree"],
         "cost": cost,
@@ -352,11 +410,7 @@ def tree_to_json(tree: ScenarioTree) -> dict:
 
 
 def cost_to_json(cost: CostSpec) -> dict:
-    if cost.payload is None:
-        raise InputFormatError(
-            "cost was built from a raw callable and has no serializable payload"
-        )
-    return cost.payload
+    return document(cost)
 
 
 def policy_class_to_json(cls: PolicyClass) -> dict:

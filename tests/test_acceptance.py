@@ -20,7 +20,6 @@ from multistage.generate import (
     random_history_blind_class,
     random_nodewise_class,
     random_tree,
-    recourse_fixture,
     rng_from_seed,
 )
 from multistage.scenario_tree import path, unconditional_probability
@@ -35,6 +34,7 @@ from instances import (
     random_general_cost,
     random_mdp,
     random_sddp,
+    recourse_fixture,
 )
 
 
@@ -265,8 +265,8 @@ def test_criterion_7_specialization_chain():
         spec = random_sddp(
             rng_from_seed(8_000 + i), horizon=3, n_atoms=2, gamma=gammas[i % 2]
         )
-        result = ms.sddp_recursion(spec)
-        root_sddp = result.values[0][spec.initial_state]
+        stagewise, _ = ms.sddp_recursion(spec)
+        root_sddp = stagewise[0].tolist()[0]
         mdp, start = ms.sddp_to_mdp(spec)
         values, _ = ms.mdp_backward_induction(mdp, horizon=3)
         tree, cost, cls = ms.sddp_to_product_tree(spec)
@@ -275,7 +275,7 @@ def test_criterion_7_specialization_chain():
         worst = max(worst, abs(root_sddp - tables.root_value))
         index = {s: j for j, s in enumerate(mdp.states)}
         for t in range(1, 4):
-            for state, value in result.values[t].items():
+            for state, value in zip(spec.support(t), stagewise[t].tolist()):
                 worst = max(worst, abs(value - values[t][index[state]]))
     _report(
         7,

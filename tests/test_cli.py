@@ -13,9 +13,9 @@ import pytest
 
 from multistage.bundle import ProblemBundle, load_bundle, load_mdp, load_stagewise
 from multistage.cli import build_parser, main
-from multistage.costs import CostSpec, cost_from_json, verify_holder
+from multistage.costs import CostSpec, verify_holder
 from multistage.exceptions import EnumerationCapError, InputFormatError, MultistageError
-from multistage.generate import random_tree, recourse_fixture, rng_from_seed
+from multistage.generate import random_tree, rng_from_seed
 from multistage.policy import Policy, PolicyClass, policy_to_json
 from multistage.scenario_tree import Node, ScenarioTree
 from multistage.value_process import backward_tables, brute_force_optimum, expected_value
@@ -25,10 +25,13 @@ from instances import (
     bundle_to_json,
     chain_tree,
     constant_cost_mdp,
+    document,
+    load_cost,
     mdp_to_json,
     random_general_cost,
     random_mdp,
     random_sddp,
+    recourse_fixture,
     tree_to_json,
 )
 from test_golden_reports import GOLDEN, hexed, inputs
@@ -107,7 +110,7 @@ class TestHolderPairCap:
         holder = {"C": 10.0, "alpha": 1.0, "delta": 1.0}
         bundle = ProblemBundle(
             tree=tree,
-            cost=cost_from_json({"form": "general", "poly": square, "holder": holder}),
+            cost=load_cost({"form": "general", "poly": square, "holder": holder}),
             cls=PolicyClass(feasible=grids, kind="nodewise", decision_dim=1),
             policies={},
         )
@@ -306,7 +309,7 @@ class TestInfiniteIntegerFields:
 
     @pytest.mark.parametrize("field", sorted(STAGEWISE))
     def test_stagewise_field(self, tmp_path, capsys, field):
-        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        payload = document(random_sddp(rng_from_seed(8), horizon=2))
         path = write_json(tmp_path / "sddp.json", self.STAGEWISE[field](payload))
         self.assert_input_error(["sddp-solve", "--input", path], capsys)
 
@@ -355,7 +358,7 @@ class TestIntegerFields:
     INPUTS = {
         "bundle": TestJsonValueTypes.bundle,
         "additive": additive_bundle,
-        "stagewise": lambda: random_sddp(rng_from_seed(8), horizon=2).payload,
+        "stagewise": lambda: document(random_sddp(rng_from_seed(8), horizon=2)),
         "mdp": mdp_with_actions,
     }
 
@@ -390,7 +393,7 @@ class TestIntegerFields:
 
 def integral_stagewise():
     """A stagewise-independent payload whose number fields below hold integral values."""
-    data = random_sddp(rng_from_seed(8), horizon=2).payload
+    data = document(random_sddp(rng_from_seed(8), horizon=2))
     data.update(gamma=0.0, initial_state=[2.0])
     data["stage_noise"][0][0]["prob"], data["stage_noise"][0][1]["prob"] = 0.0, 1.0
     data["stage_noise"][1][0]["value"] = [1.0]
@@ -561,7 +564,6 @@ class TestSolve:
         assert report["agreement"] is True
 
     def test_horizon_zero_grid_minimum(self, tmp_path, capsys):
-        from multistage.costs import cost_from_json
         from multistage.policy import PolicyClass
 
         tree = ScenarioTree(
@@ -572,7 +574,7 @@ class TestSolve:
         cls = PolicyClass(
             feasible={0: ((-1.0,), (0.0,), (2.0,))}, kind="nodewise", decision_dim=1
         )
-        cost = cost_from_json(
+        cost = load_cost(
             {
                 "form": "general",
                 "poly": {
@@ -773,10 +775,10 @@ class TestLoaders:
 
     def test_load_mdp_and_load_stagewise(self, tmp_path):
         mdp = mdp_to_json(random_mdp(rng_from_seed(4), action_dependent=True))
-        stagewise = random_sddp(rng_from_seed(8), horizon=2).payload
+        stagewise = document(random_sddp(rng_from_seed(8), horizon=2))
         assert mdp_to_json(load_mdp(write_json(tmp_path / "mdp.json", mdp))) == mdp
         spec = load_stagewise(write_json(tmp_path / "sddp.json", stagewise))
-        assert spec.payload == stagewise and spec.horizon == 2
+        assert spec.horizon == 2 and spec.initial_state == tuple(stagewise["initial_state"])
 
     @pytest.mark.parametrize("load", [load_mdp, load_stagewise])
     def test_a_file_that_is_not_json_names_the_file(self, tmp_path, load):
@@ -827,7 +829,7 @@ class TestLoaders:
     def test_commands_read_through_the_loader(self, tmp_path, monkeypatch, command, load):
         import multistage.cli as cli
 
-        data = (random_sddp(rng_from_seed(8), horizon=2).payload if load == "load_stagewise"
+        data = (document(random_sddp(rng_from_seed(8), horizon=2)) if load == "load_stagewise"
                 else mdp_to_json(constant_cost_mdp(gamma=0.5)))
         path = write_json(tmp_path / "input.json", data)
         calls = []
@@ -979,11 +981,11 @@ class TestSddpCommand:
         from multistage import sddp_recursion
 
         spec = random_sddp(rng_from_seed(8), horizon=3)
-        path = write_json(tmp_path / "sddp.json", spec.payload)
+        path = write_json(tmp_path / "sddp.json", document(spec))
         code = main(["sddp-solve", "--input", path, "--json"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
-        expected = sddp_recursion(spec).values[0][spec.initial_state]
+        expected = sddp_recursion(spec)[0][0][0]
         assert report["root_value"] == pytest.approx(expected, abs=1e-12)
 
 
@@ -998,7 +1000,7 @@ class TestSddpCommand:
     def test_malformed_step_cost_term_exits_three(
         self, tmp_path, capsys, variable, message
     ):
-        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        payload = document(random_sddp(rng_from_seed(8), horizon=2))
         payload["cost"]["poly"]["terms"].append({"coef": 1.0, "vars": [variable]})
         path = write_json(tmp_path / "sddp.json", payload)
         assert main(["sddp-solve", "--input", path, "--json"]) == 3
@@ -1010,7 +1012,7 @@ class TestSddpCommand:
     def test_negative_power_of_a_zero_value_is_rejected_at_load(
         self, tmp_path, capsys, role, where
     ):
-        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        payload = document(random_sddp(rng_from_seed(8), horizon=2))
         if where == "stage_decisions":
             payload[where][1][0] = [0.0]
         else:
@@ -1025,7 +1027,7 @@ class TestSddpCommand:
 
     def test_negative_noise_probability_exits_three(self, tmp_path, capsys):
         # [0.48, 0.52] -> [1.48, -0.48]: still sums to 1
-        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        payload = document(random_sddp(rng_from_seed(8), horizon=2))
         atoms = payload["stage_noise"][0]
         atoms[0]["prob"] += 1.0
         atoms[1]["prob"] -= 1.0
@@ -1036,7 +1038,7 @@ class TestSddpCommand:
         assert "stage 1 noise atom 1 has negative probability" in captured.err
 
     def test_zero_noise_probability_is_allowed(self, tmp_path, capsys):
-        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        payload = document(random_sddp(rng_from_seed(8), horizon=2))
         atoms = payload["stage_noise"][0]
         atoms[0]["prob"] = 1.0
         atoms[1]["prob"] = 0.0
@@ -1045,7 +1047,7 @@ class TestSddpCommand:
         assert json.loads(capsys.readouterr().out)["root_value"] is not None
 
     def test_negative_power_of_a_zero_state_exits_three(self, tmp_path, capsys):
-        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        payload = document(random_sddp(rng_from_seed(8), horizon=2))
         payload["initial_state"] = [0.0]
         payload["cost"]["poly"]["terms"].append({"coef": 1, "vars": [["x", 0, -1]]})
         path = write_json(tmp_path / "sddp.json", payload)
@@ -1056,7 +1058,7 @@ class TestSddpCommand:
         assert "Traceback" not in captured.err
 
     def test_overflowing_step_cost_term_exits_three(self, tmp_path, capsys):
-        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        payload = document(random_sddp(rng_from_seed(8), horizon=2))
         payload["stage_decisions"][0][0] = [10.0]
         payload["cost"]["poly"]["terms"].append({"coef": 1.0, "vars": [["u", 0, 400]]})
         path = write_json(tmp_path / "sddp.json", payload)
@@ -1067,7 +1069,7 @@ class TestSddpCommand:
         assert "Traceback" not in captured.err
 
     def test_non_finite_step_cost_exits_three(self, tmp_path, capsys):
-        payload = random_sddp(rng_from_seed(8), horizon=2).payload
+        payload = document(random_sddp(rng_from_seed(8), horizon=2))
         payload["cost"]["poly"]["terms"] += [{"coef": 1e308, "vars": []}] * 2
         path = write_json(tmp_path / "sddp.json", payload)
         assert main(["sddp-solve", "--input", path, "--json"]) == 3
@@ -1078,7 +1080,7 @@ class TestSddpCommand:
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 1.0, -1.0])
     def test_discount_outside_the_unit_interval_exits_three(self, tmp_path, capsys, gamma):
-        payload = dict(random_sddp(rng_from_seed(8), horizon=2).payload, gamma=gamma)
+        payload = dict(document(random_sddp(rng_from_seed(8), horizon=2)), gamma=gamma)
         path = write_json(tmp_path / "sddp.json", payload)
         assert main(["sddp-solve", "--input", path, "--json"]) == 3
         captured = capsys.readouterr()
@@ -1095,7 +1097,7 @@ class TestSddpCommand:
             for v in spec.stage_decisions[0]
         ]
         missing = entries.pop(0)
-        payload = dict(spec.payload, cost={"table": {"entries": entries}})
+        payload = dict(document(spec), cost={"table": {"entries": entries}})
         path = write_json(tmp_path / "sddp.json", payload)
         assert main(["sddp-solve", "--input", path, "--json"]) == 3
         captured = capsys.readouterr()
@@ -1196,7 +1198,7 @@ class TestTruncatedJson:
         data = {
             "mdp-solve": mdp_to_json(constant_cost_mdp(n_states=2, gamma=0.5)),
             "value-iterate": mdp_to_json(constant_cost_mdp(n_states=2, gamma=0.5)),
-            "sddp-solve": random_sddp(rng_from_seed(8), horizon=2).payload,
+            "sddp-solve": document(random_sddp(rng_from_seed(8), horizon=2)),
         }.get(command) or json.loads(Path(recourse_bundle["bundle"]).read_text())
         path = self.truncated(tmp_path, "cut.json", data)
         assert main([command, "--input", path, *extra]) == 3
@@ -1271,7 +1273,7 @@ class TestHorizonLimit:
         zero = {n.id: ((0.0,),) for n in tree.nodes}
         bundle = ProblemBundle(
             tree=tree,
-            cost=cost_from_json({"form": "general", "poly": square, **cost}),
+            cost=load_cost({"form": "general", "poly": square, **cost}),
             cls=PolicyClass(feasible=zero, kind="nodewise", decision_dim=1),
             policies={"only": Policy(decisions={i: g[0] for i, g in zero.items()},
                                      decision_dim=1)},
@@ -1478,7 +1480,7 @@ class TestTableAtol:
             )
         ]
         table = {"entries": entries, "atol": BAD_ATOLS[atol]}
-        path = write_json(tmp_path / "sddp.json", dict(spec.payload, cost={"table": table}))
+        path = write_json(tmp_path / "sddp.json", dict(document(spec), cost={"table": table}))
         assert main(["sddp-solve", "--input", path, "--json"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1492,7 +1494,7 @@ class TestTableKeys:
     @staticmethod
     def stagewise(table):
         spec = random_sddp(rng_from_seed(8), horizon=1)
-        return dict(spec.payload, cost={"table": table})
+        return dict(document(spec), cost={"table": table})
 
     @staticmethod
     def stagewise_entries():
@@ -1687,7 +1689,8 @@ class TestParserReuse:
     @staticmethod
     def command_lines(recourse_bundle, tmp_path):
         mdp = write_json(tmp_path / "mdp.json", mdp_to_json(constant_cost_mdp(gamma=0.5)))
-        sddp = write_json(tmp_path / "sddp.json", random_sddp(rng_from_seed(8), horizon=2).payload)
+        stagewise = document(random_sddp(rng_from_seed(8), horizon=2))
+        sddp = write_json(tmp_path / "sddp.json", stagewise)
         bundle, policy = recourse_bundle["bundle"], recourse_bundle["perturbed"]
         return [
             ["validate", "--input", bundle, "--json"],
@@ -1852,7 +1855,7 @@ def signed_zero_bundle(kind: str, cost_kind: str) -> ProblemBundle:
     if cost_kind == "poly":
         cost = random_general_cost(rng, tree)
     else:
-        cost = cost_from_json({"form": "general", "builtin": cost_kind})
+        cost = load_cost({"form": "general", "builtin": cost_kind})
     grid = ((0.0,), (-0.0,), (1.0,))
     cls = PolicyClass(feasible={n.id: grid for n in tree.nodes}, kind=kind, decision_dim=1)
     policy = Policy(

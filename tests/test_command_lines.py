@@ -23,9 +23,16 @@ from hypothesis import strategies as st
 from multistage import cli
 from multistage.bundle import ProblemBundle
 from multistage.cli import build_parser, main
-from multistage.generate import recourse_fixture, rng_from_seed
+from multistage.generate import rng_from_seed
 from multistage.policy import policy_to_json
-from instances import bundle_to_json, constant_cost_mdp, mdp_to_json, random_sddp
+from instances import (
+    bundle_to_json,
+    constant_cost_mdp,
+    document,
+    mdp_to_json,
+    random_sddp,
+    recourse_fixture,
+)
 
 
 def subcommands(parser: argparse.ArgumentParser) -> dict:
@@ -229,7 +236,7 @@ class TestBenchmarkLines:
                                                    cls=fx["cls"])),
             "policy": policy_to_json(fx["perturbed_policy"]),
             "mdp": mdp_to_json(constant_cost_mdp(gamma=0.5)),
-            "sddp": random_sddp(rng_from_seed(8), horizon=2).payload,
+            "sddp": document(random_sddp(rng_from_seed(8), horizon=2)),
         }
         for name, data in files.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(data))

@@ -24,14 +24,18 @@ from multistage.costs import (
     window_values,
 )
 from multistage.dp_solvers import sddp_from_json, sddp_recursion
+from multistage import generate
 from multistage.generate import random_tree, rng_from_seed
 from multistage.policy import PolicyClass
-from multistage.scenario_tree import Node, ScenarioTree
+from multistage.scenario_tree import Node, ScenarioTree, path
 from multistage.tolerances import EQUALITY_TOL
 from instances import (
+    RECOURSE_COST,
     chain_tree,
     cost_to_json,
+    document,
     empirical_holder_constant,
+    load_cost,
     random_sddp,
     u_window,
     x_window,
@@ -96,7 +100,7 @@ class TestJsonObjectives:
             "form": "general",
             "poly": {"terms": [{"coef": 2.0, "vars": [["u", 0, 0, 2], ["x", 1, 0, 1]]}]},
         }
-        cost = cost_from_json(data)
+        cost = load_cost(data)
         value = cost.evaluate(((1.0,), (3.0,)), ((2.0,), (0.0,)))
         assert value == pytest.approx(2.0 * 4.0 * 3.0)
         assert cost_to_json(cost) == data
@@ -148,6 +152,16 @@ class TestJsonObjectives:
             cost_from_json(
                 {"form": "general", "builtin": "quadratic_tracking", "params": params}
             )
+
+    def test_the_recourse_document_is_the_fixture_cost(self):
+        fx = generate.recourse_fixture()
+        tree, cls = fx["tree"], fx["cls"]
+        copy = cost_from_json(RECOURSE_COST)
+        for leaf in tree.leaves():
+            paths = path(tree, leaf)
+            grids = [cls.feasible[n] for n in tree.path_nodes(leaf)]
+            assert (copy.evaluate_grid(paths, grids).tobytes()
+                    == fx["cost"].evaluate_grid(paths, grids).tobytes())
 
     def test_raw_callable_has_no_payload(self):
         cost = CostSpec.general(lambda xs, us: 0.0)
@@ -373,7 +387,7 @@ def leaf_instance(seed, kind):
 
     def additive(stage_costs, lag):
         gamma = float(rng.choice([0.9, -0.5, 0.0]))
-        return cost_from_json(
+        return load_cost(
             {"form": "additive", "gamma": gamma, "lag": lag, "stage_costs": stage_costs}
         )
 
@@ -402,7 +416,7 @@ def leaf_instance(seed, kind):
             for p, g in zip(paths, grids) for h in itertools.product(*g)
             if every or rng.uniform() < 0.9
         ]
-        cost = cost_from_json({"form": "general", "table": {"entries": entries}})
+        cost = load_cost({"form": "general", "table": {"entries": entries}})
     elif kind == "window_table":  # lag-1 stage tables: a miss may come at any stage
         entries = [
             {"x": [list(p[t - 1]), list(p[t])], "u": [list(u)], "value": float(rng.uniform())}
@@ -977,10 +991,10 @@ class TestTableLookup:
     def test_leaf_batches_equal_the_scan(self, seed, kind):
         cost, paths, grids = leaf_instance(seed, kind)
         if kind == "table":
-            scan = CostSpec.general(scan_table(cost.payload["table"]["entries"]))
+            scan = CostSpec.general(scan_table(document(cost)["table"]["entries"]))
         else:
             scan = CostSpec.additive(
-                [scan_table(c["table"]["entries"]) for c in cost.payload["stage_costs"]],
+                [scan_table(c["table"]["entries"]) for c in document(cost)["stage_costs"]],
                 cost.gamma, cost.lag)
         assert outcome(lambda: leaf_arrays(cost, paths, grids)) == outcome(
             lambda: leaf_arrays(scan, paths, grids))
@@ -1039,27 +1053,27 @@ class TestStagewiseTable:
         """The spec with a step-cost table loaded from JSON, and the same with the
         scan. An entry to drop is dropped after the load, past its check."""
         spec, entries = cls.entries(seed)
-        table = sddp_from_json({**spec.payload, "cost": {"table": {"entries": entries}}})
+        table = sddp_from_json({**document(spec), "cost": {"table": {"entries": entries}}})
         if drop is not None:
             del entries[drop]
         windows = [{"x": [e["x"], e["w"]], "u": [e["u"]], "value": e["value"]} for e in entries]
         if drop is not None:
-            table = replace(table, step_cost=costs.table_objective(windows))
-        return table, replace(table, step_cost=scan_table(windows))
+            lookup = costs.table_objective(windows)
+            table = replace(table, stage_step_costs=(lookup,) * spec.horizon)
+        return table, replace(table, stage_step_costs=(scan_table(windows),) * spec.horizon)
 
     @staticmethod
     def solved(spec):
         try:
-            result = sddp_recursion(spec)
+            values, greedy = sddp_recursion(spec)
         except MultistageError as exc:
             return type(exc).__name__, str(exc)
-        return ([{x: v.hex() for x, v in level.items()} for level in result.values],
-                result.greedy)
+        return [v.tobytes() for v in values], [g.tolist() for g in greedy]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_the_per_history_loop(self, seed):
         table, scan = self.spec(seed)
-        assert not hasattr(scan.step_cost, "problems")
+        assert not hasattr(scan.stage_step_costs[0], "problems")
         assert self.solved(table) == self.solved(scan)
 
     @pytest.mark.parametrize("drop", [0, 10, 40])
@@ -1076,7 +1090,7 @@ class TestStagewiseTable:
         stage = [t for t in range(spec.horizon) for _ in itertools.product(
             spec.support(t), spec.support(t + 1), spec.stage_decisions[t])][drop]
         with pytest.raises(InputFormatError) as found:
-            sddp_from_json({**spec.payload, "cost": {"table": {"entries": entries}}})
+            sddp_from_json({**document(spec), "cost": {"table": {"entries": entries}}})
         x = (tuple(miss["x"]), tuple(miss["w"]))
         assert str(found.value).startswith(
             f"stage {stage} step-cost table: no table entry matches x={x!r}, "

@@ -37,6 +37,7 @@ from instances import (
     bellman_apply,
     chain_tree,
     constant_cost_mdp,
+    document,
     mdp_to_json,
     non_markov_tree,
     random_additive_cost,
@@ -171,12 +172,12 @@ class TestLagRecursion:
         assert report.max_collapse_deviation <= 1e-9
         assert report.equality_everywhere
         # collapsed window values coincide with the independent recursion
-        result = sddp_recursion(spec)
+        values, _ = sddp_recursion(spec)
         for t in range(tree.horizon + 1):
             for (obs_window, _), value in report.window_values[t].items():
                 matches = [
                     v
-                    for state, v in result.values[t].items()
+                    for state, v in zip(spec.support(t), values[t].tolist())
                     if abs(state[0] - obs_window[-1][0]) <= 1e-8
                 ]
                 assert len(matches) == 1
@@ -373,7 +374,7 @@ class TestLagCollapse:
             stage_noise=(((0.5, (1.0,)), (0.5, (2.0,))),) * 3,
             stage_decisions=(((0.0,), (1.0,), (1.0 + 1e-12,)),) * 3,
             gamma=0.5,
-            step_cost=lambda xs, us: (us[0][0] - xs[1][0]) ** 2,
+            stage_step_costs=(lambda xs, us: (us[0][0] - xs[1][0]) ** 2,) * 3,
         )
         tree, _, cls = sddp_to_product_tree(spec)
         cost = random_additive_cost(rng_from_seed(seed), horizon=3, lag=lag, gamma=0.5)
@@ -789,41 +790,37 @@ class TestSddp:
             stage_noise=(((1.0, (1.0,)),), ((1.0, (2.0,)),)),
             stage_decisions=(((0.0,), (1.0,)), ((0.0,), (1.0,))),
             gamma=0.5,
-            step_cost=lambda xs, us: (us[0][0] - xs[1][0]) ** 2,
+            stage_step_costs=(lambda xs, us: (us[0][0] - xs[1][0]) ** 2,) * 2,
         )
-        result = sddp_recursion(spec)
+        values, greedy = sddp_recursion(spec)
         # stage 1: best u against w=2 is u=1, cost 1; stage 0: u=1 hits w=1
-        assert result.values[1][(1.0,)] == pytest.approx(1.0)
-        assert result.values[0][(0.0,)] == pytest.approx(0.0 + 0.5 * 1.0)
-        assert result.greedy[0][(0.0,)] == (1.0,)
+        assert spec.support(1) == ((1.0,),) and values[1][0] == pytest.approx(1.0)
+        assert values[0][0] == pytest.approx(0.0 + 0.5 * 1.0)
+        assert spec.stage_decisions[0][greedy[0][0]] == (1.0,)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_product_tree_backward_tables(self, seed):
         spec = random_sddp(rng_from_seed(600 + seed), horizon=3, n_atoms=2, gamma=0.5)
-        result = sddp_recursion(spec)
+        values, _ = sddp_recursion(spec)
         tree, cost, cls = sddp_to_product_tree(spec)
         assert len(tree.leaves()) == 8
         tables = backward_tables(tree, cost, cls)
-        assert tables.root_value == pytest.approx(
-            result.values[0][spec.initial_state], abs=1e-9
-        )
+        assert tables.root_value == pytest.approx(values[0][0], abs=1e-9)
 
     def test_matches_mdp_backward_induction(self):
         spec = random_sddp(rng_from_seed(61), horizon=3, gamma=0.9)
-        result = sddp_recursion(spec)
+        root = sddp_recursion(spec)[0][0][0]
         mdp, start = sddp_to_mdp(spec)
         values, _ = mdp_backward_induction(mdp, horizon=3)
-        assert values[0][start] == pytest.approx(
-            result.values[0][spec.initial_state], abs=1e-9
-        )
+        assert values[0][start] == pytest.approx(root, abs=1e-9)
 
     def test_truncation_error_against_the_fixed_point(self):
         spec = random_sddp(rng_from_seed(62), horizon=6, gamma=0.5)
-        result = sddp_recursion(spec)
+        root = sddp_recursion(spec)[0][0][0]
         mdp, start = sddp_to_mdp(spec)
         fixed = value_iteration(mdp, epsilon=1e-10)
         tail_bound = 0.5**6 * mdp.bound_K / (1.0 - 0.5)
-        assert abs(result.values[0][spec.initial_state] - fixed.values[start]) <= (
+        assert abs(root - fixed.values[start]) <= (
             tail_bound + 1e-8
         )
 
@@ -836,8 +833,7 @@ class TestSddp:
         optimum solved on the product tree.
         """
         spec = random_sddp(rng_from_seed(8002), horizon=3, n_atoms=2, gamma=-0.5)
-        result = sddp_recursion(spec)
-        root = result.values[0][spec.initial_state]
+        root = sddp_recursion(spec)[0][0][0]
         mdp, start = sddp_to_mdp(spec)
         values, _ = mdp_backward_induction(mdp, horizon=3)
         assert values[0][start] == pytest.approx(root, abs=1e-9)
@@ -854,7 +850,7 @@ class TestSddp:
             stage_noise=(),
             stage_decisions=(),
             gamma=0.5,
-            step_cost=lambda xs, us: 1.0,
+            stage_step_costs=(),
         )
 
     def test_horizon_zero_unrolls_to_the_root_alone(self):
@@ -865,7 +861,8 @@ class TestSddp:
         assert (cls.feasible, cls.decision_dim) == ({0: ((),)}, 0)
         root = backward_tables(tree, cost, cls).root_value
         assert (type(root), root) == (float, 0.0)
-        assert sddp_recursion(spec).values == [{(0.5, -1.0): 0.0}]
+        values, greedy = sddp_recursion(spec)
+        assert [v.tolist() for v in values] == [[0.0]] and greedy == []
 
     def test_horizon_zero_has_no_mdp(self):
         with pytest.raises(MultistageError, match="horizon 0"):
@@ -879,7 +876,7 @@ class TestSddp:
                 stage_noise=(((1.0, (1.0,)),),) * 2,
                 stage_decisions=(((0.0,),), ()),
                 gamma=0.5,
-                step_cost=lambda xs, us: 0.0,
+                stage_step_costs=(lambda xs, us: 0.0,) * 2,
             )
 
     def test_discount_monotonicity_in_the_horizon(self):
@@ -897,7 +894,7 @@ def stagewise_payload(seed: int, variant: str) -> dict:
     """A ``random_sddp`` payload with a stationary ``cost``, per-stage
     ``stage_costs`` or 2-dimensional states."""
     rng = rng_from_seed(seed)
-    payload = random_sddp(rng, horizon=3, n_atoms=3, n_decisions=3, gamma=0.7).payload
+    payload = document(random_sddp(rng, horizon=3, n_atoms=3, n_decisions=3, gamma=0.7))
     terms = payload["cost"]["poly"]["terms"]
     terms.append({"coef": 0.2, "vars": [["u", 0, 4], ["x", 0, -2]]})
     if variant == "stage_costs":
@@ -925,9 +922,7 @@ def per_entry(spec: SddpSpec) -> SddpSpec:
     def plain(c):
         return lambda xs, us: c(xs, us)
 
-    if spec.stage_step_costs is not None:
-        return replace(spec, stage_step_costs=tuple(plain(c) for c in spec.stage_step_costs))
-    return replace(spec, step_cost=plain(spec.step_cost))
+    return replace(spec, stage_step_costs=tuple(plain(c) for c in spec.stage_step_costs))
 
 
 @pytest.mark.parametrize("kind", ["raw", "poly"])
@@ -941,7 +936,7 @@ def test_sddp_to_mdp_cost_array_equals_the_entry_loop(kind, seed):
     for i, x in enumerate(mdp.states):
         for j, y in enumerate(mdp.states):
             for a, u in enumerate(mdp.actions):
-                loop[i, j, a] = float(spec.step_cost((x, y), (u,)))
+                loop[i, j, a] = float(spec.stage_step_costs[0]((x, y), (u,)))
     assert mdp.cost.dtype == np.float64
     assert mdp.cost.tobytes() == loop.tobytes()
 
@@ -951,14 +946,12 @@ class TestStagewiseCostCompiler:
     @pytest.mark.parametrize("seed", range(3))
     def test_grid_path_is_bit_equal_to_the_per_entry_path(self, variant, seed):
         spec = sddp_from_json(stagewise_payload(900 + seed, variant))
-        assert all(hasattr(spec.cost_at(t), "problems") for t in range(spec.horizon))
-        a = sddp_recursion(spec)
-        b = sddp_recursion(per_entry(spec))
-        for level_a, level_b in zip(a.values, b.values):
-            assert {x: v.hex() for x, v in level_a.items()} == {
-                x: v.hex() for x, v in level_b.items()
-            }
-        assert a.greedy == b.greedy
+        assert all(hasattr(c, "problems") for c in spec.stage_step_costs)
+        values_a, greedy_a = sddp_recursion(spec)
+        values_b, greedy_b = sddp_recursion(per_entry(spec))
+        for level_a, level_b in zip(values_a, values_b):
+            assert level_a.tobytes() == level_b.tobytes()
+        assert [g.tolist() for g in greedy_a] == [g.tolist() for g in greedy_b]
 
     def test_table_covering_every_entry_solves_like_the_poly(self):
         payload = stagewise_payload(910, "cost")
@@ -968,15 +961,15 @@ class TestStagewiseCostCompiler:
             for x in spec.support(t):
                 for w in spec.support(t + 1):
                     for u in spec.stage_decisions[t]:
-                        table[(x, w, u)] = spec.step_cost((x, w), (u,))
+                        table[(x, w, u)] = spec.stage_step_costs[t]((x, w), (u,))
         payload["cost"] = {"table": {"entries": [
             {"x": list(x), "w": list(w), "u": list(u), "value": v}
             for (x, w, u), v in table.items()
         ]}}
-        a = sddp_recursion(spec)
-        b = sddp_recursion(sddp_from_json(payload))
-        assert a.values == b.values
-        assert a.greedy == b.greedy
+        values_a, greedy_a = sddp_recursion(spec)
+        values_b, greedy_b = sddp_recursion(sddp_from_json(payload))
+        assert [v.tolist() for v in values_a] == [v.tolist() for v in values_b]
+        assert [g.tolist() for g in greedy_a] == [g.tolist() for g in greedy_b]
 
     def test_stage_costs_must_cover_the_horizon(self):
         payload = stagewise_payload(911, "stage_costs")
@@ -997,11 +990,10 @@ class TestJsonRoundTrips:
 
     def test_sddp_round_trip_through_payload(self):
         spec = random_sddp(rng_from_seed(72), horizon=2)
-        back = sddp_from_json(spec.payload)
-        a = sddp_recursion(spec)
-        b = sddp_recursion(back)
-        assert a.values[0][spec.initial_state] == pytest.approx(
-            b.values[0][back.initial_state], abs=1e-12
+        back = sddp_from_json(document(spec))
+        assert back.initial_state == spec.initial_state
+        assert sddp_recursion(spec)[0][0][0] == pytest.approx(
+            sddp_recursion(back)[0][0][0], abs=1e-12
         )
 
     def test_malformed_mdp_json(self):
@@ -1016,7 +1008,7 @@ class TestJsonRoundTrips:
                 stage_noise=(((1.0, (float("inf"),)),),),
                 stage_decisions=(((0.0,),),),
                 gamma=0.5,
-                step_cost=lambda xs, us: 0.0,
+                stage_step_costs=(lambda xs, us: 0.0,),
             )
 
 

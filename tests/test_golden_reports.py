@@ -73,7 +73,6 @@ import pytest
 
 from multistage.bundle import ProblemBundle
 from multistage.cli import main
-from multistage.costs import cost_from_json
 from multistage.dp_solvers import (
     lag_recursion_check,
     sddp_from_json,
@@ -91,6 +90,8 @@ from multistage.scenario_tree import Node, ScenarioTree, path
 from multistage.value_process import backward_tables, greedy_policy_from_tables
 from instances import (
     bundle_to_json,
+    document,
+    load_cost,
     empirical_holder_constant,
     mdp_to_json,
     non_markov_tree,
@@ -169,7 +170,7 @@ def sddp_table(seed: int) -> dict:
         for w in spec.support(t + 1)
         for u in spec.stage_decisions[t]
     ]
-    return {**spec.payload, "cost": {"table": {"entries": entries}}}
+    return {**document(spec), "cost": {"table": {"entries": entries}}}
 
 
 def fixed_tree(rng, counts: list[int]) -> ScenarioTree:
@@ -236,25 +237,25 @@ def inputs() -> dict[str, dict]:
     tree = random_tree(rng, horizon=2, obs_dim=2)
     cls = random_nodewise_class(rng, tree, decision_dim=3, max_policies=3000)
     weights = [float(w) for w in rng.uniform(0.5, 2.0, size=3)]
-    tracking = cost_from_json({"form": "general", "builtin": "quadratic_tracking",
-                               "params": {"weights": weights}})
+    tracking = load_cost({"form": "general", "builtin": "quadratic_tracking",
+                          "params": {"weights": weights}})
     add("tracking", tree, tracking, cls)
 
     rng = rng_from_seed(25)
     tree = random_tree(rng, horizon=2)
     cls = random_nodewise_class(rng, tree, max_policies=2000)
-    add("table", tree, cost_from_json(table_cost(rng, tree, cls)), cls)
+    add("table", tree, load_cost(table_cost(rng, tree, cls)), cls)
 
     rng = rng_from_seed(30)
     tree = random_tree(rng, horizon=3)
     cls = random_nodewise_class(rng, tree, max_policies=4000)
-    add("table_lag2", tree, cost_from_json(lag_table_cost(rng, tree, cls, 2)), cls)
+    add("table_lag2", tree, load_cost(lag_table_cost(rng, tree, cls, 2)), cls)
 
     rng = rng_from_seed(31)
     tree = random_tree(rng, horizon=2)
     cls = random_nodewise_class(rng, tree, max_policies=2000)
     add("table_overlap", tree,
-        cost_from_json(overlapping_table_cost(rng, tree, cls, atol=1e-6)), cls)
+        load_cost(overlapping_table_cost(rng, tree, cls, atol=1e-6)), cls)
 
     out["sddp_table"] = sddp_table(32)
 
@@ -386,7 +387,7 @@ def dynamic_fixtures() -> dict:
     for T, gamma in ((2, 0.5), (3, 0.5), (3, -0.5), (3, 0.0), (4, -0.5)):
         spec = random_sddp(rng_from_seed(8), horizon=T, gamma=gamma)
         out[f"sddp{T}_{gamma}_raw"] = sddp_to_product_tree(spec)
-        out[f"sddp{T}_{gamma}_json"] = sddp_to_product_tree(sddp_from_json(spec.payload))
+        out[f"sddp{T}_{gamma}_json"] = sddp_to_product_tree(sddp_from_json(document(spec)))
     tree, _, cls = out["sddp3_0.5_json"]
     for lag, gamma in ((0, 0.9), (2, -0.7)):
         cost = random_additive_cost(rng_from_seed(57 + lag), horizon=3, lag=lag, gamma=gamma)
