@@ -50,6 +50,7 @@ from .exceptions import (
     require_object,
 )
 from .policy import DEFAULT_ENUMERATION_CAP
+from .scenario_tree import path
 from .tolerances import EQUALITY_TOL, HOLDER_SLACK
 
 Vector = tuple[float, ...]
@@ -480,7 +481,7 @@ def quadratic_tracking(params: dict):
         try:
             return w * sum((ui - x[i % len(x)]) ** 2 for i, ui in enumerate(u))
         except OverflowError:  # a square past the float range, which the finiteness check reports
-            return w * math.inf
+            return w * math.inf if w else w
 
     def evaluate(xs: GridWindow, us: GridWindow):
         total = 0.0
@@ -685,8 +686,6 @@ def table_misses(cost: CostSpec, tree, cls) -> list[str]:
     is then the only error; the one reported is the first leaf's (in tree
     order) first miss, in stage then C order.
     """
-    from .scenario_tree import path as tree_path
-
     def probe(c, where: str):
         def evaluate(xs, us):
             try:
@@ -709,16 +708,20 @@ def table_misses(cost: CostSpec, tree, cls) -> list[str]:
             return []
         probes = [probe(c, f"stage cost {k} table:") for k, c in enumerate(payloads)]
         check = CostSpec.additive(probes, cost.gamma, cost.lag)
-    leaves = tree.leaves()
     try:
-        leaf_batches(
-            check,
-            [tree_path(tree, leaf) for leaf in leaves],
-            [[cls.feasible[i] for i in tree.path_nodes(leaf)] for leaf in leaves],
-        )
+        leaf_batches(check, *_leaf_paths_and_grids(tree, cls))
     except MultistageError as exc:
         return [str(exc)]
     return []
+
+
+def _leaf_paths_and_grids(tree, cls) -> tuple[list[Window], list[list[tuple[Vector, ...]]]]:
+    """Every leaf's observation path and its path's class grids, in tree order."""
+    leaves = tree.leaves()
+    return (
+        [path(tree, leaf) for leaf in leaves],
+        [[cls.feasible[i] for i in tree.path_nodes(leaf)] for leaf in leaves],
+    )
 
 
 # -- JSON ---------------------------------------------------------------------
@@ -797,9 +800,6 @@ def cost_from_json(data: dict) -> CostSpec:
 class HolderCheck:
     """Outcome of checking |v(x,u1) - v(x,u2)| <= C * ||u1 - u2||^alpha."""
 
-    C: float
-    alpha: float
-    delta: float
     max_ratio: float
     pairs_checked: int
     ok: bool
@@ -832,16 +832,13 @@ def verify_holder(tree, cls, cost: CostSpec, C: float, alpha: float, delta: floa
     which is checked against ``DEFAULT_ENUMERATION_CAP`` for every leaf
     before anything is evaluated.
     """
-    from .scenario_tree import path as tree_path
-
-    leaves = tree.leaves()
-    grids_list = [[cls.feasible[i] for i in tree.path_nodes(leaf)] for leaf in leaves]
+    paths, grids_list = _leaf_paths_and_grids(tree, cls)
     for grids in grids_list:
         histories = math.prod(map(len, grids))
         entries = histories * histories * sum(len(g[0]) for g in grids if g)
         if entries > DEFAULT_ENUMERATION_CAP:
             raise EnumerationCapError(entries, DEFAULT_ENUMERATION_CAP)
-    arrays = leaf_arrays(cost, [tree_path(tree, leaf) for leaf in leaves], grids_list)
+    arrays = leaf_arrays(cost, paths, grids_list)
     worst = 0.0
     pairs = 0
     for grids, values in zip(grids_list, arrays):
@@ -849,7 +846,4 @@ def verify_holder(tree, cls, cost: CostSpec, C: float, alpha: float, delta: floa
         if len(dist):
             worst = max(worst, float((dv / dist ** alpha).max()))
             pairs += len(dist)
-    return HolderCheck(
-        C=C, alpha=alpha, delta=delta, max_ratio=worst, pairs_checked=pairs,
-        ok=worst <= C + HOLDER_SLACK,
-    )
+    return HolderCheck(max_ratio=worst, pairs_checked=pairs, ok=worst <= C + HOLDER_SLACK)

@@ -52,7 +52,6 @@ from .costs import (
 from .exceptions import (
     ConvergenceError,
     EnumerationCapError,
-    IncompleteFunctionError,
     InputFormatError,
     MultistageError,
     UnboundedObjectiveError,
@@ -445,36 +444,31 @@ def shifted_tables(
     """
     if cost.form != "additive":
         raise MultistageError("the discount shift requires an additive cost")
-    last = tree.horizon if cost.gamma != 0.0 else 0
-    return _shifted(tree, tables, cost, _stage_steps(tree, tables, cost, last))
+    return _shift_pass(tree, tables, cost, tree.horizon if cost.gamma != 0.0 else 0)[1]
 
 
-def _stage_steps(
+def _shift_pass(
     tree: ScenarioTree, tables: ValueTables, cost: CostSpec, last: int
-) -> dict[int, np.ndarray]:
-    """c_t(node, .) of :func:`_stage_cost_tables` for every node of stages 1..last."""
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """The stage-cost arrays c_t(node, .) of every node of stages 1..last, and
+    Vtilde of :func:`shifted_tables` at every node of stages 0..last where the
+    shift is defined, both top down."""
     steps: dict[int, np.ndarray] = {}
-    for t in range(1, last + 1):
-        steps.update(zip(tree.stage_nodes(t), _stage_cost_tables(tree, tables, cost, t)))
-    return steps
-
-
-def _shifted(
-    tree: ScenarioTree, tables: ValueTables, cost: CostSpec, steps: dict[int, np.ndarray]
-) -> dict[int, np.ndarray]:
-    """:func:`shifted_tables` from the stage-cost arrays ``steps`` (:func:`_stage_steps`)."""
-    out: dict[int, np.ndarray] = {}
+    shifted: dict[int, np.ndarray] = {}
     prefix = {0: np.zeros(())}
-    for t in range(tree.horizon + 1 if cost.gamma != 0.0 else 1):
+    for t in range(last + 1):
         nodes = tree.stage_nodes(t)
         if t > 0:
+            steps.update(zip(nodes, _stage_cost_tables(tree, tables, cost, t)))
+            if cost.gamma == 0.0:
+                continue
             prefix = {
                 nid: prefix[tree.nodes[nid].parent][..., None] + cost.gamma ** (t - 1) * steps[nid]
                 for nid in nodes
             }
         for nid in nodes:
-            out[nid] = (tables.V[nid] - prefix[nid]) / cost.gamma**t
-    return out
+            shifted[nid] = (tables.V[nid] - prefix[nid]) / cost.gamma**t
+    return steps, shifted
 
 
 def tilde_shift(
@@ -487,20 +481,16 @@ def tilde_shift(
 
     Vtilde_0 equals V_0; later stages subtract the realized accumulated
     costs and divide by gamma^t (:func:`shifted_tables`, read at the
-    policy's decision history). With gamma = 0 the shift is undefined for
+    policy's decision history, :meth:`Policy.decision_paths`, which needs a
+    decision at every node). With gamma = 0 the shift is undefined for
     t >= 1 and those stages are reported as skipped.
     """
+    shifted = shifted_tables(tree, tables, cost)
+    hists = policy.decision_paths(tree)
     stages: dict[int, dict[int, float]] = {}
-    # the arrays come parents first, so each history extends its parent's
-    hists: dict[int, tuple[Decision, ...]] = {}
-    for nid, values in shifted_tables(tree, tables, cost).items():
-        parent = tree.nodes[nid].parent
-        head = () if parent is None else hists[parent]
-        if nid not in policy.decisions:
-            raise IncompleteFunctionError(f"policy has no decision for node {nid}")
-        hists[nid] = head + (policy.decisions[nid],)
+    for nid, values in shifted.items():
         level = stages.setdefault(tree.node(nid).stage, {})
-        level[nid] = float(values[tables.index(nid, head)])
+        level[nid] = float(values[tables.index(nid, hists[nid][:-1])])
     skipped = [t for t in range(1, tree.horizon + 1) if cost.gamma == 0.0]
     return ShiftedProcess(stages=stages, skipped_stages=skipped)
 
@@ -603,8 +593,7 @@ def lag_recursion_check(
     tables = backward_tables(tree, cost, cls, cap=cap)
     gamma = cost.gamma
     skipped = [t for t in range(1, tree.horizon + 1) if gamma == 0.0]
-    steps = _stage_steps(tree, tables, cost, tree.horizon)
-    shifted = _shifted(tree, tables, cost, steps)
+    steps, shifted = _shift_pass(tree, tables, cost, tree.horizon)
 
     # Per node, Vtilde as (outer heads, window columns u_{t-l+1..t-1}). A key's
     # reference is its first value in C order: row 0 of its first column in
@@ -666,10 +655,11 @@ class SddpSpec:
 
     ``stage_noise[t]`` is the distribution of X_{t+1} as (probability,
     value) pairs, independent of everything before it; the state transition
-    is x_{t+1} = X_{t+1}. ``stage_step_costs[t]`` is the cost incurred on
-    step t in window form, ``c(xs, us)`` with ``xs = (x_t, x_{t+1})`` and
-    ``us = (u_t,)``: the lag-1 stage cost c_{t+1} of an additive tree cost,
-    with the same callable shape. A stationary problem holds one callable at
+    is x_{t+1} = X_{t+1}. ``stage_step_costs[t]``, one for each of the
+    ``horizon`` steps, is the cost incurred on step t in window form,
+    ``c(xs, us)`` with ``xs = (x_t, x_{t+1})`` and ``us = (u_t,)``: the
+    lag-1 stage cost c_{t+1} of an additive tree cost, with the same
+    callable shape. A stationary problem holds one callable at
     every stage. :meth:`step_array` evaluates each stage's step costs once,
     for the load check and the recursion alike.
     """
@@ -694,10 +684,10 @@ class SddpSpec:
             )
         if not -1.0 < self.gamma < 1.0:
             raise InputFormatError(f"gamma {self.gamma} outside (-1, 1)")
-        if len(self.stage_step_costs) < self.horizon:
+        if (n := len(self.stage_step_costs)) != self.horizon:
             raise InputFormatError(
-                f"{len(self.stage_step_costs)} stage costs cannot cover horizon "
-                f"{self.horizon}"
+                f"{n} stage costs cannot cover horizon {self.horizon}"
+                if n < self.horizon else f"{n} stage costs for horizon {self.horizon}"
             )
         for t, atoms in enumerate(self.stage_noise):
             total = sum(p for p, _ in atoms)
@@ -833,7 +823,7 @@ def sddp_to_product_tree(spec: SddpSpec) -> tuple[ScenarioTree, CostSpec, Policy
         lambda t, _: [(float(p), value, None) for p, value in spec.stage_noise[t]],
         lambda t, _: grids[t],
         len(grids[0][0]) if grids else 0,
-        spec.stage_step_costs[: spec.horizon],
+        spec.stage_step_costs,
         spec.gamma,
     )
 
@@ -849,7 +839,7 @@ def sddp_to_mdp(spec: SddpSpec) -> tuple[MDPSpec, int]:
     if spec.horizon == 0:
         raise MultistageError("the MDP bridge requires horizon >= 1, got horizon 0")
     step_cost = spec.stage_step_costs[0]
-    if any(c is not step_cost for c in spec.stage_step_costs[1 : spec.horizon]):
+    if any(c is not step_cost for c in spec.stage_step_costs[1:]):
         raise MultistageError("the MDP bridge requires a stationary step cost")
     first = spec.stage_noise[0]
     for atoms in spec.stage_noise[1:]:
@@ -995,6 +985,8 @@ def sddp_from_json(data: dict) -> SddpSpec:
     :func:`all_numbers` pass checks those entries; only when it fails does a
     pass per entry run, to name the first fault.
 
+    The file gives exactly one of ``cost`` and ``stage_costs``, and a
+    ``stage_costs`` list holds one entry per stage (:class:`SddpSpec`).
     A compiled step cost's ``problems`` runs at every stage t < horizon, on
     the states, noise values and decisions of that step, so a 0 under a
     negative power or a power that overflows a float is rejected here. A
@@ -1035,15 +1027,14 @@ def sddp_from_json(data: dict) -> SddpSpec:
         }
         horizon = require_int(data["horizon"], "stagewise horizon")
         gamma = require_number(data["gamma"], "stagewise gamma")
-        cost = _step_cost_from_json(data["cost"], dims) if "cost" in data else None
+        if ("cost" in data) == ("stage_costs" in data):
+            raise InputFormatError(
+                "a stagewise-independent problem needs one of: cost, stage_costs (exactly one)"
+            )
         if "stage_costs" in data:
             step_costs = tuple(_step_cost_from_json(c, dims) for c in data["stage_costs"])
-        elif cost is not None:  # one per noise stage, which SddpSpec counts against horizon
-            step_costs = (cost,) * len(stage_noise)
-        else:
-            raise InputFormatError(
-                "a stagewise-independent problem needs one of: cost, stage_costs"
-            )
+        else:  # one per noise stage, which SddpSpec counts against horizon
+            step_costs = (_step_cost_from_json(data["cost"], dims),) * len(stage_noise)
         spec = SddpSpec(
             initial_state=initial_state,
             horizon=horizon,
@@ -1061,10 +1052,9 @@ def sddp_from_json(data: dict) -> SddpSpec:
         lambda role, t: spec.stage_decisions[t] if role == "u" else spec.support(t)
     )
     window_dims = {"x": max(dims["x"], dims["w"]), "u": dims["u"]}
-    step_costs = spec.stage_step_costs[: spec.horizon]
     problems = [
         f"step-cost {p}"
-        for t, cost in enumerate(step_costs)
+        for t, cost in enumerate(spec.stage_step_costs)
         if hasattr(cost, "problems")
         for p in cost.problems(spec.horizon, (t + 1, 1), window_dims, magnitudes)
     ]
@@ -1072,7 +1062,7 @@ def sddp_from_json(data: dict) -> SddpSpec:
         raise InputFormatError(
             "; ".join(problems) + " (x[1] is the state x, x[0] the noise value w)"
         )
-    for t, cost in enumerate(step_costs):
+    for t, cost in enumerate(spec.stage_step_costs):
         if getattr(cost, "lookup", False):
             try:
                 spec.step_array(t)

@@ -69,15 +69,6 @@ class Policy:
                     f"expected {self.decision_dim}"
                 )
 
-    def decision_path(self, tree: ScenarioTree, node_id: int) -> tuple[Decision, ...]:
-        """Decision history (u_0, ..., u_t) along the root-to-node path."""
-        out = []
-        for i in tree.path_nodes(node_id):
-            if i not in self.decisions:
-                raise IncompleteFunctionError(f"policy has no decision for node {i}")
-            out.append(self.decisions[i])
-        return tuple(out)
-
     def decision_paths(self, tree: ScenarioTree) -> dict[int, tuple[Decision, ...]]:
         """Every node's decision history, each extending its parent's, top down."""
         out: dict[int, tuple[Decision, ...]] = {}

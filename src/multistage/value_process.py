@@ -539,12 +539,12 @@ def greedy_policy_from_tables(
 def expected_value(tree: ScenarioTree, cost: CostSpec, policy: Policy) -> float:
     """E v(X, U): probability weighted objective over all leaf trajectories."""
     leaves = tree.leaves()
+    hists = policy.decision_paths(tree)
     points: dict[int, tuple[Decision]] = {}  # per node: its decision as a one-point grid
-    grids_list = []
-    for leaf in leaves:
-        nids = tree.path_nodes(leaf)
-        hist = policy.decision_path(tree, leaf)
-        grids_list.append([points.setdefault(n, (u,)) for n, u in zip(nids, hist)])
+    grids_list = [
+        [points.setdefault(n, (u,)) for n, u in zip(tree.path_nodes(leaf), hists[leaf])]
+        for leaf in leaves
+    ]
     values = leaf_arrays(cost, [path(tree, leaf) for leaf in leaves], grids_list)
     total = 0.0
     for leaf, value in zip(leaves, values):

@@ -398,22 +398,6 @@ class MonotoneInterchangeReport:
     rhs: float | None = None
     tolerance: float = DEFAULT_TOL
 
-    @property
-    def gap(self) -> float | None:
-        if self.lhs is None or self.rhs is None:
-            return None
-        return self.rhs - self.lhs
-
-    def to_json(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "tolerance": self.tolerance,
-        }
-
 
 def interchange_monotone(
     tree: ScenarioTree,

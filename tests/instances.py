@@ -606,7 +606,8 @@ def policy_to_leafwise(
     tree: ScenarioTree, policy: Policy
 ) -> dict[int, tuple[Decision, ...]]:
     """Evaluate a policy along every leaf path: the inverse of factorization."""
-    return {leaf: policy.decision_path(tree, leaf) for leaf in tree.leaves()}
+    paths = policy.decision_paths(tree)
+    return {leaf: paths[leaf] for leaf in tree.leaves()}
 
 
 # -- pasting -----------------------------------------------------------------------

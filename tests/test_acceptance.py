@@ -123,7 +123,7 @@ def verification_sweep():
             if report.classification == "martingale":
                 martingale_set.add(k)
             value = sum(
-                prob * table[policy.decision_path(tree, leaf)]
+                prob * table[policy.decision_paths(tree)[leaf]]
                 for leaf, prob, table in caches
             )
             if value <= optimum + 1e-9:

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from multistage import (
     ConvergenceError,
     CostSpec,
+    IncompleteFunctionError,
     InputFormatError,
     MDPSpec,
     MultistageError,
+    Policy,
     PolicyClass,
     backward_tables,
     brute_force_optimum,
@@ -82,7 +84,7 @@ class TestTildeShift:
         shifted = tilde_shift(tree, tables, cost, policy)
         # no cost accumulated through stage 1, so the shift is V_1 / gamma
         nid = tree.stage_nodes(1)[0]
-        head = policy.decision_path(tree, nid)[:-1]
+        head = policy.decision_paths(tree)[nid][:-1]
         assert shifted.stages[1][nid] == pytest.approx(
             tables.V[nid][tables.index(nid, head)] / 0.5, abs=1e-12
         )
@@ -100,7 +102,7 @@ class TestTildeShift:
         shifted = tilde_shift(tree, tables, cost, policy)
         for t, level in shifted.stages.items():
             for nid, value in level.items():
-                head = policy.decision_path(tree, nid)[:-1]
+                head = policy.decision_paths(tree)[nid][:-1]
                 raw = tables.V[nid][tables.index(nid, head)]
                 assert value == pytest.approx(raw / 0.5**t, abs=1e-12)
 
@@ -114,7 +116,7 @@ class TestTildeShift:
 
         for t in range(tree.horizon):
             for nid in tree.stage_nodes(t):
-                head = policy.decision_path(tree, nid)[:-1]
+                head = policy.decision_paths(tree)[nid][:-1]
                 kids = tree.children(nid)
                 best = None
                 for u in cls.feasible[nid]:
@@ -147,6 +149,10 @@ class TestTildeShift:
         shifted = tilde_shift(tree, tables, cost, policy)
         assert shifted.skipped_stages == [1, 2]
         assert list(shifted.stages) == [0]
+        # tilde_shift reads Policy.decision_paths, which needs a decision at every node
+        partial = Policy(decisions={0: policy.decisions[0]}, decision_dim=1)
+        with pytest.raises(IncompleteFunctionError, match="no decision for node 1"):
+            tilde_shift(tree, tables, cost, partial)
 
     def test_requires_additive_form(self, binary2, binary2_class):
         cost = CostSpec.general(lambda xs, us: 0.0)
@@ -384,20 +390,20 @@ class TestLagCollapse:
     @pytest.mark.parametrize("seed", range(8))
     def test_mixed_non_finite_columns_match_the_history_loop(self, monkeypatch, seed, lag):
         tree, cost, cls = self.product_fixture(seed, lag)
-        real = dp_solvers._shifted
+        real = dp_solvers._shift_pass
         seen = {}
 
-        def spoiled(tree, tables, cost, steps):
-            out = real(tree, tables, cost, steps)
+        def spoiled(tree, tables, cost, last):
+            steps, out = real(tree, tables, cost, last)
             rng = np.random.default_rng(seed)
             pool = np.array([np.inf, -np.inf, np.nan, 1.5, -2.0, 0.0])
             for nid, values in out.items():
                 picks = rng.choice(pool, size=values.shape)
                 out[nid] = np.where(rng.random(values.shape) < 0.6, picks, values)
             seen.update(tables=tables, shifted=out)
-            return out
+            return steps, out
 
-        monkeypatch.setattr(dp_solvers, "_shifted", spoiled)
+        monkeypatch.setattr(dp_solvers, "_shift_pass", spoiled)
         # the recursion test downstream meets inf - inf; only the collapse is compared
         with np.errstate(all="ignore"):
             report = lag_recursion_check(tree, cost, cls)
@@ -975,6 +981,18 @@ class TestStagewiseCostCompiler:
         payload = stagewise_payload(911, "stage_costs")
         payload["stage_costs"].pop()
         with pytest.raises(InputFormatError, match="2 stage costs cannot cover horizon 3"):
+            sddp_from_json(payload)
+
+    def test_a_stage_cost_past_the_horizon_is_rejected(self):
+        payload = stagewise_payload(911, "stage_costs")
+        payload["stage_costs"].append({"poly": {"terms": [{"coef": 1.0, "vars": [["x", 0, -1]]}]}})
+        with pytest.raises(InputFormatError, match="^4 stage costs for horizon 3$"):
+            sddp_from_json(payload)
+
+    def test_cost_and_stage_costs_together_are_rejected(self):
+        payload = stagewise_payload(911, "stage_costs")
+        payload["cost"] = payload["stage_costs"][0]
+        with pytest.raises(InputFormatError, match=r"needs one of: cost, stage_costs \(exactly one\)"):
             sddp_from_json(payload)
 
 

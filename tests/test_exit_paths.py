@@ -85,7 +85,7 @@ class TestSolveMethods:
 
 
 def bundle_case(edit):
-    data = recourse_bundle()
+    data = copy.deepcopy(recourse_bundle())
     edit(data)
     return data
 
@@ -127,6 +127,23 @@ BUNDLE_CASES = {
         1, "node 1: observation has dimension 2, expected 1"),
     "stage out of range": (
         lambda d: d["tree"]["nodes"][2].update(stage=2), 1, "node 2: stage 2 outside 0..1"),
+    "negative lag": (
+        lambda d: d.update(cost={"form": "additive", "gamma": 0.5, "lag": -1, "stage_costs": [
+            {"builtin": "sum_decisions"}]}),
+        3, "lag -1 is negative"),
+    "unknown cost form": (lambda d: d.update(cost={"form": "foo"}), 3, "unknown cost form 'foo'"),
+    "unknown poly role": (
+        lambda d: d["cost"]["poly"]["terms"][0]["vars"][0].__setitem__(0, "z"),
+        3, "unknown variable role 'z'"),
+    "cost without payload": (
+        lambda d: d.update(cost={"form": "general"}),
+        3, "objective spec needs one of: poly, table, builtin"),
+    "short tracking weights": (
+        lambda d: d.update(cost={"form": "additive", "gamma": 0.5, "lag": 1, "stage_costs": [
+            {"builtin": "quadratic_tracking", "params": {"weights": []}}]}),
+        1, "stage cost 0 quadratic_tracking weights has 0 entries, the window needs 1"),
+    "class without kind": (
+        lambda d: d["policy_class"].pop("kind"), 3, "malformed policy class JSON: 'kind'"),
 }
 
 
@@ -141,6 +158,24 @@ def test_a_faulty_bundle_exits_with_its_message(tmp_path, capsys, name):
         code, out, err = run(capsys, command, "--input", path)
         assert (code, out) == (3, "")
         assert message in err and err.startswith("input error: ")
+
+
+class TestPolicyFiles:
+    def test_a_policy_without_decision_dim_exits_three(self, tmp_path, capsys):
+        path = write_json(tmp_path / "bundle.json", recourse_bundle())
+        policy = write_json(tmp_path / "policy.json", {"decisions": {"0": [0.0], "1": [0.0], "2": [0.0]}})
+        for command in ("verify", "dynamic-check"):
+            code, out, err = run(capsys, command, "--input", path, "--policy", policy)
+            assert (code, out) == (3, "")
+            assert err == "input error: malformed policy JSON: 'decision_dim'\n"
+
+    def test_dynamic_check_of_an_infeasible_policy_exits_three(self, tmp_path, capsys):
+        path = write_json(tmp_path / "bundle.json", recourse_bundle())
+        policy = write_json(tmp_path / "policy.json",
+                            {"decision_dim": 1, "decisions": {"0": [0.5], "1": [0.0], "2": [0.0]}})
+        code, out, err = run(capsys, "dynamic-check", "--input", path, "--policy", policy)
+        assert (code, out) == (3, "")
+        assert err == "infeasible policy: policy is not feasible in the class\n"
 
 
 #: name -> (fields that replace those of a two-state, one-action MDP, message)
@@ -200,6 +235,18 @@ STAGEWISE_CASES = {
                       "stage 2 noise probabilities sum to"),
     "cost kind": (lambda d: d.update(cost={"builtin": "sum_decisions"}),
                   "step cost spec needs one of: poly, table"),
+    "no horizon": (lambda d: d.pop("horizon"), "malformed stagewise-independent JSON: 'horizon'"),
+    "cost and stage costs": (
+        lambda d: d.update(stage_costs=[d["cost"]] * 2),
+        "a stagewise-independent problem needs one of: cost, stage_costs (exactly one)"),
+    "short stage costs": (
+        lambda d: d.update(stage_costs=[d.pop("cost")]), "1 stage costs cannot cover horizon 2"),
+    # an entry past the horizon is never evaluated, so even one that a
+    # 0 state cannot take is an input error by its count alone
+    "long stage costs": (
+        lambda d: d.update(stage_costs=[d.pop("cost")] * 2 + [
+            {"poly": {"terms": [{"coef": 1.0, "vars": [["x", 0, -1]]}]}}]),
+        "3 stage costs for horizon 2"),
 }
 
 
@@ -251,3 +298,9 @@ class TestCostFaults:
         code, out, err = run(capsys, command, "--input", path)
         assert (code, out) == (3, "")
         assert err == "error: objective evaluated to inf; it must be finite on the grid\n"
+
+    def test_a_zero_weight_on_an_overflowing_square_is_zero(self, tmp_path, capsys):
+        cost = {"form": "general", "builtin": "quadratic_tracking", "params": {"weights": [0.0]}}
+        path = write_json(tmp_path / "bundle.json", one_node_bundle(cost, [[1e200]]))
+        code, out, err = run(capsys, "solve", "--input", path)
+        assert (code, out, err) == (0, "optimal value: 0.0\nmethod: both\n", "")

@@ -351,7 +351,9 @@ class TestDecisionPaths:
         policy = Policy(decisions={0: (0.5,), 1: (-0.0,), 2: (1.5,)}, decision_dim=1)
         paths = policy.decision_paths(tree)
         assert list(paths) == list(tree.top_down())
-        assert paths == {n.id: policy.decision_path(tree, n.id) for n in tree.nodes}
+        assert paths == {
+            n.id: tuple(policy.decisions[i] for i in tree.path_nodes(n.id)) for n in tree.nodes
+        }
 
     def test_a_missing_decision_is_named(self):
         policy = Policy(decisions={0: (0.5,), 1: (1.0,)}, decision_dim=1)

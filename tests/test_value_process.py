@@ -570,7 +570,7 @@ class TestValueProcess:
         policy = recourse["perturbed_policy"]
         v_proc, _ = value_process_for_policy(tree, cost, cls, policy)
         for leaf in tree.leaves():
-            raw = cost.evaluate(path(tree, leaf), policy.decision_path(tree, leaf))
+            raw = cost.evaluate(path(tree, leaf), policy.decision_paths(tree)[leaf])
             assert v_proc[leaf] == pytest.approx(raw, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -581,7 +581,7 @@ class TestValueProcess:
         policy = next(iter_policies(binary2, cls, skip=seed))
         v_proc, V_proc = value_process_for_policy(binary2, cost, cls, policy)
         for n in binary2.nodes:
-            hist = policy.decision_path(binary2, n.id)
+            hist = policy.decision_paths(binary2)[n.id]
             assert v_proc[n.id] == pytest.approx(
                 compute_v(binary2, cost, cls, n.id, hist), abs=1e-9
             )
@@ -779,7 +779,7 @@ class TestDefinitionalRoute:
         tree, cost, cls, policy = definitional_instance(seed)
         ref = ScalarDefinitional(tree, cost, cls)
         for n in tree.nodes:
-            hist = policy.decision_path(tree, n.id)
+            hist = policy.decision_paths(tree)[n.id]
             heads = [hist] + [off_grid(hist, k) for k in range(len(hist))]
             for head in heads:
                 assert same_float(compute_v(tree, cost, cls, n.id, head), ref.v(n.id, head))
@@ -788,7 +788,7 @@ class TestDefinitionalRoute:
                 )
         v_proc, V_proc = value_process_for_policy(tree, cost, cls, policy)
         for n in tree.nodes:
-            hist = policy.decision_path(tree, n.id)
+            hist = policy.decision_paths(tree)[n.id]
             if cls.kind == "history_blind":
                 assert same_float(v_proc[n.id], ref.v(n.id, hist))
                 assert same_float(V_proc[n.id], ref.V(n.id, hist[:-1]))
@@ -804,7 +804,7 @@ class TestDefinitionalRoute:
     def test_blocks_equal_the_scalar_reference(self, seed, kind, form):
         tree, cost, cls, policy = signed_zero_instance(seed, kind, form)
         ref = ScalarDefinitional(tree, cost, cls)
-        heads = {n.id: policy.decision_path(tree, n.id) for n in tree.nodes}
+        heads = policy.decision_paths(tree)
         expected = []
         for n in tree.nodes:
             kids = tree.children(n.id)
@@ -938,7 +938,7 @@ class TestDefinitionalRoute:
         for kind in ("nodewise", "history_blind"):
             tree, cost, cls = random_instance(5, max_policies=300, kind=kind)
             policy = next(iter_policies(tree, cls, skip=7))
-            head = policy.decision_path(tree, 0)
+            head = policy.decision_paths(tree)[0]
             v, V = compute_v(tree, cost, cls, 0, head), compute_V(tree, cost, cls, 0, ())
             processes = value_process_for_policy(tree, cost, cls, policy)
             with monkeypatch.context() as m:

@@ -336,7 +336,7 @@ class TestDynamicRelationsDefinitional:
             kids = tree.children(n.id)
             if not kids:
                 continue
-            head_full = policy.decision_path(tree, n.id)
+            head_full = policy.decision_paths(tree)[n.id]
             head = head_full[:-1]
             probs = [tree.nodes[c].cond_prob for c in kids]
             rhs_V = min(
