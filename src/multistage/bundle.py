@@ -3,11 +3,14 @@ one loader per input kind: bundles, MDPs and stagewise-independent problems."""
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .costs import MAX_HORIZON, CostSpec, cost_from_json, cost_problems, verify_holder
 from .dp_solvers import MDPSpec, SddpSpec, mdp_from_json, sddp_from_json
-from .exceptions import InputFormatError, load_json, require_object
+from .exceptions import InputFormatError, _read, load_json, require_object
 from .policy import Policy, PolicyClass, policy_class_from_json, policy_from_json
 from .scenario_tree import ScenarioTree, tree_from_json, validate
 
@@ -77,12 +80,57 @@ def load_bundle(path: str) -> ProblemBundle:
     return load_json(path, bundle_from_json)
 
 
+class _Kept:
+    """Read-only specs built from files, kept for as long as the file's bytes
+    stay the same: (build, path) -> (the bytes, the spec built from them),
+    least recently used first, at most ``budget`` bytes of file text in all.
+
+    Every load reads the file. Bytes equal to the kept ones decode to the
+    same document, so the kept spec is returned; other bytes are built by
+    :func:`load_json`, which is handed the bytes already read, and their spec
+    replaces the kept one. A failed build is not kept, and a file longer
+    than the budget neither. The bookkeeping runs under a lock, the build
+    outside it.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries: OrderedDict[tuple[Callable, str], tuple[bytes, Any]] = OrderedDict()
+        self.size = 0
+        self.lock = threading.Lock()
+
+    def load(self, path: str, build: Callable[[Any], Any]) -> Any:
+        raw = _read(path)
+        key = (build, path)
+        with self.lock:
+            kept = self.entries.get(key)
+            if kept is not None and kept[0] == raw:
+                self.entries.move_to_end(key)
+                return kept[1]
+        spec = load_json(path, build, raw)
+        with self.lock:
+            if (stale := self.entries.pop(key, None)) is not None:
+                self.size -= len(stale[0])
+            if len(raw) <= self.budget:
+                self.entries[key] = (raw, spec)
+                self.size += len(raw)
+            while self.size > self.budget:
+                self.size -= len(self.entries.popitem(last=False)[1][0])
+        return spec
+
+
+#: the specs of MDP and stagewise files; 2^24 bytes of file text at most
+_KEPT = _Kept(1 << 24)
+
+
 def load_mdp(path: str) -> MDPSpec:
-    """The MDP in the JSON file at ``path``, checked as :func:`mdp_from_json` checks it."""
-    return load_json(path, mdp_from_json)
+    """The MDP in the JSON file at ``path``, checked as :func:`mdp_from_json`
+    checks it; built once while the file's bytes stay the same (:class:`_Kept`)."""
+    return _KEPT.load(path, mdp_from_json)
 
 
 def load_stagewise(path: str) -> SddpSpec:
     """The stagewise-independent problem in the JSON file at ``path``, checked
-    as :func:`sddp_from_json` checks it."""
-    return load_json(path, sddp_from_json)
+    as :func:`sddp_from_json` checks it; built once while the file's bytes
+    stay the same (:class:`_Kept`)."""
+    return _KEPT.load(path, sddp_from_json)

@@ -70,14 +70,18 @@ from .value_process import ValueTables, backward_tables
 # -- Markov decision processes -------------------------------------------------
 
 
-def _float_array(x) -> np.ndarray:
-    """``x`` as a float64 array, exactly as ``np.asarray(x, dtype=float)``
-    reads it: the same values, shape and exceptions.
+def _float_array(x, what: str) -> np.ndarray:
+    """``x`` as a float64 array, as ``np.asarray(x, dtype=float)`` reads it:
+    the same values, shape and exceptions, except that an entry of the flat
+    pass that is not a JSON number (a string, a boolean or a null, which
+    numpy reads as a float) is an input error naming ``what``.
 
     Nested lists of equal lengths, as JSON decodes an array, are read in one
-    flat pass: a walk over the nesting levels finds the shape, and one
-    ``np.fromiter`` converts the entries of the innermost lists. Anything
-    else, and any list the walk cannot read (ragged, of mixed depth, with a
+    flat pass: a walk over the nesting levels finds the shape, one
+    ``np.fromiter`` converts the entries of the innermost lists, and one
+    :func:`all_numbers` pass checks that they are JSON numbers; only when it
+    fails does a pass per entry run, to name the first fault. Anything else,
+    and any list the walk cannot read (ragged, of mixed depth, with a
     sequence among the entries), is left to ``np.asarray``.
     """
     if type(x) is list:
@@ -92,12 +96,24 @@ def _float_array(x) -> np.ndarray:
             if type(level[0][0]) is list:
                 level = list(itertools.chain.from_iterable(level))
                 continue
+            entries = list(itertools.chain.from_iterable(level))
             try:
-                entries = itertools.chain.from_iterable(level)
-                return np.fromiter(entries, float, math.prod(shape)).reshape(shape)
+                flat = np.fromiter(entries, float, len(entries))
             except (TypeError, ValueError):
                 break
+            if not all_numbers(entries):
+                require_numbers(entries, f"MDP {what} entry")
+            return flat.reshape(shape)
     return np.asarray(x, dtype=float)
+
+
+def _read_only(x, what: str) -> np.ndarray:
+    """``x`` as a read-only float64 array: a decoded JSON list read by
+    :func:`_float_array`, anything else copied, so an array of the caller's
+    stays writable."""
+    out = _float_array(x, what) if type(x) is list else np.array(x, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,7 +125,8 @@ class MDPSpec:
     stage-dependent problems pass ``stage_costs`` (one such array per
     transition) to the backward induction instead. The spec checks itself
     when it is built: :meth:`validate`'s problems raise one
-    :class:`InputFormatError`.
+    :class:`InputFormatError`. Its arrays are read-only copies
+    (:func:`_read_only`), so one spec can be shared by every caller.
     """
 
     states: tuple[tuple[float, ...], ...]
@@ -122,13 +139,13 @@ class MDPSpec:
     actions_by_state: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel", _float_array(self.kernel))
+        object.__setattr__(self, "kernel", _read_only(self.kernel, "kernel"))
         if self.cost is not None:
-            object.__setattr__(self, "cost", _float_array(self.cost))
+            object.__setattr__(self, "cost", _read_only(self.cost, "cost"))
         if self.stage_costs is not None:
-            object.__setattr__(
-                self, "stage_costs", tuple(_float_array(c) for c in self.stage_costs)
-            )
+            object.__setattr__(self, "stage_costs", tuple(
+                _read_only(c, f"stage_costs[{t}]") for t, c in enumerate(self.stage_costs)
+            ))
         problems = self.validate()
         if problems:
             raise InputFormatError("; ".join(problems))
@@ -716,7 +733,7 @@ class SddpSpec:
 
     def step_array(self, t: int) -> np.ndarray:
         """Stage t's :func:`_step_array`, over its states, noise values and
-        decisions; evaluated at the first call and kept."""
+        decisions; evaluated at the first call and kept, read-only."""
         if t not in self._steps:
             self._steps[t] = _step_array(
                 self.stage_step_costs[t], self.support(t), self.support(t + 1),
@@ -731,7 +748,8 @@ def _step_array(cost: Callable, states, outcomes, decisions) -> np.ndarray:
     It is one :func:`costs.window_values` call on the one-row windows
     ((x_t, x_{t+1}), (u_t,)) whose positions range over the three grids on
     axes 1-3, so a compiled step cost broadcasts and any other is called
-    entry by entry, in C order. Non-finite entries are kept.
+    entry by entry, in C order. Non-finite entries are kept. The array is a
+    read-only view, as ``np.broadcast_to`` returns one.
     """
     xs = GridWindow.single([states, outcomes], (1, 2), 4)
     us = GridWindow.single([decisions], (3,), 4)
@@ -915,7 +933,8 @@ def unroll_mdp_to_tree(
 def mdp_from_json(data: dict) -> MDPSpec:
     """MDP from a JSON object. ``gamma``, ``bound_K`` and the entries of the state and
     action vectors must be JSON numbers; :class:`MDPSpec` reads the arrays
-    as numpy reads them (:func:`_float_array`)."""
+    as numpy reads them, a string, boolean or null entry rejected
+    (:func:`_float_array`)."""
     require_object(data, "malformed MDP JSON: an MDP")
     try:
         return MDPSpec(

@@ -111,19 +111,25 @@ def _decode(raw: bytes) -> Any:
         return json.load(text)
 
 
-def load_json(path: str, build: Callable[[Any], T]) -> T:
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def load_json(path: str, build: Callable[[Any], T], raw: bytes | None = None) -> T:
     """``build`` applied to the JSON document in the file at ``path``; an input
     error naming the file if it is not UTF-8 JSON, or if it nests too deeply
-    to decode or build. Every input file is read through here.
+    to decode or build. Every input file is decoded through here.
 
-    The file's bytes are read once and decoded by :func:`_decode`. The
+    The file's bytes are read once, unless the caller has read them already
+    and passes them as ``raw``, and decoded by :func:`_decode`. The
     cyclic garbage collector is paused for the decode and the build: a
     decoded document holds no reference cycles, so the collections its many
     containers would trigger free nothing. The collector is left as it was
     found, enabled or not, on return and on error.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    if raw is None:
+        raw = _read(path)
     enabled = gc.isenabled()
     gc.disable()
     try:

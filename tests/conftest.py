@@ -20,6 +20,21 @@ settings.load_profile("deterministic")
 
 
 @pytest.fixture
+def empty_memo(monkeypatch):
+    """A function that empties the memo of built MDP and stagewise specs
+    (``bundle._KEPT``) and returns it. The test starts with the memo emptied,
+    and the memo in use before it is back after it."""
+    from multistage import bundle
+
+    def empty():
+        monkeypatch.setattr(bundle, "_KEPT", bundle._Kept(bundle._KEPT.budget))
+        return bundle._KEPT
+
+    empty()
+    return empty
+
+
+@pytest.fixture
 def chain3():
     """Deterministic T=2 chain with observations 0, 1, 2."""
     from instances import chain_tree

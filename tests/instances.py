@@ -18,6 +18,7 @@ along a set of trajectories).
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -410,7 +411,8 @@ def tree_to_json(tree: ScenarioTree) -> dict:
 
 
 def cost_to_json(cost: CostSpec) -> dict:
-    return document(cost)
+    """A copy of the cost's JSON document, which the caller may edit."""
+    return copy.deepcopy(document(cost))
 
 
 def policy_class_to_json(cls: PolicyClass) -> dict:

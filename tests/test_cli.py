@@ -4,11 +4,13 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from multistage.bundle import ProblemBundle, load_bundle, load_mdp, load_stagewise
@@ -770,6 +772,21 @@ SPOILED_MDPS = {
 }
 
 
+# array entries of constant_cost_mdp()'s JSON that are not JSON numbers, and the message
+NON_NUMBER_MDPS = {
+    "string-kernel": ({"kernel": [["0.5", 0.5], [0.5, 0.5]]},
+                      "MDP kernel entry must be a number, got '0.5'"),
+    "true-cost": ({"cost": [[[True], [1.0]], [[1.0], [1.0]]]},
+                  "MDP cost entry must be a number, got True"),
+    "false-kernel": ({"kernel": [[0.5, 0.5], [False, 1.0]]},
+                     "MDP kernel entry must be a number, got False"),
+    "string-stage-cost": ({"stage_costs": [ONES, [[[1.0], ["1"]], [[1.0], [1.0]]]]},
+                          "MDP stage_costs[1] entry must be a number, got '1'"),
+    "null-cost": ({"cost": [[[1.0], [1.0]], [[None], [1.0]]]},
+                  "MDP cost entry must be a number, got None"),
+}
+
+
 class TestLoaders:
     """One loader per input kind reads the file and builds the checked spec."""
 
@@ -787,7 +804,7 @@ class TestLoaders:
         with pytest.raises(InputFormatError, match=f"^{re.escape(str(path))}: "):
             load(str(path))
 
-    def test_load_mdp_runs_no_collection_and_restores_the_collector(self, tmp_path):
+    def test_load_mdp_runs_no_collection_and_restores_the_collector(self, tmp_path, empty_memo):
         """The collector is paused for the decode and the build of a large MDP
         (10 000 cost rows) and left as it was found, also after an error."""
         path = write_json(tmp_path / "mdp.json", mdp_to_json(
@@ -807,6 +824,7 @@ class TestLoaders:
             for enabled in (True, False):
                 (gc.enable if enabled else gc.disable)()
                 loading.append(path)
+                empty_memo()  # the file is built at each pass
                 try:
                     mdp = load_mdp(path)
                 finally:
@@ -842,6 +860,152 @@ class TestLoaders:
         monkeypatch.setattr(cli, "load_json", None)  # the handler must not read the file
         assert main([*command, "--input", path, "--json"]) == 0
         assert calls == [path]
+
+
+class TestKeptSpecs:
+    """``load_mdp`` and ``load_stagewise`` build a file once while its bytes
+    stay the same, and the specs they share are read-only."""
+
+    @staticmethod
+    def files(tmp_path):
+        mdp = write_json(tmp_path / "mdp.json", mdp_to_json(constant_cost_mdp(gamma=0.5)))
+        stagewise = write_json(tmp_path / "sddp.json",
+                               document(random_sddp(rng_from_seed(8), horizon=2)))
+        return [(load_mdp, mdp), (load_stagewise, stagewise)]
+
+    def test_the_real_budget_is_2_to_the_24_bytes(self):
+        from multistage import bundle
+
+        assert bundle._KEPT.budget == 2**24
+
+    def test_identical_bytes_return_the_same_spec(self, tmp_path, empty_memo):
+        for load, path in self.files(tmp_path):
+            spec = load(path)
+            Path(path).write_bytes(Path(path).read_bytes())  # rewritten, same bytes
+            assert load(path) is spec
+
+    def test_bytes_rewritten_under_the_same_size_and_mtime_are_rebuilt(self, tmp_path, empty_memo):
+        for load, path in self.files(tmp_path):
+            spec = load(path)
+            before, text = os.stat(path), Path(path).read_text()
+            Path(path).write_text(text.replace('"gamma": 0.5', '"gamma": 0.4'))
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            after = os.stat(path)
+            assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+            rebuilt = load(path)
+            assert rebuilt is not spec and (spec.gamma, rebuilt.gamma) == (0.5, 0.4)
+            assert load(path) is rebuilt
+
+    def test_a_failed_load_is_not_kept(self, tmp_path, empty_memo):
+        kept = empty_memo()
+        data = mdp_to_json(constant_cost_mdp(gamma=0.5))
+        good = json.dumps(data)
+        path = tmp_path / "mdp.json"
+        path.write_text(good)
+        spec = load_mdp(str(path))
+        path.write_text(json.dumps({**data, "kernel": [[0.5, 0.6], [0.5, 0.5]]}))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InputFormatError) as exc:
+                load_mdp(str(path))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] and "kernel row 0 sums to" in messages[0]
+        assert [raw for raw, _ in kept.entries.values()] == [good.encode()]
+        path.write_text(good)  # the bytes of the kept spec again
+        assert load_mdp(str(path)) is spec
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        with pytest.raises(InputFormatError):
+            load_stagewise(str(bad))
+        assert len(kept.entries) == 1
+
+    def test_eviction_is_least_recently_used_within_the_budget(self, tmp_path):
+        from multistage.bundle import _Kept
+        from multistage.dp_solvers import mdp_from_json
+
+        paths = []
+        for name, gamma in [("a", 0.1), ("b", 0.2), ("c", 0.3), ("d", 0.4)]:
+            data = mdp_to_json(constant_cost_mdp(gamma=gamma))
+            paths.append(write_json(tmp_path / f"{name}.json", data))
+        size = os.stat(paths[0]).st_size
+        assert all(os.stat(p).st_size == size for p in paths)
+        kept = _Kept(3 * size - 1)  # room for two files, not three
+        a, b, c, d = paths
+        specs = {p: kept.load(p, mdp_from_json) for p in (a, b)}
+        assert kept.load(a, mdp_from_json) is specs[a]  # a is now the most recent
+        specs[c] = kept.load(c, mdp_from_json)  # evicts b, the least recently used
+        assert [p for _, p in kept.entries] == [a, c] and kept.size == 2 * size
+        assert kept.load(c, mdp_from_json) is specs[c]
+        assert kept.load(b, mdp_from_json) is not specs[b]  # rebuilt; evicts a
+        assert [p for _, p in kept.entries] == [c, b]
+        small = _Kept(size - 1)  # no file fits
+        assert small.load(d, mdp_from_json).gamma == 0.4
+        assert not small.entries and small.size == 0
+
+    def test_threads_sharing_the_memo_keep_its_size_exact(self, tmp_path):
+        import threading
+
+        from multistage.bundle import _Kept
+        from multistage.dp_solvers import mdp_from_json
+
+        gammas = [0.1, 0.2, 0.3, 0.4, 0.6]
+        paths = [write_json(tmp_path / f"m{k}.json", mdp_to_json(constant_cost_mdp(gamma=g)))
+                 for k, g in enumerate(gammas)]
+        kept = _Kept(2 * os.stat(paths[0]).st_size + 10)  # two files at a time: evictions
+        wrong = []
+
+        def work(k):
+            for i in range(40):
+                j = (k + i) % len(paths)
+                if kept.load(paths[j], mdp_from_json).gamma != gammas[j]:
+                    wrong.append((k, i))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads) and wrong == []
+        assert kept.size == sum(len(raw) for raw, _ in kept.entries.values()) <= kept.budget
+
+    def test_a_file_over_the_budget_is_not_kept(self, tmp_path, empty_memo):
+        kept = empty_memo()
+        path = tmp_path / "mdp.json"
+        small = write_json(tmp_path / "small.json", mdp_to_json(constant_cost_mdp(gamma=0.5)))
+        load_mdp(small)
+        text = json.dumps(mdp_to_json(constant_cost_mdp(gamma=0.5)))
+        path.write_text(text + " " * (kept.budget + 1 - len(text)))  # JSON whitespace
+        spec = load_mdp(str(path))
+        assert spec.gamma == 0.5 and load_mdp(str(path)) is not spec
+        assert [p for _, p in kept.entries] == [small]
+
+    def test_kept_arrays_are_read_only(self, tmp_path, empty_memo):
+        (_, mdp_path), (_, sddp_path) = self.files(tmp_path)
+        data = {**mdp_to_json(constant_cost_mdp(gamma=0.5)), "stage_costs": [ONES, ONES]}
+        staged = load_mdp(write_json(tmp_path / "staged.json", data))
+        spec = load_stagewise(sddp_path)
+        arrays = [load_mdp(mdp_path).kernel, load_mdp(mdp_path).cost, *staged.stage_costs,
+                  *(spec.step_array(t) for t in range(spec.horizon))]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 7.0
+
+    def test_a_callers_array_stays_writable(self):
+        from multistage.dp_solvers import MDPSpec
+
+        kernel, cost = np.full((2, 2), 0.5), np.ones((2, 2, 1))
+        mdp = MDPSpec(states=((0.0,), (1.0,)), actions=((0.0,),), kernel=kernel, cost=cost,
+                      gamma=0.5, bound_K=1.0, stage_costs=(cost,))
+        assert kernel.flags.writeable and cost.flags.writeable
+        kernel[0, 0] = 7.0
+        cost[0, 0, 0] = 7.0
+        assert mdp.kernel[0, 0] == 0.5 and mdp.cost[0, 0, 0] == mdp.stage_costs[0][0, 0, 0] == 1.0
+        assert not mdp.kernel.flags.writeable
 
 
 class TestMdpCommands:
@@ -932,6 +1096,15 @@ class TestMdpCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("case", sorted(NON_NUMBER_MDPS))
+    @pytest.mark.parametrize("command", [["mdp-solve", "--horizon", "2"], ["value-iterate"]])
+    def test_a_non_number_array_entry_exits_three(self, tmp_path, capsys, command, case):
+        fields, message = NON_NUMBER_MDPS[case]
+        data = {**mdp_to_json(constant_cost_mdp(gamma=0.5)), **fields}
+        path = write_json(tmp_path / "mdp.json", data)
+        assert main([*command, "--input", path]) == 3
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
 
     @pytest.mark.parametrize(
         "flags",
@@ -1137,7 +1310,7 @@ class TestSddpCommand:
         full = write_json(tmp_path / "full.json", dict(payload, cost={"table": {"entries": entries}}))
         assert main(["sddp-solve", "--input", full, "--json"]) == 0
 
-    def test_a_table_is_matched_once_per_stage(self, tmp_path, capsys, monkeypatch):
+    def test_a_table_is_matched_once_per_stage(self, tmp_path, capsys, monkeypatch, empty_memo):
         # the load check and the recursion read the same step arrays
         import multistage.dp_solvers as dp
         from test_golden_reports import sddp_table

@@ -10,7 +10,7 @@ cli_lines = sys.modules["cli_lines"] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_lines)
 
 #: the reached share of function-body lines when the tool was added; it may only rise
-COMMITTED_SHARE = 0.6395
+COMMITTED_SHARE = 0.6411
 
 SOURCE = '''def f(x):
     """Docstring."""

@@ -1043,6 +1043,10 @@ def _asarray(x):
     return np.asarray(x, dtype=float)
 
 
+def _float_array(x):
+    return dp_solvers._float_array(x, "kernel")
+
+
 _ENTRIES = st.one_of(
     st.integers(min_value=-(2**1000), max_value=2**1000),
     st.floats(allow_nan=True, allow_infinity=True),
@@ -1066,24 +1070,30 @@ def _nested(draw, depth_max=3):
 
 
 class TestFloatArray:
-    """``_float_array`` reads a decoded JSON array exactly as ``np.asarray(x,
-    dtype=float)`` does: the same values, shape and exception class."""
+    """``_float_array`` reads a decoded JSON array of numbers exactly as
+    ``np.asarray(x, dtype=float)`` does: the same values, shape and
+    exception class. A string, a boolean or a null in its flat pass, which
+    numpy reads as 0.5, 1.0 or nan, is an input error."""
 
     @given(_nested())
     def test_nested_lists_read_as_numpy_reads_them(self, x):
-        out = _read(dp_solvers._float_array, x)
+        out = _read(_float_array, x)
         assert isinstance(out, tuple) and out == _read(_asarray, x)
 
     @given(st.recursive(_ENTRIES, lambda inner: st.lists(inner, max_size=3), max_leaves=12))
     def test_ragged_and_mixed_depth_lists_fail_as_numpy_fails(self, x):
-        assert _read(dp_solvers._float_array, x) == _read(_asarray, x)
+        assert _read(_float_array, x) == _read(_asarray, x)
 
-    @pytest.mark.parametrize("x, expected", [
-        (["0.5", True, None], [0.5, 1.0, math.nan]),
-        ([[1, 2], [3, 4.5]], [[1.0, 2.0], [3.0, 4.5]]),
+    def test_leaves_convert_as_numpy_converts_them(self):
+        np.testing.assert_array_equal(_float_array([[1, 2], [3, 4.5]]), [[1.0, 2.0], [3.0, 4.5]])
+
+    @pytest.mark.parametrize("x, fault", [
+        ([[0.5, "0.5"]], "'0.5'"), ([[1.0], [True]], "True"), ([False, 1.0], "False"),
+        (["0.5", True, None], "'0.5'"), ([[1.0, None]], "None"),
     ])
-    def test_leaves_convert_as_numpy_converts_them(self, x, expected):
-        np.testing.assert_array_equal(dp_solvers._float_array(x), expected)
+    def test_strings_booleans_and_nulls_are_input_errors(self, x, fault):
+        with pytest.raises(InputFormatError, match=f"^MDP kernel entry must be a number, got {fault}$"):
+            _float_array(x)
 
     @pytest.mark.parametrize("x, error", [
         ([[1.0], [10**400]], OverflowError),
@@ -1095,5 +1105,5 @@ class TestFloatArray:
         with pytest.raises(error):
             _asarray(x)
         with pytest.raises(error):
-            dp_solvers._float_array(x)
+            _float_array(x)
 

@@ -85,9 +85,16 @@ class TestSolveMethods:
 
 
 def bundle_case(edit):
-    data = copy.deepcopy(recourse_bundle())
+    data = recourse_bundle()
     edit(data)
     return data
+
+
+def test_an_edited_case_leaves_later_bundles_alone():
+    # the writer returns a copy of the cost's document, not the document itself
+    edited = bundle_case(lambda d: d["cost"]["poly"]["terms"][0]["vars"][0].__setitem__(0, "z"))
+    assert edited["cost"]["poly"]["terms"][0]["vars"][0][0] == "z"
+    assert recourse_bundle()["cost"]["poly"]["terms"][0]["vars"][0][0] == "u"
 
 
 def add_policy(data, decisions, dim=1):
