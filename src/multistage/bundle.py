@@ -1,29 +1,46 @@
 """Problem bundles: tree, cost and class shipped as one JSON document, and
-one loader per input kind: bundles, MDPs and stagewise-independent problems."""
+one loader per input kind: bundles, MDPs and stagewise-independent problems.
+
+Every loader builds a file once while its bytes stay the same
+(:func:`~multistage.exceptions.load_kept`) and shares what it built, so
+bundles and specs are read-only.
+"""
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 from .costs import MAX_HORIZON, CostSpec, cost_from_json, cost_problems, verify_holder
 from .dp_solvers import MDPSpec, SddpSpec, mdp_from_json, sddp_from_json
-from .exceptions import InputFormatError, _read, load_json, require_object
+from .exceptions import InputFormatError, load_kept, require_object
 from .policy import Policy, PolicyClass, policy_class_from_json, policy_from_json
 from .scenario_tree import ScenarioTree, tree_from_json, validate
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemBundle:
+    """A tree, a cost, a policy class and named policies; read-only, with
+    ``policies`` a read-only mapping, so one bundle can be shared by every
+    caller."""
+
     tree: ScenarioTree
     cost: CostSpec
     cls: PolicyClass
-    policies: dict[str, Policy] = field(default_factory=dict)
+    policies: Mapping[str, Policy] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "policies", MappingProxyType(dict(self.policies)))
 
     def validate(self) -> list[str]:
-        """Tree invariants, cross-references between the pieces and cost payload faults."""
+        """Tree invariants, cross-references between the pieces and cost payload
+        faults, as a fresh list; they are found once per bundle."""
+        return list(self._problems)
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
         problems = validate(self.tree)
         node_ids = {n.id for n in self.tree.nodes}
         feasible_ids = set(self.cls.feasible)
@@ -58,7 +75,7 @@ class ProblemBundle:
                 )
             for missing in sorted(node_ids - set(policy.decisions)):
                 problems.append(f"policy {name!r} has no decision for node {missing}")
-        return problems
+        return tuple(problems)
 
 
 def bundle_from_json(data: dict) -> ProblemBundle:
@@ -76,61 +93,45 @@ def bundle_from_json(data: dict) -> ProblemBundle:
     return ProblemBundle(tree=tree, cost=cost, cls=cls, policies=policies)
 
 
+class _NoBundle(Exception):
+    """Raised with a decoded document that holds no bundle (not an object, or
+    without a ``tree``) as its argument: a failed load, so nothing is kept."""
+
+
+def _bundle_of(data) -> ProblemBundle:
+    """The bundle of an object with a ``tree``; :class:`_NoBundle` for any other document."""
+    if isinstance(data, dict) and "tree" in data:
+        return bundle_from_json(data)
+    raise _NoBundle(data)
+
+
 def load_bundle(path: str) -> ProblemBundle:
-    return load_json(path, bundle_from_json)
+    """The bundle in the JSON file at ``path``, as :func:`bundle_from_json`
+    builds it; built once while the file's bytes stay the same."""
+    try:
+        return load_kept(path, _bundle_of)
+    except _NoBundle as exc:
+        return bundle_from_json(exc.args[0])  # raises: not an object, or no tree
 
 
-class _Kept:
-    """Read-only specs built from files, kept for as long as the file's bytes
-    stay the same: (build, path) -> (the bytes, the spec built from them),
-    least recently used first, at most ``budget`` bytes of file text in all.
-
-    Every load reads the file. Bytes equal to the kept ones decode to the
-    same document, so the kept spec is returned; other bytes are built by
-    :func:`load_json`, which is handed the bytes already read, and their spec
-    replaces the kept one. A failed build is not kept, and a file longer
-    than the budget neither. The bookkeeping runs under a lock, the build
-    outside it.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.entries: OrderedDict[tuple[Callable, str], tuple[bytes, Any]] = OrderedDict()
-        self.size = 0
-        self.lock = threading.Lock()
-
-    def load(self, path: str, build: Callable[[Any], Any]) -> Any:
-        raw = _read(path)
-        key = (build, path)
-        with self.lock:
-            kept = self.entries.get(key)
-            if kept is not None and kept[0] == raw:
-                self.entries.move_to_end(key)
-                return kept[1]
-        spec = load_json(path, build, raw)
-        with self.lock:
-            if (stale := self.entries.pop(key, None)) is not None:
-                self.size -= len(stale[0])
-            if len(raw) <= self.budget:
-                self.entries[key] = (raw, spec)
-                self.size += len(raw)
-            while self.size > self.budget:
-                self.size -= len(self.entries.popitem(last=False)[1][0])
-        return spec
-
-
-#: the specs of MDP and stagewise files; 2^24 bytes of file text at most
-_KEPT = _Kept(1 << 24)
+def load_bundle_or_tree(path: str) -> ProblemBundle | ScenarioTree:
+    """The bundle in the JSON file at ``path`` (:func:`load_bundle`), or else
+    the tree of a file that holds an object without a ``tree``, built anew
+    on every call."""
+    try:
+        return load_kept(path, _bundle_of)
+    except _NoBundle as exc:
+        return tree_from_json(require_object(exc.args[0], path))
 
 
 def load_mdp(path: str) -> MDPSpec:
     """The MDP in the JSON file at ``path``, checked as :func:`mdp_from_json`
-    checks it; built once while the file's bytes stay the same (:class:`_Kept`)."""
-    return _KEPT.load(path, mdp_from_json)
+    checks it; built once while the file's bytes stay the same."""
+    return load_kept(path, mdp_from_json)
 
 
 def load_stagewise(path: str) -> SddpSpec:
     """The stagewise-independent problem in the JSON file at ``path``, checked
     as :func:`sddp_from_json` checks it; built once while the file's bytes
-    stay the same (:class:`_Kept`)."""
-    return _KEPT.load(path, sddp_from_json)
+    stay the same."""
+    return load_kept(path, sddp_from_json)

@@ -26,7 +26,13 @@ import sys
 import orjson
 
 from . import __version__
-from .bundle import ProblemBundle, bundle_from_json, load_bundle, load_mdp, load_stagewise
+from .bundle import (
+    ProblemBundle,
+    load_bundle,
+    load_bundle_or_tree,
+    load_mdp,
+    load_stagewise,
+)
 from .costs import MAX_HORIZON
 from .dp_solvers import MAX_SWEEPS, mdp_backward_induction, sddp_recursion, value_iteration
 from .exceptions import (
@@ -35,12 +41,10 @@ from .exceptions import (
     InfeasiblePolicyError,
     InputFormatError,
     MultistageError,
-    load_json,
-    require_object,
 )
 from .generate import interchange_fixture, rng_from_seed
 from .policy import DEFAULT_ENUMERATION_CAP, load_policy, policy_to_json
-from .scenario_tree import tree_from_json, unconditional_probability, validate
+from .scenario_tree import unconditional_probability, validate
 from .tolerances import DEFAULT_TOL, INEQUALITY_SLACK
 from .value_process import (
     backward_tables,
@@ -158,11 +162,7 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def cmd_validate(args) -> int:
-    def build(data):
-        require_object(data, args.input)
-        return bundle_from_json(data) if "tree" in data else tree_from_json(data)
-
-    loaded = load_json(args.input, build)
+    loaded = load_bundle_or_tree(args.input)
     problems = loaded.validate() if isinstance(loaded, ProblemBundle) else validate(loaded)
     report = {"input": args.input, "violations": problems, "valid": not problems}
     _emit(

@@ -73,8 +73,8 @@ from .value_process import ValueTables, backward_tables
 def _float_array(x, what: str) -> np.ndarray:
     """``x`` as a float64 array, as ``np.asarray(x, dtype=float)`` reads it:
     the same values, shape and exceptions, except that an entry of the flat
-    pass that is not a JSON number (a string, a boolean or a null, which
-    numpy reads as a float) is an input error naming ``what``.
+    pass that is not a JSON number (a string, a boolean, a null or an
+    object) is an input error naming ``what``.
 
     Nested lists of equal lengths, as JSON decodes an array, are read in one
     flat pass: a walk over the nesting levels finds the shape, one
@@ -82,7 +82,7 @@ def _float_array(x, what: str) -> np.ndarray:
     :func:`all_numbers` pass checks that they are JSON numbers; only when it
     fails does a pass per entry run, to name the first fault. Anything else,
     and any list the walk cannot read (ragged, of mixed depth, with a
-    sequence among the entries), is left to ``np.asarray``.
+    list among the entries), is left to ``np.asarray``.
     """
     if type(x) is list:
         shape, level = [], [x]
@@ -99,10 +99,14 @@ def _float_array(x, what: str) -> np.ndarray:
             entries = list(itertools.chain.from_iterable(level))
             try:
                 flat = np.fromiter(entries, float, len(entries))
-            except (TypeError, ValueError):
-                break
+            except (TypeError, ValueError):  # a list, or an entry numpy cannot read
+                if list in set(map(type, entries)):
+                    break
+                flat = None
             if not all_numbers(entries):
                 require_numbers(entries, f"MDP {what} entry")
+            if flat is None:
+                break
             return flat.reshape(shape)
     return np.asarray(x, dtype=float)
 

@@ -1,11 +1,14 @@
-"""Exception types shared across the package, and the JSON file loader and
-object, integer and number checks that raise one."""
+"""Exception types shared across the package, the JSON file loader and the
+memo of what it built (:func:`load_kept`), and the object, integer and
+number checks that raise one."""
 
 from __future__ import annotations
 
 import gc
 import io
 import json
+import threading
+from collections import OrderedDict
 from typing import Any, Callable, Iterable, TypeVar
 
 import orjson
@@ -143,6 +146,58 @@ def load_json(path: str, build: Callable[[Any], T], raw: bytes | None = None) ->
     finally:
         if enabled:
             gc.enable()
+
+
+class _Kept:
+    """Read-only objects built from files, kept for as long as the file's
+    bytes stay the same: (build, path) -> (the bytes, the object built from
+    them), least recently used first, at most ``budget`` bytes of file text
+    in all.
+
+    Every load reads the file. Bytes equal to the kept ones decode to the
+    same document, so the kept object is returned; other bytes are built by
+    :func:`load_json`, which is handed the bytes already read, and their
+    object replaces the kept one. A failed build is not kept, and a file
+    longer than the budget neither. The bookkeeping runs under a lock, the
+    build outside it.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries: OrderedDict[tuple[Callable, str], tuple[bytes, Any]] = OrderedDict()
+        self.size = 0
+        self.lock = threading.Lock()
+
+    def load(self, path: str, build: Callable[[Any], T]) -> T:
+        raw = _read(path)
+        key = (build, path)
+        with self.lock:
+            kept = self.entries.get(key)
+            if kept is not None and kept[0] == raw:
+                self.entries.move_to_end(key)
+                return kept[1]
+        built = load_json(path, build, raw)
+        with self.lock:
+            if (stale := self.entries.pop(key, None)) is not None:
+                self.size -= len(stale[0])
+            if len(raw) <= self.budget:
+                self.entries[key] = (raw, built)
+                self.size += len(raw)
+            while self.size > self.budget:
+                self.size -= len(self.entries.popitem(last=False)[1][0])
+        return built
+
+
+#: the objects built from input files; 2^24 bytes of file text at most
+_KEPT = _Kept(1 << 24)
+
+
+def load_kept(path: str, build: Callable[[Any], T]) -> T:
+    """:func:`load_json` of ``build`` on the file at ``path``, built once while
+    the file's bytes stay the same (:class:`_Kept`). ``build`` must be a
+    module-level function, so that its calls share one entry per file, and
+    what it returns must be read-only, since every caller shares it."""
+    return _KEPT.load(path, build)
 
 
 def require_object(value, what: str) -> dict:

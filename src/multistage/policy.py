@@ -25,14 +25,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .exceptions import (
     EnumerationCapError,
     IncompleteFunctionError,
     InputFormatError,
     all_numbers,
-    load_json,
+    load_kept,
     require_int,
     require_node_key,
     require_numbers,
@@ -48,9 +49,10 @@ Decision = tuple[float, ...]
 
 @dataclass(frozen=True)
 class Policy:
-    """One decision vector per tree node; immutable."""
+    """One decision vector per tree node; immutable, with ``decisions`` a
+    read-only mapping from node ids to tuples of floats."""
 
-    decisions: dict[int, Decision]
+    decisions: Mapping[int, Decision]
     decision_dim: int
 
     def __post_init__(self):
@@ -61,13 +63,23 @@ class Policy:
             require_node_key(k, "policy"): tuple(map(float, v))
             for k, v in self.decisions.items()
         }
-        object.__setattr__(self, "decisions", normalized)
+        object.__setattr__(self, "decisions", MappingProxyType(normalized))
         for nid, dec in normalized.items():
             if len(dec) != self.decision_dim:
                 raise InputFormatError(
                     f"decision at node {nid} has dimension {len(dec)}, "
                     f"expected {self.decision_dim}"
                 )
+
+    @classmethod
+    def _of_grids(cls, decisions: dict[int, Decision], decision_dim: int) -> Policy:
+        """The policy of ``decisions`` picked from the grids of a
+        :class:`PolicyClass` of ``decision_dim``, which hold checked
+        decisions already, so they are not checked again."""
+        policy = object.__new__(cls)
+        object.__setattr__(policy, "decisions", MappingProxyType(decisions))
+        object.__setattr__(policy, "decision_dim", decision_dim)
+        return policy
 
     def decision_paths(self, tree: ScenarioTree) -> dict[int, tuple[Decision, ...]]:
         """Every node's decision history, each extending its parent's, top down."""
@@ -82,9 +94,10 @@ class Policy:
 
 @dataclass(frozen=True)
 class PolicyClass:
-    """Finite feasible decision sets per node and a slot map of shared decisions."""
+    """Finite feasible decision sets per node and a slot map of shared
+    decisions; immutable, with ``feasible`` a read-only mapping."""
 
-    feasible: dict[int, tuple[Decision, ...]]
+    feasible: Mapping[int, tuple[Decision, ...]]
     kind: str
     decision_dim: int
 
@@ -109,7 +122,7 @@ class PolicyClass:
                         f"expected {self.decision_dim}"
                     )
             normalized[nid] = entries
-        object.__setattr__(self, "feasible", normalized)
+        object.__setattr__(self, "feasible", MappingProxyType(normalized))
 
     # -- structure ---------------------------------------------------------
 
@@ -188,9 +201,8 @@ def _policy_at(
     indices: Sequence[int],
 ) -> Policy:
     """The policy that gives every node entry ``indices[s]`` of its slot's grid."""
-    return Policy(
-        decisions={nid: grids[s][indices[s]] for nid, s in enumerate(slot_of)},
-        decision_dim=cls.decision_dim,
+    return Policy._of_grids(
+        {nid: grids[s][indices[s]] for nid, s in enumerate(slot_of)}, cls.decision_dim
     )
 
 
@@ -227,4 +239,7 @@ def policy_class_from_json(data: dict) -> PolicyClass:
 
 
 def load_policy(path: str) -> Policy:
-    return load_json(path, policy_from_json)
+    """The policy in the JSON file at ``path``, as :func:`policy_from_json`
+    builds it; built once while the file's bytes stay the same
+    (:func:`~multistage.exceptions.load_kept`)."""
+    return load_kept(path, policy_from_json)

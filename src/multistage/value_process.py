@@ -530,7 +530,7 @@ def greedy_policy_from_tables(
             descend(c, idx + (best,))
 
     descend(0, ())
-    return Policy(decisions=decisions, decision_dim=cls.decision_dim)
+    return Policy._of_grids(decisions, cls.decision_dim)
 
 
 # -- brute force ---------------------------------------------------------------

@@ -21,14 +21,14 @@ settings.load_profile("deterministic")
 
 @pytest.fixture
 def empty_memo(monkeypatch):
-    """A function that empties the memo of built MDP and stagewise specs
-    (``bundle._KEPT``) and returns it. The test starts with the memo emptied,
-    and the memo in use before it is back after it."""
-    from multistage import bundle
+    """A function that empties the memo of objects built from input files
+    (``exceptions._KEPT``) and returns it. The test starts with the memo
+    emptied, and the memo in use before it is back after it."""
+    from multistage import exceptions
 
     def empty():
-        monkeypatch.setattr(bundle, "_KEPT", bundle._Kept(bundle._KEPT.budget))
-        return bundle._KEPT
+        monkeypatch.setattr(exceptions, "_KEPT", exceptions._Kept(exceptions._KEPT.budget))
+        return exceptions._KEPT
 
     empty()
     return empty

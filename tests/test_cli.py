@@ -13,12 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multistage.bundle import ProblemBundle, load_bundle, load_mdp, load_stagewise
+from multistage.bundle import (
+    ProblemBundle,
+    load_bundle,
+    load_bundle_or_tree,
+    load_mdp,
+    load_stagewise,
+)
 from multistage.cli import build_parser, main
 from multistage.costs import CostSpec, verify_holder
 from multistage.exceptions import EnumerationCapError, InputFormatError, MultistageError
 from multistage.generate import random_tree, rng_from_seed
-from multistage.policy import Policy, PolicyClass, policy_to_json
+from multistage.policy import Policy, PolicyClass, load_policy, policy_to_json
 from multistage.scenario_tree import Node, ScenarioTree
 from multistage.value_process import backward_tables, brute_force_optimum, expected_value
 from multistage.verification import check_dynamic_relations, verify_policy
@@ -776,6 +782,8 @@ SPOILED_MDPS = {
 NON_NUMBER_MDPS = {
     "string-kernel": ({"kernel": [["0.5", 0.5], [0.5, 0.5]]},
                       "MDP kernel entry must be a number, got '0.5'"),
+    "non-numeric-string-kernel": ({"kernel": [["abc", 0.5], [0.5, 0.5]]},
+                                  "MDP kernel entry must be a number, got 'abc'"),
     "true-cost": ({"cost": [[[True], [1.0]], [[1.0], [1.0]]]},
                   "MDP cost entry must be a number, got True"),
     "false-kernel": ({"kernel": [[0.5, 0.5], [False, 1.0]]},
@@ -842,14 +850,23 @@ class TestLoaders:
 
     @pytest.mark.parametrize("command, load", [
         (["mdp-solve", "--horizon", "2"], "load_mdp"), (["value-iterate"], "load_mdp"),
-        (["sddp-solve"], "load_stagewise"),
+        (["sddp-solve"], "load_stagewise"), (["solve"], "load_bundle"),
+        (["validate"], "load_bundle_or_tree"), (["verify", "--policy"], "load_policy"),
     ])
     def test_commands_read_through_the_loader(self, tmp_path, monkeypatch, command, load):
         import multistage.cli as cli
 
-        data = (document(random_sddp(rng_from_seed(8), horizon=2)) if load == "load_stagewise"
-                else mdp_to_json(constant_cost_mdp(gamma=0.5)))
+        fx = recourse_fixture()
+        bundle = bundle_to_json(ProblemBundle(fx["tree"], fx["cost"], fx["cls"]))
+        data = {
+            "load_mdp": lambda: mdp_to_json(constant_cost_mdp(gamma=0.5)),
+            "load_stagewise": lambda: document(random_sddp(rng_from_seed(8), horizon=2)),
+            "load_policy": lambda: policy_to_json(fx["optimal_policy"]),
+        }.get(load, lambda: bundle)()
         path = write_json(tmp_path / "input.json", data)
+        argv = [*command, "--input", path]
+        if load == "load_policy":
+            argv = [*command, path, "--input", write_json(tmp_path / "bundle.json", bundle)]
         calls = []
 
         def counted(p, real=getattr(cli, load)):
@@ -857,8 +874,8 @@ class TestLoaders:
             return real(p)
 
         monkeypatch.setattr(cli, load, counted)
-        monkeypatch.setattr(cli, "load_json", None)  # the handler must not read the file
-        assert main([*command, "--input", path, "--json"]) == 0
+        assert not hasattr(cli, "load_json")  # the handlers read no file but by a loader
+        assert main([*argv, "--json"]) == 0
         assert calls == [path]
 
 
@@ -874,9 +891,9 @@ class TestKeptSpecs:
         return [(load_mdp, mdp), (load_stagewise, stagewise)]
 
     def test_the_real_budget_is_2_to_the_24_bytes(self):
-        from multistage import bundle
+        from multistage import exceptions
 
-        assert bundle._KEPT.budget == 2**24
+        assert exceptions._KEPT.budget == 2**24
 
     def test_identical_bytes_return_the_same_spec(self, tmp_path, empty_memo):
         for load, path in self.files(tmp_path):
@@ -920,7 +937,7 @@ class TestKeptSpecs:
         assert len(kept.entries) == 1
 
     def test_eviction_is_least_recently_used_within_the_budget(self, tmp_path):
-        from multistage.bundle import _Kept
+        from multistage.exceptions import _Kept
         from multistage.dp_solvers import mdp_from_json
 
         paths = []
@@ -945,7 +962,7 @@ class TestKeptSpecs:
     def test_threads_sharing_the_memo_keep_its_size_exact(self, tmp_path):
         import threading
 
-        from multistage.bundle import _Kept
+        from multistage.exceptions import _Kept
         from multistage.dp_solvers import mdp_from_json
 
         gammas = [0.1, 0.2, 0.3, 0.4, 0.6]
@@ -1006,6 +1023,135 @@ class TestKeptSpecs:
         cost[0, 0, 0] = 7.0
         assert mdp.kernel[0, 0] == 0.5 and mdp.cost[0, 0, 0] == mdp.stage_costs[0][0, 0, 0] == 1.0
         assert not mdp.kernel.flags.writeable
+
+
+
+class TestKeptBundlesAndPolicies:
+    """``load_bundle`` and ``load_policy`` go through the same memo as
+    ``load_mdp``: a bundle file is built, and its validation run, once while
+    its bytes stay the same, and what they share is read-only."""
+
+    @staticmethod
+    def bundle_data(holder=None) -> dict:
+        fx = recourse_fixture()
+        data = bundle_to_json(ProblemBundle(tree=fx["tree"], cost=fx["cost"], cls=fx["cls"],
+                                            policies={"p": fx["optimal_policy"]}))
+        if holder is not None:
+            data["cost"]["holder"] = holder
+        return data
+
+    def files(self, tmp_path):
+        fx = recourse_fixture()
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps(self.bundle_data()))
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(policy_to_json(fx["optimal_policy"])))
+        return [(load_bundle, str(bundle)), (load_policy, str(policy))]
+
+    def test_identical_bytes_return_the_same_object(self, tmp_path, empty_memo):
+        files = self.files(tmp_path)
+        for load, path in files:
+            built = load(path)
+            Path(path).write_bytes(Path(path).read_bytes())  # rewritten, same bytes
+            assert load(path) is built
+        bundle_path = files[0][1]
+        assert load_bundle_or_tree(bundle_path) is load_bundle(bundle_path)  # one entry
+
+    def test_bytes_rewritten_under_the_same_size_and_mtime_are_rebuilt(self, tmp_path, empty_memo):
+        for load, path in self.files(tmp_path):
+            built = load(path)
+            before, text = os.stat(path), Path(path).read_text()
+            edited = text.replace('"decisions": {"0": [1.0]', '"decisions": {"0": [0.0]')
+            assert edited != text
+            Path(path).write_text(edited)
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            after = os.stat(path)
+            assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+            rebuilt = load(path)
+            policy, rebuilt_policy = ((built.policies["p"], rebuilt.policies["p"])
+                                      if load is load_bundle else (built, rebuilt))
+            assert (policy.decisions[0], rebuilt_policy.decisions[0]) == ((1.0,), (0.0,))
+            assert load(path) is rebuilt
+
+    def test_a_failed_load_is_not_kept(self, tmp_path, empty_memo):
+        kept = empty_memo()
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps({**self.bundle_data(), "policy_class": {"kind": "x"}}))
+        tree = write_json(tmp_path / "tree.json", tree_to_json(chain_tree([0.0, 1.0])))
+        for load in (load_bundle, load_policy):
+            with pytest.raises(InputFormatError, match="bad.json"):
+                load(str(bad))
+        for _ in range(2):
+            with pytest.raises(InputFormatError, match="malformed policy class JSON"):
+                load_bundle(str(broken))
+            with pytest.raises(InputFormatError, match="^bundle JSON is missing 'tree'$"):
+                load_bundle(tree)
+            assert isinstance(load_bundle_or_tree(tree), ScenarioTree)
+        assert not kept.entries
+
+    def test_an_invalid_bundle_reads_the_same_on_every_call(self, tmp_path, capsys, empty_memo):
+        path = write_json(tmp_path / "holder.json",
+                          self.bundle_data({"C": 1e-6, "alpha": 1.0, "delta": 10.0}))
+        bundle = load_bundle(path)
+        problems = bundle.validate()
+        assert problems and problems == bundle.validate() and problems is not bundle.validate()
+        problems.append("edited")  # a caller's list: the bundle's problems stay as found
+        assert bundle.validate() == problems[:-1]
+        outcomes = []
+        for _ in range(2):
+            for command in (["solve"], ["verify"], ["validate"], ["validate", "--json"]):
+                code = main([*command, "--input", path])
+                outcomes.append((command, code, *capsys.readouterr()))
+        assert outcomes[:4] == outcomes[4:] and load_bundle(path) is bundle
+        (_, solve, _, solve_err), (_, verify, _, verify_err) = outcomes[:2]
+        assert solve == verify == 3 and solve_err == verify_err
+        assert solve_err.startswith("input error: invalid bundle: declared Hoelder bound violated")
+        assert [code for _, code, _, _ in outcomes[2:4]] == [1, 1]
+
+    def test_the_hoelder_check_runs_once_per_kept_bundle(self, tmp_path, monkeypatch, empty_memo):
+        import multistage.bundle
+
+        calls = []
+
+        def counted(*args, real=multistage.bundle.verify_holder):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(multistage.bundle, "verify_holder", counted)
+        path = write_json(tmp_path / "holder.json",
+                          self.bundle_data({"C": 1e6, "alpha": 1.0, "delta": 10.0}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command in (["validate"], ["solve"], ["verify"], ["dynamic-check"], ["solve"]):
+                assert main([*command, "--input", path]) == 0
+        assert load_bundle(path).validate() == [] and len(calls) == 1
+        Path(path).write_text(Path(path).read_text() + " ")  # other bytes: built again
+        assert main(["validate", "--input", path]) == 0 and len(calls) == 2
+
+    def test_kept_objects_are_read_only(self, tmp_path, empty_memo):
+        (_, bundle_path), (_, policy_path) = self.files(tmp_path)
+        bundle, policy = load_bundle(bundle_path), load_policy(policy_path)
+        for mapping, key in [(bundle.policies, "q"), (bundle.policies["p"].decisions, 0),
+                             (policy.decisions, 0), (bundle.cls.feasible, 0)]:
+            with pytest.raises(TypeError):
+                mapping[key] = mapping.get(key)
+        with pytest.raises(AttributeError):
+            bundle.tree = None
+        assert load_bundle(bundle_path) is bundle and load_policy(policy_path) is policy
+        assert bundle.policies["p"] == policy and policy.decisions == {0: (1.0,), 1: (1.0,),
+                                                                       2: (1.0,)}
+
+    def test_validate_names_the_file_of_a_json_array(self, tmp_path, capsys, empty_memo):
+        kept = empty_memo()
+        path = write_json(tmp_path / "array.json", [1, 2])
+        for _ in range(2):
+            assert main(["validate", "--input", path]) == 3
+            assert capsys.readouterr() == (
+                "", f"input error: {path} must be a JSON object, got list\n")
+        with pytest.raises(InputFormatError, match="^bundle must be a JSON object, got list$"):
+            load_bundle(path)
+        assert not kept.entries
 
 
 class TestMdpCommands:

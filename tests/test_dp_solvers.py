@@ -1089,7 +1089,8 @@ class TestFloatArray:
 
     @pytest.mark.parametrize("x, fault", [
         ([[0.5, "0.5"]], "'0.5'"), ([[1.0], [True]], "True"), ([False, 1.0], "False"),
-        (["0.5", True, None], "'0.5'"), ([[1.0, None]], "None"),
+        (["0.5", True, None], "'0.5'"), ([[1.0, None]], "None"), ([[0.5, "abc"]], "'abc'"),
+        ([1.0, "0.5", "abc"], "'0.5'"), ([[{}, 1.0]], "{}"),
     ])
     def test_strings_booleans_and_nulls_are_input_errors(self, x, fault):
         with pytest.raises(InputFormatError, match=f"^MDP kernel entry must be a number, got {fault}$"):

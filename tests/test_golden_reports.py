@@ -688,20 +688,22 @@ def test_mdp_output_is_byte_identical(directory, case):
     assert run_mdp_case(directory, name, command.split()) == tuple(MDP_GOLDEN[case])
 
 
-def test_mdp_and_stagewise_cases_match_from_one_memo(directory, empty_memo):
-    """Every MDP and stagewise case, twice over in one process from an emptied
-    memo: each file is built once, and every later command reads its kept spec."""
+def test_every_case_matches_from_one_memo(directory, empty_memo):
+    """Every bundle, MDP and stagewise case, twice over in one process from an
+    emptied memo: each file is built once, and every later command reads
+    what was kept for it."""
     kept = empty_memo()
     cases = [(case, run_mdp_case, MDP_GOLDEN[case]) for case in MDP_GOLDEN]
-    cases += [(case, run_case, GOLDEN[case]) for case in GOLDEN if case.startswith("sddp")]
-    specs = []
+    cases += [(case, run_case, GOLDEN[case]) for case in GOLDEN]
+    built = []
     for _ in range(2):
         for case, run, expected in cases:
             name, command = case.split(":", 1)
             assert run(directory, name, command.split()) == tuple(expected), case
-        specs.append({key: spec for key, (_, spec) in kept.entries.items()})
-    assert len(specs[0]) == len(mdp_inputs()) + 1 and specs[0].keys() == specs[1].keys()
-    assert all(specs[0][key] is specs[1][key] for key in specs[0])
+        built.append({key: spec for key, (_, spec) in kept.entries.items()})
+    assert len(built[0]) == len(mdp_inputs()) + len(inputs())
+    assert built[0].keys() == built[1].keys()
+    assert all(built[0][key] is built[1][key] for key in built[0])
 
 
 def test_every_dynamic_fixture_has_a_digest():

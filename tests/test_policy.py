@@ -359,3 +359,35 @@ class TestDecisionPaths:
         policy = Policy(decisions={0: (0.5,), 1: (1.0,)}, decision_dim=1)
         with pytest.raises(IncompleteFunctionError, match="no decision for node 2"):
             policy.decision_paths(self.tree())
+
+
+class TestPoliciesFromGrids:
+    """Policies the library picks from a class's own grids are not checked
+    again; policies from JSON and from user code are."""
+
+    def test_solver_policies_skip_the_check_and_equal_checked_ones(self, monkeypatch):
+        from multistage.costs import CostSpec
+        from multistage.value_process import (
+            backward_tables,
+            brute_force_optimum,
+            greedy_policy_from_tables,
+        )
+
+        tree, cls = small_tree(), grid_class(small_tree(), values=(0.0, 1.0, 2.0))
+        cost = CostSpec.general(lambda xs, us: sum((u[0] - x[0]) ** 2 for x, u in zip(xs, us)))
+        monkeypatch.setattr(Policy, "__post_init__", lambda self: pytest.fail("checked again"))
+        found = [greedy_policy_from_tables(tree, cls, backward_tables(tree, cost, cls)),
+                 brute_force_optimum(tree, cost, cls)[1], *enumerate_policies(tree, cls)]
+        monkeypatch.undo()
+        for policy in found:
+            checked = Policy(decisions=dict(policy.decisions), decision_dim=policy.decision_dim)
+            assert policy == checked and type(policy.decisions) is type(checked.decisions)
+            with pytest.raises(TypeError):
+                policy.decisions[0] = (5.0,)
+        assert found[0].decisions == found[1].decisions == {0: (0.0,), 1: (1.0,), 2: (2.0,)}
+
+    def test_policies_from_json_and_user_code_are_checked(self):
+        with pytest.raises(InputFormatError, match="must be a number"):
+            Policy(decisions={0: ("1",)}, decision_dim=1)
+        with pytest.raises(InputFormatError, match="dimension 2, expected 1"):
+            policy_from_json({"decisions": {"0": [1.0, 2.0]}, "decision_dim": 1})

@@ -1,9 +1,10 @@
 """Which lines of the package the command line reaches.
 
-Runs ``multistage.cli.main`` in process, under ``sys.settrace``, over every
-operation of the ``perfbench`` workload plans at seed 1 and every golden
-report and MDP case of ``tests/test_golden_reports.py``, with their inputs
-written to a temporary directory. Run
+Imports ``multistage.cli`` and runs ``multistage.cli.main`` in process,
+under ``sys.settrace``, over every operation of the ``perfbench`` workload
+plans at seed 1 and every golden report and MDP case of
+``tests/test_golden_reports.py``, with their inputs written to a temporary
+directory. Run
 
     python tools/cli_lines.py
 
@@ -156,22 +157,44 @@ def golden_lines(directory: str) -> list[list[str]]:
     return lines
 
 
-def reach() -> dict[str, Module]:
-    """Trace ``cli.main`` over the command lines and return the modules of the
-    package it imports, the checkout's ``src/multistage`` first."""
+def _import_cli() -> None:
+    """Import ``multistage.cli`` from the checkout's ``src``."""
     sys.path.insert(0, str(ROOT / "src"))
     try:
-        import multistage
-        from multistage import cli
+        import multistage.cli  # noqa: F401
     finally:
         sys.path.remove(str(ROOT / "src"))
-    # the parser and the parsed lines are built once per process: start afresh
-    cli._parser.cache_clear()
-    cli._parsed.cache_clear()
-    modules = package_modules(Path(multistage.__file__).parent)
-    with tempfile.TemporaryDirectory() as directory:
-        lines = perfbench_lines(directory) + golden_lines(directory)
-        trace_calls(modules, [lambda argv=argv: _quiet_main(argv) for argv in lines])
+
+
+def _package_names() -> list[str]:
+    return [name for name in sys.modules if name.split(".")[0] == "multistage"]
+
+
+def _fresh_import() -> None:
+    """Import ``multistage.cli`` anew, so that what runs at import runs again,
+    and the parser and the memo, built once per process, start afresh."""
+    for name in _package_names():
+        del sys.modules[name]
+    _import_cli()
+
+
+def reach() -> dict[str, Module]:
+    """Trace a fresh import of ``multistage.cli`` (:func:`_fresh_import`) and
+    then ``cli.main`` over the command lines, and return the modules of the
+    checkout's ``src/multistage``. The package modules imported before are
+    put back afterwards."""
+    _import_cli()  # the plans and golden inputs are written with the package
+    imported = {name: sys.modules[name] for name in _package_names()}
+    modules = package_modules(ROOT / "src" / "multistage")
+    try:
+        with tempfile.TemporaryDirectory() as directory:
+            lines = perfbench_lines(directory) + golden_lines(directory)
+            trace_calls(modules, [_fresh_import]
+                        + [lambda argv=argv: _quiet_main(argv) for argv in lines])
+    finally:
+        for name in _package_names():
+            del sys.modules[name]
+        sys.modules.update(imported)
     return modules
 
 
