@@ -15,8 +15,14 @@ from typing import Mapping
 
 from .costs import MAX_HORIZON, CostSpec, cost_from_json, cost_problems, verify_holder
 from .dp_solvers import MDPSpec, SddpSpec, mdp_from_json, sddp_from_json
-from .exceptions import InputFormatError, load_kept, require_object
-from .policy import Policy, PolicyClass, policy_class_from_json, policy_from_json
+from .exceptions import InputFormatError, load_json, load_kept, require_object
+from .policy import (
+    Policy,
+    PolicyClass,
+    policy_class_from_json,
+    policy_from_json,
+    rebuild_from_fields,
+)
 from .scenario_tree import ScenarioTree, tree_from_json, validate
 
 
@@ -30,6 +36,8 @@ class ProblemBundle:
     cost: CostSpec
     cls: PolicyClass
     policies: Mapping[str, Policy] = field(default_factory=dict)
+
+    __reduce__ = rebuild_from_fields
 
     def __post_init__(self):
         object.__setattr__(self, "policies", MappingProxyType(dict(self.policies)))
@@ -116,12 +124,13 @@ def load_bundle(path: str) -> ProblemBundle:
 
 def load_bundle_or_tree(path: str) -> ProblemBundle | ScenarioTree:
     """The bundle in the JSON file at ``path`` (:func:`load_bundle`), or else
-    the tree of a file that holds an object without a ``tree``, built anew
-    on every call."""
+    the tree of a file that holds an object without a ``tree``. A file that
+    holds no bundle is read again, and its tree built anew on every call, by
+    :func:`~multistage.exceptions.load_json`, under its guard."""
     try:
         return load_kept(path, _bundle_of)
-    except _NoBundle as exc:
-        return tree_from_json(require_object(exc.args[0], path))
+    except _NoBundle:
+        return load_json(path, lambda data: tree_from_json(require_object(data, path)))
 
 
 def load_mdp(path: str) -> MDPSpec:

@@ -82,7 +82,8 @@ def _float_array(x, what: str) -> np.ndarray:
     :func:`all_numbers` pass checks that they are JSON numbers; only when it
     fails does a pass per entry run, to name the first fault. Anything else,
     and any list the walk cannot read (ragged, of mixed depth, with a
-    list among the entries), is left to ``np.asarray``.
+    sequence such as a tuple or an array among the entries), is left to
+    ``np.asarray``.
     """
     if type(x) is list:
         shape, level = [], [x]
@@ -99,8 +100,8 @@ def _float_array(x, what: str) -> np.ndarray:
             entries = list(itertools.chain.from_iterable(level))
             try:
                 flat = np.fromiter(entries, float, len(entries))
-            except (TypeError, ValueError):  # a list, or an entry numpy cannot read
-                if list in set(map(type, entries)):
+            except (TypeError, ValueError):  # a sequence, or an entry numpy cannot read
+                if any(map(np.ndim, entries)):
                     break
                 flat = None
             if not all_numbers(entries):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -47,6 +47,14 @@ DEFAULT_ENUMERATION_CAP = 10_000_000
 Decision = tuple[float, ...]
 
 
+def rebuild_from_fields(obj) -> tuple:
+    """``__reduce__`` of a frozen dataclass that holds read-only mappings: its
+    class called on its fields, each read-only mapping as a dict, since
+    :mod:`pickle` and :mod:`copy` cannot copy a read-only mapping."""
+    values = (getattr(obj, f.name) for f in fields(obj))
+    return type(obj), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
+
+
 @dataclass(frozen=True)
 class Policy:
     """One decision vector per tree node; immutable, with ``decisions`` a
@@ -54,6 +62,8 @@ class Policy:
 
     decisions: Mapping[int, Decision]
     decision_dim: int
+
+    __reduce__ = rebuild_from_fields
 
     def __post_init__(self):
         if not all_numbers(itertools.chain.from_iterable(self.decisions.values())):
@@ -100,6 +110,8 @@ class PolicyClass:
     feasible: Mapping[int, tuple[Decision, ...]]
     kind: str
     decision_dim: int
+
+    __reduce__ = rebuild_from_fields
 
     def __post_init__(self):
         if self.kind not in ("nodewise", "history_blind"):

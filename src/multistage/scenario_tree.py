@@ -40,6 +40,10 @@ class ScenarioTree:
     parentless root, acyclic parent links). Probability normalization,
     stage consistency and leaf depth are checked by :func:`validate`,
     which reports violations as data rather than raising.
+
+    A tree is read-only: its attributes cannot be set or deleted, its nodes
+    are named tuples and every query returns a tuple, so one tree can be
+    shared by every caller.
     """
 
     def __init__(self, nodes: Sequence[Node], horizon: int, obs_dim: int):
@@ -49,49 +53,59 @@ class ScenarioTree:
             raise InputFormatError("node ids must be dense 0..N-1")
         if not ordered or ordered[0].parent is not None:
             raise InputFormatError("node 0 must be the parentless root")
-        self.nodes: tuple[Node, ...] = ordered
-        self.horizon = int(horizon)
-        self.obs_dim = int(obs_dim)
 
         # ``ordered`` runs in id order, so every child list comes out sorted
-        children: dict[int, list[int]] = {n.id: [] for n in ordered}
+        child_lists: dict[int, list[int]] = {n.id: [] for n in ordered}
         for n in ordered:
             if n.parent is None:
                 if n.id != 0:
                     raise InputFormatError(f"node {n.id} has no parent but is not the root")
                 continue
-            if n.parent not in children:
+            if n.parent not in child_lists:
                 raise InputFormatError(f"node {n.id} references unknown parent {n.parent}")
-            children[n.parent].append(n.id)
-        self._children: dict[int, tuple[int, ...]] = {
-            i: tuple(c) for i, c in children.items()
-        }
+            child_lists[n.parent].append(n.id)
+        children = {i: tuple(c) for i, c in child_lists.items()}
 
         # Root paths, each extending its parent's, breadth first from the root;
         # a node this walk does not reach sits on a parent cycle.
         paths: dict[int, tuple[int, ...]] = {0: (0,)}
         order = [0]
         for nid in order:
-            for c in self._children[nid]:
+            for c in children[nid]:
                 paths[c] = paths[nid] + (c,)
                 order.append(c)
         if len(order) != len(ordered):
             raise InputFormatError("parent links contain a cycle")
-        self._paths = paths
-        self._top_down = tuple(order)
 
         stage_map: dict[int, list[int]] = {}
         for n in ordered:
             stage_map.setdefault(n.stage, []).append(n.id)
-        self._stages = {t: tuple(ids) for t, ids in stage_map.items()}
-        self._leaves = tuple(n.id for n in ordered if not self._children[n.id])
+        leaves = tuple(n.id for n in ordered if not children[n.id])
 
         # The leaves run in id order, so every tuple comes out sorted.
         below: dict[int, list[int]] = {n.id: [] for n in ordered}
-        for leaf in self._leaves:
+        for leaf in leaves:
             for nid in paths[leaf]:
                 below[nid].append(leaf)
-        self._leaves_below = {i: tuple(b) for i, b in below.items()}
+
+        # set once, past :meth:`__setattr__`, which makes the tree read-only
+        self.__dict__.update(
+            nodes=ordered,
+            horizon=int(horizon),
+            obs_dim=int(obs_dim),
+            _children=children,
+            _paths=paths,
+            _top_down=tuple(order),
+            _stages={t: tuple(ids) for t, ids in stage_map.items()},
+            _leaves=leaves,
+            _leaves_below={i: tuple(b) for i, b in below.items()},
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a ScenarioTree is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a ScenarioTree is read-only: cannot delete {name!r}")
 
     # -- structure queries -------------------------------------------------
 

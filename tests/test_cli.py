@@ -1,10 +1,12 @@
 import contextlib
+import copy
 import gc
 import io
 import itertools
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -1138,9 +1140,25 @@ class TestKeptBundlesAndPolicies:
                 mapping[key] = mapping.get(key)
         with pytest.raises(AttributeError):
             bundle.tree = None
+        with pytest.raises(AttributeError, match="read-only"):
+            bundle.tree.horizon = 7
         assert load_bundle(bundle_path) is bundle and load_policy(policy_path) is policy
+        assert load_bundle(bundle_path).tree.horizon == 1
         assert bundle.policies["p"] == policy and policy.decisions == {0: (1.0,), 1: (1.0,),
                                                                        2: (1.0,)}
+
+    def test_kept_objects_pickle_and_deep_copy(self, tmp_path, empty_memo):
+        (_, bundle_path), (_, policy_path) = self.files(tmp_path)
+        bundle, policy = load_bundle(bundle_path), load_policy(policy_path)
+        assert bundle.validate() == []
+        twin = copy.deepcopy(bundle)
+        assert twin is not bundle and twin.tree is not bundle.tree
+        assert (twin.tree.nodes, twin.cls, twin.policies) == (
+            bundle.tree.nodes, bundle.cls, bundle.policies)
+        assert twin.validate() == [] and type(twin.policies) is type(bundle.policies)
+        for original in (policy, bundle.cls, *bundle.policies.values()):
+            assert pickle.loads(pickle.dumps(original)) == original
+        assert load_bundle(bundle_path) is bundle and load_policy(policy_path) is policy
 
     def test_validate_names_the_file_of_a_json_array(self, tmp_path, capsys, empty_memo):
         kept = empty_memo()
@@ -1569,6 +1587,16 @@ class TestDeepNesting:
             '"obs": [0.0]', '"obs": ' + "[" * 3000 + "]" * 3000, 1)
         path, err = self.run(tmp_path, capsys, text, command)
         assert err == f"input error: {path}: nested too deeply to read\n"
+
+    def test_validate_a_tree_file_with_a_deep_node_obs_entry(self, tmp_path, capsys, empty_memo):
+        """A file without a ``tree`` is read as a tree, under the same guard."""
+        kept = empty_memo()
+        text = json.dumps(recourse_payload()["tree"]).replace(
+            '"obs": [0.0]', '"obs": ' + "[" * 3000 + "]" * 3000, 1)
+        for _ in range(2):
+            path, err = self.run(tmp_path, capsys, text, ["validate"])
+            assert err == f"input error: {path}: nested too deeply to read\n"
+        assert not kept.entries
 
     def test_a_deep_array_that_json_decodes(self, tmp_path, capsys):
         path, err = self.run(tmp_path, capsys, "[" * 5000 + "NaN" + "]" * 5000, ["validate"])

@@ -1087,6 +1087,19 @@ class TestFloatArray:
     def test_leaves_convert_as_numpy_converts_them(self):
         np.testing.assert_array_equal(_float_array([[1, 2], [3, 4.5]]), [[1.0, 2.0], [3.0, 4.5]])
 
+    @pytest.mark.parametrize("x", [
+        [(0.5, 0.5), (0.25, 0.75)], [np.array([0.5, 0.5]), np.array([0.25, 0.75])],
+        [[(0.5, 0.5)], [(0.25, 0.75)]], [(0.5, 0.5), [0.25, 0.75]],
+    ], ids=["tuple-rows", "array-rows", "tuple-leaves", "mixed-rows"])
+    def test_tuple_and_array_rows_read_as_numpy_reads_them(self, x):
+        np.testing.assert_array_equal(_float_array(x), _asarray(x))
+
+    def test_a_spec_built_in_code_takes_tuple_rows(self):
+        spec = MDPSpec(states=((0.0,), (1.0,)), actions=((0.0,),),
+                       kernel=[(0.5, 0.5), (0.25, 0.75)], cost=np.zeros((2, 2, 1)),
+                       gamma=0.5, bound_K=1.0)
+        np.testing.assert_array_equal(spec.kernel, [[0.5, 0.5], [0.25, 0.75]])
+
     @pytest.mark.parametrize("x, fault", [
         ([[0.5, "0.5"]], "'0.5'"), ([[1.0], [True]], "True"), ([False, 1.0], "False"),
         (["0.5", True, None], "'0.5'"), ([[1.0, None]], "None"), ([[0.5, "abc"]], "'abc'"),

@@ -51,6 +51,8 @@ while every report was still written by ``json.dumps``.
 The help texts are pinned the same way: the digest of what ``multistage
 --help`` and every ``<subcommand> --help`` print, and of the usage error that
 a command line without a subcommand prints, each formatted for 80 columns.
+So is ``demo-interchange``, as text and with ``--json``, on its built-in
+fixture alone and with 25 random trials from seed 3.
 
 The digests depend on the floating-point arithmetic, so they were recorded
 with numpy 2.4 on x86-64, and the help texts with Python 3.11's argparse.
@@ -343,6 +345,11 @@ def run_help(command: str) -> tuple[int, str, str]:
             hashlib.sha256(err.getvalue().encode()).hexdigest())
 
 
+def demo_ids() -> list[str]:
+    return [f"demo-interchange{flags}" for trials in ("", " --trials 25 --seed 3")
+            for flags in (trials, trials + " --json")]
+
+
 def case_ids() -> list[str]:
     return [f"{name}:{' '.join(cmd)}" for name in inputs() for cmd in commands(name)]
 
@@ -560,6 +567,15 @@ HELP_GOLDEN = {
 }
 
 
+#: demo-interchange command line -> exit code and digests of stdout and stderr
+DEMO_GOLDEN = {
+    'demo-interchange': (0, 'aaebf8a4d4208cd008bb8fb63675ce7f024135228dbb76c344b00f84e9f3a300', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'demo-interchange --json': (0, 'ad61b51d7101bb361ddd0186572bc321891e51753393356ba604002af38ac0ea', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'demo-interchange --trials 25 --seed 3': (0, 'c109047212b03506b0084283ad7e5c7cdc9c522f6dfa102cb7d8664fe23389e0', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'demo-interchange --trials 25 --seed 3 --json': (0, 'f2aaef7cd502e7bcb3830d4753583d37b62ed6545a09de8e2950792caa9cb0e2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+}
+
+
 #: MDP case -> exit code and digest of the standard output
 MDP_GOLDEN = {
     'mdp_indep:mdp-solve --horizon 5': (0, '8f39d1e4d26af51249aa9e523691e86a5223019971fe7dc5f18d75b9224961e0'),
@@ -725,6 +741,15 @@ def test_help_text_is_byte_identical(monkeypatch, command):
     assert run_help(command) == tuple(HELP_GOLDEN[command])
 
 
+def test_every_demo_line_has_a_digest():
+    assert list(DEMO_GOLDEN) == demo_ids()
+
+
+@pytest.mark.parametrize("command", list(DEMO_GOLDEN))
+def test_demo_output_is_byte_identical(command):
+    assert run_help(command) == tuple(DEMO_GOLDEN[command])
+
+
 if __name__ == "__main__":
     import os
     import pathlib
@@ -732,6 +757,8 @@ if __name__ == "__main__":
 
     os.environ["COLUMNS"] = "80"
     for command in help_ids():
+        sys.stdout.write(f"    {command!r}: {run_help(command)!r},\n")
+    for command in demo_ids():
         sys.stdout.write(f"    {command!r}: {run_help(command)!r},\n")
     with tempfile.TemporaryDirectory() as tmp:
         for case in case_ids():

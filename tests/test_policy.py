@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -391,3 +394,23 @@ class TestPoliciesFromGrids:
             Policy(decisions={0: ("1",)}, decision_dim=1)
         with pytest.raises(InputFormatError, match="dimension 2, expected 1"):
             policy_from_json({"decisions": {"0": [1.0, 2.0]}, "decision_dim": 1})
+
+
+class TestCopies:
+    """A policy and a class, whose mappings are read-only, still pickle and
+    deep-copy: the copy is rebuilt from its fields, equal and read-only."""
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.deepcopy, copy.copy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["deepcopy", "copy", "pickle"])
+    def test_round_trip(self, copy_of):
+        tree = small_tree()
+        cls = grid_class(tree, values=(0.0, 1.0))
+        checked = Policy(decisions={0: (0.0,), 1: (1.0,), 2: (1.0,)}, decision_dim=1)
+        picked = list(enumerate_policies(tree, cls))[-1]  # built from the class's grids
+        for original in (cls, checked, picked):
+            twin = copy_of(original)
+            assert twin == original and type(twin) is type(original)
+            mapping = twin.feasible if isinstance(twin, PolicyClass) else twin.decisions
+            with pytest.raises(TypeError):
+                mapping[0] = ((2.0,),)

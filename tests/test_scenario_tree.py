@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,28 @@ class TestStructure:
             node.cond_prob = 0.5
         assert (node.id, node.stage, node.parent, node.cond_prob, node.obs) == (
             3, 2, 1, 0.3, (2.0,))
+
+    def test_a_tree_is_read_only(self, binary2):
+        before = (binary2.nodes, binary2.horizon, binary2.obs_dim, binary2.children(0))
+        for name in ("nodes", "horizon", "obs_dim", "_children", "extra"):
+            with pytest.raises(AttributeError, match=f"^a ScenarioTree is read-only: cannot set '{name}'$"):
+                setattr(binary2, name, None)
+            with pytest.raises(AttributeError, match=f"^a ScenarioTree is read-only: cannot delete '{name}'$"):
+                delattr(binary2, name)
+        assert (binary2.nodes, binary2.horizon, binary2.obs_dim, binary2.children(0)) == before
+        assert isinstance(binary2.nodes, tuple)
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.deepcopy, copy.copy, lambda tree: pickle.loads(pickle.dumps(tree))],
+        ids=["deepcopy", "copy", "pickle"])
+    def test_a_copy_reads_the_same_and_is_read_only(self, binary2, copy_of):
+        twin = copy_of(binary2)
+        assert (twin.nodes, twin.horizon, twin.obs_dim) == (
+            binary2.nodes, binary2.horizon, binary2.obs_dim)
+        assert [twin.path_nodes(n) for n in range(len(twin))] == [
+            binary2.path_nodes(n) for n in range(len(binary2))]
+        with pytest.raises(AttributeError):
+            twin.horizon = 7
 
     @pytest.mark.parametrize("query", ["children", "path_nodes", "leaves_below"])
     def test_unknown_ids_raise(self, query):

@@ -2,9 +2,9 @@
 
 Imports ``multistage.cli`` and runs ``multistage.cli.main`` in process,
 under ``sys.settrace``, over every operation of the ``perfbench`` workload
-plans at seed 1 and every golden report and MDP case of
-``tests/test_golden_reports.py``, with their inputs written to a temporary
-directory. Run
+plans at seed 1 and every golden report, MDP and ``demo-interchange``
+case of ``tests/test_golden_reports.py``, with their inputs written to a
+temporary directory. Run
 
     python tools/cli_lines.py
 
@@ -136,8 +136,8 @@ def perfbench_lines(directory: str) -> list[list[str]]:
 
 
 def golden_lines(directory: str) -> list[list[str]]:
-    """The command lines of the golden report and MDP cases, inputs written under
-    ``directory``."""
+    """The command lines of the golden report, MDP and ``demo-interchange``
+    cases, inputs written under ``directory``."""
     sys.path.insert(0, str(ROOT / "tests"))
     try:
         import test_golden_reports as golden
@@ -154,7 +154,7 @@ def golden_lines(directory: str) -> list[list[str]]:
         for command in golden.MDP_COMMANDS[name]:
             lines += [[*command.split(), "--input", path, *flag]
                       for flag in ([], ["--json"])]
-    return lines
+    return lines + [command.split() for command in golden.demo_ids()]
 
 
 def _import_cli() -> None:
